@@ -100,7 +100,7 @@ def _cmd_limit_sim(args) -> int:
     )
     v0 = helmholtz_project(u0, "P")
     traj_v = run_trajectory(v0, solver_cfg, "incompressible")
-    table = build_limit_tables(cfg.lattice, cache_dir=cfg.cache_dir)
+    table = build_limit_tables(cfg.lattice)
     v_at = CubicTimeInterpolant(traj_v.times, traj_v.series("v"))
     V0 = acoustic_transform(a0, u0 - v0)
     traj_V = run_trajectory(V0, solver_cfg, "limit", table=table, v_at=v_at)
@@ -138,10 +138,8 @@ def _cmd_limit_sim(args) -> int:
 
 def _cmd_resonances(args) -> int:
     cfg = _load_config(args)
-    table = build_limit_tables(cfg.lattice, cache_dir=cfg.cache_dir)
-    report = small_divisors(
-        cfg.lattice, args.cutoff, theta=cfg.theta, cache_dir=cfg.cache_dir
-    )
+    table = build_limit_tables(cfg.lattice)
+    report = small_divisors(cfg.lattice, args.cutoff, theta=cfg.theta)
     payload = {
         "lattice": cfg.lattice.descriptor(),
         "limit_table_counts": table.counts(),

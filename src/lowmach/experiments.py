@@ -64,7 +64,6 @@ class ExperimentConfig:
     seed: int = 0
     forcing: Forcing | None = None
     out_dir: str = "out"
-    cache_dir: str | None = None
 
     def __post_init__(self):
         if not self.eps_list:
@@ -218,7 +217,7 @@ def convergence_study(cfg: ExperimentConfig, progress=None) -> ConvergenceReport
     timings["incompressible"] = _time.perf_counter() - t0
 
     t0 = _time.perf_counter()
-    table = build_limit_tables(cfg.lattice, cache_dir=cfg.cache_dir)
+    table = build_limit_tables(cfg.lattice)
     v_at = CubicTimeInterpolant(traj_v.times, traj_v.series("v"))
     V0 = acoustic_transform(a0, qu0)
     traj_V = run_trajectory(V0, base, "limit", table=table, v_at=v_at)
@@ -336,12 +335,6 @@ def emit_report(report: ConvergenceReport, out_dir: str) -> dict:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
     return {"wide": wide_path, "long": long_path, "json": json_path}
-
-
-def load_report_rows(path: str) -> list[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return payload["rows"]
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,12 @@ square roots and are decided exactly:
 
 The resonant triples drive the averaged (limit) quadratic forms; the
 non-resonant ones carry the small divisors and build the two-time-scale
-correctors.  Tables are enumerated once per (lattice, cutoff) and can be
-cached on disk.
+correctors.  Tables are enumerated once per (lattice, cutoff).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,7 +193,8 @@ class ResonanceTable:
     q1_ss: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int8))
     q1_weight: np.ndarray = field(default_factory=lambda: np.zeros(0))
     q1_kvec: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    # q2 resonant, per output branch gamma
+    # q2 resonant, keyed by output branch gamma; the limit table holds one
+    # equal-branch set, so its 1 and -1 keys share the same arrays
     q2_m: dict = field(default_factory=dict)
     q2_k: dict = field(default_factory=dict)
     q2_l: dict = field(default_factory=dict)
@@ -218,24 +215,7 @@ class ResonanceTable:
         return out
 
 
-def _box_mode_list(lattice: LatticeSpec):
-    key = "res_box_modes"
-
-    def build():
-        mask = lattice.dealias_mask()
-        grids = lattice.index_grids()
-        idx = np.argwhere(mask)
-        modes = []
-        for raw in idx:
-            n = tuple(int(g[tuple(raw)]) for g in grids)
-            if any(n):
-                modes.append(n)
-        return modes
-
-    return lattice._cached(key, build)
-
-
-def _guard_int64(lattice: LatticeSpec, max_scaled_norm: int):
+def _guard_int64(max_scaled_norm: int):
     if (3 * max_scaled_norm) ** 2 > 2**62:
         raise ValueError(
             "scaled norms too large for vectorized exact tests; "
@@ -243,113 +223,92 @@ def _guard_int64(lattice: LatticeSpec, max_scaled_norm: int):
         )
 
 
-def build_limit_tables(lattice: LatticeSpec, cache_dir: str | None = None) -> ResonanceTable:
-    """Resonant triples over the full dealiased box (for the limit solver)."""
-    cached = _load_cached(lattice, "limit", cache_dir)
-    if cached is not None:
-        return cached
-    modes = _box_mode_list(lattice)
-    nvecs = np.array(modes, dtype=np.int64)
-    nmodes = len(modes)
+# Candidate (k, l) pairs examined per array pass of the q2 search.
+_Q2_BLOCK_PAIRS = 1 << 16
+
+
+def build_limit_tables(lattice: LatticeSpec) -> ResonanceTable:
+    """Resonant triples over the full dealiased box (for the limit solver).
+
+    Modes are the nonzero box modes in FFT-grid order.  q1 lists every ordered
+    pair of a same-modulus shell (shells in order of first appearance, modes
+    ascending within a shell) whose difference lies in the box.  q2 lists, for
+    k and then l ascending, every pair with m = k + l a nonzero box mode that
+    passes the exact three-root test; each pass tests a block of k at once.
+    """
     res = lattice.resolution
-    flat = np.array([_flat_index(lattice, n) for n in modes], dtype=np.int64)
-    norms = np.array([_scaled_norm_of(lattice, n) for n in modes], dtype=np.int64)
-    sgs = np.array([sg(n) for n in modes], dtype=np.int64)
-    mods = np.array([_modulus_of(lattice, n) for n in modes])
-    kvecs = np.array([_wavevector_of(lattice, n) for n in modes])
-    _guard_int64(lattice, int(np.max(norms)) * 4)
+    flat = np.flatnonzero(lattice.dealias_mask())
+    flat = flat[flat != 0]  # the mean mode sits at flat index 0
+    nvecs = np.stack([g.reshape(-1)[flat] for g in lattice.index_grids()], axis=1)
+    kvecs = np.stack([g.reshape(-1)[flat] for g in lattice.wavevectors()], axis=1)
+    norms = lattice.scaled_norms().reshape(-1)[flat]
+    sgs = lattice.sign_grid().reshape(-1)[flat].astype(np.int64)
+    mods = lattice.k_modulus().reshape(-1)[flat]
+    nmodes = flat.size
+    cut = np.array(lattice.cutoffs)
+    _guard_int64(int(np.max(norms)) * 4)
 
-    flat_of = -np.ones(int(np.prod(res)), dtype=np.int64)
-    flat_of[flat] = np.arange(nmodes)
-    zero_flat = _flat_index(lattice, (0,) * lattice.d)
+    def flat_index(n):
+        return np.ravel_multi_index(tuple((n % res).T), res)
 
-    # --- q1: same-modulus shells -------------------------------------
-    q1_m, q1_k, q1_l, q1_ss, q1_w, q1_kv = [], [], [], [], [], []
-    shells: dict[int, list[int]] = {}
-    for i, N in enumerate(norms):
-        shells.setdefault(int(N), []).append(i)
-    for shell in shells.values():
-        for im in shell:
-            m = nvecs[im]
-            for ik in shell:
-                l = m - nvecs[ik]
-                if np.all(np.abs(l) <= np.array(lattice.cutoffs)):
-                    lf = _flat_index(lattice, tuple(int(c) for c in l))
-                    q1_m.append(flat[im])
-                    q1_k.append(flat[ik])
-                    q1_l.append(lf)
-                    q1_ss.append(sgs[im] * sgs[ik])
-                    kdotm = float(np.dot(kvecs[ik], kvecs[im]))
-                    q1_w.append(kdotm / (mods[ik] * mods[im]))
-                    q1_kv.append(kvecs[ik])
+    # --- q1: ordered pairs within each same-modulus shell ----------------
+    _, first, shell = np.unique(norms, return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))[shell]
+    order = np.argsort(rank, kind="stable")
+    counts = np.bincount(rank)
+    size = counts[rank[order]]
+    start = (np.cumsum(counts) - counts)[rank[order]]
+    im = np.repeat(order, size)
+    offset = np.arange(im.size) - np.repeat(np.cumsum(size) - size, size)
+    ik = order[np.repeat(start, size) + offset]
+    l = nvecs[im] - nvecs[ik]
+    keep = np.all(np.abs(l) <= cut, axis=1)
+    im, ik, l = im[keep], ik[keep], l[keep]
 
-    # --- q2: exact three-root condition, vectorized over l -----------
+    # --- q2: exact three-root condition over blocks of (k, l) ------------
     # With equal branches alpha = beta = gamma the oscillation exponent is
     # gamma*(sg(k)|k| + sg(l)|l| - sg(m)|m|), so the resonant pair set is the
     # same for both output branches.
-    q2 = ([], [], [], [])
-    cut = np.array(lattice.cutoffs)
-    for ik in range(nmodes):
-        lvec = nvecs  # all candidate l
-        mvec = nvecs[ik] + lvec
-        inbox = np.all(np.abs(mvec) <= cut, axis=1) & np.any(mvec != 0, axis=1)
-        if not np.any(inbox):
-            continue
-        lsel = np.nonzero(inbox)[0]
-        msel = mvec[lsel]
-        m_flat_idx = np.array(
-            [_flat_index(lattice, tuple(int(c) for c in mm)) for mm in msel],
-            dtype=np.int64,
-        )
-        m_pos = flat_of[m_flat_idx]
-        valid = m_pos >= 0
-        lsel, msel, m_pos = lsel[valid], msel[valid], m_pos[valid]
-        if lsel.size == 0:
-            continue
-        sk = int(sgs[ik])
-        nk = int(norms[ik])
-        sl = sgs[lsel]
-        nl = norms[lsel]
-        sm = sgs[m_pos]
-        nm = norms[m_pos]
+    flat_of = np.full(int(np.prod(res)), -1, dtype=np.int64)
+    flat_of[flat] = np.arange(nmodes)
+    step = max(1, _Q2_BLOCK_PAIRS // nmodes)
+    hits = []
+    for k0 in range(0, nmodes, step):
+        mvec = nvecs[k0 : k0 + step, None, :] + nvecs[None, :, :]
+        # per-component tests: reductions over the short last axis are slow
+        inbox = np.ones(mvec.shape[:2], dtype=bool)
+        nonzero = np.zeros(mvec.shape[:2], dtype=bool)
+        for c in range(lattice.d):
+            inbox &= np.abs(mvec[..., c]) <= cut[c]
+            nonzero |= mvec[..., c] != 0
+        bk, bl = np.nonzero(inbox & nonzero)
+        bm = flat_of[flat_index(mvec[bk, bl])]
+        bk += k0
         hit = _vec_three_term_zero(
-            np.full(sl.shape, sk, dtype=np.int64),
-            np.full(sl.shape, nk, dtype=np.int64),
-            sl,
-            nl,
-            -sm,
-            nm,
+            sgs[bk], norms[bk], sgs[bl], norms[bl], -sgs[bm], norms[bm]
         )
-        if not np.any(hit):
-            continue
-        sel = np.nonzero(hit)[0]
-        ms, ks, ls, smods = q2
-        ms.extend(flat[m_pos[sel]].tolist())
-        ks.extend([int(flat[ik])] * sel.size)
-        ls.extend(flat[lsel[sel]].tolist())
-        smods.extend((sm[sel] * mods[m_pos[sel]]).tolist())
+        hits.append((bm[hit], bk[hit], bl[hit]))
+    q2m, q2k, q2l = (np.concatenate(h) for h in zip(*hits))
+    q2_m, q2_k, q2_l = flat[q2m], flat[q2k], flat[q2l]
+    q2_smod = sgs[q2m] * mods[q2m]
 
-    table = ResonanceTable(
+    return ResonanceTable(
         lattice=lattice,
         M=float(lattice.max_modulus()),
-        q1_m=np.array(q1_m, dtype=np.int64),
-        q1_k=np.array(q1_k, dtype=np.int64),
-        q1_l=np.array(q1_l, dtype=np.int64),
-        q1_ss=np.array(q1_ss, dtype=np.int8),
-        q1_weight=np.array(q1_w),
-        q1_kvec=np.array(q1_kv) if q1_kv else np.zeros((0, lattice.d)),
-        q2_m={g: np.array(q2[0], dtype=np.int64) for g in (1, -1)},
-        q2_k={g: np.array(q2[1], dtype=np.int64) for g in (1, -1)},
-        q2_l={g: np.array(q2[2], dtype=np.int64) for g in (1, -1)},
-        q2_smod={g: np.array(q2[3]) for g in (1, -1)},
+        q1_m=flat[im],
+        q1_k=flat[ik],
+        q1_l=flat_index(l),
+        q1_ss=(sgs[im] * sgs[ik]).astype(np.int8),
+        q1_weight=np.sum(kvecs[ik] * kvecs[im], axis=1) / (mods[ik] * mods[im]),
+        q1_kvec=kvecs[ik],
+        q2_m={1: q2_m, -1: q2_m},
+        q2_k={1: q2_k, -1: q2_k},
+        q2_l={1: q2_l, -1: q2_l},
+        q2_smod={1: q2_smod, -1: q2_smod},
     )
-    _store_cached(table, "limit", cache_dir)
-    return table
 
 
-def enumerate_resonance_sets(
-    lattice: LatticeSpec, M: float, cache_dir: str | None = None
-) -> ResonanceTable:
+def enumerate_resonance_sets(lattice: LatticeSpec, M: float) -> ResonanceTable:
     """Classify every triple with |k|, |l| <= M (paper-style modulus balls).
 
     Returns resonant entries (restricted to output modes representable on the
@@ -357,9 +316,6 @@ def enumerate_resonance_sets(
     brackets, and oscillation rates for corrector assembly and small-divisor
     reports.
     """
-    cached = _load_cached(lattice, f"sets_M{M:g}", cache_dir)
-    if cached is not None:
-        return cached
     d = lattice.d
     for b, n in zip(lattice.periods, lattice.resolution):
         if math.floor(M * float(b) + 1e-9) > n // 2 - 1:
@@ -526,81 +482,7 @@ def enumerate_resonance_sets(
             "ln": np.array(nq2["ln"], dtype=np.int64),
         },
     )
-    _store_cached(table, f"sets_M{M:g}", cache_dir)
     return table
-
-
-# ---------------------------------------------------------------------------
-# Disk cache (documented npz schema)
-# ---------------------------------------------------------------------------
-
-
-def _cache_path(lattice: LatticeSpec, tag: str, cache_dir: str) -> str:
-    desc = json.dumps(lattice.descriptor(), sort_keys=True)
-    digest = hashlib.sha1(desc.encode()).hexdigest()[:16]
-    return os.path.join(cache_dir, f"resonance_{digest}_{tag}.npz")
-
-
-def _store_cached(table: ResonanceTable, tag: str, cache_dir: str | None):
-    if cache_dir is None:
-        return
-    os.makedirs(cache_dir, exist_ok=True)
-    payload = {
-        "descriptor": np.frombuffer(
-            json.dumps(table.lattice.descriptor(), sort_keys=True).encode(), dtype=np.uint8
-        ),
-        "M": np.array([table.M]),
-        "q1_m": table.q1_m,
-        "q1_k": table.q1_k,
-        "q1_l": table.q1_l,
-        "q1_ss": table.q1_ss,
-        "q1_weight": table.q1_weight,
-        "q1_kvec": table.q1_kvec,
-    }
-    for g, name in ((1, "p"), (-1, "m")):
-        payload[f"q2_m_{name}"] = table.q2_m[g]
-        payload[f"q2_k_{name}"] = table.q2_k[g]
-        payload[f"q2_l_{name}"] = table.q2_l[g]
-        payload[f"q2_smod_{name}"] = table.q2_smod[g]
-    if table.nonres_q1 is not None:
-        for key, arr in table.nonres_q1.items():
-            payload[f"nq1_{key}"] = arr
-        for key, arr in table.nonres_q2.items():
-            payload[f"nq2_{key}"] = arr
-    np.savez_compressed(_cache_path(table.lattice, tag, cache_dir), **payload)
-
-
-def _load_cached(lattice: LatticeSpec, tag: str, cache_dir: str | None):
-    if cache_dir is None:
-        return None
-    path = _cache_path(lattice, tag, cache_dir)
-    if not os.path.exists(path):
-        return None
-    data = np.load(path, allow_pickle=False)
-    desc = json.loads(bytes(data["descriptor"]).decode())
-    if desc != json.loads(json.dumps(lattice.descriptor())):
-        return None
-    nonres_q1 = None
-    nonres_q2 = None
-    if "nq1_m" in data:
-        nonres_q1 = {k[4:]: data[k] for k in data.files if k.startswith("nq1_")}
-        nonres_q2 = {k[4:]: data[k] for k in data.files if k.startswith("nq2_")}
-    return ResonanceTable(
-        lattice=lattice,
-        M=float(data["M"][0]),
-        q1_m=data["q1_m"],
-        q1_k=data["q1_k"],
-        q1_l=data["q1_l"],
-        q1_ss=data["q1_ss"],
-        q1_weight=data["q1_weight"],
-        q1_kvec=data["q1_kvec"],
-        q2_m={1: data["q2_m_p"], -1: data["q2_m_m"]},
-        q2_k={1: data["q2_k_p"], -1: data["q2_k_m"]},
-        q2_l={1: data["q2_l_p"], -1: data["q2_l_m"]},
-        q2_smod={1: data["q2_smod_p"], -1: data["q2_smod_m"]},
-        nonres_q1=nonres_q1,
-        nonres_q2=nonres_q2,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +579,6 @@ def small_divisors(
     M: float,
     theta: float = 0.25,
     forcing_regularity: float = 1.0,
-    cache_dir: str | None = None,
 ) -> SmallDivisorReport:
     """Reciprocal worst non-resonant frequency mismatches up to cutoff M.
 
@@ -705,7 +586,7 @@ def small_divisors(
     error budget: max{M, M^((d/2+S-2*theta+1)/2), M^(d/2+S-1),
     (C1+C2)*M^(2+2*theta)} with generic constant 1.
     """
-    table = enumerate_resonance_sets(lattice, M, cache_dir=cache_dir)
+    table = enumerate_resonance_sets(lattice, M)
     nq1, nq2 = table.nonres_q1, table.nonres_q2
 
     def attaining(entries, names):
@@ -901,7 +782,6 @@ def assemble_correctors(
     table: ResonanceTable | None = None,
     lam_ac: AcousticCoeffs | None = None,
     time_derivatives: tuple | None = None,
-    cache_dir: str | None = None,
 ):
     """Two-time-scale correctors (R1~, R2~, R3~, S~) truncated at cutoff M.
 
@@ -914,7 +794,7 @@ def assemble_correctors(
     """
     lattice = V.lattice
     if table is None or table.nonres_q1 is None:
-        table = enumerate_resonance_sets(lattice, M, cache_dir=cache_dir)
+        table = enumerate_resonance_sets(lattice, M)
     vol = lattice.volume
     c_d = 1.0 / math.sqrt(2.0 * vol)
     if lam_ac is None:
@@ -960,12 +840,11 @@ def remainder_fields(
     nu: float = 1.0,
     table: ResonanceTable | None = None,
     lam_ac: AcousticCoeffs | None = None,
-    cache_dir: str | None = None,
 ) -> AcousticCoeffs:
     """Low-band oscillatory remainder R_M = (R1 + R2 + R3 + S)_M at time t."""
     lattice = V.lattice
     if table is None or table.nonres_q1 is None:
-        table = enumerate_resonance_sets(lattice, M, cache_dir=cache_dir)
+        table = enumerate_resonance_sets(lattice, M)
     vol = lattice.volume
     c_d = 1.0 / math.sqrt(2.0 * vol)
     if lam_ac is None:

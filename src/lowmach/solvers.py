@@ -93,12 +93,25 @@ class ForcingMode:
 class Forcing:
     """Sum of fixed Fourier modes with scalar time envelopes.
 
-    Modes are mirrored automatically so the force is real-valued.
+    Modes must lie in the dealiased box.  They are mirrored automatically so
+    the force is real-valued; the mean mode, the only one in the box that is
+    its own mirror, is set once and needs real amplitudes.
     """
 
     def __init__(self, lattice: LatticeSpec, modes: list[ForcingMode]):
         self.lattice = lattice
         self.modes = list(modes)
+        for fm in self.modes:
+            mode = tuple(int(c) for c in fm.mode)
+            if len(mode) != lattice.d or any(
+                abs(c) > cut for c, cut in zip(mode, lattice.cutoffs)
+            ):
+                raise ValueError(
+                    f"forcing mode {mode} lies outside the dealiased box "
+                    f"|n_h| <= {lattice.cutoffs}"
+                )
+            if not any(mode) and any(complex(amp).imag for amp in fm.amplitude):
+                raise ValueError("the mean forcing mode needs real amplitudes")
 
     def __call__(self, t: float) -> SpectralField:
         lattice = self.lattice
@@ -109,7 +122,8 @@ class Forcing:
             fac = fm.factor(t)
             for comp, amp in enumerate(fm.amplitude):
                 coeffs[(comp,) + idx] += fac * amp
-                coeffs[(comp,) + mirror] += fac * np.conj(amp)
+                if mirror != idx:
+                    coeffs[(comp,) + mirror] += fac * np.conj(amp)
         return SpectralField(lattice, coeffs, reality=True)
 
     def to_json(self) -> list:
@@ -648,19 +662,33 @@ def save_checkpoint(path: str, lattice: LatticeSpec, time: float, fields: dict, 
 
 
 def load_checkpoint(path: str):
-    """Inverse of :func:`save_checkpoint`; returns (lattice, time, arrays, meta)."""
+    """Inverse of :func:`save_checkpoint`; returns (lattice, time, arrays, meta).
+
+    A file cut short, or longer than its header describes, raises ValueError.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise ValueError("not a checkpoint file")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode())
-        lattice = LatticeSpec.from_descriptor(header["lattice"])
-        arrays = {}
-        for entry in header["fields"]:
-            count = int(np.prod(entry["shape"]))
-            raw = fh.read(count * 16)
-            arrays[entry["name"]] = np.frombuffer(raw, dtype="<c16").reshape(
-                entry["shape"]
-            )
+        raw = fh.read(4)
+        hlen = struct.unpack("<I", raw)[0] if len(raw) == 4 else 0
+        head = fh.read(hlen)
+        if len(raw) < 4 or len(head) < hlen:
+            raise ValueError(f"damaged checkpoint {path!r}: the header is cut short")
+        header = json.loads(head.decode())
+        payload = fh.read()
+    lattice = LatticeSpec.from_descriptor(header["lattice"])
+    counts = [int(np.prod(entry["shape"])) for entry in header["fields"]]
+    if len(payload) != 16 * sum(counts):
+        raise ValueError(
+            f"damaged checkpoint {path!r}: the header describes {16 * sum(counts)} "
+            f"payload bytes, the file holds {len(payload)}"
+        )
+    arrays = {}
+    offset = 0
+    for entry, count in zip(header["fields"], counts):
+        arrays[entry["name"]] = np.frombuffer(
+            payload, dtype="<c16", count=count, offset=offset
+        ).reshape(entry["shape"])
+        offset += 16 * count
     return lattice, header["time"], arrays, header.get("meta", {})

@@ -1,6 +1,7 @@
 """Exact resonance tests, limit forms, small divisors, and correctors."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,12 @@ from lowmach.operators import (
     sg,
 )
 from lowmach.resonance import (
+    _flat_index,
+    _in_box,
+    _modulus_of,
+    _scaled_norm_of,
+    _sqrt_sum_is_zero,
+    _wavevector_of,
     assemble_correctors,
     build_limit_tables,
     enumerate_resonance_sets,
@@ -169,6 +176,96 @@ class TestEnumeration:
             mm = tuple((-c) % n for c, n in zip(m, lat8.resolution))
             mk = tuple((-c) % n for c, n in zip(k, lat8.resolution))
             assert (mm, mk) in pairs
+
+
+def reference_limit_tables(lattice):
+    """Per-pair classifier of the limit tables, in the builder's entry order.
+
+    q1 walks every same-modulus shell with a double loop; q2 runs the exact
+    three-root test on each (k, l) pair of nonzero box modes in turn.
+    """
+    grids = lattice.index_grids()
+    modes = [
+        tuple(int(g[tuple(raw)]) for g in grids)
+        for raw in np.argwhere(lattice.dealias_mask())
+    ]
+    modes = [n for n in modes if any(n)]
+    box = set(modes)
+    norm = {n: _scaled_norm_of(lattice, n) for n in modes}
+    q1 = {key: [] for key in ("m", "k", "l", "ss", "weight", "kvec")}
+    shells = {}
+    for n in modes:
+        shells.setdefault(norm[n], []).append(n)
+    for shell in shells.values():
+        for m in shell:
+            for k in shell:
+                l = tuple(a - b for a, b in zip(m, k))
+                if not _in_box(lattice, l):
+                    continue
+                kv, mv = _wavevector_of(lattice, k), _wavevector_of(lattice, m)
+                q1["m"].append(_flat_index(lattice, m))
+                q1["k"].append(_flat_index(lattice, k))
+                q1["l"].append(_flat_index(lattice, l))
+                q1["ss"].append(sg(m) * sg(k))
+                q1["weight"].append(
+                    sum(a * b for a, b in zip(kv, mv))
+                    / (_modulus_of(lattice, k) * _modulus_of(lattice, m))
+                )
+                q1["kvec"].append(kv)
+    q2 = {key: [] for key in ("m", "k", "l", "smod")}
+    for k in modes:
+        for l in modes:
+            m = tuple(a + b for a, b in zip(k, l))
+            if m in box and _sqrt_sum_is_zero(
+                [(sg(k), norm[k]), (sg(l), norm[l]), (-sg(m), norm[m])]
+            ):
+                q2["m"].append(_flat_index(lattice, m))
+                q2["k"].append(_flat_index(lattice, k))
+                q2["l"].append(_flat_index(lattice, l))
+                q2["smod"].append(sg(m) * _modulus_of(lattice, m))
+    return q1, q2
+
+
+ORACLE_LATTICES = {
+    "16x16": LatticeSpec.square(2, 16),
+    "16x12-aniso": LatticeSpec((1, Fraction(3, 2)), (16, 12)),
+    "8x8x8": LatticeSpec.square(3, 8),
+    "8x8x6-aniso": LatticeSpec((1, Fraction(1, 2), Fraction(2, 3)), (8, 8, 6)),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_LATTICES))
+def test_limit_tables_match_per_pair_oracle(name):
+    lattice = ORACLE_LATTICES[name]
+    table = build_limit_tables(lattice)
+    q1, q2 = reference_limit_tables(lattice)
+    ulps = 4 * np.finfo(float).eps
+
+    def same(got, want, dtype):
+        assert got.dtype == dtype
+        assert np.array_equal(got, np.array(want, dtype=dtype).reshape(got.shape))
+
+    for key in ("m", "k", "l"):
+        same(getattr(table, f"q1_{key}"), q1[key], np.int64)
+    same(table.q1_ss, q1["ss"], np.int8)
+    np.testing.assert_allclose(table.q1_weight, q1["weight"], rtol=0, atol=ulps)
+    np.testing.assert_allclose(
+        table.q1_kvec, np.array(q1["kvec"]).reshape(-1, lattice.d), rtol=ulps, atol=0
+    )
+    assert q2["m"], "every oracle lattice has resonant q2 triples"
+    for gamma in (1, -1):
+        for key in ("m", "k", "l"):
+            same(getattr(table, f"q2_{key}")[gamma], q2[key], np.int64)
+        np.testing.assert_allclose(table.q2_smod[gamma], q2["smod"], rtol=ulps, atol=0)
+    # the equal-branch set is stored once and shared by both output branches
+    assert table.q2_m[1] is table.q2_m[-1]
+
+    # every q2 triple is collinear: all integer 2x2 minors of (k, l) vanish
+    idx = np.stack([g.reshape(-1) for g in lattice.index_grids()], axis=1)
+    k, l = idx[table.q2_k[1]], idx[table.q2_l[1]]
+    for i in range(lattice.d):
+        for j in range(i + 1, lattice.d):
+            assert np.all(k[:, i] * l[:, j] == k[:, j] * l[:, i])
 
 
 class TestLimitForms:

@@ -387,6 +387,27 @@ class TestInitialDataAndIO:
         assert np.array_equal(arrays["a"], a0.coeffs)
         assert np.array_equal(arrays["u"], u0.coeffs)
 
+    @pytest.mark.parametrize("keep", [-24, 40, 12])  # payload, header, length field
+    def test_truncated_checkpoint_rejected(self, tmp_path, lat16, keep):
+        a0, _ = generate_initial_data(lat16, 1.0, 1.0, seed=16)
+        path = os.path.join(tmp_path, "state.lmc")
+        save_checkpoint(path, lat16, 0.25, {"a": a0})
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(data[:keep])
+        with pytest.raises(ValueError, match="damaged checkpoint"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path, lat16):
+        a0, _ = generate_initial_data(lat16, 1.0, 1.0, seed=16)
+        path = os.path.join(tmp_path, "state.lmc")
+        save_checkpoint(path, lat16, 0.25, {"a": a0})
+        with open(path, "ab") as fh:
+            fh.write(b"\0" * 16)
+        with pytest.raises(ValueError, match="damaged checkpoint"):
+            load_checkpoint(path)
+
     def test_restart_bit_identical(self, tmp_path, lat16):
         cfg = SolverConfig(
             lattice=lat16, mu=0.05, lam=0.0, eps=0.5, dt=1e-3, t_final=0.01
@@ -430,6 +451,20 @@ class TestInitialDataAndIO:
         assert f.is_reality_symmetric(1e-12)
         again = Forcing.from_json(lat16, forcing.to_json())
         assert np.array_equal(again(0.3).coeffs, f.coeffs)
+
+    def test_forcing_mode_outside_box_rejected(self, lat16):
+        assert lat16.cutoffs == (5, 5)
+        with pytest.raises(ValueError, match="outside the dealiased box"):
+            Forcing(lat16, [ForcingMode(mode=(7, 0), amplitude=(1.0, 0.0))])
+
+    def test_mean_forcing_mode_not_doubled(self, lat16):
+        forcing = Forcing(lat16, [ForcingMode(mode=(0, 0), amplitude=(1.0, -0.5))])
+        f = forcing(0.0)
+        assert f.coeffs[0, 0, 0] == 1.0
+        assert f.coeffs[1, 0, 0] == -0.5
+        assert np.count_nonzero(f.coeffs) == 2
+        with pytest.raises(ValueError, match="real amplitudes"):
+            Forcing(lat16, [ForcingMode(mode=(0, 0), amplitude=(1.0j, 0.0))])
 
 
 class TestInterpolant:
