@@ -25,11 +25,13 @@ from .dyadic import norm, parse_norm_spec
 from .experiments import (
     ConvergenceReport,
     ExperimentConfig,
+    assemble_report,
     convergence_study,
     emit_report,
     run_invariant_suite,
     vanishing_limit_check,
 )
+from .functionals import DiagnosticsRow
 from .lattice import LatticeSpec, SpectralField
 from .operators import VacuumError, acoustic_transform, helmholtz_project
 from .resonance import build_limit_tables, small_divisors
@@ -197,42 +199,19 @@ def _cmd_converge(args) -> int:
 def _parallel_study(cfg: ExperimentConfig, threads: int) -> ConvergenceReport:
     """Sweep members are independent; distribute them over processes."""
     from concurrent.futures import ProcessPoolExecutor as _Pool
-    from .experiments import _monotone_verdict, fit_loglog_slope
-    from .functionals import DiagnosticsRow
 
     with _Pool(max_workers=threads) as pool:
         futures = [
             pool.submit(_single_eps_study, cfg.to_json(), eps) for eps in cfg.eps_list
         ]
-        partials = [f.result() for f in futures]
-    # rows in deterministic descending-eps order
-    rows = []
-    for (eps, payload), eps_expected in zip(partials, cfg.eps_list):
-        assert eps == eps_expected
-        rows.append(
-            DiagnosticsRow(eps=payload["eps"], t_final=payload["T"], values=payload["values"])
-        )
-    slope = fit_loglog_slope(cfg.eps_list, [r.values["W_theta"] for r in rows])
-    verdicts = {
-        key: _monotone_verdict([r.values[key] for r in rows])
-        for key in ("D", "eps_a_linf_besov", "Vdiff_composite", "Pudiff_composite", "W_theta")
-    }
-    return ConvergenceReport(
-        config=cfg.to_json(),
-        rows=rows,
-        slope=slope,
-        slope_flag="ok" if len(rows) >= 2 else "insufficient-data",
-        verdicts=verdicts,
-        timings={},
-    )
+        rows = [f.result() for f in futures]  # in eps_list order, as submitted
+    return assemble_report(cfg, rows, {})
 
 
-def _single_eps_study(config_json: dict, eps: float):
+def _single_eps_study(config_json: dict, eps: float) -> DiagnosticsRow:
     cfg = ExperimentConfig.from_json(config_json)
     cfg = dataclasses.replace(cfg, eps_list=(eps,))
-    report = convergence_study(cfg)
-    row = report.rows[0]
-    return eps, {"eps": row.eps, "T": row.t_final, "values": row.values}
+    return convergence_study(cfg).rows[0]
 
 
 def _cmd_check(args) -> int:
@@ -264,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="random seed override")
         p.add_argument("--eps", help="comma-separated Mach numbers")
-        p.add_argument("--threads", type=int, default=1, help="sweep worker count")
 
     p = sub.add_parser("simulate", help="single compressible run")
     common(p)
@@ -291,6 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("converge", help="full Mach sweep with report")
     common(p)
+    p.add_argument("--threads", type=int, default=1, help="sweep worker count")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=_cmd_converge)
 

@@ -33,6 +33,7 @@ from .solvers import (
 __all__ = [
     "ExperimentConfig",
     "ConvergenceReport",
+    "assemble_report",
     "convergence_study",
     "vanishing_limit_check",
     "fit_loglog_slope",
@@ -239,8 +240,17 @@ def convergence_study(cfg: ExperimentConfig, progress=None) -> ConvergenceReport
             cfg.theta / (1.0 + cfg.theta)
         )
         rows.append(row)
-        timings[f"eps_{eps:g}"] = row.wall_time
+    return assemble_report(cfg, rows, timings)
 
+
+def assemble_report(
+    cfg: ExperimentConfig, rows: list[DiagnosticsRow], timings: dict
+) -> ConvergenceReport:
+    """Slope, monotonicity verdicts and report of a sweep.
+
+    ``rows`` holds one row per Mach number, in ``cfg.eps_list`` order; each
+    row's wall time joins ``timings`` as ``eps_<eps>``.
+    """
     if len(cfg.eps_list) >= 2:
         slope = fit_loglog_slope(cfg.eps_list, [r.values["W_theta"] for r in rows])
         slope_flag = "ok"
@@ -251,6 +261,9 @@ def convergence_study(cfg: ExperimentConfig, progress=None) -> ConvergenceReport
         key: _monotone_verdict([r.values[key] for r in rows])
         for key in ("D", "eps_a_linf_besov", "Vdiff_composite", "Pudiff_composite", "W_theta")
     }
+    timings = dict(timings)
+    for eps, row in zip(cfg.eps_list, rows):
+        timings[f"eps_{eps:g}"] = row.wall_time
     return ConvergenceReport(
         config=cfg.to_json(),
         rows=rows,

@@ -204,9 +204,10 @@ class ResonanceTable:
     nonres_q2: dict | None = None
 
     def counts(self) -> dict:
+        # both gamma keys of q2_m hold the same equal-branch triples
         out = {
             "q1_resonant": int(self.q1_m.size),
-            "q2_resonant": int(sum(v.size for v in self.q2_m.values())),
+            "q2_resonant": int(self.q2_m[1].size) if self.q2_m else 0,
         }
         if self.nonres_q1 is not None:
             out["q1_nonresonant"] = int(self.nonres_q1["m"].size)

@@ -1,10 +1,12 @@
 """Time integration for the slightly compressible, incompressible, and
 averaged (limit) systems, with exact per-mode propagators for the stiff part.
 
-All three steppers use a Lawson-type exponential RK2: nonlinear terms are
+One Lawson-type exponential RK2 step serves the three systems; each brings
+its own right-hand side and linear propagator.  Nonlinear terms are
 evaluated pseudospectrally with dealiasing, while the linear part is applied
-through its exact per-mode exponential.  For the compressible system the
-longitudinal (acoustic-viscous) 2x2 block
+through its exact per-mode exponential: a heat factor for the incompressible
+and averaged systems and, for the compressible system, the longitudinal
+(acoustic-viscous) 2x2 block
 
     d/dt [a_k, mu_k] = [[0, -i|k|/eps], [-i|k|/eps, -nu |k|^2]] [a_k, mu_k]
 
@@ -66,6 +68,11 @@ __all__ = [
 
 class CFLError(RuntimeError):
     """Raised when the advective CFL constraint is violated."""
+
+
+# The compressible right-hand side raises CFLError unless
+# dt <= CFL_SAFETY * dx_min / max|u|.
+CFL_SAFETY = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +171,6 @@ class SolverConfig:
     t_final: float = 1.0
     forcing: Forcing | None = None
     sample_stride: int = 1
-    cfl_safety: float = 0.5
     include_nonlinear: bool = True
 
     def __post_init__(self):
@@ -174,6 +180,12 @@ class SolverConfig:
             raise ValueError("Mach number must lie in (0, 1]")
         if self.dt <= 0 or self.t_final <= 0:
             raise ValueError("dt and t_final must be positive")
+        ratio = self.t_final / self.dt
+        if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9 * ratio:
+            raise ValueError(
+                f"dt = {self.dt!r} does not divide t_final = {self.t_final!r} "
+                "into a whole number of steps"
+            )
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be at least 1")
 
@@ -183,7 +195,7 @@ class SolverConfig:
 
     @property
     def n_steps(self) -> int:
-        return max(1, int(round(self.t_final / self.dt)))
+        return int(round(self.t_final / self.dt))
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +307,24 @@ def acoustic_viscous_propagator(
 
 
 # ---------------------------------------------------------------------------
-# Compressible stepper
+# Steppers: one Lawson RK2 step, three right-hand sides
 # ---------------------------------------------------------------------------
+
+
+def _lawson_rk2(x: tuple, t: float, dt: float, linear, rhs) -> tuple:
+    """One Lawson (integrating-factor) RK2 step of dx/dt = L x + N(x, t).
+
+    ``x`` is a tuple of fields, ``linear`` maps such a tuple through the exact
+    one-step exponential P = exp(dt L), and ``rhs(x, t)`` returns N(x, t) as a
+    tuple of the same shape.  With n0 = N(x, t) and n1 = N(P(x + dt n0), t + dt)
+    the step returns P(x) + (dt/2) (P(n0) + n1).
+    """
+    n0 = rhs(x, t)
+    predictor = linear(tuple(xi + dt * ni for xi, ni in zip(x, n0)))
+    px = linear(x)
+    pn0 = linear(n0)
+    n1 = rhs(predictor, t + dt)
+    return tuple(pi + (dt / 2.0) * (qi + ni) for pi, qi, ni in zip(px, pn0, n1))
 
 
 def _viscous_operator(u: SpectralField, mu: float, lam: float) -> SpectralField:
@@ -338,10 +366,10 @@ def _compressible_nonlinear(
     dx_min = min(
         2.0 * math.pi * float(b) / n for b, n in zip(lattice.periods, lattice.resolution)
     )
-    if umax > 0 and cfg.dt > cfg.cfl_safety * dx_min / umax:
+    if umax > 0 and cfg.dt > CFL_SAFETY * dx_min / umax:
         raise CFLError(
             f"dt = {cfg.dt:.3e} exceeds advective CFL bound "
-            f"{cfg.cfl_safety * dx_min / umax:.3e} (max|u| = {umax:.3f})"
+            f"{CFL_SAFETY * dx_min / umax:.3e} (max|u| = {umax:.3f})"
         )
 
     # continuity: -div(a u)
@@ -378,29 +406,12 @@ def step_compressible(
         )
     if warn_state is None:
         warn_state = {}
-    dt = cfg.dt
-    na0, nu0 = _compressible_nonlinear(state.a, state.u, state.t, cfg, warn_state)
-    pa, pu = propagator.apply(state.a + dt * na0, state.u + dt * nu0)
-    la, lu = propagator.apply(state.a, state.u)
-    pna0, pnu0 = propagator.apply(na0, nu0)
-    na1, nu1 = _compressible_nonlinear(pa, pu, state.t + dt, cfg, warn_state)
-    new_a = la + (dt / 2.0) * (pna0 + na1)
-    new_u = lu + (dt / 2.0) * (pnu0 + nu1)
-    return CompressibleState(a=new_a, u=new_u, t=state.t + dt)
 
+    def rhs(x, t):
+        return _compressible_nonlinear(x[0], x[1], t, cfg, warn_state)
 
-# ---------------------------------------------------------------------------
-# Incompressible stepper
-# ---------------------------------------------------------------------------
-
-
-def _incompressible_nonlinear(v: SpectralField, t: float, cfg: SolverConfig) -> SpectralField:
-    out = SpectralField.zeros(cfg.lattice, cfg.lattice.d)
-    if cfg.include_nonlinear:
-        out = out - helmholtz_project(advect(v, v), "P")
-    if cfg.forcing is not None:
-        out = out + helmholtz_project(cfg.forcing(t), "P")
-    return out
+    a, u = _lawson_rk2((state.a, state.u), state.t, cfg.dt, lambda x: propagator.apply(*x), rhs)
+    return CompressibleState(a=a, u=u, t=state.t + cfg.dt)
 
 
 def step_incompressible(
@@ -410,21 +421,16 @@ def step_incompressible(
     lattice = cfg.lattice
     if heat is None:
         heat = np.exp(-cfg.mu * lattice.k_squared() * cfg.dt)
-    dt = cfg.dt
-    n0 = _incompressible_nonlinear(v, t, cfg)
-    predictor = (v + dt * n0).scale_modes(heat)
-    n1 = _incompressible_nonlinear(predictor, t + dt, cfg)
-    return v.scale_modes(heat) + (dt / 2.0) * (n0.scale_modes(heat) + n1)
 
+    def rhs(x, time):
+        out = SpectralField.zeros(lattice, lattice.d)
+        if cfg.include_nonlinear:
+            out = out - helmholtz_project(advect(x[0], x[0]), "P")
+        if cfg.forcing is not None:
+            out = out + helmholtz_project(cfg.forcing(time), "P")
+        return (out,)
 
-# ---------------------------------------------------------------------------
-# Limit stepper
-# ---------------------------------------------------------------------------
-
-
-def _limit_nonlinear(V: AcousticCoeffs, v: SpectralField, cfg, table) -> AcousticCoeffs:
-    out = -1.0 * limit_q1(v, V, table) - limit_q2(V, V, table, kappa=cfg.law.kappa)
-    return out
+    return _lawson_rk2((v,), t, cfg.dt, lambda x: (x[0].scale_modes(heat),), rhs)[0]
 
 
 def step_limit(
@@ -435,15 +441,15 @@ def step_limit(
     heat: np.ndarray | None = None,
 ) -> LimitState:
     """One Lawson RK2 step of the averaged system (half-viscosity heat factor)."""
-    lattice = cfg.lattice
     if heat is None:
-        heat = np.exp(-0.5 * cfg.nu * lattice.k_squared() * cfg.dt)
-    dt = cfg.dt
-    n0 = _limit_nonlinear(state.V, v_at(state.t), cfg, table)
-    predictor = (state.V + dt * n0).scale_modes(heat)
-    n1 = _limit_nonlinear(predictor, v_at(state.t + dt), cfg, table)
-    new_v = state.V.scale_modes(heat) + (dt / 2.0) * (n0.scale_modes(heat) + n1)
-    return LimitState(V=new_v, t=state.t + dt)
+        heat = np.exp(-0.5 * cfg.nu * cfg.lattice.k_squared() * cfg.dt)
+
+    def rhs(x, t):
+        V = x[0]
+        return (-1.0 * limit_q1(v_at(t), V, table) - limit_q2(V, V, table, kappa=cfg.law.kappa),)
+
+    V = _lawson_rk2((state.V,), state.t, cfg.dt, lambda x: (x[0].scale_modes(heat),), rhs)[0]
+    return LimitState(V=V, t=state.t + cfg.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +457,10 @@ def step_limit(
 # ---------------------------------------------------------------------------
 
 
-def _compressible_record(state: CompressibleState, cfg: SolverConfig) -> dict:
+def _compressible_record(state: CompressibleState, t: float, eps: float) -> dict:
     pu = helmholtz_project(state.u, "P")
     qu = state.u - pu
-    veps = wave_group(
-        acoustic_transform(state.a, qu, check=False), -state.t / cfg.eps
-    )
+    veps = wave_group(acoustic_transform(state.a, qu, check=False), -t / eps)
     return {"a": state.a, "u": state.u, "Pu": pu, "Qu": qu, "Veps": veps}
 
 
@@ -467,52 +471,45 @@ def run_trajectory(
     table: ResonanceTable | None = None,
     v_at: "CubicTimeInterpolant | None" = None,
 ) -> Trajectory:
-    """Advance to t_final, sampling every ``sample_stride`` steps.
+    """Advance to t_final, sampling every ``sample_stride`` steps and the last.
 
     ``kind`` selects the system: "compressible" (initial = (a0, u0)),
     "incompressible" (initial = v0), or "limit" (initial = V0, which also
-    needs the resonance table and the incompressible interpolant).
+    needs the resonance table and the incompressible interpolant).  Each step
+    starts, and each sample is stamped, at an exact multiple of ``dt``.
     """
-    times = [0.0]
-    states = []
-    warn_state: dict = {}
-    n_steps = cfg.n_steps
+    lattice, dt = cfg.lattice, cfg.dt
     if kind == "compressible":
-        a0, u0 = initial
-        state = CompressibleState(a=a0, u=u0, t=0.0)
-        states.append(_compressible_record(state, cfg))
-        prop = acoustic_viscous_propagator(cfg.lattice, cfg.dt, cfg.eps, cfg.nu, cfg.mu)
-        for step in range(1, n_steps + 1):
-            state = step_compressible(state, cfg, prop, warn_state)
-            state.t = step * cfg.dt  # keep sample times exact multiples
-            if step % cfg.sample_stride == 0 or step == n_steps:
-                times.append(state.t)
-                states.append(_compressible_record(state, cfg))
+        prop = acoustic_viscous_propagator(lattice, dt, cfg.eps, cfg.nu, cfg.mu)
+        warn_state: dict = {}
+        x = CompressibleState(*initial)
+        advance = lambda s, t: step_compressible(
+            CompressibleState(s.a, s.u, t), cfg, prop, warn_state
+        )
+        record = lambda s, t: _compressible_record(s, t, cfg.eps)
     elif kind == "incompressible":
-        v = initial
-        states.append({"v": v})
-        heat = np.exp(-cfg.mu * cfg.lattice.k_squared() * cfg.dt)
-        t = 0.0
-        for step in range(1, n_steps + 1):
-            v = step_incompressible(v, t, cfg, heat)
-            t = step * cfg.dt
-            if step % cfg.sample_stride == 0 or step == n_steps:
-                times.append(t)
-                states.append({"v": v})
+        heat = np.exp(-cfg.mu * lattice.k_squared() * dt)
+        x = initial
+        advance = lambda v, t: step_incompressible(v, t, cfg, heat)
+        record = lambda v, t: {"v": v}
     elif kind == "limit":
         if table is None or v_at is None:
             raise ValueError("limit runs need a resonance table and v interpolant")
-        state = LimitState(V=initial, t=0.0)
-        states.append({"V": state.V})
-        heat = np.exp(-0.5 * cfg.nu * cfg.lattice.k_squared() * cfg.dt)
-        for step in range(1, n_steps + 1):
-            state = step_limit(state, v_at, cfg, table, heat)
-            state.t = step * cfg.dt  # keep sample times exact multiples
-            if step % cfg.sample_stride == 0 or step == n_steps:
-                times.append(state.t)
-                states.append({"V": state.V})
+        heat = np.exp(-0.5 * cfg.nu * lattice.k_squared() * dt)
+        x = initial
+        advance = lambda V, t: step_limit(LimitState(V, t), v_at, cfg, table, heat).V
+        record = lambda V, t: {"V": V}
     else:
         raise ValueError(f"unknown trajectory kind {kind!r}")
+
+    times = [0.0]
+    states = [record(x, 0.0)]
+    n_steps = cfg.n_steps
+    for step in range(1, n_steps + 1):
+        x = advance(x, (step - 1) * dt)
+        if step % cfg.sample_stride == 0 or step == n_steps:
+            times.append(step * dt)
+            states.append(record(x, step * dt))
     return Trajectory(times=np.array(times), states=states, meta={"kind": kind})
 
 

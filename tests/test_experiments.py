@@ -400,11 +400,31 @@ class TestCLI:
         p2 = self.run_cli("converge", "--config", path, "--out", out2, "--threads", "2")
         assert p1.returncode == 0, p1.stderr
         assert p2.returncode == 0, p2.stderr
-        with open(os.path.join(out1, "report.csv"), "rb") as fh:
-            seq = fh.read()
-        with open(os.path.join(out2, "report.csv"), "rb") as fh:
-            par = fh.read()
-        assert seq == par
+        for name in ("report.csv", "report_long.csv"):
+            with open(os.path.join(out1, name), "rb") as fh:
+                seq = fh.read()
+            with open(os.path.join(out2, name), "rb") as fh:
+                par = fh.read()
+            assert seq == par, name
+        with open(os.path.join(out1, "report.json")) as fh:
+            seq_json = json.load(fh)
+        with open(os.path.join(out2, "report.json")) as fh:
+            par_json = json.load(fh)
+        eps_keys = {f"eps_{eps:g}" for eps in seq_json["config"]["experiment"]["eps"]}
+        assert len(eps_keys) == 2
+        assert {k for k in par_json["timings"] if k.startswith("eps_")} == eps_keys
+        assert all(par_json["timings"][k] > 0 for k in eps_keys)
+        assert set(seq_json["timings"]) == eps_keys | {"incompressible", "limit"}
+        for key in ("rows", "slope_W_theta", "slope_flag", "verdicts"):
+            assert par_json[key] == seq_json[key], key
+
+    def test_threads_only_on_converge(self, tmp_path):
+        path = self.write_config(tmp_path)
+        proc = self.run_cli(
+            "simulate", "--config", path, "--out", str(tmp_path), "--threads", "2"
+        )
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --threads" in proc.stderr
 
     def test_vacuum_abort_exit_code(self, tmp_path):
         # enormous data at eps = 1 drives the density to vacuum immediately

@@ -164,6 +164,17 @@ class TestEnumeration:
         assert q1_set(box_table) == q1_set(ball_table)
         assert q2_set(box_table) == q2_set(ball_table)
 
+    def test_counts_report_distinct_q2_triples(self, lat8):
+        # the gamma = +1 and -1 keys hold the same equal-branch triples, so
+        # counts() reports one key's entries, each a distinct triple
+        for table in (build_limit_tables(lat8), enumerate_resonance_sets(lat8, 2.0)):
+            counts = table.counts()
+            assert counts["q2_resonant"] == table.q2_m[1].size > 0
+            assert counts["q1_resonant"] == table.q1_m.size
+            triples = set(zip(table.q2_m[1], table.q2_k[1], table.q2_l[1]))
+            assert len(triples) == table.q2_m[1].size
+            assert triples == set(zip(table.q2_m[-1], table.q2_k[-1], table.q2_l[-1]))
+
     def test_table_reality_closure(self, lat8):
         # every resonant q1 pair has its mirrored partner
         table = build_limit_tables(lat8)

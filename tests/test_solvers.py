@@ -19,6 +19,7 @@ from lowmach.operators import (
     PressureLaw,
     acoustic_transform,
     helmholtz_project,
+    wave_group,
 )
 from lowmach.resonance import build_limit_tables
 from lowmach.solvers import (
@@ -358,6 +359,89 @@ class TestLimit:
         assert math.log2(errs[1] / errs[2]) >= 1.9
 
 
+class TestTrajectoryLoop:
+    """run_trajectory against hand-stepping, with a stride that leaves a tail:
+    10 steps sampled every 3 give samples after steps 0, 3, 6, 9 and 10."""
+
+    SAMPLED = (0, 3, 6, 9, 10)
+
+    @pytest.fixture
+    def cfg(self, lat16):
+        # a time-dependent force, so a step started at the wrong time shows
+        forcing = Forcing(
+            lat16,
+            [ForcingMode(mode=(1, 2), amplitude=(0.1, -0.05), envelope="cos", omega=3.0)],
+        )
+        return SolverConfig(
+            lattice=lat16,
+            mu=0.05,
+            lam=0.05,
+            eps=0.2,
+            dt=0.1,  # step starts n*dt differ from sums of dt from n = 6 on
+            t_final=1.0,
+            sample_stride=3,
+            forcing=forcing,
+        )
+
+    def hand_run(self, cfg, initial, step):
+        """Samples of repeated ``step(x, t)`` calls, each started at t = n*dt."""
+        assert cfg.n_steps == 10
+        x, samples = initial, [initial]
+        for n in range(1, cfg.n_steps + 1):
+            x = step(x, (n - 1) * cfg.dt)
+            if n in self.SAMPLED:
+                samples.append(x)
+        return samples
+
+    def check_times(self, traj, cfg, kind):
+        assert np.array_equal(traj.times, cfg.dt * np.array(self.SAMPLED))
+        assert traj.meta["kind"] == kind
+
+    def test_compressible_matches_hand_stepping(self, lat16, cfg):
+        a0, u0 = generate_initial_data(lat16, 0.5, 0.5, seed=21)
+        traj = run_trajectory((a0, u0), cfg, "compressible")
+        hand = self.hand_run(
+            cfg,
+            CompressibleState(a=a0, u=u0),
+            lambda s, t: step_compressible(CompressibleState(a=s.a, u=s.u, t=t), cfg),
+        )
+        self.check_times(traj, cfg, "compressible")
+        assert len(traj) == len(hand)
+        for rec, state, t in zip(traj.states, hand, traj.times):
+            assert np.array_equal(rec["a"].coeffs, state.a.coeffs)
+            assert np.array_equal(rec["u"].coeffs, state.u.coeffs)
+            qu = state.u - helmholtz_project(state.u, "P")
+            veps = wave_group(acoustic_transform(state.a, qu, check=False), -t / cfg.eps)
+            assert np.array_equal(rec["Veps"].plus, veps.plus)
+
+    def test_incompressible_matches_hand_stepping(self, lat16, cfg):
+        _, u0 = generate_initial_data(lat16, 0.5, 0.5, seed=22)
+        v0 = helmholtz_project(u0, "P")
+        traj = run_trajectory(v0, cfg, "incompressible")
+        hand = self.hand_run(cfg, v0, lambda v, t: step_incompressible(v, t, cfg))
+        self.check_times(traj, cfg, "incompressible")
+        assert len(traj) == len(hand)
+        for v_traj, v_hand in zip(traj.series("v"), hand):
+            assert np.array_equal(v_traj.coeffs, v_hand.coeffs)
+
+    def test_limit_matches_hand_stepping(self, lat16, cfg):
+        a0, u0 = generate_initial_data(lat16, 0.5, 0.5, seed=23)
+        v0 = helmholtz_project(u0, "P")
+        vtraj = run_trajectory(v0, cfg, "incompressible")
+        v_at = CubicTimeInterpolant(vtraj.times, vtraj.series("v"))
+        table = build_limit_tables(lat16)
+        V0 = acoustic_transform(a0, u0 - v0)
+        traj = run_trajectory(V0, cfg, "limit", table=table, v_at=v_at)
+        hand = self.hand_run(
+            cfg, V0, lambda V, t: step_limit(LimitState(V=V, t=t), v_at, cfg, table).V
+        )
+        self.check_times(traj, cfg, "limit")
+        assert len(traj) == len(hand)
+        for V_traj, V_hand in zip(traj.series("V"), hand):
+            assert np.array_equal(V_traj.plus, V_hand.plus)
+            assert np.array_equal(V_traj.minus, V_hand.minus)
+
+
 class TestInitialDataAndIO:
     def test_requested_norms_achieved(self, lat32):
         a0, u0 = generate_initial_data(lat32, 2.0, 2.0, seed=14)
@@ -441,6 +525,14 @@ class TestInitialDataAndIO:
         traj = run_trajectory(v0, cfg, "incompressible")
         assert len(traj) == cfg.n_steps + 1
         assert np.allclose(np.diff(traj.times), cfg.dt)
+
+    def test_dt_must_divide_t_final(self, lat16):
+        # 0.3/0.1 is 2.9999999999999996 in floating point: round-off, accepted
+        assert 0.3 / 0.1 != 3
+        assert SolverConfig(lattice=lat16, dt=0.1, t_final=0.3).n_steps == 3
+        for dt, t_final in ((0.3, 1.0), (2.0, 1.0)):
+            with pytest.raises(ValueError, match="does not divide"):
+                SolverConfig(lattice=lat16, dt=dt, t_final=t_final)
 
     def test_forcing_round_trip_and_reality(self, lat16):
         forcing = Forcing(
