@@ -35,7 +35,6 @@ from .operators import (
     acoustic_inverse,
     acoustic_transform,
     helmholtz_project,
-    nonlinear_coefficients,
     q1_eps,
     q1_eps_modesum,
     q2_eps,

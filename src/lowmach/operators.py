@@ -23,15 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (
-    GridField,
-    LatticeSpec,
-    SpectralField,
-    dealiased_product,
-    forward_transform,
-    inverse_transform,
-    spectral_derivative,
-)
+from .lattice import LatticeSpec, SpectralField, dealiased_product, spectral_derivative
 
 __all__ = [
     "VacuumError",
@@ -42,7 +34,6 @@ __all__ = [
     "acoustic_inverse",
     "wave_group",
     "PressureLaw",
-    "nonlinear_coefficients",
     "advect",
     "q1_eps",
     "q2_eps",
@@ -319,31 +310,6 @@ class PressureLaw:
         exact = (1.0 + a) ** (self.gamma - 2.0)
         model = 1.0 + self.kappa * a + a * self.remainder(a)
         return float(np.max(np.abs(exact - model)))
-
-
-def nonlinear_coefficients(law: PressureLaw, a: SpectralField, eps: float, as_grid=False):
-    """Pointwise grid evaluation of (I(eps*a), K(eps*a)), plus kappa.
-
-    Returns spectral fields by default (grid values then a forward transform,
-    which truncates the non-band-limited quotients); with ``as_grid`` the
-    untruncated grid samples are returned instead.  Raises
-    :class:`VacuumError` when eps*||a||_inf exceeds 1/2, where the uniform
-    non-vacuum bound is lost.
-    """
-    grid = inverse_transform(a)
-    vals = np.real(grid.values)
-    amax = float(np.max(np.abs(vals)))
-    if eps * amax > 0.5:
-        raise VacuumError(
-            f"eps*||a||_inf = {eps * amax:.3f} > 1/2: too close to vacuum"
-        )
-    i_vals = law.quotient(eps * vals)
-    k_vals = law.remainder(eps * vals)
-    if as_grid:
-        return GridField(a.lattice, i_vals), GridField(a.lattice, k_vals), law.kappa
-    i_field = forward_transform(GridField(a.lattice, i_vals))
-    k_field = forward_transform(GridField(a.lattice, k_vals))
-    return i_field, k_field, law.kappa
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import LatticeSpec, SpectralField
-from .operators import AcousticCoeffs, sg
+from .operators import (
+    AcousticCoeffs,
+    _signed_modulus,
+    acoustic_transform,
+    advect,
+    helmholtz_project,
+)
 
 __all__ = [
     "ResonanceResult",
@@ -109,63 +115,39 @@ def _vec_three_term_zero(s1, n1, s2, n2, s3, n3) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Mode bookkeeping helpers
+# Mode bookkeeping
 # ---------------------------------------------------------------------------
 
 
-def _ball_modes(lattice: LatticeSpec, M: float):
-    """Lattice vectors with 0 < |k| <= M, as integer index tuples."""
+def _mode_data(lattice: LatticeSpec, n: np.ndarray):
+    """Per-mode data of integer index vectors ``n`` of shape (N, d).
+
+    Returns the scaled norms D*|k|^2, the generalized signs sg(k) (0 at k = 0),
+    the wavevectors, the moduli, the dealiased-box flags and the flat FFT-grid
+    indices of ``n`` modulo the resolution.  Everything is computed from ``n``
+    itself, so modes off the FFT grid (such as m = k + l) are handled too.
+    """
     scale = lattice.norm_scale()
-    bound = int(math.floor(M * M * scale + 1e-9))
-    ranges = [
-        range(-int(math.floor(M * float(b) + 1e-9)), int(math.floor(M * float(b) + 1e-9)) + 1)
-        for b in lattice.periods
-    ]
-    out = []
-
-    def rec(prefix, rest):
-        if not rest:
-            n = tuple(prefix)
-            if any(n):
-                bsqs = [bb * bb for bb in lattice.periods]
-                N = sum(
-                    (scale * bsq.denominator // bsq.numerator) * c * c
-                    for c, bsq in zip(n, bsqs)
-                )
-                if N <= bound:
-                    out.append(n)
-            return
-        for c in rest[0]:
-            rec(prefix + [c], rest[1:])
-
-    rec([], ranges)
-    return out
+    cols = n.T  # per-component loops: reductions over the short last axis are slow
+    norms = sum(
+        (scale * (b * b).denominator // (b * b).numerator) * col * col
+        for col, b in zip(cols, lattice.periods)
+    )
+    sgs = np.zeros(len(n), dtype=np.int64)
+    for col in cols[::-1]:  # the first nonzero component decides
+        sgs = np.where(col != 0, np.sign(col), sgs)
+    kvecs = n / np.array([float(b) for b in lattice.periods])
+    mods = np.sqrt(sum(kvecs[:, c] * kvecs[:, c] for c in range(lattice.d)))
+    inbox = np.ones(len(n), dtype=bool)
+    for col, cut in zip(cols, lattice.cutoffs):
+        inbox &= np.abs(col) <= cut
+    return norms, sgs, kvecs, mods, inbox, _grid_index(lattice, n)
 
 
-def _scaled_norm_of(lattice: LatticeSpec, n) -> int:
-    scale = lattice.norm_scale()
-    total = 0
-    for c, b in zip(n, lattice.periods):
-        bsq = b * b
-        total += (scale * bsq.denominator // bsq.numerator) * c * c
-    return total
-
-
-def _modulus_of(lattice: LatticeSpec, n) -> float:
-    return math.sqrt(sum((c / float(b)) ** 2 for c, b in zip(n, lattice.periods)))
-
-
-def _wavevector_of(lattice: LatticeSpec, n):
-    return tuple(c / float(b) for c, b in zip(n, lattice.periods))
-
-
-def _in_box(lattice: LatticeSpec, n) -> bool:
-    return all(abs(c) <= cut for c, cut in zip(n, lattice.cutoffs))
-
-
-def _flat_index(lattice: LatticeSpec, n) -> int:
-    idx = tuple(int(c) % r for c, r in zip(n, lattice.resolution))
-    return int(np.ravel_multi_index(idx, lattice.resolution))
+def _grid_index(lattice: LatticeSpec, n: np.ndarray) -> np.ndarray:
+    """Flat FFT-grid indices of integer vectors n (N, d), taken modulo the grid."""
+    res = lattice.resolution
+    return np.ravel_multi_index(tuple(col % r for col, r in zip(n.T, res)), res)
 
 
 # ---------------------------------------------------------------------------
@@ -237,20 +219,13 @@ def build_limit_tables(lattice: LatticeSpec) -> ResonanceTable:
     k and then l ascending, every pair with m = k + l a nonzero box mode that
     passes the exact three-root test; each pass tests a block of k at once.
     """
-    res = lattice.resolution
     flat = np.flatnonzero(lattice.dealias_mask())
     flat = flat[flat != 0]  # the mean mode sits at flat index 0
     nvecs = np.stack([g.reshape(-1)[flat] for g in lattice.index_grids()], axis=1)
-    kvecs = np.stack([g.reshape(-1)[flat] for g in lattice.wavevectors()], axis=1)
-    norms = lattice.scaled_norms().reshape(-1)[flat]
-    sgs = lattice.sign_grid().reshape(-1)[flat].astype(np.int64)
-    mods = lattice.k_modulus().reshape(-1)[flat]
+    norms, sgs, kvecs, mods, _, _ = _mode_data(lattice, nvecs)
     nmodes = flat.size
     cut = np.array(lattice.cutoffs)
     _guard_int64(int(np.max(norms)) * 4)
-
-    def flat_index(n):
-        return np.ravel_multi_index(tuple((n % res).T), res)
 
     # --- q1: ordered pairs within each same-modulus shell ----------------
     _, first, shell = np.unique(norms, return_index=True, return_inverse=True)
@@ -270,7 +245,7 @@ def build_limit_tables(lattice: LatticeSpec) -> ResonanceTable:
     # With equal branches alpha = beta = gamma the oscillation exponent is
     # gamma*(sg(k)|k| + sg(l)|l| - sg(m)|m|), so the resonant pair set is the
     # same for both output branches.
-    flat_of = np.full(int(np.prod(res)), -1, dtype=np.int64)
+    flat_of = np.full(int(np.prod(lattice.resolution)), -1, dtype=np.int64)
     flat_of[flat] = np.arange(nmodes)
     step = max(1, _Q2_BLOCK_PAIRS // nmodes)
     hits = []
@@ -283,7 +258,7 @@ def build_limit_tables(lattice: LatticeSpec) -> ResonanceTable:
             inbox &= np.abs(mvec[..., c]) <= cut[c]
             nonzero |= mvec[..., c] != 0
         bk, bl = np.nonzero(inbox & nonzero)
-        bm = flat_of[flat_index(mvec[bk, bl])]
+        bm = flat_of[_grid_index(lattice, mvec[bk, bl])]
         bk += k0
         hit = _vec_three_term_zero(
             sgs[bk], norms[bk], sgs[bl], norms[bl], -sgs[bm], norms[bm]
@@ -298,7 +273,7 @@ def build_limit_tables(lattice: LatticeSpec) -> ResonanceTable:
         M=float(lattice.max_modulus()),
         q1_m=flat[im],
         q1_k=flat[ik],
-        q1_l=flat_index(l),
+        q1_l=_grid_index(lattice, l),
         q1_ss=(sgs[im] * sgs[ik]).astype(np.int8),
         q1_weight=np.sum(kvecs[ik] * kvecs[im], axis=1) / (mods[ik] * mods[im]),
         q1_kvec=kvecs[ik],
@@ -309,181 +284,130 @@ def build_limit_tables(lattice: LatticeSpec) -> ResonanceTable:
     )
 
 
+# (gamma, alpha) and (gamma, alpha, beta) branch combinations, in entry order
+_Q1_BRANCHES = np.array([(g, a) for g in (1, -1) for a in (1, -1)], dtype=np.int8).T
+_Q2_BRANCHES = np.array(
+    [(g, a, b) for g in (1, -1) for a in (1, -1) for b in (1, -1)], dtype=np.int8
+).T
+
+
 def enumerate_resonance_sets(lattice: LatticeSpec, M: float) -> ResonanceTable:
     """Classify every triple with |k|, |l| <= M (paper-style modulus balls).
 
     Returns resonant entries (restricted to output modes representable on the
     dealiased box) plus the complete non-resonant complements with divisors,
     brackets, and oscillation rates for corrector assembly and small-divisor
-    reports.
+    reports.  Pairs run over k in the ball and, for each k, over l in the ball
+    and then l = 0 (ball modes in ascending index order), skipping m = k + l
+    = 0; each pair lists its non-resonant branches with gamma, then alpha,
+    then beta running over (1, -1).  A non-resonant m outside the box, and a
+    q1 difference l outside the box, get the index -1.
     """
     d = lattice.d
-    for b, n in zip(lattice.periods, lattice.resolution):
-        if math.floor(M * float(b) + 1e-9) > n // 2 - 1:
+    reach = [math.floor(M * float(b) + 1e-9) for b in lattice.periods]
+    for r, n in zip(reach, lattice.resolution):
+        if r > n // 2 - 1:
             raise ValueError(
                 f"cutoff M = {M} exceeds the index range of the {n}-point axis"
             )
-    ball = _ball_modes(lattice, M)
+    bound = math.floor(M * M * lattice.norm_scale() + 1e-9)
+    _guard_int64(4 * bound)
+    cube = np.indices([2 * r + 1 for r in reach]).reshape(d, -1).T - np.array(reach)
+    ball = cube[(_mode_data(lattice, cube)[0] <= bound) & np.any(cube != 0, axis=1)]
+    modes = np.concatenate([ball, np.zeros((1, d), dtype=np.int64)])
+    norm, sgn, vec, mod, box, idx = _mode_data(lattice, modes)
 
-    q1_res = {"m": [], "k": [], "l": [], "ss": [], "w": [], "kv": []}
-    nq1 = {k: [] for k in ("m", "k", "l", "alpha", "gamma", "div", "bracket", "mn", "kn", "ln")}
-    nq2 = {
-        k: []
-        for k in ("m", "k", "l", "alpha", "beta", "gamma", "div", "base", "smod", "mn", "kn", "ln")
+    # every (k, l) pair, k-major, as indices into modes
+    ik = np.repeat(np.arange(len(ball)), len(modes))
+    il = np.tile(np.arange(len(modes)), len(ball))
+    mvec = modes[ik] + modes[il]
+    keep = np.any(mvec != 0, axis=1)
+    ik, il, mvec = ik[keep], il[keep], mvec[keep]
+    m_norm, m_sgn, m_vec, m_mod, m_box, m_idx = _mode_data(lattice, mvec)
+    m_out = np.where(m_box, m_idx, -1)
+
+    # --- q1: resonant iff |k| = |m| and alpha*sg(k) = gamma*sg(m) ---------
+    same = norm[ik] == m_norm
+    gamma, alpha = _Q1_BRANCHES
+    p, c = np.nonzero(
+        ~(same[:, None] & (alpha * sgn[ik][:, None] == gamma * m_sgn[:, None]))
+    )
+    k, l = ik[p], il[p]
+    g, a = gamma[c], alpha[c]
+    sk, sm = sgn[k], m_sgn[p]
+    lm_dot_k = np.sum((vec[l] + m_vec[p]) * vec[k], axis=1)
+    nonres_q1 = {
+        "m": m_out[p],
+        "k": idx[k],
+        "l": np.where(box, idx, -1)[l],
+        "alpha": a,
+        "gamma": g,
+        "div": a * sk * mod[k] - g * sm * m_mod[p],
+        "bracket": 1.0 + a * g * sk * sm * lm_dot_k / (mod[k] * m_mod[p]),
+        "mn": mvec[p],
+        "kn": modes[k],
+        "ln": modes[l],
+    }
+    # the resonant gamma = 1 branch of each same-modulus pair, m and l in the box
+    p = np.flatnonzero(same & m_box & box[il])
+    k, l = ik[p], il[p]
+    q1 = dict(
+        q1_m=m_idx[p],
+        q1_k=idx[k],
+        q1_l=idx[l],
+        q1_ss=(m_sgn[p] * sgn[k]).astype(np.int8),
+        q1_weight=np.sum(vec[k] * m_vec[p], axis=1) / (mod[k] * m_mod[p]),
+        q1_kvec=vec[k],
+    )
+
+    # --- q2: the exact three-root test on every pair with l != 0 ---------
+    two = np.flatnonzero(il < len(ball))
+    gamma, alpha, beta = _Q2_BRANCHES
+    k, l = ik[two], il[two]
+    resonant = _vec_three_term_zero(
+        alpha * sgn[k][:, None], norm[k][:, None],
+        beta * sgn[l][:, None], norm[l][:, None],
+        -gamma * m_sgn[two][:, None], m_norm[two][:, None],
+    )
+    # equal-branch triples for the limit form: branch 0 (alpha = beta = gamma
+    # = 1) selects the same pairs as gamma = -1, with m, k and l in the box
+    eq = two[resonant[:, 0] & m_box[two] & box[k] & box[l]]
+    q2_m, q2_k, q2_l = m_idx[eq], idx[ik[eq]], idx[il[eq]]
+    q2_smod = m_sgn[eq] * m_mod[eq]
+    p, c = np.nonzero(~resonant)
+    p = two[p]
+    k, l = ik[p], il[p]
+    g, a, b = gamma[c], alpha[c], beta[c]
+    sk, sl, sm = sgn[k], sgn[l], m_sgn[p]
+    l_dot_m = np.sum(vec[l] * m_vec[p], axis=1)
+    k_dot_l = np.sum(vec[k] * vec[l], axis=1)
+    nonres_q2 = {
+        "m": m_out[p],
+        "k": idx[k],
+        "l": idx[l],
+        "alpha": a,
+        "beta": b,
+        "gamma": g,
+        "div": a * sk * mod[k] + b * sl * mod[l] - g * sm * m_mod[p],
+        "base": b * sl * sm * l_dot_m / (mod[l] * m_mod[p])
+        + a * b * g / 2.0 * sk * sl * k_dot_l / (mod[k] * mod[l]),
+        "smod": sm * m_mod[p],
+        "mn": mvec[p],
+        "kn": modes[k],
+        "ln": modes[l],
     }
 
-    def record_q1(m, k, l):
-        nm = _scaled_norm_of(lattice, m)
-        nk = _scaled_norm_of(lattice, k)
-        mmod, kmod = _modulus_of(lattice, m), _modulus_of(lattice, k)
-        sgm, sgk = sg(m), sg(k)
-        kv, mv, lv = (
-            np.array(_wavevector_of(lattice, k)),
-            np.array(_wavevector_of(lattice, m)),
-            np.array(_wavevector_of(lattice, l)),
-        )
-        for gamma in (1, -1):
-            for alpha in (1, -1):
-                resonant = nk == nm and alpha * sgk == gamma * sgm
-                if resonant:
-                    if gamma == 1 and _in_box(lattice, m) and _in_box(lattice, l):
-                        q1_res["m"].append(_flat_index(lattice, m))
-                        q1_res["k"].append(_flat_index(lattice, k))
-                        q1_res["l"].append(_flat_index(lattice, l))
-                        q1_res["ss"].append(sgm * sgk)
-                        q1_res["w"].append(float(np.dot(kv, mv)) / (kmod * mmod))
-                        q1_res["kv"].append(kv)
-                else:
-                    div = alpha * sgk * kmod - gamma * sgm * mmod
-                    bracket = 1.0 + alpha * gamma * sgk * sgm * float(
-                        np.dot(lv + mv, kv)
-                    ) / (kmod * mmod)
-                    nq1["m"].append(_flat_index(lattice, m) if _in_box(lattice, m) else -1)
-                    nq1["k"].append(_flat_index(lattice, k))
-                    nq1["l"].append(_flat_index(lattice, l) if _in_box(lattice, l) else -1)
-                    nq1["alpha"].append(alpha)
-                    nq1["gamma"].append(gamma)
-                    nq1["div"].append(div)
-                    nq1["bracket"].append(bracket)
-                    nq1["mn"].append(m)
-                    nq1["kn"].append(k)
-                    nq1["ln"].append(l)
-
-    def record_q2(m, k, l):
-        nm, nk, nl = (
-            _scaled_norm_of(lattice, m),
-            _scaled_norm_of(lattice, k),
-            _scaled_norm_of(lattice, l),
-        )
-        mmod, kmod, lmod = (
-            _modulus_of(lattice, m),
-            _modulus_of(lattice, k),
-            _modulus_of(lattice, l),
-        )
-        sgm, sgk, sgl = sg(m), sg(k), sg(l)
-        kv, lv, mv = (
-            np.array(_wavevector_of(lattice, k)),
-            np.array(_wavevector_of(lattice, l)),
-            np.array(_wavevector_of(lattice, m)),
-        )
-        l_dot_m = float(np.dot(lv, mv))
-        k_dot_l = float(np.dot(kv, lv))
-        for gamma in (1, -1):
-            for alpha in (1, -1):
-                for beta in (1, -1):
-                    resonant = _sqrt_sum_is_zero(
-                        [(alpha * sgk, nk), (beta * sgl, nl), (-gamma * sgm, nm)]
-                    )
-                    if not resonant:
-                        div = (
-                            alpha * sgk * kmod + beta * sgl * lmod - gamma * sgm * mmod
-                        )
-                        base = beta * sgl * sgm * l_dot_m / (
-                            lmod * mmod
-                        ) + alpha * beta * gamma / 2.0 * sgk * sgl * k_dot_l / (
-                            kmod * lmod
-                        )
-                        nq2["m"].append(
-                            _flat_index(lattice, m) if _in_box(lattice, m) else -1
-                        )
-                        nq2["k"].append(_flat_index(lattice, k))
-                        nq2["l"].append(_flat_index(lattice, l))
-                        nq2["alpha"].append(alpha)
-                        nq2["beta"].append(beta)
-                        nq2["gamma"].append(gamma)
-                        nq2["div"].append(div)
-                        nq2["base"].append(base)
-                        nq2["smod"].append(sgm * mmod)
-                        nq2["mn"].append(m)
-                        nq2["kn"].append(k)
-                        nq2["ln"].append(l)
-
-    q2_res = {1: ([], [], [], []), -1: ([], [], [], [])}
-    ball_with_zero = ball + [(0,) * d]
-    for k in ball:
-        for l in ball_with_zero:
-            m = tuple(ki + li for ki, li in zip(k, l))
-            if not any(m):
-                continue
-            record_q1(m, k, l)
-            if any(l):
-                record_q2(m, k, l)
-                # equal-branch resonant entries for the limit form
-                nm = _scaled_norm_of(lattice, m)
-                nk = _scaled_norm_of(lattice, k)
-                nl = _scaled_norm_of(lattice, l)
-                sgm, sgk, sgl = sg(m), sg(k), sg(l)
-                for gamma in (1, -1):
-                    if _sqrt_sum_is_zero(
-                        [(gamma * sgk, nk), (gamma * sgl, nl), (-gamma * sgm, nm)]
-                    ) and _in_box(lattice, m) and _in_box(lattice, k) and _in_box(lattice, l):
-                        ms, ks, ls, smods = q2_res[gamma]
-                        ms.append(_flat_index(lattice, m))
-                        ks.append(_flat_index(lattice, k))
-                        ls.append(_flat_index(lattice, l))
-                        smods.append(sgm * _modulus_of(lattice, m))
-
-    table = ResonanceTable(
+    return ResonanceTable(
         lattice=lattice,
         M=float(M),
-        q1_m=np.array(q1_res["m"], dtype=np.int64),
-        q1_k=np.array(q1_res["k"], dtype=np.int64),
-        q1_l=np.array(q1_res["l"], dtype=np.int64),
-        q1_ss=np.array(q1_res["ss"], dtype=np.int8),
-        q1_weight=np.array(q1_res["w"]),
-        q1_kvec=np.array(q1_res["kv"]) if q1_res["kv"] else np.zeros((0, d)),
-        q2_m={g: np.array(q2_res[g][0], dtype=np.int64) for g in (1, -1)},
-        q2_k={g: np.array(q2_res[g][1], dtype=np.int64) for g in (1, -1)},
-        q2_l={g: np.array(q2_res[g][2], dtype=np.int64) for g in (1, -1)},
-        q2_smod={g: np.array(q2_res[g][3]) for g in (1, -1)},
-        nonres_q1={
-            "m": np.array(nq1["m"], dtype=np.int64),
-            "k": np.array(nq1["k"], dtype=np.int64),
-            "l": np.array(nq1["l"], dtype=np.int64),
-            "alpha": np.array(nq1["alpha"], dtype=np.int8),
-            "gamma": np.array(nq1["gamma"], dtype=np.int8),
-            "div": np.array(nq1["div"]),
-            "bracket": np.array(nq1["bracket"]),
-            "mn": np.array(nq1["mn"], dtype=np.int64),
-            "kn": np.array(nq1["kn"], dtype=np.int64),
-            "ln": np.array(nq1["ln"], dtype=np.int64),
-        },
-        nonres_q2={
-            "m": np.array(nq2["m"], dtype=np.int64),
-            "k": np.array(nq2["k"], dtype=np.int64),
-            "l": np.array(nq2["l"], dtype=np.int64),
-            "alpha": np.array(nq2["alpha"], dtype=np.int8),
-            "beta": np.array(nq2["beta"], dtype=np.int8),
-            "gamma": np.array(nq2["gamma"], dtype=np.int8),
-            "div": np.array(nq2["div"]),
-            "base": np.array(nq2["base"]),
-            "smod": np.array(nq2["smod"]),
-            "mn": np.array(nq2["mn"], dtype=np.int64),
-            "kn": np.array(nq2["kn"], dtype=np.int64),
-            "ln": np.array(nq2["ln"], dtype=np.int64),
-        },
+        **q1,
+        q2_m={1: q2_m, -1: q2_m},
+        q2_k={1: q2_k, -1: q2_k},
+        q2_l={1: q2_l, -1: q2_l},
+        q2_smod={1: q2_smod, -1: q2_smod},
+        nonres_q1=nonres_q1,
+        nonres_q2=nonres_q2,
     )
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -664,8 +588,6 @@ def _band_weights(lattice: LatticeSpec, M: float) -> np.ndarray:
 def _s_corrector(V: AcousticCoeffs, M: float, t: float, eps: float, nu: float, tilde: bool):
     """Viscous corrector (tilde=True) or its driving remainder S^eps (low band)."""
     lattice = V.lattice
-    from .operators import _signed_modulus
-
     rate = _signed_modulus(lattice)
     low = _band_weights(lattice, M)
     osc_plus = np.exp(2j * (t / eps) * rate)  # branch alpha = +1 oscillation
@@ -682,8 +604,6 @@ def _s_corrector(V: AcousticCoeffs, M: float, t: float, eps: float, nu: float, t
 
 def _r1_corrector(f_minus_lam: AcousticCoeffs, M: float, t: float, eps: float, tilde: bool):
     lattice = f_minus_lam.lattice
-    from .operators import _signed_modulus
-
     rate = _signed_modulus(lattice)
     kmod = lattice.k_modulus().copy()
     kmod[(0,) * lattice.d] = 1.0
@@ -763,11 +683,22 @@ def _r3_sum(entries, V, t, eps, kappa, c_d, tilde, dV=None):
 
 def _lambda_coeffs(v: SpectralField) -> AcousticCoeffs:
     """Acoustic coefficients of (0, Q(v.grad v))."""
-    from .operators import acoustic_transform, advect, helmholtz_project
-
     nonlin = helmholtz_project(advect(v, v), "Q")
     zero = SpectralField.zeros(v.lattice)
     return acoustic_transform(zero, nonlin, check=False)
+
+
+def _corrector_inputs(V, v, f_ac, M, table, lam_ac):
+    """Table (enumerated when missing), volume, c_d and f - Lambda of a corrector call."""
+    lattice = V.lattice
+    if table is None or table.nonres_q1 is None:
+        table = enumerate_resonance_sets(lattice, M)
+    vol = lattice.volume
+    if lam_ac is None:
+        lam_ac = _lambda_coeffs(v)
+    if f_ac is None:
+        f_ac = AcousticCoeffs.zeros(lattice)
+    return table, vol, 1.0 / math.sqrt(2.0 * vol), f_ac - lam_ac
 
 
 def assemble_correctors(
@@ -794,16 +725,7 @@ def assemble_correctors(
         eps * d/dt corrector_total = low-band remainder + eps * derivative_total.
     """
     lattice = V.lattice
-    if table is None or table.nonres_q1 is None:
-        table = enumerate_resonance_sets(lattice, M)
-    vol = lattice.volume
-    c_d = 1.0 / math.sqrt(2.0 * vol)
-    if lam_ac is None:
-        lam_ac = _lambda_coeffs(v)
-    if f_ac is None:
-        f_ac = AcousticCoeffs.zeros(lattice)
-    fml = f_ac - lam_ac
-
+    table, vol, c_d, fml = _corrector_inputs(V, v, f_ac, M, table, lam_ac)
     base = CorrectorSet(
         r1=_r1_corrector(fml, M, t, eps, tilde=True),
         r2=_r2_sum(table.nonres_q1, V, v, t, eps, vol, tilde=True),
@@ -815,8 +737,6 @@ def assemble_correctors(
     dV, dv, df_ac, dlam_ac = time_derivatives
     if dlam_ac is None:
         # product rule on the derived advected-flow coefficients
-        from .operators import acoustic_transform, advect, helmholtz_project
-
         nonlin = helmholtz_project(advect(dv, v) + advect(v, dv), "Q")
         dlam_ac = acoustic_transform(SpectralField.zeros(lattice), nonlin, check=False)
     dfml = (df_ac if df_ac is not None else AcousticCoeffs.zeros(lattice)) - dlam_ac
@@ -843,18 +763,9 @@ def remainder_fields(
     lam_ac: AcousticCoeffs | None = None,
 ) -> AcousticCoeffs:
     """Low-band oscillatory remainder R_M = (R1 + R2 + R3 + S)_M at time t."""
-    lattice = V.lattice
-    if table is None or table.nonres_q1 is None:
-        table = enumerate_resonance_sets(lattice, M)
-    vol = lattice.volume
-    c_d = 1.0 / math.sqrt(2.0 * vol)
-    if lam_ac is None:
-        lam_ac = _lambda_coeffs(v)
-    if f_ac is None:
-        f_ac = AcousticCoeffs.zeros(lattice)
-    fml = f_ac - lam_ac
+    table, vol, c_d, fml = _corrector_inputs(V, v, f_ac, M, table, lam_ac)
     # restrict the bilinear sums to |k|, |l| <= M exactly as the corrector does
-    kmod_flat = lattice.k_modulus().reshape(-1)
+    kmod_flat = V.lattice.k_modulus().reshape(-1)
 
     def band_filter(entries):
         keep = (kmod_flat[entries["k"]] <= M + 1e-12)

@@ -10,6 +10,7 @@ from lowmach.lattice import (
     LatticeSpec,
     SpectralField,
     forward_transform,
+    inverse_transform,
     spectral_derivative,
 )
 from lowmach.dyadic import NormSpec, norm
@@ -22,7 +23,6 @@ from lowmach.operators import (
     acoustic_inverse,
     acoustic_transform,
     helmholtz_project,
-    nonlinear_coefficients,
     q1_eps,
     q1_eps_modesum,
     q2_eps,
@@ -30,6 +30,7 @@ from lowmach.operators import (
     sg,
     wave_group,
 )
+from lowmach.solvers import CompressibleState, SolverConfig, step_compressible
 
 
 def random_scalar(lattice, rng, zero_mean=True):
@@ -236,26 +237,27 @@ class TestPressureLaw:
             assert law.expansion_defect(0.5) <= 1e-10
 
     def test_quotient_pointwise(self, lat8):
+        # the solver evaluates I(eps*a) and K(eps*a) on the grid values of a
         rng = np.random.default_rng(10)
-        law = PressureLaw.gamma_law(2.0)
-        a = 0.3 * random_scalar(lat8, rng)
         eps = 0.5
-        i_grid, k_grid, kappa = nonlinear_coefficients(law, a, eps, as_grid=True)
-        from lowmach.lattice import inverse_transform
-
-        grid_a = inverse_transform(a).values[0].real
-        assert np.max(
-            np.abs(i_grid.values[0] - eps * grid_a / (1 + eps * grid_a))
-        ) <= 1e-14
-        assert kappa == 0.0
-        assert np.max(np.abs(k_grid.values)) <= 1e-12  # gamma = 2 has no remainder
+        x = eps * inverse_transform(0.3 * random_scalar(lat8, rng)).values[0].real
+        law = PressureLaw.gamma_law(2.0)
+        assert np.max(np.abs(law.quotient(x) - x / (1 + x))) <= 1e-14
+        assert law.kappa == 0.0
+        assert np.max(np.abs(law.remainder(x))) <= 1e-12  # gamma = 2 has no remainder
+        # 1 + kappa*a + a*K(a) = P'(1+a)/(1+a) = (1+a)^(gamma-2) pointwise
+        law = PressureLaw.gamma_law(1.4)
+        expansion = 1.0 + law.kappa * x + x * law.remainder(x)
+        assert np.max(np.abs(expansion - (1.0 + x) ** (1.4 - 2.0))) <= 1e-12
 
     def test_vacuum_guard(self, lat8):
-        law = PressureLaw.gamma_law(2.0)
+        # the compressible step aborts once eps*||a||_inf reaches 1
         x = lat8.grid_points()[0]
-        a = forward_transform(GridField(lat8, 2.0 * np.cos(x)))
-        with pytest.raises(VacuumError):
-            nonlinear_coefficients(law, a, 0.5)
+        a = forward_transform(GridField(lat8, 2.5 * np.cos(x)))
+        state = CompressibleState(a=a, u=SpectralField.zeros(lat8, 2))
+        cfg = SolverConfig(lattice=lat8, eps=0.5, dt=1e-3, t_final=1e-3)
+        with pytest.raises(VacuumError, match="density reached vacuum"):
+            step_compressible(state, cfg)
 
     def test_taylor_law(self):
         # K(a) = a reproduces kappa-law with extra cubic pressure correction

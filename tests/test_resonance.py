@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lowmach.lattice import GridField, LatticeSpec, SpectralField, forward_transform
 from lowmach.operators import (
@@ -17,13 +19,10 @@ from lowmach.operators import (
     q2_eps_time_average,
     sg,
 )
+from lowmach import resonance
 from lowmach.resonance import (
-    _flat_index,
-    _in_box,
-    _modulus_of,
-    _scaled_norm_of,
+    ResonanceTable,
     _sqrt_sum_is_zero,
-    _wavevector_of,
     assemble_correctors,
     build_limit_tables,
     enumerate_resonance_sets,
@@ -189,6 +188,215 @@ class TestEnumeration:
             assert (mm, mk) in pairs
 
 
+# ---------------------------------------------------------------------------
+# Per-pair reference classifiers (oracles for the array-built tables)
+# ---------------------------------------------------------------------------
+
+
+def _scaled_norm_of(lattice, n):
+    scale = lattice.norm_scale()
+    total = 0
+    for c, b in zip(n, lattice.periods):
+        bsq = b * b
+        total += (scale * bsq.denominator // bsq.numerator) * c * c
+    return total
+
+
+def _modulus_of(lattice, n):
+    return math.sqrt(sum((c / float(b)) ** 2 for c, b in zip(n, lattice.periods)))
+
+
+def _wavevector_of(lattice, n):
+    return tuple(c / float(b) for c, b in zip(n, lattice.periods))
+
+
+def _in_box(lattice, n):
+    return all(abs(c) <= cut for c, cut in zip(n, lattice.cutoffs))
+
+
+def _flat_index(lattice, n):
+    idx = tuple(int(c) % r for c, r in zip(n, lattice.resolution))
+    return int(np.ravel_multi_index(idx, lattice.resolution))
+
+
+def _ball_modes(lattice, M):
+    """Lattice vectors with 0 < |k| <= M, as integer index tuples."""
+    scale = lattice.norm_scale()
+    bound = int(math.floor(M * M * scale + 1e-9))
+    ranges = [
+        range(-int(math.floor(M * float(b) + 1e-9)), int(math.floor(M * float(b) + 1e-9)) + 1)
+        for b in lattice.periods
+    ]
+    out = []
+
+    def rec(prefix, rest):
+        if not rest:
+            n = tuple(prefix)
+            if any(n) and _scaled_norm_of(lattice, n) <= bound:
+                out.append(n)
+            return
+        for c in rest[0]:
+            rec(prefix + [c], rest[1:])
+
+    rec([], ranges)
+    return out
+
+
+def reference_resonance_sets(lattice, M):
+    """Per-pair classifier of ``enumerate_resonance_sets``, in its entry order.
+
+    Loops over k in the modulus ball and l in the ball followed by l = 0,
+    classifying each pair's four q1 and eight q2 branch combinations with the
+    scalar exact test.
+    """
+    d = lattice.d
+    ball = _ball_modes(lattice, M)
+    q1_res = {"m": [], "k": [], "l": [], "ss": [], "w": [], "kv": []}
+    nq1 = {k: [] for k in ("m", "k", "l", "alpha", "gamma", "div", "bracket", "mn", "kn", "ln")}
+    nq2 = {
+        k: []
+        for k in ("m", "k", "l", "alpha", "beta", "gamma", "div", "base", "smod", "mn", "kn", "ln")
+    }
+
+    def record_q1(m, k, l):
+        nm = _scaled_norm_of(lattice, m)
+        nk = _scaled_norm_of(lattice, k)
+        mmod, kmod = _modulus_of(lattice, m), _modulus_of(lattice, k)
+        sgm, sgk = sg(m), sg(k)
+        kv, mv, lv = (
+            np.array(_wavevector_of(lattice, k)),
+            np.array(_wavevector_of(lattice, m)),
+            np.array(_wavevector_of(lattice, l)),
+        )
+        for gamma in (1, -1):
+            for alpha in (1, -1):
+                resonant = nk == nm and alpha * sgk == gamma * sgm
+                if resonant:
+                    if gamma == 1 and _in_box(lattice, m) and _in_box(lattice, l):
+                        q1_res["m"].append(_flat_index(lattice, m))
+                        q1_res["k"].append(_flat_index(lattice, k))
+                        q1_res["l"].append(_flat_index(lattice, l))
+                        q1_res["ss"].append(sgm * sgk)
+                        q1_res["w"].append(float(np.dot(kv, mv)) / (kmod * mmod))
+                        q1_res["kv"].append(kv)
+                else:
+                    div = alpha * sgk * kmod - gamma * sgm * mmod
+                    bracket = 1.0 + alpha * gamma * sgk * sgm * float(
+                        np.dot(lv + mv, kv)
+                    ) / (kmod * mmod)
+                    nq1["m"].append(_flat_index(lattice, m) if _in_box(lattice, m) else -1)
+                    nq1["k"].append(_flat_index(lattice, k))
+                    nq1["l"].append(_flat_index(lattice, l) if _in_box(lattice, l) else -1)
+                    nq1["alpha"].append(alpha)
+                    nq1["gamma"].append(gamma)
+                    nq1["div"].append(div)
+                    nq1["bracket"].append(bracket)
+                    nq1["mn"].append(m)
+                    nq1["kn"].append(k)
+                    nq1["ln"].append(l)
+
+    def record_q2(m, k, l):
+        nm, nk, nl = (
+            _scaled_norm_of(lattice, m),
+            _scaled_norm_of(lattice, k),
+            _scaled_norm_of(lattice, l),
+        )
+        mmod, kmod, lmod = (
+            _modulus_of(lattice, m),
+            _modulus_of(lattice, k),
+            _modulus_of(lattice, l),
+        )
+        sgm, sgk, sgl = sg(m), sg(k), sg(l)
+        kv, lv, mv = (
+            np.array(_wavevector_of(lattice, k)),
+            np.array(_wavevector_of(lattice, l)),
+            np.array(_wavevector_of(lattice, m)),
+        )
+        l_dot_m = float(np.dot(lv, mv))
+        k_dot_l = float(np.dot(kv, lv))
+        for gamma in (1, -1):
+            for alpha in (1, -1):
+                for beta in (1, -1):
+                    resonant = _sqrt_sum_is_zero(
+                        [(alpha * sgk, nk), (beta * sgl, nl), (-gamma * sgm, nm)]
+                    )
+                    if not resonant:
+                        div = (
+                            alpha * sgk * kmod + beta * sgl * lmod - gamma * sgm * mmod
+                        )
+                        base = beta * sgl * sgm * l_dot_m / (
+                            lmod * mmod
+                        ) + alpha * beta * gamma / 2.0 * sgk * sgl * k_dot_l / (
+                            kmod * lmod
+                        )
+                        nq2["m"].append(
+                            _flat_index(lattice, m) if _in_box(lattice, m) else -1
+                        )
+                        nq2["k"].append(_flat_index(lattice, k))
+                        nq2["l"].append(_flat_index(lattice, l))
+                        nq2["alpha"].append(alpha)
+                        nq2["beta"].append(beta)
+                        nq2["gamma"].append(gamma)
+                        nq2["div"].append(div)
+                        nq2["base"].append(base)
+                        nq2["smod"].append(sgm * mmod)
+                        nq2["mn"].append(m)
+                        nq2["kn"].append(k)
+                        nq2["ln"].append(l)
+
+    q2_res = {1: ([], [], [], []), -1: ([], [], [], [])}
+    ball_with_zero = ball + [(0,) * d]
+    for k in ball:
+        for l in ball_with_zero:
+            m = tuple(ki + li for ki, li in zip(k, l))
+            if not any(m):
+                continue
+            record_q1(m, k, l)
+            if any(l):
+                record_q2(m, k, l)
+                # equal-branch resonant entries for the limit form
+                nm = _scaled_norm_of(lattice, m)
+                nk = _scaled_norm_of(lattice, k)
+                nl = _scaled_norm_of(lattice, l)
+                sgm, sgk, sgl = sg(m), sg(k), sg(l)
+                for gamma in (1, -1):
+                    if _sqrt_sum_is_zero(
+                        [(gamma * sgk, nk), (gamma * sgl, nl), (-gamma * sgm, nm)]
+                    ) and _in_box(lattice, m) and _in_box(lattice, k) and _in_box(lattice, l):
+                        ms, ks, ls, smods = q2_res[gamma]
+                        ms.append(_flat_index(lattice, m))
+                        ks.append(_flat_index(lattice, k))
+                        ls.append(_flat_index(lattice, l))
+                        smods.append(sgm * _modulus_of(lattice, m))
+
+    int_arrays = {"m", "k", "l", "mn", "kn", "ln"}
+    small_ints = {"alpha", "beta", "gamma"}
+
+    def as_arrays(entries):
+        out = {}
+        for key, values in entries.items():
+            dtype = np.int64 if key in int_arrays else np.int8 if key in small_ints else None
+            out[key] = np.array(values, dtype=dtype)
+        return out
+
+    return ResonanceTable(
+        lattice=lattice,
+        M=float(M),
+        q1_m=np.array(q1_res["m"], dtype=np.int64),
+        q1_k=np.array(q1_res["k"], dtype=np.int64),
+        q1_l=np.array(q1_res["l"], dtype=np.int64),
+        q1_ss=np.array(q1_res["ss"], dtype=np.int8),
+        q1_weight=np.array(q1_res["w"]),
+        q1_kvec=np.array(q1_res["kv"]) if q1_res["kv"] else np.zeros((0, d)),
+        q2_m={g: np.array(q2_res[g][0], dtype=np.int64) for g in (1, -1)},
+        q2_k={g: np.array(q2_res[g][1], dtype=np.int64) for g in (1, -1)},
+        q2_l={g: np.array(q2_res[g][2], dtype=np.int64) for g in (1, -1)},
+        q2_smod={g: np.array(q2_res[g][3]) for g in (1, -1)},
+        nonres_q1=as_arrays(nq1),
+        nonres_q2=as_arrays(nq2),
+    )
+
+
 def reference_limit_tables(lattice):
     """Per-pair classifier of the limit tables, in the builder's entry order.
 
@@ -245,6 +453,15 @@ ORACLE_LATTICES = {
 }
 
 
+def assert_q2_collinear(lattice, table):
+    """Every equal-branch q2 triple is collinear: all 2x2 minors of (k, l) vanish."""
+    idx = np.stack([g.reshape(-1) for g in lattice.index_grids()], axis=1)
+    k, l = idx[table.q2_k[1]], idx[table.q2_l[1]]
+    for i in range(lattice.d):
+        for j in range(i + 1, lattice.d):
+            assert np.all(k[:, i] * l[:, j] == k[:, j] * l[:, i])
+
+
 @pytest.mark.parametrize("name", list(ORACLE_LATTICES))
 def test_limit_tables_match_per_pair_oracle(name):
     lattice = ORACLE_LATTICES[name]
@@ -270,13 +487,101 @@ def test_limit_tables_match_per_pair_oracle(name):
         np.testing.assert_allclose(table.q2_smod[gamma], q2["smod"], rtol=ulps, atol=0)
     # the equal-branch set is stored once and shared by both output branches
     assert table.q2_m[1] is table.q2_m[-1]
+    assert_q2_collinear(lattice, table)
 
-    # every q2 triple is collinear: all integer 2x2 minors of (k, l) vanish
-    idx = np.stack([g.reshape(-1) for g in lattice.index_grids()], axis=1)
-    k, l = idx[table.q2_k[1]], idx[table.q2_l[1]]
-    for i in range(lattice.d):
-        for j in range(i + 1, lattice.d):
-            assert np.all(k[:, i] * l[:, j] == k[:, j] * l[:, i])
+
+def assert_resonance_sets_match(table, ref):
+    """Array table equals the per-pair oracle: indices, signs and divisors
+    exactly (value and dtype), weights, brackets and bases within 4 ulp."""
+    ulps = 4 * np.finfo(float).eps
+
+    def same(got, want):
+        assert got.dtype == want.dtype and got.size == want.size
+        assert np.array_equal(got, want.reshape(got.shape))
+
+    for key in ("q1_m", "q1_k", "q1_l", "q1_ss", "q1_kvec"):
+        same(getattr(table, key), getattr(ref, key))
+    np.testing.assert_allclose(table.q1_weight, ref.q1_weight, rtol=ulps, atol=ulps)
+    for key in ("q2_m", "q2_k", "q2_l", "q2_smod"):
+        for gamma in (1, -1):
+            same(getattr(table, key)[gamma], getattr(ref, key)[gamma])
+        # the equal-branch set is stored once and shared by both output branches
+        assert getattr(table, key)[1] is getattr(table, key)[-1]
+    for got, want in ((table.nonres_q1, ref.nonres_q1), (table.nonres_q2, ref.nonres_q2)):
+        assert set(got) == set(want)
+        for key in want:
+            if key in ("bracket", "base"):
+                np.testing.assert_allclose(got[key], want[key], rtol=ulps, atol=ulps)
+            else:
+                same(got[key], want[key])
+
+
+# (lattice, cutoff, whether some m = k + l leaves the dealiased box)
+ORACLE_CUTOFFS = [
+    ("16x16", 2.0, False),
+    ("16x16", 3.0, True),
+    ("16x16", 4.0, True),
+    ("16x12-aniso", 1.0, False),
+    ("16x12-aniso", 3.0, True),
+    ("8x8x8", 1.0, False),
+    ("8x8x8", 2.0, True),
+    ("8x8x6-aniso", 1.0, False),
+    ("8x8x6-aniso", 2.0, True),
+]
+
+
+@pytest.mark.parametrize(
+    "name, M, leaves_box", ORACLE_CUTOFFS, ids=[f"{n}-M{M:g}" for n, M, _ in ORACLE_CUTOFFS]
+)
+def test_resonance_sets_match_per_pair_oracle(name, M, leaves_box, monkeypatch):
+    lattice = ORACLE_LATTICES[name]
+    table = enumerate_resonance_sets(lattice, M)
+    ref = reference_resonance_sets(lattice, M)
+    assert_resonance_sets_match(table, ref)
+    assert table.q2_m[1].size > 0
+    assert bool(np.any(table.nonres_q2["m"] == -1)) == leaves_box
+    # the small-divisor report, argmin ties included, is the oracle's
+    report = small_divisors(lattice, M).to_json()
+    monkeypatch.setattr(resonance, "enumerate_resonance_sets", lambda lat, cutoff: ref)
+    assert small_divisors(lattice, M).to_json() == report
+
+
+@st.composite
+def lattice_and_cutoff(draw):
+    """A rational-period lattice (d = 2, 3) and a cutoff at one of its shells.
+
+    The cutoff keeps every axis's index range and at most 20 ball modes, so
+    the per-pair oracle stays fast.
+    """
+    d = draw(st.sampled_from([2, 3]))
+    periods = tuple(
+        Fraction(draw(st.integers(1, 3)), draw(st.integers(1, 3))) for _ in range(d)
+    )
+    resolution = tuple(draw(st.sampled_from([6, 8, 10, 12])) for _ in range(d))
+    lattice = LatticeSpec(periods, resolution)
+    norms = lattice.scaled_norms()
+    cutoffs = []
+    for shell in np.unique(norms)[1:]:
+        M = math.sqrt(shell / lattice.norm_scale())
+        reach = [math.floor(M * float(b) + 1e-9) for b in periods]
+        if any(r > n // 2 - 1 for r, n in zip(reach, resolution)):
+            break
+        if np.count_nonzero((norms > 0) & (norms <= shell)) > 20:
+            break
+        cutoffs.append(M)
+    assume(cutoffs)
+    return lattice, draw(st.sampled_from(cutoffs))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(lattice_and_cutoff())
+def test_resonance_sets_property(case):
+    lattice, M = case
+    table = enumerate_resonance_sets(lattice, M)
+    assert_resonance_sets_match(table, reference_resonance_sets(lattice, M))
+    for entries in (table.nonres_q1, table.nonres_q2):
+        assert np.all(entries["div"] != 0)
+    assert_q2_collinear(lattice, table)
 
 
 class TestLimitForms:
