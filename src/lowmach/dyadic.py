@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 _INF = float("inf")
+# numpy 2 renamed trapz to trapezoid; pyproject.toml allows numpy 1.24
+_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 def _smooth_step(s: np.ndarray) -> np.ndarray:
@@ -342,7 +344,7 @@ def norm(obj, spec, profile: BumpProfile = DEFAULT_PROFILE) -> float:
 def _time_lq(times: np.ndarray, values: np.ndarray, q: float) -> float:
     if q == _INF:
         return float(np.max(values)) if values.size else 0.0
-    return float(np.trapezoid(values**q, times) ** (1.0 / q))
+    return float(_trapezoid(values**q, times) ** (1.0 / q))
 
 
 def time_norm(times, fields, q: float, spec, profile: BumpProfile = DEFAULT_PROFILE):

@@ -17,6 +17,12 @@ Coefficients are stored on the full FFT index grid with a sharp dealiasing
 mask applied; the retained per-axis cutoff guarantees that quadratic products
 evaluated on the grid agree exactly with the truncated Fourier convolution
 (the classical 2/3 rule).
+
+A field flagged ``reality=True`` stands for a real function.  Its transforms
+use real-data FFTs: the inverse returns the real part of the complex inverse
+(for any coefficients, Hermitian or not), and the forward transform of real
+samples rebuilds the full, exactly Hermitian coefficient grid from the half
+spectrum.  Complex fields use the complex FFTs.
 """
 
 from __future__ import annotations
@@ -196,21 +202,6 @@ class LatticeSpec:
 
         return self._cached("norm_scale", build)
 
-    def scaled_norms(self) -> np.ndarray:
-        """Exact integers D*|k|^2 on the full FFT grid (D = :meth:`norm_scale`)."""
-
-        def build():
-            scale = self.norm_scale()
-            total = np.zeros(self.resolution, dtype=np.int64)
-            for grid, b in zip(self.index_grids(), self.periods):
-                bsq = b * b
-                factor = scale * bsq.denominator // bsq.numerator
-                total += factor * grid * grid
-            total.flags.writeable = False
-            return total
-
-        return self._cached("scaled_norms", build)
-
     def sign_grid(self) -> np.ndarray:
         """Generalized sign: +1 where the first nonzero index is positive."""
 
@@ -324,6 +315,19 @@ class SpectralField:
     # -- constructors ----------------------------------------------------
 
     @classmethod
+    def _in_box(cls, lattice: LatticeSpec, coeffs: np.ndarray, reality: bool):
+        """Wrap a complex array that is already zero outside the dealiased box.
+
+        Skips the re-mask and the checks of ``__init__``; for Fourier
+        multipliers of fields, sums of fields, and the transforms' own output.
+        """
+        out = cls.__new__(cls)
+        out.lattice = lattice
+        out.coeffs = coeffs
+        out.reality = reality
+        return out
+
+    @classmethod
     def zeros(cls, lattice: LatticeSpec, components: int = 1, reality: bool = True):
         shape = (components,) + lattice.resolution
         return cls(lattice, np.zeros(shape, dtype=np.complex128), reality=reality)
@@ -387,11 +391,7 @@ class SpectralField:
     # -- arithmetic --------------------------------------------------------
 
     def _like(self, coeffs, reality):
-        out = SpectralField.__new__(SpectralField)
-        out.lattice = self.lattice
-        out.coeffs = coeffs
-        out.reality = reality
-        return out
+        return SpectralField._in_box(self.lattice, coeffs, reality)
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         self._check_compatible(other)
@@ -430,30 +430,99 @@ class SpectralField:
         return self._like(self.coeffs, reality)
 
 
+def _half_box(lattice: LatticeSpec):
+    """Index tuples into (components, *grid) arrays for the real-data transforms.
+
+    ``upper`` selects the box modes with last index 0..cut (the same entries
+    in the full grid and in the half spectrum), ``mirror`` selects -k for each
+    of them, and ``lower`` selects -k for those with last index 1..cut.
+    """
+
+    def build():
+        *rest, (cut, n) = zip(lattice.cutoffs, lattice.resolution)
+        box = [np.arange(-c, c + 1) for c, _ in rest]
+        last = np.arange(cut + 1)
+
+        def index(axes, tail):
+            grid = [a % m for a, (_, m) in zip(axes, rest)] + [tail % n]
+            return (slice(None),) + np.ix_(*grid)
+
+        return (
+            index(box, last),
+            index([-a for a in box], -last),
+            index([-a for a in box], -last[1:]),
+        )
+
+    return lattice._cached("half_box", build)
+
+
+def _hermitian_full(half: np.ndarray, lattice: LatticeSpec, scale: float) -> np.ndarray:
+    """Full masked coefficient grid from a real-data half spectrum, times ``scale``.
+
+    The box entries with last index 0..cut come from ``half``; those with
+    negative last index are the conjugates of their mirrors -k.  The Nyquist
+    plane is never read, because ``3*cut < n``.
+    """
+    upper_ix, _, lower_ix = _half_box(lattice)
+    upper = half[upper_ix]
+    upper *= scale
+    out = np.zeros((half.shape[0],) + lattice.resolution, dtype=np.complex128)
+    out[upper_ix] = upper
+    out[lower_ix] = np.conj(upper[..., 1:])
+    return out
+
+
+def _hermitian_half(coeffs: np.ndarray, lattice: LatticeSpec, scale: float) -> np.ndarray:
+    """Half spectrum of the Hermitian part (c_k + conj(c_-k))/2, times ``scale``.
+
+    The real-data inverse of the result is the real part of the complex
+    inverse of ``coeffs``; for Hermitian coefficients it changes nothing.
+    """
+    upper_ix, mirror_ix, _ = _half_box(lattice)
+    upper = np.conj(coeffs[mirror_ix])
+    upper += coeffs[upper_ix]
+    upper *= 0.5 * scale
+    shape = coeffs.shape[:-1] + (lattice.resolution[-1] // 2 + 1,)
+    half = np.zeros(shape, dtype=np.complex128)
+    half[upper_ix] = upper
+    return half
+
+
 def forward_transform(grid: GridField) -> SpectralField:
-    """Grid samples to normalized, dealiased Fourier coefficients."""
+    """Grid samples to normalized, dealiased Fourier coefficients.
+
+    Real samples (or complex samples with zero imaginary part) give a
+    ``reality=True`` field through a real-data FFT.
+    """
     lattice = grid.lattice
-    npoints = float(np.prod(lattice.resolution))
+    scale = math.sqrt(lattice.volume) / float(np.prod(lattice.resolution))
     axes = tuple(range(1, lattice.d + 1))
-    coeffs = np.fft.fftn(grid.values, axes=axes) * (
-        math.sqrt(lattice.volume) / npoints
-    )
-    reality = bool(np.isrealobj(grid.values)) or bool(
-        np.max(np.abs(grid.values.imag), initial=0.0) == 0.0
-    )
-    return SpectralField(lattice, coeffs, reality=reality)
+    values = grid.values
+    if np.iscomplexobj(values) and np.max(np.abs(values.imag), initial=0.0) == 0.0:
+        values = values.real
+    if not np.iscomplexobj(values):
+        half = np.fft.rfftn(values, axes=axes)
+        return SpectralField._in_box(lattice, _hermitian_full(half, lattice, scale), True)
+    coeffs = np.fft.fftn(values, axes=axes) * scale
+    return SpectralField(lattice, coeffs, reality=False)
 
 
 def inverse_transform(field: SpectralField) -> GridField:
-    """Fourier coefficients to grid samples (exact inverse on retained modes)."""
+    """Fourier coefficients to grid samples (exact inverse on retained modes).
+
+    A ``reality=True`` field gives the real part of the complex inverse,
+    computed by a real-data FFT of the Hermitian part of its coefficients.
+    """
     lattice = field.lattice
-    npoints = float(np.prod(lattice.resolution))
     axes = tuple(range(1, lattice.d + 1))
-    values = np.fft.ifftn(field.coeffs, axes=axes) * (
-        npoints / math.sqrt(lattice.volume)
-    )
     if field.reality:
-        values = values.real
+        half = _hermitian_half(field.coeffs, lattice, 1.0 / math.sqrt(lattice.volume))
+        values = np.fft.irfftn(half, s=lattice.resolution, axes=axes, norm="forward")
+    else:
+        npoints = float(np.prod(lattice.resolution))
+        values = np.fft.ifftn(field.coeffs, axes=axes) * (
+            npoints / math.sqrt(lattice.volume)
+        )
     return GridField(lattice, values)
 
 
@@ -473,21 +542,21 @@ def spectral_derivative(field: SpectralField, kind: str) -> SpectralField:
         out = -lattice.k_squared() * field.coeffs
     else:
         raise ValueError(f"unknown derivative kind {kind!r}")
-    return SpectralField(lattice, out, reality=field.reality)
+    return SpectralField._in_box(lattice, out, field.reality)
 
 
 def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
     """Pointwise product, exact on retained modes by the 2/3-rule cutoff.
 
     Operand component counts must match, or one operand must be scalar (which
-    is then broadcast against the other).
+    is then broadcast against the other).  Real operands are multiplied as
+    real grid values.
     """
     if f.lattice is not g.lattice and f.lattice != g.lattice:
         raise ValueError("fields live on different lattices")
     lattice = f.lattice
-    fg_real = f.reality and g.reality
-    fvals = inverse_transform(f.copy_with_reality(False)).values
-    gvals = inverse_transform(g.copy_with_reality(False)).values
+    fvals = inverse_transform(f).values
+    gvals = inverse_transform(g).values
     if f.components == g.components:
         prod = fvals * gvals
     elif f.components == 1:
@@ -496,9 +565,9 @@ def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
         prod = fvals * gvals[0][None]
     else:
         raise ValueError("incompatible component counts for product")
-    out = forward_transform(GridField(lattice, prod))
-    out.reality = fg_real
-    return out
+    return forward_transform(GridField(lattice, prod)).copy_with_reality(
+        f.reality and g.reality
+    )
 
 
 def convolution_product(f: SpectralField, g: SpectralField) -> SpectralField:

@@ -23,7 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeSpec, SpectralField, dealiased_product, spectral_derivative
+from .lattice import (
+    GridField,
+    LatticeSpec,
+    SpectralField,
+    dealiased_product,
+    forward_transform,
+    inverse_transform,
+    spectral_derivative,
+)
 
 __all__ = [
     "VacuumError",
@@ -318,17 +326,20 @@ class PressureLaw:
 
 
 def advect(p: SpectralField, q: SpectralField) -> SpectralField:
-    """(p . grad) q for vector fields p, q, dealiased."""
+    """(p . grad) q for vector fields p, q, dealiased.
+
+    One inverse transform of (p, d_1 q, ..., d_d q) and one forward transform
+    of sum_c p_c d_c q.
+    """
     lattice = p.lattice
-    out = SpectralField.zeros(lattice, q.components, reality=p.reality and q.reality)
-    for c in range(lattice.d):
-        dq = SpectralField(
-            lattice,
-            1j * lattice.wavevectors()[c] * q.coeffs,
-            reality=q.reality,
-        )
-        out = out + dealiased_product(p.component(c), dq)
-    return out
+    d, nq = lattice.d, q.components
+    reality = p.reality and q.reality
+    stacked = np.concatenate(
+        [p.coeffs[:d]] + [1j * k * q.coeffs for k in lattice.wavevectors()]
+    )
+    grid = inverse_transform(SpectralField._in_box(lattice, stacked, reality)).values
+    prod = sum(grid[c] * grid[d + c * nq : d + (c + 1) * nq] for c in range(d))
+    return forward_transform(GridField(lattice, prod)).copy_with_reality(reality)
 
 
 def q1_eps(

@@ -284,6 +284,12 @@ def build_limit_tables(lattice: LatticeSpec) -> ResonanceTable:
     )
 
 
+# enumerate_resonance_sets holds every (k, l) pair times its branch columns at
+# once: about 2 kB per pair at its peak (64^2, M = 6, 10 and 14).  Cutoffs
+# whose pairs would need more than the limit below are rejected up front.
+_BYTES_PER_PAIR = 2048
+_MAX_ENUMERATION_BYTES = 1 << 30
+
 # (gamma, alpha) and (gamma, alpha, beta) branch combinations, in entry order
 _Q1_BRANCHES = np.array([(g, a) for g in (1, -1) for a in (1, -1)], dtype=np.int8).T
 _Q2_BRANCHES = np.array(
@@ -301,7 +307,9 @@ def enumerate_resonance_sets(lattice: LatticeSpec, M: float) -> ResonanceTable:
     and then l = 0 (ball modes in ascending index order), skipping m = k + l
     = 0; each pair lists its non-resonant branches with gamma, then alpha,
     then beta running over (1, -1).  A non-resonant m outside the box, and a
-    q1 difference l outside the box, get the index -1.
+    q1 difference l outside the box, get the index -1.  A cutoff whose pairs
+    would need more than ``_MAX_ENUMERATION_BYTES`` raises ValueError before
+    anything large is allocated.
     """
     d = lattice.d
     reach = [math.floor(M * float(b) + 1e-9) for b in lattice.periods]
@@ -315,6 +323,13 @@ def enumerate_resonance_sets(lattice: LatticeSpec, M: float) -> ResonanceTable:
     cube = np.indices([2 * r + 1 for r in reach]).reshape(d, -1).T - np.array(reach)
     ball = cube[(_mode_data(lattice, cube)[0] <= bound) & np.any(cube != 0, axis=1)]
     modes = np.concatenate([ball, np.zeros((1, d), dtype=np.int64)])
+    pairs = len(ball) * len(modes)
+    if pairs * _BYTES_PER_PAIR > _MAX_ENUMERATION_BYTES:
+        raise ValueError(
+            f"cutoff M = {M} gives {pairs:,} (k, l) pairs, which need about "
+            f"{pairs * _BYTES_PER_PAIR / 2**30:.1f} GiB (limit "
+            f"{_MAX_ENUMERATION_BYTES / 2**30:g} GiB); use a smaller cutoff"
+        )
     norm, sgn, vec, mod, box, idx = _mode_data(lattice, modes)
 
     # every (k, l) pair, k-major, as indices into modes

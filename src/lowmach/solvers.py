@@ -28,7 +28,6 @@ from .lattice import (
     GridField,
     LatticeSpec,
     SpectralField,
-    dealiased_product,
     forward_transform,
     inverse_transform,
     spectral_derivative,
@@ -275,14 +274,15 @@ class AcousticViscousPropagator:
         self.e12[zero] = 0.0
         self.e22[zero] = 1.0
         self.transverse = np.exp(-mu * ksq * dt)
+        self.kmod = kmod.copy()
+        self.kmod[zero] = 1.0
+        self.khat = [k / self.kmod for k in lattice.wavevectors()]
 
     def apply(self, a: SpectralField, u: SpectralField):
         lattice = self.lattice
         kvecs = lattice.wavevectors()
-        kmod = lattice.k_modulus().copy()
-        kmod[(0,) * lattice.d] = 1.0
-        mu_long = sum(k * u.coeffs[c] for c, k in enumerate(kvecs)) / kmod
-        khat = [k / kmod for k in kvecs]
+        mu_long = sum(k * u.coeffs[c] for c, k in enumerate(kvecs)) / self.kmod
+        khat = self.khat
         a_hat = a.coeffs[0]
         new_a = self.e11 * a_hat + self.e12 * mu_long
         new_mu = self.e12 * a_hat + self.e22 * mu_long
@@ -294,8 +294,8 @@ class AcousticViscousPropagator:
         # the mean velocity mode is untouched by the linear part
         new_u[(slice(None),) + mean_idx] = u.coeffs[(slice(None),) + mean_idx]
         return (
-            SpectralField(lattice, new_a[None], reality=a.reality),
-            SpectralField(lattice, new_u, reality=u.reality),
+            SpectralField._in_box(lattice, new_a[None], a.reality),
+            SpectralField._in_box(lattice, new_u, u.reality),
         )
 
 
@@ -317,14 +317,13 @@ def _lawson_rk2(x: tuple, t: float, dt: float, linear, rhs) -> tuple:
     ``x`` is a tuple of fields, ``linear`` maps such a tuple through the exact
     one-step exponential P = exp(dt L), and ``rhs(x, t)`` returns N(x, t) as a
     tuple of the same shape.  With n0 = N(x, t) and n1 = N(P(x + dt n0), t + dt)
-    the step returns P(x) + (dt/2) (P(n0) + n1).
+    the step is P(x) + (dt/2) (P(n0) + n1), evaluated as the equal (P is
+    linear) P(x + (dt/2) n0) + (dt/2) n1 with two applications of P.
     """
     n0 = rhs(x, t)
-    predictor = linear(tuple(xi + dt * ni for xi, ni in zip(x, n0)))
-    px = linear(x)
-    pn0 = linear(n0)
-    n1 = rhs(predictor, t + dt)
-    return tuple(pi + (dt / 2.0) * (qi + ni) for pi, qi, ni in zip(px, pn0, n1))
+    n1 = rhs(linear(tuple(xi + dt * ni for xi, ni in zip(x, n0))), t + dt)
+    half = linear(tuple(xi + (dt / 2.0) * ni for xi, ni in zip(x, n0)))
+    return tuple(hi + (dt / 2.0) * ni for hi, ni in zip(half, n1))
 
 
 def _viscous_operator(u: SpectralField, mu: float, lam: float) -> SpectralField:
@@ -333,24 +332,32 @@ def _viscous_operator(u: SpectralField, mu: float, lam: float) -> SpectralField:
     return mu * lap + (mu + lam) * graddiv
 
 
-def _compressible_nonlinear(
-    state_a: SpectralField,
-    state_u: SpectralField,
-    t: float,
-    cfg: SolverConfig,
-    warn_state: dict,
-) -> tuple[SpectralField, SpectralField]:
-    """Right-hand side beyond the exactly-propagated linear part."""
-    lattice = cfg.lattice
-    if not cfg.include_nonlinear:
-        na = SpectralField.zeros(lattice, 1)
-        nu_field = SpectralField.zeros(lattice, lattice.d)
-        if cfg.forcing is not None:
-            nu_field = nu_field + cfg.forcing(t)
-        return na, nu_field
+def _grid_terms(state_a, state_u, cfg: SolverConfig, warn_state: dict):
+    """Grid values for the compressible right-hand side, from one inverse pass.
 
-    a_grid = inverse_transform(state_a).values[0].real
-    amax = float(np.max(np.abs(a_grid)))
+    Transforms (a, u, grad a, grad u, viscous term) at once, runs the vacuum
+    and CFL checks, and returns the products (a u, a grad a, (u.grad)u), the
+    values of K(eps a), and I(eps a) times the viscous term.
+    """
+    lattice = cfg.lattice
+    d = lattice.d
+    a_hat, u_hat = state_a.coeffs[0], state_u.coeffs
+    # components: a | u | grad a | d_1 u, ..., d_d u | viscous term
+    spectral = np.empty((1 + 3 * d + d * d,) + lattice.resolution, dtype=np.complex128)
+    spectral[0] = a_hat
+    spectral[1 : 1 + d] = u_hat
+    for c, k in enumerate(lattice.wavevectors()):
+        np.multiply(1j * k, a_hat, out=spectral[1 + d + c])
+        np.multiply(1j * k, u_hat, out=spectral[1 + 2 * d + c * d : 1 + 2 * d + (c + 1) * d])
+    spectral[1 + 2 * d + d * d :] = _viscous_operator(state_u, cfg.mu, cfg.lam).coeffs
+    reality = state_a.reality and state_u.reality
+    grid = inverse_transform(SpectralField._in_box(lattice, spectral, reality)).values
+    a_grid, u_grid = grid[0], grid[1 : 1 + d]
+    grad_a_grid = grid[1 + d : 1 + 2 * d]
+    grad_u_grid = grid[1 + 2 * d : 1 + 2 * d + d * d].reshape((d, d) + lattice.resolution)
+    visc_grid = grid[1 + 2 * d + d * d :]
+
+    amax = float(np.max(np.abs(a_grid.real)))
     if cfg.eps * amax >= 1.0:
         raise VacuumError(
             f"eps*||a||_inf = {cfg.eps * amax:.3f} >= 1: density reached vacuum"
@@ -361,8 +368,7 @@ def _compressible_nonlinear(
             f"eps*||a||_inf = {cfg.eps * amax:.3f} > 1/2: uniform bound lost",
             RuntimeWarning,
         )
-    u_grid = inverse_transform(state_u).values.real
-    umax = float(np.max(np.sqrt(np.sum(u_grid**2, axis=0))))
+    umax = float(np.max(np.sqrt(np.sum(u_grid.real**2, axis=0))))
     dx_min = min(
         2.0 * math.pi * float(b) / n for b, n in zip(lattice.periods, lattice.resolution)
     )
@@ -372,25 +378,58 @@ def _compressible_nonlinear(
             f"{CFL_SAFETY * dx_min / umax:.3e} (max|u| = {umax:.3f})"
         )
 
+    eps_a = cfg.eps * a_grid.real
+    # (a u, a grad a, (u.grad)u) with (u.grad)u_j = sum_c u_c d_c u_j
+    products = np.empty((3 * d,) + lattice.resolution, dtype=grid.dtype)
+    np.multiply(a_grid, u_grid, out=products[:d])
+    np.multiply(a_grid, grad_a_grid, out=products[d : 2 * d])
+    advection = products[2 * d :]
+    np.multiply(u_grid[0], grad_u_grid[0], out=advection)
+    for c in range(1, d):
+        advection += u_grid[c] * grad_u_grid[c]
+    return products, cfg.law.remainder(eps_a), cfg.law.quotient(eps_a) * visc_grid
+
+
+def _compressible_nonlinear(
+    state_a: SpectralField,
+    state_u: SpectralField,
+    t: float,
+    cfg: SolverConfig,
+    warn_state: dict,
+) -> tuple[SpectralField, SpectralField]:
+    """Right-hand side beyond the exactly-propagated linear part.
+
+    One inverse transform (:func:`_grid_terms`) and one forward transform of
+    the products; the K term multiplies the grid values of the dealiased
+    a grad a, which costs one more inverse and forward pass.
+    """
+    lattice = cfg.lattice
+    if not cfg.include_nonlinear:
+        na = SpectralField.zeros(lattice, 1)
+        nu_field = SpectralField.zeros(lattice, lattice.d)
+        if cfg.forcing is not None:
+            nu_field = nu_field + cfg.forcing(t)
+        return na, nu_field
+
+    d = lattice.d
+    reality = state_a.reality and state_u.reality
+    products, k_vals, i_visc = _grid_terms(state_a, state_u, cfg, warn_state)
+    dealiased = forward_transform(GridField(lattice, products)).coeffs
+    au, a_grad_a, adv = dealiased[:d], dealiased[d : 2 * d], dealiased[2 * d :]
+
     # continuity: -div(a u)
-    au = dealiased_product(state_a, state_u)
-    n_a = -1.0 * spectral_derivative(au, "div")
+    n_a = -1.0 * sum(1j * k * au[c] for c, k in enumerate(lattice.wavevectors()))
 
     # momentum: -(u.grad)u - kappa a grad a - K(eps a) a grad a - I(eps a) Au + f
-    grad_a = spectral_derivative(state_a, "grad")
-    a_grad_a = dealiased_product(state_a, grad_a)
-    n_u = -1.0 * advect(state_u, state_u) - cfg.law.kappa * a_grad_a
-
-    visc = _viscous_operator(state_u, cfg.mu, cfg.lam)
-    i_vals = cfg.law.quotient(cfg.eps * a_grid)
-    k_vals = cfg.law.remainder(cfg.eps * a_grid)
-    a_grad_a_grid = inverse_transform(a_grad_a.copy_with_reality(True)).values.real
-    visc_grid = inverse_transform(visc.copy_with_reality(True)).values.real
-    correction = k_vals[None] * a_grad_a_grid + i_vals[None] * visc_grid
-    n_u = n_u - forward_transform(GridField(lattice, correction))
+    a_grad_a_grid = inverse_transform(
+        SpectralField._in_box(lattice, a_grad_a, reality)
+    ).values
+    correction = forward_transform(GridField(lattice, k_vals * a_grad_a_grid + i_visc))
+    n_u = (-1.0 * adv - cfg.law.kappa * a_grad_a) - correction.coeffs
+    n_u = SpectralField._in_box(lattice, n_u, reality)
     if cfg.forcing is not None:
         n_u = n_u + cfg.forcing(t)
-    return n_a, n_u
+    return SpectralField._in_box(lattice, n_a[None], reality), n_u
 
 
 def step_compressible(

@@ -1,6 +1,7 @@
 """Exact resonance tests, limit forms, small divisors, and correctors."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -101,6 +102,18 @@ class TestExactTest:
 
 
 class TestEnumeration:
+    def test_oversized_cutoff_is_rejected_before_allocating(self):
+        # 64^2 at M = 31 would hold 9,003,000 (k, l) pairs times their branches
+        lattice = LatticeSpec.square(2, 64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"9,003,000 \(k, l\) pairs, .* 17\.2 GiB"):
+                enumerate_resonance_sets(lattice, 31.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_q1_resonant_shell_example(self, lat8):
         table = build_limit_tables(lat8)
         m_flat = int(np.ravel_multi_index((1, 0), lat8.resolution))
@@ -559,7 +572,8 @@ def lattice_and_cutoff(draw):
     )
     resolution = tuple(draw(st.sampled_from([6, 8, 10, 12])) for _ in range(d))
     lattice = LatticeSpec(periods, resolution)
-    norms = lattice.scaled_norms()
+    modes = np.stack([g.reshape(-1) for g in lattice.index_grids()], axis=1)
+    norms = resonance._mode_data(lattice, modes)[0]
     cutoffs = []
     for shell in np.unique(norms)[1:]:
         M = math.sqrt(shell / lattice.norm_scale())

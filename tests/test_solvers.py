@@ -6,23 +6,32 @@ import os
 import numpy as np
 import pytest
 
+import warnings
+from fractions import Fraction
+
 from lowmach.lattice import (
     GridField,
     LatticeSpec,
     SpectralField,
+    dealiased_product,
     forward_transform,
+    inverse_transform,
     spectral_derivative,
 )
-from lowmach.dyadic import NormSpec, norm
+from lowmach.dyadic import NormSpec, _trapezoid, norm
 from lowmach.operators import (
     AcousticCoeffs,
     PressureLaw,
+    VacuumError,
     acoustic_transform,
     helmholtz_project,
     wave_group,
 )
 from lowmach.resonance import build_limit_tables
+from lowmach import solvers
 from lowmach.solvers import (
+    CFL_SAFETY,
+    CFLError,
     CompressibleState,
     CubicTimeInterpolant,
     Forcing,
@@ -213,6 +222,176 @@ class TestCompressible:
         assert order2 >= 1.9
 
 
+# ---------------------------------------------------------------------------
+# Oracle: the compressible right-hand side product by product
+# ---------------------------------------------------------------------------
+
+
+def reference_advect(p, q):
+    """(p . grad) q as a sum of one dealiased product per direction."""
+    lattice = p.lattice
+    out = SpectralField.zeros(lattice, q.components, reality=p.reality and q.reality)
+    for c in range(lattice.d):
+        dq = SpectralField(
+            lattice, 1j * lattice.wavevectors()[c] * q.coeffs, reality=q.reality
+        )
+        out = out + dealiased_product(p.component(c), dq)
+    return out
+
+
+def reference_compressible_nonlinear(state_a, state_u, t, cfg, warn_state):
+    """The compressible right-hand side with one transform pair per product.
+
+    Each dealiased product re-transforms its operands, and a and u are
+    transformed again for the checks and the pressure-law correction: 17
+    transforms in all.  Kept as the oracle of ``solvers._compressible_nonlinear``.
+    """
+    lattice = cfg.lattice
+    if not cfg.include_nonlinear:
+        na = SpectralField.zeros(lattice, 1)
+        nu_field = SpectralField.zeros(lattice, lattice.d)
+        if cfg.forcing is not None:
+            nu_field = nu_field + cfg.forcing(t)
+        return na, nu_field
+
+    a_grid = inverse_transform(state_a).values[0].real
+    amax = float(np.max(np.abs(a_grid)))
+    if cfg.eps * amax >= 1.0:
+        raise VacuumError(
+            f"eps*||a||_inf = {cfg.eps * amax:.3f} >= 1: density reached vacuum"
+        )
+    if cfg.eps * amax > 0.5 and not warn_state.get("vacuum_warned"):
+        warn_state["vacuum_warned"] = True
+        warnings.warn(
+            f"eps*||a||_inf = {cfg.eps * amax:.3f} > 1/2: uniform bound lost",
+            RuntimeWarning,
+        )
+    u_grid = inverse_transform(state_u).values.real
+    umax = float(np.max(np.sqrt(np.sum(u_grid**2, axis=0))))
+    dx_min = min(
+        2.0 * math.pi * float(b) / n for b, n in zip(lattice.periods, lattice.resolution)
+    )
+    if umax > 0 and cfg.dt > CFL_SAFETY * dx_min / umax:
+        raise CFLError(
+            f"dt = {cfg.dt:.3e} exceeds advective CFL bound "
+            f"{CFL_SAFETY * dx_min / umax:.3e} (max|u| = {umax:.3f})"
+        )
+
+    au = dealiased_product(state_a, state_u)
+    n_a = -1.0 * spectral_derivative(au, "div")
+
+    grad_a = spectral_derivative(state_a, "grad")
+    a_grad_a = dealiased_product(state_a, grad_a)
+    n_u = -1.0 * reference_advect(state_u, state_u) - cfg.law.kappa * a_grad_a
+
+    visc = solvers._viscous_operator(state_u, cfg.mu, cfg.lam)
+    i_vals = cfg.law.quotient(cfg.eps * a_grid)
+    k_vals = cfg.law.remainder(cfg.eps * a_grid)
+    a_grad_a_grid = inverse_transform(a_grad_a.copy_with_reality(True)).values.real
+    visc_grid = inverse_transform(visc.copy_with_reality(True)).values.real
+    correction = k_vals[None] * a_grad_a_grid + i_vals[None] * visc_grid
+    n_u = n_u - forward_transform(GridField(lattice, correction))
+    if cfg.forcing is not None:
+        n_u = n_u + cfg.forcing(t)
+    return n_a, n_u
+
+
+ORACLE_LATTICES = {
+    "16x16": LatticeSpec.square(2, 16),
+    "16x12": LatticeSpec((1, Fraction(3, 2)), (16, 12)),
+    "8x8x8": LatticeSpec.square(3, 8),
+    "8x8x6": LatticeSpec((1, Fraction(1, 2), Fraction(2, 3)), (8, 8, 6)),
+}
+
+
+class TestRightHandSideOracle:
+    """``_compressible_nonlinear`` against the product-by-product reference."""
+
+    def setup(self, name, eps_amax=0.3, **kw):
+        lattice = ORACLE_LATTICES[name]
+        eps = 0.5
+        a, u = generate_initial_data(lattice, 1.0, 1.0, seed=21)
+        amax = float(np.max(np.abs(inverse_transform(a).values)))
+        a = (eps_amax / (eps * amax)) * a
+        mode = (1,) + (0,) * (lattice.d - 1)
+        forcing = Forcing(
+            lattice,
+            [ForcingMode(mode, (0.3, -0.2j) + (0.1,) * (lattice.d - 2), "cos", 2.0)],
+        )
+        options = dict(
+            lattice=lattice,
+            mu=0.05,
+            lam=0.03,
+            eps=eps,
+            law=PressureLaw.gamma_law(1.4),
+            dt=1e-3,
+            t_final=1e-3,
+            forcing=forcing,
+        )
+        options.update(kw)
+        return a, u, SolverConfig(**options)
+
+    @staticmethod
+    def assert_close(got, ref):
+        for g, r in zip(got, ref):
+            assert g.reality == r.reality
+            assert g.coeffs.shape == r.coeffs.shape
+            scale = float(np.max(np.abs(r.coeffs)))
+            assert float(np.max(np.abs(g.coeffs - r.coeffs))) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("name", list(ORACLE_LATTICES))
+    @pytest.mark.parametrize("forced", [True, False])
+    def test_matches_reference(self, name, forced):
+        a, u, cfg = self.setup(name)
+        if not forced:
+            cfg = SolverConfig(**{**cfg.__dict__, "forcing": None})
+        got = solvers._compressible_nonlinear(a, u, 0.3, cfg, {})
+        ref = reference_compressible_nonlinear(a, u, 0.3, cfg, {})
+        self.assert_close(got, ref)
+        assert got[0].mean_coefficient()[0] == 0.0
+
+    @pytest.mark.parametrize("name", list(ORACLE_LATTICES))
+    def test_linear_only(self, name):
+        a, u, cfg = self.setup(name, include_nonlinear=False)
+        got = solvers._compressible_nonlinear(a, u, 0.3, cfg, {})
+        ref = reference_compressible_nonlinear(a, u, 0.3, cfg, {})
+        for g, r in zip(got, ref):
+            assert np.array_equal(g.coeffs, r.coeffs)
+
+    @pytest.mark.parametrize("name", list(ORACLE_LATTICES))
+    def test_vacuum_abort(self, name):
+        a, u, cfg = self.setup(name, eps_amax=1.25)
+        for rhs in (solvers._compressible_nonlinear, reference_compressible_nonlinear):
+            with pytest.raises(VacuumError, match="density reached vacuum"):
+                rhs(a, u, 0.0, cfg, {})
+
+    @pytest.mark.parametrize("name", list(ORACLE_LATTICES))
+    def test_vacuum_warning_once(self, name):
+        a, u, cfg = self.setup(name, eps_amax=0.75)
+        results = []
+        for rhs in (solvers._compressible_nonlinear, reference_compressible_nonlinear):
+            warn_state = {}
+            with pytest.warns(RuntimeWarning, match="uniform bound lost"):
+                results.append(rhs(a, u, 0.0, cfg, warn_state))
+            assert warn_state == {"vacuum_warned": True}
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rhs(a, u, 0.0, cfg, warn_state)
+        self.assert_close(*results)
+
+    @pytest.mark.parametrize("name", list(ORACLE_LATTICES))
+    def test_cfl_abort(self, name):
+        a, u, cfg = self.setup(name)
+        lattice = cfg.lattice
+        umax = float(np.max(np.linalg.norm(inverse_transform(u).values, axis=0)))
+        dx_min = min(2 * math.pi * float(b) / n for b, n in zip(lattice.periods, lattice.resolution))
+        dt = 2.0 * CFL_SAFETY * dx_min / umax
+        cfg = SolverConfig(**{**cfg.__dict__, "dt": dt, "t_final": dt})
+        for rhs in (solvers._compressible_nonlinear, reference_compressible_nonlinear):
+            with pytest.raises(CFLError, match="advective CFL bound"):
+                rhs(a, u, 0.0, cfg, {})
+
+
 class TestIncompressible:
     def test_taylor_green_exact(self):
         lattice = LatticeSpec.square(2, 64)
@@ -254,7 +433,7 @@ class TestIncompressible:
             float(np.sum(s["v"].lattice.k_squared() * s["v"].mode_power()))
             for s in traj.states
         ]
-        dissipated = 2.0 * cfg.mu * np.trapezoid(grads, traj.times)
+        dissipated = 2.0 * cfg.mu * _trapezoid(grads, traj.times)
         defect = abs(energies[-1] - energies[0] + dissipated) / energies[0]
         assert defect <= 1e-6
 
