@@ -282,15 +282,14 @@ class AcousticViscousPropagator:
         lattice = self.lattice
         kvecs = lattice.wavevectors()
         mu_long = sum(k * u.coeffs[c] for c, k in enumerate(kvecs)) / self.kmod
-        khat = self.khat
         a_hat = a.coeffs[0]
         new_a = self.e11 * a_hat + self.e12 * mu_long
         new_mu = self.e12 * a_hat + self.e22 * mu_long
         mean_idx = (0,) * lattice.d
         new_u = np.empty_like(u.coeffs)
-        for c in range(lattice.d):
-            trans = u.coeffs[c] - mu_long * khat[c]
-            new_u[c] = self.transverse * trans + new_mu * khat[c]
+        for c, khat in enumerate(self.khat):
+            trans = u.coeffs[c] - mu_long * khat
+            new_u[c] = self.transverse * trans + new_mu * khat
         # the mean velocity mode is untouched by the linear part
         new_u[(slice(None),) + mean_idx] = u.coeffs[(slice(None),) + mean_idx]
         return (
@@ -332,7 +331,9 @@ def _viscous_operator(u: SpectralField, mu: float, lam: float) -> SpectralField:
     return mu * lap + (mu + lam) * graddiv
 
 
-def _grid_terms(state_a, state_u, cfg: SolverConfig, warn_state: dict):
+def _grid_terms(
+    state_a: SpectralField, state_u: SpectralField, cfg: SolverConfig, warn_state: dict
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Grid values for the compressible right-hand side, from one inverse pass.
 
     Transforms (a, u, grad a, grad u, viscous term) at once, runs the vacuum
@@ -343,12 +344,14 @@ def _grid_terms(state_a, state_u, cfg: SolverConfig, warn_state: dict):
     d = lattice.d
     a_hat, u_hat = state_a.coeffs[0], state_u.coeffs
     # components: a | u | grad a | d_1 u, ..., d_d u | viscous term
-    spectral = np.empty((1 + 3 * d + d * d,) + lattice.resolution, dtype=np.complex128)
+    shape = (1 + 3 * d + d * d,) + lattice.resolution
+    spectral = np.empty(shape, dtype=np.complex128)
+    grad_u = spectral[1 + 2 * d : 1 + 2 * d + d * d].reshape((d,) + u_hat.shape)
     spectral[0] = a_hat
     spectral[1 : 1 + d] = u_hat
     for c, k in enumerate(lattice.wavevectors()):
         np.multiply(1j * k, a_hat, out=spectral[1 + d + c])
-        np.multiply(1j * k, u_hat, out=spectral[1 + 2 * d + c * d : 1 + 2 * d + (c + 1) * d])
+        np.multiply(1j * k, u_hat, out=grad_u[c])
     spectral[1 + 2 * d + d * d :] = _viscous_operator(state_u, cfg.mu, cfg.lam).coeffs
     reality = state_a.reality and state_u.reality
     grid = inverse_transform(SpectralField._in_box(lattice, spectral, reality)).values
