@@ -320,8 +320,10 @@ def _lawson_rk2(x: tuple, t: float, dt: float, linear, rhs) -> tuple:
     linear) P(x + (dt/2) n0) + (dt/2) n1 with two applications of P.
     """
     n0 = rhs(x, t)
-    n1 = rhs(linear(tuple(xi + dt * ni for xi, ni in zip(x, n0))), t + dt)
     half = linear(tuple(xi + (dt / 2.0) * ni for xi, ni in zip(x, n0)))
+    predictor = linear(tuple(xi + dt * ni for xi, ni in zip(x, n0)))
+    del n0  # free it before the second evaluation, the step's memory peak
+    n1 = rhs(predictor, t + dt)
     return tuple(hi + (dt / 2.0) * ni for hi, ni in zip(half, n1))
 
 
