@@ -19,10 +19,11 @@ evaluated on the grid agree exactly with the truncated Fourier convolution
 (the classical 2/3 rule).
 
 A field flagged ``reality=True`` stands for a real function.  Its transforms
-use real-data FFTs: the inverse returns the real part of the complex inverse
-(for any coefficients, Hermitian or not), and the forward transform of real
-samples rebuilds the full, exactly Hermitian coefficient grid from the half
-spectrum.  Complex fields use the complex FFTs.
+use real-data FFTs on the retained half spectrum: the inverse returns the
+real part of the complex inverse (for any coefficients, Hermitian or not),
+and the forward transform of real samples rebuilds the full, masked,
+Hermitian coefficient grid from the half spectrum.  Complex fields use the
+complex FFTs.
 """
 
 from __future__ import annotations
@@ -430,62 +431,49 @@ class SpectralField:
         return self._like(self.coeffs, reality)
 
 
-def _half_box(lattice: LatticeSpec):
-    """Index tuples into (components, *grid) arrays for the real-data transforms.
+def _mirror(x: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
+    """``x`` at the mirrored index (-i) mod n along every grid axis but the last."""
+    for axis, n in enumerate(lattice.resolution[:-1], start=1):
+        x = np.take(x, -np.arange(n) % n, axis=axis)
+    return x
 
-    ``upper`` selects the box modes with last index 0..cut (the same entries
-    in the full grid and in the half spectrum), ``mirror`` selects -k for each
-    of them, and ``lower`` selects -k for those with last index 1..cut.
+
+def _real_forward(values: np.ndarray, lattice: LatticeSpec, scale: float) -> np.ndarray:
+    """Masked, Hermitian coefficients of real samples, times ``scale``.
+
+    A real-data FFT along the last axis, then complex FFTs along the others
+    on the retained columns 0..cut only; the columns -cut..-1 are the
+    conjugates of the mirrored columns 1..cut.  The Nyquist column is never
+    read, because ``3*cut < n``.
     """
-
-    def build():
-        *rest, (cut, n) = zip(lattice.cutoffs, lattice.resolution)
-        box = [np.arange(-c, c + 1) for c, _ in rest]
-        last = np.arange(cut + 1)
-
-        def index(axes, tail):
-            grid = [a % m for a, (_, m) in zip(axes, rest)] + [tail % n]
-            return (slice(None),) + np.ix_(*grid)
-
-        return (
-            index(box, last),
-            index([-a for a in box], -last),
-            index([-a for a in box], -last[1:]),
-        )
-
-    return lattice._cached("half_box", build)
-
-
-def _hermitian_full(half: np.ndarray, lattice: LatticeSpec, scale: float) -> np.ndarray:
-    """Full masked coefficient grid from a real-data half spectrum, times ``scale``.
-
-    The box entries with last index 0..cut come from ``half``; those with
-    negative last index are the conjugates of their mirrors -k.  The Nyquist
-    plane is never read, because ``3*cut < n``.
-    """
-    upper_ix, _, lower_ix = _half_box(lattice)
-    upper = half[upper_ix]
+    cut, n = lattice.cutoffs[-1], lattice.resolution[-1]
+    upper = np.fft.rfft(values, axis=-1)[..., : cut + 1]
+    if lattice.d > 1:
+        upper = np.fft.fftn(upper, axes=tuple(range(1, lattice.d)))
     upper *= scale
-    out = np.zeros((half.shape[0],) + lattice.resolution, dtype=np.complex128)
-    out[upper_ix] = upper
-    out[lower_ix] = np.conj(upper[..., 1:])
+    for axis, (c, m) in enumerate(zip(lattice.cutoffs, lattice.resolution[:-1]), start=1):
+        upper[(slice(None),) * axis + (slice(c + 1, m - c),)] = 0.0
+    out = np.zeros(values.shape, dtype=np.complex128)
+    out[..., : cut + 1] = upper
+    out[..., n - cut :] = np.conj(_mirror(upper[..., cut:0:-1], lattice))
     return out
 
 
-def _hermitian_half(coeffs: np.ndarray, lattice: LatticeSpec, scale: float) -> np.ndarray:
-    """Half spectrum of the Hermitian part (c_k + conj(c_-k))/2, times ``scale``.
+def _real_inverse(coeffs: np.ndarray, lattice: LatticeSpec, scale: float) -> np.ndarray:
+    """Real part of the complex inverse of ``coeffs``, times ``scale``.
 
-    The real-data inverse of the result is the real part of the complex
-    inverse of ``coeffs``; for Hermitian coefficients it changes nothing.
+    A real-data inverse FFT of the Hermitian part (c_k + conj(c_-k))/2, which
+    equals ``coeffs`` when they are Hermitian; the complex inverse FFTs along
+    the leading axes run on the retained columns 0..cut only.
     """
-    upper_ix, mirror_ix, _ = _half_box(lattice)
-    upper = np.conj(coeffs[mirror_ix])
-    upper += coeffs[upper_ix]
-    upper *= 0.5 * scale
-    shape = coeffs.shape[:-1] + (lattice.resolution[-1] // 2 + 1,)
-    half = np.zeros(shape, dtype=np.complex128)
-    half[upper_ix] = upper
-    return half
+    cut, n = lattice.cutoffs[-1], lattice.resolution[-1]
+    half = _mirror(np.take(coeffs, -np.arange(cut + 1) % n, axis=-1), lattice)
+    np.conj(half, out=half)
+    half += coeffs[..., : cut + 1]
+    half *= 0.5 * scale
+    if lattice.d > 1:
+        half = np.fft.ifftn(half, axes=tuple(range(1, lattice.d)), norm="forward")
+    return np.fft.irfft(half, n=n, axis=-1, norm="forward")
 
 
 def forward_transform(grid: GridField) -> SpectralField:
@@ -501,8 +489,7 @@ def forward_transform(grid: GridField) -> SpectralField:
     if np.iscomplexobj(values) and np.max(np.abs(values.imag), initial=0.0) == 0.0:
         values = values.real
     if not np.iscomplexobj(values):
-        half = np.fft.rfftn(values, axes=axes)
-        return SpectralField._in_box(lattice, _hermitian_full(half, lattice, scale), True)
+        return SpectralField._in_box(lattice, _real_forward(values, lattice, scale), True)
     coeffs = np.fft.fftn(values, axes=axes) * scale
     return SpectralField(lattice, coeffs, reality=False)
 
@@ -516,8 +503,7 @@ def inverse_transform(field: SpectralField) -> GridField:
     lattice = field.lattice
     axes = tuple(range(1, lattice.d + 1))
     if field.reality:
-        half = _hermitian_half(field.coeffs, lattice, 1.0 / math.sqrt(lattice.volume))
-        values = np.fft.irfftn(half, s=lattice.resolution, axes=axes, norm="forward")
+        values = _real_inverse(field.coeffs, lattice, 1.0 / math.sqrt(lattice.volume))
     else:
         npoints = float(np.prod(lattice.resolution))
         values = np.fft.ifftn(field.coeffs, axes=axes) * (
