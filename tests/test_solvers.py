@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 from lowmach.lattice import (
@@ -307,7 +308,7 @@ ORACLE_LATTICES = {
 class TestRightHandSideOracle:
     """``_compressible_nonlinear`` against the product-by-product reference."""
 
-    def setup(self, name, eps_amax=0.3, **kw):
+    def make_case(self, name, eps_amax=0.3, **kw):
         lattice = ORACLE_LATTICES[name]
         eps = 0.5
         a, u = generate_initial_data(lattice, 1.0, 1.0, seed=21)
@@ -342,9 +343,9 @@ class TestRightHandSideOracle:
     @pytest.mark.parametrize("name", list(ORACLE_LATTICES))
     @pytest.mark.parametrize("forced", [True, False])
     def test_matches_reference(self, name, forced):
-        a, u, cfg = self.setup(name)
+        a, u, cfg = self.make_case(name)
         if not forced:
-            cfg = SolverConfig(**{**cfg.__dict__, "forcing": None})
+            cfg = replace(cfg, forcing=None)
         got = solvers._compressible_nonlinear(a, u, 0.3, cfg, {})
         ref = reference_compressible_nonlinear(a, u, 0.3, cfg, {})
         self.assert_close(got, ref)
@@ -352,7 +353,7 @@ class TestRightHandSideOracle:
 
     @pytest.mark.parametrize("name", list(ORACLE_LATTICES))
     def test_linear_only(self, name):
-        a, u, cfg = self.setup(name, include_nonlinear=False)
+        a, u, cfg = self.make_case(name, include_nonlinear=False)
         got = solvers._compressible_nonlinear(a, u, 0.3, cfg, {})
         ref = reference_compressible_nonlinear(a, u, 0.3, cfg, {})
         for g, r in zip(got, ref):
@@ -360,14 +361,14 @@ class TestRightHandSideOracle:
 
     @pytest.mark.parametrize("name", list(ORACLE_LATTICES))
     def test_vacuum_abort(self, name):
-        a, u, cfg = self.setup(name, eps_amax=1.25)
+        a, u, cfg = self.make_case(name, eps_amax=1.25)
         for rhs in (solvers._compressible_nonlinear, reference_compressible_nonlinear):
             with pytest.raises(VacuumError, match="density reached vacuum"):
                 rhs(a, u, 0.0, cfg, {})
 
     @pytest.mark.parametrize("name", list(ORACLE_LATTICES))
     def test_vacuum_warning_once(self, name):
-        a, u, cfg = self.setup(name, eps_amax=0.75)
+        a, u, cfg = self.make_case(name, eps_amax=0.75)
         results = []
         for rhs in (solvers._compressible_nonlinear, reference_compressible_nonlinear):
             warn_state = {}
@@ -381,12 +382,14 @@ class TestRightHandSideOracle:
 
     @pytest.mark.parametrize("name", list(ORACLE_LATTICES))
     def test_cfl_abort(self, name):
-        a, u, cfg = self.setup(name)
+        a, u, cfg = self.make_case(name)
         lattice = cfg.lattice
         umax = float(np.max(np.linalg.norm(inverse_transform(u).values, axis=0)))
-        dx_min = min(2 * math.pi * float(b) / n for b, n in zip(lattice.periods, lattice.resolution))
+        dx_min = min(
+            2 * math.pi * float(b) / n for b, n in zip(lattice.periods, lattice.resolution)
+        )
         dt = 2.0 * CFL_SAFETY * dx_min / umax
-        cfg = SolverConfig(**{**cfg.__dict__, "dt": dt, "t_final": dt})
+        cfg = replace(cfg, dt=dt, t_final=dt)
         for rhs in (solvers._compressible_nonlinear, reference_compressible_nonlinear):
             with pytest.raises(CFLError, match="advective CFL bound"):
                 rhs(a, u, 0.0, cfg, {})
