@@ -71,23 +71,24 @@ def _cmd_simulate(args) -> int:
     a0, u0 = generate_initial_data(
         cfg.lattice, cfg.amplitude_a, cfg.amplitude_u, cfg.smoothness, cfg.seed
     )
-    traj = run_trajectory((a0, u0), solver_cfg, "compressible")
+    # only the final state is written, so no sample is kept
+    traj = run_trajectory((a0, u0), solver_cfg, "compressible", record=lambda state, t: None)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    final = traj.states[-1]
+    final = traj.final
     path = os.path.join(cfg.out_dir, f"compressible_eps{eps:g}.lmc")
     save_checkpoint(
         path,
         cfg.lattice,
         float(traj.times[-1]),
-        {"a": final["a"], "u": final["u"]},
+        {"a": final.a, "u": final.u},
         meta={"eps": eps, "kind": "compressible"},
     )
     summary = {
         "eps": eps,
         "t_final": float(traj.times[-1]),
         "samples": len(traj),
-        "final_a_l2": final["a"].l2_norm(),
-        "final_u_l2": final["u"].l2_norm(),
+        "final_a_l2": final.a.l2_norm(),
+        "final_u_l2": final.u.l2_norm(),
         "checkpoint": path,
     }
     print(json.dumps(summary, indent=1, sort_keys=True))
@@ -105,7 +106,9 @@ def _cmd_limit_sim(args) -> int:
     table = build_limit_tables(cfg.lattice)
     v_at = CubicTimeInterpolant(traj_v.times, traj_v.series("v"))
     V0 = acoustic_transform(a0, u0 - v0)
-    traj_V = run_trajectory(V0, solver_cfg, "limit", table=table, v_at=v_at)
+    traj_V = run_trajectory(
+        V0, solver_cfg, "limit", table=table, v_at=v_at, record=lambda V, t: None
+    )
     os.makedirs(cfg.out_dir, exist_ok=True)
     vpath = os.path.join(cfg.out_dir, "incompressible.lmc")
     save_checkpoint(
@@ -120,7 +123,7 @@ def _cmd_limit_sim(args) -> int:
         wpath,
         cfg.lattice,
         float(traj_V.times[-1]),
-        {"V": traj_V.states[-1]["V"]},
+        {"V": traj_V.final},
         meta={"kind": "limit"},
     )
     print(
@@ -129,7 +132,7 @@ def _cmd_limit_sim(args) -> int:
                 "incompressible": vpath,
                 "limit": wpath,
                 "final_v_l2": traj_v.states[-1]["v"].l2_norm(),
-                "final_V_l2": traj_V.states[-1]["V"].l2_norm(),
+                "final_V_l2": traj_V.final.l2_norm(),
             },
             indent=1,
             sort_keys=True,
@@ -227,6 +230,11 @@ def _cmd_check(args) -> int:
         cfg_issues = cfg.issues()
         for issue in cfg_issues:
             print(f"warn  config: {issue}")
+        for band in cfg.bands():
+            print(
+                f"band  eps={band['eps']:g}: low {band['low']} medium {band['medium']} "
+                f"high {band['high']} overlap {band['overlap']}"
+            )
     return EXIT_OK if ok else EXIT_INVARIANT
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -39,7 +39,8 @@ __all__ = [
     "block_range",
     "dyadic_block",
     "low_cut",
-    "block_l2_norms",
+    "BlockEnergies",
+    "block_energies",
     "norm",
     "time_norm",
     "chemin_lerner_norm",
@@ -108,10 +109,12 @@ def compute_jb(lattice: LatticeSpec) -> int:
 
 def block_range(lattice: LatticeSpec) -> range:
     """Indices j of possibly non-vanishing blocks for fields on the lattice."""
-    jb = compute_jb(lattice)
-    kmax = lattice.max_modulus()
-    jmax = int(math.floor(math.log2(kmax * 4.0 / 3.0) + 1e-12))
-    return range(jb + 1, jmax + 1)
+
+    def build():
+        jmax = int(math.floor(math.log2(lattice.max_modulus() * 4.0 / 3.0) + 1e-12))
+        return range(compute_jb(lattice) + 1, jmax + 1)
+
+    return lattice._cached("block_range", build)
 
 
 def _block_weights(lattice: LatticeSpec, j: int, profile: BumpProfile) -> np.ndarray:
@@ -266,94 +269,140 @@ def _lattice_of(obj) -> LatticeSpec:
     return obj.lattice
 
 
-def _mean_l2(obj) -> float:
-    if isinstance(obj, (tuple, list)):
-        return math.sqrt(sum(_mean_l2(o) ** 2 for o in obj))
-    mean = obj.mean_coefficient()
-    return float(np.sqrt(np.sum(np.abs(mean) ** 2)))
+@dataclass(frozen=True, slots=True)
+class BlockEnergies:
+    """Energy row of a field or bundle (or, stacked, one row per sample).
+
+    The last axis holds E[j] = sum_k w_j(k)^2 |c_k|^2 for each j of
+    ``block_range(lattice)``, then the mean energy |c_0|^2, then for each s of
+    ``h_orders`` the Sobolev sum over k != 0 of |k|^(2s) |c_k|^2.  Every p = 2
+    norm is a function of one row; the row of a bundle is the sum of its
+    members' rows.
+    """
+
+    lattice: LatticeSpec
+    h_orders: tuple
+    values: np.ndarray
+
+    def __add__(self, other: "BlockEnergies") -> "BlockEnergies":
+        if (other.lattice, other.h_orders) != (self.lattice, self.h_orders):
+            raise ValueError("block energies of different lattices or orders")
+        return BlockEnergies(self.lattice, self.h_orders, self.values + other.values)
 
 
-def block_l2_norms(obj, profile: BumpProfile = DEFAULT_PROFILE) -> dict[int, float]:
-    """L2 norms of every possibly-active dyadic block."""
-    lattice = _lattice_of(obj)
-    power = _mode_power(obj)
-    return {
-        j: math.sqrt(float(np.sum(_block_weights(lattice, j, profile) ** 2 * power)))
-        for j in block_range(lattice)
-    }
+def _energy_weights(lattice: LatticeSpec, h_orders: tuple, profile: BumpProfile) -> list:
+    def build():
+        ksq = lattice.k_squared()
+        weights = [_block_weights(lattice, j, profile) ** 2 for j in block_range(lattice)]
+        weights.append((ksq == 0).astype(np.float64))
+        for s in h_orders:
+            weights.append(np.zeros_like(ksq))
+            weights[-1][ksq > 0] = ksq[ksq > 0] ** s
+        return weights
+
+    return lattice._cached(("energy_weights", h_orders, id(profile)), build)
 
 
-def _block_linf(obj, j: int, profile: BumpProfile) -> float:
-    if not isinstance(obj, SpectralField):
-        raise TypeError("p=inf norms require a plain spectral field")
+def block_energies(obj, h_orders=(), profile: BumpProfile = DEFAULT_PROFILE) -> BlockEnergies:
+    """Reduce a field, or a bundle (tuple/list) of fields, to its energy row."""
+    lattice, power = _lattice_of(obj), _mode_power(obj)
+    h_orders = tuple(float(s) for s in h_orders)
+    weights = _energy_weights(lattice, h_orders, profile)
+    return BlockEnergies(lattice, h_orders, np.array([np.sum(w * power) for w in weights]))
+
+
+def _series_energies(fields, h_orders, profile: BumpProfile) -> BlockEnergies:
+    """Stacked rows of a series of fields, bundles or rows."""
+    rows = [
+        f if isinstance(f, BlockEnergies) else block_energies(f, h_orders, profile)
+        for f in fields
+    ]
+    return BlockEnergies(rows[0].lattice, rows[0].h_orders, np.stack([r.values for r in rows]))
+
+
+def _block_linf(obj: SpectralField, j: int, profile: BumpProfile) -> float:
     block = dyadic_block(obj, j, profile)
     grid = inverse_transform(block.copy_with_reality(False))
     mag = np.sqrt(np.sum(np.abs(grid.values) ** 2, axis=0))
     return float(np.max(mag))
 
 
-def _mean_linf(obj) -> float:
-    if not isinstance(obj, SpectralField):
-        raise TypeError("p=inf norms require a plain spectral field")
-    mean = obj.mean_coefficient()
-    return float(np.sqrt(np.sum(np.abs(mean) ** 2)) / math.sqrt(obj.lattice.volume))
-
-
-def _ell_r(values: Sequence[float], r: float) -> float:
+def _ell_r(values, r: float):
+    """ell^r over the last axis of nonnegative terms (0 when there are none)."""
     arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        return 0.0
     if r == _INF:
-        return float(np.max(arr))
-    return float(np.sum(arr**r) ** (1.0 / r))
+        return np.max(arr, axis=-1, initial=0.0)
+    return np.sum(arr**r, axis=-1) ** (1.0 / r)
+
+
+def _block_terms(energies: BlockEnergies, spec: NormSpec):
+    """The 2^(js) weights and the L2 norms of a Besov spec's active blocks,
+    row by row; the mean mode, when counted, is the last term (weight 1)."""
+    js = block_range(energies.lattice)
+    cols = [i for i, j in enumerate(js) if spec.block_active(j)]
+    scale = [2.0 ** (js[i] * spec.s) for i in cols]
+    if spec.includes_mean:
+        cols.append(len(js))
+        scale.append(1.0)
+    return np.array(scale), np.sqrt(energies.values[..., cols])
+
+
+def _spatial_norm(energies: BlockEnergies, spec: NormSpec):
+    """p = 2 norm of every row of ``energies``."""
+    if spec.kind == "B":
+        scale, terms = _block_terms(energies, spec)
+        return _ell_r(scale * terms, spec.r)
+    if spec.s not in energies.h_orders:
+        raise ValueError(f"block energies carry no Sobolev sum of order s = {spec.s:g}")
+    mean = len(block_range(energies.lattice))
+    total = energies.values[..., mean + 1 + energies.h_orders.index(spec.s)]
+    return np.sqrt(total if spec.underlined else total + energies.values[..., mean])
 
 
 def norm(obj, spec, profile: BumpProfile = DEFAULT_PROFILE) -> float:
-    """Evaluate a Besov or Sobolev norm of a field or bundle of fields."""
+    """Besov or Sobolev norm of a field, a bundle of fields or, for p = 2, a
+    :class:`BlockEnergies` row."""
     if isinstance(spec, str):
         spec = parse_norm_spec(spec)
-    lattice = _lattice_of(obj)
-    if spec.kind == "H":
-        power = _mode_power(obj)
-        ksq = lattice.k_squared()
-        weights = np.zeros_like(ksq)
-        nonzero = ksq > 0
-        weights[nonzero] = ksq[nonzero] ** spec.s
-        total = float(np.sum(weights * power))
-        if not spec.underlined:
-            total += _mean_l2(obj) ** 2
-        return math.sqrt(total)
-
-    power = _mode_power(obj) if spec.p == 2 else None
-    terms = []
-    for j in block_range(lattice):
-        if not spec.block_active(j):
-            continue
-        if spec.p == 2:
-            bn = math.sqrt(
-                float(np.sum(_block_weights(lattice, j, profile) ** 2 * power))
-            )
-        else:
-            bn = _block_linf(obj, j, profile)
-        terms.append(2.0 ** (j * spec.s) * bn)
+    if spec.kind == "H" or spec.p == 2:
+        if not isinstance(obj, BlockEnergies):
+            obj = block_energies(obj, (spec.s,) if spec.kind == "H" else (), profile)
+        return float(_spatial_norm(obj, spec))
+    if not isinstance(obj, SpectralField):
+        raise TypeError("p=inf norms require a plain spectral field")
+    terms = [
+        2.0 ** (j * spec.s) * _block_linf(obj, j, profile)
+        for j in block_range(obj.lattice)
+        if spec.block_active(j)
+    ]
     if spec.includes_mean:
-        terms.append(_mean_l2(obj) if spec.p == 2 else _mean_linf(obj))
-    return _ell_r(terms, spec.r)
+        mean = obj.mean_coefficient()
+        terms.append(float(np.sqrt(np.sum(np.abs(mean) ** 2)) / math.sqrt(obj.lattice.volume)))
+    return float(_ell_r(terms, spec.r))
 
 
-def _time_lq(times: np.ndarray, values: np.ndarray, q: float) -> float:
+def _time_lq(times: np.ndarray, values: np.ndarray, q: float):
+    """L^q in time over the first axis: trapezoid rule, or the max for q = inf."""
     if q == _INF:
-        return float(np.max(values)) if values.size else 0.0
-    return float(_trapezoid(values**q, times) ** (1.0 / q))
+        return np.max(values, axis=0, initial=0.0)
+    return _trapezoid(values**q, times, axis=0) ** (1.0 / q)
 
 
 def time_norm(times, fields, q: float, spec, profile: BumpProfile = DEFAULT_PROFILE):
-    """L^q-in-time of the spatial norm along a sampled trajectory."""
+    """L^q-in-time of the spatial norm along a sampled trajectory.
+
+    ``fields`` holds one field or bundle per sample, or for p = 2 its
+    :class:`BlockEnergies` row.
+    """
     if isinstance(spec, str):
         spec = parse_norm_spec(spec)
     times = np.asarray(times, dtype=np.float64)
-    values = np.array([norm(f, spec, profile) for f in fields])
-    return _time_lq(times, values, q)
+    if spec.kind == "B" and spec.p == _INF:
+        values = np.array([norm(f, spec, profile) for f in fields])
+    else:
+        h_orders = (spec.s,) if spec.kind == "H" else ()
+        values = _spatial_norm(_series_energies(fields, h_orders, profile), spec)
+    return float(_time_lq(times, values, q))
 
 
 def chemin_lerner_norm(
@@ -363,7 +412,8 @@ def chemin_lerner_norm(
 
     Compared with :func:`time_norm` the order of the time integral and the
     block summation is swapped.  Time integrals use the trapezoid rule on the
-    sample grid; q = inf takes the max over samples.
+    sample grid; q = inf takes the max over samples.  ``fields`` holds one
+    field, bundle or :class:`BlockEnergies` row per sample.
     """
     if isinstance(spec, str):
         spec = parse_norm_spec(spec)
@@ -374,19 +424,8 @@ def chemin_lerner_norm(
     times = np.asarray(times, dtype=np.float64)
     if len(fields) < 2:
         raise ValueError("trajectory norms need at least two samples")
-    lattice = _lattice_of(fields[0])
-    powers = [_mode_power(f) for f in fields]
-    terms = []
-    for j in block_range(lattice):
-        if not spec.block_active(j):
-            continue
-        w2 = _block_weights(lattice, j, profile) ** 2
-        series = np.array([math.sqrt(float(np.sum(w2 * p))) for p in powers])
-        terms.append(2.0 ** (j * spec.s) * _time_lq(times, series, q))
-    if spec.includes_mean:
-        series = np.array([_mean_l2(f) for f in fields])
-        terms.append(_time_lq(times, series, q))
-    return _ell_r(terms, spec.r)
+    scale, terms = _block_terms(_series_energies(fields, (), profile), spec)
+    return float(_ell_r(scale * _time_lq(times, terms, q), spec.r))
 
 
 # ---------------------------------------------------------------------------

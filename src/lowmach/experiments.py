@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import NormSpec, block_range, compute_jb, norm
-from .functionals import DiagnosticsRow, FunctionalSettings, compute_functionals
+from .functionals import DiagnosticsRow, FunctionalSettings, compute_functionals, sample_energies
 from .lattice import (
     GridField,
     LatticeSpec,
@@ -26,6 +26,7 @@ from .solvers import (
     CubicTimeInterpolant,
     Forcing,
     SolverConfig,
+    compressible_record,
     generate_initial_data,
     run_trajectory,
 )
@@ -115,6 +116,24 @@ class ExperimentConfig:
             sample_stride=self.sample_stride,
         )
 
+    def functional_settings(self, eps: float) -> FunctionalSettings:
+        return FunctionalSettings(eps=eps, zeta=self.zeta, eta0=self.eta0_value, theta=self.theta)
+
+    def bands(self) -> list[dict]:
+        """Per Mach number, the active blocks of the low (2^j < zeta), medium
+        (zeta <= 2^j < eta0/eps) and high (2^j >= eta0/eps) bands, and whether
+        low and high share a block."""
+        scales = {j: 2.0**j for j in block_range(self.lattice)}
+        out = []
+        for eps in self.eps_list:
+            high_cut = self.functional_settings(eps).high_cut
+            low = [j for j, s in scales.items() if s < self.zeta]
+            medium = [j for j, s in scales.items() if self.zeta <= s < high_cut]
+            high = [j for j, s in scales.items() if s >= high_cut]
+            band = {"eps": eps, "low": low, "medium": medium, "high": high}
+            out.append(dict(band, overlap=bool(set(low) & set(high))))
+        return out
+
     def to_json(self) -> dict:
         return {
             "schema": SCHEMA_VERSION,
@@ -184,6 +203,7 @@ class ConvergenceReport:
     slope_flag: str
     verdicts: dict
     timings: dict = field(default_factory=dict)
+    bands: list = field(default_factory=list)
 
     def row_values(self, key: str) -> list[float]:
         return [row.values[key] for row in self.rows]
@@ -229,18 +249,32 @@ def convergence_study(cfg: ExperimentConfig, progress=None) -> ConvergenceReport
         if progress:
             progress(f"eps = {eps:g}")
         t0 = _time.perf_counter()
-        solver_cfg = cfg.solver_config(eps)
-        traj_eps = run_trajectory((a0, u0), solver_cfg, "compressible")
-        settings = FunctionalSettings(
-            eps=eps, zeta=cfg.zeta, eta0=cfg.eta0_value, theta=cfg.theta
+        traj_eps = run_trajectory(
+            (a0, u0),
+            cfg.solver_config(eps),
+            "compressible",
+            record=_sample_reducer(eps, cfg.theta, traj_v, traj_V),
         )
-        row = compute_functionals(traj_eps, traj_v, traj_V, settings)
+        row = compute_functionals(traj_eps, traj_v, traj_V, cfg.functional_settings(eps))
         row.wall_time = _time.perf_counter() - t0
         row.values["W_theta_scaled"] = row.values["W_theta"] / eps ** (
             cfg.theta / (1.0 + cfg.theta)
         )
         rows.append(row)
     return assemble_report(cfg, rows, timings)
+
+
+def _sample_reducer(eps: float, theta: float, traj_v, traj_V):
+    """Record that reduces each compressible sample at once to its
+    :func:`sample_energies` rows, against the v and V samples at the same
+    index; no compressible field outlives its sample."""
+    partners = zip(traj_v.series("v"), traj_V.series("V"))
+
+    def reduce(state, t):
+        v, V = next(partners)
+        return sample_energies(compressible_record(state, t, eps), v, V, theta)
+
+    return reduce
 
 
 def assemble_report(
@@ -271,6 +305,7 @@ def assemble_report(
         slope_flag=slope_flag,
         verdicts=verdicts,
         timings=timings,
+        bands=cfg.bands(),
     )
 
 
@@ -343,6 +378,7 @@ def emit_report(report: ConvergenceReport, out_dir: str) -> dict:
         "slope_flag": report.slope_flag,
         "verdicts": report.verdicts,
         "timings": report.timings,
+        "bands": report.bands,
     }
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)

@@ -13,13 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import NormSpec, block_range, chemin_lerner_norm, time_norm
+from .dyadic import NormSpec, block_energies, block_range, chemin_lerner_norm, time_norm
 from .lattice import LatticeSpec
 
 __all__ = [
     "DiagnosticsRow",
     "FunctionalSettings",
     "compute_functionals",
+    "sample_energies",
     "bridge_constant",
     "HS_EQUIV_BOUND",
 ]
@@ -65,130 +66,45 @@ def _b(s, band="full", eta=None, zeta=None, underlined=False):
     )
 
 
-def _sum_norms(times, fields, parts) -> float:
-    total = 0.0
-    for style, q, spec in parts:
-        if style == "tilde":
-            total += chemin_lerner_norm(times, fields, q, spec)
-        else:
-            total += time_norm(times, fields, q, spec)
-    return total
-
-
-def _x_functional(times, a_fields, qu_fields, d, fs: FunctionalSettings) -> float:
-    hi = fs.high_cut
-    eps = fs.eps
-    total = eps * chemin_lerner_norm(times, a_fields, _INF, _b(d / 2, "h", eta=hi))
-    total += (1.0 / eps) * time_norm(times, a_fields, 1.0, _b(d / 2, "h", eta=hi))
-    total += _sum_norms(
-        times,
-        a_fields,
-        [
-            ("tilde", _INF, _b(d / 2 - 1, "l", zeta=hi)),
-            ("plain", 1.0, _b(d / 2 + 1, "l", zeta=hi)),
-        ],
-    )
-    total += _sum_norms(
-        times,
-        qu_fields,
-        [("tilde", _INF, _b(d / 2 - 1)), ("plain", 1.0, _b(d / 2 + 1))],
-    )
-    return total
-
-
-def _p_functional(times, pu_fields, d) -> float:
-    return _sum_norms(
-        times,
-        pu_fields,
-        [
-            ("tilde", _INF, _b(d / 2 - 1)),
-            ("plain", 1.0, _b(d / 2 + 1, underlined=True)),
-        ],
+def _energy(times, fields, s, underlined=False, **band) -> float:
+    """Sup in time of the s-1 norm plus the time integral of the s+1 norm
+    (whose mean mode ``underlined`` drops)."""
+    return chemin_lerner_norm(times, fields, _INF, _b(s - 1, **band)) + time_norm(
+        times, fields, 1.0, _b(s + 1, underlined=underlined, **band)
     )
 
 
-def _hm_functional(times, a_fields, qu_fields, pu_fields, d, fs) -> float:
-    """High/medium bracket of the compressible state."""
-    hi = fs.high_cut
-    eps = fs.eps
-    total = eps * chemin_lerner_norm(times, a_fields, _INF, _b(d / 2))
-    total += eps * chemin_lerner_norm(times, a_fields, _INF, _b(d / 2, "h", eta=hi))
-    total += (1.0 / eps) * time_norm(times, a_fields, 1.0, _b(d / 2, "h", eta=hi))
-    total += _sum_norms(
-        times,
-        qu_fields,
-        [
-            ("tilde", _INF, _b(d / 2 - 1, "h", eta=hi)),
-            ("plain", 1.0, _b(d / 2 + 1, "h", eta=hi)),
-        ],
+def _acoustic(times, fields, s, **band) -> float:
+    """Time-inside L^inf of the s-1 norm plus time-inside L^2 of the s norm."""
+    return chemin_lerner_norm(times, fields, _INF, _b(s - 1, **band)) + chemin_lerner_norm(
+        times, fields, 2.0, _b(s, **band)
     )
-    if fs.medium_band_nonempty():
-        pairs = [(a, qu) for a, qu in zip(a_fields, qu_fields)]
-        total += _sum_norms(
-            times,
-            pairs,
-            [
-                ("tilde", _INF, _b(d / 2 - 1, "m", zeta=fs.zeta, eta=hi)),
-                ("plain", 1.0, _b(d / 2 + 1, "m", zeta=fs.zeta, eta=hi)),
-            ],
-        )
-    total += _sum_norms(
-        times,
-        pu_fields,
-        [
-            ("tilde", _INF, _b(d / 2 - 1, "h", eta=fs.zeta)),
-            ("plain", 1.0, _b(d / 2 + 1, "h", eta=fs.zeta)),
-        ],
-    )
-    return total
 
 
-def _low_bracket(times, w_fields, u_fields, d, zeta) -> float:
-    """Low-frequency bracket of a ((d+1)-state, velocity) pair."""
-    total = _sum_norms(
-        times,
-        w_fields,
-        [
-            ("tilde", _INF, _b(d / 2 - 1, "l", zeta=zeta)),
-            ("tilde", 2.0, _b(d / 2, "l", zeta=zeta)),
-        ],
-    )
-    total += _sum_norms(
-        times,
-        u_fields,
-        [
-            ("tilde", _INF, _b(d / 2 - 1, "l", zeta=zeta)),
-            ("plain", 1.0, _b(d / 2 + 1, "l", zeta=zeta, underlined=True)),
-        ],
-    )
-    return total
+def sample_energies(record: dict, v, V, theta: float) -> dict:
+    """Block-energy rows of the six diagnostic series at one sample.
 
-
-def _z_functional(times, wdiff, d, theta) -> float:
-    total = chemin_lerner_norm(
-        times, wdiff, _INF, NormSpec(kind="H", s=d / 2 - 1 - theta)
-    )
-    total += time_norm(times, wdiff, 2.0, NormSpec(kind="H", s=d / 2 - theta))
-    return total
-
-
-def _w_functional(times, udiff, d, theta) -> float:
-    return _sum_norms(
-        times,
-        udiff,
-        [
-            ("tilde", _INF, _b(d / 2 - 1 - theta)),
-            ("plain", 1.0, _b(d / 2 + 1 - theta, underlined=True)),
-        ],
-    )
+    ``record`` is a compressible sample (a, Pu, Qu, Veps) and ``v``, ``V`` are
+    the incompressible and limit states at the same time.  The series are a,
+    Qu, Pu, the bundle (a, Qu), Veps - V and Pu - v; every row carries the
+    Sobolev sum of order d/2 - theta that Z_theta reads.
+    """
+    h_orders = (record["a"].lattice.d / 2 - theta,)
+    rows = {key: block_energies(record[key], h_orders) for key in ("a", "Qu", "Pu")}
+    rows["aQu"] = rows["a"] + rows["Qu"]
+    rows["Vdiff"] = block_energies(record["Veps"] - V, h_orders)
+    rows["udiff"] = block_energies(record["Pu"] - v, h_orders)
+    return rows
 
 
 def compute_functionals(traj_eps, traj_v, traj_V, settings: FunctionalSettings) -> DiagnosticsRow:
     """Evaluate the full diagnostics row from three aligned trajectories.
 
-    ``traj_eps`` is a compressible trajectory (records a, u, Pu, Qu, Veps),
-    ``traj_v`` incompressible, ``traj_V`` a limit run; all three must share
-    the sample time grid.
+    ``traj_eps`` is a compressible trajectory whose samples are either full
+    records (a, u, Pu, Qu, Veps) or their :func:`sample_energies` rows; full
+    records are first reduced against the samples of ``traj_v``
+    (incompressible) and ``traj_V`` (limit run) at the same index.  All three
+    must share the sample time grid.
     """
     times = np.asarray(traj_eps.times)
     if not (
@@ -196,55 +112,47 @@ def compute_functionals(traj_eps, traj_v, traj_V, settings: FunctionalSettings) 
         and np.array_equal(times, np.asarray(traj_V.times))
     ):
         raise ValueError("trajectories must share the sample time grid")
-    lattice: LatticeSpec = traj_eps.states[0]["a"].lattice
-    d = lattice.d
-    a_fields = traj_eps.series("a")
-    qu_fields = traj_eps.series("Qu")
-    pu_fields = traj_eps.series("Pu")
-    veps = traj_eps.series("Veps")
-    v_fields = traj_v.series("v")
-    V_fields = traj_V.series("V")
-    vdiff = [ve - V for ve, V in zip(veps, V_fields)]
-    udiff = [pu - v for pu, v in zip(pu_fields, v_fields)]
-
-    x_val = _x_functional(times, a_fields, qu_fields, d, settings)
-    p_val = _p_functional(times, pu_fields, d)
-    hm = _hm_functional(times, a_fields, qu_fields, pu_fields, d, settings)
-    low_diff = _low_bracket(times, vdiff, udiff, d, settings.zeta)
-    pairs = [(a, qu) for a, qu in zip(a_fields, qu_fields)]
-    low_state = _low_bracket(times, pairs, pu_fields, d, settings.zeta)
-    z_val = _z_functional(times, vdiff, d, settings.theta)
-    w_val = _w_functional(times, udiff, d, settings.theta)
-    eps_a = settings.eps * chemin_lerner_norm(times, a_fields, _INF, _b(d / 2))
-    vdiff_comp = _sum_norms(
-        times,
-        vdiff,
-        [("tilde", _INF, _b(d / 2 - 1)), ("tilde", 2.0, _b(d / 2))],
+    samples = traj_eps.states
+    if "Veps" in samples[0]:
+        samples = [
+            sample_energies(rec, v, V, settings.theta)
+            for rec, v, V in zip(samples, traj_v.series("v"), traj_V.series("V"))
+        ]
+    a, qu, aqu, pu, vdiff, udiff = (
+        [rec[key] for rec in samples] for key in ("a", "Qu", "aQu", "Pu", "Vdiff", "udiff")
     )
-    pudiff_comp = _sum_norms(
-        times,
-        udiff,
-        [("tilde", _INF, _b(d / 2 - 1)), ("plain", 1.0, _b(d / 2 + 1, underlined=True))],
-    )
+    s, eps, zeta, hi = a[0].lattice.d / 2, settings.eps, settings.zeta, settings.high_cut
+    high_a = eps * chemin_lerner_norm(times, a, _INF, _b(s, "h", eta=hi))
+    high_a += (1.0 / eps) * time_norm(times, a, 1.0, _b(s, "h", eta=hi))
+    # high/medium bracket of the compressible state
+    hm = eps * chemin_lerner_norm(times, a, _INF, _b(s)) + high_a
+    hm += _energy(times, qu, s, band="h", eta=hi)
+    if settings.medium_band_nonempty():
+        hm += _energy(times, aqu, s, band="m", zeta=zeta, eta=hi)
+    hm += _energy(times, pu, s, band="h", eta=zeta)
+    # low-frequency brackets of the (state, velocity) pairs
+    low = dict(band="l", zeta=zeta)
+    low_diff = _acoustic(times, vdiff, s, **low) + _energy(times, udiff, s, True, **low)
+    low_state = _acoustic(times, aqu, s, **low) + _energy(times, pu, s, True, **low)
+    theta = settings.theta
     values = {
-        "X": x_val,
-        "P": p_val,
+        "X": high_a + _energy(times, a, s, band="l", zeta=hi) + _energy(times, qu, s),
+        "P": _energy(times, pu, s, True),
         "D": hm + low_diff,
         "Y": hm + low_state,
-        "Z_theta": z_val,
-        "W_theta": w_val,
-        "eps_a_linf_besov": eps_a,
-        "Vdiff_composite": vdiff_comp,
-        "Pudiff_composite": pudiff_comp,
+        "Z_theta": chemin_lerner_norm(times, vdiff, _INF, NormSpec(kind="H", s=s - 1 - theta))
+        + time_norm(times, vdiff, 2.0, NormSpec(kind="H", s=s - theta)),
+        "W_theta": _energy(times, udiff, s - theta, True),
+        "eps_a_linf_besov": eps * chemin_lerner_norm(times, a, _INF, _b(s)),
+        "Vdiff_composite": _acoustic(times, vdiff, s),
+        "Pudiff_composite": _energy(times, udiff, s, True),
         "hm_bracket": hm,
         "low_bracket_diff": low_diff,
     }
     for key, val in values.items():
         if not (np.isfinite(val) and val >= 0):
             raise ValueError(f"functional {key} is not finite and nonnegative: {val}")
-    return DiagnosticsRow(
-        eps=settings.eps, t_final=float(times[-1]), values=values
-    )
+    return DiagnosticsRow(eps=eps, t_final=float(times[-1]), values=values)
 
 
 def bridge_constant(lattice: LatticeSpec, theta: float) -> float:

@@ -231,9 +231,6 @@ class LatticeSpec:
 
         return self._cached("grid_points", build)
 
-    def min_nonzero_modulus(self) -> float:
-        return float(min(1.0 / float(b) for b in self.periods))
-
     def max_modulus(self) -> float:
         return math.sqrt(
             sum((c / float(b)) ** 2 for c, b in zip(self.cutoffs, self.periods))

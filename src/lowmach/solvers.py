@@ -57,6 +57,7 @@ __all__ = [
     "step_compressible",
     "step_incompressible",
     "step_limit",
+    "compressible_record",
     "run_trajectory",
     "generate_initial_data",
     "CubicTimeInterpolant",
@@ -217,11 +218,16 @@ class LimitState:
 
 @dataclass
 class Trajectory:
-    """Time-stamped samples of solver states plus derived fields."""
+    """Time-stamped samples of solver states plus derived fields.
+
+    ``states`` holds what the run's record kept per sample; ``final`` is the
+    solver state at the last sample (None after :meth:`restricted`).
+    """
 
     times: np.ndarray
     states: list
     meta: dict = field(default_factory=dict)
+    final: object = None
 
     def series(self, key: str) -> list:
         return [s[key] for s in self.states]
@@ -501,7 +507,9 @@ def step_limit(
 # ---------------------------------------------------------------------------
 
 
-def _compressible_record(state: CompressibleState, t: float, eps: float) -> dict:
+def compressible_record(state: CompressibleState, t: float, eps: float) -> dict:
+    """Full compressible sample: a, u, the Helmholtz parts Pu and Qu, and the
+    filtered state Veps = L(-t/eps)(a, Qu)."""
     pu = helmholtz_project(state.u, "P")
     qu = state.u - pu
     veps = wave_group(acoustic_transform(state.a, qu, check=False), -t / eps)
@@ -514,6 +522,7 @@ def run_trajectory(
     kind: str,
     table: ResonanceTable | None = None,
     v_at: "CubicTimeInterpolant | None" = None,
+    record=None,
 ) -> Trajectory:
     """Advance to t_final, sampling every ``sample_stride`` steps and the last.
 
@@ -521,6 +530,11 @@ def run_trajectory(
     "incompressible" (initial = v0), or "limit" (initial = V0, which also
     needs the resonance table and the incompressible interpolant).  Each step
     starts, and each sample is stamped, at an exact multiple of ``dt``.
+
+    ``record(state, t)`` gives what the trajectory keeps of each sample; the
+    state is a :class:`CompressibleState`, the velocity field, or the
+    averaged state.  By default it is the full record: :func:`compressible_record`,
+    ``{"v": v}`` or ``{"V": V}``.  The final state is kept either way.
     """
     lattice, dt = cfg.lattice, cfg.dt
     if kind == "compressible":
@@ -530,21 +544,23 @@ def run_trajectory(
         advance = lambda s, t: step_compressible(
             CompressibleState(s.a, s.u, t), cfg, prop, warn_state
         )
-        record = lambda s, t: _compressible_record(s, t, cfg.eps)
+        full_record = lambda s, t: compressible_record(s, t, cfg.eps)
     elif kind == "incompressible":
         heat = np.exp(-cfg.mu * lattice.k_squared() * dt)
         x = initial
         advance = lambda v, t: step_incompressible(v, t, cfg, heat)
-        record = lambda v, t: {"v": v}
+        full_record = lambda v, t: {"v": v}
     elif kind == "limit":
         if table is None or v_at is None:
             raise ValueError("limit runs need a resonance table and v interpolant")
         heat = np.exp(-0.5 * cfg.nu * lattice.k_squared() * dt)
         x = initial
         advance = lambda V, t: step_limit(LimitState(V, t), v_at, cfg, table, heat).V
-        record = lambda V, t: {"V": V}
+        full_record = lambda V, t: {"V": V}
     else:
         raise ValueError(f"unknown trajectory kind {kind!r}")
+    if record is None:
+        record = full_record
 
     times = [0.0]
     states = [record(x, 0.0)]
@@ -554,7 +570,7 @@ def run_trajectory(
         if step % cfg.sample_stride == 0 or step == n_steps:
             times.append(step * dt)
             states.append(record(x, step * dt))
-    return Trajectory(times=np.array(times), states=states, meta={"kind": kind})
+    return Trajectory(times=np.array(times), states=states, meta={"kind": kind}, final=x)
 
 
 # ---------------------------------------------------------------------------

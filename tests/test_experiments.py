@@ -1,15 +1,28 @@
 """Functional assembly, sweep report, determinism, and CLI tests."""
 
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from lowmach.dyadic import NormSpec, chemin_lerner_norm, norm, time_norm
+from lowmach.dyadic import (
+    DEFAULT_PROFILE,
+    NormSpec,
+    block_energies,
+    block_range,
+    chemin_lerner_norm,
+    norm,
+    parse_norm_spec,
+    time_norm,
+)
 from lowmach.experiments import (
     ExperimentConfig,
     convergence_study,
@@ -31,7 +44,18 @@ from lowmach.operators import (
     helmholtz_project,
     wave_group,
 )
-from lowmach.solvers import Trajectory, generate_initial_data
+from lowmach.resonance import build_limit_tables
+from lowmach.solvers import (
+    CubicTimeInterpolant,
+    Forcing,
+    ForcingMode,
+    SolverConfig,
+    Trajectory,
+    generate_initial_data,
+    run_trajectory,
+)
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def make_compressible_like(lattice, rng, times, eps, scale=1.0):
@@ -439,3 +463,340 @@ class TestCLI:
             json.dump({"schema": 99}, fh)
         proc = self.run_cli("check", "--config", path)
         assert proc.returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# Per-norm oracle: the functional assembly before block energies, where every
+# norm recomputes the mode powers of every sample
+# ---------------------------------------------------------------------------
+
+_INF = float("inf")
+
+
+def _oracle_power(obj):
+    if isinstance(obj, tuple):
+        return sum(o.mode_power() for o in obj)
+    return obj.mode_power()
+
+
+def _oracle_mean_l2(obj):
+    if isinstance(obj, tuple):
+        return math.sqrt(sum(_oracle_mean_l2(o) ** 2 for o in obj))
+    return float(np.sqrt(np.sum(np.abs(obj.mean_coefficient()) ** 2)))
+
+
+def _oracle_ell(terms, r):
+    arr = np.asarray(terms, dtype=np.float64)
+    if arr.size == 0:
+        return 0.0
+    return float(np.max(arr)) if r == _INF else float(np.sum(arr**r) ** (1.0 / r))
+
+
+def _oracle_lq(times, values, q):
+    values = np.asarray(values, dtype=np.float64)
+    if q == _INF:
+        return float(np.max(values))
+    return float(np.sum(np.diff(times) * (values[1:] ** q + values[:-1] ** q) / 2.0) ** (1.0 / q))
+
+
+def _oracle_block_norm(lattice, power, j):
+    weights = DEFAULT_PROFILE(np.ldexp(lattice.k_modulus(), -j))
+    return math.sqrt(float(np.sum(weights**2 * power)))
+
+
+def _oracle_norm(obj, spec):
+    lattice = (obj[0] if isinstance(obj, tuple) else obj).lattice
+    power = _oracle_power(obj)
+    if spec.kind == "H":
+        ksq = lattice.k_squared()
+        weights = np.zeros_like(ksq)
+        weights[ksq > 0] = ksq[ksq > 0] ** spec.s
+        total = float(np.sum(weights * power))
+        if not spec.underlined:
+            total += _oracle_mean_l2(obj) ** 2
+        return math.sqrt(total)
+    terms = [
+        2.0 ** (j * spec.s) * _oracle_block_norm(lattice, power, j)
+        for j in block_range(lattice)
+        if spec.block_active(j)
+    ]
+    if spec.includes_mean:
+        terms.append(_oracle_mean_l2(obj))
+    return _oracle_ell(terms, spec.r)
+
+
+def _oracle_time_norm(times, fields, q, spec):
+    return _oracle_lq(times, [_oracle_norm(f, spec) for f in fields], q)
+
+
+def _oracle_cl_norm(times, fields, q, spec):
+    if spec.kind == "H":
+        spec = NormSpec(kind="B", s=spec.s, p=2, r=2, underlined=spec.underlined)
+    lattice = (fields[0][0] if isinstance(fields[0], tuple) else fields[0]).lattice
+    powers = [_oracle_power(f) for f in fields]
+    terms = [
+        2.0 ** (j * spec.s) * _oracle_lq(times, [_oracle_block_norm(lattice, p, j) for p in powers], q)
+        for j in block_range(lattice)
+        if spec.block_active(j)
+    ]
+    if spec.includes_mean:
+        terms.append(_oracle_lq(times, [_oracle_mean_l2(f) for f in fields], q))
+    return _oracle_ell(terms, spec.r)
+
+
+def _b(s, band="full", eta=None, zeta=None, underlined=False):
+    return NormSpec(s=s, r=1, band=band, eta=eta, zeta=zeta, underlined=underlined)
+
+
+def oracle_functionals(traj_eps, traj_v, traj_V, fs):
+    """The eleven functionals, norm by norm from the full records."""
+    times = np.asarray(traj_eps.times)
+    a, qu, pu = (traj_eps.series(key) for key in ("a", "Qu", "Pu"))
+    pairs = list(zip(a, qu))
+    vdiff = [ve - V for ve, V in zip(traj_eps.series("Veps"), traj_V.series("V"))]
+    udiff = [p - v for p, v in zip(pu, traj_v.series("v"))]
+    d = a[0].lattice.d
+    hi, eps, zeta, theta = fs.high_cut, fs.eps, fs.zeta, fs.theta
+    cl = lambda fields, q, spec: _oracle_cl_norm(times, fields, q, spec)
+    tn = lambda fields, q, spec: _oracle_time_norm(times, fields, q, spec)
+
+    def low_bracket(w, u):
+        return (
+            cl(w, _INF, _b(d / 2 - 1, "l", zeta=zeta))
+            + cl(w, 2.0, _b(d / 2, "l", zeta=zeta))
+            + cl(u, _INF, _b(d / 2 - 1, "l", zeta=zeta))
+            + tn(u, 1.0, _b(d / 2 + 1, "l", zeta=zeta, underlined=True))
+        )
+
+    high_a = eps * cl(a, _INF, _b(d / 2, "h", eta=hi)) + tn(a, 1.0, _b(d / 2, "h", eta=hi)) / eps
+    x_val = (
+        high_a
+        + cl(a, _INF, _b(d / 2 - 1, "l", zeta=hi))
+        + tn(a, 1.0, _b(d / 2 + 1, "l", zeta=hi))
+        + cl(qu, _INF, _b(d / 2 - 1))
+        + tn(qu, 1.0, _b(d / 2 + 1))
+    )
+    hm = (
+        eps * cl(a, _INF, _b(d / 2))
+        + high_a
+        + cl(qu, _INF, _b(d / 2 - 1, "h", eta=hi))
+        + tn(qu, 1.0, _b(d / 2 + 1, "h", eta=hi))
+        + cl(pu, _INF, _b(d / 2 - 1, "h", eta=zeta))
+        + tn(pu, 1.0, _b(d / 2 + 1, "h", eta=zeta))
+    )
+    if fs.medium_band_nonempty():
+        hm += cl(pairs, _INF, _b(d / 2 - 1, "m", zeta=zeta, eta=hi))
+        hm += tn(pairs, 1.0, _b(d / 2 + 1, "m", zeta=zeta, eta=hi))
+    low_diff = low_bracket(vdiff, udiff)
+    return {
+        "X": x_val,
+        "P": cl(pu, _INF, _b(d / 2 - 1)) + tn(pu, 1.0, _b(d / 2 + 1, underlined=True)),
+        "D": hm + low_diff,
+        "Y": hm + low_bracket(pairs, pu),
+        "Z_theta": cl(vdiff, _INF, NormSpec(kind="H", s=d / 2 - 1 - theta))
+        + tn(vdiff, 2.0, NormSpec(kind="H", s=d / 2 - theta)),
+        "W_theta": cl(udiff, _INF, _b(d / 2 - 1 - theta))
+        + tn(udiff, 1.0, _b(d / 2 + 1 - theta, underlined=True)),
+        "eps_a_linf_besov": eps * cl(a, _INF, _b(d / 2)),
+        "Vdiff_composite": cl(vdiff, _INF, _b(d / 2 - 1)) + cl(vdiff, 2.0, _b(d / 2)),
+        "Pudiff_composite": cl(udiff, _INF, _b(d / 2 - 1))
+        + tn(udiff, 1.0, _b(d / 2 + 1, underlined=True)),
+        "hm_bracket": hm,
+        "low_bracket_diff": low_diff,
+    }
+
+
+def oracle_case(name):
+    lattices = {
+        "16x16": LatticeSpec.square(2, 16),
+        "16x12-periods-1-3/2": LatticeSpec(periods=(1, Fraction(3, 2)), resolution=(16, 12)),
+        "3d-8": LatticeSpec.square(3, 8),
+    }
+    lattice = lattices.get(name, LatticeSpec.square(2, 16))
+    forcing = None
+    if name == "cos-forcing":
+        mode = ForcingMode(mode=(1, 2), amplitude=(0.3, -0.2j), envelope="cos", omega=7.0)
+        forcing = Forcing(lattice, [mode])
+    # zeta 8, eta0 0.075 leave the medium band empty, as in configs/sweep64.json
+    zeta, eta0 = (1.5, 0.4) if name == "medium-band" else (8.0, 0.075)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return ExperimentConfig(
+            lattice=lattice,
+            eps_list=(0.2, 0.1),
+            dt=5e-3,
+            t_final=0.04,
+            sample_stride=2,
+            zeta=zeta,
+            eta0=eta0,
+            amplitude_a=1.0,
+            amplitude_u=1.0,
+            seed=4,
+            forcing=forcing,
+        )
+
+
+def replace_quietly(cfg, **changes):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return dataclasses.replace(cfg, **changes)
+
+
+def full_trajectories(cfg):
+    """Full-record trajectories per Mach number, built as the sweep builds them."""
+    a0, u0 = generate_initial_data(
+        cfg.lattice, cfg.amplitude_a, cfg.amplitude_u, cfg.smoothness, cfg.seed
+    )
+    v0 = helmholtz_project(u0, "P")
+    base = cfg.solver_config(cfg.eps_list[0])
+    traj_v = run_trajectory(v0, base, "incompressible")
+    v_at = CubicTimeInterpolant(traj_v.times, traj_v.series("v"))
+    table = build_limit_tables(cfg.lattice)
+    traj_V = run_trajectory(acoustic_transform(a0, u0 - v0), base, "limit", table=table, v_at=v_at)
+    for eps in cfg.eps_list:
+        traj_eps = run_trajectory((a0, u0), cfg.solver_config(eps), "compressible")
+        yield eps, traj_eps, traj_v, traj_V
+
+
+class TestBlockEnergyPath:
+    """The block-energy functionals against the per-norm oracle."""
+
+    CASES = ["16x16", "16x12-periods-1-3/2", "3d-8", "medium-band", "cos-forcing"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_against_oracle(self, case):
+        cfg = oracle_case(case)
+        if case == "medium-band":
+            assert any(band["medium"] for band in cfg.bands())
+        study = convergence_study(cfg)
+        for (eps, traj_eps, traj_v, traj_V), streamed in zip(full_trajectories(cfg), study.rows):
+            settings = cfg.functional_settings(eps)
+            expected = oracle_functionals(traj_eps, traj_v, traj_V, settings)
+            from_records = compute_functionals(traj_eps, traj_v, traj_V, settings).values
+            assert len(expected) == 11
+            for key, value in expected.items():
+                assert value > 0, key
+                assert from_records[key] == pytest.approx(value, rel=1e-13, abs=0), key
+                assert streamed.values[key] == pytest.approx(value, rel=1e-13, abs=0), key
+
+    def test_bundle_rows_add(self, lat16):
+        a0, u0 = generate_initial_data(lat16, 1.0, 1.0, seed=5)
+        qu = helmholtz_project(u0, "Q")
+        pair = block_energies((a0, qu), (0.75,))
+        summed = block_energies(a0, (0.75,)) + block_energies(qu, (0.75,))
+        np.testing.assert_allclose(summed.values, pair.values, rtol=1e-14, atol=0)
+        for spec in ("B:s=1:p=2:r=2", "B:s=0.5:r=1:band=h:eta=2", "H:s=0.75"):
+            expected = _oracle_norm((a0, qu), parse_norm_spec(spec))
+            assert norm(summed, spec) == pytest.approx(expected, rel=1e-13)
+
+    def test_rows_lacking_the_sobolev_order(self, lat16):
+        rows = block_energies(generate_initial_data(lat16, 1.0, 1.0)[0])
+        with pytest.raises(ValueError, match="Sobolev sum"):
+            norm(rows, "H:s=1")
+
+
+def _peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamingMemory:
+    """Memory that must not grow with the number of samples."""
+
+    N_STEPS = 40
+
+    def test_final_state_only_run(self, lat16):
+        a0, u0 = generate_initial_data(lat16, 1.0, 1.0, seed=0)
+        peaks = {}
+        for stride in (self.N_STEPS, 1):
+            cfg = SolverConfig(
+                lattice=lat16,
+                eps=0.1,
+                mu=0.05,
+                lam=0.05,
+                dt=5e-3,
+                t_final=self.N_STEPS * 5e-3,
+                sample_stride=stride,
+            )
+            keep = lambda state, t: None
+            peaks[stride] = _peak(
+                lambda: run_trajectory((a0, u0), cfg, "compressible", record=keep)
+            )
+        # forty more samples may cost their time stamps, not one more field
+        assert peaks[1] <= peaks[self.N_STEPS] + a0.coeffs.nbytes
+
+        full = run_trajectory((a0, u0), cfg, "compressible")
+        bare = run_trajectory((a0, u0), cfg, "compressible", record=keep)
+        assert len(bare) == len(full) == self.N_STEPS + 1
+        assert bare.states == [None] * len(full)
+        np.testing.assert_array_equal(bare.final.a.coeffs, full.states[-1]["a"].coeffs)
+        np.testing.assert_array_equal(bare.final.u.coeffs, full.states[-1]["u"].coeffs)
+
+    def test_sweep_keeps_rows_not_fields(self):
+        """The per-Mach-number stage of convergence_study on 16²: its peak above
+        the shared stage grows by less than one scalar field per extra sample.
+        (The shared v and V series are kept whole, since both the interpolant
+        and the differences read them.)"""
+        stage_growth = {}
+        for stride in (self.N_STEPS, 1):
+            cfg = replace_quietly(
+                oracle_case("medium-band"), t_final=self.N_STEPS * 5e-3, sample_stride=stride
+            )
+            marks = []
+
+            def progress(msg):
+                if marks:
+                    marks[-1][1] = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                marks.append([tracemalloc.get_traced_memory()[0], None])
+
+            tracemalloc.start()
+            try:
+                convergence_study(cfg, progress=progress)
+                marks[-1][1] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            stage_growth[stride] = max(peak - start for start, peak in marks)
+        field_bytes = 16 * math.prod(cfg.lattice.resolution)
+        assert stage_growth[1] - stage_growth[self.N_STEPS] < self.N_STEPS * field_bytes
+
+
+class TestBandOccupancy:
+    def test_sweep64_medium_band_empty_and_overlapping(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cfg = ExperimentConfig.load(os.path.join(REPO, "configs", "sweep64.json"))
+        bands = cfg.bands()
+        assert [band["eps"] for band in bands] == [0.2, 0.1, 0.05, 0.025]
+        # eta0/eps is at most 3 < zeta = 8: the high band starts inside the low one
+        for band, first_high in zip(bands, (-1, 0, 1, 2)):
+            assert band["medium"] == []
+            assert band["overlap"] is True
+            assert band["low"] == [-1, 0, 1, 2]
+            assert band["high"] == list(range(first_high, 6))
+
+    def test_report_json_and_check(self, tmp_path):
+        cfg = replace_quietly(oracle_case("medium-band"), out_dir=str(tmp_path))
+        report = convergence_study(cfg)
+        with open(emit_report(report, str(tmp_path))["json"]) as fh:
+            bands = json.load(fh)["bands"]
+        assert bands == cfg.bands()
+        eps01 = bands[1]
+        assert (eps01["eps"], eps01["medium"], eps01["overlap"]) == (0.1, [1], False)
+        with open(os.path.join(str(tmp_path), "report.csv")) as fh:
+            assert "medium" not in fh.read()
+
+        path = os.path.join(str(tmp_path), "config.json")
+        with open(path, "w") as fh:
+            json.dump(cfg.to_json(), fh)
+        proc = subprocess.run(
+            [sys.executable, "-m", "lowmach.cli", "check", "--config", path],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "band  eps=0.1: low [-1, 0] medium [1] high [2, 3] overlap False" in proc.stdout
