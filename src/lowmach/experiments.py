@@ -26,6 +26,7 @@ from .solvers import (
     CubicTimeInterpolant,
     Forcing,
     SolverConfig,
+    Trajectory,
     compressible_record,
     generate_initial_data,
     run_trajectory,
@@ -240,6 +241,8 @@ def convergence_study(cfg: ExperimentConfig, progress=None) -> ConvergenceReport
     t0 = _time.perf_counter()
     table = build_limit_tables(cfg.lattice)
     v_at = CubicTimeInterpolant(traj_v.times, traj_v.series("v"))
+    # the interpolant holds the only copy of the v samples from here on
+    traj_v = Trajectory(traj_v.times, [{"v": v} for v in v_at.samples()])
     V0 = acoustic_transform(a0, qu0)
     traj_V = run_trajectory(V0, base, "limit", table=table, v_at=v_at)
     timings["limit"] = _time.perf_counter() - t0

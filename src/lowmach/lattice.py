@@ -23,7 +23,8 @@ use real-data FFTs on the retained half spectrum: the inverse returns the
 real part of the complex inverse (for any coefficients, Hermitian or not),
 and the forward transform of real samples rebuilds the full, masked,
 Hermitian coefficient grid from the half spectrum.  Complex fields use the
-complex FFTs.
+complex FFTs.  The half-spectrum primitives behind these transforms also
+serve the compressible stepper, which works on half spectra throughout.
 """
 
 from __future__ import annotations
@@ -128,7 +129,10 @@ class LatticeSpec:
 
     @property
     def cutoffs(self) -> tuple[int, ...]:
-        return tuple(_axis_cutoff(n, self.dealias_fraction) for n in self.resolution)
+        return self._cached(
+            "cutoffs",
+            lambda: tuple(_axis_cutoff(n, self.dealias_fraction) for n in self.resolution),
+        )
 
     def _cached(self, key, builder):
         cache = self._cache
@@ -164,6 +168,18 @@ class LatticeSpec:
             return grids
 
         return self._cached("wavevectors", build)
+
+    def half_wavevectors(self) -> np.ndarray:
+        """Wavevector components on the retained half spectrum (columns
+        0..cut of the last axis), stacked: shape (d, *leading axes, cut + 1)."""
+
+        def build():
+            cut = self.cutoffs[-1]
+            kvecs = np.stack([k[..., : cut + 1] for k in self.wavevectors()])
+            kvecs.flags.writeable = False
+            return kvecs
+
+        return self._cached("half_wavevectors", build)
 
     def k_squared(self) -> np.ndarray:
         def build():
@@ -435,42 +451,52 @@ def _mirror(x: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
     return x
 
 
-def _real_forward(values: np.ndarray, lattice: LatticeSpec, scale: float) -> np.ndarray:
-    """Masked, Hermitian coefficients of real samples, times ``scale``.
+# Real fields on the retained half spectrum: arrays of shape
+# (components, *leading axes, cut + 1) holding the columns 0..cut of the last
+# axis, zero outside the dealiased box on the leading axes.  The columns
+# -cut..-1 of a Hermitian field are the conjugates of the mirrored columns
+# 1..cut, and the Nyquist column is never read, because ``3*cut < n``.
+
+
+def _half_forward(values: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
+    """Normalized half spectrum of real grid samples.
 
     A real-data FFT along the last axis, then complex FFTs along the others
-    on the retained columns 0..cut only; the columns -cut..-1 are the
-    conjugates of the mirrored columns 1..cut.  The Nyquist column is never
-    read, because ``3*cut < n``.
+    on the retained columns only.
     """
-    cut, n = lattice.cutoffs[-1], lattice.resolution[-1]
-    upper = np.fft.rfft(values, axis=-1)[..., : cut + 1]
+    cut = lattice.cutoffs[-1]
+    half = np.fft.rfft(values, axis=-1)[..., : cut + 1]
     if lattice.d > 1:
-        upper = np.fft.fftn(upper, axes=tuple(range(1, lattice.d)))
-    upper *= scale
+        half = np.fft.fftn(half, axes=tuple(range(1, lattice.d)))
+    half *= math.sqrt(lattice.volume) / float(np.prod(lattice.resolution))
     for axis, (c, m) in enumerate(zip(lattice.cutoffs, lattice.resolution[:-1]), start=1):
-        upper[(slice(None),) * axis + (slice(c + 1, m - c),)] = 0.0
-    out = np.zeros(values.shape, dtype=np.complex128)
-    out[..., : cut + 1] = upper
-    out[..., n - cut :] = np.conj(_mirror(upper[..., cut:0:-1], lattice))
-    return out
+        half[(slice(None),) * axis + (slice(c + 1, m - c),)] = 0.0
+    return half
 
 
-def _real_inverse(coeffs: np.ndarray, lattice: LatticeSpec, scale: float) -> np.ndarray:
-    """Real part of the complex inverse of ``coeffs``, times ``scale``.
+def _half_inverse(half: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
+    """Real grid values of a half spectrum.
 
-    A real-data inverse FFT of the Hermitian part (c_k + conj(c_-k))/2, which
-    equals ``coeffs`` when they are Hermitian; the complex inverse FFTs along
-    the leading axes run on the retained columns 0..cut only.
+    Complex inverse FFTs along the leading axes, then a real-data inverse FFT
+    along the last; ``irfft`` drops the imaginary part of the column-0 bins,
+    which takes the Hermitian part of that column.
     """
-    cut, n = lattice.cutoffs[-1], lattice.resolution[-1]
-    half = _mirror(np.take(coeffs, -np.arange(cut + 1) % n, axis=-1), lattice)
-    np.conj(half, out=half)
-    half += coeffs[..., : cut + 1]
-    half *= 0.5 * scale
+    scale = 1.0 / math.sqrt(lattice.volume)
     if lattice.d > 1:
         half = np.fft.ifftn(half, axes=tuple(range(1, lattice.d)), norm="forward")
-    return np.fft.irfft(half, n=n, axis=-1, norm="forward")
+        half *= scale
+    else:
+        half = half * scale
+    return np.fft.irfft(half, n=lattice.resolution[-1], axis=-1, norm="forward")
+
+
+def _half_to_full(half: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
+    """The full, masked, Hermitian coefficient grid of a half spectrum."""
+    cut, n = lattice.cutoffs[-1], lattice.resolution[-1]
+    out = np.zeros(half.shape[:-1] + (n,), dtype=np.complex128)
+    out[..., : cut + 1] = half
+    out[..., n - cut :] = np.conj(_mirror(half[..., cut:0:-1], lattice))
+    return out
 
 
 def forward_transform(grid: GridField) -> SpectralField:
@@ -480,32 +506,37 @@ def forward_transform(grid: GridField) -> SpectralField:
     ``reality=True`` field through a real-data FFT.
     """
     lattice = grid.lattice
-    scale = math.sqrt(lattice.volume) / float(np.prod(lattice.resolution))
-    axes = tuple(range(1, lattice.d + 1))
     values = grid.values
     if np.iscomplexobj(values) and np.max(np.abs(values.imag), initial=0.0) == 0.0:
         values = values.real
     if not np.iscomplexobj(values):
-        return SpectralField._in_box(lattice, _real_forward(values, lattice, scale), True)
-    coeffs = np.fft.fftn(values, axes=axes) * scale
+        half = _half_forward(values, lattice)
+        return SpectralField._in_box(lattice, _half_to_full(half, lattice), True)
+    scale = math.sqrt(lattice.volume) / float(np.prod(lattice.resolution))
+    coeffs = np.fft.fftn(values, axes=tuple(range(1, lattice.d + 1))) * scale
     return SpectralField(lattice, coeffs, reality=False)
 
 
 def inverse_transform(field: SpectralField) -> GridField:
     """Fourier coefficients to grid samples (exact inverse on retained modes).
 
-    A ``reality=True`` field gives the real part of the complex inverse,
-    computed by a real-data FFT of the Hermitian part of its coefficients.
+    A ``reality=True`` field gives the real part of the complex inverse: the
+    half inverse of the Hermitian part (c_k + conj(c_-k))/2 of its
+    coefficients, which equals them when they are Hermitian.
     """
     lattice = field.lattice
-    axes = tuple(range(1, lattice.d + 1))
+    coeffs = field.coeffs
     if field.reality:
-        values = _real_inverse(field.coeffs, lattice, 1.0 / math.sqrt(lattice.volume))
-    else:
-        npoints = float(np.prod(lattice.resolution))
-        values = np.fft.ifftn(field.coeffs, axes=axes) * (
-            npoints / math.sqrt(lattice.volume)
-        )
+        cut, n = lattice.cutoffs[-1], lattice.resolution[-1]
+        half = _mirror(np.take(coeffs, -np.arange(cut + 1) % n, axis=-1), lattice)
+        np.conj(half, out=half)
+        half += coeffs[..., : cut + 1]
+        half *= 0.5
+        return GridField(lattice, _half_inverse(half, lattice))
+    npoints = float(np.prod(lattice.resolution))
+    values = np.fft.ifftn(coeffs, axes=tuple(range(1, lattice.d + 1))) * (
+        npoints / math.sqrt(lattice.volume)
+    )
     return GridField(lattice, values)
 
 

@@ -25,12 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import (
-    GridField,
     LatticeSpec,
     SpectralField,
-    forward_transform,
-    inverse_transform,
-    spectral_derivative,
+    _half_forward,
+    _half_inverse,
+    _half_to_full,
     zero_mean_split,
 )
 from .dyadic import NormSpec, norm
@@ -121,17 +120,27 @@ class Forcing:
                 raise ValueError("the mean forcing mode needs real amplitudes")
 
     def __call__(self, t: float) -> SpectralField:
+        return SpectralField._in_box(
+            self.lattice, _half_to_full(self.half_spectrum(t), self.lattice), True
+        )
+
+    def half_spectrum(self, t: float) -> np.ndarray:
+        """The force at time t on the retained half spectrum (columns 0..cut)."""
         lattice = self.lattice
-        coeffs = np.zeros((lattice.d,) + lattice.resolution, dtype=np.complex128)
+        cut = lattice.cutoffs[-1]
+        coeffs = np.zeros(
+            (lattice.d,) + lattice.resolution[:-1] + (cut + 1,), dtype=np.complex128
+        )
         for fm in self.modes:
-            idx = tuple(int(c) % n for c, n in zip(fm.mode, lattice.resolution))
-            mirror = tuple((-int(c)) % n for c, n in zip(fm.mode, lattice.resolution))
-            fac = fm.factor(t)
-            for comp, amp in enumerate(fm.amplitude):
-                coeffs[(comp,) + idx] += fac * amp
-                if mirror != idx:
-                    coeffs[(comp,) + mirror] += fac * np.conj(amp)
-        return SpectralField(lattice, coeffs, reality=True)
+            amp = fm.factor(t) * np.asarray(fm.amplitude, dtype=np.complex128)
+            entries = [(fm.mode, amp)]
+            if any(fm.mode):
+                entries.append((tuple(-int(c) for c in fm.mode), np.conj(amp)))
+            for mode, value in entries:
+                if mode[-1] >= 0:
+                    idx = tuple(int(c) % n for c, n in zip(mode, lattice.resolution))
+                    coeffs[(slice(len(value)),) + idx] += value
+        return coeffs
 
     def to_json(self) -> list:
         return [
@@ -250,13 +259,15 @@ class Trajectory:
 
 
 class AcousticViscousPropagator:
-    """Per-mode exact exponential of the linear compressible operator."""
+    """Per-mode exact exponential of the linear compressible operator, on the
+    retained half spectrum."""
 
     def __init__(self, lattice: LatticeSpec, dt: float, eps: float, nu: float, mu: float):
         self.lattice = lattice
         self.dt = dt
-        ksq = lattice.k_squared()
-        kmod = lattice.k_modulus()
+        cut = lattice.cutoffs[-1]
+        ksq = lattice.k_squared()[..., : cut + 1]
+        kmod = lattice.k_modulus()[..., : cut + 1].copy()
         c = -nu * ksq  # longitudinal damping
         delta_sq = (c / 2.0) ** 2 - ksq / eps**2  # Delta^2 = (c/2)^2 + b^2
         delta = np.sqrt(delta_sq.astype(np.complex128))
@@ -280,28 +291,23 @@ class AcousticViscousPropagator:
         self.e12[zero] = 0.0
         self.e22[zero] = 1.0
         self.transverse = np.exp(-mu * ksq * dt)
-        self.kmod = kmod.copy()
+        self.kmod = kmod
         self.kmod[zero] = 1.0
-        self.khat = [k / self.kmod for k in lattice.wavevectors()]
+        self.khat = lattice.half_wavevectors() / self.kmod
 
-    def apply(self, a: SpectralField, u: SpectralField):
-        lattice = self.lattice
-        kvecs = lattice.wavevectors()
-        mu_long = sum(k * u.coeffs[c] for c, k in enumerate(kvecs)) / self.kmod
-        a_hat = a.coeffs[0]
+    def apply(self, a: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Advance the half spectra of a (one component) and u (d components).
+
+        On the mean mode ``khat`` vanishes and ``transverse`` is 1, so the
+        mean velocity is left as it is.
+        """
+        kvecs = self.lattice.half_wavevectors()
+        mu_long = sum(k * uc for k, uc in zip(kvecs, u)) / self.kmod
+        a_hat = a[0]
         new_a = self.e11 * a_hat + self.e12 * mu_long
         new_mu = self.e12 * a_hat + self.e22 * mu_long
-        mean_idx = (0,) * lattice.d
-        new_u = np.empty_like(u.coeffs)
-        for c, khat in enumerate(self.khat):
-            trans = u.coeffs[c] - mu_long * khat
-            new_u[c] = self.transverse * trans + new_mu * khat
-        # the mean velocity mode is untouched by the linear part
-        new_u[(slice(None),) + mean_idx] = u.coeffs[(slice(None),) + mean_idx]
-        return (
-            SpectralField._in_box(lattice, new_a[None], a.reality),
-            SpectralField._in_box(lattice, new_u, u.reality),
-        )
+        new_u = self.transverse * (u - mu_long * self.khat) + new_mu * self.khat
+        return new_a[None], new_u
 
 
 def acoustic_viscous_propagator(
@@ -319,11 +325,12 @@ def acoustic_viscous_propagator(
 def _lawson_rk2(x: tuple, t: float, dt: float, linear, rhs) -> tuple:
     """One Lawson (integrating-factor) RK2 step of dx/dt = L x + N(x, t).
 
-    ``x`` is a tuple of fields, ``linear`` maps such a tuple through the exact
-    one-step exponential P = exp(dt L), and ``rhs(x, t)`` returns N(x, t) as a
-    tuple of the same shape.  With n0 = N(x, t) and n1 = N(P(x + dt n0), t + dt)
-    the step is P(x) + (dt/2) (P(n0) + n1), evaluated as the equal (P is
-    linear) P(x + (dt/2) n0) + (dt/2) n1 with two applications of P.
+    ``x`` is a tuple of fields or arrays, ``linear`` maps such a tuple through
+    the exact one-step exponential P = exp(dt L), and ``rhs(x, t)`` returns
+    N(x, t) as a tuple of the same shape.  With n0 = N(x, t) and
+    n1 = N(P(x + dt n0), t + dt) the step is P(x) + (dt/2) (P(n0) + n1),
+    evaluated as the equal (P is linear) P(x + (dt/2) n0) + (dt/2) n1 with two
+    applications of P.
     """
     n0 = rhs(x, t)
     half = linear(tuple(xi + (dt / 2.0) * ni for xi, ni in zip(x, n0)))
@@ -333,42 +340,36 @@ def _lawson_rk2(x: tuple, t: float, dt: float, linear, rhs) -> tuple:
     return tuple(hi + (dt / 2.0) * ni for hi, ni in zip(half, n1))
 
 
-def _viscous_operator(u: SpectralField, mu: float, lam: float) -> SpectralField:
-    lap = spectral_derivative(u, "laplacian")
-    graddiv = spectral_derivative(spectral_derivative(u, "div"), "grad")
-    return mu * lap + (mu + lam) * graddiv
-
-
 def _grid_terms(
-    state_a: SpectralField, state_u: SpectralField, cfg: SolverConfig, warn_state: dict
+    a: np.ndarray, u: np.ndarray, cfg: SolverConfig, warn_state: dict
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Grid values for the compressible right-hand side, from one inverse pass.
 
-    Transforms (a, u, grad a, grad u, viscous term) at once, runs the vacuum
-    and CFL checks, and returns the products (a u, a grad a, (u.grad)u), the
-    values of K(eps a), and I(eps a) times the viscous term.
+    Transforms the half spectra of (a, u, grad a, grad u, viscous term) at
+    once, runs the vacuum and CFL checks, and returns the products
+    (a u, a grad a, (u.grad)u), the values of K(eps a), and I(eps a) times the
+    viscous term mu lap u + (mu + lam) grad div u.
     """
     lattice = cfg.lattice
     d = lattice.d
-    a_hat, u_hat = state_a.coeffs[0], state_u.coeffs
+    ik = 1j * lattice.half_wavevectors()
     # components: a | u | grad a | d_1 u, ..., d_d u | viscous term
-    shape = (1 + 3 * d + d * d,) + lattice.resolution
-    spectral = np.empty(shape, dtype=np.complex128)
-    grad_u = spectral[1 + 2 * d : 1 + 2 * d + d * d].reshape((d,) + u_hat.shape)
-    spectral[0] = a_hat
-    spectral[1 : 1 + d] = u_hat
-    for c, k in enumerate(lattice.wavevectors()):
-        np.multiply(1j * k, a_hat, out=spectral[1 + d + c])
-        np.multiply(1j * k, u_hat, out=grad_u[c])
-    spectral[1 + 2 * d + d * d :] = _viscous_operator(state_u, cfg.mu, cfg.lam).coeffs
-    reality = state_a.reality and state_u.reality
-    grid = inverse_transform(SpectralField._in_box(lattice, spectral, reality)).values
+    spectral = np.empty((1 + 3 * d + d * d,) + a.shape[1:], dtype=np.complex128)
+    grad_u = spectral[1 + 2 * d : 1 + 2 * d + d * d].reshape((d,) + u.shape)
+    spectral[0] = a[0]
+    spectral[1 : 1 + d] = u
+    np.multiply(ik, a, out=spectral[1 + d : 1 + 2 * d])
+    np.multiply(ik[:, None], u, out=grad_u)
+    visc = spectral[1 + 2 * d + d * d :]
+    np.multiply(u, -cfg.mu * lattice.k_squared()[..., : a.shape[-1]], out=visc)
+    visc += (cfg.mu + cfg.lam) * ik * sum(grad_u[c, c] for c in range(d))
+    grid = _half_inverse(spectral, lattice)
     a_grid, u_grid = grid[0], grid[1 : 1 + d]
     grad_a_grid = grid[1 + d : 1 + 2 * d]
     grad_u_grid = grid[1 + 2 * d : 1 + 2 * d + d * d].reshape((d, d) + lattice.resolution)
     visc_grid = grid[1 + 2 * d + d * d :]
 
-    amax = float(np.max(np.abs(a_grid.real)))
+    amax = float(np.max(np.abs(a_grid)))
     if cfg.eps * amax >= 1.0:
         raise VacuumError(
             f"eps*||a||_inf = {cfg.eps * amax:.3f} >= 1: density reached vacuum"
@@ -379,7 +380,7 @@ def _grid_terms(
             f"eps*||a||_inf = {cfg.eps * amax:.3f} > 1/2: uniform bound lost",
             RuntimeWarning,
         )
-    umax = float(np.max(np.sqrt(np.sum(u_grid.real**2, axis=0))))
+    umax = float(np.max(np.sqrt(np.sum(u_grid**2, axis=0))))
     dx_min = min(
         2.0 * math.pi * float(b) / n for b, n in zip(lattice.periods, lattice.resolution)
     )
@@ -389,9 +390,9 @@ def _grid_terms(
             f"{CFL_SAFETY * dx_min / umax:.3e} (max|u| = {umax:.3f})"
         )
 
-    eps_a = cfg.eps * a_grid.real
+    eps_a = cfg.eps * a_grid
     # (a u, a grad a, (u.grad)u) with (u.grad)u_j = sum_c u_c d_c u_j
-    products = np.empty((3 * d,) + lattice.resolution, dtype=grid.dtype)
+    products = np.empty((3 * d,) + lattice.resolution)
     np.multiply(a_grid, u_grid, out=products[:d])
     np.multiply(a_grid, grad_a_grid, out=products[d : 2 * d])
     advection = products[2 * d :]
@@ -402,13 +403,10 @@ def _grid_terms(
 
 
 def _compressible_nonlinear(
-    state_a: SpectralField,
-    state_u: SpectralField,
-    t: float,
-    cfg: SolverConfig,
-    warn_state: dict,
-) -> tuple[SpectralField, SpectralField]:
-    """Right-hand side beyond the exactly-propagated linear part.
+    a: np.ndarray, u: np.ndarray, t: float, cfg: SolverConfig, warn_state: dict
+) -> tuple[np.ndarray, np.ndarray]:
+    """Right-hand side beyond the exactly-propagated linear part, on the
+    retained half spectra of a and u.
 
     One inverse transform (:func:`_grid_terms`) and one forward transform of
     the products; the K term multiplies the grid values of the dealiased
@@ -416,31 +414,32 @@ def _compressible_nonlinear(
     """
     lattice = cfg.lattice
     if not cfg.include_nonlinear:
-        na = SpectralField.zeros(lattice, 1)
-        nu_field = SpectralField.zeros(lattice, lattice.d)
-        if cfg.forcing is not None:
-            nu_field = nu_field + cfg.forcing(t)
-        return na, nu_field
+        n_a, n_u = np.zeros_like(a), np.zeros_like(u)
+    else:
+        d = lattice.d
+        products, k_vals, i_visc = _grid_terms(a, u, cfg, warn_state)
+        dealiased = _half_forward(products, lattice)
+        au, a_grad_a, adv = dealiased[:d], dealiased[d : 2 * d], dealiased[2 * d :]
 
-    d = lattice.d
-    reality = state_a.reality and state_u.reality
-    products, k_vals, i_visc = _grid_terms(state_a, state_u, cfg, warn_state)
-    dealiased = forward_transform(GridField(lattice, products)).coeffs
-    au, a_grad_a, adv = dealiased[:d], dealiased[d : 2 * d], dealiased[2 * d :]
+        # continuity: -div(a u)
+        n_a = -1.0 * sum(1j * k * au[c] for c, k in enumerate(lattice.half_wavevectors()))
+        n_a = n_a[None]
 
-    # continuity: -div(a u)
-    n_a = -1.0 * sum(1j * k * au[c] for c, k in enumerate(lattice.wavevectors()))
-
-    # momentum: -(u.grad)u - kappa a grad a - K(eps a) a grad a - I(eps a) Au + f
-    a_grad_a_grid = inverse_transform(
-        SpectralField._in_box(lattice, a_grad_a, reality)
-    ).values
-    correction = forward_transform(GridField(lattice, k_vals * a_grad_a_grid + i_visc))
-    n_u = (-1.0 * adv - cfg.law.kappa * a_grad_a) - correction.coeffs
-    n_u = SpectralField._in_box(lattice, n_u, reality)
+        # momentum: -(u.grad)u - kappa a grad a - K(eps a) a grad a - I(eps a) Au + f
+        a_grad_a_grid = _half_inverse(a_grad_a, lattice)
+        correction = _half_forward(k_vals * a_grad_a_grid + i_visc, lattice)
+        n_u = (-1.0 * adv - cfg.law.kappa * a_grad_a) - correction
     if cfg.forcing is not None:
-        n_u = n_u + cfg.forcing(t)
-    return SpectralField._in_box(lattice, n_a[None], reality), n_u
+        n_u = n_u + cfg.forcing.half_spectrum(t)
+    return n_a, n_u
+
+
+def _require_real(a: SpectralField, u: SpectralField) -> None:
+    for name, value in (("a", a), ("u", u)):
+        if not value.reality:
+            raise ValueError(
+                f"compressible data must be real: {name} has reality=False"
+            )
 
 
 def step_compressible(
@@ -449,10 +448,16 @@ def step_compressible(
     propagator: AcousticViscousPropagator | None = None,
     warn_state: dict | None = None,
 ) -> CompressibleState:
-    """One Lawson RK2 step of the rescaled compressible system."""
+    """One Lawson RK2 step of the rescaled compressible system.
+
+    The step runs on the retained half spectra of the real fields a and u
+    and returns their full Hermitian coefficient grids.
+    """
+    _require_real(state.a, state.u)
+    lattice = cfg.lattice
     if propagator is None:
         propagator = acoustic_viscous_propagator(
-            cfg.lattice, cfg.dt, cfg.eps, cfg.nu, cfg.mu
+            lattice, cfg.dt, cfg.eps, cfg.nu, cfg.mu
         )
     if warn_state is None:
         warn_state = {}
@@ -460,8 +465,14 @@ def step_compressible(
     def rhs(x, t):
         return _compressible_nonlinear(x[0], x[1], t, cfg, warn_state)
 
-    a, u = _lawson_rk2((state.a, state.u), state.t, cfg.dt, lambda x: propagator.apply(*x), rhs)
-    return CompressibleState(a=a, u=u, t=state.t + cfg.dt)
+    cut = lattice.cutoffs[-1]
+    x = (state.a.coeffs[..., : cut + 1], state.u.coeffs[..., : cut + 1])
+    a, u = _lawson_rk2(x, state.t, cfg.dt, lambda x: propagator.apply(*x), rhs)
+    return CompressibleState(
+        a=SpectralField._in_box(lattice, _half_to_full(a, lattice), True),
+        u=SpectralField._in_box(lattice, _half_to_full(u, lattice), True),
+        t=state.t + cfg.dt,
+    )
 
 
 def step_incompressible(
@@ -541,6 +552,7 @@ def run_trajectory(
         prop = acoustic_viscous_propagator(lattice, dt, cfg.eps, cfg.nu, cfg.mu)
         warn_state: dict = {}
         x = CompressibleState(*initial)
+        _require_real(x.a, x.u)
         advance = lambda s, t: step_compressible(
             CompressibleState(s.a, s.u, t), cfg, prop, warn_state
         )
@@ -637,7 +649,8 @@ class CubicTimeInterpolant:
         m = np.zeros_like(self.values)
         if n > 2:
             flat = self.values.reshape(n, -1)
-            rhs = np.zeros((n - 2, flat.shape[1]), dtype=np.complex128)
+            # the right-hand side, and then the solution, in the inner rows of m
+            rhs = m.reshape(n, -1)[1 : n - 1]
             for i in range(1, n - 1):
                 rhs[i - 1] = 6.0 * (
                     (flat[i + 1] - flat[i]) / h[i] - (flat[i] - flat[i - 1]) / h[i - 1]
@@ -650,12 +663,15 @@ class CubicTimeInterpolant:
                 w = lower[i] / diag[i - 1]
                 diag[i] -= w * upper[i - 1]
                 rhs[i] -= w * rhs[i - 1]
-            sol = np.zeros_like(rhs)
-            sol[-1] = rhs[-1] / diag[-1]
+            rhs[-1] = rhs[-1] / diag[-1]
             for i in range(n - 4, -1, -1):
-                sol[i] = (rhs[i] - upper[i] * sol[i + 1]) / diag[i]
-            m.reshape(n, -1)[1 : n - 1] = sol
+                rhs[i] = (rhs[i] - upper[i] * rhs[i + 1]) / diag[i]
         self.second = m
+
+    def samples(self) -> list[SpectralField]:
+        """The sampled fields, as views of the stored values."""
+        template = self.template
+        return [SpectralField._in_box(template.lattice, y, template.reality) for y in self.values]
 
     def __call__(self, t: float) -> SpectralField:
         times = self.times

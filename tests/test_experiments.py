@@ -764,6 +764,30 @@ class TestStreamingMemory:
         field_bytes = 16 * math.prod(cfg.lattice.resolution)
         assert stage_growth[1] - stage_growth[self.N_STEPS] < self.N_STEPS * field_bytes
 
+    def test_sweep_holds_v_samples_once(self):
+        """Entering the per-Mach-number stage, each extra sample holds the v
+        sample and its spline second derivative (two vector fields) and the
+        V sample (two scalar fields), and no second copy of v."""
+        live = {}
+        # the first run also holds what its lazy imports allocate, so it is
+        # repeated and only the repeat is compared
+        for stride in (self.N_STEPS, self.N_STEPS, 1):
+            cfg = replace_quietly(
+                oracle_case("medium-band"), t_final=self.N_STEPS * 5e-3, sample_stride=stride
+            )
+            marks = []
+            tracemalloc.start()
+            try:
+                convergence_study(
+                    cfg, progress=lambda msg: marks.append(tracemalloc.get_traced_memory()[0])
+                )
+            finally:
+                tracemalloc.stop()
+            live[stride] = marks[0]
+        field_bytes = 16 * math.prod(cfg.lattice.resolution)
+        extra_samples = self.N_STEPS - 1
+        assert live[1] - live[self.N_STEPS] < extra_samples * 7 * field_bytes
+
 
 class TestBandOccupancy:
     def test_sweep64_medium_band_empty_and_overlapping(self):

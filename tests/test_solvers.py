@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from lowmach.lattice import (
     GridField,
     LatticeSpec,
     SpectralField,
+    _half_to_full,
     dealiased_product,
     forward_transform,
     inverse_transform,
@@ -66,6 +68,22 @@ def taylor_green(lattice):
     return forward_transform(GridField(lattice, values))
 
 
+def half(field):
+    """The retained half spectrum (columns 0..cut) of a field."""
+    return field.coeffs[..., : field.lattice.cutoffs[-1] + 1]
+
+
+def from_half(lattice, array):
+    """The real field whose retained half spectrum is ``array``."""
+    return SpectralField._in_box(lattice, _half_to_full(array, lattice), True)
+
+
+def propagate(prop, a, u):
+    """``prop.apply`` on the half spectra of the fields a and u."""
+    new_a, new_u = prop.apply(half(a), half(u))
+    return from_half(prop.lattice, new_a), from_half(prop.lattice, new_u)
+
+
 class TestPropagator:
     def test_inviscid_rotation_conserves_energy(self, lat16):
         prop = acoustic_viscous_propagator(lat16, dt=0.01, eps=0.1, nu=0.0, mu=0.0)
@@ -74,7 +92,7 @@ class TestPropagator:
         a, u = a0, qu
         e0 = a.l2_norm() ** 2 + u.l2_norm() ** 2
         for _ in range(100):
-            a, u = prop.apply(a, u)
+            a, u = propagate(prop, a, u)
         e1 = a.l2_norm() ** 2 + u.l2_norm() ** 2
         assert abs(e1 - e0) <= 1e-12 * e0
 
@@ -85,13 +103,13 @@ class TestPropagator:
         prop = acoustic_viscous_propagator(lat16, dt=dt, eps=1e9, nu=nu, mu=0.0)
         a0 = SpectralField.from_modes(lat16, {(1, 0): 1.0, (-1, 0): 1.0}, reality=True)
         u0 = SpectralField.zeros(lat16, 2)
-        a1, u1 = prop.apply(a0, u0)
+        a1, u1 = propagate(prop, a0, u0)
         assert a1.mode((1, 0))[0] == pytest.approx(1.0, rel=1e-6)
         q = helmholtz_project(
             SpectralField.from_modes(lat16, {(1, 0): (1.0, 0.0), (-1, 0): (1.0, 0.0)}, components=2, reality=True),
             "Q",
         )
-        _, u2 = prop.apply(SpectralField.zeros(lat16), q)
+        _, u2 = propagate(prop, SpectralField.zeros(lat16), q)
         decay = np.exp(-nu * 1.0 * dt)
         assert abs(u2.mode((1, 0))[0]) == pytest.approx(
             abs(q.mode((1, 0))[0]) * decay, rel=1e-6
@@ -102,8 +120,8 @@ class TestPropagator:
         a0, u0 = generate_initial_data(lat16, 0.7, 0.9, seed=3)
         p1 = acoustic_viscous_propagator(lat16, dt=0.02, eps=0.1, nu=0.25, mu=0.1)
         p2 = acoustic_viscous_propagator(lat16, dt=0.04, eps=0.1, nu=0.25, mu=0.1)
-        a, u = p1.apply(*p1.apply(a0, u0))
-        a2, u2 = p2.apply(a0, u0)
+        a, u = propagate(p1, *propagate(p1, a0, u0))
+        a2, u2 = propagate(p2, a0, u0)
         scale = max(a2.l2_norm(), u2.l2_norm())
         assert (a - a2).l2_norm() + (u - u2).l2_norm() <= 1e-12 * scale
 
@@ -111,7 +129,7 @@ class TestPropagator:
         # tiny dt puts every mode in the series branch; compare to two half steps
         p_small = acoustic_viscous_propagator(lat16, dt=1e-9, eps=0.5, nu=0.1, mu=0.05)
         a0, u0 = generate_initial_data(lat16, 1.0, 1.0, seed=4)
-        a1, u1 = p_small.apply(a0, u0)
+        a1, u1 = propagate(p_small, a0, u0)
         # derivative check: (y1 - y0)/dt should equal the generator action
         da = (a1 - a0) * 1e9
         div_u = spectral_derivative(u0, "div")
@@ -240,6 +258,12 @@ def reference_advect(p, q):
     return out
 
 
+def reference_viscous_operator(u, mu, lam):
+    lap = spectral_derivative(u, "laplacian")
+    graddiv = spectral_derivative(spectral_derivative(u, "div"), "grad")
+    return mu * lap + (mu + lam) * graddiv
+
+
 def reference_compressible_nonlinear(state_a, state_u, t, cfg, warn_state):
     """The compressible right-hand side with one transform pair per product.
 
@@ -285,7 +309,7 @@ def reference_compressible_nonlinear(state_a, state_u, t, cfg, warn_state):
     a_grad_a = dealiased_product(state_a, grad_a)
     n_u = -1.0 * reference_advect(state_u, state_u) - cfg.law.kappa * a_grad_a
 
-    visc = solvers._viscous_operator(state_u, cfg.mu, cfg.lam)
+    visc = reference_viscous_operator(state_u, cfg.mu, cfg.lam)
     i_vals = cfg.law.quotient(cfg.eps * a_grid)
     k_vals = cfg.law.remainder(cfg.eps * a_grid)
     a_grad_a_grid = inverse_transform(a_grad_a.copy_with_reality(True)).values.real
@@ -303,6 +327,140 @@ ORACLE_LATTICES = {
     "8x8x8": LatticeSpec.square(3, 8),
     "8x8x6": LatticeSpec((1, Fraction(1, 2), Fraction(2, 3)), (8, 8, 6)),
 }
+
+
+class ReferencePropagator:
+    """The acoustic-viscous exponential on the full coefficient grid."""
+
+    def __init__(self, lattice, dt, eps, nu, mu):
+        self.lattice = lattice
+        ksq = lattice.k_squared()
+        kmod = lattice.k_modulus()
+        c = -nu * ksq
+        delta = np.sqrt(((c / 2.0) ** 2 - ksq / eps**2).astype(np.complex128))
+        x = delta * dt
+        cosh = np.cosh(x)
+        small = np.abs(x) < 1e-6
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sinhc = np.where(small, 1.0, np.sinh(np.where(small, 1.0, x)) / np.where(small, 1.0, x))
+        xs = np.where(small, x, 0.0)
+        sinhc = np.where(small, 1.0 + xs**2 / 6.0 + xs**4 / 120.0, sinhc)
+        cosh = np.where(small, 1.0 + xs**2 / 2.0 + xs**4 / 24.0, cosh)
+        s = sinhc * dt
+        front = np.exp(c * dt / 2.0)
+        b = -1j * kmod / eps
+        self.e11 = front * (cosh - (c / 2.0) * s)
+        self.e12 = front * b * s
+        self.e22 = front * (cosh + (c / 2.0) * s)
+        zero = (0,) * lattice.d
+        self.e11[zero] = 1.0
+        self.e12[zero] = 0.0
+        self.e22[zero] = 1.0
+        self.transverse = np.exp(-mu * ksq * dt)
+        self.kmod = kmod.copy()
+        self.kmod[zero] = 1.0
+        self.khat = [k / self.kmod for k in lattice.wavevectors()]
+
+    def apply(self, a, u):
+        lattice = self.lattice
+        kvecs = lattice.wavevectors()
+        mu_long = sum(k * u.coeffs[c] for c, k in enumerate(kvecs)) / self.kmod
+        a_hat = a.coeffs[0]
+        new_a = self.e11 * a_hat + self.e12 * mu_long
+        new_mu = self.e12 * a_hat + self.e22 * mu_long
+        mean_idx = (slice(None),) + (0,) * lattice.d
+        new_u = np.empty_like(u.coeffs)
+        for c, khat in enumerate(self.khat):
+            trans = u.coeffs[c] - mu_long * khat
+            new_u[c] = self.transverse * trans + new_mu * khat
+        new_u[mean_idx] = u.coeffs[mean_idx]
+        return (
+            SpectralField._in_box(lattice, new_a[None], a.reality),
+            SpectralField._in_box(lattice, new_u, u.reality),
+        )
+
+
+def reference_grid_terms(state_a, state_u, cfg, warn_state):
+    """Grid values of (a, u, grad a, grad u, viscous term) from one inverse
+    transform of the full coefficient grids; the checks; the products."""
+    lattice = cfg.lattice
+    d = lattice.d
+    a_hat, u_hat = state_a.coeffs[0], state_u.coeffs
+    spectral = np.empty((1 + 3 * d + d * d,) + lattice.resolution, dtype=np.complex128)
+    grad_u = spectral[1 + 2 * d : 1 + 2 * d + d * d].reshape((d,) + u_hat.shape)
+    spectral[0] = a_hat
+    spectral[1 : 1 + d] = u_hat
+    for c, k in enumerate(lattice.wavevectors()):
+        np.multiply(1j * k, a_hat, out=spectral[1 + d + c])
+        np.multiply(1j * k, u_hat, out=grad_u[c])
+    spectral[1 + 2 * d + d * d :] = reference_viscous_operator(state_u, cfg.mu, cfg.lam).coeffs
+    grid = inverse_transform(SpectralField._in_box(lattice, spectral, True)).values
+    a_grid, u_grid = grid[0], grid[1 : 1 + d]
+    grad_a_grid = grid[1 + d : 1 + 2 * d]
+    grad_u_grid = grid[1 + 2 * d : 1 + 2 * d + d * d].reshape((d, d) + lattice.resolution)
+    visc_grid = grid[1 + 2 * d + d * d :]
+
+    amax = float(np.max(np.abs(a_grid)))
+    if cfg.eps * amax >= 1.0:
+        raise VacuumError(f"eps*||a||_inf = {cfg.eps * amax:.3f} >= 1: density reached vacuum")
+    if cfg.eps * amax > 0.5 and not warn_state.get("vacuum_warned"):
+        warn_state["vacuum_warned"] = True
+        warnings.warn(f"eps*||a||_inf = {cfg.eps * amax:.3f} > 1/2: uniform bound lost", RuntimeWarning)
+    umax = float(np.max(np.sqrt(np.sum(u_grid**2, axis=0))))
+    dx_min = min(2.0 * math.pi * float(b) / n for b, n in zip(lattice.periods, lattice.resolution))
+    if umax > 0 and cfg.dt > CFL_SAFETY * dx_min / umax:
+        raise CFLError(f"dt = {cfg.dt:.3e} exceeds advective CFL bound")
+
+    eps_a = cfg.eps * a_grid
+    products = np.empty((3 * d,) + lattice.resolution)
+    np.multiply(a_grid, u_grid, out=products[:d])
+    np.multiply(a_grid, grad_a_grid, out=products[d : 2 * d])
+    advection = products[2 * d :]
+    np.multiply(u_grid[0], grad_u_grid[0], out=advection)
+    for c in range(1, d):
+        advection += u_grid[c] * grad_u_grid[c]
+    return products, cfg.law.remainder(eps_a), cfg.law.quotient(eps_a) * visc_grid
+
+
+def reference_grid_nonlinear(state_a, state_u, t, cfg, warn_state):
+    """The compressible right-hand side in four transforms of full grids."""
+    lattice = cfg.lattice
+    if not cfg.include_nonlinear:
+        n_a = SpectralField.zeros(lattice, 1)
+        n_u = SpectralField.zeros(lattice, lattice.d)
+    else:
+        d = lattice.d
+        products, k_vals, i_visc = reference_grid_terms(state_a, state_u, cfg, warn_state)
+        dealiased = forward_transform(GridField(lattice, products)).coeffs
+        au, a_grad_a, adv = dealiased[:d], dealiased[d : 2 * d], dealiased[2 * d :]
+        n_a = -1.0 * sum(1j * k * au[c] for c, k in enumerate(lattice.wavevectors()))
+        n_a = SpectralField._in_box(lattice, n_a[None], True)
+        a_grad_a_grid = inverse_transform(SpectralField._in_box(lattice, a_grad_a, True)).values
+        correction = forward_transform(GridField(lattice, k_vals * a_grad_a_grid + i_visc))
+        n_u = (-1.0 * adv - cfg.law.kappa * a_grad_a) - correction.coeffs
+        n_u = SpectralField._in_box(lattice, n_u, True)
+    if cfg.forcing is not None:
+        n_u = n_u + cfg.forcing(t)
+    return n_a, n_u
+
+
+def reference_compressible_step(state, cfg, propagator, warn_state):
+    """One Lawson RK2 step with the right-hand side and the propagator on the
+    full coefficient grids.  Kept as the oracle of ``step_compressible``."""
+
+    def rhs(x, t):
+        return reference_grid_nonlinear(x[0], x[1], t, cfg, warn_state)
+
+    a, u = solvers._lawson_rk2(
+        (state.a, state.u), state.t, cfg.dt, lambda x: propagator.apply(*x), rhs
+    )
+    return CompressibleState(a=a, u=u, t=state.t + cfg.dt)
+
+
+def half_spectrum_rhs(a, u, t, cfg, warn_state):
+    """``_compressible_nonlinear`` on the half spectra of the fields a and u."""
+    n_a, n_u = solvers._compressible_nonlinear(half(a), half(u), t, cfg, warn_state)
+    return from_half(cfg.lattice, n_a), from_half(cfg.lattice, n_u)
 
 
 class TestRightHandSideOracle:
@@ -346,7 +504,7 @@ class TestRightHandSideOracle:
         a, u, cfg = self.make_case(name)
         if not forced:
             cfg = replace(cfg, forcing=None)
-        got = solvers._compressible_nonlinear(a, u, 0.3, cfg, {})
+        got = half_spectrum_rhs(a, u, 0.3, cfg, {})
         ref = reference_compressible_nonlinear(a, u, 0.3, cfg, {})
         self.assert_close(got, ref)
         assert got[0].mean_coefficient()[0] == 0.0
@@ -354,7 +512,7 @@ class TestRightHandSideOracle:
     @pytest.mark.parametrize("name", list(ORACLE_LATTICES))
     def test_linear_only(self, name):
         a, u, cfg = self.make_case(name, include_nonlinear=False)
-        got = solvers._compressible_nonlinear(a, u, 0.3, cfg, {})
+        got = half_spectrum_rhs(a, u, 0.3, cfg, {})
         ref = reference_compressible_nonlinear(a, u, 0.3, cfg, {})
         for g, r in zip(got, ref):
             assert np.array_equal(g.coeffs, r.coeffs)
@@ -362,7 +520,7 @@ class TestRightHandSideOracle:
     @pytest.mark.parametrize("name", list(ORACLE_LATTICES))
     def test_vacuum_abort(self, name):
         a, u, cfg = self.make_case(name, eps_amax=1.25)
-        for rhs in (solvers._compressible_nonlinear, reference_compressible_nonlinear):
+        for rhs in (half_spectrum_rhs, reference_compressible_nonlinear):
             with pytest.raises(VacuumError, match="density reached vacuum"):
                 rhs(a, u, 0.0, cfg, {})
 
@@ -370,7 +528,7 @@ class TestRightHandSideOracle:
     def test_vacuum_warning_once(self, name):
         a, u, cfg = self.make_case(name, eps_amax=0.75)
         results = []
-        for rhs in (solvers._compressible_nonlinear, reference_compressible_nonlinear):
+        for rhs in (half_spectrum_rhs, reference_compressible_nonlinear):
             warn_state = {}
             with pytest.warns(RuntimeWarning, match="uniform bound lost"):
                 results.append(rhs(a, u, 0.0, cfg, warn_state))
@@ -390,9 +548,54 @@ class TestRightHandSideOracle:
         )
         dt = 2.0 * CFL_SAFETY * dx_min / umax
         cfg = replace(cfg, dt=dt, t_final=dt)
-        for rhs in (solvers._compressible_nonlinear, reference_compressible_nonlinear):
+        for rhs in (half_spectrum_rhs, reference_compressible_nonlinear):
             with pytest.raises(CFLError, match="advective CFL bound"):
                 rhs(a, u, 0.0, cfg, {})
+
+
+class TestStepOracle:
+    """``step_compressible`` on half spectra against the full-grid step."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_LATTICES))
+    @pytest.mark.parametrize("variant", ["forced", "unforced", "linear"])
+    def test_ten_steps_match_reference(self, name, variant):
+        options = {"include_nonlinear": False} if variant == "linear" else {}
+        a, u, cfg = TestRightHandSideOracle().make_case(name, **options)
+        if variant == "unforced":
+            cfg = replace(cfg, forcing=None)
+        prop = acoustic_viscous_propagator(cfg.lattice, cfg.dt, cfg.eps, cfg.nu, cfg.mu)
+        ref_prop = ReferencePropagator(cfg.lattice, cfg.dt, cfg.eps, cfg.nu, cfg.mu)
+        got = ref = CompressibleState(a=a, u=u)
+        for _ in range(10):
+            got = step_compressible(got, cfg, prop, {})
+            ref = reference_compressible_step(ref, cfg, ref_prop, {})
+        assert got.t == ref.t
+        TestRightHandSideOracle.assert_close((got.a, got.u), (ref.a, ref.u))
+
+    @pytest.mark.parametrize("name", list(ORACLE_LATTICES))
+    def test_half_full_round_trips(self, name):
+        lattice = ORACLE_LATTICES[name]
+        a, u = generate_initial_data(lattice, 1.0, 1.0, seed=22)
+        # a Hermitian field survives full -> half -> full
+        for field in (a, u):
+            assert np.array_equal(from_half(lattice, half(field)).coeffs, field.coeffs)
+        # any half spectrum that is zero outside the box survives half -> full -> half
+        rng = np.random.default_rng(23)
+        shape = half(u).shape
+        in_box = lattice.dealias_mask()[..., : lattice.cutoffs[-1] + 1]
+        array = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * in_box
+        assert np.array_equal(half(from_half(lattice, array)), array)
+
+    def test_non_real_data_rejected(self, lat16):
+        cfg = TestCompressible().make_cfg(lat16)
+        a, u = generate_initial_data(lat16, 1.0, 1.0, seed=5)
+        for bad, name in ((a.copy_with_reality(False), "a"), (u.copy_with_reality(False), "u")):
+            fields = {"a": a, "u": u, name: bad}
+            message = f"compressible data must be real: {name} has reality=False"
+            with pytest.raises(ValueError, match=message):
+                step_compressible(CompressibleState(**fields), cfg)
+            with pytest.raises(ValueError, match=message):
+                run_trajectory((fields["a"], fields["u"]), cfg, "compressible")
 
 
 class TestIncompressible:
@@ -719,10 +922,23 @@ class TestInitialDataAndIO:
     def test_forcing_round_trip_and_reality(self, lat16):
         forcing = Forcing(
             lat16,
-            [ForcingMode(mode=(1, 0), amplitude=(0.3 + 0.1j, 0.0), envelope="cos", omega=2.0)],
+            [
+                ForcingMode(mode=(1, 0), amplitude=(0.3 + 0.1j, 0.0), envelope="cos", omega=2.0),
+                ForcingMode(mode=(2, -3), amplitude=(0.2, -0.4j)),
+            ],
         )
         f = forcing(0.3)
         assert f.is_reality_symmetric(1e-12)
+        fac = math.cos(2.0 * 0.3)
+        expected = {
+            (1, 0): (fac * (0.3 + 0.1j), 0.0),
+            (-1, 0): (fac * (0.3 - 0.1j), 0.0),
+            (2, -3): (0.2, -0.4j),
+            (-2, 3): (0.2, 0.4j),
+        }
+        assert np.array_equal(
+            f.coeffs, SpectralField.from_modes(lat16, expected, components=2).coeffs
+        )
         again = Forcing.from_json(lat16, forcing.to_json())
         assert np.array_equal(again(0.3).coeffs, f.coeffs)
 
@@ -758,3 +974,21 @@ class TestInterpolant:
         interp = CubicTimeInterpolant(times, fields)
         for t in times:
             assert (interp(float(t)) - t * base).l2_norm() <= 1e-12
+
+    def test_build_holds_two_copies(self, lat16):
+        """The stacked samples and the second derivatives, and no more: the
+        spline system is solved in place."""
+        times = np.linspace(0.0, 1.0, 41)
+        base, _ = generate_initial_data(lat16, 1.0, 1.0, seed=19)
+        fields = [math.cos(t) * base for t in times]
+        samples = CubicTimeInterpolant(times, fields).samples()
+        assert all(np.array_equal(s.coeffs, f.coeffs) for s, f in zip(samples, fields))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            CubicTimeInterpolant(times, fields)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stacked = len(fields) * base.coeffs.nbytes
+        assert peak - start < 2.5 * stacked
