@@ -23,26 +23,17 @@ import numpy as np
 
 from .dyadic import norm, parse_norm_spec
 from .experiments import (
-    ConvergenceReport,
     ExperimentConfig,
-    assemble_report,
     convergence_study,
     emit_report,
     run_invariant_suite,
+    shared_stage,
     vanishing_limit_check,
 )
-from .functionals import DiagnosticsRow
 from .lattice import LatticeSpec, SpectralField
-from .operators import VacuumError, acoustic_transform, helmholtz_project
+from .operators import VacuumError
 from .resonance import build_limit_tables, small_divisors
-from .solvers import (
-    CFLError,
-    CubicTimeInterpolant,
-    generate_initial_data,
-    load_checkpoint,
-    run_trajectory,
-    save_checkpoint,
-)
+from .solvers import CFLError, load_checkpoint, run_trajectory, save_checkpoint
 
 EXIT_OK = 0
 EXIT_INVARIANT = 2
@@ -67,12 +58,10 @@ def _load_config(args) -> ExperimentConfig:
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
     eps = cfg.eps_list[0]
-    solver_cfg = cfg.solver_config(eps)
-    a0, u0 = generate_initial_data(
-        cfg.lattice, cfg.amplitude_a, cfg.amplitude_u, cfg.smoothness, cfg.seed
-    )
     # only the final state is written, so no sample is kept
-    traj = run_trajectory((a0, u0), solver_cfg, "compressible", record=lambda state, t: None)
+    traj = run_trajectory(
+        cfg.initial_data(), cfg.solver_config(eps), "compressible", record=lambda state, t: None
+    )
     os.makedirs(cfg.out_dir, exist_ok=True)
     final = traj.final
     path = os.path.join(cfg.out_dir, f"compressible_eps{eps:g}.lmc")
@@ -97,47 +86,27 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_limit_sim(args) -> int:
     cfg = _load_config(args)
-    solver_cfg = cfg.solver_config(cfg.eps_list[0])
-    a0, u0 = generate_initial_data(
-        cfg.lattice, cfg.amplitude_a, cfg.amplitude_u, cfg.smoothness, cfg.seed
-    )
-    v0 = helmholtz_project(u0, "P")
-    traj_v = run_trajectory(v0, solver_cfg, "incompressible")
-    table = build_limit_tables(cfg.lattice)
-    v_at = CubicTimeInterpolant(traj_v.times, traj_v.series("v"))
-    V0 = acoustic_transform(a0, u0 - v0)
-    traj_V = run_trajectory(
-        V0, solver_cfg, "limit", table=table, v_at=v_at, record=lambda V, t: None
-    )
+    stage = shared_stage(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    vpath = os.path.join(cfg.out_dir, "incompressible.lmc")
-    save_checkpoint(
-        vpath,
-        cfg.lattice,
-        float(traj_v.times[-1]),
-        {"v": traj_v.states[-1]["v"]},
-        meta={"kind": "incompressible"},
-    )
-    wpath = os.path.join(cfg.out_dir, "limit.lmc")
-    save_checkpoint(
-        wpath,
-        cfg.lattice,
-        float(traj_V.times[-1]),
-        {"V": traj_V.final},
-        meta={"kind": "limit"},
-    )
-    print(
-        json.dumps(
-            {
-                "incompressible": vpath,
-                "limit": wpath,
-                "final_v_l2": traj_v.states[-1]["v"].l2_norm(),
-                "final_V_l2": traj_V.final.l2_norm(),
-            },
-            indent=1,
-            sort_keys=True,
+    paths = {}
+    for kind, key, traj in (
+        ("incompressible", "v", stage.traj_v),
+        ("limit", "V", stage.traj_V),
+    ):
+        paths[kind] = os.path.join(cfg.out_dir, f"{kind}.lmc")
+        save_checkpoint(
+            paths[kind],
+            cfg.lattice,
+            float(traj.times[-1]),
+            {key: traj.final},
+            meta={"kind": kind},
         )
+    summary = dict(
+        paths,
+        final_v_l2=stage.traj_v.final.l2_norm(),
+        final_V_l2=stage.traj_V.final.l2_norm(),
     )
+    print(json.dumps(summary, indent=1, sort_keys=True))
     return EXIT_OK
 
 
@@ -178,10 +147,7 @@ def _cmd_norms(args) -> int:
 def _cmd_converge(args) -> int:
     cfg = _load_config(args)
     progress = (lambda msg: print(f"[converge] {msg}", file=sys.stderr)) if args.verbose else None
-    if args.threads > 1:
-        report = _parallel_study(cfg, args.threads)
-    else:
-        report = convergence_study(cfg, progress=progress)
+    report = convergence_study(cfg, progress=progress, threads=args.threads)
     paths = emit_report(report, cfg.out_dir)
     verdicts = vanishing_limit_check(report)
     print(
@@ -197,24 +163,6 @@ def _cmd_converge(args) -> int:
         )
     )
     return EXIT_OK
-
-
-def _parallel_study(cfg: ExperimentConfig, threads: int) -> ConvergenceReport:
-    """Sweep members are independent; distribute them over processes."""
-    from concurrent.futures import ProcessPoolExecutor as _Pool
-
-    with _Pool(max_workers=threads) as pool:
-        futures = [
-            pool.submit(_single_eps_study, cfg.to_json(), eps) for eps in cfg.eps_list
-        ]
-        rows = [f.result() for f in futures]  # in eps_list order, as submitted
-    return assemble_report(cfg, rows, {})
-
-
-def _single_eps_study(config_json: dict, eps: float) -> DiagnosticsRow:
-    cfg = ExperimentConfig.from_json(config_json)
-    cfg = dataclasses.replace(cfg, eps_list=(eps,))
-    return convergence_study(cfg).rows[0]
 
 
 def _cmd_check(args) -> int:
@@ -277,7 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("converge", help="full Mach sweep with report")
     common(p)
-    p.add_argument("--threads", type=int, default=1, help="sweep worker count")
+    p.add_argument(
+        "--threads", type=int, default=1, help="sweep worker count (at most one per Mach number)"
+    )
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=_cmd_converge)
 

@@ -35,8 +35,9 @@ from .solvers import (
 __all__ = [
     "ExperimentConfig",
     "ConvergenceReport",
-    "assemble_report",
+    "SharedStage",
     "convergence_study",
+    "shared_stage",
     "vanishing_limit_check",
     "fit_loglog_slope",
     "emit_report",
@@ -103,6 +104,12 @@ class ExperimentConfig:
                     f"for eps = {eps:g}: medium band is empty"
                 )
         return out
+
+    def initial_data(self) -> tuple[SpectralField, SpectralField]:
+        """The sweep's initial (a0, u0), drawn with the config's seed."""
+        return generate_initial_data(
+            self.lattice, self.amplitude_a, self.amplitude_u, self.smoothness, self.seed
+        )
 
     def solver_config(self, eps: float) -> SolverConfig:
         return SolverConfig(
@@ -224,83 +231,85 @@ def _monotone_verdict(values) -> str:
     return "decreasing" if np.all(diffs < 0) else "not-decreasing"
 
 
-def convergence_study(cfg: ExperimentConfig, progress=None) -> ConvergenceReport:
-    """Run the full sweep: one incompressible and one limit solve, then one
-    compressible solve per Mach number, with the functional table."""
-    timings: dict = {}
+@dataclass
+class SharedStage:
+    """The Mach-independent part of a sweep, built once by :func:`shared_stage`.
+
+    The samples of ``traj_v`` are views of the array that the limit run's
+    interpolant stacked, so the v samples are held once; ``timings`` gives the
+    wall time of the incompressible and the limit phase.
+    """
+
+    a0: SpectralField
+    u0: SpectralField
+    traj_v: Trajectory
+    traj_V: Trajectory
+    timings: dict
+
+
+def shared_stage(cfg: ExperimentConfig) -> SharedStage:
+    """Initial data, incompressible run and averaged run (with its limit
+    table) of a sweep; none of them depends on the Mach number."""
     t0 = _time.perf_counter()
-    a0, u0 = generate_initial_data(
-        cfg.lattice, cfg.amplitude_a, cfg.amplitude_u, cfg.smoothness, cfg.seed
-    )
+    a0, u0 = cfg.initial_data()
     v0 = helmholtz_project(u0, "P")
-    qu0 = u0 - v0
     base = cfg.solver_config(cfg.eps_list[0])
     traj_v = run_trajectory(v0, base, "incompressible")
-    timings["incompressible"] = _time.perf_counter() - t0
+    incompressible_s = _time.perf_counter() - t0
 
     t0 = _time.perf_counter()
     table = build_limit_tables(cfg.lattice)
     v_at = CubicTimeInterpolant(traj_v.times, traj_v.series("v"))
     # the interpolant holds the only copy of the v samples from here on
-    traj_v = Trajectory(traj_v.times, [{"v": v} for v in v_at.samples()])
-    V0 = acoustic_transform(a0, qu0)
+    samples = v_at.samples()
+    traj_v = Trajectory(
+        traj_v.times, [{"v": v} for v in samples], traj_v.meta, final=samples[-1]
+    )
+    V0 = acoustic_transform(a0, u0 - v0)
     traj_V = run_trajectory(V0, base, "limit", table=table, v_at=v_at)
-    timings["limit"] = _time.perf_counter() - t0
-
-    rows = []
-    for eps in cfg.eps_list:
-        if progress:
-            progress(f"eps = {eps:g}")
-        t0 = _time.perf_counter()
-        traj_eps = run_trajectory(
-            (a0, u0),
-            cfg.solver_config(eps),
-            "compressible",
-            record=_sample_reducer(eps, cfg.theta, traj_v, traj_V),
-        )
-        row = compute_functionals(traj_eps, traj_v, traj_V, cfg.functional_settings(eps))
-        row.wall_time = _time.perf_counter() - t0
-        row.values["W_theta_scaled"] = row.values["W_theta"] / eps ** (
-            cfg.theta / (1.0 + cfg.theta)
-        )
-        rows.append(row)
-    return assemble_report(cfg, rows, timings)
+    timings = {"incompressible": incompressible_s, "limit": _time.perf_counter() - t0}
+    return SharedStage(a0, u0, traj_v, traj_V, timings)
 
 
-def _sample_reducer(eps: float, theta: float, traj_v, traj_V):
-    """Record that reduces each compressible sample at once to its
-    :func:`sample_energies` rows, against the v and V samples at the same
-    index; no compressible field outlives its sample."""
-    partners = zip(traj_v.series("v"), traj_V.series("V"))
-
-    def reduce(state, t):
-        v, V = next(partners)
-        return sample_energies(compressible_record(state, t, eps), v, V, theta)
-
-    return reduce
-
-
-def assemble_report(
-    cfg: ExperimentConfig, rows: list[DiagnosticsRow], timings: dict
+def convergence_study(
+    cfg: ExperimentConfig, progress=None, threads: int = 1
 ) -> ConvergenceReport:
-    """Slope, monotonicity verdicts and report of a sweep.
+    """Run the full sweep: the shared stage once, then one compressible run
+    per Mach number with its functionals row.
 
-    ``rows`` holds one row per Mach number, in ``cfg.eps_list`` order; each
-    row's wall time joins ``timings`` as ``eps_<eps>``.
+    With ``threads`` > 1 the Mach numbers run in a process pool of at most one
+    worker per Mach number.  Each worker receives the stage once, through the
+    pool initializer (under the fork start method nothing is pickled), and
+    returns only its row.  ``progress(msg)`` is called before each Mach
+    number that runs in this process.
     """
-    if len(cfg.eps_list) >= 2:
-        slope = fit_loglog_slope(cfg.eps_list, [r.values["W_theta"] for r in rows])
-        slope_flag = "ok"
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    stage = shared_stage(cfg)
+    workers = min(threads, len(cfg.eps_list))
+    if workers > 1:
+        # imported here: concurrent.futures is a noticeable share of the CLI's start-up
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            workers, initializer=_init_worker, initargs=(cfg, stage)
+        ) as pool:
+            rows = list(pool.map(_worker_row, cfg.eps_list))
     else:
-        slope = None
-        slope_flag = "insufficient-data"
+        rows = []
+        for eps in cfg.eps_list:
+            if progress:
+                progress(f"eps = {eps:g}")
+            rows.append(_eps_row(cfg, stage, eps))
+
+    slope = fit_loglog_slope(cfg.eps_list, [r.values["W_theta"] for r in rows])
+    slope_flag = "ok" if len(cfg.eps_list) >= 2 else "insufficient-data"
     verdicts = {
         key: _monotone_verdict([r.values[key] for r in rows])
         for key in ("D", "eps_a_linf_besov", "Vdiff_composite", "Pudiff_composite", "W_theta")
     }
-    timings = dict(timings)
-    for eps, row in zip(cfg.eps_list, rows):
-        timings[f"eps_{eps:g}"] = row.wall_time
+    timings = dict(stage.timings)
+    timings.update((f"eps_{eps:g}", row.wall_time) for eps, row in zip(cfg.eps_list, rows))
     return ConvergenceReport(
         config=cfg.to_json(),
         rows=rows,
@@ -310,6 +319,42 @@ def assemble_report(
         timings=timings,
         bands=cfg.bands(),
     )
+
+
+def _eps_row(cfg: ExperimentConfig, stage: SharedStage, eps: float) -> DiagnosticsRow:
+    """Functionals row of the compressible run at Mach number ``eps``.
+
+    Each compressible sample is reduced at once to its
+    :func:`sample_energies` rows, against the v and V samples of the stage at
+    the same index; no compressible field outlives its sample.
+    """
+    t0 = _time.perf_counter()
+    partners = zip(stage.traj_v.series("v"), stage.traj_V.series("V"))
+
+    def reduce(state, t):
+        v, V = next(partners)
+        return sample_energies(compressible_record(state, t, eps), v, V, cfg.theta)
+
+    traj_eps = run_trajectory(
+        (stage.a0, stage.u0), cfg.solver_config(eps), "compressible", record=reduce
+    )
+    row = compute_functionals(traj_eps, stage.traj_v, stage.traj_V, cfg.functional_settings(eps))
+    row.wall_time = _time.perf_counter() - t0
+    row.values["W_theta_scaled"] = row.values["W_theta"] / eps ** (cfg.theta / (1.0 + cfg.theta))
+    return row
+
+
+# (cfg, stage) of a pool worker process, set once by the pool initializer
+_worker_args: tuple = ()
+
+
+def _init_worker(cfg: ExperimentConfig, stage: SharedStage) -> None:
+    global _worker_args
+    _worker_args = (cfg, stage)
+
+
+def _worker_row(eps: float) -> DiagnosticsRow:
+    return _eps_row(*_worker_args, eps)
 
 
 def vanishing_limit_check(report: ConvergenceReport, fraction: float = 0.5) -> dict:

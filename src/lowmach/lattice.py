@@ -49,6 +49,13 @@ __all__ = [
 ]
 
 
+def _conjugate_mirror(coeffs: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """conj(c_{-k}) at every mode k of a coefficient grid whose mode axes are
+    ``axes``: each such axis reversed and rolled by one, so that index 0 stays
+    in place.  A real field equals its conjugate mirror."""
+    return np.conj(np.roll(np.flip(coeffs, axis=axes), 1, axis=axes))
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -392,11 +399,8 @@ class SpectralField:
         return math.sqrt(float(np.sum(self.mode_power())))
 
     def conjugate_symmetry_defect(self) -> float:
-        rev = self.coeffs
-        for axis in range(1, self.lattice.d + 1):
-            rev = np.flip(rev, axis=axis)
-        rev = np.roll(rev, 1, axis=tuple(range(1, self.lattice.d + 1)))
-        return float(np.max(np.abs(self.coeffs - np.conj(rev))))
+        mirror = _conjugate_mirror(self.coeffs, tuple(range(1, self.lattice.d + 1)))
+        return float(np.max(np.abs(self.coeffs - mirror)))
 
     def is_reality_symmetric(self, tol: float = 1e-12) -> bool:
         scale = max(1.0, float(np.max(np.abs(self.coeffs), initial=0.0)))

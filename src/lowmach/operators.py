@@ -12,8 +12,10 @@ orthogonal complement of Ker L in this basis; the wave group ``exp(-tau*L)``
 is then a per-mode phase rotation.
 
 The filtered quadratic forms are provided twice: a pseudospectral evaluation
-(grid products, FFT cost) used by the solvers, and a direct mode-sum path
-(quadratic cost) kept as an oracle plus closed-form time averages.
+(grid products, FFT cost) and a direct mode-sum path (quadratic cost) kept as
+its oracle, plus closed-form time averages.  The tests use them to check the
+limit system; the solvers step it with the resonant forms
+``resonance.limit_q1`` and ``resonance.limit_q2``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .lattice import (
     GridField,
     LatticeSpec,
     SpectralField,
+    _conjugate_mirror,
     dealiased_product,
     forward_transform,
     inverse_transform,
@@ -189,16 +192,11 @@ class AcousticCoeffs:
         return self._like(self.plus.copy(), self.minus.copy())
 
     def conjugate_symmetry_defect(self) -> float:
-        d = self.lattice.d
-        axes = tuple(range(d))
-        worst = 0.0
-        for arr in (self.plus, self.minus):
-            rev = arr
-            for ax in axes:
-                rev = np.flip(rev, axis=ax)
-            rev = np.roll(rev, 1, axis=axes)
-            worst = max(worst, float(np.max(np.abs(arr - np.conj(rev)))))
-        return worst
+        axes = tuple(range(self.lattice.d))
+        return max(
+            float(np.max(np.abs(arr - _conjugate_mirror(arr, axes))))
+            for arr in (self.plus, self.minus)
+        )
 
 
 def acoustic_transform(
@@ -291,7 +289,6 @@ class PressureLaw:
         a = np.asarray(a, dtype=np.float64)
         if self.gamma is not None:
             e = self.gamma - 2.0
-            out = np.empty_like(a)
             small = np.abs(a) < 1e-4
             asafe = np.where(small, 1.0, a)
             out = ((1.0 + asafe) ** e - 1.0 - e * asafe) / asafe

@@ -27,6 +27,7 @@ import numpy as np
 from .lattice import (
     LatticeSpec,
     SpectralField,
+    _conjugate_mirror,
     _half_forward,
     _half_inverse,
     _half_to_full,
@@ -609,13 +610,7 @@ def generate_initial_data(
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     envelope = (1.0 + lattice.k_modulus()) ** (-smoothness)
     raw *= envelope
-    # mirror for reality
-    axes = tuple(range(1, lattice.d + 1))
-    mirrored = raw
-    for ax in axes:
-        mirrored = np.flip(mirrored, axis=ax)
-    mirrored = np.roll(mirrored, 1, axis=axes)
-    sym = 0.5 * (raw + np.conj(mirrored))
+    sym = 0.5 * (raw + _conjugate_mirror(raw, tuple(range(1, lattice.d + 1))))
     a = SpectralField(lattice, sym[:1], reality=True)
     _, a = zero_mean_split(a)
     u = SpectralField(lattice, sym[1:], reality=True)

@@ -1,9 +1,12 @@
 """Functional assembly, sweep report, determinism, and CLI tests."""
 
+import concurrent.futures
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -23,12 +26,15 @@ from lowmach.dyadic import (
     parse_norm_spec,
     time_norm,
 )
+from lowmach import experiments
+from lowmach.cli import main
 from lowmach.experiments import (
     ExperimentConfig,
     convergence_study,
     emit_report,
     fit_loglog_slope,
     run_invariant_suite,
+    shared_stage,
     vanishing_limit_check,
 )
 from lowmach.functionals import (
@@ -52,6 +58,7 @@ from lowmach.solvers import (
     SolverConfig,
     Trajectory,
     generate_initial_data,
+    load_checkpoint,
     run_trajectory,
 )
 
@@ -344,6 +351,65 @@ class TestStudyAndDeterminism:
         assert b1 == b2
 
 
+class TestSharedStage:
+    def test_pool_runs_only_the_compressible_solves(self, tmp_path, monkeypatch):
+        """A pooled sweep builds the stage in this process only, and starts at
+        most one worker per Mach number."""
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the logging wrapper reaches the workers only through fork")
+        log = os.path.join(str(tmp_path), "runs.log")
+        original = experiments.run_trajectory
+
+        def logged(initial, cfg, kind, *args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {kind}\n")
+            return original(initial, cfg, kind, *args, **kwargs)
+
+        pool_sizes = []
+
+        class Pool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                pool_sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_trajectory", logged)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        cfg = tiny_config(tmp_path)
+        report = convergence_study(cfg, threads=4)
+        assert pool_sizes == [len(cfg.eps_list)] == [2]
+        assert set(report.timings) == {"incompressible", "limit", "eps_0.2", "eps_0.1"}
+        with open(log) as fh:
+            runs = [line.split() for line in fh]
+        parent = str(os.getpid())
+        assert sorted(kind for pid, kind in runs if pid == parent) == ["incompressible", "limit"]
+        assert sorted(kind for pid, kind in runs if pid != parent) == ["compressible"] * 2
+
+    def test_limit_sim_writes_the_stage_finals(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        stage = shared_stage(cfg)
+        # the stage's v samples are the interpolant's copies of the run's samples
+        run_v = run_trajectory(
+            helmholtz_project(stage.u0, "P"), cfg.solver_config(0.2), "incompressible"
+        )
+        np.testing.assert_array_equal(stage.traj_v.final.coeffs, run_v.final.coeffs)
+        path = os.path.join(str(tmp_path), "config.json")
+        with open(path, "w") as fh:
+            json.dump(cfg.to_json(), fh)
+        out = os.path.join(str(tmp_path), "lim")
+        assert main(["limit-sim", "--config", path, "--out", out]) == 0
+        V = stage.traj_V.final
+        for name, key, final in (
+            ("incompressible", "v", stage.traj_v.final.coeffs),
+            ("limit", "V", np.stack([V.plus, V.minus])),
+        ):
+            _, t, arrays, meta = load_checkpoint(os.path.join(out, f"{name}.lmc"))
+            assert (t, meta["kind"]) == (cfg.t_final, name)
+            np.testing.assert_array_equal(arrays[key], final)
+        # a worker started with spawn or forkserver receives the stage pickled
+        again = pickle.loads(pickle.dumps(stage))
+        np.testing.assert_array_equal(again.traj_V.final.plus, V.plus)
+
+
 class TestInvariantSuite:
     def test_all_pass(self):
         results = run_invariant_suite()
@@ -439,8 +505,17 @@ class TestCLI:
         assert {k for k in par_json["timings"] if k.startswith("eps_")} == eps_keys
         assert all(par_json["timings"][k] > 0 for k in eps_keys)
         assert set(seq_json["timings"]) == eps_keys | {"incompressible", "limit"}
+        assert set(par_json["timings"]) == set(seq_json["timings"])
         for key in ("rows", "slope_W_theta", "slope_flag", "verdicts"):
             assert par_json[key] == seq_json[key], key
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
+        path = self.write_config(tmp_path)
+        code = main(["converge", "--config", path, "--out", str(tmp_path), "--threads", threads])
+        assert code == 2
+        assert f"threads must be at least 1, got {threads}" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(str(tmp_path), "report.csv"))
 
     def test_threads_only_on_converge(self, tmp_path):
         path = self.write_config(tmp_path)
