@@ -117,29 +117,28 @@ def block_range(lattice: LatticeSpec) -> range:
     return lattice._cached("block_range", build)
 
 
-def _block_weights(lattice: LatticeSpec, j: int, profile: BumpProfile) -> np.ndarray:
-    key = ("block_weights", j, id(profile))
-    cached = lattice._cache.get(key)
-    if cached is None:
-        cached = profile(np.ldexp(lattice.k_modulus(), -j))
-        cached.flags.writeable = False
-        lattice._cache[key] = cached
-    return cached
+def _block_weights(lattice: LatticeSpec, j: int) -> np.ndarray:
+    def build():
+        weights = DEFAULT_PROFILE(np.ldexp(lattice.k_modulus(), -j))
+        weights.flags.writeable = False
+        return weights
+
+    return lattice._cached(("block_weights", j), build)
 
 
-def dyadic_block(field, j: int, profile: BumpProfile = DEFAULT_PROFILE):
+def dyadic_block(field, j: int):
     """Frequency-localized piece at scale 2^j (mean mode always excluded)."""
-    return field.scale_modes(_block_weights(field.lattice, j, profile))
+    return field.scale_modes(_block_weights(field.lattice, j))
 
 
-def low_cut(field, j: int, profile: BumpProfile = DEFAULT_PROFILE):
+def low_cut(field, j: int):
     """Mean plus all blocks strictly below j."""
     lattice = field.lattice
     weights = np.zeros(lattice.resolution)
     weights[(0,) * lattice.d] = 1.0
     for jp in block_range(lattice):
         if jp <= j - 1:
-            weights = weights + _block_weights(lattice, jp, profile)
+            weights = weights + _block_weights(lattice, jp)
     return field.scale_modes(weights)
 
 
@@ -290,38 +289,35 @@ class BlockEnergies:
         return BlockEnergies(self.lattice, self.h_orders, self.values + other.values)
 
 
-def _energy_weights(lattice: LatticeSpec, h_orders: tuple, profile: BumpProfile) -> list:
+def _energy_weights(lattice: LatticeSpec, h_orders: tuple) -> list:
     def build():
         ksq = lattice.k_squared()
-        weights = [_block_weights(lattice, j, profile) ** 2 for j in block_range(lattice)]
+        weights = [_block_weights(lattice, j) ** 2 for j in block_range(lattice)]
         weights.append((ksq == 0).astype(np.float64))
         for s in h_orders:
             weights.append(np.zeros_like(ksq))
             weights[-1][ksq > 0] = ksq[ksq > 0] ** s
         return weights
 
-    return lattice._cached(("energy_weights", h_orders, id(profile)), build)
+    return lattice._cached(("energy_weights", h_orders), build)
 
 
-def block_energies(obj, h_orders=(), profile: BumpProfile = DEFAULT_PROFILE) -> BlockEnergies:
+def block_energies(obj, h_orders=()) -> BlockEnergies:
     """Reduce a field, or a bundle (tuple/list) of fields, to its energy row."""
     lattice, power = _lattice_of(obj), _mode_power(obj)
     h_orders = tuple(float(s) for s in h_orders)
-    weights = _energy_weights(lattice, h_orders, profile)
+    weights = _energy_weights(lattice, h_orders)
     return BlockEnergies(lattice, h_orders, np.array([np.sum(w * power) for w in weights]))
 
 
-def _series_energies(fields, h_orders, profile: BumpProfile) -> BlockEnergies:
+def _series_energies(fields, h_orders) -> BlockEnergies:
     """Stacked rows of a series of fields, bundles or rows."""
-    rows = [
-        f if isinstance(f, BlockEnergies) else block_energies(f, h_orders, profile)
-        for f in fields
-    ]
+    rows = [f if isinstance(f, BlockEnergies) else block_energies(f, h_orders) for f in fields]
     return BlockEnergies(rows[0].lattice, rows[0].h_orders, np.stack([r.values for r in rows]))
 
 
-def _block_linf(obj: SpectralField, j: int, profile: BumpProfile) -> float:
-    block = dyadic_block(obj, j, profile)
+def _block_linf(obj: SpectralField, j: int) -> float:
+    block = dyadic_block(obj, j)
     grid = inverse_transform(block.copy_with_reality(False))
     mag = np.sqrt(np.sum(np.abs(grid.values) ** 2, axis=0))
     return float(np.max(mag))
@@ -359,19 +355,19 @@ def _spatial_norm(energies: BlockEnergies, spec: NormSpec):
     return np.sqrt(total if spec.underlined else total + energies.values[..., mean])
 
 
-def norm(obj, spec, profile: BumpProfile = DEFAULT_PROFILE) -> float:
+def norm(obj, spec) -> float:
     """Besov or Sobolev norm of a field, a bundle of fields or, for p = 2, a
     :class:`BlockEnergies` row."""
     if isinstance(spec, str):
         spec = parse_norm_spec(spec)
     if spec.kind == "H" or spec.p == 2:
         if not isinstance(obj, BlockEnergies):
-            obj = block_energies(obj, (spec.s,) if spec.kind == "H" else (), profile)
+            obj = block_energies(obj, (spec.s,) if spec.kind == "H" else ())
         return float(_spatial_norm(obj, spec))
-    if not isinstance(obj, SpectralField):
+    if type(obj) is not SpectralField:
         raise TypeError("p=inf norms require a plain spectral field")
     terms = [
-        2.0 ** (j * spec.s) * _block_linf(obj, j, profile)
+        2.0 ** (j * spec.s) * _block_linf(obj, j)
         for j in block_range(obj.lattice)
         if spec.block_active(j)
     ]
@@ -388,7 +384,7 @@ def _time_lq(times: np.ndarray, values: np.ndarray, q: float):
     return _trapezoid(values**q, times, axis=0) ** (1.0 / q)
 
 
-def time_norm(times, fields, q: float, spec, profile: BumpProfile = DEFAULT_PROFILE):
+def time_norm(times, fields, q: float, spec):
     """L^q-in-time of the spatial norm along a sampled trajectory.
 
     ``fields`` holds one field or bundle per sample, or for p = 2 its
@@ -398,16 +394,14 @@ def time_norm(times, fields, q: float, spec, profile: BumpProfile = DEFAULT_PROF
         spec = parse_norm_spec(spec)
     times = np.asarray(times, dtype=np.float64)
     if spec.kind == "B" and spec.p == _INF:
-        values = np.array([norm(f, spec, profile) for f in fields])
+        values = np.array([norm(f, spec) for f in fields])
     else:
         h_orders = (spec.s,) if spec.kind == "H" else ()
-        values = _spatial_norm(_series_energies(fields, h_orders, profile), spec)
+        values = _spatial_norm(_series_energies(fields, h_orders), spec)
     return float(_time_lq(times, values, q))
 
 
-def chemin_lerner_norm(
-    times, fields, q: float, spec, profile: BumpProfile = DEFAULT_PROFILE
-) -> float:
+def chemin_lerner_norm(times, fields, q: float, spec) -> float:
     """Time-inside norm: ell^r over blocks of the L^q-in-time block norms.
 
     Compared with :func:`time_norm` the order of the time integral and the
@@ -424,7 +418,7 @@ def chemin_lerner_norm(
     times = np.asarray(times, dtype=np.float64)
     if len(fields) < 2:
         raise ValueError("trajectory norms need at least two samples")
-    scale, terms = _block_terms(_series_energies(fields, (), profile), spec)
+    scale, terms = _block_terms(_series_energies(fields, ()), spec)
     return float(_ell_r(scale * _time_lq(times, terms, q), spec.r))
 
 
@@ -433,12 +427,7 @@ def chemin_lerner_norm(
 # ---------------------------------------------------------------------------
 
 
-def bony_paraproduct(
-    f: SpectralField,
-    g: SpectralField,
-    profile: BumpProfile = DEFAULT_PROFILE,
-    product: Callable = dealiased_product,
-):
+def bony_paraproduct(f: SpectralField, g: SpectralField, product: Callable = dealiased_product):
     """Four-part product splitting: (T_f g, T_g f, R(f, g), mean*mean).
 
     The parts sum to the dealiased product of f and g on retained modes.  A
@@ -447,15 +436,15 @@ def bony_paraproduct(
     """
     lattice = f.lattice
     js = list(block_range(lattice))
-    blocks_f = {j: dyadic_block(f, j, profile) for j in js}
-    blocks_g = {j: dyadic_block(g, j, profile) for j in js}
+    blocks_f = {j: dyadic_block(f, j) for j in js}
+    blocks_g = {j: dyadic_block(g, j) for j in js}
 
     t_fg = SpectralField.zeros(lattice, f.components, reality=f.reality and g.reality)
     t_gf = SpectralField.zeros(lattice, f.components, reality=f.reality and g.reality)
     rem = SpectralField.zeros(lattice, f.components, reality=f.reality and g.reality)
     for j in js:
-        t_fg = t_fg + product(low_cut(f, j - 2, profile), blocks_g[j])
-        t_gf = t_gf + product(low_cut(g, j - 2, profile), blocks_f[j])
+        t_fg = t_fg + product(low_cut(f, j - 2), blocks_g[j])
+        t_gf = t_gf + product(low_cut(g, j - 2), blocks_f[j])
         for jp in js:
             if abs(j - jp) <= 2:
                 rem = rem + product(blocks_f[j], blocks_g[jp])

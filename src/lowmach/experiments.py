@@ -281,7 +281,8 @@ def convergence_study(
     worker per Mach number.  Each worker receives the stage once, through the
     pool initializer (under the fork start method nothing is pickled), and
     returns only its row.  ``progress(msg)`` is called before each Mach
-    number that runs in this process.
+    number that runs in this process, and on the pool path as each row comes
+    back, in the order of ``eps_list``.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -294,7 +295,11 @@ def convergence_study(
         with ProcessPoolExecutor(
             workers, initializer=_init_worker, initargs=(cfg, stage)
         ) as pool:
-            rows = list(pool.map(_worker_row, cfg.eps_list))
+            rows = []
+            for eps, row in zip(cfg.eps_list, pool.map(_worker_row, cfg.eps_list)):
+                if progress:
+                    progress(f"eps = {eps:g} done")
+                rows.append(row)
     else:
         rows = []
         for eps in cfg.eps_list:

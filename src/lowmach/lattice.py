@@ -409,7 +409,7 @@ class SpectralField:
     # -- arithmetic --------------------------------------------------------
 
     def _like(self, coeffs, reality):
-        return SpectralField._in_box(self.lattice, coeffs, reality)
+        return self._in_box(self.lattice, coeffs, reality)
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         self._check_compatible(other)

@@ -8,8 +8,11 @@ modes by the orthonormal basis
 
 with eigenvalue ``-i*alpha*sg(k)*|k|``; ``sg`` is +1 iff the first nonzero
 component of k is positive.  :class:`AcousticCoeffs` stores a state of the
-orthogonal complement of Ker L in this basis; the wave group ``exp(-tau*L)``
-is then a per-mode phase rotation.
+orthogonal complement of Ker L in this basis as a two-component spectral
+field, component 0 for alpha = +1 and component 1 for alpha = -1: the layout
+of ``limit.lmc`` checkpoints, which ``lowmach norms`` reads back as a plain
+two-component field.  The wave group ``exp(-tau*L)`` is then a per-mode phase
+rotation.
 
 The filtered quadratic forms are provided twice: a pseudospectral evaluation
 (grid products, FFT cost) and a direct mode-sum path (quadratic cost) kept as
@@ -29,7 +32,6 @@ from .lattice import (
     GridField,
     LatticeSpec,
     SpectralField,
-    _conjugate_mirror,
     dealiased_product,
     forward_transform,
     inverse_transform,
@@ -111,92 +113,67 @@ def helmholtz_project(u: SpectralField, which: str) -> SpectralField:
     raise ValueError("which must be 'P' or 'Q'")
 
 
-class AcousticCoeffs:
-    """Coefficients of a (Ker L)-orthogonal state in the acoustic eigenbasis.
+def _acoustic_mask(lattice: LatticeSpec) -> np.ndarray:
+    """The dealias mask with the mean mode cleared."""
 
-    Two complex arrays over the FFT index grid, one per branch alpha = +1 and
-    alpha = -1; the mean mode and modes outside the dealias cutoff are zero.
-    The squared coefficient magnitudes sum to the squared L2 norm of the
-    reconstructed (scalar, gradient-vector) pair.
-    """
-
-    __slots__ = ("lattice", "plus", "minus")
-
-    def __init__(self, lattice: LatticeSpec, plus: np.ndarray, minus: np.ndarray):
+    def build():
         mask = lattice.dealias_mask().copy()
         mask[(0,) * lattice.d] = False
+        mask.flags.writeable = False
+        return mask
+
+    return lattice._cached("acoustic_mask", build)
+
+
+def _conjugate_pair(phase: np.ndarray) -> np.ndarray:
+    """A per-mode factor of branch alpha = +1 stacked with its conjugate, the
+    factor of branch alpha = -1."""
+    return np.stack((phase, np.conj(phase)))
+
+
+class AcousticCoeffs(SpectralField):
+    """Coefficients of a (Ker L)-orthogonal state in the acoustic eigenbasis.
+
+    A two-component spectral field: component 0 is the branch alpha = +1 and
+    component 1 the branch alpha = -1, the layout that checkpoints store.  The
+    mean mode and modes outside the dealias cutoff are zero.  The squared
+    coefficient magnitudes sum to the squared L2 norm of the reconstructed
+    (scalar, gradient-vector) pair.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, lattice: LatticeSpec, plus: np.ndarray, minus: np.ndarray):
         self.lattice = lattice
-        self.plus = np.asarray(plus, dtype=np.complex128) * mask
-        self.minus = np.asarray(minus, dtype=np.complex128) * mask
+        self.coeffs = np.asarray((plus, minus), dtype=np.complex128) * _acoustic_mask(lattice)
+        self.reality = False
 
     @classmethod
     def zeros(cls, lattice: LatticeSpec) -> "AcousticCoeffs":
-        shape = lattice.resolution
-        return cls(lattice, np.zeros(shape, np.complex128), np.zeros(shape, np.complex128))
+        shape = (2,) + lattice.resolution
+        return cls._in_box(lattice, np.zeros(shape, np.complex128), False)
 
     @classmethod
     def from_modes(cls, lattice: LatticeSpec, entries: dict) -> "AcousticCoeffs":
         """Build from ``{(mode tuple, alpha): value}`` entries."""
         out = cls.zeros(lattice)
         for (mode, alpha), value in entries.items():
-            idx = tuple(int(m) % n for m, n in zip(mode, lattice.resolution))
-            if alpha == 1:
-                out.plus[idx] = value
-            elif alpha == -1:
-                out.minus[idx] = value
-            else:
+            if alpha not in (1, -1):
                 raise ValueError("alpha must be +1 or -1")
+            idx = tuple(int(m) % n for m, n in zip(mode, lattice.resolution))
+            out.branch(alpha)[idx] = value
         return out
 
     def branch(self, alpha: int) -> np.ndarray:
-        return self.plus if alpha == 1 else self.minus
+        return self.coeffs[0 if alpha == 1 else 1]
 
-    def mode_power(self) -> np.ndarray:
-        return np.abs(self.plus) ** 2 + np.abs(self.minus) ** 2
+    @property
+    def plus(self) -> np.ndarray:
+        return self.coeffs[0]
 
-    def mean_coefficient(self) -> np.ndarray:
-        return np.zeros(1, dtype=np.complex128)
-
-    def l2_norm(self) -> float:
-        return math.sqrt(float(np.sum(self.mode_power())))
-
-    def scale_modes(self, weights: np.ndarray) -> "AcousticCoeffs":
-        out = AcousticCoeffs.__new__(AcousticCoeffs)
-        out.lattice = self.lattice
-        out.plus = self.plus * weights
-        out.minus = self.minus * weights
-        return out
-
-    def _like(self, plus, minus) -> "AcousticCoeffs":
-        out = AcousticCoeffs.__new__(AcousticCoeffs)
-        out.lattice = self.lattice
-        out.plus = plus
-        out.minus = minus
-        return out
-
-    def __add__(self, other):
-        return self._like(self.plus + other.plus, self.minus + other.minus)
-
-    def __sub__(self, other):
-        return self._like(self.plus - other.plus, self.minus - other.minus)
-
-    def __mul__(self, scalar):
-        return self._like(self.plus * scalar, self.minus * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self._like(-self.plus, -self.minus)
-
-    def copy(self) -> "AcousticCoeffs":
-        return self._like(self.plus.copy(), self.minus.copy())
-
-    def conjugate_symmetry_defect(self) -> float:
-        axes = tuple(range(self.lattice.d))
-        return max(
-            float(np.max(np.abs(arr - _conjugate_mirror(arr, axes))))
-            for arr in (self.plus, self.minus)
-        )
+    @property
+    def minus(self) -> np.ndarray:
+        return self.coeffs[1]
 
 
 def acoustic_transform(
@@ -238,9 +215,7 @@ def acoustic_inverse(V: AcousticCoeffs) -> tuple[SpectralField, SpectralField]:
     kmod[(0,) * lattice.d] = 1.0
     kvecs = lattice.wavevectors()
     qu = np.stack([mu * k / kmod for k in kvecs], axis=0)
-    reality = V.conjugate_symmetry_defect() <= 1e-12 * max(
-        1.0, float(np.max(np.abs(V.plus))), float(np.max(np.abs(V.minus)))
-    )
+    reality = V.is_reality_symmetric()
     return (
         SpectralField(lattice, ahat[None], reality=reality),
         SpectralField(lattice, qu, reality=reality),
@@ -249,9 +224,8 @@ def acoustic_inverse(V: AcousticCoeffs) -> tuple[SpectralField, SpectralField]:
 
 def wave_group(V: AcousticCoeffs, tau: float) -> AcousticCoeffs:
     """Acoustic propagator exp(-tau*L): phase e^{i*alpha*sg(k)*|k|*tau} per mode."""
-    rate = _signed_modulus(V.lattice)
-    phase = np.exp(1j * tau * rate)
-    return V._like(V.plus * phase, V.minus * np.conj(phase))
+    phase = np.exp(1j * tau * _signed_modulus(V.lattice))
+    return V._like(V.coeffs * _conjugate_pair(phase), False)
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +351,8 @@ def a2_eps(B: AcousticCoeffs, t: float, eps: float) -> AcousticCoeffs:
     lattice = B.lattice
     ksq = lattice.k_squared()
     rate = _signed_modulus(lattice)
-    osc = np.exp(-2j * (t / eps) * rate)
-    plus = -0.5 * ksq * (B.plus - B.minus * osc)
-    minus = -0.5 * ksq * (B.minus - B.plus * np.conj(osc))
-    return B._like(plus, minus)
+    osc = _conjugate_pair(np.exp(-2j * (t / eps) * rate))
+    return B._like(-0.5 * ksq * (B.coeffs - B.coeffs[::-1] * osc), False)
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +520,4 @@ def a2_eps_time_average(B: AcousticCoeffs, T: float, eps: float) -> AcousticCoef
     x = -2.0 * (T / eps) * rate
     with np.errstate(divide="ignore", invalid="ignore"):
         avg = np.where(x != 0.0, (np.exp(1j * x) - 1.0) / (1j * np.where(x == 0, 1, x)), 1.0)
-    plus = -0.5 * ksq * (B.plus - B.minus * avg)
-    minus = -0.5 * ksq * (B.minus - B.plus * np.conj(avg))
-    return B._like(plus, minus)
+    return B._like(-0.5 * ksq * (B.coeffs - B.coeffs[::-1] * _conjugate_pair(avg)), False)

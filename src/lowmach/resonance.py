@@ -445,18 +445,12 @@ def limit_q1(u: SpectralField, B: AcousticCoeffs, table: ResonanceTable) -> Acou
     k_dot_u = sum(
         table.q1_kvec[:, c] * uflat[c][table.q1_l] for c in range(lattice.d)
     )
-    plus_flat = B.plus.reshape(-1)
-    minus_flat = B.minus.reshape(-1)
-    for gamma, target in ((1, "plus"), (-1, "minus")):
-        alpha_sign = gamma * table.q1_ss  # alpha = gamma*sg(m)*sg(k)
-        bsel = np.where(alpha_sign == 1, plus_flat[table.q1_k], minus_flat[table.q1_k])
+    acc = out.coeffs.reshape(2, -1)
+    for row, gamma in enumerate((1, -1)):
+        # alpha = gamma*sg(m)*sg(k)
+        bsel = _branch_gather(B, table.q1_k, gamma * table.q1_ss)
         contrib = prefactor * bsel * k_dot_u * table.q1_weight
-        acc = np.zeros(int(np.prod(lattice.resolution)), dtype=np.complex128)
-        np.add.at(acc, table.q1_m, contrib)
-        if target == "plus":
-            out.plus = acc.reshape(lattice.resolution)
-        else:
-            out.minus = acc.reshape(lattice.resolution)
+        np.add.at(acc[row], table.q1_m, contrib)
     return out
 
 
@@ -468,24 +462,19 @@ def limit_q2(
     out = AcousticCoeffs.zeros(lattice)
     c_d = 1.0 / math.sqrt(2.0 * lattice.volume)
     front = -1j * c_d * (kappa + 3.0) / 4.0
-    size = int(np.prod(lattice.resolution))
-    for gamma in (1, -1):
+    a_rows, b_rows = A.coeffs.reshape(2, -1), B.coeffs.reshape(2, -1)
+    acc = out.coeffs.reshape(2, -1)
+    for row, gamma in enumerate((1, -1)):
         m_idx = table.q2_m[gamma]
         if m_idx.size == 0:
             continue
-        a_flat = (A.plus if gamma == 1 else A.minus).reshape(-1)
-        b_flat = (B.plus if gamma == 1 else B.minus).reshape(-1)
+        a_flat, b_flat = a_rows[row], b_rows[row]
         sym = 0.5 * (
             a_flat[table.q2_k[gamma]] * b_flat[table.q2_l[gamma]]
             + b_flat[table.q2_k[gamma]] * a_flat[table.q2_l[gamma]]
         )
         contrib = front * gamma * table.q2_smod[gamma] * sym
-        acc = np.zeros(size, dtype=np.complex128)
-        np.add.at(acc, m_idx, contrib)
-        if gamma == 1:
-            out.plus = acc.reshape(lattice.resolution)
-        else:
-            out.minus = acc.reshape(lattice.resolution)
+        np.add.at(acc[row], m_idx, contrib)
     return out
 
 
@@ -578,22 +567,15 @@ class CorrectorSet:
 
 
 def _accumulate(lattice, m_idx, branch_sign, values):
-    """Scatter complex values into (plus, minus) arrays by branch sign."""
+    """Scatter complex values into the two branches by branch sign."""
     size = int(np.prod(lattice.resolution))
-    plus = np.zeros(size, dtype=np.complex128)
-    minus = np.zeros(size, dtype=np.complex128)
-    pos = branch_sign == 1
-    np.add.at(plus, m_idx[pos], values[pos])
-    np.add.at(minus, m_idx[~pos], values[~pos])
-    return AcousticCoeffs(
-        lattice, plus.reshape(lattice.resolution), minus.reshape(lattice.resolution)
-    )
+    acc = np.zeros(2 * size, dtype=np.complex128)
+    np.add.at(acc, np.where(branch_sign == 1, m_idx, m_idx + size), values)
+    return AcousticCoeffs(lattice, *acc.reshape((2,) + lattice.resolution))
 
 
 def _branch_gather(V: AcousticCoeffs, idx: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    plus = V.plus.reshape(-1)[idx]
-    minus = V.minus.reshape(-1)[idx]
-    return np.where(alpha == 1, plus, minus)
+    return V.coeffs.reshape(2, -1)[np.where(alpha == 1, 0, 1), idx]
 
 
 def _band_weights(lattice: LatticeSpec, M: float) -> np.ndarray:

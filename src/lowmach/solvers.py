@@ -117,6 +117,16 @@ class Forcing:
                     f"forcing mode {mode} lies outside the dealiased box "
                     f"|n_h| <= {lattice.cutoffs}"
                 )
+            if len(fm.amplitude) != lattice.d:
+                raise ValueError(
+                    f"forcing mode {mode} has {len(fm.amplitude)} amplitude "
+                    f"components, the lattice needs d = {lattice.d}"
+                )
+            if fm.envelope not in ("const", "cos", "exp"):
+                raise ValueError(
+                    f"forcing mode {mode} has unknown envelope {fm.envelope!r} "
+                    "(const, cos or exp)"
+                )
             if not any(mode) and any(complex(amp).imag for amp in fm.amplitude):
                 raise ValueError("the mean forcing mode needs real amplitudes")
 
@@ -704,8 +714,6 @@ def save_checkpoint(path: str, lattice: LatticeSpec, time: float, fields: dict, 
     for name, value in fields.items():
         if isinstance(value, SpectralField):
             arr = value.coeffs
-        elif isinstance(value, AcousticCoeffs):
-            arr = np.stack([value.plus, value.minus], axis=0)
         else:
             arr = np.asarray(value, dtype=np.complex128)
         arr = np.ascontiguousarray(arr.astype("<c16"))

@@ -384,6 +384,23 @@ class TestSharedStage:
         assert sorted(kind for pid, kind in runs if pid == parent) == ["incompressible", "limit"]
         assert sorted(kind for pid, kind in runs if pid != parent) == ["compressible"] * 2
 
+    def test_pool_reports_progress_in_eps_order(self, tmp_path, capsys):
+        path = os.path.join(str(tmp_path), "config.json")
+        with open(path, "w") as fh:
+            json.dump(tiny_config(tmp_path).to_json(), fh)
+        seq, par = (os.path.join(str(tmp_path), name) for name in ("seq", "par"))
+        assert main(["converge", "--config", path, "--out", seq]) == 0
+        capsys.readouterr()
+        assert main(["converge", "--config", path, "--out", par, "--threads", "2", "--verbose"]) == 0
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("[converge]")] == [
+            "[converge] eps = 0.2 done",
+            "[converge] eps = 0.1 done",
+        ]
+        for name in ("report.csv", "report_long.csv"):
+            with open(os.path.join(seq, name), "rb") as a, open(os.path.join(par, name), "rb") as b:
+                assert a.read() == b.read(), name
+
     def test_limit_sim_writes_the_stage_finals(self, tmp_path):
         cfg = tiny_config(tmp_path)
         stage = shared_stage(cfg)
@@ -516,6 +533,37 @@ class TestCLI:
         assert code == 2
         assert f"threads must be at least 1, got {threads}" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(str(tmp_path), "report.csv"))
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (
+                {"mode": [1, 0], "amplitude": [[1.0, 0.0]]},
+                "forcing mode (1, 0) has 1 amplitude components, the lattice needs d = 2",
+            ),
+            (
+                {"mode": [1, 0], "amplitude": [[1.0, 0.0]] * 3},
+                "forcing mode (1, 0) has 3 amplitude components, the lattice needs d = 2",
+            ),
+            (
+                {"mode": [0, 1], "amplitude": [[1.0, 0.0]] * 2, "envelope": "bogus"},
+                "forcing mode (0, 1) has unknown envelope 'bogus'",
+            ),
+        ],
+    )
+    def test_bad_forcing_rejected_at_load(self, tmp_path, capsys, entry, message):
+        payload = tiny_config(tmp_path).to_json()
+        payload["forcing"] = [entry]
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig.from_json(payload)
+        assert message in str(info.value)
+        path = os.path.join(str(tmp_path), "config.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        out = os.path.join(str(tmp_path), "sim")
+        assert main(["simulate", "--config", path, "--out", out]) == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_threads_only_on_converge(self, tmp_path):
         path = self.write_config(tmp_path)

@@ -401,7 +401,7 @@ class TestBony:
         for j in block_range(lat):
             from lowmach.dyadic import _block_weights
 
-            w = _block_weights(lat, j, DEFAULT_PROFILE)
+            w = _block_weights(lat, j)
             keep = keep + (w if 2.0**j >= zeta / 4.0 else 0.0 * w)
         g_high = g.scale_modes(keep)
         t_fg_high, *_ = bony_paraproduct(f, g_high, product=convolution_product)

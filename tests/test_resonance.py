@@ -19,7 +19,9 @@ from lowmach.operators import (
     q2_eps_modesum,
     q2_eps_time_average,
     sg,
+    wave_group,
 )
+from lowmach.dyadic import norm
 from lowmach import resonance
 from lowmach.resonance import (
     ResonanceTable,
@@ -670,6 +672,54 @@ class TestLimitForms:
             errs.append((avg - limit).l2_norm())
         slope = np.polyfit(np.log(eps_list), np.log(errs), 1)[0]
         assert 0.7 <= slope <= 1.3
+
+
+class TestAcousticLayout:
+    """Acoustic coefficients are a two-component spectral field: component 0
+    holds the branch alpha = +1, component 1 the branch alpha = -1."""
+
+    def test_forms_return_two_component_fields(self, lat8):
+        rng = np.random.default_rng(6)
+        table = build_limit_tables(lat8)
+        u = random_divfree(lat8, rng)
+        B = random_acoustic(lat8, rng)
+        outs = {
+            "acoustic_transform": B,
+            "wave_group": wave_group(B, 0.3),
+            "limit_q1": limit_q1(u, B, table),
+            "limit_q2": limit_q2(B, B, table, kappa=1.0),
+        }
+        outs["sum"] = outs["limit_q1"] + outs["limit_q2"]
+        outs["difference"] = outs["wave_group"] - B
+        outs["scaled"] = -1.0 * outs["limit_q1"]
+        for name, out in outs.items():
+            assert isinstance(out, SpectralField), name
+            assert isinstance(out, AcousticCoeffs), name
+            assert out.components == 2, name
+            assert out.coeffs.shape == (2,) + lat8.resolution, name
+            assert np.shares_memory(out.plus, out.coeffs[0]), name
+            assert np.shares_memory(out.minus, out.coeffs[1]), name
+        total = outs["limit_q1"].coeffs + outs["limit_q2"].coeffs
+        assert np.array_equal(outs["sum"].coeffs, total)
+
+    def test_branch_components_and_mask(self, lat8):
+        V = AcousticCoeffs.from_modes(lat8, {((1, 0), 1): 2.0, ((1, 0), -1): 3.0j})
+        assert V.coeffs[0, 1, 0] == 2.0 and V.coeffs[1, 1, 0] == 3.0j
+        assert np.shares_memory(V.branch(1), V.coeffs[0])
+        assert V.branch(-1)[1, 0] == 3.0j
+        ones = np.ones(lat8.resolution)
+        W = AcousticCoeffs(lat8, ones, 2.0 * ones)
+        assert np.all(W.coeffs[:, 0, 0] == 0.0)
+        assert np.count_nonzero(W.coeffs) == 2 * (np.count_nonzero(lat8.dealias_mask()) - 1)
+        assert W.mode_power()[1, 0] == 5.0
+
+    def test_sup_norms_reject_acoustic_coefficients(self, lat8):
+        B = random_acoustic(lat8, np.random.default_rng(7))
+        plain = SpectralField(lat8, B.coeffs)
+        with pytest.raises(TypeError, match="plain spectral field"):
+            norm(B, "B:s=0:p=inf:r=1")
+        assert norm(plain, "B:s=0:p=inf:r=1") > 0.0
+        assert norm(B, "B:s=1:p=2:r=1") == norm(plain, "B:s=1:p=2:r=1")
 
 
 class TestSmallDivisors:

@@ -856,6 +856,17 @@ class TestInitialDataAndIO:
         assert np.array_equal(arrays["a"], a0.coeffs)
         assert np.array_equal(arrays["u"], u0.coeffs)
 
+    def test_acoustic_checkpoint_round_trip(self, tmp_path, lat16):
+        a0, u0 = generate_initial_data(lat16, 1.0, 1.0, seed=16)
+        V = wave_group(acoustic_transform(a0, helmholtz_project(u0, "Q")), 0.7)
+        V = V + 0.3 * V
+        path = os.path.join(tmp_path, "limit.lmc")
+        save_checkpoint(path, lat16, 0.5, {"V": V})
+        lattice, _, arrays, _ = load_checkpoint(path)
+        assert arrays["V"].shape == (2,) + lat16.resolution
+        again = AcousticCoeffs(lattice, *arrays["V"])
+        assert again.coeffs.tobytes() == V.coeffs.tobytes()
+
     @pytest.mark.parametrize("keep", [-24, 40, 12])  # payload, header, length field
     def test_truncated_checkpoint_rejected(self, tmp_path, lat16, keep):
         a0, _ = generate_initial_data(lat16, 1.0, 1.0, seed=16)
@@ -946,6 +957,20 @@ class TestInitialDataAndIO:
         assert lat16.cutoffs == (5, 5)
         with pytest.raises(ValueError, match="outside the dealiased box"):
             Forcing(lat16, [ForcingMode(mode=(7, 0), amplitude=(1.0, 0.0))])
+
+    @pytest.mark.parametrize("amplitude", [(1.0,), (1.0, 0.0, 0.5)])
+    def test_forcing_amplitude_length_rejected(self, lat16, amplitude):
+        with pytest.raises(
+            ValueError,
+            match=rf"forcing mode \(1, 0\) has {len(amplitude)} amplitude components",
+        ):
+            Forcing(lat16, [ForcingMode(mode=(1, 0), amplitude=amplitude)])
+
+    def test_forcing_unknown_envelope_rejected(self, lat16):
+        with pytest.raises(
+            ValueError, match=r"forcing mode \(0, 2\) has unknown envelope 'bogus'"
+        ):
+            Forcing(lat16, [ForcingMode(mode=(0, 2), amplitude=(1.0, 0.0), envelope="bogus")])
 
     def test_mean_forcing_mode_not_doubled(self, lat16):
         forcing = Forcing(lat16, [ForcingMode(mode=(0, 0), amplitude=(1.0, -0.5))])
