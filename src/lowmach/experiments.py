@@ -78,6 +78,10 @@ class ExperimentConfig:
             raise ValueError("theta must lie in (0, 1/2)")
         if self.zeta <= 0:
             raise ValueError("zeta must be positive")
+        if self.eta0 is not None and not self.eta0 > 0:
+            raise ValueError("eta0 must be positive")
+        for eps in self.eps_list:
+            self.solver_config(eps)  # runs SolverConfig's checks at load
         for issue in self.issues():
             warnings.warn(issue, RuntimeWarning)
 

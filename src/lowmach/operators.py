@@ -248,6 +248,8 @@ class PressureLaw:
     @classmethod
     def gamma_law(cls, gamma: float = 2.0) -> "PressureLaw":
         """P(rho) = rho^gamma / gamma, so P'(1) = 1 and kappa = gamma - 2."""
+        if not gamma > 0:
+            raise ValueError(f"gamma must be positive, got {gamma!r}")
         return cls(kappa=float(gamma) - 2.0, gamma=float(gamma))
 
     @classmethod
@@ -257,6 +259,13 @@ class PressureLaw:
         if len(coeffs) > 8:
             raise ValueError("at most 8 Taylor coefficients are supported")
         return cls(kappa=float(kappa), taylor=coeffs)
+
+    @property
+    def remainder_is_zero(self) -> bool:
+        """K vanishes identically: gamma = 2, or every Taylor coefficient is 0."""
+        if self.gamma is not None:
+            return self.gamma == 2.0
+        return not any(self.taylor)
 
     def remainder(self, a: np.ndarray) -> np.ndarray:
         """K(a), smooth with K(0) = 0."""

@@ -353,32 +353,35 @@ def _lawson_rk2(x: tuple, t: float, dt: float, linear, rhs) -> tuple:
 
 def _grid_terms(
     a: np.ndarray, u: np.ndarray, cfg: SolverConfig, warn_state: dict
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Grid values for the compressible right-hand side, from one inverse pass.
 
-    Transforms the half spectra of (a, u, grad a, grad u, viscous term) at
-    once, runs the vacuum and CFL checks, and returns the products
-    (a u, a grad a, (u.grad)u), the values of K(eps a), and I(eps a) times the
-    viscous term mu lap u + (mu + lam) grad div u.
+    Transforms the half spectra of (a, u, d_i u_j - d_j u_i for i < j,
+    viscous term) at once, runs the vacuum and CFL checks, and returns eps a
+    and the products (a u, a^2/2, |u|^2/2, Lamb term minus I(eps a) times the
+    viscous term mu lap u + (mu + lam) grad div u).  The Lamb term
+    -sum_i u_i (d_i u_j - d_j u_i) is grad(|u|^2/2) - (u.grad)u.
     """
     lattice = cfg.lattice
     d = lattice.d
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     ik = 1j * lattice.half_wavevectors()
-    # components: a | u | grad a | d_1 u, ..., d_d u | viscous term
-    spectral = np.empty((1 + 3 * d + d * d,) + a.shape[1:], dtype=np.complex128)
-    grad_u = spectral[1 + 2 * d : 1 + 2 * d + d * d].reshape((d,) + u.shape)
+    # components: a | u | d_i u_j - d_j u_i for each pair i < j | viscous term
+    spectral = np.empty((1 + 2 * d + len(pairs),) + a.shape[1:], dtype=np.complex128)
     spectral[0] = a[0]
     spectral[1 : 1 + d] = u
-    np.multiply(ik, a, out=spectral[1 + d : 1 + 2 * d])
-    np.multiply(ik[:, None], u, out=grad_u)
-    visc = spectral[1 + 2 * d + d * d :]
+    for n, (i, j) in enumerate(pairs):
+        np.subtract(ik[i] * u[j], ik[j] * u[i], out=spectral[1 + d + n])
+    visc = spectral[1 + d + len(pairs) :]
     np.multiply(u, -cfg.mu * lattice.k_squared()[..., : a.shape[-1]], out=visc)
-    visc += (cfg.mu + cfg.lam) * ik * sum(grad_u[c, c] for c in range(d))
+    visc += (cfg.mu + cfg.lam) * ik * sum(ik[c] * u[c] for c in range(d))
     grid = _half_inverse(spectral, lattice)
     a_grid, u_grid = grid[0], grid[1 : 1 + d]
-    grad_a_grid = grid[1 + d : 1 + 2 * d]
-    grad_u_grid = grid[1 + 2 * d : 1 + 2 * d + d * d].reshape((d, d) + lattice.resolution)
-    visc_grid = grid[1 + 2 * d + d * d :]
+    rot_grid = grid[1 + d : 1 + d + len(pairs)]
+    visc_grid = grid[1 + d + len(pairs) :]
+    # (a u, a^2/2, |u|^2/2, Lamb - I(eps a) visc)
+    products = np.empty((2 * d + 2,) + lattice.resolution)
+    u_sq = np.sum(u_grid**2, axis=0, out=products[d + 1])
 
     amax = float(np.max(np.abs(a_grid)))
     if cfg.eps * amax >= 1.0:
@@ -391,7 +394,7 @@ def _grid_terms(
             f"eps*||a||_inf = {cfg.eps * amax:.3f} > 1/2: uniform bound lost",
             RuntimeWarning,
         )
-    umax = float(np.max(np.sqrt(np.sum(u_grid**2, axis=0))))
+    umax = math.sqrt(float(np.max(u_sq)))
     dx_min = min(
         2.0 * math.pi * float(b) / n for b, n in zip(lattice.periods, lattice.resolution)
     )
@@ -402,15 +405,16 @@ def _grid_terms(
         )
 
     eps_a = cfg.eps * a_grid
-    # (a u, a grad a, (u.grad)u) with (u.grad)u_j = sum_c u_c d_c u_j
-    products = np.empty((3 * d,) + lattice.resolution)
+    u_sq *= 0.5
     np.multiply(a_grid, u_grid, out=products[:d])
-    np.multiply(a_grid, grad_a_grid, out=products[d : 2 * d])
-    advection = products[2 * d :]
-    np.multiply(u_grid[0], grad_u_grid[0], out=advection)
-    for c in range(1, d):
-        advection += u_grid[c] * grad_u_grid[c]
-    return products, cfg.law.remainder(eps_a), cfg.law.quotient(eps_a) * visc_grid
+    np.multiply(0.5 * a_grid, a_grid, out=products[d])
+    lamb = products[d + 2 :]
+    np.multiply(cfg.law.quotient(eps_a), visc_grid, out=lamb)
+    np.negative(lamb, out=lamb)
+    for (i, j), rot in zip(pairs, rot_grid):
+        lamb[i] += u_grid[j] * rot
+        lamb[j] -= u_grid[i] * rot
+    return products, eps_a
 
 
 def _compressible_nonlinear(
@@ -420,26 +424,30 @@ def _compressible_nonlinear(
     retained half spectra of a and u.
 
     One inverse transform (:func:`_grid_terms`) and one forward transform of
-    the products; the K term multiplies the grid values of the dealiased
-    a grad a, which costs one more inverse and forward pass.
+    the products, in rotational form: (u.grad)u = grad(|u|^2/2) - Lamb and
+    a grad a = grad(a^2/2), both exact for the dealiased products.  Unless K
+    vanishes identically, the K term multiplies the grid values of the
+    dealiased a grad a, which costs one more inverse and forward pass.
     """
     lattice = cfg.lattice
     if not cfg.include_nonlinear:
         n_a, n_u = np.zeros_like(a), np.zeros_like(u)
     else:
         d = lattice.d
-        products, k_vals, i_visc = _grid_terms(a, u, cfg, warn_state)
+        ik = 1j * lattice.half_wavevectors()
+        products, eps_a = _grid_terms(a, u, cfg, warn_state)
         dealiased = _half_forward(products, lattice)
-        au, a_grad_a, adv = dealiased[:d], dealiased[d : 2 * d], dealiased[2 * d :]
+        au, a_sq, u_sq, lamb = dealiased[:d], dealiased[d], dealiased[d + 1], dealiased[d + 2 :]
 
         # continuity: -div(a u)
-        n_a = -1.0 * sum(1j * k * au[c] for c, k in enumerate(lattice.half_wavevectors()))
-        n_a = n_a[None]
+        n_a = (-1.0 * sum(ik[c] * au[c] for c in range(d)))[None]
 
-        # momentum: -(u.grad)u - kappa a grad a - K(eps a) a grad a - I(eps a) Au + f
-        a_grad_a_grid = _half_inverse(a_grad_a, lattice)
-        correction = _half_forward(k_vals * a_grad_a_grid + i_visc, lattice)
-        n_u = (-1.0 * adv - cfg.law.kappa * a_grad_a) - correction
+        # momentum: -(u.grad)u - kappa a grad a - K(eps a) a grad a - I(eps a) Au + f,
+        # = (Lamb - I(eps a) Au) - grad(|u|^2/2 + kappa a^2/2) - K(eps a) grad(a^2/2) + f
+        n_u = lamb - ik * (u_sq + cfg.law.kappa * a_sq)
+        if not cfg.law.remainder_is_zero:
+            a_grad_a_grid = _half_inverse(ik * a_sq, lattice)
+            n_u -= _half_forward(cfg.law.remainder(eps_a) * a_grad_a_grid, lattice)
     if cfg.forcing is not None:
         n_u = n_u + cfg.forcing.half_spectrum(t)
     return n_a, n_u

@@ -286,6 +286,27 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(lattice=lat16, zeta=-1.0)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"eps_list": (0.2, 0.1, -0.1)}, "Mach number must lie in"),
+            ({"eps_list": (1.5, 0.1)}, "Mach number must lie in"),
+            ({"mu": -0.05}, "viscosities"),
+            ({"lam": -1.0}, "viscosities"),
+            ({"dt": 0.0}, "dt and t_final must be positive"),
+            ({"t_final": -1.0}, "dt and t_final must be positive"),
+            ({"dt": 0.3}, "does not divide"),
+            ({"sample_stride": 0}, "sample_stride"),
+            ({"gamma": 0.0}, "gamma must be positive"),
+            ({"gamma": -1.4}, "gamma must be positive"),
+            ({"eta0": 0.0}, "eta0 must be positive"),
+            ({"eta0": -0.1}, "eta0 must be positive"),
+        ],
+    )
+    def test_rejected_at_load(self, lat16, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(lattice=lat16, **overrides)
+
     def test_band_overlap_warns_not_raises(self, lat16):
         with pytest.warns(RuntimeWarning, match="medium band is empty"):
             cfg = ExperimentConfig(
@@ -579,6 +600,13 @@ class TestCLI:
         proc = self.run_cli("simulate", "--config", path, "--out", str(tmp_path))
         assert proc.returncode == 3
         assert "aborted" in proc.stderr
+
+    def test_negative_mach_number_rejected_before_any_run(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, eps=[0.2, 0.1, -0.1])
+        out = os.path.join(str(tmp_path), "sweep")
+        assert main(["converge", "--config", path, "--out", out]) == 2
+        assert "Mach number must lie in (0, 1]" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_invalid_config_exit_code(self, tmp_path):
         path = os.path.join(str(tmp_path), "bad.json")

@@ -463,6 +463,15 @@ def half_spectrum_rhs(a, u, t, cfg, warn_state):
     return from_half(cfg.lattice, n_a), from_half(cfg.lattice, n_u)
 
 
+# Pressure laws for the oracles: make_case's gamma = 1.4, gamma = 2 (K vanishes,
+# so the right-hand side skips the K pass) and a Taylor law with kappa != 0.
+ORACLE_LAWS = {
+    "gamma1.4": PressureLaw.gamma_law(1.4),
+    "gamma2": PressureLaw.gamma_law(2.0),
+    "taylor": PressureLaw.from_taylor(0.3, (0.5, -0.2)),
+}
+
+
 class TestRightHandSideOracle:
     """``_compressible_nonlinear`` against the product-by-product reference."""
 
@@ -500,14 +509,20 @@ class TestRightHandSideOracle:
 
     @pytest.mark.parametrize("name", list(ORACLE_LATTICES))
     @pytest.mark.parametrize("forced", [True, False])
-    def test_matches_reference(self, name, forced):
-        a, u, cfg = self.make_case(name)
+    def test_matches_reference(self, name, forced, law="gamma1.4"):
+        a, u, cfg = self.make_case(name, law=ORACLE_LAWS[law])
         if not forced:
             cfg = replace(cfg, forcing=None)
         got = half_spectrum_rhs(a, u, 0.3, cfg, {})
         ref = reference_compressible_nonlinear(a, u, 0.3, cfg, {})
         self.assert_close(got, ref)
         assert got[0].mean_coefficient()[0] == 0.0
+
+    @pytest.mark.parametrize("name", list(ORACLE_LATTICES))
+    @pytest.mark.parametrize("forced", [True, False])
+    @pytest.mark.parametrize("law", ["gamma2", "taylor"])
+    def test_matches_reference_other_laws(self, name, forced, law):
+        self.test_matches_reference(name, forced, law)
 
     @pytest.mark.parametrize("name", list(ORACLE_LATTICES))
     def test_linear_only(self, name):
@@ -558,9 +573,11 @@ class TestStepOracle:
 
     @pytest.mark.parametrize("name", list(ORACLE_LATTICES))
     @pytest.mark.parametrize("variant", ["forced", "unforced", "linear"])
-    def test_ten_steps_match_reference(self, name, variant):
+    def test_ten_steps_match_reference(self, name, variant, law="gamma1.4"):
         options = {"include_nonlinear": False} if variant == "linear" else {}
-        a, u, cfg = TestRightHandSideOracle().make_case(name, **options)
+        a, u, cfg = TestRightHandSideOracle().make_case(
+            name, law=ORACLE_LAWS[law], **options
+        )
         if variant == "unforced":
             cfg = replace(cfg, forcing=None)
         prop = acoustic_viscous_propagator(cfg.lattice, cfg.dt, cfg.eps, cfg.nu, cfg.mu)
@@ -571,6 +588,12 @@ class TestStepOracle:
             ref = reference_compressible_step(ref, cfg, ref_prop, {})
         assert got.t == ref.t
         TestRightHandSideOracle.assert_close((got.a, got.u), (ref.a, ref.u))
+
+    @pytest.mark.parametrize("name", list(ORACLE_LATTICES))
+    @pytest.mark.parametrize("variant", ["forced", "unforced"])
+    @pytest.mark.parametrize("law", ["gamma2", "taylor"])
+    def test_ten_steps_other_laws(self, name, variant, law):
+        self.test_ten_steps_match_reference(name, variant, law)
 
     @pytest.mark.parametrize("name", list(ORACLE_LATTICES))
     def test_half_full_round_trips(self, name):
@@ -596,6 +619,43 @@ class TestStepOracle:
                 step_compressible(CompressibleState(**fields), cfg)
             with pytest.raises(ValueError, match=message):
                 run_trajectory((fields["a"], fields["u"]), cfg, "compressible")
+
+
+class TestTransformBudget:
+    """Component counts of the transforms in one compressible right-hand side."""
+
+    @pytest.mark.parametrize(
+        "name, law, inverse, forward",
+        [
+            ("16x16", "gamma2", [6], [6]),
+            ("16x16", "gamma1.4", [6, 2], [6, 2]),
+            ("16x16", "taylor", [6, 2], [6, 2]),
+            ("8x8x8", "gamma2", [10], [8]),
+            ("8x8x8", "gamma1.4", [10, 3], [8, 3]),
+        ],
+    )
+    def test_components_per_rhs(self, monkeypatch, name, law, inverse, forward):
+        a, u, cfg = TestRightHandSideOracle().make_case(name, law=ORACLE_LAWS[law])
+        calls = {"inverse": [], "forward": []}
+
+        def counted(key, transform):
+            def wrapped(values, lattice):
+                calls[key].append(values.shape[0])
+                return transform(values, lattice)
+
+            return wrapped
+
+        monkeypatch.setattr(solvers, "_half_inverse", counted("inverse", solvers._half_inverse))
+        monkeypatch.setattr(solvers, "_half_forward", counted("forward", solvers._half_forward))
+        half_spectrum_rhs(a, u, 0.3, cfg, {})
+        assert calls == {"inverse": inverse, "forward": forward}
+
+    def test_remainder_is_zero(self):
+        assert PressureLaw.gamma_law(2.0).remainder_is_zero
+        assert PressureLaw.from_taylor(0.0, (0.0, 0.0)).remainder_is_zero
+        assert PressureLaw.from_taylor(0.0, ()).remainder_is_zero
+        assert not PressureLaw.gamma_law(1.4).remainder_is_zero
+        assert not PressureLaw.from_taylor(0.3, (0.0, -0.2)).remainder_is_zero
 
 
 class TestIncompressible:
