@@ -56,6 +56,7 @@ from .resonance import (
 from .solvers import (
     CFLError,
     CompressibleState,
+    CompressibleStepper,
     Forcing,
     ForcingMode,
     LimitState,

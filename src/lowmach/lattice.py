@@ -455,6 +455,18 @@ def _mirror(x: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
     return x
 
 
+# numpy >= 2 lets the FFT functions write into a given array (``out=``)
+_FFT_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
+
+
+def _fft(transform, x: np.ndarray, out: np.ndarray | None, **kwargs) -> np.ndarray:
+    """``transform(x, **kwargs)``, written into ``out`` where numpy can, and
+    a new array otherwise; callers use the returned array."""
+    if out is None or not _FFT_OUT:
+        return transform(x, **kwargs)
+    return transform(x, out=out, **kwargs)
+
+
 # Real fields on the retained half spectrum: arrays of shape
 # (components, *leading axes, cut + 1) holding the columns 0..cut of the last
 # axis, zero outside the dealiased box on the leading axes.  The columns
@@ -462,36 +474,51 @@ def _mirror(x: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
 # 1..cut, and the Nyquist column is never read, because ``3*cut < n``.
 
 
-def _half_forward(values: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
+def _half_forward(
+    values: np.ndarray,
+    lattice: LatticeSpec,
+    out: np.ndarray | None = None,
+    spectrum: np.ndarray | None = None,
+) -> np.ndarray:
     """Normalized half spectrum of real grid samples.
 
     A real-data FFT along the last axis, then complex FFTs along the others
-    on the retained columns only.
+    on the retained columns only.  Given ``out`` (complex, of the half
+    spectrum's shape; unused in 1D) and ``spectrum`` (complex, of shape
+    ``values.shape[:-1] + (n//2 + 1,)``, for the real-data FFT), the FFTs
+    write into them where numpy lets them (see ``_fft``).
     """
     cut = lattice.cutoffs[-1]
-    half = np.fft.rfft(values, axis=-1)[..., : cut + 1]
+    half = _fft(np.fft.rfft, values, spectrum, axis=-1)[..., : cut + 1]
     if lattice.d > 1:
-        half = np.fft.fftn(half, axes=tuple(range(1, lattice.d)))
+        half = _fft(np.fft.fftn, half, out, axes=tuple(range(1, lattice.d)))
     half *= math.sqrt(lattice.volume) / float(np.prod(lattice.resolution))
     for axis, (c, m) in enumerate(zip(lattice.cutoffs, lattice.resolution[:-1]), start=1):
         half[(slice(None),) * axis + (slice(c + 1, m - c),)] = 0.0
     return half
 
 
-def _half_inverse(half: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
+def _half_inverse(
+    half: np.ndarray, lattice: LatticeSpec, out: np.ndarray | None = None
+) -> np.ndarray:
     """Real grid values of a half spectrum.
 
     Complex inverse FFTs along the leading axes, then a real-data inverse FFT
-    along the last; ``irfft`` drops the imaginary part of the column-0 bins,
-    which takes the Hermitian part of that column.
+    along the last, which zero-pads the columns beyond cut itself; ``irfft``
+    drops the imaginary part of the column-0 bins, which takes the Hermitian
+    part of that column.  With ``out`` (real, grid-shaped) the FFTs write
+    the grid values there and run the leading-axis transforms in place on
+    ``half``, where numpy lets them (see ``_fft``); ``half`` may be lost.
     """
     scale = 1.0 / math.sqrt(lattice.volume)
+    scratch = None if out is None else half
     if lattice.d > 1:
-        half = np.fft.ifftn(half, axes=tuple(range(1, lattice.d)), norm="forward")
+        axes = tuple(range(1, lattice.d))
+        half = _fft(np.fft.ifftn, half, scratch, axes=axes, norm="forward")
         half *= scale
     else:
-        half = half * scale
-    return np.fft.irfft(half, n=lattice.resolution[-1], axis=-1, norm="forward")
+        half = np.multiply(half, scale, out=scratch)
+    return _fft(np.fft.irfft, half, out, n=lattice.resolution[-1], axis=-1, norm="forward")
 
 
 def _half_to_full(half: np.ndarray, lattice: LatticeSpec) -> np.ndarray:

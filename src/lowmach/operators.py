@@ -285,10 +285,10 @@ class PressureLaw:
             out = a * (out + c)
         return out
 
-    def quotient(self, a: np.ndarray) -> np.ndarray:
-        """I(a) = a / (1 + a)."""
+    def quotient(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """I(a) = a / (1 + a), written to ``out`` when given."""
         a = np.asarray(a, dtype=np.float64)
-        return a / (1.0 + a)
+        return np.divide(a, np.add(a, 1.0, out=out), out=out)
 
     def expansion_defect(self, amax: float = 0.5, samples: int = 512) -> float:
         """Max deviation of 1 + kappa*a + a*K(a) from P'(1+a)/(1+a) on [-amax, amax]."""

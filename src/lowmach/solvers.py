@@ -12,6 +12,15 @@ and averaged systems and, for the compressible system, the longitudinal
 
 is exponentiated in closed form, which removes the acoustic time-step
 restriction; only the advective CFL limit remains.
+
+A compressible run is one :class:`CompressibleStepper`: it holds the
+propagator, the warn-once state of the vacuum check, the half spectra of the
+real fields a and u, and a workspace of preallocated arrays that every
+right-hand side fills in place (its transforms, grid products and forward
+stack), so that on numpy >= 2 a step allocates only its half-spectrum
+stages.  The full
+Hermitian fields are built only when a sample or the final state asks for
+them.  :func:`step_compressible` is the same step for one state.
 """
 
 from __future__ import annotations
@@ -51,6 +60,7 @@ __all__ = [
     "Forcing",
     "SolverConfig",
     "CompressibleState",
+    "CompressibleStepper",
     "LimitState",
     "Trajectory",
     "acoustic_viscous_propagator",
@@ -274,8 +284,7 @@ class AcousticViscousPropagator:
     retained half spectrum."""
 
     def __init__(self, lattice: LatticeSpec, dt: float, eps: float, nu: float, mu: float):
-        self.lattice = lattice
-        self.dt = dt
+        self.lattice, self.dt, self.eps, self.nu, self.mu = lattice, dt, eps, nu, mu
         cut = lattice.cutoffs[-1]
         ksq = lattice.k_squared()[..., : cut + 1]
         kmod = lattice.k_modulus()[..., : cut + 1].copy()
@@ -301,10 +310,25 @@ class AcousticViscousPropagator:
         self.e11[zero] = 1.0
         self.e12[zero] = 0.0
         self.e22[zero] = 1.0
-        self.transverse = np.exp(-mu * ksq * dt)
-        self.kmod = kmod
-        self.kmod[zero] = 1.0
-        self.khat = lattice.half_wavevectors() / self.kmod
+        # real multipliers are stored as complex: numpy would otherwise cast
+        # them, through a temporary buffer, in every product with the data
+        self.transverse = np.exp(-mu * ksq * dt).astype(np.complex128)
+        kmod[zero] = 1.0
+        kvecs = lattice.half_wavevectors()
+        self.kvecs = kvecs.astype(np.complex128)
+        self.kmod = kmod.astype(np.complex128)
+        self.khat = (kvecs / kmod).astype(np.complex128)
+
+    def require_match(self, cfg: SolverConfig) -> None:
+        """Raise ValueError unless this propagator was built for the lattice,
+        dt, eps, nu and mu of ``cfg``."""
+        for name in ("lattice", "dt", "eps", "nu", "mu"):
+            built, wanted = getattr(self, name), getattr(cfg, name)
+            if built != wanted:
+                raise ValueError(
+                    f"the propagator was built for {name} = {built!r}, "
+                    f"the config has {name} = {wanted!r}"
+                )
 
     def apply(self, a: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Advance the half spectra of a (one component) and u (d components).
@@ -312,12 +336,17 @@ class AcousticViscousPropagator:
         On the mean mode ``khat`` vanishes and ``transverse`` is 1, so the
         mean velocity is left as it is.
         """
-        kvecs = self.lattice.half_wavevectors()
-        mu_long = sum(k * uc for k, uc in zip(kvecs, u)) / self.kmod
+        mu_long = sum(k * uc for k, uc in zip(self.kvecs, u)) / self.kmod
         a_hat = a[0]
         new_a = self.e11 * a_hat + self.e12 * mu_long
         new_mu = self.e12 * a_hat + self.e22 * mu_long
-        new_u = self.transverse * (u - mu_long * self.khat) + new_mu * self.khat
+        # transverse (u - mu_long khat) + new_mu khat, one component at a
+        # time: a broadcast operand makes numpy allocate iterator buffers
+        new_u = np.empty_like(u)
+        for k, uc, out in zip(self.khat, u, new_u):
+            np.subtract(uc, np.multiply(mu_long, k, out=out), out=out)
+            out *= self.transverse
+            out += new_mu * k
         return new_a[None], new_u
 
 
@@ -351,39 +380,76 @@ def _lawson_rk2(x: tuple, t: float, dt: float, linear, rhs) -> tuple:
     return tuple(hi + (dt / 2.0) * ni for hi, ni in zip(half, n1))
 
 
+class _Workspace:
+    """Preallocated arrays of the compressible right-hand side on one lattice.
+
+    ``spectral`` holds the half spectra of the inverse stack (a, u,
+    d_i u_j - d_j u_i for i < j, viscous term), which the inverse transform
+    overwrites; ``grid`` its grid values; ``products`` the forward stack
+    (a u, a^2/2, |u|^2/2, Lamb term); ``spectrum`` their real-data FFT;
+    ``forward`` their half spectra; and ``eps_a`` the grid values of eps a.
+    Together with the constant multipliers of the stack, these are all the
+    grid-sized arrays that one evaluation needs.
+    """
+
+    def __init__(self, cfg: SolverConfig):
+        lattice = cfg.lattice
+        d, n = lattice.d, lattice.resolution
+        cut = lattice.cutoffs[-1]
+        self.pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+        self.ik = 1j * lattice.half_wavevectors()
+        # complex, so that numpy does not cast it in every product
+        laplacian = -cfg.mu * lattice.k_squared()[..., : cut + 1]
+        self.laplacian = laplacian.astype(np.complex128)
+        self.grad_div = (cfg.mu + cfg.lam) * self.ik
+        stack, products = 1 + 2 * d + len(self.pairs), 2 * d + 2
+        self.spectral = np.empty((stack,) + n[:-1] + (cut + 1,), dtype=np.complex128)
+        self.grid = np.empty((stack,) + n)
+        self.products = np.empty((products,) + n)
+        self.spectrum = np.empty(
+            (products,) + n[:-1] + (n[-1] // 2 + 1,), dtype=np.complex128
+        )
+        self.forward = np.empty((products,) + n[:-1] + (cut + 1,), dtype=np.complex128)
+        self.eps_a = np.empty(n)
+
+
 def _grid_terms(
-    a: np.ndarray, u: np.ndarray, cfg: SolverConfig, warn_state: dict
+    a: np.ndarray, u: np.ndarray, cfg: SolverConfig, warn_state: dict, work: _Workspace
 ) -> tuple[np.ndarray, np.ndarray]:
     """Grid values for the compressible right-hand side, from one inverse pass.
 
     Transforms the half spectra of (a, u, d_i u_j - d_j u_i for i < j,
     viscous term) at once, runs the vacuum and CFL checks, and returns eps a
     and the products (a u, a^2/2, |u|^2/2, Lamb term minus I(eps a) times the
-    viscous term mu lap u + (mu + lam) grad div u).  The Lamb term
-    -sum_i u_i (d_i u_j - d_j u_i) is grad(|u|^2/2) - (u.grad)u.
+    viscous term mu lap u + (mu + lam) grad div u), all in ``work``.  The
+    Lamb term -sum_i u_i (d_i u_j - d_j u_i) is grad(|u|^2/2) - (u.grad)u.
     """
     lattice = cfg.lattice
     d = lattice.d
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    ik = 1j * lattice.half_wavevectors()
+    pairs, ik = work.pairs, work.ik
     # components: a | u | d_i u_j - d_j u_i for each pair i < j | viscous term
-    spectral = np.empty((1 + 2 * d + len(pairs),) + a.shape[1:], dtype=np.complex128)
+    spectral = work.spectral
     spectral[0] = a[0]
     spectral[1 : 1 + d] = u
     for n, (i, j) in enumerate(pairs):
         np.subtract(ik[i] * u[j], ik[j] * u[i], out=spectral[1 + d + n])
     visc = spectral[1 + d + len(pairs) :]
-    np.multiply(u, -cfg.mu * lattice.k_squared()[..., : a.shape[-1]], out=visc)
-    visc += (cfg.mu + cfg.lam) * ik * sum(ik[c] * u[c] for c in range(d))
-    grid = _half_inverse(spectral, lattice)
+    div_u = sum(ik[c] * u[c] for c in range(d))
+    for c in range(d):  # per component: see AcousticViscousPropagator.apply
+        np.multiply(u[c], work.laplacian, out=visc[c])
+        visc[c] += work.grad_div[c] * div_u
+    grid = _half_inverse(spectral, lattice, out=work.grid)
     a_grid, u_grid = grid[0], grid[1 : 1 + d]
     rot_grid = grid[1 + d : 1 + d + len(pairs)]
     visc_grid = grid[1 + d + len(pairs) :]
-    # (a u, a^2/2, |u|^2/2, Lamb - I(eps a) visc)
-    products = np.empty((2 * d + 2,) + lattice.resolution)
-    u_sq = np.sum(u_grid**2, axis=0, out=products[d + 1])
+    # (a u, a^2/2, |u|^2/2, Lamb - I(eps a) visc); the a^2/2 slot holds the
+    # squares of the velocity components until a^2/2 is written
+    products, eps_a = work.products, work.eps_a
+    u_sq = np.square(u_grid[0], out=products[d + 1])
+    for c in range(1, d):
+        u_sq += np.square(u_grid[c], out=products[d])
 
-    amax = float(np.max(np.abs(a_grid)))
+    amax = float(np.max(np.abs(a_grid, out=eps_a)))
     if cfg.eps * amax >= 1.0:
         raise VacuumError(
             f"eps*||a||_inf = {cfg.eps * amax:.3f} >= 1: density reached vacuum"
@@ -404,21 +470,31 @@ def _grid_terms(
             f"{CFL_SAFETY * dx_min / umax:.3e} (max|u| = {umax:.3f})"
         )
 
-    eps_a = cfg.eps * a_grid
+    np.multiply(a_grid, cfg.eps, out=eps_a)
     u_sq *= 0.5
-    np.multiply(a_grid, u_grid, out=products[:d])
-    np.multiply(0.5 * a_grid, a_grid, out=products[d])
+    for c in range(d):
+        np.multiply(a_grid, u_grid[c], out=products[c])
+    np.multiply(a_grid, 0.5, out=products[d])
+    products[d] *= a_grid
+    # a's grid values are read no more: their slot is the scratch from here on
+    scratch = a_grid
+    quotient = cfg.law.quotient(eps_a, out=scratch)
     lamb = products[d + 2 :]
-    np.multiply(cfg.law.quotient(eps_a), visc_grid, out=lamb)
-    np.negative(lamb, out=lamb)
+    for c in range(d):
+        np.negative(np.multiply(quotient, visc_grid[c], out=lamb[c]), out=lamb[c])
     for (i, j), rot in zip(pairs, rot_grid):
-        lamb[i] += u_grid[j] * rot
-        lamb[j] -= u_grid[i] * rot
+        lamb[i] += np.multiply(u_grid[j], rot, out=scratch)
+        lamb[j] -= np.multiply(u_grid[i], rot, out=scratch)
     return products, eps_a
 
 
 def _compressible_nonlinear(
-    a: np.ndarray, u: np.ndarray, t: float, cfg: SolverConfig, warn_state: dict
+    a: np.ndarray,
+    u: np.ndarray,
+    t: float,
+    cfg: SolverConfig,
+    warn_state: dict,
+    work: _Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand side beyond the exactly-propagated linear part, on the
     retained half spectra of a and u.
@@ -427,16 +503,22 @@ def _compressible_nonlinear(
     the products, in rotational form: (u.grad)u = grad(|u|^2/2) - Lamb and
     a grad a = grad(a^2/2), both exact for the dealiased products.  Unless K
     vanishes identically, the K term multiplies the grid values of the
-    dealiased a grad a, which costs one more inverse and forward pass.
+    dealiased a grad a, which costs one more inverse and forward pass.  The
+    transforms work in ``work`` (a new workspace if None); the returned
+    arrays are new.
     """
     lattice = cfg.lattice
     if not cfg.include_nonlinear:
         n_a, n_u = np.zeros_like(a), np.zeros_like(u)
     else:
+        if work is None:
+            work = _Workspace(cfg)
         d = lattice.d
-        ik = 1j * lattice.half_wavevectors()
-        products, eps_a = _grid_terms(a, u, cfg, warn_state)
-        dealiased = _half_forward(products, lattice)
+        ik = work.ik
+        products, eps_a = _grid_terms(a, u, cfg, warn_state, work)
+        dealiased = _half_forward(
+            products, lattice, out=work.forward, spectrum=work.spectrum
+        )
         au, a_sq, u_sq, lamb = dealiased[:d], dealiased[d], dealiased[d + 1], dealiased[d + 2 :]
 
         # continuity: -div(a u)
@@ -444,10 +526,20 @@ def _compressible_nonlinear(
 
         # momentum: -(u.grad)u - kappa a grad a - K(eps a) a grad a - I(eps a) Au + f,
         # = (Lamb - I(eps a) Au) - grad(|u|^2/2 + kappa a^2/2) - K(eps a) grad(a^2/2) + f
-        n_u = lamb - ik * (u_sq + cfg.law.kappa * a_sq)
+        n_u = np.empty_like(u)
+        pressure = u_sq + cfg.law.kappa * a_sq
+        for c in range(d):
+            np.subtract(lamb[c], np.multiply(ik[c], pressure, out=n_u[c]), out=n_u[c])
         if not cfg.law.remainder_is_zero:
-            a_grad_a_grid = _half_inverse(ik * a_sq, lattice)
-            n_u -= _half_forward(cfg.law.remainder(eps_a) * a_grad_a_grid, lattice)
+            # the K pass reuses the first d components of each buffer
+            a_grad_a = np.multiply(ik, a_sq, out=work.spectral[:d])
+            a_grad_a_grid = _half_inverse(a_grad_a, lattice, out=work.grid[:d])
+            k_term = np.multiply(
+                cfg.law.remainder(eps_a), a_grad_a_grid, out=work.products[:d]
+            )
+            n_u -= _half_forward(
+                k_term, lattice, out=work.forward[:d], spectrum=work.spectrum[:d]
+            )
     if cfg.forcing is not None:
         n_u = n_u + cfg.forcing.half_spectrum(t)
     return n_a, n_u
@@ -461,6 +553,67 @@ def _require_real(a: SpectralField, u: SpectralField) -> None:
             )
 
 
+class CompressibleStepper:
+    """The compressible system for one run, stepped on half spectra.
+
+    Holds what every step reuses: the exact propagator, the warn-once state
+    of the vacuum check, the retained half spectra (columns 0..cut) of the
+    real fields a and u, and the right-hand side's workspace.  ``step``
+    replaces the half spectra by those one step later; the full Hermitian
+    fields are built only when :meth:`state` is asked for them.
+
+    A given ``propagator`` must have been built for the lattice, dt, eps, nu
+    and mu of ``cfg`` (ValueError otherwise); a given ``warn_state`` dict is
+    shared with the caller, so a warning is issued once across steppers.
+    """
+
+    def __init__(
+        self,
+        cfg: SolverConfig,
+        initial: CompressibleState,
+        propagator: AcousticViscousPropagator | None = None,
+        warn_state: dict | None = None,
+    ):
+        _require_real(initial.a, initial.u)
+        if propagator is None:
+            propagator = acoustic_viscous_propagator(
+                cfg.lattice, cfg.dt, cfg.eps, cfg.nu, cfg.mu
+            )
+        propagator.require_match(cfg)
+        self.cfg = cfg
+        self.propagator = propagator
+        self.warn_state = {} if warn_state is None else warn_state
+        self.work = _Workspace(cfg)
+        cut = cfg.lattice.cutoffs[-1]
+        self.a = initial.a.coeffs[..., : cut + 1]
+        self.u = initial.u.coeffs[..., : cut + 1]
+        self.t = initial.t
+
+    def _linear(self, x: tuple) -> tuple:
+        return self.propagator.apply(*x)
+
+    def _rhs(self, x: tuple, t: float) -> tuple:
+        return _compressible_nonlinear(
+            x[0], x[1], t, self.cfg, self.warn_state, self.work
+        )
+
+    def step(self, t: float) -> None:
+        """One Lawson RK2 step started at time ``t``."""
+        self.a, self.u = _lawson_rk2(
+            (self.a, self.u), t, self.cfg.dt, self._linear, self._rhs
+        )
+        self.t = t + self.cfg.dt
+
+    def state(self) -> CompressibleState:
+        """The current full, Hermitian fields."""
+        lattice = self.cfg.lattice
+        return CompressibleState(
+            a=SpectralField._in_box(lattice, _half_to_full(self.a, lattice), True),
+            u=SpectralField._in_box(lattice, _half_to_full(self.u, lattice), True),
+            t=self.t,
+        )
+
+
 def step_compressible(
     state: CompressibleState,
     cfg: SolverConfig,
@@ -469,29 +622,13 @@ def step_compressible(
 ) -> CompressibleState:
     """One Lawson RK2 step of the rescaled compressible system.
 
-    The step runs on the retained half spectra of the real fields a and u
-    and returns their full Hermitian coefficient grids.
+    The step runs on the retained half spectra of the real fields a and u,
+    through a :class:`CompressibleStepper` built for it alone, and returns
+    their full Hermitian coefficient grids.
     """
-    _require_real(state.a, state.u)
-    lattice = cfg.lattice
-    if propagator is None:
-        propagator = acoustic_viscous_propagator(
-            lattice, cfg.dt, cfg.eps, cfg.nu, cfg.mu
-        )
-    if warn_state is None:
-        warn_state = {}
-
-    def rhs(x, t):
-        return _compressible_nonlinear(x[0], x[1], t, cfg, warn_state)
-
-    cut = lattice.cutoffs[-1]
-    x = (state.a.coeffs[..., : cut + 1], state.u.coeffs[..., : cut + 1])
-    a, u = _lawson_rk2(x, state.t, cfg.dt, lambda x: propagator.apply(*x), rhs)
-    return CompressibleState(
-        a=SpectralField._in_box(lattice, _half_to_full(a, lattice), True),
-        u=SpectralField._in_box(lattice, _half_to_full(u, lattice), True),
-        t=state.t + cfg.dt,
-    )
+    stepper = CompressibleStepper(cfg, state, propagator, warn_state)
+    stepper.step(state.t)
+    return stepper.state()
 
 
 def step_incompressible(
@@ -567,25 +704,27 @@ def run_trajectory(
     ``{"v": v}`` or ``{"V": V}``.  The final state is kept either way.
     """
     lattice, dt = cfg.lattice, cfg.dt
+    view = lambda x: x  # the state that a sample records, from what is stepped
     if kind == "compressible":
-        prop = acoustic_viscous_propagator(lattice, dt, cfg.eps, cfg.nu, cfg.mu)
-        warn_state: dict = {}
-        x = CompressibleState(*initial)
-        _require_real(x.a, x.u)
-        advance = lambda s, t: step_compressible(
-            CompressibleState(s.a, s.u, t), cfg, prop, warn_state
-        )
+        start = CompressibleState(*initial)
+        x = CompressibleStepper(cfg, start)
+
+        def advance(stepper, t):
+            stepper.step(t)
+            return stepper
+
+        view = CompressibleStepper.state
         full_record = lambda s, t: compressible_record(s, t, cfg.eps)
     elif kind == "incompressible":
         heat = np.exp(-cfg.mu * lattice.k_squared() * dt)
-        x = initial
+        x = start = initial
         advance = lambda v, t: step_incompressible(v, t, cfg, heat)
         full_record = lambda v, t: {"v": v}
     elif kind == "limit":
         if table is None or v_at is None:
             raise ValueError("limit runs need a resonance table and v interpolant")
         heat = np.exp(-0.5 * cfg.nu * lattice.k_squared() * dt)
-        x = initial
+        x = start = initial
         advance = lambda V, t: step_limit(LimitState(V, t), v_at, cfg, table, heat).V
         full_record = lambda V, t: {"V": V}
     else:
@@ -594,14 +733,16 @@ def run_trajectory(
         record = full_record
 
     times = [0.0]
-    states = [record(x, 0.0)]
+    states = [record(start, 0.0)]
     n_steps = cfg.n_steps
     for step in range(1, n_steps + 1):
         x = advance(x, (step - 1) * dt)
         if step % cfg.sample_stride == 0 or step == n_steps:
             times.append(step * dt)
-            states.append(record(x, step * dt))
-    return Trajectory(times=np.array(times), states=states, meta={"kind": kind}, final=x)
+            states.append(record(view(x), step * dt))
+    return Trajectory(
+        times=np.array(times), states=states, meta={"kind": kind}, final=view(x)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from lowmach.operators import (
     wave_group,
 )
 from lowmach.resonance import build_limit_tables
+from lowmach import lattice as lattice_module
 from lowmach import solvers
 from lowmach.solvers import (
     CFL_SAFETY,
@@ -639,9 +640,9 @@ class TestTransformBudget:
         calls = {"inverse": [], "forward": []}
 
         def counted(key, transform):
-            def wrapped(values, lattice):
+            def wrapped(values, lattice, **buffers):
                 calls[key].append(values.shape[0])
-                return transform(values, lattice)
+                return transform(values, lattice, **buffers)
 
             return wrapped
 
@@ -656,6 +657,129 @@ class TestTransformBudget:
         assert PressureLaw.from_taylor(0.0, ()).remainder_is_zero
         assert not PressureLaw.gamma_law(1.4).remainder_is_zero
         assert not PressureLaw.from_taylor(0.3, (0.0, -0.2)).remainder_is_zero
+
+
+class TestCompressibleStepper:
+    """The stepper that ``run_trajectory`` builds once per compressible run."""
+
+    def make_case(self, name, law, forced, n_steps=7, stride=3):
+        lattice = ORACLE_LATTICES[name]
+        forcing = None
+        if forced:
+            mode = (1, 2) + (0,) * (lattice.d - 2)
+            amplitude = (0.1, -0.05j) + (0.02,) * (lattice.d - 2)
+            forcing = Forcing(lattice, [ForcingMode(mode, amplitude, "cos", 3.0)])
+        cfg = SolverConfig(
+            lattice=lattice,
+            mu=0.05,
+            lam=0.03,
+            eps=0.2,
+            law=ORACLE_LAWS[law],
+            dt=1e-3,
+            t_final=n_steps * 1e-3,
+            sample_stride=stride,
+            forcing=forcing,
+        )
+        a0, u0 = generate_initial_data(lattice, 1.0, 1.0, seed=31)
+        return cfg, a0, u0
+
+    @pytest.mark.parametrize("name", ["16x16", "8x8x6"])
+    @pytest.mark.parametrize("law, forced", [("gamma2", True), ("gamma1.4", False)])
+    @pytest.mark.parametrize("stride", [1, 3, 7])
+    def test_sampling_does_not_change_the_bytes(self, name, law, forced, stride):
+        cfg, a0, u0 = self.make_case(name, law, forced, stride=stride)
+        traj = run_trajectory((a0, u0), cfg, "compressible", record=lambda s, t: s)
+        prop = acoustic_viscous_propagator(cfg.lattice, cfg.dt, cfg.eps, cfg.nu, cfg.mu)
+        state, warn_state = CompressibleState(a=a0, u=u0), {}
+        hand = [state]
+        for n in range(1, cfg.n_steps + 1):
+            state = CompressibleState(a=state.a, u=state.u, t=(n - 1) * cfg.dt)
+            state = step_compressible(state, cfg, prop, warn_state)
+            if n % stride == 0 or n == cfg.n_steps:
+                hand.append(state)
+        assert len(traj) == len(hand)
+        for got, want in zip(traj.states + [traj.final], hand + [hand[-1]]):
+            assert got.a.coeffs.tobytes() == want.a.coeffs.tobytes()
+            assert got.u.coeffs.tobytes() == want.u.coeffs.tobytes()
+            assert got.t == want.t
+
+    @pytest.mark.parametrize("name", ["16x16", "8x8x6"])
+    def test_fft_fallback_gives_the_same_bytes(self, monkeypatch, name):
+        """With the numpy >= 2 ``out=`` path switched off, every FFT is the
+        plain call that returns a new array, as on numpy 1.24."""
+        cfg, a0, u0 = self.make_case(name, "gamma1.4", forced=True)
+
+        def run():
+            stepper = solvers.CompressibleStepper(cfg, CompressibleState(a=a0, u=u0))
+            for n in range(cfg.n_steps):
+                stepper.step(n * cfg.dt)
+            return stepper.state()
+
+        with_out = run()
+        calls = []
+        for fname in ("rfft", "irfft", "fftn", "ifftn"):
+            def spy(*args, _fft=getattr(np.fft, fname), **kwargs):
+                calls.append("out" in kwargs)
+                return _fft(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, fname, spy)
+        monkeypatch.setattr(lattice_module, "_FFT_OUT", False)
+        plain = run()
+        assert calls and not any(calls)
+        assert plain.a.coeffs.tobytes() == with_out.a.coeffs.tobytes()
+        assert plain.u.coeffs.tobytes() == with_out.u.coeffs.tobytes()
+
+    @pytest.mark.parametrize("parameter", ["lattice", "dt", "eps", "nu", "mu"])
+    def test_mismatched_propagator_rejected(self, lat16, parameter):
+        cfg = TestCompressible().make_cfg(lat16)
+        built = dict(lattice=lat16, dt=cfg.dt, eps=cfg.eps, nu=cfg.nu, mu=cfg.mu)
+        if parameter == "lattice":
+            # the same resolution, so every array would still broadcast
+            built["lattice"] = LatticeSpec((1, Fraction(3, 2)), (16, 16))
+        else:
+            built[parameter] *= 1.5
+        prop = acoustic_viscous_propagator(**built)
+        a0, u0 = generate_initial_data(lat16, 1.0, 1.0, seed=5)
+        state = CompressibleState(a=a0, u=u0)
+        message = f"the propagator was built for {parameter} = "
+        with pytest.raises(ValueError, match=message):
+            step_compressible(state, cfg, prop)
+        with pytest.raises(ValueError, match=message):
+            solvers.CompressibleStepper(cfg, state, prop)
+
+    @pytest.mark.skipif(
+        not lattice_module._FFT_OUT, reason="numpy < 2 FFTs allocate their outputs"
+    )
+    def test_steps_allocate_less_than_one_grid_stack(self, monkeypatch):
+        """After the first step, the traced peak of a 64^2 step stays below
+        six components on the coefficient grid.  The right-hand side's
+        inverse, product and forward stacks live in the stepper's workspace;
+        a step allocates the half-spectrum stages of the Lawson step and the
+        propagator (about 15 arrays of 64 x 22 modes at its peak)."""
+        lattice = LatticeSpec.square(2, 64)
+        cfg = SolverConfig(
+            lattice=lattice, mu=0.05, lam=0.05, eps=0.1, dt=2e-3, t_final=1e-2, sample_stride=5
+        )
+        a0, u0 = generate_initial_data(lattice, 1.0, 1.0, seed=0)
+        peaks = []
+        lawson = solvers._lawson_rk2
+
+        def measured(*args):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = lawson(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            return out
+
+        monkeypatch.setattr(solvers, "_lawson_rk2", measured)
+        tracemalloc.start()
+        try:
+            run_trajectory((a0, u0), cfg, "compressible", record=lambda s, t: None)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == cfg.n_steps
+        stack = 6 * a0.coeffs.nbytes  # six components on the coefficient grid
+        assert max(peaks[1:]) < stack
 
 
 class TestIncompressible:
