@@ -54,15 +54,14 @@ from .resonance import (
     small_divisors,
 )
 from .solvers import (
+    AcousticViscousPropagator,
     CFLError,
     CompressibleState,
     CompressibleStepper,
     Forcing,
     ForcingMode,
-    LimitState,
     SolverConfig,
     Trajectory,
-    acoustic_viscous_propagator,
     generate_initial_data,
     load_checkpoint,
     run_trajectory,

@@ -47,6 +47,15 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
+def _config_number(value, name: str, kind=float):
+    """``kind(value)`` for a JSON number, an integer where ``kind`` is int;
+    ValueError naming the config field otherwise (strings and booleans too)."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"config field {name} must be {what}, got {value!r}")
+    return kind(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of a Mach-number sweep."""
@@ -173,30 +182,50 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, data: dict, out_dir: str = "out") -> "ExperimentConfig":
+        """The config of a parsed JSON file.  A missing ``lattice`` or lattice
+        key, or a value of the wrong JSON type, raises ValueError naming it."""
+        if not isinstance(data, dict):
+            raise ValueError("a config must be a JSON object")
         if data.get("schema") != SCHEMA_VERSION:
             raise ValueError(f"unsupported config schema {data.get('schema')!r}")
-        lattice = LatticeSpec.from_descriptor(data["lattice"])
-        solver = data.get("solver", {})
-        exp = data.get("experiment", {})
+        if "lattice" not in data:
+            raise ValueError("config field lattice is missing")
+        sections = {name: data.get(name, {}) for name in ("lattice", "solver", "experiment")}
+        for name, section in sections.items():
+            if not isinstance(section, dict):
+                raise ValueError(f"config field {name} must be a JSON object")
+        try:
+            lattice = LatticeSpec.from_descriptor(sections["lattice"])
+        except TypeError as exc:
+            raise ValueError(f"config field lattice is malformed: {exc}") from None
+
+        def number(section, key, default, kind=float):
+            value = sections[section].get(key, default)
+            return _config_number(value, f"{section}.{key}", kind)
+
+        eps = sections["experiment"].get("eps", [0.2, 0.1, 0.05, 0.025])
+        if not isinstance(eps, list):
+            raise ValueError(f"config field experiment.eps must be a list, got {eps!r}")
+        eta0 = sections["experiment"].get("eta0")
         forcing = None
         if data.get("forcing"):
             forcing = Forcing.from_json(lattice, data["forcing"])
         return cls(
             lattice=lattice,
-            eps_list=tuple(exp.get("eps", (0.2, 0.1, 0.05, 0.025))),
-            mu=float(solver.get("mu", 0.05)),
-            lam=float(solver.get("lambda", 0.05)),
-            gamma=float(solver.get("gamma", 2.0)),
-            dt=float(solver.get("dt", 2.5e-3)),
-            t_final=float(solver.get("t_final", 1.0)),
-            sample_stride=int(solver.get("sample_stride", 2)),
-            zeta=float(exp.get("zeta", 8.0)),
-            eta0=exp.get("eta0"),
-            theta=float(exp.get("theta", 0.25)),
-            amplitude_a=float(exp.get("amplitude_a", 2.0)),
-            amplitude_u=float(exp.get("amplitude_u", 2.0)),
-            smoothness=float(exp.get("smoothness", 3.0)),
-            seed=int(exp.get("seed", 0)),
+            eps_list=tuple(_config_number(e, "experiment.eps") for e in eps),
+            mu=number("solver", "mu", 0.05),
+            lam=number("solver", "lambda", 0.05),
+            gamma=number("solver", "gamma", 2.0),
+            dt=number("solver", "dt", 2.5e-3),
+            t_final=number("solver", "t_final", 1.0),
+            sample_stride=number("solver", "sample_stride", 2, int),
+            zeta=number("experiment", "zeta", 8.0),
+            eta0=None if eta0 is None else _config_number(eta0, "experiment.eta0"),
+            theta=number("experiment", "theta", 0.25),
+            amplitude_a=number("experiment", "amplitude_a", 2.0),
+            amplitude_u=number("experiment", "amplitude_u", 2.0),
+            smoothness=number("experiment", "smoothness", 3.0),
+            seed=number("experiment", "seed", 0, int),
             forcing=forcing,
             out_dir=out_dir,
         )

@@ -273,6 +273,10 @@ class LatticeSpec:
 
     @classmethod
     def from_descriptor(cls, desc: dict) -> "LatticeSpec":
+        """Inverse of :meth:`descriptor`; a missing key raises ValueError."""
+        for key in ("periods", "resolution", "dealias_fraction"):
+            if key not in desc:
+                raise ValueError(f"the lattice descriptor lacks {key!r}")
         return cls(
             periods=tuple(Fraction(p, q) for p, q in desc["periods"]),
             resolution=tuple(desc["resolution"]),
@@ -432,8 +436,16 @@ class SpectralField:
         return self._like(self.coeffs[c : c + 1], self.reality)
 
     def scale_modes(self, weights: np.ndarray) -> "SpectralField":
-        """Multiply coefficients by a real, radially even mode-weight array."""
-        return self._like(self.coeffs * weights, self.reality)
+        """Multiply coefficients by a real, radially even mode-weight array.
+
+        One component at a time: a broadcast operand makes numpy allocate an
+        iterator buffer as large as the result.  Weights stored as complex
+        also spare it a cast buffer.
+        """
+        out = np.empty_like(self.coeffs)
+        for component, scaled in zip(self.coeffs, out):
+            np.multiply(component, weights, out=scaled)
+        return self._like(out, self.reality)
 
     def _check_compatible(self, other: "SpectralField"):
         if other.lattice is not self.lattice and other.lattice != self.lattice:

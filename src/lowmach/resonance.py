@@ -309,8 +309,11 @@ def enumerate_resonance_sets(lattice: LatticeSpec, M: float) -> ResonanceTable:
     then beta running over (1, -1).  A non-resonant m outside the box, and a
     q1 difference l outside the box, get the index -1.  A cutoff whose pairs
     would need more than ``_MAX_ENUMERATION_BYTES`` raises ValueError before
-    anything large is allocated.
+    anything large is allocated, and so does a cutoff that is not a finite
+    number >= 0.
     """
+    if not (math.isfinite(M) and M >= 0):
+        raise ValueError(f"cutoff M = {M} must be a finite number >= 0")
     d = lattice.d
     reach = [math.floor(M * float(b) + 1e-9) for b in lattice.periods]
     for r, n in zip(reach, lattice.resolution):

@@ -13,14 +13,16 @@ and averaged systems and, for the compressible system, the longitudinal
 is exponentiated in closed form, which removes the acoustic time-step
 restriction; only the advective CFL limit remains.
 
-A compressible run is one :class:`CompressibleStepper`: it holds the
-propagator, the warn-once state of the vacuum check, the half spectra of the
-real fields a and u, and a workspace of preallocated arrays that every
-right-hand side fills in place (its transforms, grid products and forward
-stack), so that on numpy >= 2 a step allocates only its half-spectrum
-stages.  The full
+Each stepper builds for itself what it reads.  A compressible run is one
+:class:`CompressibleStepper`: it builds its propagator and holds the
+warn-once flag of the vacuum check, the half spectra of the real fields a
+and u, and the preallocated arrays that every right-hand side fills in
+place (its transforms, grid products and forward stack), so that on
+numpy >= 2 a step allocates only its half-spectrum stages.  The full
 Hermitian fields are built only when a sample or the final state asks for
 them.  :func:`step_compressible` is the same step for one state.
+:func:`step_incompressible` and :func:`step_limit` build their heat factors
+on every call.
 """
 
 from __future__ import annotations
@@ -61,9 +63,8 @@ __all__ = [
     "SolverConfig",
     "CompressibleState",
     "CompressibleStepper",
-    "LimitState",
+    "AcousticViscousPropagator",
     "Trajectory",
-    "acoustic_viscous_propagator",
     "step_compressible",
     "step_incompressible",
     "step_limit",
@@ -176,15 +177,23 @@ class Forcing:
 
     @classmethod
     def from_json(cls, lattice: LatticeSpec, data: list) -> "Forcing":
-        modes = [
-            ForcingMode(
-                mode=tuple(entry["mode"]),
-                amplitude=tuple(complex(re, im) for re, im in entry["amplitude"]),
-                envelope=entry.get("envelope", "const"),
-                omega=float(entry.get("omega", 0.0)),
-            )
-            for entry in data
-        ]
+        """The forcing of a config's ``forcing`` list; ValueError names a
+        malformed entry."""
+        if not isinstance(data, list):
+            raise ValueError(f"config field forcing must be a list, got {data!r}")
+        modes = []
+        for i, entry in enumerate(data):
+            try:
+                modes.append(
+                    ForcingMode(
+                        mode=tuple(entry["mode"]),
+                        amplitude=tuple(complex(re, im) for re, im in entry["amplitude"]),
+                        envelope=entry.get("envelope", "const"),
+                        omega=float(entry.get("omega", 0.0)),
+                    )
+                )
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"config field forcing[{i}] is malformed: {exc!r}") from None
         return cls(lattice, modes)
 
 
@@ -241,12 +250,6 @@ class CompressibleState:
 
 
 @dataclass
-class LimitState:
-    V: AcousticCoeffs
-    t: float = 0.0
-
-
-@dataclass
 class Trajectory:
     """Time-stamped samples of solver states plus derived fields.
 
@@ -284,7 +287,6 @@ class AcousticViscousPropagator:
     retained half spectrum."""
 
     def __init__(self, lattice: LatticeSpec, dt: float, eps: float, nu: float, mu: float):
-        self.lattice, self.dt, self.eps, self.nu, self.mu = lattice, dt, eps, nu, mu
         cut = lattice.cutoffs[-1]
         ksq = lattice.k_squared()[..., : cut + 1]
         kmod = lattice.k_modulus()[..., : cut + 1].copy()
@@ -319,17 +321,6 @@ class AcousticViscousPropagator:
         self.kmod = kmod.astype(np.complex128)
         self.khat = (kvecs / kmod).astype(np.complex128)
 
-    def require_match(self, cfg: SolverConfig) -> None:
-        """Raise ValueError unless this propagator was built for the lattice,
-        dt, eps, nu and mu of ``cfg``."""
-        for name in ("lattice", "dt", "eps", "nu", "mu"):
-            built, wanted = getattr(self, name), getattr(cfg, name)
-            if built != wanted:
-                raise ValueError(
-                    f"the propagator was built for {name} = {built!r}, "
-                    f"the config has {name} = {wanted!r}"
-                )
-
     def apply(self, a: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Advance the half spectra of a (one component) and u (d components).
 
@@ -348,13 +339,6 @@ class AcousticViscousPropagator:
             out *= self.transverse
             out += new_mu * k
         return new_a[None], new_u
-
-
-def acoustic_viscous_propagator(
-    lattice: LatticeSpec, dt: float, eps: float, nu: float, mu: float
-) -> AcousticViscousPropagator:
-    """Exact linear propagator for one time step."""
-    return AcousticViscousPropagator(lattice, dt, eps, nu, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -380,22 +364,40 @@ def _lawson_rk2(x: tuple, t: float, dt: float, linear, rhs) -> tuple:
     return tuple(hi + (dt / 2.0) * ni for hi, ni in zip(half, n1))
 
 
-class _Workspace:
-    """Preallocated arrays of the compressible right-hand side on one lattice.
+class CompressibleStepper:
+    """The compressible system for one run, stepped on half spectra.
 
-    ``spectral`` holds the half spectra of the inverse stack (a, u,
-    d_i u_j - d_j u_i for i < j, viscous term), which the inverse transform
-    overwrites; ``grid`` its grid values; ``products`` the forward stack
-    (a u, a^2/2, |u|^2/2, Lamb term); ``spectrum`` their real-data FFT;
+    Holds what every step reuses: the exact propagator, the warn-once flag
+    of the vacuum check (``vacuum_warned``), the retained half spectra
+    (columns 0..cut) of the real fields a and u, and the preallocated arrays
+    of the right-hand side.  ``step`` replaces the half spectra by those one
+    step later; the full Hermitian fields are built only when :meth:`state`
+    is asked for them.
+
+    The arrays: ``spectral`` holds the half spectra of the inverse stack (a,
+    u, d_i u_j - d_j u_i for i < j, viscous term), which the inverse
+    transform overwrites; ``grid`` its grid values; ``products`` the forward
+    stack (a u, a^2/2, |u|^2/2, Lamb term); ``spectrum`` their real-data FFT;
     ``forward`` their half spectra; and ``eps_a`` the grid values of eps a.
-    Together with the constant multipliers of the stack, these are all the
-    grid-sized arrays that one evaluation needs.
+    With the constant multipliers of the stack, these are all the grid-sized
+    arrays that one evaluation needs.
     """
 
-    def __init__(self, cfg: SolverConfig):
+    def __init__(self, cfg: SolverConfig, initial: CompressibleState):
+        for name, value in (("a", initial.a), ("u", initial.u)):
+            if not value.reality:
+                raise ValueError(
+                    f"compressible data must be real: {name} has reality=False"
+                )
         lattice = cfg.lattice
         d, n = lattice.d, lattice.resolution
         cut = lattice.cutoffs[-1]
+        self.cfg = cfg
+        self.propagator = AcousticViscousPropagator(lattice, cfg.dt, cfg.eps, cfg.nu, cfg.mu)
+        self.vacuum_warned = False
+        self.a = initial.a.coeffs[..., : cut + 1]
+        self.u = initial.u.coeffs[..., : cut + 1]
+        self.t = initial.t
         self.pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
         self.ik = 1j * lattice.half_wavevectors()
         # complex, so that numpy does not cast it in every product
@@ -412,195 +414,132 @@ class _Workspace:
         self.forward = np.empty((products,) + n[:-1] + (cut + 1,), dtype=np.complex128)
         self.eps_a = np.empty(n)
 
+    def _grid_terms(self, a: np.ndarray, u: np.ndarray) -> None:
+        """Grid values for the right-hand side, from one inverse pass.
 
-def _grid_terms(
-    a: np.ndarray, u: np.ndarray, cfg: SolverConfig, warn_state: dict, work: _Workspace
-) -> tuple[np.ndarray, np.ndarray]:
-    """Grid values for the compressible right-hand side, from one inverse pass.
-
-    Transforms the half spectra of (a, u, d_i u_j - d_j u_i for i < j,
-    viscous term) at once, runs the vacuum and CFL checks, and returns eps a
-    and the products (a u, a^2/2, |u|^2/2, Lamb term minus I(eps a) times the
-    viscous term mu lap u + (mu + lam) grad div u), all in ``work``.  The
-    Lamb term -sum_i u_i (d_i u_j - d_j u_i) is grad(|u|^2/2) - (u.grad)u.
-    """
-    lattice = cfg.lattice
-    d = lattice.d
-    pairs, ik = work.pairs, work.ik
-    # components: a | u | d_i u_j - d_j u_i for each pair i < j | viscous term
-    spectral = work.spectral
-    spectral[0] = a[0]
-    spectral[1 : 1 + d] = u
-    for n, (i, j) in enumerate(pairs):
-        np.subtract(ik[i] * u[j], ik[j] * u[i], out=spectral[1 + d + n])
-    visc = spectral[1 + d + len(pairs) :]
-    div_u = sum(ik[c] * u[c] for c in range(d))
-    for c in range(d):  # per component: see AcousticViscousPropagator.apply
-        np.multiply(u[c], work.laplacian, out=visc[c])
-        visc[c] += work.grad_div[c] * div_u
-    grid = _half_inverse(spectral, lattice, out=work.grid)
-    a_grid, u_grid = grid[0], grid[1 : 1 + d]
-    rot_grid = grid[1 + d : 1 + d + len(pairs)]
-    visc_grid = grid[1 + d + len(pairs) :]
-    # (a u, a^2/2, |u|^2/2, Lamb - I(eps a) visc); the a^2/2 slot holds the
-    # squares of the velocity components until a^2/2 is written
-    products, eps_a = work.products, work.eps_a
-    u_sq = np.square(u_grid[0], out=products[d + 1])
-    for c in range(1, d):
-        u_sq += np.square(u_grid[c], out=products[d])
-
-    amax = float(np.max(np.abs(a_grid, out=eps_a)))
-    if cfg.eps * amax >= 1.0:
-        raise VacuumError(
-            f"eps*||a||_inf = {cfg.eps * amax:.3f} >= 1: density reached vacuum"
-        )
-    if cfg.eps * amax > 0.5 and not warn_state.get("vacuum_warned"):
-        warn_state["vacuum_warned"] = True
-        warnings.warn(
-            f"eps*||a||_inf = {cfg.eps * amax:.3f} > 1/2: uniform bound lost",
-            RuntimeWarning,
-        )
-    umax = math.sqrt(float(np.max(u_sq)))
-    dx_min = min(
-        2.0 * math.pi * float(b) / n for b, n in zip(lattice.periods, lattice.resolution)
-    )
-    if umax > 0 and cfg.dt > CFL_SAFETY * dx_min / umax:
-        raise CFLError(
-            f"dt = {cfg.dt:.3e} exceeds advective CFL bound "
-            f"{CFL_SAFETY * dx_min / umax:.3e} (max|u| = {umax:.3f})"
-        )
-
-    np.multiply(a_grid, cfg.eps, out=eps_a)
-    u_sq *= 0.5
-    for c in range(d):
-        np.multiply(a_grid, u_grid[c], out=products[c])
-    np.multiply(a_grid, 0.5, out=products[d])
-    products[d] *= a_grid
-    # a's grid values are read no more: their slot is the scratch from here on
-    scratch = a_grid
-    quotient = cfg.law.quotient(eps_a, out=scratch)
-    lamb = products[d + 2 :]
-    for c in range(d):
-        np.negative(np.multiply(quotient, visc_grid[c], out=lamb[c]), out=lamb[c])
-    for (i, j), rot in zip(pairs, rot_grid):
-        lamb[i] += np.multiply(u_grid[j], rot, out=scratch)
-        lamb[j] -= np.multiply(u_grid[i], rot, out=scratch)
-    return products, eps_a
-
-
-def _compressible_nonlinear(
-    a: np.ndarray,
-    u: np.ndarray,
-    t: float,
-    cfg: SolverConfig,
-    warn_state: dict,
-    work: _Workspace | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand side beyond the exactly-propagated linear part, on the
-    retained half spectra of a and u.
-
-    One inverse transform (:func:`_grid_terms`) and one forward transform of
-    the products, in rotational form: (u.grad)u = grad(|u|^2/2) - Lamb and
-    a grad a = grad(a^2/2), both exact for the dealiased products.  Unless K
-    vanishes identically, the K term multiplies the grid values of the
-    dealiased a grad a, which costs one more inverse and forward pass.  The
-    transforms work in ``work`` (a new workspace if None); the returned
-    arrays are new.
-    """
-    lattice = cfg.lattice
-    if not cfg.include_nonlinear:
-        n_a, n_u = np.zeros_like(a), np.zeros_like(u)
-    else:
-        if work is None:
-            work = _Workspace(cfg)
+        Transforms the half spectra of (a, u, d_i u_j - d_j u_i for i < j,
+        viscous term) at once, runs the vacuum and CFL checks, and fills
+        ``eps_a`` and ``products`` (a u, a^2/2, |u|^2/2, Lamb term minus
+        I(eps a) times the viscous term mu lap u + (mu + lam) grad div u).
+        The Lamb term -sum_i u_i (d_i u_j - d_j u_i) is grad(|u|^2/2) -
+        (u.grad)u.
+        """
+        cfg = self.cfg
+        lattice = cfg.lattice
         d = lattice.d
-        ik = work.ik
-        products, eps_a = _grid_terms(a, u, cfg, warn_state, work)
-        dealiased = _half_forward(
-            products, lattice, out=work.forward, spectrum=work.spectrum
+        pairs, ik = self.pairs, self.ik
+        # components: a | u | d_i u_j - d_j u_i for each pair i < j | viscous term
+        spectral = self.spectral
+        spectral[0] = a[0]
+        spectral[1 : 1 + d] = u
+        for n, (i, j) in enumerate(pairs):
+            np.subtract(ik[i] * u[j], ik[j] * u[i], out=spectral[1 + d + n])
+        visc = spectral[1 + d + len(pairs) :]
+        div_u = sum(ik[c] * u[c] for c in range(d))
+        for c in range(d):  # per component: see AcousticViscousPropagator.apply
+            np.multiply(u[c], self.laplacian, out=visc[c])
+            visc[c] += self.grad_div[c] * div_u
+        grid = _half_inverse(spectral, lattice, out=self.grid)
+        a_grid, u_grid = grid[0], grid[1 : 1 + d]
+        rot_grid = grid[1 + d : 1 + d + len(pairs)]
+        visc_grid = grid[1 + d + len(pairs) :]
+        # (a u, a^2/2, |u|^2/2, Lamb - I(eps a) visc); the a^2/2 slot holds the
+        # squares of the velocity components until a^2/2 is written
+        products, eps_a = self.products, self.eps_a
+        u_sq = np.square(u_grid[0], out=products[d + 1])
+        for c in range(1, d):
+            u_sq += np.square(u_grid[c], out=products[d])
+
+        amax = float(np.max(np.abs(a_grid, out=eps_a)))
+        if cfg.eps * amax >= 1.0:
+            raise VacuumError(
+                f"eps*||a||_inf = {cfg.eps * amax:.3f} >= 1: density reached vacuum"
+            )
+        if cfg.eps * amax > 0.5 and not self.vacuum_warned:
+            self.vacuum_warned = True
+            warnings.warn(
+                f"eps*||a||_inf = {cfg.eps * amax:.3f} > 1/2: uniform bound lost",
+                RuntimeWarning,
+            )
+        umax = math.sqrt(float(np.max(u_sq)))
+        dx_min = min(
+            2.0 * math.pi * float(b) / n for b, n in zip(lattice.periods, lattice.resolution)
         )
-        au, a_sq, u_sq, lamb = dealiased[:d], dealiased[d], dealiased[d + 1], dealiased[d + 2 :]
+        if umax > 0 and cfg.dt > CFL_SAFETY * dx_min / umax:
+            raise CFLError(
+                f"dt = {cfg.dt:.3e} exceeds advective CFL bound "
+                f"{CFL_SAFETY * dx_min / umax:.3e} (max|u| = {umax:.3f})"
+            )
 
-        # continuity: -div(a u)
-        n_a = (-1.0 * sum(ik[c] * au[c] for c in range(d)))[None]
-
-        # momentum: -(u.grad)u - kappa a grad a - K(eps a) a grad a - I(eps a) Au + f,
-        # = (Lamb - I(eps a) Au) - grad(|u|^2/2 + kappa a^2/2) - K(eps a) grad(a^2/2) + f
-        n_u = np.empty_like(u)
-        pressure = u_sq + cfg.law.kappa * a_sq
+        np.multiply(a_grid, cfg.eps, out=eps_a)
+        u_sq *= 0.5
         for c in range(d):
-            np.subtract(lamb[c], np.multiply(ik[c], pressure, out=n_u[c]), out=n_u[c])
-        if not cfg.law.remainder_is_zero:
-            # the K pass reuses the first d components of each buffer
-            a_grad_a = np.multiply(ik, a_sq, out=work.spectral[:d])
-            a_grad_a_grid = _half_inverse(a_grad_a, lattice, out=work.grid[:d])
-            k_term = np.multiply(
-                cfg.law.remainder(eps_a), a_grad_a_grid, out=work.products[:d]
+            np.multiply(a_grid, u_grid[c], out=products[c])
+        np.multiply(a_grid, 0.5, out=products[d])
+        products[d] *= a_grid
+        # a's grid values are read no more: their slot is the scratch from here on
+        scratch = a_grid
+        quotient = cfg.law.quotient(eps_a, out=scratch)
+        lamb = products[d + 2 :]
+        for c in range(d):
+            np.negative(np.multiply(quotient, visc_grid[c], out=lamb[c]), out=lamb[c])
+        for (i, j), rot in zip(pairs, rot_grid):
+            lamb[i] += np.multiply(u_grid[j], rot, out=scratch)
+            lamb[j] -= np.multiply(u_grid[i], rot, out=scratch)
+
+    def rhs(self, x: tuple, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Right-hand side beyond the exactly-propagated linear part, on the
+        retained half spectra ``x = (a, u)``.
+
+        One inverse transform (:meth:`_grid_terms`) and one forward transform
+        of the products, in rotational form: (u.grad)u = grad(|u|^2/2) - Lamb
+        and a grad a = grad(a^2/2), both exact for the dealiased products.
+        Unless K vanishes identically, the K term multiplies the grid values
+        of the dealiased a grad a, which costs one more inverse and forward
+        pass.  The transforms work in the stepper's arrays; the returned
+        arrays are new.
+        """
+        a, u = x
+        cfg = self.cfg
+        lattice = cfg.lattice
+        if not cfg.include_nonlinear:
+            n_a, n_u = np.zeros_like(a), np.zeros_like(u)
+        else:
+            d = lattice.d
+            ik = self.ik
+            self._grid_terms(a, u)
+            dealiased = _half_forward(
+                self.products, lattice, out=self.forward, spectrum=self.spectrum
             )
-            n_u -= _half_forward(
-                k_term, lattice, out=work.forward[:d], spectrum=work.spectrum[:d]
-            )
-    if cfg.forcing is not None:
-        n_u = n_u + cfg.forcing.half_spectrum(t)
-    return n_a, n_u
+            au, a_sq, u_sq, lamb = dealiased[:d], dealiased[d], dealiased[d + 1], dealiased[d + 2 :]
 
+            # continuity: -div(a u)
+            n_a = (-1.0 * sum(ik[c] * au[c] for c in range(d)))[None]
 
-def _require_real(a: SpectralField, u: SpectralField) -> None:
-    for name, value in (("a", a), ("u", u)):
-        if not value.reality:
-            raise ValueError(
-                f"compressible data must be real: {name} has reality=False"
-            )
-
-
-class CompressibleStepper:
-    """The compressible system for one run, stepped on half spectra.
-
-    Holds what every step reuses: the exact propagator, the warn-once state
-    of the vacuum check, the retained half spectra (columns 0..cut) of the
-    real fields a and u, and the right-hand side's workspace.  ``step``
-    replaces the half spectra by those one step later; the full Hermitian
-    fields are built only when :meth:`state` is asked for them.
-
-    A given ``propagator`` must have been built for the lattice, dt, eps, nu
-    and mu of ``cfg`` (ValueError otherwise); a given ``warn_state`` dict is
-    shared with the caller, so a warning is issued once across steppers.
-    """
-
-    def __init__(
-        self,
-        cfg: SolverConfig,
-        initial: CompressibleState,
-        propagator: AcousticViscousPropagator | None = None,
-        warn_state: dict | None = None,
-    ):
-        _require_real(initial.a, initial.u)
-        if propagator is None:
-            propagator = acoustic_viscous_propagator(
-                cfg.lattice, cfg.dt, cfg.eps, cfg.nu, cfg.mu
-            )
-        propagator.require_match(cfg)
-        self.cfg = cfg
-        self.propagator = propagator
-        self.warn_state = {} if warn_state is None else warn_state
-        self.work = _Workspace(cfg)
-        cut = cfg.lattice.cutoffs[-1]
-        self.a = initial.a.coeffs[..., : cut + 1]
-        self.u = initial.u.coeffs[..., : cut + 1]
-        self.t = initial.t
-
-    def _linear(self, x: tuple) -> tuple:
-        return self.propagator.apply(*x)
-
-    def _rhs(self, x: tuple, t: float) -> tuple:
-        return _compressible_nonlinear(
-            x[0], x[1], t, self.cfg, self.warn_state, self.work
-        )
+            # momentum: -(u.grad)u - kappa a grad a - K(eps a) a grad a - I(eps a) Au + f,
+            # = (Lamb - I(eps a) Au) - grad(|u|^2/2 + kappa a^2/2) - K(eps a) grad(a^2/2) + f
+            n_u = np.empty_like(u)
+            pressure = u_sq + cfg.law.kappa * a_sq
+            for c in range(d):
+                np.subtract(lamb[c], np.multiply(ik[c], pressure, out=n_u[c]), out=n_u[c])
+            if not cfg.law.remainder_is_zero:
+                # the K pass reuses the first d components of each array
+                a_grad_a = np.multiply(ik, a_sq, out=self.spectral[:d])
+                a_grad_a_grid = _half_inverse(a_grad_a, lattice, out=self.grid[:d])
+                k_term = np.multiply(
+                    cfg.law.remainder(self.eps_a), a_grad_a_grid, out=self.products[:d]
+                )
+                n_u -= _half_forward(
+                    k_term, lattice, out=self.forward[:d], spectrum=self.spectrum[:d]
+                )
+        if cfg.forcing is not None:
+            n_u = n_u + cfg.forcing.half_spectrum(t)
+        return n_a, n_u
 
     def step(self, t: float) -> None:
         """One Lawson RK2 step started at time ``t``."""
         self.a, self.u = _lawson_rk2(
-            (self.a, self.u), t, self.cfg.dt, self._linear, self._rhs
+            (self.a, self.u), t, self.cfg.dt, lambda x: self.propagator.apply(*x), self.rhs
         )
         self.t = t + self.cfg.dt
 
@@ -614,59 +553,55 @@ class CompressibleStepper:
         )
 
 
-def step_compressible(
-    state: CompressibleState,
-    cfg: SolverConfig,
-    propagator: AcousticViscousPropagator | None = None,
-    warn_state: dict | None = None,
-) -> CompressibleState:
+def step_compressible(state: CompressibleState, cfg: SolverConfig) -> CompressibleState:
     """One Lawson RK2 step of the rescaled compressible system.
 
     The step runs on the retained half spectra of the real fields a and u,
     through a :class:`CompressibleStepper` built for it alone, and returns
     their full Hermitian coefficient grids.
     """
-    stepper = CompressibleStepper(cfg, state, propagator, warn_state)
+    stepper = CompressibleStepper(cfg, state)
     stepper.step(state.t)
     return stepper.state()
 
 
-def step_incompressible(
-    v: SpectralField, t: float, cfg: SolverConfig, heat: np.ndarray | None = None
-) -> SpectralField:
+def _heat_step(x: SpectralField, t: float, dt: float, viscosity: float, rhs) -> SpectralField:
+    """One Lawson RK2 step of dx/dt = viscosity lap x + rhs(x, t) for one field."""
+    # real, but stored as complex for the reason given in AcousticViscousPropagator
+    heat = np.exp(-viscosity * x.lattice.k_squared() * dt).astype(np.complex128)
+    return _lawson_rk2(
+        (x,), t, dt, lambda y: (y[0].scale_modes(heat),), lambda y, s: (rhs(y[0], s),)
+    )[0]
+
+
+def step_incompressible(v: SpectralField, t: float, cfg: SolverConfig) -> SpectralField:
     """One Lawson RK2 step of the incompressible system (heat integrating factor)."""
     lattice = cfg.lattice
-    if heat is None:
-        heat = np.exp(-cfg.mu * lattice.k_squared() * cfg.dt)
 
     def rhs(x, time):
         out = SpectralField.zeros(lattice, lattice.d)
         if cfg.include_nonlinear:
-            out = out - helmholtz_project(advect(x[0], x[0]), "P")
+            out = out - helmholtz_project(advect(x, x), "P")
         if cfg.forcing is not None:
             out = out + helmholtz_project(cfg.forcing(time), "P")
-        return (out,)
+        return out
 
-    return _lawson_rk2((v,), t, cfg.dt, lambda x: (x[0].scale_modes(heat),), rhs)[0]
+    return _heat_step(v, t, cfg.dt, cfg.mu, rhs)
 
 
 def step_limit(
-    state: LimitState,
+    V: AcousticCoeffs,
+    t: float,
     v_at: "CubicTimeInterpolant",
     cfg: SolverConfig,
     table: ResonanceTable,
-    heat: np.ndarray | None = None,
-) -> LimitState:
+) -> AcousticCoeffs:
     """One Lawson RK2 step of the averaged system (half-viscosity heat factor)."""
-    if heat is None:
-        heat = np.exp(-0.5 * cfg.nu * cfg.lattice.k_squared() * cfg.dt)
 
-    def rhs(x, t):
-        V = x[0]
-        return (-1.0 * limit_q1(v_at(t), V, table) - limit_q2(V, V, table, kappa=cfg.law.kappa),)
+    def rhs(x, time):
+        return -1.0 * limit_q1(v_at(time), x, table) - limit_q2(x, x, table, kappa=cfg.law.kappa)
 
-    V = _lawson_rk2((state.V,), state.t, cfg.dt, lambda x: (x[0].scale_modes(heat),), rhs)[0]
-    return LimitState(V=V, t=state.t + cfg.dt)
+    return _heat_step(V, t, cfg.dt, 0.5 * cfg.nu, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +638,7 @@ def run_trajectory(
     averaged state.  By default it is the full record: :func:`compressible_record`,
     ``{"v": v}`` or ``{"V": V}``.  The final state is kept either way.
     """
-    lattice, dt = cfg.lattice, cfg.dt
+    dt = cfg.dt
     view = lambda x: x  # the state that a sample records, from what is stepped
     if kind == "compressible":
         start = CompressibleState(*initial)
@@ -716,16 +651,14 @@ def run_trajectory(
         view = CompressibleStepper.state
         full_record = lambda s, t: compressible_record(s, t, cfg.eps)
     elif kind == "incompressible":
-        heat = np.exp(-cfg.mu * lattice.k_squared() * dt)
         x = start = initial
-        advance = lambda v, t: step_incompressible(v, t, cfg, heat)
+        advance = lambda v, t: step_incompressible(v, t, cfg)
         full_record = lambda v, t: {"v": v}
     elif kind == "limit":
         if table is None or v_at is None:
             raise ValueError("limit runs need a resonance table and v interpolant")
-        heat = np.exp(-0.5 * cfg.nu * lattice.k_squared() * dt)
         x = start = initial
-        advance = lambda V, t: step_limit(LimitState(V, t), v_at, cfg, table, heat).V
+        advance = lambda V, t: step_limit(V, t, v_at, cfg, table)
         full_record = lambda V, t: {"V": V}
     else:
         raise ValueError(f"unknown trajectory kind {kind!r}")
@@ -889,8 +822,11 @@ def save_checkpoint(path: str, lattice: LatticeSpec, time: float, fields: dict, 
 def load_checkpoint(path: str):
     """Inverse of :func:`save_checkpoint`; returns (lattice, time, arrays, meta).
 
-    A file cut short, or longer than its header describes, raises ValueError.
+    A file cut short, longer than its header describes, or whose header is
+    not a UTF-8 JSON object with ``lattice``, ``time`` and ``fields`` (each
+    with a ``name`` and a ``shape``) raises ValueError.
     """
+    damaged = f"damaged checkpoint {path!r}"
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
@@ -899,19 +835,32 @@ def load_checkpoint(path: str):
         hlen = struct.unpack("<I", raw)[0] if len(raw) == 4 else 0
         head = fh.read(hlen)
         if len(raw) < 4 or len(head) < hlen:
-            raise ValueError(f"damaged checkpoint {path!r}: the header is cut short")
-        header = json.loads(head.decode())
+            raise ValueError(f"{damaged}: the header is cut short")
         payload = fh.read()
+    try:
+        header = json.loads(head.decode("utf-8"))
+    except ValueError:  # UnicodeDecodeError and JSONDecodeError
+        header = None
+    if not isinstance(header, dict):
+        raise ValueError(f"{damaged}: the header is not a UTF-8 JSON object")
+    missing = [key for key in ("lattice", "time", "fields") if key not in header]
+    if missing:
+        raise ValueError(f"{damaged}: the header lacks {', '.join(missing)}")
+    entries = header["fields"]
+    if not isinstance(entries, list) or not all(
+        isinstance(e, dict) and "name" in e and "shape" in e for e in entries
+    ):
+        raise ValueError(f"{damaged}: a field entry lacks its name or shape")
     lattice = LatticeSpec.from_descriptor(header["lattice"])
-    counts = [int(np.prod(entry["shape"])) for entry in header["fields"]]
+    counts = [int(np.prod(entry["shape"])) for entry in entries]
     if len(payload) != 16 * sum(counts):
         raise ValueError(
-            f"damaged checkpoint {path!r}: the header describes {16 * sum(counts)} "
+            f"{damaged}: the header describes {16 * sum(counts)} "
             f"payload bytes, the file holds {len(payload)}"
         )
     arrays = {}
     offset = 0
-    for entry, count in zip(header["fields"], counts):
+    for entry, count in zip(entries, counts):
         arrays[entry["name"]] = np.frombuffer(
             payload, dtype="<c16", count=count, offset=offset
         ).reshape(entry["shape"])

@@ -301,11 +301,23 @@ class TestConfig:
             ({"gamma": -1.4}, "gamma must be positive"),
             ({"eta0": 0.0}, "eta0 must be positive"),
             ({"eta0": -0.1}, "eta0 must be positive"),
+            # a "json" entry edits the sections of a config file instead;
+            # None deletes the key
+            ({"json": {"experiment": {"eta0": "0.1"}}}, "experiment.eta0 must be a number"),
+            ({"json": {"experiment": {"eps": 0.1}}}, "experiment.eps must be a list"),
+            ({"json": {"experiment": {"eps": ["0.1"]}}}, "experiment.eps must be a number"),
+            ({"json": {"lattice": {"resolution": None}}}, "lacks 'resolution'"),
+            ({"json": {"lattice": {"periods": [1, 1]}}}, "config field lattice is malformed"),
         ],
     )
-    def test_rejected_at_load(self, lat16, overrides, message):
+    def test_rejected_at_load(self, tmp_path, lat16, overrides, message):
+        if "json" not in overrides:
+            with pytest.raises(ValueError, match=message):
+                ExperimentConfig(lattice=lat16, **overrides)
+            return
+        payload = edited_config_json(tmp_path, overrides["json"])
         with pytest.raises(ValueError, match=message):
-            ExperimentConfig(lattice=lat16, **overrides)
+            ExperimentConfig.from_json(payload)
 
     def test_band_overlap_warns_not_raises(self, lat16):
         with pytest.warns(RuntimeWarning, match="medium band is empty"):
@@ -346,6 +358,19 @@ def tiny_config(tmp_path, lat=None):
         out_dir=str(tmp_path),
     )
     return cfg
+
+
+def edited_config_json(tmp_path, edits):
+    """The JSON of ``tiny_config`` with ``{section: {key: value}}`` applied;
+    a value of None deletes the key."""
+    payload = tiny_config(tmp_path).to_json()
+    for section, changes in edits.items():
+        for key, value in changes.items():
+            if value is None:
+                del payload[section][key]
+            else:
+                payload[section][key] = value
+    return payload
 
 
 class TestStudyAndDeterminism:
@@ -570,6 +595,14 @@ class TestCLI:
                 {"mode": [0, 1], "amplitude": [[1.0, 0.0]] * 2, "envelope": "bogus"},
                 "forcing mode (0, 1) has unknown envelope 'bogus'",
             ),
+            (
+                {"amplitude": [[1.0, 0.0]] * 2},
+                "config field forcing[0] is malformed: KeyError('mode')",
+            ),
+            (
+                {"mode": [1, 0], "amplitude": 1.0},
+                "config field forcing[0] is malformed: TypeError(",
+            ),
         ],
     )
     def test_bad_forcing_rejected_at_load(self, tmp_path, capsys, entry, message):
@@ -606,6 +639,35 @@ class TestCLI:
         out = os.path.join(str(tmp_path), "sweep")
         assert main(["converge", "--config", path, "--out", out]) == 2
         assert "Mach number must lie in (0, 1]" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ({"experiment": {"eta0": "0.1"}}, "config field experiment.eta0 must be a number"),
+            ({"experiment": {"eps": 0.1}}, "config field experiment.eps must be a list"),
+            ({"experiment": {"eps": ["0.1"]}}, "config field experiment.eps must be a number"),
+            ({"lattice": {"resolution": None}}, "the lattice descriptor lacks 'resolution'"),
+        ],
+    )
+    def test_malformed_config_rejected(self, tmp_path, capsys, edits, message):
+        path = os.path.join(str(tmp_path), "config.json")
+        with open(path, "w") as fh:
+            json.dump(edited_config_json(tmp_path, edits), fh)
+        out = os.path.join(str(tmp_path), "sim")
+        assert main(["simulate", "--config", path, "--out", out]) == 2
+        assert f"invalid input: {message}" in capsys.readouterr().err
+        assert not os.path.exists(out)
+        assert main(["check", "--config", path]) == 2
+        assert f"invalid input: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cutoff", ["inf", "-1", "nan"])
+    def test_resonances_bad_cutoff_rejected(self, tmp_path, capsys, cutoff):
+        path = self.write_config(tmp_path)
+        out = os.path.join(str(tmp_path), "res")
+        assert main(["resonances", "--config", path, "--cutoff", cutoff, "--out", out]) == 2
+        message = f"invalid input: cutoff M = {float(cutoff)} must be a finite number >= 0"
+        assert message in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_invalid_config_exit_code(self, tmp_path):

@@ -1,7 +1,9 @@
 """Propagator, stepper, initial-data, and checkpoint tests."""
 
+import json
 import math
 import os
+import struct
 import tracemalloc
 
 import numpy as np
@@ -27,22 +29,23 @@ from lowmach.operators import (
     PressureLaw,
     VacuumError,
     acoustic_transform,
+    advect,
     helmholtz_project,
     wave_group,
 )
-from lowmach.resonance import build_limit_tables
+from lowmach.cli import main
+from lowmach.resonance import build_limit_tables, limit_q1, limit_q2
 from lowmach import lattice as lattice_module
 from lowmach import solvers
 from lowmach.solvers import (
     CFL_SAFETY,
+    AcousticViscousPropagator,
     CFLError,
     CompressibleState,
     CubicTimeInterpolant,
     Forcing,
     ForcingMode,
-    LimitState,
     SolverConfig,
-    acoustic_viscous_propagator,
     generate_initial_data,
     load_checkpoint,
     run_trajectory,
@@ -82,12 +85,12 @@ def from_half(lattice, array):
 def propagate(prop, a, u):
     """``prop.apply`` on the half spectra of the fields a and u."""
     new_a, new_u = prop.apply(half(a), half(u))
-    return from_half(prop.lattice, new_a), from_half(prop.lattice, new_u)
+    return from_half(a.lattice, new_a), from_half(a.lattice, new_u)
 
 
 class TestPropagator:
     def test_inviscid_rotation_conserves_energy(self, lat16):
-        prop = acoustic_viscous_propagator(lat16, dt=0.01, eps=0.1, nu=0.0, mu=0.0)
+        prop = AcousticViscousPropagator(lat16, dt=0.01, eps=0.1, nu=0.0, mu=0.0)
         a0, u0 = generate_initial_data(lat16, 1.0, 1.0, seed=1)
         qu = helmholtz_project(u0, "Q")
         a, u = a0, qu
@@ -101,7 +104,7 @@ class TestPropagator:
         # eps -> infinity freezes a and damps the longitudinal velocity
         nu = 0.3
         dt = 0.05
-        prop = acoustic_viscous_propagator(lat16, dt=dt, eps=1e9, nu=nu, mu=0.0)
+        prop = AcousticViscousPropagator(lat16, dt=dt, eps=1e9, nu=nu, mu=0.0)
         a0 = SpectralField.from_modes(lat16, {(1, 0): 1.0, (-1, 0): 1.0}, reality=True)
         u0 = SpectralField.zeros(lat16, 2)
         a1, u1 = propagate(prop, a0, u0)
@@ -119,8 +122,8 @@ class TestPropagator:
     def test_semigroup_composition(self, lat16):
         rng = np.random.default_rng(2)
         a0, u0 = generate_initial_data(lat16, 0.7, 0.9, seed=3)
-        p1 = acoustic_viscous_propagator(lat16, dt=0.02, eps=0.1, nu=0.25, mu=0.1)
-        p2 = acoustic_viscous_propagator(lat16, dt=0.04, eps=0.1, nu=0.25, mu=0.1)
+        p1 = AcousticViscousPropagator(lat16, dt=0.02, eps=0.1, nu=0.25, mu=0.1)
+        p2 = AcousticViscousPropagator(lat16, dt=0.04, eps=0.1, nu=0.25, mu=0.1)
         a, u = propagate(p1, *propagate(p1, a0, u0))
         a2, u2 = propagate(p2, a0, u0)
         scale = max(a2.l2_norm(), u2.l2_norm())
@@ -128,7 +131,7 @@ class TestPropagator:
 
     def test_series_fallback_matches_exact(self, lat16):
         # tiny dt puts every mode in the series branch; compare to two half steps
-        p_small = acoustic_viscous_propagator(lat16, dt=1e-9, eps=0.5, nu=0.1, mu=0.05)
+        p_small = AcousticViscousPropagator(lat16, dt=1e-9, eps=0.5, nu=0.1, mu=0.05)
         a0, u0 = generate_initial_data(lat16, 1.0, 1.0, seed=4)
         a1, u1 = propagate(p_small, a0, u0)
         # derivative check: (y1 - y0)/dt should equal the generator action
@@ -184,9 +187,8 @@ class TestCompressible:
             reality=True,
         )
         state = CompressibleState(a=SpectralField.zeros(lat16), u=u0)
-        prop = acoustic_viscous_propagator(lat16, cfg.dt, cfg.eps, cfg.nu, cfg.mu)
         for _ in range(cfg.n_steps):
-            state = step_compressible(state, cfg, prop)
+            state = step_compressible(state, cfg)
         expected = amp * math.exp(-mu * 1.0)
         got = abs(state.u.mode((0, 1))[0])
         assert got == pytest.approx(expected, rel=1e-6)
@@ -206,9 +208,8 @@ class TestCompressible:
         qu = helmholtz_project(u0, "Q")
         state = CompressibleState(a=a0, u=qu)
         e0 = math.sqrt(a0.l2_norm() ** 2 + qu.l2_norm() ** 2)
-        prop = acoustic_viscous_propagator(lat16, cfg.dt, cfg.eps, 0.0, 0.0)
         for _ in range(cfg.n_steps):
-            state = step_compressible(state, cfg, prop)
+            state = step_compressible(state, cfg)
         e1 = math.sqrt(state.a.l2_norm() ** 2 + state.u.l2_norm() ** 2)
         assert abs(e1 - e0) <= 1e-8 * e0
 
@@ -270,7 +271,7 @@ def reference_compressible_nonlinear(state_a, state_u, t, cfg, warn_state):
 
     Each dealiased product re-transforms its operands, and a and u are
     transformed again for the checks and the pressure-law correction: 17
-    transforms in all.  Kept as the oracle of ``solvers._compressible_nonlinear``.
+    transforms in all.  Kept as the oracle of ``CompressibleStepper.rhs``.
     """
     lattice = cfg.lattice
     if not cfg.include_nonlinear:
@@ -458,9 +459,12 @@ def reference_compressible_step(state, cfg, propagator, warn_state):
     return CompressibleState(a=a, u=u, t=state.t + cfg.dt)
 
 
-def half_spectrum_rhs(a, u, t, cfg, warn_state):
-    """``_compressible_nonlinear`` on the half spectra of the fields a and u."""
-    n_a, n_u = solvers._compressible_nonlinear(half(a), half(u), t, cfg, warn_state)
+def half_spectrum_rhs(a, u, t, cfg, stepper=None):
+    """``CompressibleStepper.rhs`` on the half spectra of the fields a and u,
+    by ``stepper`` or by a stepper built for (a, u)."""
+    if stepper is None:
+        stepper = solvers.CompressibleStepper(cfg, CompressibleState(a=a, u=u))
+    n_a, n_u = stepper.rhs((half(a), half(u)), t)
     return from_half(cfg.lattice, n_a), from_half(cfg.lattice, n_u)
 
 
@@ -474,7 +478,7 @@ ORACLE_LAWS = {
 
 
 class TestRightHandSideOracle:
-    """``_compressible_nonlinear`` against the product-by-product reference."""
+    """``CompressibleStepper.rhs`` against the product-by-product reference."""
 
     def make_case(self, name, eps_amax=0.3, **kw):
         lattice = ORACLE_LATTICES[name]
@@ -514,7 +518,7 @@ class TestRightHandSideOracle:
         a, u, cfg = self.make_case(name, law=ORACLE_LAWS[law])
         if not forced:
             cfg = replace(cfg, forcing=None)
-        got = half_spectrum_rhs(a, u, 0.3, cfg, {})
+        got = half_spectrum_rhs(a, u, 0.3, cfg)
         ref = reference_compressible_nonlinear(a, u, 0.3, cfg, {})
         self.assert_close(got, ref)
         assert got[0].mean_coefficient()[0] == 0.0
@@ -528,7 +532,7 @@ class TestRightHandSideOracle:
     @pytest.mark.parametrize("name", list(ORACLE_LATTICES))
     def test_linear_only(self, name):
         a, u, cfg = self.make_case(name, include_nonlinear=False)
-        got = half_spectrum_rhs(a, u, 0.3, cfg, {})
+        got = half_spectrum_rhs(a, u, 0.3, cfg)
         ref = reference_compressible_nonlinear(a, u, 0.3, cfg, {})
         for g, r in zip(got, ref):
             assert np.array_equal(g.coeffs, r.coeffs)
@@ -536,23 +540,28 @@ class TestRightHandSideOracle:
     @pytest.mark.parametrize("name", list(ORACLE_LATTICES))
     def test_vacuum_abort(self, name):
         a, u, cfg = self.make_case(name, eps_amax=1.25)
-        for rhs in (half_spectrum_rhs, reference_compressible_nonlinear):
-            with pytest.raises(VacuumError, match="density reached vacuum"):
-                rhs(a, u, 0.0, cfg, {})
+        with pytest.raises(VacuumError, match="density reached vacuum"):
+            half_spectrum_rhs(a, u, 0.0, cfg)
+        with pytest.raises(VacuumError, match="density reached vacuum"):
+            reference_compressible_nonlinear(a, u, 0.0, cfg, {})
 
     @pytest.mark.parametrize("name", list(ORACLE_LATTICES))
     def test_vacuum_warning_once(self, name):
         a, u, cfg = self.make_case(name, eps_amax=0.75)
-        results = []
-        for rhs in (half_spectrum_rhs, reference_compressible_nonlinear):
-            warn_state = {}
-            with pytest.warns(RuntimeWarning, match="uniform bound lost"):
-                results.append(rhs(a, u, 0.0, cfg, warn_state))
-            assert warn_state == {"vacuum_warned": True}
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                rhs(a, u, 0.0, cfg, warn_state)
-        self.assert_close(*results)
+        stepper = solvers.CompressibleStepper(cfg, CompressibleState(a=a, u=u))
+        assert not stepper.vacuum_warned
+        with pytest.warns(RuntimeWarning, match="uniform bound lost"):
+            got = half_spectrum_rhs(a, u, 0.0, cfg, stepper)
+        assert stepper.vacuum_warned
+        warn_state = {}
+        with pytest.warns(RuntimeWarning, match="uniform bound lost"):
+            ref = reference_compressible_nonlinear(a, u, 0.0, cfg, warn_state)
+        assert warn_state == {"vacuum_warned": True}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            half_spectrum_rhs(a, u, 0.0, cfg, stepper)
+            reference_compressible_nonlinear(a, u, 0.0, cfg, warn_state)
+        self.assert_close(got, ref)
 
     @pytest.mark.parametrize("name", list(ORACLE_LATTICES))
     def test_cfl_abort(self, name):
@@ -564,9 +573,10 @@ class TestRightHandSideOracle:
         )
         dt = 2.0 * CFL_SAFETY * dx_min / umax
         cfg = replace(cfg, dt=dt, t_final=dt)
-        for rhs in (half_spectrum_rhs, reference_compressible_nonlinear):
-            with pytest.raises(CFLError, match="advective CFL bound"):
-                rhs(a, u, 0.0, cfg, {})
+        with pytest.raises(CFLError, match="advective CFL bound"):
+            half_spectrum_rhs(a, u, 0.0, cfg)
+        with pytest.raises(CFLError, match="advective CFL bound"):
+            reference_compressible_nonlinear(a, u, 0.0, cfg, {})
 
 
 class TestStepOracle:
@@ -581,11 +591,10 @@ class TestStepOracle:
         )
         if variant == "unforced":
             cfg = replace(cfg, forcing=None)
-        prop = acoustic_viscous_propagator(cfg.lattice, cfg.dt, cfg.eps, cfg.nu, cfg.mu)
         ref_prop = ReferencePropagator(cfg.lattice, cfg.dt, cfg.eps, cfg.nu, cfg.mu)
         got = ref = CompressibleState(a=a, u=u)
         for _ in range(10):
-            got = step_compressible(got, cfg, prop, {})
+            got = step_compressible(got, cfg)
             ref = reference_compressible_step(ref, cfg, ref_prop, {})
         assert got.t == ref.t
         TestRightHandSideOracle.assert_close((got.a, got.u), (ref.a, ref.u))
@@ -648,7 +657,7 @@ class TestTransformBudget:
 
         monkeypatch.setattr(solvers, "_half_inverse", counted("inverse", solvers._half_inverse))
         monkeypatch.setattr(solvers, "_half_forward", counted("forward", solvers._half_forward))
-        half_spectrum_rhs(a, u, 0.3, cfg, {})
+        half_spectrum_rhs(a, u, 0.3, cfg)
         assert calls == {"inverse": inverse, "forward": forward}
 
     def test_remainder_is_zero(self):
@@ -689,12 +698,11 @@ class TestCompressibleStepper:
     def test_sampling_does_not_change_the_bytes(self, name, law, forced, stride):
         cfg, a0, u0 = self.make_case(name, law, forced, stride=stride)
         traj = run_trajectory((a0, u0), cfg, "compressible", record=lambda s, t: s)
-        prop = acoustic_viscous_propagator(cfg.lattice, cfg.dt, cfg.eps, cfg.nu, cfg.mu)
-        state, warn_state = CompressibleState(a=a0, u=u0), {}
+        state = CompressibleState(a=a0, u=u0)
         hand = [state]
         for n in range(1, cfg.n_steps + 1):
             state = CompressibleState(a=state.a, u=state.u, t=(n - 1) * cfg.dt)
-            state = step_compressible(state, cfg, prop, warn_state)
+            state = step_compressible(state, cfg)
             if n % stride == 0 or n == cfg.n_steps:
                 hand.append(state)
         assert len(traj) == len(hand)
@@ -729,31 +737,13 @@ class TestCompressibleStepper:
         assert plain.a.coeffs.tobytes() == with_out.a.coeffs.tobytes()
         assert plain.u.coeffs.tobytes() == with_out.u.coeffs.tobytes()
 
-    @pytest.mark.parametrize("parameter", ["lattice", "dt", "eps", "nu", "mu"])
-    def test_mismatched_propagator_rejected(self, lat16, parameter):
-        cfg = TestCompressible().make_cfg(lat16)
-        built = dict(lattice=lat16, dt=cfg.dt, eps=cfg.eps, nu=cfg.nu, mu=cfg.mu)
-        if parameter == "lattice":
-            # the same resolution, so every array would still broadcast
-            built["lattice"] = LatticeSpec((1, Fraction(3, 2)), (16, 16))
-        else:
-            built[parameter] *= 1.5
-        prop = acoustic_viscous_propagator(**built)
-        a0, u0 = generate_initial_data(lat16, 1.0, 1.0, seed=5)
-        state = CompressibleState(a=a0, u=u0)
-        message = f"the propagator was built for {parameter} = "
-        with pytest.raises(ValueError, match=message):
-            step_compressible(state, cfg, prop)
-        with pytest.raises(ValueError, match=message):
-            solvers.CompressibleStepper(cfg, state, prop)
-
     @pytest.mark.skipif(
         not lattice_module._FFT_OUT, reason="numpy < 2 FFTs allocate their outputs"
     )
     def test_steps_allocate_less_than_one_grid_stack(self, monkeypatch):
         """After the first step, the traced peak of a 64^2 step stays below
         six components on the coefficient grid.  The right-hand side's
-        inverse, product and forward stacks live in the stepper's workspace;
+        inverse, product and forward stacks are the stepper's own arrays;
         a step allocates the half-spectrum stages of the Lawson step and the
         propagator (about 15 arrays of 64 x 22 modes at its peak)."""
         lattice = LatticeSpec.square(2, 64)
@@ -788,10 +778,9 @@ class TestIncompressible:
         mu = 0.1
         cfg = SolverConfig(lattice=lattice, mu=mu, lam=0.0, dt=0.01, t_final=1.0)
         v = taylor_green(lattice)
-        heat = np.exp(-mu * lattice.k_squared() * cfg.dt)
         t = 0.0
         for step in range(cfg.n_steps):
-            v = step_incompressible(v, t, cfg, heat)
+            v = step_incompressible(v, t, cfg)
             t += cfg.dt
         exact = math.exp(-2.0 * mu * 1.0) * taylor_green(lattice)
         err = (v - exact).l2_norm() / exact.l2_norm()
@@ -863,9 +852,8 @@ class TestLimit:
 
     def test_zero_initial_stays_zero(self, lat16):
         cfg, table, v_at = self.make_setup(lat16, dt=1e-2, t_final=0.1)
-        state = LimitState(V=AcousticCoeffs.zeros(lat16))
-        out = step_limit(state, v_at, cfg, table)
-        assert out.V.l2_norm() == 0.0
+        out = step_limit(AcousticCoeffs.zeros(lat16), 0.0, v_at, cfg, table)
+        assert out.l2_norm() == 0.0
 
     def test_resonant_growth_rate(self):
         # mode pair +-(1,0): output (2,0) grows at the limit-form rate
@@ -893,14 +881,14 @@ class TestLimit:
             [0.0, 1.0],
             [SpectralField.zeros(lattice, 2), SpectralField.zeros(lattice, 2)],
         )
-        state = LimitState(V=V0)
-        for _ in range(cfg.n_steps):
-            state = step_limit(state, zero_v, cfg, table, None)
+        V = V0
+        for n in range(cfg.n_steps):
+            V = step_limit(V, n * cfg.dt, zero_v, cfg, table)
         from lowmach.resonance import limit_q2
 
         rate = limit_q2(V0, V0, table, kappa=kappa)
         expected = -cfg.t_final * rate.plus[2, 0]
-        got = state.V.plus[2, 0]
+        got = V.plus[2, 0]
         assert got == pytest.approx(expected, rel=2e-2)
         assert abs(got) > 0
 
@@ -926,6 +914,64 @@ class TestLimit:
         ]
         assert math.log2(errs[0] / errs[1]) >= 1.9
         assert math.log2(errs[1] / errs[2]) >= 1.9
+
+
+class TestHeatFactor:
+    """``step_incompressible`` and ``step_limit`` store their heat factors as
+    complex; a Lawson step with the real factor gives the same bytes."""
+
+    @staticmethod
+    def real_heat_step(x, t, dt, viscosity, rhs):
+        heat = np.exp(-viscosity * x.lattice.k_squared() * dt)
+        assert heat.dtype == np.float64
+        n0 = rhs(x, t)
+        half = (x + (dt / 2.0) * n0).scale_modes(heat)
+        predictor = (x + dt * n0).scale_modes(heat)
+        return half + (dt / 2.0) * rhs(predictor, t + dt)
+
+    @pytest.mark.parametrize("name", ["16x16", "8x8x6"])
+    def test_same_bytes_as_real_factor(self, name):
+        cfg, a0, u0 = TestCompressibleStepper().make_case(name, "gamma1.4", forced=True)
+        lattice = cfg.lattice
+        table = build_limit_tables(lattice)
+
+        def v_rhs(x, time):
+            out = SpectralField.zeros(lattice, lattice.d)
+            out = out - helmholtz_project(advect(x, x), "P")
+            return out + helmholtz_project(cfg.forcing(time), "P")
+
+        v = v_real = helmholtz_project(u0, "P")
+        v_samples = [v]
+        for n in range(3):
+            v = step_incompressible(v, n * cfg.dt, cfg)
+            v_real = self.real_heat_step(v_real, n * cfg.dt, cfg.dt, cfg.mu, v_rhs)
+            assert v.coeffs.tobytes() == v_real.coeffs.tobytes()
+            v_samples.append(v)
+        v_at = CubicTimeInterpolant(cfg.dt * np.arange(4), v_samples)
+
+        def V_rhs(x, time):
+            return -1.0 * limit_q1(v_at(time), x, table) - limit_q2(x, x, table, kappa=cfg.law.kappa)
+
+        V = V_real = acoustic_transform(a0, u0 - v_samples[0])
+        for n in range(3):
+            V = step_limit(V, n * cfg.dt, v_at, cfg, table)
+            V_real = self.real_heat_step(V_real, n * cfg.dt, cfg.dt, 0.5 * cfg.nu, V_rhs)
+            assert V.coeffs.tobytes() == V_real.coeffs.tobytes()
+
+    def test_complex_factor_allocates_only_the_result(self):
+        """``scale_modes`` with a complex-stored factor, which each step applies
+        twice, allocates its result and no iterator or cast buffer."""
+        lattice = LatticeSpec.square(2, 64)
+        _, u = generate_initial_data(lattice, 1.0, 1.0, seed=0)
+        heat = np.exp(-0.05 * lattice.k_squared() * 5e-3).astype(np.complex128)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            scaled = u.scale_modes(heat)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * scaled.coeffs.nbytes
 
 
 class TestTrajectoryLoop:
@@ -1002,7 +1048,7 @@ class TestTrajectoryLoop:
         V0 = acoustic_transform(a0, u0 - v0)
         traj = run_trajectory(V0, cfg, "limit", table=table, v_at=v_at)
         hand = self.hand_run(
-            cfg, V0, lambda V, t: step_limit(LimitState(V=V, t=t), v_at, cfg, table).V
+            cfg, V0, lambda V, t: step_limit(V, t, v_at, cfg, table)
         )
         self.check_times(traj, cfg, "limit")
         assert len(traj) == len(hand)
@@ -1063,6 +1109,43 @@ class TestInitialDataAndIO:
         with pytest.raises(ValueError, match="damaged checkpoint"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            (b"\xff\xfe{}", "the header is not a UTF-8 JSON object"),
+            (b"{not json", "the header is not a UTF-8 JSON object"),
+            (b"[1, 2]", "the header is not a UTF-8 JSON object"),
+            # dicts edit the saved header; None deletes the key
+            ({"lattice": None}, "the header lacks lattice"),
+            ({"time": None}, "the header lacks time"),
+            ({"fields": None}, "the header lacks fields"),
+            ({"fields": [{"shape": [1, 16, 16]}]}, "a field entry lacks its name or shape"),
+            ({"fields": [{"name": "a"}]}, "a field entry lacks its name or shape"),
+        ],
+    )
+    def test_damaged_header_rejected(self, tmp_path, capsys, lat16, header, message):
+        a0, _ = generate_initial_data(lat16, 1.0, 1.0, seed=16)
+        path = os.path.join(tmp_path, "state.lmc")
+        save_checkpoint(path, lat16, 0.25, {"a": a0})
+        with open(path, "rb") as fh:
+            data = fh.read()
+        start = len(solvers._MAGIC) + 4
+        end = start + struct.unpack("<I", data[start - 4 : start])[0]
+        if isinstance(header, dict):
+            edited = json.loads(data[start:end])
+            for key, value in header.items():
+                if value is None:
+                    del edited[key]
+                else:
+                    edited[key] = value
+            header = json.dumps(edited).encode()
+        with open(path, "wb") as fh:
+            fh.write(data[: start - 4] + struct.pack("<I", len(header)) + header + data[end:])
+        with pytest.raises(ValueError, match=f"damaged checkpoint .*: {message}"):
+            load_checkpoint(path)
+        assert main(["norms", "--field", path]) == 2
+        assert f"invalid input: damaged checkpoint {path!r}: {message}" in capsys.readouterr().err
+
     def test_trailing_bytes_rejected(self, tmp_path, lat16):
         a0, _ = generate_initial_data(lat16, 1.0, 1.0, seed=16)
         path = os.path.join(tmp_path, "state.lmc")
@@ -1077,16 +1160,13 @@ class TestInitialDataAndIO:
             lattice=lat16, mu=0.05, lam=0.0, eps=0.5, dt=1e-3, t_final=0.01
         )
         a0, u0 = generate_initial_data(lat16, 0.5, 0.5, seed=17)
-        from lowmach.solvers import acoustic_viscous_propagator
-
-        prop = acoustic_viscous_propagator(lat16, cfg.dt, cfg.eps, cfg.nu, cfg.mu)
         state = CompressibleState(a=a0, u=u0)
         for _ in range(5):
-            state = step_compressible(state, cfg, prop)
+            state = step_compressible(state, cfg)
         path = os.path.join(tmp_path, "mid.lmc")
         save_checkpoint(path, lat16, state.t, {"a": state.a, "u": state.u})
         for _ in range(5):
-            state = step_compressible(state, cfg, prop)
+            state = step_compressible(state, cfg)
         _, t_mid, arrays, _ = load_checkpoint(path)
         resumed = CompressibleState(
             a=SpectralField(lat16, arrays["a"], reality=True),
@@ -1094,7 +1174,7 @@ class TestInitialDataAndIO:
             t=t_mid,
         )
         for _ in range(5):
-            resumed = step_compressible(resumed, cfg, prop)
+            resumed = step_compressible(resumed, cfg)
         assert np.array_equal(resumed.a.coeffs, state.a.coeffs)
         assert np.array_equal(resumed.u.coeffs, state.u.coeffs)
 
