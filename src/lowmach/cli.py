@@ -8,7 +8,8 @@ Subcommands:
   converge    full Mach-number sweep with diagnostics report
   check       fast invariant battery
 
-Exit codes: 0 success, 2 invariant failure, 3 vacuum/CFL abort.
+Exit codes: 0 success, 2 invariant failure or invalid input (a malformed
+value, or a file that cannot be read or written), 3 vacuum/CFL abort.
 """
 
 from __future__ import annotations
@@ -249,6 +250,10 @@ def main(argv=None) -> int:
         return EXIT_ABORT
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except OSError as exc:
+        detail = f"{exc.strerror}: {exc.filename}" if exc.filename else str(exc)
+        print(f"invalid input: {detail}", file=sys.stderr)
         return EXIT_INVARIANT
 
 

@@ -436,16 +436,8 @@ class SpectralField:
         return self._like(self.coeffs[c : c + 1], self.reality)
 
     def scale_modes(self, weights: np.ndarray) -> "SpectralField":
-        """Multiply coefficients by a real, radially even mode-weight array.
-
-        One component at a time: a broadcast operand makes numpy allocate an
-        iterator buffer as large as the result.  Weights stored as complex
-        also spare it a cast buffer.
-        """
-        out = np.empty_like(self.coeffs)
-        for component, scaled in zip(self.coeffs, out):
-            np.multiply(component, weights, out=scaled)
-        return self._like(out, self.reality)
+        """Multiply coefficients by a real, radially even mode-weight array."""
+        return self._like(_scale_modes(self.coeffs, weights), self.reality)
 
     def _check_compatible(self, other: "SpectralField"):
         if other.lattice is not self.lattice and other.lattice != self.lattice:
@@ -458,6 +450,17 @@ class SpectralField:
 
     def copy_with_reality(self, reality: bool) -> "SpectralField":
         return self._like(self.coeffs, reality)
+
+
+def _scale_modes(coeffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each component of ``coeffs`` times the per-mode ``weights``, as a new
+    array.  One component at a time: a broadcast operand makes numpy allocate
+    an iterator buffer as large as the result.  Weights stored as complex
+    also spare it a cast buffer."""
+    out = np.empty_like(coeffs)
+    for component, scaled in zip(coeffs, out):
+        np.multiply(component, weights, out=scaled)
+    return out
 
 
 def _mirror(x: np.ndarray, lattice: LatticeSpec) -> np.ndarray:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -196,6 +197,15 @@ class ResonanceTable:
         if self.nonres_q2 is not None:
             out["q2_nonresonant"] = int(self.nonres_q2["m"].size)
         return out
+
+    @cached_property
+    def q1_gather(self) -> np.ndarray:
+        """Flat indices of the B_k^alpha that :func:`limit_q1` reads, one row
+        per output branch gamma = 1, -1 (alpha = gamma*sg(m)*sg(k))."""
+        size = int(np.prod(self.lattice.resolution))
+        return np.stack(
+            [np.where(gamma * self.q1_ss == 1, 0, size) + self.q1_k for gamma in (1, -1)]
+        )
 
 
 def _guard_int64(max_scaled_norm: int):
@@ -449,10 +459,9 @@ def limit_q1(u: SpectralField, B: AcousticCoeffs, table: ResonanceTable) -> Acou
         table.q1_kvec[:, c] * uflat[c][table.q1_l] for c in range(lattice.d)
     )
     acc = out.coeffs.reshape(2, -1)
-    for row, gamma in enumerate((1, -1)):
-        # alpha = gamma*sg(m)*sg(k)
-        bsel = _branch_gather(B, table.q1_k, gamma * table.q1_ss)
-        contrib = prefactor * bsel * k_dot_u * table.q1_weight
+    b_flat = B.coeffs.reshape(-1)
+    for row, gather in enumerate(table.q1_gather):
+        contrib = prefactor * b_flat[gather] * k_dot_u * table.q1_weight
         np.add.at(acc[row], table.q1_m, contrib)
     return out
 
@@ -471,11 +480,12 @@ def limit_q2(
         m_idx = table.q2_m[gamma]
         if m_idx.size == 0:
             continue
-        a_flat, b_flat = a_rows[row], b_rows[row]
-        sym = 0.5 * (
-            a_flat[table.q2_k[gamma]] * b_flat[table.q2_l[gamma]]
-            + b_flat[table.q2_k[gamma]] * a_flat[table.q2_l[gamma]]
-        )
+        a_k, a_l = a_rows[row][table.q2_k[gamma]], a_rows[row][table.q2_l[gamma]]
+        if A is B:  # both products of the general form are a_k a_l; 0.5 (p + p) = p
+            sym = a_k * a_l
+        else:
+            b_k, b_l = b_rows[row][table.q2_k[gamma]], b_rows[row][table.q2_l[gamma]]
+            sym = 0.5 * (a_k * b_l + b_k * a_l)
         contrib = front * gamma * table.q2_smod[gamma] * sym
         np.add.at(acc[row], m_idx, contrib)
     return out

@@ -13,16 +13,14 @@ and averaged systems and, for the compressible system, the longitudinal
 is exponentiated in closed form, which removes the acoustic time-step
 restriction; only the advective CFL limit remains.
 
-Each stepper builds for itself what it reads.  A compressible run is one
-:class:`CompressibleStepper`: it builds its propagator and holds the
-warn-once flag of the vacuum check, the half spectra of the real fields a
-and u, and the preallocated arrays that every right-hand side fills in
-place (its transforms, grid products and forward stack), so that on
-numpy >= 2 a step allocates only its half-spectrum stages.  The full
-Hermitian fields are built only when a sample or the final state asks for
-them.  :func:`step_compressible` is the same step for one state.
-:func:`step_incompressible` and :func:`step_limit` build their heat factors
-on every call.
+A run is one stepper object that builds, once, what it reads: its
+propagator or heat factor, the half spectra of its real fields, and the
+preallocated arrays that every right-hand side fills in place, so that on
+numpy >= 2 a step allocates only its half-spectrum stages
+(:class:`CompressibleStepper`, :class:`IncompressibleStepper`;
+:class:`LimitStepper` steps the complex averaged state).  Full fields are
+built only for samples and the final state.  :func:`step_compressible`,
+:func:`step_incompressible` and :func:`step_limit` are one step of each.
 """
 
 from __future__ import annotations
@@ -42,6 +40,7 @@ from .lattice import (
     _half_forward,
     _half_inverse,
     _half_to_full,
+    _scale_modes,
     zero_mean_split,
 )
 from .dyadic import NormSpec, norm
@@ -49,8 +48,8 @@ from .operators import (
     AcousticCoeffs,
     PressureLaw,
     VacuumError,
+    _safe_inv_ksq,
     acoustic_transform,
-    advect,
     helmholtz_project,
     wave_group,
 )
@@ -63,6 +62,8 @@ __all__ = [
     "SolverConfig",
     "CompressibleState",
     "CompressibleStepper",
+    "IncompressibleStepper",
+    "LimitStepper",
     "AcousticViscousPropagator",
     "Trajectory",
     "step_compressible",
@@ -364,23 +365,62 @@ def _lawson_rk2(x: tuple, t: float, dt: float, linear, rhs) -> tuple:
     return tuple(hi + (dt / 2.0) * ni for hi, ni in zip(half, n1))
 
 
-class CompressibleStepper:
+def _rotation(ik: np.ndarray, u: np.ndarray, pairs: list, out: np.ndarray) -> None:
+    """Half spectra of d_i u_j - d_j u_i for each pair i < j, into ``out``."""
+    for n, (i, j) in enumerate(pairs):
+        np.subtract(ik[i] * u[j], ik[j] * u[i], out=out[n])
+
+
+def _add_lamb(lamb: np.ndarray, u: np.ndarray, rot: np.ndarray, pairs: list, scratch) -> None:
+    """Add the Lamb term -sum_i u_i (d_i u_j - d_j u_i), which is
+    grad(|u|^2/2) - (u.grad)u, to ``lamb`` from the grid values of u and of
+    the :func:`_rotation` components; ``scratch`` is one grid-sized array."""
+    for (i, j), r in zip(pairs, rot):
+        lamb[i] += np.multiply(u[j], r, out=scratch)
+        lamb[j] -= np.multiply(u[i], r, out=scratch)
+
+
+class _Stepper:
+    """One run of dx/dt = L x + N(x, t): a subclass holds the state ``x`` (a
+    tuple of arrays) and gives ``linear``, the exact one-step exponential of
+    L, and ``rhs``, the right-hand side N."""
+
+    def step(self, t: float) -> None:
+        """One Lawson RK2 step started at time ``t``."""
+        self.x = _lawson_rk2(self.x, t, self.cfg.dt, self.linear, self.rhs)
+        self.t = t + self.cfg.dt
+
+
+def _one_step(stepper: _Stepper, t: float):
+    """The state of ``stepper`` after one step started at time ``t``."""
+    stepper.step(t)
+    return stepper.state()
+
+
+class _HeatStepper(_Stepper):
+    """A run whose linear part is viscosity * laplacian, with the per-mode
+    factor ``heat`` built once (stored as complex: see AcousticViscousPropagator)."""
+
+    def __init__(self, cfg: SolverConfig, x: np.ndarray, viscosity: float, ksq: np.ndarray):
+        self.cfg, self.x, self.t = cfg, (x,), 0.0
+        self.heat = np.exp(-viscosity * ksq * cfg.dt).astype(np.complex128)
+
+    def linear(self, x: tuple) -> tuple[np.ndarray]:
+        return (_scale_modes(x[0], self.heat),)
+
+
+class CompressibleStepper(_Stepper):
     """The compressible system for one run, stepped on half spectra.
 
-    Holds what every step reuses: the exact propagator, the warn-once flag
-    of the vacuum check (``vacuum_warned``), the retained half spectra
-    (columns 0..cut) of the real fields a and u, and the preallocated arrays
-    of the right-hand side.  ``step`` replaces the half spectra by those one
-    step later; the full Hermitian fields are built only when :meth:`state`
-    is asked for them.
-
-    The arrays: ``spectral`` holds the half spectra of the inverse stack (a,
-    u, d_i u_j - d_j u_i for i < j, viscous term), which the inverse
-    transform overwrites; ``grid`` its grid values; ``products`` the forward
-    stack (a u, a^2/2, |u|^2/2, Lamb term); ``spectrum`` their real-data FFT;
-    ``forward`` their half spectra; and ``eps_a`` the grid values of eps a.
-    With the constant multipliers of the stack, these are all the grid-sized
-    arrays that one evaluation needs.
+    Holds the exact propagator, the warn-once flag of the vacuum check
+    (``vacuum_warned``), the retained half spectra (columns 0..cut) of the
+    real fields a and u as ``x = (a, u)``, and all the grid-sized arrays
+    of the right-hand side: ``spectral`` holds the half spectra of the
+    inverse stack (a, u, d_i u_j - d_j u_i for i < j, viscous term), which
+    the inverse transform overwrites; ``grid`` its grid values; ``products``
+    the forward stack (a u, a^2/2, |u|^2/2, Lamb term); ``spectrum`` their
+    real-data FFT; ``forward`` their half spectra; ``eps_a`` the grid values
+    of eps a.
     """
 
     def __init__(self, cfg: SolverConfig, initial: CompressibleState):
@@ -395,8 +435,7 @@ class CompressibleStepper:
         self.cfg = cfg
         self.propagator = AcousticViscousPropagator(lattice, cfg.dt, cfg.eps, cfg.nu, cfg.mu)
         self.vacuum_warned = False
-        self.a = initial.a.coeffs[..., : cut + 1]
-        self.u = initial.u.coeffs[..., : cut + 1]
+        self.x = (initial.a.coeffs[..., : cut + 1], initial.u.coeffs[..., : cut + 1])
         self.t = initial.t
         self.pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
         self.ik = 1j * lattice.half_wavevectors()
@@ -432,8 +471,7 @@ class CompressibleStepper:
         spectral = self.spectral
         spectral[0] = a[0]
         spectral[1 : 1 + d] = u
-        for n, (i, j) in enumerate(pairs):
-            np.subtract(ik[i] * u[j], ik[j] * u[i], out=spectral[1 + d + n])
+        _rotation(ik, u, pairs, spectral[1 + d : 1 + d + len(pairs)])
         visc = spectral[1 + d + len(pairs) :]
         div_u = sum(ik[c] * u[c] for c in range(d))
         for c in range(d):  # per component: see AcousticViscousPropagator.apply
@@ -483,9 +521,7 @@ class CompressibleStepper:
         lamb = products[d + 2 :]
         for c in range(d):
             np.negative(np.multiply(quotient, visc_grid[c], out=lamb[c]), out=lamb[c])
-        for (i, j), rot in zip(pairs, rot_grid):
-            lamb[i] += np.multiply(u_grid[j], rot, out=scratch)
-            lamb[j] -= np.multiply(u_grid[i], rot, out=scratch)
+        _add_lamb(lamb, u_grid, rot_grid, pairs, scratch)
 
     def rhs(self, x: tuple, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Right-hand side beyond the exactly-propagated linear part, on the
@@ -536,21 +572,14 @@ class CompressibleStepper:
             n_u = n_u + cfg.forcing.half_spectrum(t)
         return n_a, n_u
 
-    def step(self, t: float) -> None:
-        """One Lawson RK2 step started at time ``t``."""
-        self.a, self.u = _lawson_rk2(
-            (self.a, self.u), t, self.cfg.dt, lambda x: self.propagator.apply(*x), self.rhs
-        )
-        self.t = t + self.cfg.dt
+    def linear(self, x: tuple) -> tuple[np.ndarray, np.ndarray]:
+        return self.propagator.apply(*x)
 
     def state(self) -> CompressibleState:
         """The current full, Hermitian fields."""
         lattice = self.cfg.lattice
-        return CompressibleState(
-            a=SpectralField._in_box(lattice, _half_to_full(self.a, lattice), True),
-            u=SpectralField._in_box(lattice, _half_to_full(self.u, lattice), True),
-            t=self.t,
-        )
+        a, u = (SpectralField._in_box(lattice, _half_to_full(y, lattice), True) for y in self.x)
+        return CompressibleState(a=a, u=u, t=self.t)
 
 
 def step_compressible(state: CompressibleState, cfg: SolverConfig) -> CompressibleState:
@@ -560,33 +589,94 @@ def step_compressible(state: CompressibleState, cfg: SolverConfig) -> Compressib
     through a :class:`CompressibleStepper` built for it alone, and returns
     their full Hermitian coefficient grids.
     """
-    stepper = CompressibleStepper(cfg, state)
-    stepper.step(state.t)
-    return stepper.state()
+    return _one_step(CompressibleStepper(cfg, state), state.t)
 
 
-def _heat_step(x: SpectralField, t: float, dt: float, viscosity: float, rhs) -> SpectralField:
-    """One Lawson RK2 step of dx/dt = viscosity lap x + rhs(x, t) for one field."""
-    # real, but stored as complex for the reason given in AcousticViscousPropagator
-    heat = np.exp(-viscosity * x.lattice.k_squared() * dt).astype(np.complex128)
-    return _lawson_rk2(
-        (x,), t, dt, lambda y: (y[0].scale_modes(heat),), lambda y, s: (rhs(y[0], s),)
-    )[0]
+class IncompressibleStepper(_HeatStepper):
+    """The incompressible system for one run, stepped on the half spectrum.
+
+    Holds the half spectrum of the real velocity v, the heat factor
+    exp(-mu |k|^2 dt) and the Leray projection's multipliers on the columns
+    0..cut, and the arrays of the right-hand side: the inverse stack on the
+    half spectrum (transformed in place) and on the grid, the Lamb term's
+    grid values, their real-data FFT and their half spectra.
+    """
+
+    def __init__(self, cfg: SolverConfig, v0: SpectralField):
+        if not v0.reality:
+            raise ValueError("incompressible data must be real: v has reality=False")
+        lattice = cfg.lattice
+        d, n, cut = lattice.d, lattice.resolution, lattice.cutoffs[-1]
+        super().__init__(cfg, v0.coeffs[..., : cut + 1], cfg.mu, lattice.k_squared()[..., : cut + 1])
+        self.ik = 1j * lattice.half_wavevectors()
+        self.ik_over_ksq = self.ik * _safe_inv_ksq(lattice)[..., : cut + 1]
+        self.pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+        half = n[:-1] + (cut + 1,)
+        self.spectral = np.empty((d + len(self.pairs),) + half, dtype=np.complex128)
+        self.grid = np.empty((d + len(self.pairs),) + n)
+        self.lamb = np.empty((d,) + n)
+        self.scratch = np.empty(n)
+        self.spectrum = np.empty((d,) + n[:-1] + (n[-1] // 2 + 1,), dtype=np.complex128)
+        self.forward = np.empty((d,) + half, dtype=np.complex128)
+
+    def rhs(self, x: tuple, t: float) -> tuple[np.ndarray]:
+        """P(f - (v.grad)v) on the half spectrum ``x = (v,)``, as a new array:
+        P(Lamb + f), since (v.grad)v = grad(|v|^2/2) - Lamb and P kills
+        gradients.  One inverse transform of (v, d_i v_j - d_j v_i for i < j)
+        and one forward transform of the Lamb term."""
+        (v,) = x
+        cfg, lattice, d = self.cfg, self.cfg.lattice, self.cfg.lattice.d
+        if cfg.include_nonlinear:
+            self.spectral[:d] = v
+            _rotation(self.ik, v, self.pairs, self.spectral[d:])
+            grid = _half_inverse(self.spectral, lattice, out=self.grid)
+            self.lamb.fill(0.0)
+            _add_lamb(self.lamb, grid[:d], grid[d:], self.pairs, self.scratch)
+            w = _half_forward(self.lamb, lattice, out=self.forward, spectrum=self.spectrum)
+        else:
+            w = np.zeros_like(v)
+        if cfg.forcing is not None:
+            w += cfg.forcing.half_spectrum(t)
+        # Leray projection w - k (k.w)/|k|^2 = w + ik (ik.w)/|k|^2, which
+        # leaves the mean mode as it is
+        ik_dot_w = sum(ik * wc for ik, wc in zip(self.ik, w))
+        out = np.empty_like(v)
+        for ik, wc, oc in zip(self.ik_over_ksq, w, out):
+            np.add(wc, np.multiply(ik, ik_dot_w, out=oc), out=oc)
+        return (out,)
+
+    def state(self) -> SpectralField:
+        """The current full, Hermitian velocity field."""
+        lattice = self.cfg.lattice
+        return SpectralField._in_box(lattice, _half_to_full(self.x[0], lattice), True)
+
+
+class LimitStepper(_HeatStepper):
+    """The averaged system for one run: the two-branch coefficient array of
+    V, the heat factor exp(-nu |k|^2 dt/2), and what the right-hand side
+    -Q1(v, V) - Q2(V, V) reads, the interpolant ``v_at`` of the
+    incompressible velocity and the limit table."""
+
+    def __init__(self, cfg: SolverConfig, V0: AcousticCoeffs, v_at, table: ResonanceTable):
+        super().__init__(cfg, V0.coeffs, 0.5 * cfg.nu, cfg.lattice.k_squared())
+        self.v_at, self.table, self.v_time = v_at, table, None
+
+    def rhs(self, x: tuple, t: float) -> tuple[np.ndarray]:
+        V = AcousticCoeffs._in_box(self.cfg.lattice, x[0], False)
+        if t != self.v_time:  # a step mostly starts at its predecessor's last time
+            self.v, self.v_time = self.v_at(t), t
+        q1 = limit_q1(self.v, V, self.table)
+        return ((-1.0 * q1 - limit_q2(V, V, self.table, kappa=self.cfg.law.kappa)).coeffs,)
+
+    def state(self) -> AcousticCoeffs:
+        """The current coefficients, a view of an array that no step overwrites."""
+        return AcousticCoeffs._in_box(self.cfg.lattice, self.x[0], False)
 
 
 def step_incompressible(v: SpectralField, t: float, cfg: SolverConfig) -> SpectralField:
-    """One Lawson RK2 step of the incompressible system (heat integrating factor)."""
-    lattice = cfg.lattice
-
-    def rhs(x, time):
-        out = SpectralField.zeros(lattice, lattice.d)
-        if cfg.include_nonlinear:
-            out = out - helmholtz_project(advect(x, x), "P")
-        if cfg.forcing is not None:
-            out = out + helmholtz_project(cfg.forcing(time), "P")
-        return out
-
-    return _heat_step(v, t, cfg.dt, cfg.mu, rhs)
+    """One Lawson RK2 step of the incompressible system (heat integrating
+    factor), through an :class:`IncompressibleStepper` built for it alone."""
+    return _one_step(IncompressibleStepper(cfg, v), t)
 
 
 def step_limit(
@@ -596,12 +686,9 @@ def step_limit(
     cfg: SolverConfig,
     table: ResonanceTable,
 ) -> AcousticCoeffs:
-    """One Lawson RK2 step of the averaged system (half-viscosity heat factor)."""
-
-    def rhs(x, time):
-        return -1.0 * limit_q1(v_at(time), x, table) - limit_q2(x, x, table, kappa=cfg.law.kappa)
-
-    return _heat_step(V, t, cfg.dt, 0.5 * cfg.nu, rhs)
+    """One Lawson RK2 step of the averaged system (half-viscosity heat
+    factor), through a :class:`LimitStepper` built for it alone."""
+    return _one_step(LimitStepper(cfg, V, v_at, table), t)
 
 
 # ---------------------------------------------------------------------------
@@ -638,43 +725,35 @@ def run_trajectory(
     averaged state.  By default it is the full record: :func:`compressible_record`,
     ``{"v": v}`` or ``{"V": V}``.  The final state is kept either way.
     """
-    dt = cfg.dt
-    view = lambda x: x  # the state that a sample records, from what is stepped
+    start = initial
     if kind == "compressible":
         start = CompressibleState(*initial)
-        x = CompressibleStepper(cfg, start)
-
-        def advance(stepper, t):
-            stepper.step(t)
-            return stepper
-
-        view = CompressibleStepper.state
+        stepper = CompressibleStepper(cfg, start)
         full_record = lambda s, t: compressible_record(s, t, cfg.eps)
     elif kind == "incompressible":
-        x = start = initial
-        advance = lambda v, t: step_incompressible(v, t, cfg)
+        stepper = IncompressibleStepper(cfg, start)
         full_record = lambda v, t: {"v": v}
     elif kind == "limit":
         if table is None or v_at is None:
             raise ValueError("limit runs need a resonance table and v interpolant")
-        x = start = initial
-        advance = lambda V, t: step_limit(V, t, v_at, cfg, table)
+        stepper = LimitStepper(cfg, start, v_at, table)
         full_record = lambda V, t: {"V": V}
     else:
         raise ValueError(f"unknown trajectory kind {kind!r}")
     if record is None:
         record = full_record
 
+    dt = cfg.dt
     times = [0.0]
     states = [record(start, 0.0)]
     n_steps = cfg.n_steps
     for step in range(1, n_steps + 1):
-        x = advance(x, (step - 1) * dt)
+        stepper.step((step - 1) * dt)
         if step % cfg.sample_stride == 0 or step == n_steps:
             times.append(step * dt)
-            states.append(record(view(x), step * dt))
+            states.append(record(stepper.state(), step * dt))
     return Trajectory(
-        times=np.array(times), states=states, meta={"kind": kind}, final=view(x)
+        times=np.array(times), states=states, meta={"kind": kind}, final=stepper.state()
     )
 
 
@@ -742,9 +821,7 @@ class CubicTimeInterpolant:
                 rhs[i - 1] = 6.0 * (
                     (flat[i + 1] - flat[i]) / h[i] - (flat[i] - flat[i - 1]) / h[i - 1]
                 )
-            lower = h[:-1].copy()
-            diag = 2.0 * (h[:-1] + h[1:])
-            upper = h[1:].copy()
+            lower, diag, upper = h[:-1], 2.0 * (h[:-1] + h[1:]), h[1:]
             # Thomas algorithm
             for i in range(1, n - 2):
                 w = lower[i] / diag[i - 1]
@@ -768,12 +845,13 @@ class CubicTimeInterpolant:
         h = times[i + 1] - times[i]
         x0 = (times[i + 1] - t) / h
         x1 = (t - times[i]) / h
-        y = (
-            x0 * self.values[i]
-            + x1 * self.values[i + 1]
-            + ((x0**3 - x0) * self.second[i] + (x1**3 - x1) * self.second[i + 1])
-            * (h * h / 6.0)
-        )
+        # (x0 y_i + x1 y_i+1) + (c0 m_i + c1 m_i+1) h^2/6, summed in place
+        y = x0 * self.values[i]
+        y += x1 * self.values[i + 1]
+        curvature = (x0**3 - x0) * self.second[i]
+        curvature += (x1**3 - x1) * self.second[i + 1]
+        curvature *= h * h / 6.0
+        y += curvature
         return SpectralField(self.template.lattice, y, reality=self.template.reality)
 
 

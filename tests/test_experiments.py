@@ -423,7 +423,9 @@ class TestSharedStage:
         cfg = tiny_config(tmp_path)
         report = convergence_study(cfg, threads=4)
         assert pool_sizes == [len(cfg.eps_list)] == [2]
-        assert set(report.timings) == {"incompressible", "limit", "eps_0.2", "eps_0.1"}
+        assert set(report.timings) == {
+            "incompressible", "limit_table", "limit", "eps_0.2", "eps_0.1"
+        }
         with open(log) as fh:
             runs = [line.split() for line in fh]
         parent = str(os.getpid())
@@ -503,6 +505,25 @@ class TestCLI:
         assert proc.returncode == 0
         assert "ok" in proc.stdout
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["simulate", "--config", "nonexist.json"], "No such file or directory: nonexist.json"),
+            (["norms", "--field", "nonexist.lmc"], "No such file or directory: nonexist.lmc"),
+            (["check", "--config", "{tmp}"], "Is a directory: {tmp}"),
+        ],
+    )
+    def test_unreadable_file_is_a_one_line_message(self, tmp_path, capsys, args, message):
+        tmp = str(tmp_path)
+        args = [arg.format(tmp=tmp) for arg in args]
+        out = os.path.join(tmp, "out")
+        if args[0] == "simulate":
+            args += ["--out", out]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err == f"invalid input: {message.format(tmp=tmp)}\n"
+        assert not os.path.exists(out)
+
     def test_simulate_and_norms(self, tmp_path):
         path = self.write_config(tmp_path)
         out = os.path.join(str(tmp_path), "sim")
@@ -567,7 +588,7 @@ class TestCLI:
         assert len(eps_keys) == 2
         assert {k for k in par_json["timings"] if k.startswith("eps_")} == eps_keys
         assert all(par_json["timings"][k] > 0 for k in eps_keys)
-        assert set(seq_json["timings"]) == eps_keys | {"incompressible", "limit"}
+        assert set(seq_json["timings"]) == eps_keys | {"incompressible", "limit_table", "limit"}
         assert set(par_json["timings"]) == set(seq_json["timings"])
         for key in ("rows", "slope_W_theta", "slope_flag", "verdicts"):
             assert par_json[key] == seq_json[key], key

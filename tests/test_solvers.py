@@ -631,6 +631,85 @@ class TestStepOracle:
                 run_trajectory((fields["a"], fields["u"]), cfg, "compressible")
 
 
+def reference_incompressible_step(v, t, cfg):
+    """One Lawson RK2 step of the incompressible system on the full
+    coefficient grid: ``advect``, ``helmholtz_project`` and the real heat
+    factor.  Kept as the oracle of ``IncompressibleStepper``."""
+    lattice = cfg.lattice
+    heat = np.exp(-cfg.mu * lattice.k_squared() * cfg.dt)
+
+    def rhs(x, time):
+        out = SpectralField.zeros(lattice, lattice.d)
+        if cfg.include_nonlinear:
+            out = out - helmholtz_project(advect(x[0], x[0]), "P")
+        if cfg.forcing is not None:
+            out = out + helmholtz_project(cfg.forcing(time), "P")
+        return (out,)
+
+    return solvers._lawson_rk2((v,), t, cfg.dt, lambda x: (x[0].scale_modes(heat),), rhs)[0]
+
+
+class TestIncompressibleStepOracle:
+    """``IncompressibleStepper`` on the half spectrum, in rotational form,
+    against the full-grid step."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_LATTICES))
+    @pytest.mark.parametrize("variant", ["forced", "unforced", "linear"])
+    def test_ten_steps_match_reference(self, name, variant):
+        options = {"include_nonlinear": False} if variant == "linear" else {}
+        _, u, cfg = TestRightHandSideOracle().make_case(name, **options)
+        if variant == "unforced":
+            cfg = replace(cfg, forcing=None)
+        ref = v0 = helmholtz_project(u, "P")
+        stepper = solvers.IncompressibleStepper(cfg, v0)
+        for n in range(10):
+            stepper.step(n * cfg.dt)
+            ref = reference_incompressible_step(ref, n * cfg.dt, cfg)
+        TestRightHandSideOracle.assert_close((stepper.state(),), (ref,))
+
+    def test_non_real_data_rejected(self, lat16):
+        cfg = SolverConfig(lattice=lat16, mu=0.05, dt=1e-2, t_final=0.1)
+        v = SpectralField.zeros(lat16, 2, reality=False)
+        message = "incompressible data must be real: v has reality=False"
+        with pytest.raises(ValueError, match=message):
+            step_incompressible(v, 0.0, cfg)
+        with pytest.raises(ValueError, match=message):
+            run_trajectory(v, cfg, "incompressible")
+
+    @pytest.mark.skipif(
+        not lattice_module._FFT_OUT, reason="numpy < 2 FFTs allocate their outputs"
+    )
+    def test_steps_allocate_only_half_spectrum_stages(self, monkeypatch):
+        """The traced peak of steps 2..5 of a 64^2 run stays below six
+        velocity half spectra.  The right-hand side's inverse, Lamb and
+        forward stacks are the stepper's own arrays, so the peak is the five
+        half-spectrum stages that the Lawson step holds at once (the
+        full-grid step peaked at ten velocity fields on the full grid)."""
+        lattice = LatticeSpec.square(2, 64)
+        cfg = SolverConfig(lattice=lattice, mu=0.05, dt=2e-3, t_final=1e-2, sample_stride=5)
+        _, u0 = generate_initial_data(lattice, 1.0, 1.0, seed=0)
+        v0 = helmholtz_project(u0, "P")
+        peaks = []
+        lawson = solvers._lawson_rk2
+
+        def measured(*args):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = lawson(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            return out
+
+        monkeypatch.setattr(solvers, "_lawson_rk2", measured)
+        tracemalloc.start()
+        try:
+            run_trajectory(v0, cfg, "incompressible", record=lambda v, t: None)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == cfg.n_steps
+        half_spectrum = v0.coeffs[..., : lattice.cutoffs[-1] + 1].nbytes
+        assert max(peaks[1:]) < 6 * half_spectrum
+
+
 class TestTransformBudget:
     """Component counts of the transforms in one compressible right-hand side."""
 
@@ -658,6 +737,22 @@ class TestTransformBudget:
         monkeypatch.setattr(solvers, "_half_inverse", counted("inverse", solvers._half_inverse))
         monkeypatch.setattr(solvers, "_half_forward", counted("forward", solvers._half_forward))
         half_spectrum_rhs(a, u, 0.3, cfg)
+        assert calls == {"inverse": inverse, "forward": forward}
+
+    @pytest.mark.parametrize("name, inverse, forward", [("16x16", [3], [2]), ("8x8x8", [6], [3])])
+    def test_incompressible_components_per_rhs(self, monkeypatch, name, inverse, forward):
+        _, u, cfg = TestRightHandSideOracle().make_case(name)
+        stepper = solvers.IncompressibleStepper(cfg, helmholtz_project(u, "P"))
+        calls = {"inverse": [], "forward": []}
+        for key, fname in (("inverse", "_half_inverse"), ("forward", "_half_forward")):
+            transform = getattr(solvers, fname)
+
+            def wrapped(values, lattice, _key=key, _transform=transform, **buffers):
+                calls[_key].append(values.shape[0])
+                return _transform(values, lattice, **buffers)
+
+            monkeypatch.setattr(solvers, fname, wrapped)
+        stepper.rhs(stepper.x, 0.3)
         assert calls == {"inverse": inverse, "forward": forward}
 
     def test_remainder_is_zero(self):
@@ -917,46 +1012,37 @@ class TestLimit:
 
 
 class TestHeatFactor:
-    """``step_incompressible`` and ``step_limit`` store their heat factors as
-    complex; a Lawson step with the real factor gives the same bytes."""
+    """``IncompressibleStepper`` and ``LimitStepper`` store their heat factors
+    as complex; the same stepper with the real factor swapped in gives the
+    same bytes."""
 
     @staticmethod
-    def real_heat_step(x, t, dt, viscosity, rhs):
-        heat = np.exp(-viscosity * x.lattice.k_squared() * dt)
-        assert heat.dtype == np.float64
-        n0 = rhs(x, t)
-        half = (x + (dt / 2.0) * n0).scale_modes(heat)
-        predictor = (x + dt * n0).scale_modes(heat)
-        return half + (dt / 2.0) * rhs(predictor, t + dt)
+    def assert_real_factor_same_bytes(make, dt):
+        stepper, real = make(), make()
+        assert stepper.heat.dtype == np.complex128
+        real.heat = stepper.heat.real.copy()
+        for n in range(3):
+            stepper.step(n * dt)
+            real.step(n * dt)
+            assert stepper.state().coeffs.tobytes() == real.state().coeffs.tobytes()
 
     @pytest.mark.parametrize("name", ["16x16", "8x8x6"])
     def test_same_bytes_as_real_factor(self, name):
         cfg, a0, u0 = TestCompressibleStepper().make_case(name, "gamma1.4", forced=True)
-        lattice = cfg.lattice
-        table = build_limit_tables(lattice)
-
-        def v_rhs(x, time):
-            out = SpectralField.zeros(lattice, lattice.d)
-            out = out - helmholtz_project(advect(x, x), "P")
-            return out + helmholtz_project(cfg.forcing(time), "P")
-
-        v = v_real = helmholtz_project(u0, "P")
-        v_samples = [v]
+        v0 = helmholtz_project(u0, "P")
+        self.assert_real_factor_same_bytes(
+            lambda: solvers.IncompressibleStepper(cfg, v0), cfg.dt
+        )
+        stepper, v_samples = solvers.IncompressibleStepper(cfg, v0), [v0]
         for n in range(3):
-            v = step_incompressible(v, n * cfg.dt, cfg)
-            v_real = self.real_heat_step(v_real, n * cfg.dt, cfg.dt, cfg.mu, v_rhs)
-            assert v.coeffs.tobytes() == v_real.coeffs.tobytes()
-            v_samples.append(v)
+            stepper.step(n * cfg.dt)
+            v_samples.append(stepper.state())
         v_at = CubicTimeInterpolant(cfg.dt * np.arange(4), v_samples)
-
-        def V_rhs(x, time):
-            return -1.0 * limit_q1(v_at(time), x, table) - limit_q2(x, x, table, kappa=cfg.law.kappa)
-
-        V = V_real = acoustic_transform(a0, u0 - v_samples[0])
-        for n in range(3):
-            V = step_limit(V, n * cfg.dt, v_at, cfg, table)
-            V_real = self.real_heat_step(V_real, n * cfg.dt, cfg.dt, 0.5 * cfg.nu, V_rhs)
-            assert V.coeffs.tobytes() == V_real.coeffs.tobytes()
+        table = build_limit_tables(cfg.lattice)
+        V0 = acoustic_transform(a0, u0 - v0)
+        self.assert_real_factor_same_bytes(
+            lambda: solvers.LimitStepper(cfg, V0, v_at, table), cfg.dt
+        )
 
     def test_complex_factor_allocates_only_the_result(self):
         """``scale_modes`` with a complex-stored factor, which each step applies
