@@ -480,12 +480,11 @@ def limit_q2(
         m_idx = table.q2_m[gamma]
         if m_idx.size == 0:
             continue
-        a_k, a_l = a_rows[row][table.q2_k[gamma]], a_rows[row][table.q2_l[gamma]]
-        if A is B:  # both products of the general form are a_k a_l; 0.5 (p + p) = p
-            sym = a_k * a_l
-        else:
-            b_k, b_l = b_rows[row][table.q2_k[gamma]], b_rows[row][table.q2_l[gamma]]
-            sym = 0.5 * (a_k * b_l + b_k * a_l)
+        a_flat, b_flat = a_rows[row], b_rows[row]
+        sym = 0.5 * (
+            a_flat[table.q2_k[gamma]] * b_flat[table.q2_l[gamma]]
+            + b_flat[table.q2_k[gamma]] * a_flat[table.q2_l[gamma]]
+        )
         contrib = front * gamma * table.q2_smod[gamma] * sym
         np.add.at(acc[row], m_idx, contrib)
     return out

@@ -391,12 +391,6 @@ class _Stepper:
         self.t = t + self.cfg.dt
 
 
-def _one_step(stepper: _Stepper, t: float):
-    """The state of ``stepper`` after one step started at time ``t``."""
-    stepper.step(t)
-    return stepper.state()
-
-
 class _HeatStepper(_Stepper):
     """A run whose linear part is viscosity * laplacian, with the per-mode
     factor ``heat`` built once (stored as complex: see AcousticViscousPropagator)."""
@@ -589,7 +583,9 @@ def step_compressible(state: CompressibleState, cfg: SolverConfig) -> Compressib
     through a :class:`CompressibleStepper` built for it alone, and returns
     their full Hermitian coefficient grids.
     """
-    return _one_step(CompressibleStepper(cfg, state), state.t)
+    stepper = CompressibleStepper(cfg, state)
+    stepper.step(state.t)
+    return stepper.state()
 
 
 class IncompressibleStepper(_HeatStepper):
@@ -659,13 +655,11 @@ class LimitStepper(_HeatStepper):
 
     def __init__(self, cfg: SolverConfig, V0: AcousticCoeffs, v_at, table: ResonanceTable):
         super().__init__(cfg, V0.coeffs, 0.5 * cfg.nu, cfg.lattice.k_squared())
-        self.v_at, self.table, self.v_time = v_at, table, None
+        self.v_at, self.table = v_at, table
 
     def rhs(self, x: tuple, t: float) -> tuple[np.ndarray]:
         V = AcousticCoeffs._in_box(self.cfg.lattice, x[0], False)
-        if t != self.v_time:  # a step mostly starts at its predecessor's last time
-            self.v, self.v_time = self.v_at(t), t
-        q1 = limit_q1(self.v, V, self.table)
+        q1 = limit_q1(self.v_at(t), V, self.table)
         return ((-1.0 * q1 - limit_q2(V, V, self.table, kappa=self.cfg.law.kappa)).coeffs,)
 
     def state(self) -> AcousticCoeffs:
@@ -676,7 +670,9 @@ class LimitStepper(_HeatStepper):
 def step_incompressible(v: SpectralField, t: float, cfg: SolverConfig) -> SpectralField:
     """One Lawson RK2 step of the incompressible system (heat integrating
     factor), through an :class:`IncompressibleStepper` built for it alone."""
-    return _one_step(IncompressibleStepper(cfg, v), t)
+    stepper = IncompressibleStepper(cfg, v)
+    stepper.step(t)
+    return stepper.state()
 
 
 def step_limit(
@@ -688,7 +684,9 @@ def step_limit(
 ) -> AcousticCoeffs:
     """One Lawson RK2 step of the averaged system (half-viscosity heat
     factor), through a :class:`LimitStepper` built for it alone."""
-    return _one_step(LimitStepper(cfg, V, v_at, table), t)
+    stepper = LimitStepper(cfg, V, v_at, table)
+    stepper.step(t)
+    return stepper.state()
 
 
 # ---------------------------------------------------------------------------
@@ -845,13 +843,12 @@ class CubicTimeInterpolant:
         h = times[i + 1] - times[i]
         x0 = (times[i + 1] - t) / h
         x1 = (t - times[i]) / h
-        # (x0 y_i + x1 y_i+1) + (c0 m_i + c1 m_i+1) h^2/6, summed in place
-        y = x0 * self.values[i]
-        y += x1 * self.values[i + 1]
-        curvature = (x0**3 - x0) * self.second[i]
-        curvature += (x1**3 - x1) * self.second[i + 1]
-        curvature *= h * h / 6.0
-        y += curvature
+        y = (
+            x0 * self.values[i]
+            + x1 * self.values[i + 1]
+            + ((x0**3 - x0) * self.second[i] + (x1**3 - x1) * self.second[i + 1])
+            * (h * h / 6.0)
+        )
         return SpectralField(self.template.lattice, y, reality=self.template.reality)
 
 
