@@ -25,6 +25,7 @@ import numpy as np
 from .lattice import (
     LatticeSpec,
     SpectralField,
+    _cached,
     dealiased_product,
     inverse_transform,
     zero_mean_split,
@@ -107,23 +108,16 @@ def compute_jb(lattice: LatticeSpec) -> int:
     return j
 
 
+@_cached
 def block_range(lattice: LatticeSpec) -> range:
     """Indices j of possibly non-vanishing blocks for fields on the lattice."""
-
-    def build():
-        jmax = int(math.floor(math.log2(lattice.max_modulus() * 4.0 / 3.0) + 1e-12))
-        return range(compute_jb(lattice) + 1, jmax + 1)
-
-    return lattice._cached("block_range", build)
+    jmax = int(math.floor(math.log2(lattice.max_modulus() * 4.0 / 3.0) + 1e-12))
+    return range(compute_jb(lattice) + 1, jmax + 1)
 
 
+@_cached
 def _block_weights(lattice: LatticeSpec, j: int) -> np.ndarray:
-    def build():
-        weights = DEFAULT_PROFILE(np.ldexp(lattice.k_modulus(), -j))
-        weights.flags.writeable = False
-        return weights
-
-    return lattice._cached(("block_weights", j), build)
+    return DEFAULT_PROFILE(np.ldexp(lattice.k_modulus(), -j))
 
 
 def dyadic_block(field, j: int):
@@ -289,17 +283,15 @@ class BlockEnergies:
         return BlockEnergies(self.lattice, self.h_orders, self.values + other.values)
 
 
-def _energy_weights(lattice: LatticeSpec, h_orders: tuple) -> list:
-    def build():
-        ksq = lattice.k_squared()
-        weights = [_block_weights(lattice, j) ** 2 for j in block_range(lattice)]
-        weights.append((ksq == 0).astype(np.float64))
-        for s in h_orders:
-            weights.append(np.zeros_like(ksq))
-            weights[-1][ksq > 0] = ksq[ksq > 0] ** s
-        return weights
-
-    return lattice._cached(("energy_weights", h_orders), build)
+@_cached
+def _energy_weights(lattice: LatticeSpec, h_orders: tuple) -> tuple:
+    ksq = lattice.k_squared()
+    weights = [_block_weights(lattice, j) ** 2 for j in block_range(lattice)]
+    weights.append((ksq == 0).astype(np.float64))
+    for s in h_orders:
+        weights.append(np.zeros_like(ksq))
+        weights[-1][ksq > 0] = ksq[ksq > 0] ** s
+    return weights
 
 
 def block_energies(obj, h_orders=()) -> BlockEnergies:

@@ -56,6 +56,23 @@ def _config_number(value, name: str, kind=float):
     return kind(value)
 
 
+# (JSON section, JSON key, ExperimentConfig field, kind) of the numeric settings
+_CONFIG_NUMBERS = (
+    ("solver", "mu", "mu", float),
+    ("solver", "lambda", "lam", float),
+    ("solver", "gamma", "gamma", float),
+    ("solver", "dt", "dt", float),
+    ("solver", "t_final", "t_final", float),
+    ("solver", "sample_stride", "sample_stride", int),
+    ("experiment", "zeta", "zeta", float),
+    ("experiment", "theta", "theta", float),
+    ("experiment", "amplitude_a", "amplitude_a", float),
+    ("experiment", "amplitude_u", "amplitude_u", float),
+    ("experiment", "smoothness", "smoothness", float),
+    ("experiment", "seed", "seed", int),
+)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of a Mach-number sweep."""
@@ -194,41 +211,26 @@ class ExperimentConfig:
         for name, section in sections.items():
             if not isinstance(section, dict):
                 raise ValueError(f"config field {name} must be a JSON object")
-        try:
-            lattice = LatticeSpec.from_descriptor(sections["lattice"])
-        except TypeError as exc:
-            raise ValueError(f"config field lattice is malformed: {exc}") from None
-
-        def number(section, key, default, kind=float):
-            value = sections[section].get(key, default)
-            return _config_number(value, f"{section}.{key}", kind)
-
-        eps = sections["experiment"].get("eps", [0.2, 0.1, 0.05, 0.025])
-        if not isinstance(eps, list):
-            raise ValueError(f"config field experiment.eps must be a list, got {eps!r}")
-        eta0 = sections["experiment"].get("eta0")
-        forcing = None
-        if data.get("forcing"):
-            forcing = Forcing.from_json(lattice, data["forcing"])
-        return cls(
-            lattice=lattice,
-            eps_list=tuple(_config_number(e, "experiment.eps") for e in eps),
-            mu=number("solver", "mu", 0.05),
-            lam=number("solver", "lambda", 0.05),
-            gamma=number("solver", "gamma", 2.0),
-            dt=number("solver", "dt", 2.5e-3),
-            t_final=number("solver", "t_final", 1.0),
-            sample_stride=number("solver", "sample_stride", 2, int),
-            zeta=number("experiment", "zeta", 8.0),
-            eta0=None if eta0 is None else _config_number(eta0, "experiment.eta0"),
-            theta=number("experiment", "theta", 0.25),
-            amplitude_a=number("experiment", "amplitude_a", 2.0),
-            amplitude_u=number("experiment", "amplitude_u", 2.0),
-            smoothness=number("experiment", "smoothness", 3.0),
-            seed=number("experiment", "seed", 0, int),
-            forcing=forcing,
-            out_dir=out_dir,
+        lattice = LatticeSpec.from_descriptor(
+            sections["lattice"], malformed="config field lattice is malformed"
         )
+        # every key present is checked; the dataclass's defaults fill in the rest
+        settings = {}
+        for section, key, name, kind in _CONFIG_NUMBERS:
+            if key in sections[section]:
+                value = sections[section][key]
+                settings[name] = _config_number(value, f"{section}.{key}", kind)
+        experiment = sections["experiment"]
+        if "eps" in experiment:
+            eps = experiment["eps"]
+            if not isinstance(eps, list):
+                raise ValueError(f"config field experiment.eps must be a list, got {eps!r}")
+            settings["eps_list"] = tuple(_config_number(e, "experiment.eps") for e in eps)
+        if experiment.get("eta0") is not None:
+            settings["eta0"] = _config_number(experiment["eta0"], "experiment.eta0")
+        if data.get("forcing"):
+            settings["forcing"] = Forcing.from_json(lattice, data["forcing"])
+        return cls(lattice=lattice, out_dir=out_dir, **settings)
 
     @classmethod
     def load(cls, path: str, out_dir: str = "out") -> "ExperimentConfig":
@@ -268,10 +270,10 @@ def _monotone_verdict(values) -> str:
 class SharedStage:
     """The Mach-independent part of a sweep, built once by :func:`shared_stage`.
 
-    The samples of ``traj_v`` are views of the array that the limit run's
-    interpolant stacked, so the v samples are held once; ``timings`` gives the
-    wall time of the incompressible run, of the limit table's build and of
-    the averaged (limit) run.
+    The limit run's interpolant holds the samples of ``traj_v`` by reference,
+    so the v samples are held once; ``timings`` gives the wall time of the
+    incompressible run, of the limit table's build and of the averaged
+    (limit) run.
     """
 
     a0: SpectralField
@@ -297,11 +299,6 @@ def shared_stage(cfg: ExperimentConfig) -> SharedStage:
 
     t0 = _time.perf_counter()
     v_at = CubicTimeInterpolant(traj_v.times, traj_v.series("v"))
-    # the interpolant holds the only copy of the v samples from here on
-    samples = v_at.samples()
-    traj_v = Trajectory(
-        traj_v.times, [{"v": v} for v in samples], traj_v.meta, final=samples[-1]
-    )
     V0 = acoustic_transform(a0, u0 - v0)
     traj_V = run_trajectory(V0, base, "limit", table=table, v_at=v_at)
     timings["limit"] = _time.perf_counter() - t0

@@ -29,6 +29,7 @@ serve the compressible stepper, which works on half spectra throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,6 +85,36 @@ def _axis_cutoff(n: int, fraction: Fraction) -> int:
     return max(cut, 1)
 
 
+def _frozen(value):
+    """``value`` made read-only: arrays lose their write flag, and lists and
+    tuples become tuples of frozen members."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (list, tuple)):
+        value = tuple(_frozen(v) for v in value)
+    return value
+
+
+def _cached(build):
+    """Decorator for tables derived from a lattice alone: the first call of
+    ``build(lattice, *args)`` stores its value, frozen (see ``_frozen``), in
+    the lattice's cache, and later calls with equal ``args`` return it.  The
+    key holds the builder's qualified name, not the function, so that a
+    lattice pickles with its cache."""
+    name = f"{build.__module__}.{build.__qualname__}"
+
+    @functools.wraps(build)
+    def cached(lattice, *args):
+        key = (name, args)
+        try:
+            return lattice._cache[key]
+        except KeyError:
+            value = lattice._cache[key] = _frozen(build(lattice, *args))
+            return value
+
+    return cached
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Discretization of the d-torus with periods ``2*pi*b_h``.
@@ -118,8 +149,12 @@ class LatticeSpec:
             raise ValueError("resolution must be even and at least 4 per axis")
         if not (0 < frac <= Fraction(2, 3)):
             raise ValueError("dealias_fraction must lie in (0, 2/3]")
-        cache: dict = {}
-        object.__setattr__(self, "_cache", cache)
+        object.__setattr__(self, "_cache", {})
+
+    def __setstate__(self, state):
+        # unpickled arrays are writeable again
+        state["_cache"] = {key: _frozen(value) for key, value in state["_cache"].items()}
+        self.__dict__.update(state)
 
     # -- basic geometry -------------------------------------------------
 
@@ -135,124 +170,72 @@ class LatticeSpec:
         return vol
 
     @property
+    @_cached
     def cutoffs(self) -> tuple[int, ...]:
-        return self._cached(
-            "cutoffs",
-            lambda: tuple(_axis_cutoff(n, self.dealias_fraction) for n in self.resolution),
-        )
-
-    def _cached(self, key, builder):
-        cache = self._cache
-        if key not in cache:
-            cache[key] = builder()
-        return cache[key]
+        return tuple(_axis_cutoff(n, self.dealias_fraction) for n in self.resolution)
 
     # -- mode bookkeeping -----------------------------------------------
 
+    @_cached
     def index_grids(self) -> tuple[np.ndarray, ...]:
         """Integer mode indices n_h on the full FFT grid, one array per axis."""
+        axes = [np.fft.fftfreq(n, 1.0 / n).astype(np.int64) for n in self.resolution]
+        return np.meshgrid(*axes, indexing="ij")
 
-        def build():
-            axes = [
-                np.fft.fftfreq(n, 1.0 / n).astype(np.int64) for n in self.resolution
-            ]
-            grids = np.meshgrid(*axes, indexing="ij")
-            for g in grids:
-                g.flags.writeable = False
-            return tuple(grids)
-
-        return self._cached("index_grids", build)
-
+    @_cached
     def wavevectors(self) -> tuple[np.ndarray, ...]:
         """Wavevector components k_h = n_h/b_h on the full FFT grid."""
+        return [g / float(b) for g, b in zip(self.index_grids(), self.periods)]
 
-        def build():
-            grids = tuple(
-                g / float(b) for g, b in zip(self.index_grids(), self.periods)
-            )
-            for g in grids:
-                g.flags.writeable = False
-            return grids
-
-        return self._cached("wavevectors", build)
-
+    @_cached
     def half_wavevectors(self) -> np.ndarray:
         """Wavevector components on the retained half spectrum (columns
         0..cut of the last axis), stacked: shape (d, *leading axes, cut + 1)."""
+        cut = self.cutoffs[-1]
+        return np.stack([k[..., : cut + 1] for k in self.wavevectors()])
 
-        def build():
-            cut = self.cutoffs[-1]
-            kvecs = np.stack([k[..., : cut + 1] for k in self.wavevectors()])
-            kvecs.flags.writeable = False
-            return kvecs
-
-        return self._cached("half_wavevectors", build)
-
+    @_cached
     def k_squared(self) -> np.ndarray:
-        def build():
-            ksq = sum(k * k for k in self.wavevectors())
-            ksq.flags.writeable = False
-            return ksq
+        return sum(k * k for k in self.wavevectors())
 
-        return self._cached("k_squared", build)
-
+    @_cached
     def k_modulus(self) -> np.ndarray:
-        def build():
-            km = np.sqrt(self.k_squared())
-            km.flags.writeable = False
-            return km
+        return np.sqrt(self.k_squared())
 
-        return self._cached("k_modulus", build)
-
+    @_cached
     def dealias_mask(self) -> np.ndarray:
-        def build():
-            mask = np.ones(self.resolution, dtype=bool)
-            for grid, cut in zip(self.index_grids(), self.cutoffs):
-                mask &= np.abs(grid) <= cut
-            mask.flags.writeable = False
-            return mask
+        mask = np.ones(self.resolution, dtype=bool)
+        for grid, cut in zip(self.index_grids(), self.cutoffs):
+            mask &= np.abs(grid) <= cut
+        return mask
 
-        return self._cached("dealias_mask", build)
-
+    @_cached
     def norm_scale(self) -> int:
         """Integer D such that D*|k|^2 is an integer for every lattice mode."""
+        scale = 1
+        for b in self.periods:
+            bsq = b * b
+            scale = scale * bsq.numerator // math.gcd(scale, bsq.numerator)
+        return scale
 
-        def build():
-            scale = 1
-            for b in self.periods:
-                bsq = b * b
-                scale = scale * bsq.numerator // math.gcd(scale, bsq.numerator)
-            return scale
-
-        return self._cached("norm_scale", build)
-
+    @_cached
     def sign_grid(self) -> np.ndarray:
         """Generalized sign: +1 where the first nonzero index is positive."""
+        sg = np.zeros(self.resolution, dtype=np.int8)
+        undecided = np.ones(self.resolution, dtype=bool)
+        for grid in self.index_grids():
+            sg = np.where(undecided & (grid > 0), 1, sg)
+            sg = np.where(undecided & (grid < 0), -1, sg)
+            undecided &= grid == 0
+        return sg
 
-        def build():
-            sg = np.zeros(self.resolution, dtype=np.int8)
-            undecided = np.ones(self.resolution, dtype=bool)
-            for grid in self.index_grids():
-                sg = np.where(undecided & (grid > 0), 1, sg)
-                sg = np.where(undecided & (grid < 0), -1, sg)
-                undecided &= grid == 0
-            sg.flags.writeable = False
-            return sg
-
-        return self._cached("sign_grid", build)
-
+    @_cached
     def grid_points(self) -> tuple[np.ndarray, ...]:
-        def build():
-            axes = [
-                np.arange(n) * (2.0 * math.pi * float(b) / n)
-                for n, b in zip(self.resolution, self.periods)
-            ]
-            grids = np.meshgrid(*axes, indexing="ij")
-            for g in grids:
-                g.flags.writeable = False
-            return tuple(grids)
-
-        return self._cached("grid_points", build)
+        axes = [
+            np.arange(n) * (2.0 * math.pi * float(b) / n)
+            for n, b in zip(self.resolution, self.periods)
+        ]
+        return np.meshgrid(*axes, indexing="ij")
 
     def max_modulus(self) -> float:
         return math.sqrt(
@@ -272,15 +255,37 @@ class LatticeSpec:
         }
 
     @classmethod
-    def from_descriptor(cls, desc: dict) -> "LatticeSpec":
-        """Inverse of :meth:`descriptor`; a missing key raises ValueError."""
+    def from_descriptor(
+        cls, desc: dict, malformed: str = "the lattice descriptor is malformed"
+    ) -> "LatticeSpec":
+        """Inverse of :meth:`descriptor`.  A missing key raises ValueError, and
+        so does an entry of the wrong form, with a message that starts with
+        ``malformed`` and names the entry."""
+        if not isinstance(desc, dict):
+            raise ValueError(f"{malformed}: {desc!r} is not a JSON object")
         for key in ("periods", "resolution", "dealias_fraction"):
             if key not in desc:
                 raise ValueError(f"the lattice descriptor lacks {key!r}")
+
+        def entry(name, value, ok, what):
+            if not ok:
+                raise ValueError(f"{malformed}: {name} is {value!r}, not {what}")
+            return value
+
+        def integers(value):
+            return isinstance(value, (list, tuple)) and all(type(n) is int for n in value)
+
+        def fraction(name, pair):
+            ok = integers(pair) and len(pair) == 2 and pair[1] != 0
+            return Fraction(*entry(name, pair, ok, "a fraction [p, q] of integers with q != 0"))
+
+        periods, resolution = desc["periods"], desc["resolution"]
+        entry("periods", periods, isinstance(periods, (list, tuple)), "a list")
+        entry("resolution", resolution, integers(resolution), "a list of integers")
         return cls(
-            periods=tuple(Fraction(p, q) for p, q in desc["periods"]),
-            resolution=tuple(desc["resolution"]),
-            dealias_fraction=Fraction(*desc["dealias_fraction"]),
+            periods=tuple(fraction(f"periods[{i}]", b) for i, b in enumerate(periods)),
+            resolution=tuple(resolution),
+            dealias_fraction=fraction("dealias_fraction", desc["dealias_fraction"]),
         )
 
     @classmethod

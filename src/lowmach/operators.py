@@ -32,6 +32,7 @@ from .lattice import (
     GridField,
     LatticeSpec,
     SpectralField,
+    _cached,
     dealiased_product,
     forward_transform,
     inverse_transform,
@@ -73,28 +74,28 @@ def sg(k) -> int:
     raise ValueError("sg is undefined at k = 0")
 
 
+@_cached
 def _signed_modulus(lattice: LatticeSpec) -> np.ndarray:
     """sg(k)*|k| on the full FFT grid (0 at the mean mode)."""
-
-    def build():
-        arr = lattice.sign_grid() * lattice.k_modulus()
-        arr.flags.writeable = False
-        return arr
-
-    return lattice._cached("signed_modulus", build)
+    return lattice.sign_grid() * lattice.k_modulus()
 
 
+@_cached
+def _safe_k_modulus(lattice: LatticeSpec) -> np.ndarray:
+    """|k| with 1 at the mean mode, a safe divisor."""
+    kmod = lattice.k_modulus().copy()
+    kmod[(0,) * lattice.d] = 1.0
+    return kmod
+
+
+@_cached
 def _safe_inv_ksq(lattice: LatticeSpec) -> np.ndarray:
-    def build():
-        ksq = lattice.k_squared().copy()
-        zero = (0,) * lattice.d
-        ksq[zero] = 1.0
-        inv = 1.0 / ksq
-        inv[zero] = 0.0
-        inv.flags.writeable = False
-        return inv
-
-    return lattice._cached("inv_ksq", build)
+    ksq = lattice.k_squared().copy()
+    zero = (0,) * lattice.d
+    ksq[zero] = 1.0
+    inv = 1.0 / ksq
+    inv[zero] = 0.0
+    return inv
 
 
 def helmholtz_project(u: SpectralField, which: str) -> SpectralField:
@@ -113,16 +114,12 @@ def helmholtz_project(u: SpectralField, which: str) -> SpectralField:
     raise ValueError("which must be 'P' or 'Q'")
 
 
+@_cached
 def _acoustic_mask(lattice: LatticeSpec) -> np.ndarray:
     """The dealias mask with the mean mode cleared."""
-
-    def build():
-        mask = lattice.dealias_mask().copy()
-        mask[(0,) * lattice.d] = False
-        mask.flags.writeable = False
-        return mask
-
-    return lattice._cached("acoustic_mask", build)
+    mask = lattice.dealias_mask().copy()
+    mask[(0,) * lattice.d] = False
+    return mask
 
 
 def _conjugate_pair(phase: np.ndarray) -> np.ndarray:
@@ -193,9 +190,7 @@ def acoustic_transform(
         if np.max(np.abs(p_part.coeffs)) > tol * scale:
             raise ValueError("vector part must be a gradient field")
     kvecs = lattice.wavevectors()
-    kmod = lattice.k_modulus().copy()
-    kmod[(0,) * lattice.d] = 1.0
-    mu = sum(k * qu.coeffs[c] for c, k in enumerate(kvecs)) / kmod
+    mu = sum(k * qu.coeffs[c] for c, k in enumerate(kvecs)) / _safe_k_modulus(lattice)
     sgk = lattice.sign_grid()
     ahat = a.coeffs[0]
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
@@ -211,8 +206,7 @@ def acoustic_inverse(V: AcousticCoeffs) -> tuple[SpectralField, SpectralField]:
     ahat = (V.plus + V.minus) * inv_sqrt2
     sgk = lattice.sign_grid()
     mu = -sgk * (V.plus - V.minus) * inv_sqrt2
-    kmod = lattice.k_modulus().copy()
-    kmod[(0,) * lattice.d] = 1.0
+    kmod = _safe_k_modulus(lattice)
     kvecs = lattice.wavevectors()
     qu = np.stack([mu * k / kmod for k in kvecs], axis=0)
     reality = V.is_reality_symmetric()
@@ -369,23 +363,18 @@ def a2_eps(B: AcousticCoeffs, t: float, eps: float) -> AcousticCoeffs:
 # ---------------------------------------------------------------------------
 
 
-def _box_modes(lattice: LatticeSpec, include_zero: bool = False):
-    key = ("box_modes", include_zero)
-
-    def build():
-        mask = lattice.dealias_mask()
-        grids = lattice.index_grids()
-        idx = np.argwhere(mask)
-        out = []
-        for raw in idx:
-            raw = tuple(int(i) for i in raw)
-            n = tuple(int(g[raw]) for g in grids)
-            if not include_zero and all(c == 0 for c in n):
-                continue
+@_cached
+def _box_modes(lattice: LatticeSpec, include_zero: bool):
+    """(mode index tuple, raw FFT index tuple) of each dealiased mode, the
+    mean mode only with ``include_zero``."""
+    grids = lattice.index_grids()
+    out = []
+    for raw in np.argwhere(lattice.dealias_mask()):
+        raw = tuple(int(i) for i in raw)
+        n = tuple(int(g[raw]) for g in grids)
+        if include_zero or any(n):
             out.append((n, raw))
-        return out
-
-    return lattice._cached(key, build)
+    return out
 
 
 def _mod_vec(n, b):
@@ -418,9 +407,9 @@ def _q1_modesum_generic(u, B, t, eps, factor, band=None) -> AcousticCoeffs:
     b = lattice.periods
     vol = lattice.volume
     out = AcousticCoeffs.zeros(lattice)
-    modes = _box_modes(lattice)
+    modes = _box_modes(lattice, False)
     uhat = {}
-    for n, raw in _box_modes(lattice, include_zero=True):
+    for n, raw in _box_modes(lattice, True):
         uhat[n] = np.array([u.coeffs[c][raw] for c in range(lattice.d)])
     for m, raw_m in modes:
         mmod = _mod_vec(m, b)
@@ -466,7 +455,7 @@ def _q2_modesum_generic(A, B, t, eps, kappa, factor, band=None) -> AcousticCoeff
     b = lattice.periods
     c_d = 1.0 / math.sqrt(2.0 * lattice.volume)
     out = AcousticCoeffs.zeros(lattice)
-    modes = _box_modes(lattice)
+    modes = _box_modes(lattice, False)
     index = {n: raw for n, raw in modes}
     for m, raw_m in modes:
         mmod = _mod_vec(m, b)

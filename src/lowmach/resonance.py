@@ -23,6 +23,7 @@ import numpy as np
 from .lattice import LatticeSpec, SpectralField
 from .operators import (
     AcousticCoeffs,
+    _safe_k_modulus,
     _signed_modulus,
     acoustic_transform,
     advect,
@@ -614,8 +615,7 @@ def _s_corrector(V: AcousticCoeffs, M: float, t: float, eps: float, nu: float, t
 def _r1_corrector(f_minus_lam: AcousticCoeffs, M: float, t: float, eps: float, tilde: bool):
     lattice = f_minus_lam.lattice
     rate = _signed_modulus(lattice)
-    kmod = lattice.k_modulus().copy()
-    kmod[(0,) * lattice.d] = 1.0
+    kmod = _safe_k_modulus(lattice)
     low = _band_weights(lattice, M)
     phase_p = np.exp(-1j * (t / eps) * rate)  # alpha = +1
     if tilde:

@@ -797,28 +797,31 @@ def generate_initial_data(
 
 
 class CubicTimeInterpolant:
-    """Natural cubic spline through sampled spectral fields."""
+    """Natural cubic spline through sampled spectral fields.
+
+    The sample coefficient arrays are held by reference, not copied; the
+    only array of the spline's own is its second derivatives."""
 
     def __init__(self, times, fields):
         self.times = np.asarray(times, dtype=np.float64)
         if len(fields) != self.times.size or len(fields) < 2:
             raise ValueError("need matching times and at least two samples")
         self.template = fields[0]
-        self.values = np.stack([f.coeffs for f in fields], axis=0)
+        self.values = [f.coeffs for f in fields]
         n = self.times.size
         h = np.diff(self.times)
         if np.any(h <= 0):
             raise ValueError("times must be strictly increasing")
         # second derivatives from the natural-spline tridiagonal system
-        m = np.zeros_like(self.values)
+        m = np.zeros((n,) + self.template.coeffs.shape, dtype=np.complex128)
         if n > 2:
-            flat = self.values.reshape(n, -1)
+            y = self.values
             # the right-hand side, and then the solution, in the inner rows of m
             rhs = m.reshape(n, -1)[1 : n - 1]
             for i in range(1, n - 1):
-                rhs[i - 1] = 6.0 * (
-                    (flat[i + 1] - flat[i]) / h[i] - (flat[i] - flat[i - 1]) / h[i - 1]
-                )
+                rhs[i - 1] = (
+                    6.0 * ((y[i + 1] - y[i]) / h[i] - (y[i] - y[i - 1]) / h[i - 1])
+                ).reshape(-1)
             lower, diag, upper = h[:-1], 2.0 * (h[:-1] + h[1:]), h[1:]
             # Thomas algorithm
             for i in range(1, n - 2):
@@ -829,11 +832,6 @@ class CubicTimeInterpolant:
             for i in range(n - 4, -1, -1):
                 rhs[i] = (rhs[i] - upper[i] * rhs[i + 1]) / diag[i]
         self.second = m
-
-    def samples(self) -> list[SpectralField]:
-        """The sampled fields, as views of the stored values."""
-        template = self.template
-        return [SpectralField._in_box(template.lattice, y, template.reality) for y in self.values]
 
     def __call__(self, t: float) -> SpectralField:
         times = self.times
@@ -898,8 +896,9 @@ def load_checkpoint(path: str):
     """Inverse of :func:`save_checkpoint`; returns (lattice, time, arrays, meta).
 
     A file cut short, longer than its header describes, or whose header is
-    not a UTF-8 JSON object with ``lattice``, ``time`` and ``fields`` (each
-    with a ``name`` and a ``shape``) raises ValueError.
+    not a UTF-8 JSON object with a valid ``lattice`` descriptor, ``time`` and
+    ``fields`` (each with a string ``name`` and a ``shape`` of non-negative
+    integers) raises ValueError.
     """
     damaged = f"damaged checkpoint {path!r}"
     with open(path, "rb") as fh:
@@ -926,7 +925,19 @@ def load_checkpoint(path: str):
         isinstance(e, dict) and "name" in e and "shape" in e for e in entries
     ):
         raise ValueError(f"{damaged}: a field entry lacks its name or shape")
-    lattice = LatticeSpec.from_descriptor(header["lattice"])
+    for entry in entries:
+        name, shape = entry["name"], entry["shape"]
+        if not isinstance(name, str):
+            raise ValueError(f"{damaged}: a field name is {name!r}, not a string")
+        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+            raise ValueError(
+                f"{damaged}: field {name!r} has shape {shape!r}, "
+                "not a list of non-negative integers"
+            )
+    try:
+        lattice = LatticeSpec.from_descriptor(header["lattice"])
+    except ValueError as exc:
+        raise ValueError(f"{damaged}: {exc}") from None
     counts = [int(np.prod(entry["shape"])) for entry in entries]
     if len(payload) != 16 * sum(counts):
         raise ValueError(

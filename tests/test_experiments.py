@@ -308,6 +308,18 @@ class TestConfig:
             ({"json": {"experiment": {"eps": ["0.1"]}}}, "experiment.eps must be a number"),
             ({"json": {"lattice": {"resolution": None}}}, "lacks 'resolution'"),
             ({"json": {"lattice": {"periods": [1, 1]}}}, "config field lattice is malformed"),
+            (
+                {"json": {"lattice": {"periods": [[1, 0], [1, 1]]}}},
+                "config field lattice is malformed: periods",
+            ),
+            (
+                {"json": {"lattice": {"dealias_fraction": [2, 0]}}},
+                "config field lattice is malformed: dealias_fraction",
+            ),
+            (
+                {"json": {"lattice": {"resolution": "ab"}}},
+                "config field lattice is malformed: resolution",
+            ),
         ],
     )
     def test_rejected_at_load(self, tmp_path, lat16, overrides, message):
@@ -318,6 +330,12 @@ class TestConfig:
         payload = edited_config_json(tmp_path, overrides["json"])
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_json(payload)
+
+    def test_defaults_from_the_dataclass(self, lat16):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            loaded = ExperimentConfig.from_json({"schema": 1, "lattice": lat16.descriptor()})
+            assert loaded == ExperimentConfig(lattice=lat16)
 
     def test_band_overlap_warns_not_raises(self, lat16):
         with pytest.warns(RuntimeWarning, match="medium band is empty"):
@@ -669,6 +687,10 @@ class TestCLI:
             ({"experiment": {"eps": 0.1}}, "config field experiment.eps must be a list"),
             ({"experiment": {"eps": ["0.1"]}}, "config field experiment.eps must be a number"),
             ({"lattice": {"resolution": None}}, "the lattice descriptor lacks 'resolution'"),
+            (
+                {"lattice": {"periods": [[1, 0], [1, 1]]}},
+                "config field lattice is malformed: periods[0] is [1, 0], not a fraction",
+            ),
         ],
     )
     def test_malformed_config_rejected(self, tmp_path, capsys, edits, message):

@@ -1,11 +1,13 @@
 """Transform, derivative, and product tests for the spectral core."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from lowmach import dyadic, operators
 from lowmach.lattice import (
     GridField,
     LatticeSpec,
@@ -307,3 +309,93 @@ def test_sign_grid():
     flipped = np.roll(np.flip(np.flip(sg, 0), 1), (1, 1), axis=(0, 1))
     assert np.all(sg[nonzero] == -flipped[nonzero])
     assert sg[0, 0] == 0
+
+
+# every table derived from a lattice alone, each cached once per lattice
+CACHED_TABLES = {
+    "lowmach.lattice.LatticeSpec.cutoffs": lambda lat: lat.cutoffs,
+    "lowmach.lattice.LatticeSpec.index_grids": lambda lat: lat.index_grids(),
+    "lowmach.lattice.LatticeSpec.wavevectors": lambda lat: lat.wavevectors(),
+    "lowmach.lattice.LatticeSpec.half_wavevectors": lambda lat: lat.half_wavevectors(),
+    "lowmach.lattice.LatticeSpec.k_squared": lambda lat: lat.k_squared(),
+    "lowmach.lattice.LatticeSpec.k_modulus": lambda lat: lat.k_modulus(),
+    "lowmach.lattice.LatticeSpec.dealias_mask": lambda lat: lat.dealias_mask(),
+    "lowmach.lattice.LatticeSpec.norm_scale": lambda lat: lat.norm_scale(),
+    "lowmach.lattice.LatticeSpec.sign_grid": lambda lat: lat.sign_grid(),
+    "lowmach.lattice.LatticeSpec.grid_points": lambda lat: lat.grid_points(),
+    "lowmach.operators._signed_modulus": operators._signed_modulus,
+    "lowmach.operators._safe_k_modulus": operators._safe_k_modulus,
+    "lowmach.operators._safe_inv_ksq": operators._safe_inv_ksq,
+    "lowmach.operators._acoustic_mask": operators._acoustic_mask,
+    "lowmach.operators._box_modes": lambda lat: operators._box_modes(lat, True),
+    "lowmach.dyadic.block_range": dyadic.block_range,
+    "lowmach.dyadic._block_weights": lambda lat: dyadic._block_weights(lat, 0),
+    "lowmach.dyadic._energy_weights": lambda lat: dyadic._energy_weights(lat, (1.0,)),
+}
+
+
+def _arrays(value):
+    """The arrays in a cached value, tuple members included."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [a for v in value for a in _arrays(v)]
+    return []
+
+
+def _assert_equal_tables(a, b):
+    assert type(a) is type(b)
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    elif isinstance(a, tuple):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_equal_tables(x, y)
+    else:
+        assert a == b
+
+
+class TestLatticeCache:
+    """The contract of ``lattice._cached``: each table is built once per
+    lattice, is read-only, and survives pickling with the lattice."""
+
+    @pytest.fixture(
+        params=[
+            LatticeSpec.square(2, 16),
+            LatticeSpec(periods=(1, Fraction(3, 2), Fraction(1, 2)), resolution=(8, 8, 6)),
+        ],
+        ids=["2d", "3d-rational"],
+    )
+    def warm(self, request):
+        lattice = LatticeSpec(request.param.periods, request.param.resolution)
+        for table in CACHED_TABLES.values():
+            table(lattice)
+        return lattice
+
+    def test_cached_set(self, warm):
+        assert {name for name, _ in warm._cache} == set(CACHED_TABLES)
+
+    def test_read_only(self, warm):
+        for key, value in warm._cache.items():
+            assert not isinstance(value, list), key
+            for array in _arrays(value):
+                assert not array.flags.writeable, key
+                with pytest.raises(ValueError):
+                    array[(0,) * array.ndim] = 0
+        assert _arrays(warm._cache[("lowmach.dyadic._energy_weights", ((1.0,),))])
+
+    def test_second_call_same_object(self, warm):
+        cached = dict(warm._cache)
+        for name, table in CACHED_TABLES.items():
+            assert table(warm) is table(warm), name
+        assert warm._cache.keys() == cached.keys()
+        assert all(warm._cache[key] is value for key, value in cached.items())
+
+    def test_pickled_warm_cache(self, warm):
+        again = pickle.loads(pickle.dumps(warm))
+        assert again == warm and again._cache.keys() == warm._cache.keys()
+        for name, table in CACHED_TABLES.items():
+            value = table(again)
+            _assert_equal_tables(value, table(warm))
+            assert all(not a.flags.writeable for a in _arrays(value)), name
+        assert again._cache.keys() == warm._cache.keys()
