@@ -43,9 +43,9 @@ EXIT_ABORT = 3
 
 def _load_config(args) -> ExperimentConfig:
     if args.config:
-        cfg = ExperimentConfig.load(args.config, out_dir=args.out)
+        cfg = ExperimentConfig.load(args.config)
     else:
-        cfg = ExperimentConfig(lattice=LatticeSpec.square(2, 32), out_dir=args.out)
+        cfg = ExperimentConfig(lattice=LatticeSpec.square(2, 32))
     updates = {}
     if getattr(args, "eps", None):
         updates["eps_list"] = tuple(float(e) for e in args.eps.split(","))
@@ -63,9 +63,9 @@ def _cmd_simulate(args) -> int:
     traj = run_trajectory(
         cfg.initial_data(), cfg.solver_config(eps), "compressible", record=lambda state, t: None
     )
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     final = traj.final
-    path = os.path.join(cfg.out_dir, f"compressible_eps{eps:g}.lmc")
+    path = os.path.join(args.out, f"compressible_eps{eps:g}.lmc")
     save_checkpoint(
         path,
         cfg.lattice,
@@ -88,13 +88,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_limit_sim(args) -> int:
     cfg = _load_config(args)
     stage = shared_stage(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     paths = {}
     for kind, key, traj in (
         ("incompressible", "v", stage.traj_v),
         ("limit", "V", stage.traj_V),
     ):
-        paths[kind] = os.path.join(cfg.out_dir, f"{kind}.lmc")
+        paths[kind] = os.path.join(args.out, f"{kind}.lmc")
         save_checkpoint(
             paths[kind],
             cfg.lattice,
@@ -149,7 +149,7 @@ def _cmd_converge(args) -> int:
     cfg = _load_config(args)
     progress = (lambda msg: print(f"[converge] {msg}", file=sys.stderr)) if args.verbose else None
     report = convergence_study(cfg, progress=progress, threads=args.threads)
-    paths = emit_report(report, cfg.out_dir)
+    paths = emit_report(report, args.out)
     verdicts = vanishing_limit_check(report)
     print(
         json.dumps(

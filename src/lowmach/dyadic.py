@@ -250,27 +250,15 @@ def parse_norm_spec(text: str) -> NormSpec:
 # ---------------------------------------------------------------------------
 
 
-def _mode_power(obj) -> np.ndarray:
-    if isinstance(obj, (tuple, list)):
-        return sum(o.mode_power() for o in obj)
-    return obj.mode_power()
-
-
-def _lattice_of(obj) -> LatticeSpec:
-    if isinstance(obj, (tuple, list)):
-        return obj[0].lattice
-    return obj.lattice
-
-
 @dataclass(frozen=True, slots=True)
 class BlockEnergies:
-    """Energy row of a field or bundle (or, stacked, one row per sample).
+    """Energy row of a field (or, stacked, one row per sample).
 
     The last axis holds E[j] = sum_k w_j(k)^2 |c_k|^2 for each j of
     ``block_range(lattice)``, then the mean energy |c_0|^2, then for each s of
     ``h_orders`` the Sobolev sum over k != 0 of |k|^(2s) |c_k|^2.  Every p = 2
-    norm is a function of one row; the row of a bundle is the sum of its
-    members' rows.
+    norm is a function of one row; the sum of two rows is the row of the
+    pair of fields (their bundle).
     """
 
     lattice: LatticeSpec
@@ -295,15 +283,15 @@ def _energy_weights(lattice: LatticeSpec, h_orders: tuple) -> tuple:
 
 
 def block_energies(obj, h_orders=()) -> BlockEnergies:
-    """Reduce a field, or a bundle (tuple/list) of fields, to its energy row."""
-    lattice, power = _lattice_of(obj), _mode_power(obj)
+    """Reduce a field to its energy row."""
     h_orders = tuple(float(s) for s in h_orders)
-    weights = _energy_weights(lattice, h_orders)
-    return BlockEnergies(lattice, h_orders, np.array([np.sum(w * power) for w in weights]))
+    weights = _energy_weights(obj.lattice, h_orders)
+    power = obj.mode_power()
+    return BlockEnergies(obj.lattice, h_orders, np.array([np.sum(w * power) for w in weights]))
 
 
 def _series_energies(fields, h_orders) -> BlockEnergies:
-    """Stacked rows of a series of fields, bundles or rows."""
+    """Stacked rows of a series of fields or rows."""
     rows = [f if isinstance(f, BlockEnergies) else block_energies(f, h_orders) for f in fields]
     return BlockEnergies(rows[0].lattice, rows[0].h_orders, np.stack([r.values for r in rows]))
 
@@ -348,7 +336,7 @@ def _spatial_norm(energies: BlockEnergies, spec: NormSpec):
 
 
 def norm(obj, spec) -> float:
-    """Besov or Sobolev norm of a field, a bundle of fields or, for p = 2, a
+    """Besov or Sobolev norm of a field or, for p = 2, of a
     :class:`BlockEnergies` row."""
     if isinstance(spec, str):
         spec = parse_norm_spec(spec)
@@ -379,7 +367,7 @@ def _time_lq(times: np.ndarray, values: np.ndarray, q: float):
 def time_norm(times, fields, q: float, spec):
     """L^q-in-time of the spatial norm along a sampled trajectory.
 
-    ``fields`` holds one field or bundle per sample, or for p = 2 its
+    ``fields`` holds one field per sample, or for p = 2 its
     :class:`BlockEnergies` row.
     """
     if isinstance(spec, str):
@@ -399,7 +387,7 @@ def chemin_lerner_norm(times, fields, q: float, spec) -> float:
     Compared with :func:`time_norm` the order of the time integral and the
     block summation is swapped.  Time integrals use the trapezoid rule on the
     sample grid; q = inf takes the max over samples.  ``fields`` holds one
-    field, bundle or :class:`BlockEnergies` row per sample.
+    field or :class:`BlockEnergies` row per sample.
     """
     if isinstance(spec, str):
         spec = parse_norm_spec(spec)
@@ -451,7 +439,6 @@ def mode_truncate(obj, cutoff: float, keep: str = "low"):
 
     The mean mode counts as |k| = 0 and is retained by the low part.
     """
-    lattice = _lattice_of(obj)
-    low = lattice.k_modulus() <= cutoff + 1e-12
+    low = obj.lattice.k_modulus() <= cutoff + 1e-12
     weights = low.astype(np.float64) if keep == "low" else (~low).astype(np.float64)
     return obj.scale_modes(weights)

@@ -27,7 +27,6 @@ from .solvers import (
     Forcing,
     SolverConfig,
     Trajectory,
-    compressible_record,
     generate_initial_data,
     run_trajectory,
 )
@@ -93,7 +92,6 @@ class ExperimentConfig:
     smoothness: float = 3.0
     seed: int = 0
     forcing: Forcing | None = None
-    out_dir: str = "out"
 
     def __post_init__(self):
         if not self.eps_list:
@@ -173,34 +171,21 @@ class ExperimentConfig:
         return out
 
     def to_json(self) -> dict:
+        sections = {"solver": {}, "experiment": {"eps": list(self.eps_list), "eta0": self.eta0}}
+        for section, key, name, _ in _CONFIG_NUMBERS:
+            sections[section][key] = getattr(self, name)
         return {
             "schema": SCHEMA_VERSION,
             "lattice": self.lattice.descriptor(),
-            "solver": {
-                "mu": self.mu,
-                "lambda": self.lam,
-                "gamma": self.gamma,
-                "dt": self.dt,
-                "t_final": self.t_final,
-                "sample_stride": self.sample_stride,
-            },
-            "experiment": {
-                "eps": list(self.eps_list),
-                "zeta": self.zeta,
-                "eta0": self.eta0,
-                "theta": self.theta,
-                "amplitude_a": self.amplitude_a,
-                "amplitude_u": self.amplitude_u,
-                "smoothness": self.smoothness,
-                "seed": self.seed,
-            },
+            **sections,
             "forcing": self.forcing.to_json() if self.forcing else [],
         }
 
     @classmethod
-    def from_json(cls, data: dict, out_dir: str = "out") -> "ExperimentConfig":
+    def from_json(cls, data: dict) -> "ExperimentConfig":
         """The config of a parsed JSON file.  A missing ``lattice`` or lattice
-        key, or a value of the wrong JSON type, raises ValueError naming it."""
+        key, an unknown section or key, or a value of the wrong JSON type
+        raises ValueError naming it."""
         if not isinstance(data, dict):
             raise ValueError("a config must be a JSON object")
         if data.get("schema") != SCHEMA_VERSION:
@@ -214,6 +199,19 @@ class ExperimentConfig:
         lattice = LatticeSpec.from_descriptor(
             sections["lattice"], malformed="config field lattice is malformed"
         )
+        # the keys that descriptor() and to_json() write are the known ones
+        known = {
+            "lattice": set(lattice.descriptor()),
+            "solver": set(),
+            "experiment": {"eps", "eta0"},
+        }
+        for section, key, _, _ in _CONFIG_NUMBERS:
+            known[section].add(key)
+        unknown = sorted(data.keys() - {"schema", "forcing", *known}) + sorted(
+            f"{name}.{key}" for name, keys in known.items() for key in sections[name].keys() - keys
+        )
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         # every key present is checked; the dataclass's defaults fill in the rest
         settings = {}
         for section, key, name, kind in _CONFIG_NUMBERS:
@@ -230,12 +228,12 @@ class ExperimentConfig:
             settings["eta0"] = _config_number(experiment["eta0"], "experiment.eta0")
         if data.get("forcing"):
             settings["forcing"] = Forcing.from_json(lattice, data["forcing"])
-        return cls(lattice=lattice, out_dir=out_dir, **settings)
+        return cls(lattice=lattice, **settings)
 
     @classmethod
-    def load(cls, path: str, out_dir: str = "out") -> "ExperimentConfig":
+    def load(cls, path: str) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh), out_dir=out_dir)
+            return cls.from_json(json.load(fh))
 
 
 @dataclass
@@ -298,7 +296,7 @@ def shared_stage(cfg: ExperimentConfig) -> SharedStage:
     timings = {"incompressible": incompressible_s, "limit_table": _time.perf_counter() - t0}
 
     t0 = _time.perf_counter()
-    v_at = CubicTimeInterpolant(traj_v.times, traj_v.series("v"))
+    v_at = CubicTimeInterpolant(traj_v.times, traj_v.states)
     V0 = acoustic_transform(a0, u0 - v0)
     traj_V = run_trajectory(V0, base, "limit", table=table, v_at=v_at)
     timings["limit"] = _time.perf_counter() - t0
@@ -368,16 +366,16 @@ def _eps_row(cfg: ExperimentConfig, stage: SharedStage, eps: float) -> Diagnosti
     the same index; no compressible field outlives its sample.
     """
     t0 = _time.perf_counter()
-    partners = zip(stage.traj_v.series("v"), stage.traj_V.series("V"))
+    partners = zip(stage.traj_v.states, stage.traj_V.states)
 
     def reduce(state, t):
         v, V = next(partners)
-        return sample_energies(compressible_record(state, t, eps), v, V, cfg.theta)
+        return sample_energies(state, t, eps, v, V, cfg.theta)
 
     traj_eps = run_trajectory(
         (stage.a0, stage.u0), cfg.solver_config(eps), "compressible", record=reduce
     )
-    row = compute_functionals(traj_eps, stage.traj_v, stage.traj_V, cfg.functional_settings(eps))
+    row = compute_functionals(traj_eps.times, traj_eps.states, cfg.functional_settings(eps))
     row.wall_time = _time.perf_counter() - t0
     row.values["W_theta_scaled"] = row.values["W_theta"] / eps ** (cfg.theta / (1.0 + cfg.theta))
     return row

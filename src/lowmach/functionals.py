@@ -15,6 +15,7 @@ import numpy as np
 
 from .dyadic import NormSpec, block_energies, block_range, chemin_lerner_norm, time_norm
 from .lattice import LatticeSpec
+from .operators import acoustic_transform, helmholtz_project, wave_group
 
 __all__ = [
     "DiagnosticsRow",
@@ -56,9 +57,6 @@ class DiagnosticsRow:
     values: dict = field(default_factory=dict)
     wall_time: float = 0.0
 
-    def __getitem__(self, key: str) -> float:
-        return self.values[key]
-
 
 def _b(s, band="full", eta=None, zeta=None, underlined=False):
     return NormSpec(
@@ -81,45 +79,37 @@ def _acoustic(times, fields, s, **band) -> float:
     )
 
 
-def sample_energies(record: dict, v, V, theta: float) -> dict:
+def sample_energies(state, t: float, eps: float, v, V, theta: float) -> dict:
     """Block-energy rows of the six diagnostic series at one sample.
 
-    ``record`` is a compressible sample (a, Pu, Qu, Veps) and ``v``, ``V`` are
-    the incompressible and limit states at the same time.  The series are a,
-    Qu, Pu, the bundle (a, Qu), Veps - V and Pu - v; every row carries the
-    Sobolev sum of order d/2 - theta that Z_theta reads.
+    ``state`` is the compressible state at time ``t`` and Mach number ``eps``,
+    and ``v``, ``V`` are the incompressible and limit states at the same time.
+    The series are a, Qu, Pu, the bundle (a, Qu), Veps - V and Pu - v, with
+    the Helmholtz parts Pu, Qu of u and the filtered state
+    Veps = L(-t/eps)(a, Qu); every row carries the Sobolev sum of order
+    d/2 - theta that Z_theta reads.
     """
-    h_orders = (record["a"].lattice.d / 2 - theta,)
-    rows = {key: block_energies(record[key], h_orders) for key in ("a", "Qu", "Pu")}
+    pu = helmholtz_project(state.u, "P")
+    qu = state.u - pu
+    veps = wave_group(acoustic_transform(state.a, qu, check=False), -t / eps)
+    h_orders = (state.a.lattice.d / 2 - theta,)
+    rows = {
+        key: block_energies(f, h_orders) for key, f in (("a", state.a), ("Qu", qu), ("Pu", pu))
+    }
     rows["aQu"] = rows["a"] + rows["Qu"]
-    rows["Vdiff"] = block_energies(record["Veps"] - V, h_orders)
-    rows["udiff"] = block_energies(record["Pu"] - v, h_orders)
+    rows["Vdiff"] = block_energies(veps - V, h_orders)
+    rows["udiff"] = block_energies(pu - v, h_orders)
     return rows
 
 
-def compute_functionals(traj_eps, traj_v, traj_V, settings: FunctionalSettings) -> DiagnosticsRow:
-    """Evaluate the full diagnostics row from three aligned trajectories.
-
-    ``traj_eps`` is a compressible trajectory whose samples are either full
-    records (a, u, Pu, Qu, Veps) or their :func:`sample_energies` rows; full
-    records are first reduced against the samples of ``traj_v``
-    (incompressible) and ``traj_V`` (limit run) at the same index.  All three
-    must share the sample time grid.
-    """
-    times = np.asarray(traj_eps.times)
-    if not (
-        np.array_equal(times, np.asarray(traj_v.times))
-        and np.array_equal(times, np.asarray(traj_V.times))
-    ):
-        raise ValueError("trajectories must share the sample time grid")
-    samples = traj_eps.states
-    if "Veps" in samples[0]:
-        samples = [
-            sample_energies(rec, v, V, settings.theta)
-            for rec, v, V in zip(samples, traj_v.series("v"), traj_V.series("V"))
-        ]
+def compute_functionals(times, rows: list, settings: FunctionalSettings) -> DiagnosticsRow:
+    """Evaluate the full diagnostics row from the :func:`sample_energies` rows
+    of a compressible run, one per sample time."""
+    times = np.asarray(times)
+    if len(rows) != times.size:
+        raise ValueError(f"{len(rows)} sample rows for {times.size} sample times")
     a, qu, aqu, pu, vdiff, udiff = (
-        [rec[key] for rec in samples] for key in ("a", "Qu", "aQu", "Pu", "Vdiff", "udiff")
+        [row[key] for row in rows] for key in ("a", "Qu", "aQu", "Pu", "Vdiff", "udiff")
     )
     s, eps, zeta, hi = a[0].lattice.d / 2, settings.eps, settings.zeta, settings.high_cut
     high_a = eps * chemin_lerner_norm(times, a, _INF, _b(s, "h", eta=hi))

@@ -282,6 +282,8 @@ class LatticeSpec:
         periods, resolution = desc["periods"], desc["resolution"]
         entry("periods", periods, isinstance(periods, (list, tuple)), "a list")
         entry("resolution", resolution, integers(resolution), "a list of integers")
+        d = desc.get("d", len(periods))
+        entry("d", d, type(d) is int and d == len(periods), f"the number of periods, {len(periods)}")
         return cls(
             periods=tuple(fraction(f"periods[{i}]", b) for i, b in enumerate(periods)),
             resolution=tuple(resolution),

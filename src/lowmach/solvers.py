@@ -44,15 +44,7 @@ from .lattice import (
     zero_mean_split,
 )
 from .dyadic import NormSpec, norm
-from .operators import (
-    AcousticCoeffs,
-    PressureLaw,
-    VacuumError,
-    _safe_inv_ksq,
-    acoustic_transform,
-    helmholtz_project,
-    wave_group,
-)
+from .operators import AcousticCoeffs, PressureLaw, VacuumError, _safe_inv_ksq
 from .resonance import ResonanceTable, limit_q1, limit_q2
 
 __all__ = [
@@ -69,7 +61,6 @@ __all__ = [
     "step_compressible",
     "step_incompressible",
     "step_limit",
-    "compressible_record",
     "run_trajectory",
     "generate_initial_data",
     "CubicTimeInterpolant",
@@ -252,30 +243,15 @@ class CompressibleState:
 
 @dataclass
 class Trajectory:
-    """Time-stamped samples of solver states plus derived fields.
-
-    ``states`` holds what the run's record kept per sample; ``final`` is the
-    solver state at the last sample (None after :meth:`restricted`).
-    """
+    """Time-stamped samples of a run: ``states`` holds what the run's record
+    kept per sample, and ``final`` is the solver state at the last sample."""
 
     times: np.ndarray
     states: list
-    meta: dict = field(default_factory=dict)
-    final: object = None
-
-    def series(self, key: str) -> list:
-        return [s[key] for s in self.states]
+    final: object
 
     def __len__(self) -> int:
         return len(self.states)
-
-    def restricted(self, t_max: float) -> "Trajectory":
-        keep = [i for i, t in enumerate(self.times) if t <= t_max + 1e-12]
-        return Trajectory(
-            times=self.times[keep],
-            states=[self.states[i] for i in keep],
-            meta=dict(self.meta),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +359,12 @@ def _add_lamb(lamb: np.ndarray, u: np.ndarray, rot: np.ndarray, pairs: list, scr
 class _Stepper:
     """One run of dx/dt = L x + N(x, t): a subclass holds the state ``x`` (a
     tuple of arrays) and gives ``linear``, the exact one-step exponential of
-    L, and ``rhs``, the right-hand side N."""
+    L, ``rhs``, the right-hand side N, and ``state(t)``, the system's state
+    built from ``x`` at the caller's time ``t``.  The stepper keeps no clock."""
 
     def step(self, t: float) -> None:
         """One Lawson RK2 step started at time ``t``."""
         self.x = _lawson_rk2(self.x, t, self.cfg.dt, self.linear, self.rhs)
-        self.t = t + self.cfg.dt
 
 
 class _HeatStepper(_Stepper):
@@ -396,7 +372,7 @@ class _HeatStepper(_Stepper):
     factor ``heat`` built once (stored as complex: see AcousticViscousPropagator)."""
 
     def __init__(self, cfg: SolverConfig, x: np.ndarray, viscosity: float, ksq: np.ndarray):
-        self.cfg, self.x, self.t = cfg, (x,), 0.0
+        self.cfg, self.x = cfg, (x,)
         self.heat = np.exp(-viscosity * ksq * cfg.dt).astype(np.complex128)
 
     def linear(self, x: tuple) -> tuple[np.ndarray]:
@@ -430,7 +406,6 @@ class CompressibleStepper(_Stepper):
         self.propagator = AcousticViscousPropagator(lattice, cfg.dt, cfg.eps, cfg.nu, cfg.mu)
         self.vacuum_warned = False
         self.x = (initial.a.coeffs[..., : cut + 1], initial.u.coeffs[..., : cut + 1])
-        self.t = initial.t
         self.pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
         self.ik = 1j * lattice.half_wavevectors()
         # complex, so that numpy does not cast it in every product
@@ -569,11 +544,11 @@ class CompressibleStepper(_Stepper):
     def linear(self, x: tuple) -> tuple[np.ndarray, np.ndarray]:
         return self.propagator.apply(*x)
 
-    def state(self) -> CompressibleState:
-        """The current full, Hermitian fields."""
+    def state(self, t: float) -> CompressibleState:
+        """The current full, Hermitian fields, stamped with time ``t``."""
         lattice = self.cfg.lattice
         a, u = (SpectralField._in_box(lattice, _half_to_full(y, lattice), True) for y in self.x)
-        return CompressibleState(a=a, u=u, t=self.t)
+        return CompressibleState(a=a, u=u, t=t)
 
 
 def step_compressible(state: CompressibleState, cfg: SolverConfig) -> CompressibleState:
@@ -585,7 +560,7 @@ def step_compressible(state: CompressibleState, cfg: SolverConfig) -> Compressib
     """
     stepper = CompressibleStepper(cfg, state)
     stepper.step(state.t)
-    return stepper.state()
+    return stepper.state(state.t + cfg.dt)
 
 
 class IncompressibleStepper(_HeatStepper):
@@ -641,8 +616,8 @@ class IncompressibleStepper(_HeatStepper):
             np.add(wc, np.multiply(ik, ik_dot_w, out=oc), out=oc)
         return (out,)
 
-    def state(self) -> SpectralField:
-        """The current full, Hermitian velocity field."""
+    def state(self, t: float) -> SpectralField:
+        """The current full, Hermitian velocity field (a field keeps no time)."""
         lattice = self.cfg.lattice
         return SpectralField._in_box(lattice, _half_to_full(self.x[0], lattice), True)
 
@@ -662,8 +637,9 @@ class LimitStepper(_HeatStepper):
         q1 = limit_q1(self.v_at(t), V, self.table)
         return ((-1.0 * q1 - limit_q2(V, V, self.table, kappa=self.cfg.law.kappa)).coeffs,)
 
-    def state(self) -> AcousticCoeffs:
-        """The current coefficients, a view of an array that no step overwrites."""
+    def state(self, t: float) -> AcousticCoeffs:
+        """The current coefficients, a view of an array that no step
+        overwrites (coefficients keep no time)."""
         return AcousticCoeffs._in_box(self.cfg.lattice, self.x[0], False)
 
 
@@ -672,7 +648,7 @@ def step_incompressible(v: SpectralField, t: float, cfg: SolverConfig) -> Spectr
     factor), through an :class:`IncompressibleStepper` built for it alone."""
     stepper = IncompressibleStepper(cfg, v)
     stepper.step(t)
-    return stepper.state()
+    return stepper.state(t + cfg.dt)
 
 
 def step_limit(
@@ -686,21 +662,12 @@ def step_limit(
     factor), through a :class:`LimitStepper` built for it alone."""
     stepper = LimitStepper(cfg, V, v_at, table)
     stepper.step(t)
-    return stepper.state()
+    return stepper.state(t + cfg.dt)
 
 
 # ---------------------------------------------------------------------------
 # Trajectory runner
 # ---------------------------------------------------------------------------
-
-
-def compressible_record(state: CompressibleState, t: float, eps: float) -> dict:
-    """Full compressible sample: a, u, the Helmholtz parts Pu and Qu, and the
-    filtered state Veps = L(-t/eps)(a, Qu)."""
-    pu = helmholtz_project(state.u, "P")
-    qu = state.u - pu
-    veps = wave_group(acoustic_transform(state.a, qu, check=False), -t / eps)
-    return {"a": state.a, "u": state.u, "Pu": pu, "Qu": qu, "Veps": veps}
 
 
 def run_trajectory(
@@ -719,27 +686,24 @@ def run_trajectory(
     starts, and each sample is stamped, at an exact multiple of ``dt``.
 
     ``record(state, t)`` gives what the trajectory keeps of each sample; the
-    state is a :class:`CompressibleState`, the velocity field, or the
-    averaged state.  By default it is the full record: :func:`compressible_record`,
-    ``{"v": v}`` or ``{"V": V}``.  The final state is kept either way.
+    state is a :class:`CompressibleState` stamped ``t``, the velocity field,
+    or the averaged state.  By default the sample is the state itself.  The
+    final state is kept either way.
     """
     start = initial
     if kind == "compressible":
         start = CompressibleState(*initial)
         stepper = CompressibleStepper(cfg, start)
-        full_record = lambda s, t: compressible_record(s, t, cfg.eps)
     elif kind == "incompressible":
         stepper = IncompressibleStepper(cfg, start)
-        full_record = lambda v, t: {"v": v}
     elif kind == "limit":
         if table is None or v_at is None:
             raise ValueError("limit runs need a resonance table and v interpolant")
         stepper = LimitStepper(cfg, start, v_at, table)
-        full_record = lambda V, t: {"V": V}
     else:
         raise ValueError(f"unknown trajectory kind {kind!r}")
     if record is None:
-        record = full_record
+        record = lambda state, t: state
 
     dt = cfg.dt
     times = [0.0]
@@ -749,10 +713,8 @@ def run_trajectory(
         stepper.step((step - 1) * dt)
         if step % cfg.sample_stride == 0 or step == n_steps:
             times.append(step * dt)
-            states.append(record(stepper.state(), step * dt))
-    return Trajectory(
-        times=np.array(times), states=states, meta={"kind": kind}, final=stepper.state()
-    )
+            states.append(record(stepper.state(step * dt), step * dt))
+    return Trajectory(times=np.array(times), states=states, final=stepper.state(n_steps * dt))
 
 
 # ---------------------------------------------------------------------------

@@ -430,8 +430,7 @@ def test_criterion_7_solver_validation():
         traj = run_trajectory((a0, u0), c, "compressible")
         outs[dt] = traj.states[-1]
     errs = [
-        (outs[dt]["a"] - outs[2.5e-4]["a"]).l2_norm()
-        + (outs[dt]["u"] - outs[2.5e-4]["u"]).l2_norm()
+        (outs[dt].a - outs[2.5e-4].a).l2_norm() + (outs[dt].u - outs[2.5e-4].u).l2_norm()
         for dt in (4e-3, 2e-3)
     ]
     orders.append(math.log2(errs[0] / errs[1]))
@@ -439,7 +438,7 @@ def test_criterion_7_solver_validation():
     outs = {}
     for dt in (4e-3, 2e-3, 2.5e-4):
         c = SolverConfig(lattice=lat16, mu=0.02, dt=dt, t_final=0.2, sample_stride=10**9)
-        outs[dt] = run_trajectory(v0, c, "incompressible").states[-1]["v"]
+        outs[dt] = run_trajectory(v0, c, "incompressible").states[-1]
     orders.append(
         math.log2(
             (outs[4e-3] - outs[2.5e-4]).l2_norm() / (outs[2e-3] - outs[2.5e-4]).l2_norm()
@@ -449,7 +448,7 @@ def test_criterion_7_solver_validation():
     vtraj = run_trajectory(
         v0, SolverConfig(lattice=lat16, mu=0.05, lam=0.05, dt=1e-3, t_final=0.1), "incompressible"
     )
-    v_at = CubicTimeInterpolant(vtraj.times, vtraj.series("v"))
+    v_at = CubicTimeInterpolant(vtraj.times, vtraj.states)
     V0 = acoustic_transform(a0, helmholtz_project(u0, "Q"))
     outs = {}
     for dt in (4e-3, 2e-3, 2.5e-4):
@@ -457,7 +456,7 @@ def test_criterion_7_solver_validation():
             lattice=lat16, mu=0.05, lam=0.05, law=PressureLaw.gamma_law(3.0),
             dt=dt, t_final=0.1, sample_stride=10**9,
         )
-        outs[dt] = run_trajectory(V0, c, "limit", table=table, v_at=v_at).states[-1]["V"]
+        outs[dt] = run_trajectory(V0, c, "limit", table=table, v_at=v_at).states[-1]
     orders.append(
         math.log2(
             (outs[4e-3] - outs[2.5e-4]).l2_norm() / (outs[2e-3] - outs[2.5e-4]).l2_norm()
@@ -469,7 +468,7 @@ def test_criterion_7_solver_validation():
     cfg_m = SolverConfig(lattice=lat16, mu=0.05, lam=0.05, eps=0.5, dt=2e-3, t_final=0.05)
     a0, u0 = generate_initial_data(lat16, 1.0, 1.0, seed=5)
     traj = run_trajectory((a0, u0), cfg_m, "compressible")
-    mass_defect = max(abs(s["a"].mean_coefficient()[0]) for s in traj.states)
+    mass_defect = max(abs(s.a.mean_coefficient()[0]) for s in traj.states)
     assert mass_defect <= 1e-13
     record(
         "7",
@@ -542,7 +541,6 @@ def _acceptance_study(tmp_path):
         amplitude_u=2.0,
         smoothness=3.0,
         seed=2,
-        out_dir=str(tmp_path),
     )
     import warnings
 

@@ -42,6 +42,7 @@ from lowmach.functionals import (
     FunctionalSettings,
     bridge_constant,
     compute_functionals,
+    sample_energies,
 )
 from lowmach.lattice import LatticeSpec, SpectralField
 from lowmach.operators import (
@@ -52,11 +53,11 @@ from lowmach.operators import (
 )
 from lowmach.resonance import build_limit_tables
 from lowmach.solvers import (
+    CompressibleState,
     CubicTimeInterpolant,
     Forcing,
     ForcingMode,
     SolverConfig,
-    Trajectory,
     generate_initial_data,
     load_checkpoint,
     run_trajectory,
@@ -65,26 +66,29 @@ from lowmach.solvers import (
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def make_compressible_like(lattice, rng, times, eps, scale=1.0):
-    """Synthetic trajectory with the record layout of a compressible run."""
+def random_states(lattice, rng, times):
+    """Random compressible states stamped with ``times``."""
     states = []
     for t in times:
-        a0, u0 = generate_initial_data(
-            lattice, scale, scale, seed=int(rng.integers(0, 2**31))
-        )
-        pu = helmholtz_project(u0, "P")
-        qu = u0 - pu
-        veps = wave_group(acoustic_transform(a0, qu, check=False), -t / eps)
-        states.append({"a": a0, "u": u0, "Pu": pu, "Qu": qu, "Veps": veps})
-    return Trajectory(times=np.asarray(times), states=states)
+        a0, u0 = generate_initial_data(lattice, 1.0, 1.0, seed=int(rng.integers(0, 2**31)))
+        states.append(CompressibleState(a0, u0, t))
+    return states
 
 
-def zero_compressible(lattice, times):
-    zs = SpectralField.zeros(lattice)
-    zv = SpectralField.zeros(lattice, lattice.d)
-    zac = AcousticCoeffs.zeros(lattice)
-    states = [{"a": zs, "u": zv, "Pu": zv, "Qu": zv, "Veps": zac} for _ in times]
-    return Trajectory(times=np.asarray(times), states=states)
+def filtered_parts(state, eps):
+    """Pu and the filtered state Veps = L(-t/eps)(a, Qu) of a compressible state."""
+    pu = helmholtz_project(state.u, "P")
+    qu = state.u - pu
+    return pu, wave_group(acoustic_transform(state.a, qu, check=False), -state.t / eps)
+
+
+def functionals_of(states, vs, Vs, settings):
+    """compute_functionals on the sample_energies rows of aligned samples."""
+    rows = [
+        sample_energies(s, s.t, settings.eps, v, V, settings.theta)
+        for s, v, V in zip(states, vs, Vs)
+    ]
+    return compute_functionals([s.t for s in states], rows, settings)
 
 
 @pytest.fixture
@@ -100,29 +104,23 @@ def settings():
 class TestFunctionals:
     def test_all_zero_trajectories(self, lat16, settings):
         times = np.linspace(0.0, 1.0, 5)
-        traj_eps = zero_compressible(lat16, times)
-        traj_v = Trajectory(
-            times=times,
-            states=[{"v": SpectralField.zeros(lat16, 2)} for _ in times],
-        )
-        traj_V = Trajectory(
-            times=times, states=[{"V": AcousticCoeffs.zeros(lat16)} for _ in times]
-        )
-        row = compute_functionals(traj_eps, traj_v, traj_V, settings)
+        zs, zv = SpectralField.zeros(lat16), SpectralField.zeros(lat16, 2)
+        states = [CompressibleState(zs, zv, t) for t in times]
+        zero_V = [AcousticCoeffs.zeros(lat16)] * len(times)
+        row = functionals_of(states, [zv] * len(times), zero_V, settings)
         for name, value in row.values.items():
             assert value == 0.0, name
 
+    def test_rows_match_times(self, lat16, settings):
+        rows = [{}] * 3
+        with pytest.raises(ValueError, match="3 sample rows for 4 sample times"):
+            compute_functionals(np.linspace(0.0, 1.0, 4), rows, settings)
+
     def test_identical_trajectories_zero_differences(self, lat16, settings):
         rng = np.random.default_rng(0)
-        times = np.linspace(0.0, 0.5, 4)
-        traj_eps = make_compressible_like(lat16, rng, times, settings.eps)
-        traj_v = Trajectory(
-            times=times, states=[{"v": s["Pu"]} for s in traj_eps.states]
-        )
-        traj_V = Trajectory(
-            times=times, states=[{"V": s["Veps"]} for s in traj_eps.states]
-        )
-        row = compute_functionals(traj_eps, traj_v, traj_V, settings)
+        states = random_states(lat16, rng, np.linspace(0.0, 0.5, 4))
+        vs, Vs = zip(*(filtered_parts(s, settings.eps) for s in states))
+        row = functionals_of(states, vs, Vs, settings)
         assert row.values["Z_theta"] == 0.0
         assert row.values["W_theta"] == 0.0
         assert row.values["low_bracket_diff"] == 0.0
@@ -160,21 +158,12 @@ class TestFunctionals:
         # triangle inequality with constant one over the implemented norms
         rng = np.random.default_rng(2)
         times = np.linspace(0.0, 0.5, 4)
-        traj_eps = make_compressible_like(lat16, rng, times, settings.eps)
-        traj_v = Trajectory(
-            times=times,
-            states=[
-                {"v": helmholtz_project(s["u"], "P") * 0.7} for s in traj_eps.states
-            ],
-        )
-        traj_V = Trajectory(
-            times=times, states=[{"V": 0.6 * s["Veps"]} for s in traj_eps.states]
-        )
-        row = compute_functionals(traj_eps, traj_v, traj_V, settings)
+        states = random_states(lat16, rng, times)
+        v_fields = [helmholtz_project(s.u, "P") * 0.7 for s in states]
+        V_fields = [0.6 * filtered_parts(s, settings.eps)[1] for s in states]
+        row = functionals_of(states, v_fields, V_fields, settings)
         d = lat16.d
         z = settings.zeta
-        v_fields = traj_v.series("v")
-        V_fields = traj_V.series("V")
         background = (
             chemin_lerner_norm(times, V_fields, float("inf"), NormSpec(s=d / 2 - 1, r=1, band="l", zeta=z))
             + chemin_lerner_norm(times, V_fields, 2.0, NormSpec(s=d / 2, r=1, band="l", zeta=z))
@@ -185,18 +174,12 @@ class TestFunctionals:
 
     def test_monotone_in_horizon(self, lat16, settings):
         rng = np.random.default_rng(3)
-        times = np.linspace(0.0, 1.0, 9)
-        traj_eps = make_compressible_like(lat16, rng, times, settings.eps)
-        traj_v = Trajectory(
-            times=times, states=[{"v": s["Pu"] * 0.5} for s in traj_eps.states]
-        )
-        traj_V = Trajectory(
-            times=times, states=[{"V": 0.5 * s["Veps"]} for s in traj_eps.states]
-        )
-        half = compute_functionals(
-            traj_eps.restricted(0.5), traj_v.restricted(0.5), traj_V.restricted(0.5), settings
-        )
-        full = compute_functionals(traj_eps, traj_v, traj_V, settings)
+        states = random_states(lat16, rng, np.linspace(0.0, 1.0, 9))
+        parts = [filtered_parts(s, settings.eps) for s in states]
+        vs = [pu * 0.5 for pu, _ in parts]
+        Vs = [0.5 * veps for _, veps in parts]
+        half = functionals_of(states[:5], vs[:5], Vs[:5], settings)  # t <= 0.5
+        full = functionals_of(states, vs, Vs, settings)
         for key in full.values:
             assert half.values[key] <= full.values[key] * (1 + 1e-12), key
 
@@ -320,6 +303,12 @@ class TestConfig:
                 {"json": {"lattice": {"resolution": "ab"}}},
                 "config field lattice is malformed: resolution",
             ),
+            ({"json": {"solver": {"dtt": 0.1}}}, r"unknown config keys: solver\.dtt"),
+            ({"json": {"experimnt": {"zeta": 1.0}}}, "unknown config keys: experimnt"),
+            (
+                {"json": {"lattice": {"d": 3}}},
+                "config field lattice is malformed: d is 3, not the number of periods, 2",
+            ),
         ],
     )
     def test_rejected_at_load(self, tmp_path, lat16, overrides, message):
@@ -327,7 +316,7 @@ class TestConfig:
             with pytest.raises(ValueError, match=message):
                 ExperimentConfig(lattice=lat16, **overrides)
             return
-        payload = edited_config_json(tmp_path, overrides["json"])
+        payload = edited_config_json(overrides["json"])
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_json(payload)
 
@@ -344,24 +333,25 @@ class TestConfig:
             )
         assert cfg.issues()
 
-    def test_json_round_trip(self, lat16):
-        import warnings
-
-        cfg = ExperimentConfig(
-            lattice=lat16, eps_list=(0.2, 0.1), zeta=1.0, eta0=0.4, seed=7
-        )
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "configs/desk.json",
+            "configs/sweep64.json",
+            "bench/workloads/compressible128.json",
+            "bench/workloads/sweep3d.json",
+        ],
+    )
+    def test_json_round_trip(self, path):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            again = ExperimentConfig.from_json(cfg.to_json())
-        assert again.eps_list == cfg.eps_list
-        assert again.zeta == cfg.zeta
-        assert again.seed == cfg.seed
-        assert again.lattice == cfg.lattice
+            cfg = ExperimentConfig.load(os.path.join(REPO, path))
+            assert ExperimentConfig.from_json(cfg.to_json()) == cfg
 
 
-def tiny_config(tmp_path, lat=None):
-    cfg = ExperimentConfig(
-        lattice=lat or LatticeSpec.square(2, 16),
+def tiny_config():
+    return ExperimentConfig(
+        lattice=LatticeSpec.square(2, 16),
         eps_list=(0.2, 0.1),
         mu=0.05,
         lam=0.05,
@@ -373,27 +363,25 @@ def tiny_config(tmp_path, lat=None):
         amplitude_a=1.0,
         amplitude_u=1.0,
         seed=3,
-        out_dir=str(tmp_path),
     )
-    return cfg
 
 
-def edited_config_json(tmp_path, edits):
+def edited_config_json(edits):
     """The JSON of ``tiny_config`` with ``{section: {key: value}}`` applied;
     a value of None deletes the key."""
-    payload = tiny_config(tmp_path).to_json()
+    payload = tiny_config().to_json()
     for section, changes in edits.items():
         for key, value in changes.items():
             if value is None:
                 del payload[section][key]
             else:
-                payload[section][key] = value
+                payload.setdefault(section, {})[key] = value
     return payload
 
 
 class TestStudyAndDeterminism:
     def test_live_small_study(self, tmp_path):
-        cfg = tiny_config(tmp_path)
+        cfg = tiny_config()
         report = convergence_study(cfg)
         assert len(report.rows) == 2
         assert report.slope is not None
@@ -403,7 +391,7 @@ class TestStudyAndDeterminism:
         assert os.path.exists(paths["wide"])
 
     def test_csv_byte_identical(self, tmp_path):
-        cfg = tiny_config(tmp_path)
+        cfg = tiny_config()
         r1 = convergence_study(cfg)
         r2 = convergence_study(cfg)
         p1 = emit_report(r1, os.path.join(str(tmp_path), "run1"))
@@ -438,7 +426,7 @@ class TestSharedStage:
 
         monkeypatch.setattr(experiments, "run_trajectory", logged)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-        cfg = tiny_config(tmp_path)
+        cfg = tiny_config()
         report = convergence_study(cfg, threads=4)
         assert pool_sizes == [len(cfg.eps_list)] == [2]
         assert set(report.timings) == {
@@ -453,7 +441,7 @@ class TestSharedStage:
     def test_pool_reports_progress_in_eps_order(self, tmp_path, capsys):
         path = os.path.join(str(tmp_path), "config.json")
         with open(path, "w") as fh:
-            json.dump(tiny_config(tmp_path).to_json(), fh)
+            json.dump(tiny_config().to_json(), fh)
         seq, par = (os.path.join(str(tmp_path), name) for name in ("seq", "par"))
         assert main(["converge", "--config", path, "--out", seq]) == 0
         capsys.readouterr()
@@ -468,7 +456,7 @@ class TestSharedStage:
                 assert a.read() == b.read(), name
 
     def test_limit_sim_writes_the_stage_finals(self, tmp_path):
-        cfg = tiny_config(tmp_path)
+        cfg = tiny_config()
         stage = shared_stage(cfg)
         # the stage's v samples are the interpolant's copies of the run's samples
         run_v = run_trajectory(
@@ -510,7 +498,7 @@ class TestCLI:
         )
 
     def write_config(self, tmp_path, **overrides):
-        cfg = tiny_config(tmp_path)
+        cfg = tiny_config()
         payload = cfg.to_json()
         payload["experiment"].update(overrides)
         path = os.path.join(str(tmp_path), "config.json")
@@ -645,7 +633,7 @@ class TestCLI:
         ],
     )
     def test_bad_forcing_rejected_at_load(self, tmp_path, capsys, entry, message):
-        payload = tiny_config(tmp_path).to_json()
+        payload = tiny_config().to_json()
         payload["forcing"] = [entry]
         with pytest.raises(ValueError) as info:
             ExperimentConfig.from_json(payload)
@@ -696,7 +684,7 @@ class TestCLI:
     def test_malformed_config_rejected(self, tmp_path, capsys, edits, message):
         path = os.path.join(str(tmp_path), "config.json")
         with open(path, "w") as fh:
-            json.dump(edited_config_json(tmp_path, edits), fh)
+            json.dump(edited_config_json(edits), fh)
         out = os.path.join(str(tmp_path), "sim")
         assert main(["simulate", "--config", path, "--out", out]) == 2
         assert f"invalid input: {message}" in capsys.readouterr().err
@@ -805,12 +793,14 @@ def _b(s, band="full", eta=None, zeta=None, underlined=False):
 
 
 def oracle_functionals(traj_eps, traj_v, traj_V, fs):
-    """The eleven functionals, norm by norm from the full records."""
+    """The eleven functionals, norm by norm from the sampled fields."""
     times = np.asarray(traj_eps.times)
-    a, qu, pu = (traj_eps.series(key) for key in ("a", "Qu", "Pu"))
+    a = [s.a for s in traj_eps.states]
+    pu, veps = zip(*(filtered_parts(s, fs.eps) for s in traj_eps.states))
+    qu = [s.u - p for s, p in zip(traj_eps.states, pu)]
     pairs = list(zip(a, qu))
-    vdiff = [ve - V for ve, V in zip(traj_eps.series("Veps"), traj_V.series("V"))]
-    udiff = [p - v for p, v in zip(pu, traj_v.series("v"))]
+    vdiff = [ve - V for ve, V in zip(veps, traj_V.states)]
+    udiff = [p - v for p, v in zip(pu, traj_v.states)]
     d = a[0].lattice.d
     hi, eps, zeta, theta = fs.high_cut, fs.eps, fs.zeta, fs.theta
     cl = lambda fields, q, spec: _oracle_cl_norm(times, fields, q, spec)
@@ -899,14 +889,14 @@ def replace_quietly(cfg, **changes):
 
 
 def full_trajectories(cfg):
-    """Full-record trajectories per Mach number, built as the sweep builds them."""
+    """Trajectories of whole states per Mach number, built as the sweep builds them."""
     a0, u0 = generate_initial_data(
         cfg.lattice, cfg.amplitude_a, cfg.amplitude_u, cfg.smoothness, cfg.seed
     )
     v0 = helmholtz_project(u0, "P")
     base = cfg.solver_config(cfg.eps_list[0])
     traj_v = run_trajectory(v0, base, "incompressible")
-    v_at = CubicTimeInterpolant(traj_v.times, traj_v.series("v"))
+    v_at = CubicTimeInterpolant(traj_v.times, traj_v.states)
     table = build_limit_tables(cfg.lattice)
     traj_V = run_trajectory(acoustic_transform(a0, u0 - v0), base, "limit", table=table, v_at=v_at)
     for eps in cfg.eps_list:
@@ -928,19 +918,15 @@ class TestBlockEnergyPath:
         for (eps, traj_eps, traj_v, traj_V), streamed in zip(full_trajectories(cfg), study.rows):
             settings = cfg.functional_settings(eps)
             expected = oracle_functionals(traj_eps, traj_v, traj_V, settings)
-            from_records = compute_functionals(traj_eps, traj_v, traj_V, settings).values
             assert len(expected) == 11
             for key, value in expected.items():
                 assert value > 0, key
-                assert from_records[key] == pytest.approx(value, rel=1e-13, abs=0), key
                 assert streamed.values[key] == pytest.approx(value, rel=1e-13, abs=0), key
 
     def test_bundle_rows_add(self, lat16):
         a0, u0 = generate_initial_data(lat16, 1.0, 1.0, seed=5)
         qu = helmholtz_project(u0, "Q")
-        pair = block_energies((a0, qu), (0.75,))
         summed = block_energies(a0, (0.75,)) + block_energies(qu, (0.75,))
-        np.testing.assert_allclose(summed.values, pair.values, rtol=1e-14, atol=0)
         for spec in ("B:s=1:p=2:r=2", "B:s=0.5:r=1:band=h:eta=2", "H:s=0.75"):
             expected = _oracle_norm((a0, qu), parse_norm_spec(spec))
             assert norm(summed, spec) == pytest.approx(expected, rel=1e-13)
@@ -989,8 +975,8 @@ class TestStreamingMemory:
         bare = run_trajectory((a0, u0), cfg, "compressible", record=keep)
         assert len(bare) == len(full) == self.N_STEPS + 1
         assert bare.states == [None] * len(full)
-        np.testing.assert_array_equal(bare.final.a.coeffs, full.states[-1]["a"].coeffs)
-        np.testing.assert_array_equal(bare.final.u.coeffs, full.states[-1]["u"].coeffs)
+        np.testing.assert_array_equal(bare.final.a.coeffs, full.states[-1].a.coeffs)
+        np.testing.assert_array_equal(bare.final.u.coeffs, full.states[-1].u.coeffs)
 
     def test_sweep_keeps_rows_not_fields(self):
         """The per-Mach-number stage of convergence_study on 16²: its peak above
@@ -1060,7 +1046,7 @@ class TestBandOccupancy:
             assert band["high"] == list(range(first_high, 6))
 
     def test_report_json_and_check(self, tmp_path):
-        cfg = replace_quietly(oracle_case("medium-band"), out_dir=str(tmp_path))
+        cfg = oracle_case("medium-band")
         report = convergence_study(cfg)
         with open(emit_report(report, str(tmp_path))["json"]) as fh:
             bands = json.load(fh)["bands"]

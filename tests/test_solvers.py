@@ -198,7 +198,7 @@ class TestCompressible:
         a0, u0 = generate_initial_data(lat16, 1.0, 1.0, seed=5)
         traj = run_trajectory((a0, u0), cfg, "compressible")
         for s in traj.states:
-            assert abs(s["a"].mean_coefficient()[0]) <= 1e-13
+            assert abs(s.a.mean_coefficient()[0]) <= 1e-13
 
     def test_inviscid_linear_acoustic_energy(self, lat16):
         cfg = self.make_cfg(
@@ -218,8 +218,8 @@ class TestCompressible:
         a0, u0 = generate_initial_data(lat16, 1.0, 1.0, seed=7)
         traj = run_trajectory((a0, u0), cfg, "compressible")
         for s in traj.states:
-            pair = acoustic_transform(s["a"], s["Qu"], check=False)
-            n1 = norm(s["Veps"], NormSpec(kind="H", s=0.5))
+            pair = acoustic_transform(s.a, s.u - helmholtz_project(s.u, "P"), check=False)
+            n1 = norm(wave_group(pair, -s.t / cfg.eps), NormSpec(kind="H", s=0.5))
             n2 = norm(pair, NormSpec(kind="H", s=0.5))
             assert n1 == pytest.approx(n2, rel=1e-12)
 
@@ -235,7 +235,7 @@ class TestCompressible:
         for dt in (4e-3, 2e-3, 1e-3):
             s = results[dt]
             errs.append(
-                (s["a"] - ref["a"]).l2_norm() + (s["u"] - ref["u"]).l2_norm()
+                (s.a - ref.a).l2_norm() + (s.u - ref.u).l2_norm()
             )
         order1 = math.log2(errs[0] / errs[1])
         order2 = math.log2(errs[1] / errs[2])
@@ -665,7 +665,7 @@ class TestIncompressibleStepOracle:
         for n in range(10):
             stepper.step(n * cfg.dt)
             ref = reference_incompressible_step(ref, n * cfg.dt, cfg)
-        TestRightHandSideOracle.assert_close((stepper.state(),), (ref,))
+        TestRightHandSideOracle.assert_close((stepper.state(10 * cfg.dt),), (ref,))
 
     def test_non_real_data_rejected(self, lat16):
         cfg = SolverConfig(lattice=lat16, mu=0.05, dt=1e-2, t_final=0.1)
@@ -816,7 +816,7 @@ class TestCompressibleStepper:
             stepper = solvers.CompressibleStepper(cfg, CompressibleState(a=a0, u=u0))
             for n in range(cfg.n_steps):
                 stepper.step(n * cfg.dt)
-            return stepper.state()
+            return stepper.state(cfg.t_final)
 
         with_out = run()
         calls = []
@@ -886,9 +886,9 @@ class TestIncompressible:
         _, u0 = generate_initial_data(lat16, 1.0, 1.5, seed=9)
         v = helmholtz_project(u0, "P")
         traj = run_trajectory(v, cfg, "incompressible")
-        for s in traj.states:
-            div = spectral_derivative(s["v"], "div")
-            assert div.l2_norm() <= 1e-12 * max(1.0, s["v"].l2_norm())
+        for v in traj.states:
+            div = spectral_derivative(v, "div")
+            assert div.l2_norm() <= 1e-12 * max(1.0, v.l2_norm())
 
     def test_zero_data_zero_forcing(self, lat16):
         cfg = SolverConfig(lattice=lat16, mu=0.1, dt=1e-2, t_final=0.1)
@@ -902,11 +902,8 @@ class TestIncompressible:
         _, u0 = generate_initial_data(lat16, 1.0, 1.0, seed=10)
         v0 = helmholtz_project(u0, "P")
         traj = run_trajectory(v0, cfg, "incompressible")
-        energies = [s["v"].l2_norm() ** 2 for s in traj.states]
-        grads = [
-            float(np.sum(s["v"].lattice.k_squared() * s["v"].mode_power()))
-            for s in traj.states
-        ]
+        energies = [v.l2_norm() ** 2 for v in traj.states]
+        grads = [float(np.sum(lat16.k_squared() * v.mode_power())) for v in traj.states]
         dissipated = 2.0 * cfg.mu * _trapezoid(grads, traj.times)
         defect = abs(energies[-1] - energies[0] + dissipated) / energies[0]
         assert defect <= 1e-6
@@ -920,7 +917,7 @@ class TestIncompressible:
                 lattice=lat16, mu=0.02, dt=dt, t_final=0.2, sample_stride=10**9
             )
             traj = run_trajectory(v0, cfg, "incompressible")
-            outs[dt] = traj.states[-1]["v"]
+            outs[dt] = traj.states[-1]
         errs = [
             (outs[dt] - outs[2.5e-4]).l2_norm() for dt in (4e-3, 2e-3, 1e-3)
         ]
@@ -942,7 +939,7 @@ class TestLimit:
         _, u0 = generate_initial_data(lattice, 1.0, 1.0, seed=seed)
         v0 = helmholtz_project(u0, "P")
         vtraj = run_trajectory(v0, cfg, "incompressible")
-        v_at = CubicTimeInterpolant(vtraj.times, vtraj.series("v"))
+        v_at = CubicTimeInterpolant(vtraj.times, vtraj.states)
         return cfg, table, v_at
 
     def test_zero_initial_stays_zero(self, lat16):
@@ -1003,7 +1000,7 @@ class TestLimit:
                 sample_stride=10**9,
             )
             traj = run_trajectory(V0, cfg, "limit", table=table, v_at=v_at)
-            outs[dt] = traj.states[-1]["V"]
+            outs[dt] = traj.states[-1]
         errs = [
             (outs[dt] - outs[2.5e-4]).l2_norm() for dt in (4e-3, 2e-3, 1e-3)
         ]
@@ -1024,7 +1021,8 @@ class TestHeatFactor:
         for n in range(3):
             stepper.step(n * dt)
             real.step(n * dt)
-            assert stepper.state().coeffs.tobytes() == real.state().coeffs.tobytes()
+            t = (n + 1) * dt
+            assert stepper.state(t).coeffs.tobytes() == real.state(t).coeffs.tobytes()
 
     @pytest.mark.parametrize("name", ["16x16", "8x8x6"])
     def test_same_bytes_as_real_factor(self, name):
@@ -1036,7 +1034,7 @@ class TestHeatFactor:
         stepper, v_samples = solvers.IncompressibleStepper(cfg, v0), [v0]
         for n in range(3):
             stepper.step(n * cfg.dt)
-            v_samples.append(stepper.state())
+            v_samples.append(stepper.state((n + 1) * cfg.dt))
         v_at = CubicTimeInterpolant(cfg.dt * np.arange(4), v_samples)
         table = build_limit_tables(cfg.lattice)
         V0 = acoustic_transform(a0, u0 - v0)
@@ -1096,7 +1094,6 @@ class TestTrajectoryLoop:
 
     def check_times(self, traj, cfg, kind):
         assert np.array_equal(traj.times, cfg.dt * np.array(self.SAMPLED))
-        assert traj.meta["kind"] == kind
 
     def test_compressible_matches_hand_stepping(self, lat16, cfg):
         a0, u0 = generate_initial_data(lat16, 0.5, 0.5, seed=21)
@@ -1108,12 +1105,18 @@ class TestTrajectoryLoop:
         )
         self.check_times(traj, cfg, "compressible")
         assert len(traj) == len(hand)
-        for rec, state, t in zip(traj.states, hand, traj.times):
-            assert np.array_equal(rec["a"].coeffs, state.a.coeffs)
-            assert np.array_equal(rec["u"].coeffs, state.u.coeffs)
-            qu = state.u - helmholtz_project(state.u, "P")
-            veps = wave_group(acoustic_transform(state.a, qu, check=False), -t / cfg.eps)
-            assert np.array_equal(rec["Veps"].plus, veps.plus)
+        for got, state in zip(traj.states, hand):
+            assert np.array_equal(got.a.coeffs, state.a.coeffs)
+            assert np.array_equal(got.u.coeffs, state.u.coeffs)
+
+    def test_states_carry_their_stamp(self, lat16):
+        """Each sampled state, and the final one, carries t = step * dt exactly,
+        not a sum of steps (0.025 + 0.005 is 0.030000000000000002)."""
+        cfg = SolverConfig(lattice=lat16, mu=0.05, lam=0.05, eps=0.2, dt=0.005, t_final=0.03)
+        a0, u0 = generate_initial_data(lat16, 0.5, 0.5, seed=21)
+        traj = run_trajectory((a0, u0), cfg, "compressible", record=lambda s, t: s)
+        assert [s.t for s in traj.states] == [0.005 * n for n in range(7)]
+        assert traj.final.t == traj.times[-1] == 0.03
 
     def test_incompressible_matches_hand_stepping(self, lat16, cfg):
         _, u0 = generate_initial_data(lat16, 0.5, 0.5, seed=22)
@@ -1122,14 +1125,14 @@ class TestTrajectoryLoop:
         hand = self.hand_run(cfg, v0, lambda v, t: step_incompressible(v, t, cfg))
         self.check_times(traj, cfg, "incompressible")
         assert len(traj) == len(hand)
-        for v_traj, v_hand in zip(traj.series("v"), hand):
+        for v_traj, v_hand in zip(traj.states, hand):
             assert np.array_equal(v_traj.coeffs, v_hand.coeffs)
 
     def test_limit_matches_hand_stepping(self, lat16, cfg):
         a0, u0 = generate_initial_data(lat16, 0.5, 0.5, seed=23)
         v0 = helmholtz_project(u0, "P")
         vtraj = run_trajectory(v0, cfg, "incompressible")
-        v_at = CubicTimeInterpolant(vtraj.times, vtraj.series("v"))
+        v_at = CubicTimeInterpolant(vtraj.times, vtraj.states)
         table = build_limit_tables(lat16)
         V0 = acoustic_transform(a0, u0 - v0)
         traj = run_trajectory(V0, cfg, "limit", table=table, v_at=v_at)
@@ -1138,7 +1141,7 @@ class TestTrajectoryLoop:
         )
         self.check_times(traj, cfg, "limit")
         assert len(traj) == len(hand)
-        for V_traj, V_hand in zip(traj.series("V"), hand):
+        for V_traj, V_hand in zip(traj.states, hand):
             assert np.array_equal(V_traj.plus, V_hand.plus)
             assert np.array_equal(V_traj.minus, V_hand.minus)
 
