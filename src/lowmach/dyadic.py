@@ -272,22 +272,37 @@ class BlockEnergies:
 
 
 @_cached
-def _energy_weights(lattice: LatticeSpec, h_orders: tuple) -> tuple:
-    ksq = lattice.k_squared()
-    weights = [_block_weights(lattice, j) ** 2 for j in block_range(lattice)]
-    weights.append((ksq == 0).astype(np.float64))
+def _energy_matrix(lattice: LatticeSpec, h_orders: tuple) -> np.ndarray:
+    """The weights of a :class:`BlockEnergies` row on the half box
+    (``LatticeSpec.half_box``): one row per entry, one column per mode.
+    Columns with n_d > 0 count twice, once for the mode's n_d-mirror, which
+    every weight, a function of |k| alone, treats alike."""
+    index, mirror = lattice.half_box()
+    ksq = lattice.k_squared().ravel()[index]
+    kmod = lattice.k_modulus().ravel()[index]
+    rows = [DEFAULT_PROFILE(np.ldexp(kmod, -j)) ** 2 for j in block_range(lattice)]
+    rows.append((ksq == 0).astype(np.float64))
     for s in h_orders:
-        weights.append(np.zeros_like(ksq))
-        weights[-1][ksq > 0] = ksq[ksq > 0] ** s
-    return weights
+        rows.append(np.zeros_like(ksq))
+        rows[-1][ksq > 0] = ksq[ksq > 0] ** s
+    return np.stack(rows) * np.where(index == mirror, 1.0, 2.0)
+
+
+def _mode_power(coeffs: np.ndarray) -> np.ndarray:
+    """Squared magnitude per mode of a (components, modes) array, summed over
+    the components."""
+    return np.sum(coeffs.real**2 + coeffs.imag**2, axis=0)
 
 
 def block_energies(obj, h_orders=()) -> BlockEnergies:
-    """Reduce a field to its energy row."""
+    """Reduce a field to its energy row: the power of each half-box mode,
+    averaged with that of its n_d-mirror, against the weight matrix."""
     h_orders = tuple(float(s) for s in h_orders)
-    weights = _energy_weights(obj.lattice, h_orders)
-    power = obj.mode_power()
-    return BlockEnergies(obj.lattice, h_orders, np.array([np.sum(w * power) for w in weights]))
+    lattice = obj.lattice
+    coeffs = obj.coeffs.reshape(obj.components, -1)
+    index, mirror = lattice.half_box()
+    power = 0.5 * (_mode_power(np.take(coeffs, index, 1)) + _mode_power(np.take(coeffs, mirror, 1)))
+    return BlockEnergies(lattice, h_orders, _energy_matrix(lattice, h_orders) @ power)
 
 
 def _series_energies(fields, h_orders) -> BlockEnergies:

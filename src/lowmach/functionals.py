@@ -13,9 +13,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import NormSpec, block_energies, block_range, chemin_lerner_norm, time_norm
-from .lattice import LatticeSpec
-from .operators import acoustic_transform, helmholtz_project, wave_group
+from .dyadic import (
+    BlockEnergies,
+    NormSpec,
+    _energy_matrix,
+    _mode_power,
+    block_range,
+    chemin_lerner_norm,
+    time_norm,
+)
+from .lattice import LatticeSpec, _cached
+from .operators import _safe_inv_ksq, _signed_modulus
 
 __all__ = [
     "DiagnosticsRow",
@@ -79,6 +87,20 @@ def _acoustic(times, fields, s, **band) -> float:
     )
 
 
+@_cached
+def _box_multipliers(lattice: LatticeSpec) -> tuple:
+    """Per-mode multipliers on the half box (``LatticeSpec.half_box``): the
+    wavevectors (one row per axis), 1/|k|^2, the acoustic factor 1/sqrt(2),
+    the wave-group frequency sg(k)|k|, all 0 at the mean mode, and sg(k)|k|
+    with 1 there, a safe divisor."""
+    index = lattice.half_box()[0]
+    k = np.stack([kh.ravel()[index] for kh in lattice.wavevectors()])
+    frequency = _signed_modulus(lattice).ravel()[index]
+    acoustic = (frequency != 0) / math.sqrt(2.0)
+    divisor = np.where(frequency == 0, 1.0, frequency)
+    return k, _safe_inv_ksq(lattice).ravel()[index], acoustic, frequency, divisor
+
+
 def sample_energies(state, t: float, eps: float, v, V, theta: float) -> dict:
     """Block-energy rows of the six diagnostic series at one sample.
 
@@ -88,17 +110,34 @@ def sample_energies(state, t: float, eps: float, v, V, theta: float) -> dict:
     the Helmholtz parts Pu, Qu of u and the filtered state
     Veps = L(-t/eps)(a, Qu); every row carries the Sobolev sum of order
     d/2 - theta that Z_theta reads.
+
+    The series are formed on the half box alone, where the Helmholtz split,
+    the acoustic transform and the wave group are per-mode multipliers that
+    round as ``helmholtz_project``, ``acoustic_transform`` and ``wave_group``
+    do.  One product with the weight matrix reduces them; it counts each mode
+    with n_d > 0 for its n_d-mirror too, which is exact for Hermitian series:
+    the fields of real functions and each branch of V.
     """
-    pu = helmholtz_project(state.u, "P")
-    qu = state.u - pu
-    veps = wave_group(acoustic_transform(state.a, qu, check=False), -t / eps)
-    h_orders = (state.a.lattice.d / 2 - theta,)
+    lattice = state.a.lattice
+    index = lattice.half_box()[0]
+    a, u, v, V = (
+        np.take(f.coeffs.reshape(f.components, -1), index, axis=1) for f in (state.a, state.u, v, V)
+    )
+    k, inv_ksq, acoustic, frequency, divisor = _box_multipliers(lattice)
+    pu = u - k * (np.sum(k * u, axis=0) * inv_ksq)
+    qu = u - pu
+    signed_mu = np.sum(k * qu, axis=0) / divisor
+    phase = np.exp(1j * (-t / eps) * frequency)
+    plus, minus = (a[0] - signed_mu) * acoustic, (a[0] + signed_mu) * acoustic
+    veps = np.stack((plus * phase, minus * np.conj(phase)))
+    h_orders = (lattice.d / 2 - theta,)
+    power = np.stack([_mode_power(x) for x in (a, qu, pu, veps - V, pu - v)])
+    energies = power @ _energy_matrix(lattice, h_orders).T
     rows = {
-        key: block_energies(f, h_orders) for key, f in (("a", state.a), ("Qu", qu), ("Pu", pu))
+        key: BlockEnergies(lattice, h_orders, row)
+        for key, row in zip(("a", "Qu", "Pu", "Vdiff", "udiff"), energies)
     }
     rows["aQu"] = rows["a"] + rows["Qu"]
-    rows["Vdiff"] = block_energies(veps - V, h_orders)
-    rows["udiff"] = block_energies(pu - v, h_orders)
     return rows
 
 

@@ -195,6 +195,17 @@ class LatticeSpec:
         return np.stack([k[..., : cut + 1] for k in self.wavevectors()])
 
     @_cached
+    def half_box(self) -> np.ndarray:
+        """Flat indices into the full FFT grid of the retained half box, the
+        dealiased modes with n_d >= 0 in increasing order (row 0), and of
+        their n_d-mirrors, the same modes with n_d negated (row 1).  A mode
+        with n_d = 0 is its own n_d-mirror."""
+        n = self.resolution[-1]
+        index = np.flatnonzero(self.dealias_mask() & (self.index_grids()[-1] >= 0))
+        column = index % n
+        return np.stack((index, index - column + (-column) % n))
+
+    @_cached
     def k_squared(self) -> np.ndarray:
         return sum(k * k for k in self.wavevectors())
 

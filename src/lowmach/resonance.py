@@ -62,29 +62,34 @@ class ResonanceResult:
 
 
 def _sqrt_sum_is_zero(terms) -> bool:
-    """Exact test of sum_i sigma_i * sqrt(n_i) == 0 for up to three terms."""
-    terms = [(int(s), int(n)) for s, n in terms if n != 0]
-    for s, n in terms:
-        if n < 0 or s not in (-1, 1):
-            raise ValueError("terms must be (sign, nonnegative integer)")
-    if not terms:
-        return True
-    if len(terms) == 1:
-        return False
-    if len(terms) == 2:
-        (s1, n1), (s2, n2) = terms
-        return n1 == n2 and s1 != s2
-    if len(terms) == 3:
-        pos = sorted(n for s, n in terms if s > 0)
-        neg = sorted(n for s, n in terms if s < 0)
-        if not pos or not neg:
-            return False
-        if len(pos) == 1:
-            pos, neg = neg, pos
-        a, b = pos
-        c = neg[0]
-        return c >= a + b and (c - a - b) ** 2 == 4 * a * b
-    raise ValueError("at most three signed roots are supported")
+    """Exact test of sum_i sigma_i * sqrt(n_i) == 0 for up to three terms.
+
+    A term with n = 0 may carry any sign (sg is 0 at the mean mode); every
+    other term needs sigma in {1, -1} and n > 0.  Fewer terms are padded with
+    zero ones.  The test runs on plain integers: with one sign against two,
+    sqrt(a) + sqrt(b) = sqrt(c) exactly when c >= a + b and
+    (c - a - b)^2 = 4ab.
+    """
+    if len(terms) != 3:
+        if len(terms) > 3:
+            raise ValueError("at most three signed roots are supported")
+        terms = (*terms, (1, 0), (1, 0), (1, 0))[:3]
+    (s1, n1), (s2, n2), (s3, n3) = terms
+    n1, n2, n3 = int(n1), int(n2), int(n3)
+    # a zero term counts with either sign; give it +1
+    s1, s2, s3 = (s1 if n1 else 1), (s2 if n2 else 1), (s3 if n3 else 1)
+    if n1 < 0 or n2 < 0 or n3 < 0 or not (s1 in (1, -1) and s2 in (1, -1) and s3 in (1, -1)):
+        raise ValueError("terms must be (sign, nonnegative integer)")
+    if s1 == s2 == s3:
+        return not (n1 or n2 or n3)
+    if s1 == s2:
+        a, b, c = n1, n2, n3
+    elif s1 == s3:
+        a, b, c = n1, n3, n2
+    else:
+        a, b, c = n2, n3, n1
+    diff = c - a - b
+    return diff >= 0 and diff * diff == 4 * a * b
 
 
 def resonance_test(signed_freqs) -> ResonanceResult:
@@ -96,7 +101,9 @@ def resonance_test(signed_freqs) -> ResonanceResult:
     """
     if _sqrt_sum_is_zero(signed_freqs):
         return ResonanceResult(True, 0.0)
-    value = sum(s * math.sqrt(n) for s, n in signed_freqs)
+    value = 0.0
+    for s, n in signed_freqs:
+        value += s * math.sqrt(n)
     return ResonanceResult(False, abs(value))
 
 

@@ -133,6 +133,14 @@ class Forcing:
             if not any(mode) and any(complex(amp).imag for amp in fm.amplitude):
                 raise ValueError("the mean forcing mode needs real amplitudes")
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Forcing):
+            return NotImplemented
+        return (self.lattice, self.modes) == (other.lattice, other.modes)
+
+    def __hash__(self) -> int:
+        return hash((self.lattice, tuple(self.modes)))
+
     def __call__(self, t: float) -> SpectralField:
         return SpectralField._in_box(
             self.lattice, _half_to_full(self.half_spectrum(t), self.lattice), True

@@ -18,7 +18,9 @@ import pytest
 
 from lowmach.dyadic import (
     DEFAULT_PROFILE,
+    BlockEnergies,
     NormSpec,
+    _block_weights,
     block_energies,
     block_range,
     chemin_lerner_norm,
@@ -340,13 +342,19 @@ class TestConfig:
             "configs/sweep64.json",
             "bench/workloads/compressible128.json",
             "bench/workloads/sweep3d.json",
+            "forced",
         ],
     )
     def test_json_round_trip(self, path):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            cfg = ExperimentConfig.load(os.path.join(REPO, path))
-            assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+            if path == "forced":
+                cfg = oracle_case("cos-forcing")
+                assert cfg.forcing is not None
+            else:
+                cfg = ExperimentConfig.load(os.path.join(REPO, path))
+            again = ExperimentConfig.from_json(cfg.to_json())
+            assert again == cfg and hash(again) == hash(cfg)
 
 
 def tiny_config():
@@ -935,6 +943,104 @@ class TestBlockEnergyPath:
         rows = block_energies(generate_initial_data(lat16, 1.0, 1.0)[0])
         with pytest.raises(ValueError, match="Sobolev sum"):
             norm(rows, "H:s=1")
+
+
+# The full-grid sample path, kept as the oracle of the half-box one: the
+# operators on whole coefficient grids, then one sum per row weight.
+
+
+def reference_energy_weights(lattice, h_orders):
+    ksq = lattice.k_squared()
+    weights = [_block_weights(lattice, j) ** 2 for j in block_range(lattice)]
+    weights.append((ksq == 0).astype(np.float64))
+    for s in h_orders:
+        weights.append(np.zeros_like(ksq))
+        weights[-1][ksq > 0] = ksq[ksq > 0] ** s
+    return weights
+
+
+def reference_block_energies(obj, h_orders=()):
+    h_orders = tuple(float(s) for s in h_orders)
+    weights = reference_energy_weights(obj.lattice, h_orders)
+    power = obj.mode_power()
+    return BlockEnergies(obj.lattice, h_orders, np.array([np.sum(w * power) for w in weights]))
+
+
+def reference_sample_energies(state, t, eps, v, V, theta):
+    pu = helmholtz_project(state.u, "P")
+    qu = state.u - pu
+    veps = wave_group(acoustic_transform(state.a, qu, check=False), -t / eps)
+    h_orders = (state.a.lattice.d / 2 - theta,)
+    rows = {
+        key: reference_block_energies(f, h_orders)
+        for key, f in (("a", state.a), ("Qu", qu), ("Pu", pu))
+    }
+    rows["aQu"] = rows["a"] + rows["Qu"]
+    rows["Vdiff"] = reference_block_energies(veps - V, h_orders)
+    rows["udiff"] = reference_block_energies(pu - v, h_orders)
+    return rows
+
+
+SAMPLE_LATTICES = {
+    "16x16": LatticeSpec.square(2, 16),
+    "16x12": LatticeSpec((1, Fraction(3, 2)), (16, 12)),
+    "8x8x8": LatticeSpec.square(3, 8),
+    "8x8x6": LatticeSpec((1, Fraction(1, 2), Fraction(2, 3)), (8, 8, 6)),
+    "1d-24": LatticeSpec.square(1, 24),
+}
+
+
+def assert_rows_close(got, ref, rtol=1e-13):
+    """Every entry within ``rtol`` of the reference, relative to that entry."""
+    assert got.lattice == ref.lattice and got.h_orders == ref.h_orders
+    assert np.all(np.abs(got.values - ref.values) <= rtol * np.abs(ref.values))
+
+
+class TestHalfBoxSamplePath:
+    """``sample_energies`` and ``block_energies`` on the half box against the
+    full-grid path."""
+
+    @pytest.mark.parametrize("name", list(SAMPLE_LATTICES))
+    @pytest.mark.parametrize("t_over_eps", [0.0, 0.7, 3.0, 250.0])
+    def test_sample_energies_match_full_grid(self, name, t_over_eps):
+        lattice, eps = SAMPLE_LATTICES[name], 0.05
+        t = t_over_eps * eps
+        a, u = generate_initial_data(lattice, 1.0, 1.0, seed=31)
+        a2, u2 = generate_initial_data(lattice, 1.0, 1.0, seed=32)
+        v = helmholtz_project(u2, "P")
+        V = wave_group(acoustic_transform(a2, u2 - v), 0.4)
+        state = CompressibleState(a, u, t)
+        got = sample_energies(state, t, eps, v, V, 0.25)
+        ref = reference_sample_energies(state, t, eps, v, V, 0.25)
+        assert got.keys() == ref.keys()
+        for key in ref:
+            assert_rows_close(got[key], ref[key])
+            assert np.any(ref[key].values > 0), key
+
+    @pytest.mark.parametrize("name", list(SAMPLE_LATTICES))
+    def test_block_energies_of_non_hermitian_fields(self, name):
+        lattice = SAMPLE_LATTICES[name]
+        rng = np.random.default_rng(33)
+
+        def noise(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        V = AcousticCoeffs(lattice, noise(*lattice.resolution), noise(*lattice.resolution))
+        w = SpectralField(lattice, noise(3, *lattice.resolution))
+        for field in (V, w):
+            assert not field.is_reality_symmetric()
+            got = block_energies(field, (0.75, -0.5))
+            assert_rows_close(got, reference_block_energies(field, (0.75, -0.5)))
+
+    def test_limit_run_keeps_each_branch_hermitian(self):
+        # the half-box path counts the Vdiff power of each mode with n_d > 0
+        # for its mirror too; that needs V's branches Hermitian along the run
+        stage = shared_stage(replace_quietly(tiny_config(), t_final=0.5))
+        assert len(stage.traj_V.states) == 51
+        for V in stage.traj_V.states:
+            scale = float(np.max(np.abs(V.coeffs)))
+            assert scale > 0
+            assert V.conjugate_symmetry_defect() <= 1e-14 * scale
 
 
 def _peak(fn):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lowmach import dyadic, operators
+from lowmach import dyadic, functionals, operators
 from lowmach.lattice import (
     GridField,
     LatticeSpec,
@@ -298,6 +298,26 @@ def test_anisotropic_wavevectors():
     assert lat.norm_scale() == 4
 
 
+@pytest.mark.parametrize(
+    "lat",
+    [
+        LatticeSpec.square(1, 12),
+        LatticeSpec((1, Fraction(3, 2)), (16, 12)),
+        LatticeSpec((1, Fraction(1, 2), Fraction(2, 3)), (8, 8, 6)),
+    ],
+    ids=["1d", "2d-rational", "3d-rational"],
+)
+def test_half_box(lat):
+    index, mirror = lat.half_box()
+    last = lat.index_grids()[-1].ravel()
+    assert np.all(np.diff(index) > 0) and np.all(last[index] >= 0)
+    assert np.array_equal(last[mirror], -last[index])
+    assert np.array_equal(lat.k_squared().ravel()[mirror], lat.k_squared().ravel()[index])
+    # each dealiased mode is a half-box mode or the n_d-mirror of one, once
+    covered = np.concatenate((index, mirror[last[index] > 0]))
+    assert np.array_equal(np.sort(covered), np.flatnonzero(lat.dealias_mask()))
+
+
 def test_sign_grid():
     lat = LatticeSpec.square(2, 8)
     sg = lat.sign_grid()
@@ -317,6 +337,7 @@ CACHED_TABLES = {
     "lowmach.lattice.LatticeSpec.index_grids": lambda lat: lat.index_grids(),
     "lowmach.lattice.LatticeSpec.wavevectors": lambda lat: lat.wavevectors(),
     "lowmach.lattice.LatticeSpec.half_wavevectors": lambda lat: lat.half_wavevectors(),
+    "lowmach.lattice.LatticeSpec.half_box": lambda lat: lat.half_box(),
     "lowmach.lattice.LatticeSpec.k_squared": lambda lat: lat.k_squared(),
     "lowmach.lattice.LatticeSpec.k_modulus": lambda lat: lat.k_modulus(),
     "lowmach.lattice.LatticeSpec.dealias_mask": lambda lat: lat.dealias_mask(),
@@ -330,7 +351,8 @@ CACHED_TABLES = {
     "lowmach.operators._box_modes": lambda lat: operators._box_modes(lat, True),
     "lowmach.dyadic.block_range": dyadic.block_range,
     "lowmach.dyadic._block_weights": lambda lat: dyadic._block_weights(lat, 0),
-    "lowmach.dyadic._energy_weights": lambda lat: dyadic._energy_weights(lat, (1.0,)),
+    "lowmach.dyadic._energy_matrix": lambda lat: dyadic._energy_matrix(lat, (1.0,)),
+    "lowmach.functionals._box_multipliers": functionals._box_multipliers,
 }
 
 
@@ -382,7 +404,7 @@ class TestLatticeCache:
                 assert not array.flags.writeable, key
                 with pytest.raises(ValueError):
                     array[(0,) * array.ndim] = 0
-        assert _arrays(warm._cache[("lowmach.dyadic._energy_weights", ((1.0,),))])
+        assert _arrays(warm._cache[("lowmach.dyadic._energy_matrix", ((1.0,),))])
 
     def test_second_call_same_object(self, warm):
         cached = dict(warm._cache)
