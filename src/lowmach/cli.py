@@ -2,7 +2,7 @@
 
 Subcommands:
   simulate    one compressible run at a single Mach number
-  limit-sim   incompressible and averaged-system runs
+  limit-sim   the coupled incompressible and averaged-system run
   resonances  resonance table statistics and small divisors
   norms       norm table of a checkpointed field
   converge    full Mach-number sweep with diagnostics report
@@ -87,26 +87,16 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_limit_sim(args) -> int:
     cfg = _load_config(args)
-    stage = shared_stage(cfg)
+    traj = shared_stage(cfg).traj
+    v, V = traj.final
     os.makedirs(args.out, exist_ok=True)
     paths = {}
-    for kind, key, traj in (
-        ("incompressible", "v", stage.traj_v),
-        ("limit", "V", stage.traj_V),
-    ):
+    for kind, key, final in (("incompressible", "v", v), ("limit", "V", V)):
         paths[kind] = os.path.join(args.out, f"{kind}.lmc")
         save_checkpoint(
-            paths[kind],
-            cfg.lattice,
-            float(traj.times[-1]),
-            {key: traj.final},
-            meta={"kind": kind},
+            paths[kind], cfg.lattice, float(traj.times[-1]), {key: final}, meta={"kind": kind}
         )
-    summary = dict(
-        paths,
-        final_v_l2=stage.traj_v.final.l2_norm(),
-        final_V_l2=stage.traj_V.final.l2_norm(),
-    )
+    summary = dict(paths, final_v_l2=v.l2_norm(), final_V_l2=V.l2_norm())
     print(json.dumps(summary, indent=1, sort_keys=True))
     return EXIT_OK
 

@@ -23,7 +23,6 @@ from .lattice import (
 from .operators import PressureLaw, acoustic_transform, helmholtz_project, wave_group
 from .resonance import build_limit_tables, resonance_test
 from .solvers import (
-    CubicTimeInterpolant,
     Forcing,
     SolverConfig,
     Trajectory,
@@ -268,39 +267,32 @@ def _monotone_verdict(values) -> str:
 class SharedStage:
     """The Mach-independent part of a sweep, built once by :func:`shared_stage`.
 
-    The limit run's interpolant holds the samples of ``traj_v`` by reference,
-    so the v samples are held once; ``timings`` gives the wall time of the
-    incompressible run, of the limit table's build and of the averaged
-    (limit) run.
+    ``traj`` is one coupled "limit" run whose samples are (v, V) pairs: the
+    incompressible velocity and the averaged state it drives, stepped
+    together.  ``timings`` gives the wall time of the limit table's build
+    (``limit_table``) and of that run (``limit``).
     """
 
     a0: SpectralField
     u0: SpectralField
-    traj_v: Trajectory
-    traj_V: Trajectory
+    traj: Trajectory
     timings: dict
 
 
 def shared_stage(cfg: ExperimentConfig) -> SharedStage:
-    """Initial data, incompressible run and averaged run (with its limit
-    table) of a sweep; none of them depends on the Mach number."""
-    t0 = _time.perf_counter()
+    """Initial data, limit table and the coupled incompressible and averaged
+    run of a sweep; none of them depends on the Mach number."""
     a0, u0 = cfg.initial_data()
-    v0 = helmholtz_project(u0, "P")
-    base = cfg.solver_config(cfg.eps_list[0])
-    traj_v = run_trajectory(v0, base, "incompressible")
-    incompressible_s = _time.perf_counter() - t0
-
     t0 = _time.perf_counter()
     table = build_limit_tables(cfg.lattice)
-    timings = {"incompressible": incompressible_s, "limit_table": _time.perf_counter() - t0}
+    timings = {"limit_table": _time.perf_counter() - t0}
 
     t0 = _time.perf_counter()
-    v_at = CubicTimeInterpolant(traj_v.times, traj_v.states)
+    v0 = helmholtz_project(u0, "P")
     V0 = acoustic_transform(a0, u0 - v0)
-    traj_V = run_trajectory(V0, base, "limit", table=table, v_at=v_at)
+    traj = run_trajectory((v0, V0), cfg.solver_config(cfg.eps_list[0]), "limit", table=table)
     timings["limit"] = _time.perf_counter() - t0
-    return SharedStage(a0, u0, traj_v, traj_V, timings)
+    return SharedStage(a0, u0, traj, timings)
 
 
 def convergence_study(
@@ -362,11 +354,11 @@ def _eps_row(cfg: ExperimentConfig, stage: SharedStage, eps: float) -> Diagnosti
     """Functionals row of the compressible run at Mach number ``eps``.
 
     Each compressible sample is reduced at once to its
-    :func:`sample_energies` rows, against the v and V samples of the stage at
+    :func:`sample_energies` rows, against the (v, V) sample of the stage at
     the same index; no compressible field outlives its sample.
     """
     t0 = _time.perf_counter()
-    partners = zip(stage.traj_v.states, stage.traj_V.states)
+    partners = iter(stage.traj.states)
 
     def reduce(state, t):
         v, V = next(partners)

@@ -14,12 +14,14 @@ is exponentiated in closed form, which removes the acoustic time-step
 restriction; only the advective CFL limit remains.
 
 A run is one stepper object that builds, once, what it reads: its
-propagator or heat factor, the half spectra of its real fields, and the
+propagator or heat factors, the half spectra of its real fields, and the
 preallocated arrays that every right-hand side fills in place, so that on
 numpy >= 2 a step allocates only its half-spectrum stages
-(:class:`CompressibleStepper`, :class:`IncompressibleStepper`;
-:class:`LimitStepper` steps the complex averaged state).  Full fields are
-built only for samples and the final state.  :func:`step_compressible`,
+(:class:`CompressibleStepper`, :class:`IncompressibleStepper`).  The limit
+is a pair: :class:`LimitStepper` steps the incompressible velocity v and the
+complex averaged state V, which v drives, as one coupled system, so that v's
+part of each step is the incompressible step itself.  Full fields are built
+only for samples and the final state.  :func:`step_compressible`,
 :func:`step_incompressible` and :func:`step_limit` are one step of each.
 """
 
@@ -63,7 +65,6 @@ __all__ = [
     "step_limit",
     "run_trajectory",
     "generate_initial_data",
-    "CubicTimeInterpolant",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -73,9 +74,23 @@ class CFLError(RuntimeError):
     """Raised when the advective CFL constraint is violated."""
 
 
-# The compressible right-hand side raises CFLError unless
+# The compressible and incompressible right-hand sides raise CFLError unless
 # dt <= CFL_SAFETY * dx_min / max|u|.
 CFL_SAFETY = 0.5
+
+
+def _check_cfl(cfg: "SolverConfig", u_sq_max: float) -> None:
+    """Raise CFLError if dt exceeds the advective bound for max|u|^2 = ``u_sq_max``."""
+    lattice = cfg.lattice
+    umax = math.sqrt(u_sq_max)
+    dx_min = min(
+        2.0 * math.pi * float(b) / n for b, n in zip(lattice.periods, lattice.resolution)
+    )
+    if umax > 0 and cfg.dt > CFL_SAFETY * dx_min / umax:
+        raise CFLError(
+            f"dt = {cfg.dt:.3e} exceeds advective CFL bound "
+            f"{CFL_SAFETY * dx_min / umax:.3e} (max|u| = {umax:.3f})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -375,18 +390,6 @@ class _Stepper:
         self.x = _lawson_rk2(self.x, t, self.cfg.dt, self.linear, self.rhs)
 
 
-class _HeatStepper(_Stepper):
-    """A run whose linear part is viscosity * laplacian, with the per-mode
-    factor ``heat`` built once (stored as complex: see AcousticViscousPropagator)."""
-
-    def __init__(self, cfg: SolverConfig, x: np.ndarray, viscosity: float, ksq: np.ndarray):
-        self.cfg, self.x = cfg, (x,)
-        self.heat = np.exp(-viscosity * ksq * cfg.dt).astype(np.complex128)
-
-    def linear(self, x: tuple) -> tuple[np.ndarray]:
-        return (_scale_modes(x[0], self.heat),)
-
-
 class CompressibleStepper(_Stepper):
     """The compressible system for one run, stepped on half spectra.
 
@@ -476,15 +479,7 @@ class CompressibleStepper(_Stepper):
                 f"eps*||a||_inf = {cfg.eps * amax:.3f} > 1/2: uniform bound lost",
                 RuntimeWarning,
             )
-        umax = math.sqrt(float(np.max(u_sq)))
-        dx_min = min(
-            2.0 * math.pi * float(b) / n for b, n in zip(lattice.periods, lattice.resolution)
-        )
-        if umax > 0 and cfg.dt > CFL_SAFETY * dx_min / umax:
-            raise CFLError(
-                f"dt = {cfg.dt:.3e} exceeds advective CFL bound "
-                f"{CFL_SAFETY * dx_min / umax:.3e} (max|u| = {umax:.3f})"
-            )
+        _check_cfl(cfg, float(np.max(u_sq)))
 
         np.multiply(a_grid, cfg.eps, out=eps_a)
         u_sq *= 0.5
@@ -571,14 +566,15 @@ def step_compressible(state: CompressibleState, cfg: SolverConfig) -> Compressib
     return stepper.state(state.t + cfg.dt)
 
 
-class IncompressibleStepper(_HeatStepper):
+class IncompressibleStepper(_Stepper):
     """The incompressible system for one run, stepped on the half spectrum.
 
     Holds the half spectrum of the real velocity v, the heat factor
-    exp(-mu |k|^2 dt) and the Leray projection's multipliers on the columns
-    0..cut, and the arrays of the right-hand side: the inverse stack on the
-    half spectrum (transformed in place) and on the grid, the Lamb term's
-    grid values, their real-data FFT and their half spectra.
+    ``heat`` = exp(-mu |k|^2 dt) (stored as complex: see
+    AcousticViscousPropagator) and the Leray projection's multipliers on the
+    columns 0..cut, and the arrays of the right-hand side: the inverse stack
+    on the half spectrum (transformed in place) and on the grid, the Lamb
+    term's grid values, their real-data FFT and their half spectra.
     """
 
     def __init__(self, cfg: SolverConfig, v0: SpectralField):
@@ -586,7 +582,9 @@ class IncompressibleStepper(_HeatStepper):
             raise ValueError("incompressible data must be real: v has reality=False")
         lattice = cfg.lattice
         d, n, cut = lattice.d, lattice.resolution, lattice.cutoffs[-1]
-        super().__init__(cfg, v0.coeffs[..., : cut + 1], cfg.mu, lattice.k_squared()[..., : cut + 1])
+        self.cfg, self.x = cfg, (v0.coeffs[..., : cut + 1],)
+        ksq = lattice.k_squared()[..., : cut + 1]
+        self.heat = np.exp(-cfg.mu * ksq * cfg.dt).astype(np.complex128)
         self.ik = 1j * lattice.half_wavevectors()
         self.ik_over_ksq = self.ik * _safe_inv_ksq(lattice)[..., : cut + 1]
         self.pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
@@ -598,17 +596,27 @@ class IncompressibleStepper(_HeatStepper):
         self.spectrum = np.empty((d,) + n[:-1] + (n[-1] // 2 + 1,), dtype=np.complex128)
         self.forward = np.empty((d,) + half, dtype=np.complex128)
 
+    def linear(self, x: tuple) -> tuple[np.ndarray]:
+        return (_scale_modes(x[0], self.heat),)
+
     def rhs(self, x: tuple, t: float) -> tuple[np.ndarray]:
         """P(f - (v.grad)v) on the half spectrum ``x = (v,)``, as a new array:
         P(Lamb + f), since (v.grad)v = grad(|v|^2/2) - Lamb and P kills
-        gradients.  One inverse transform of (v, d_i v_j - d_j v_i for i < j)
-        and one forward transform of the Lamb term."""
+        gradients.  One inverse transform of (v, d_i v_j - d_j v_i for i < j),
+        the CFL check on v's grid values, and one forward transform of the
+        Lamb term."""
         (v,) = x
         cfg, lattice, d = self.cfg, self.cfg.lattice, self.cfg.lattice.d
         if cfg.include_nonlinear:
             self.spectral[:d] = v
             _rotation(self.ik, v, self.pairs, self.spectral[d:])
             grid = _half_inverse(self.spectral, lattice, out=self.grid)
+            # |v|^2 in the scratch, with the Lamb term's first slot as the
+            # scratch of the squares, before the Lamb term is written
+            v_sq = np.square(grid[0], out=self.scratch)
+            for c in range(1, d):
+                v_sq += np.square(grid[c], out=self.lamb[0])
+            _check_cfl(cfg, float(np.max(v_sq)))
             self.lamb.fill(0.0)
             _add_lamb(self.lamb, grid[:d], grid[d:], self.pairs, self.scratch)
             w = _half_forward(self.lamb, lattice, out=self.forward, spectrum=self.spectrum)
@@ -630,25 +638,41 @@ class IncompressibleStepper(_HeatStepper):
         return SpectralField._in_box(lattice, _half_to_full(self.x[0], lattice), True)
 
 
-class LimitStepper(_HeatStepper):
-    """The averaged system for one run: the two-branch coefficient array of
-    V, the heat factor exp(-nu |k|^2 dt/2), and what the right-hand side
-    -Q1(v, V) - Q2(V, V) reads, the interpolant ``v_at`` of the
-    incompressible velocity and the limit table."""
+class LimitStepper(IncompressibleStepper):
+    """The limit pair for one run: the incompressible velocity v and the
+    averaged state V that v drives, stepped together as ``x = (v, V)``.
 
-    def __init__(self, cfg: SolverConfig, V0: AcousticCoeffs, v_at, table: ResonanceTable):
-        super().__init__(cfg, V0.coeffs, 0.5 * cfg.nu, cfg.lattice.k_squared())
-        self.v_at, self.table = v_at, table
+    v is the incompressible run's half spectrum, stepped by the inherited
+    code, so that its part of every step is the incompressible step; V is the
+    two-branch coefficient array, with the heat factor ``heat_V`` =
+    exp(-nu |k|^2 dt/2) and the right-hand side -Q1(v, V) - Q2(V, V), which
+    reads the limit table and v of the same stage.
+    """
 
-    def rhs(self, x: tuple, t: float) -> tuple[np.ndarray]:
-        V = AcousticCoeffs._in_box(self.cfg.lattice, x[0], False)
-        q1 = limit_q1(self.v_at(t), V, self.table)
-        return ((-1.0 * q1 - limit_q2(V, V, self.table, kappa=self.cfg.law.kappa)).coeffs,)
+    def __init__(
+        self, cfg: SolverConfig, v0: SpectralField, V0: AcousticCoeffs, table: ResonanceTable
+    ):
+        super().__init__(cfg, v0)
+        self.x = self.x + (V0.coeffs,)
+        ksq = cfg.lattice.k_squared()
+        self.heat_V = np.exp(-0.5 * cfg.nu * ksq * cfg.dt).astype(np.complex128)
+        self.table = table
 
-    def state(self, t: float) -> AcousticCoeffs:
-        """The current coefficients, a view of an array that no step
-        overwrites (coefficients keep no time)."""
-        return AcousticCoeffs._in_box(self.cfg.lattice, self.x[0], False)
+    def linear(self, x: tuple) -> tuple[np.ndarray, np.ndarray]:
+        return super().linear(x[:1]) + (_scale_modes(x[1], self.heat_V),)
+
+    def rhs(self, x: tuple, t: float) -> tuple[np.ndarray, np.ndarray]:
+        lattice = self.cfg.lattice
+        v = SpectralField._in_box(lattice, _half_to_full(x[0], lattice), True)
+        V = AcousticCoeffs._in_box(lattice, x[1], False)
+        q1 = limit_q1(v, V, self.table)
+        n_V = (-1.0 * q1 - limit_q2(V, V, self.table, kappa=self.cfg.law.kappa)).coeffs
+        return super().rhs(x[:1], t) + (n_V,)
+
+    def state(self, t: float) -> tuple[SpectralField, AcousticCoeffs]:
+        """The current (v, V): v's full Hermitian field, and V's
+        coefficients as a view of an array that no step overwrites."""
+        return super().state(t), AcousticCoeffs._in_box(self.cfg.lattice, self.x[1], False)
 
 
 def step_incompressible(v: SpectralField, t: float, cfg: SolverConfig) -> SpectralField:
@@ -660,15 +684,12 @@ def step_incompressible(v: SpectralField, t: float, cfg: SolverConfig) -> Spectr
 
 
 def step_limit(
-    V: AcousticCoeffs,
-    t: float,
-    v_at: "CubicTimeInterpolant",
-    cfg: SolverConfig,
-    table: ResonanceTable,
-) -> AcousticCoeffs:
-    """One Lawson RK2 step of the averaged system (half-viscosity heat
-    factor), through a :class:`LimitStepper` built for it alone."""
-    stepper = LimitStepper(cfg, V, v_at, table)
+    v: SpectralField, V: AcousticCoeffs, t: float, cfg: SolverConfig, table: ResonanceTable
+) -> tuple[SpectralField, AcousticCoeffs]:
+    """One Lawson RK2 step of the coupled incompressible and averaged
+    systems, through a :class:`LimitStepper` built for it alone; returns
+    (v, V) at ``t + dt``."""
+    stepper = LimitStepper(cfg, v, V, table)
     stepper.step(t)
     return stepper.state(t + cfg.dt)
 
@@ -683,19 +704,19 @@ def run_trajectory(
     cfg: SolverConfig,
     kind: str,
     table: ResonanceTable | None = None,
-    v_at: "CubicTimeInterpolant | None" = None,
     record=None,
 ) -> Trajectory:
     """Advance to t_final, sampling every ``sample_stride`` steps and the last.
 
     ``kind`` selects the system: "compressible" (initial = (a0, u0)),
-    "incompressible" (initial = v0), or "limit" (initial = V0, which also
-    needs the resonance table and the incompressible interpolant).  Each step
-    starts, and each sample is stamped, at an exact multiple of ``dt``.
+    "incompressible" (initial = v0), or "limit" (initial = (v0, V0), the
+    incompressible velocity and the averaged state, stepped together; it
+    also needs the resonance table).  Each step starts, and each sample is
+    stamped, at an exact multiple of ``dt``.
 
     ``record(state, t)`` gives what the trajectory keeps of each sample; the
     state is a :class:`CompressibleState` stamped ``t``, the velocity field,
-    or the averaged state.  By default the sample is the state itself.  The
+    or the pair (v, V).  By default the sample is the state itself.  The
     final state is kept either way.
     """
     start = initial
@@ -705,9 +726,9 @@ def run_trajectory(
     elif kind == "incompressible":
         stepper = IncompressibleStepper(cfg, start)
     elif kind == "limit":
-        if table is None or v_at is None:
-            raise ValueError("limit runs need a resonance table and v interpolant")
-        stepper = LimitStepper(cfg, start, v_at, table)
+        if table is None:
+            raise ValueError("limit runs need a resonance table")
+        stepper = LimitStepper(cfg, *start, table)
     else:
         raise ValueError(f"unknown trajectory kind {kind!r}")
     if record is None:
@@ -759,65 +780,6 @@ def generate_initial_data(
     if na == 0 or nu_ == 0:
         raise ValueError("degenerate random draw; change the seed")
     return (amplitude_a / na) * a, (amplitude_u / nu_) * u
-
-
-# ---------------------------------------------------------------------------
-# Interpolation in time
-# ---------------------------------------------------------------------------
-
-
-class CubicTimeInterpolant:
-    """Natural cubic spline through sampled spectral fields.
-
-    The sample coefficient arrays are held by reference, not copied; the
-    only array of the spline's own is its second derivatives."""
-
-    def __init__(self, times, fields):
-        self.times = np.asarray(times, dtype=np.float64)
-        if len(fields) != self.times.size or len(fields) < 2:
-            raise ValueError("need matching times and at least two samples")
-        self.template = fields[0]
-        self.values = [f.coeffs for f in fields]
-        n = self.times.size
-        h = np.diff(self.times)
-        if np.any(h <= 0):
-            raise ValueError("times must be strictly increasing")
-        # second derivatives from the natural-spline tridiagonal system
-        m = np.zeros((n,) + self.template.coeffs.shape, dtype=np.complex128)
-        if n > 2:
-            y = self.values
-            # the right-hand side, and then the solution, in the inner rows of m
-            rhs = m.reshape(n, -1)[1 : n - 1]
-            for i in range(1, n - 1):
-                rhs[i - 1] = (
-                    6.0 * ((y[i + 1] - y[i]) / h[i] - (y[i] - y[i - 1]) / h[i - 1])
-                ).reshape(-1)
-            lower, diag, upper = h[:-1], 2.0 * (h[:-1] + h[1:]), h[1:]
-            # Thomas algorithm
-            for i in range(1, n - 2):
-                w = lower[i] / diag[i - 1]
-                diag[i] -= w * upper[i - 1]
-                rhs[i] -= w * rhs[i - 1]
-            rhs[-1] = rhs[-1] / diag[-1]
-            for i in range(n - 4, -1, -1):
-                rhs[i] = (rhs[i] - upper[i] * rhs[i + 1]) / diag[i]
-        self.second = m
-
-    def __call__(self, t: float) -> SpectralField:
-        times = self.times
-        t = float(min(max(t, times[0]), times[-1]))
-        i = int(np.searchsorted(times, t, side="right") - 1)
-        i = min(max(i, 0), times.size - 2)
-        h = times[i + 1] - times[i]
-        x0 = (times[i + 1] - t) / h
-        x1 = (t - times[i]) / h
-        y = (
-            x0 * self.values[i]
-            + x1 * self.values[i + 1]
-            + ((x0**3 - x0) * self.second[i] + (x1**3 - x1) * self.second[i + 1])
-            * (h * h / 6.0)
-        )
-        return SpectralField(self.template.lattice, y, reality=self.template.reality)
 
 
 # ---------------------------------------------------------------------------

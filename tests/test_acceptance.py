@@ -63,7 +63,6 @@ from lowmach.resonance import (
 )
 from lowmach.solvers import (
     CompressibleState,
-    CubicTimeInterpolant,
     SolverConfig,
     generate_initial_data,
     run_trajectory,
@@ -445,10 +444,6 @@ def test_criterion_7_solver_validation():
         )
     )
     table = build_limit_tables(lat16)
-    vtraj = run_trajectory(
-        v0, SolverConfig(lattice=lat16, mu=0.05, lam=0.05, dt=1e-3, t_final=0.1), "incompressible"
-    )
-    v_at = CubicTimeInterpolant(vtraj.times, vtraj.states)
     V0 = acoustic_transform(a0, helmholtz_project(u0, "Q"))
     outs = {}
     for dt in (4e-3, 2e-3, 2.5e-4):
@@ -456,7 +451,7 @@ def test_criterion_7_solver_validation():
             lattice=lat16, mu=0.05, lam=0.05, law=PressureLaw.gamma_law(3.0),
             dt=dt, t_final=0.1, sample_stride=10**9,
         )
-        outs[dt] = run_trajectory(V0, c, "limit", table=table, v_at=v_at).states[-1]
+        outs[dt] = run_trajectory((v0, V0), c, "limit", table=table).states[-1][1]
     orders.append(
         math.log2(
             (outs[4e-3] - outs[2.5e-4]).l2_norm() / (outs[2e-3] - outs[2.5e-4]).l2_norm()

@@ -56,7 +56,6 @@ from lowmach.operators import (
 from lowmach.resonance import build_limit_tables
 from lowmach.solvers import (
     CompressibleState,
-    CubicTimeInterpolant,
     Forcing,
     ForcingMode,
     SolverConfig,
@@ -437,13 +436,11 @@ class TestSharedStage:
         cfg = tiny_config()
         report = convergence_study(cfg, threads=4)
         assert pool_sizes == [len(cfg.eps_list)] == [2]
-        assert set(report.timings) == {
-            "incompressible", "limit_table", "limit", "eps_0.2", "eps_0.1"
-        }
+        assert set(report.timings) == {"limit_table", "limit", "eps_0.2", "eps_0.1"}
         with open(log) as fh:
             runs = [line.split() for line in fh]
         parent = str(os.getpid())
-        assert sorted(kind for pid, kind in runs if pid == parent) == ["incompressible", "limit"]
+        assert sorted(kind for pid, kind in runs if pid == parent) == ["limit"]
         assert sorted(kind for pid, kind in runs if pid != parent) == ["compressible"] * 2
 
     def test_pool_reports_progress_in_eps_order(self, tmp_path, capsys):
@@ -466,19 +463,23 @@ class TestSharedStage:
     def test_limit_sim_writes_the_stage_finals(self, tmp_path):
         cfg = tiny_config()
         stage = shared_stage(cfg)
-        # the stage's v samples are the interpolant's copies of the run's samples
+        # v's part of the coupled run is the incompressible run, sample by sample
         run_v = run_trajectory(
             helmholtz_project(stage.u0, "P"), cfg.solver_config(0.2), "incompressible"
         )
-        np.testing.assert_array_equal(stage.traj_v.final.coeffs, run_v.final.coeffs)
+        assert np.array_equal(stage.traj.times, run_v.times)
+        assert len(stage.traj) == len(run_v) == 6
+        for (v, _), alone in zip(stage.traj.states, run_v.states):
+            assert v.coeffs.tobytes() == alone.coeffs.tobytes()
+        v_final, V = stage.traj.final
+        assert v_final.coeffs.tobytes() == run_v.final.coeffs.tobytes()
         path = os.path.join(str(tmp_path), "config.json")
         with open(path, "w") as fh:
             json.dump(cfg.to_json(), fh)
         out = os.path.join(str(tmp_path), "lim")
         assert main(["limit-sim", "--config", path, "--out", out]) == 0
-        V = stage.traj_V.final
         for name, key, final in (
-            ("incompressible", "v", stage.traj_v.final.coeffs),
+            ("incompressible", "v", v_final.coeffs),
             ("limit", "V", np.stack([V.plus, V.minus])),
         ):
             _, t, arrays, meta = load_checkpoint(os.path.join(out, f"{name}.lmc"))
@@ -486,7 +487,7 @@ class TestSharedStage:
             np.testing.assert_array_equal(arrays[key], final)
         # a worker started with spawn or forkserver receives the stage pickled
         again = pickle.loads(pickle.dumps(stage))
-        np.testing.assert_array_equal(again.traj_V.final.plus, V.plus)
+        np.testing.assert_array_equal(again.traj.final[1].plus, V.plus)
 
 
 class TestInvariantSuite:
@@ -602,7 +603,7 @@ class TestCLI:
         assert len(eps_keys) == 2
         assert {k for k in par_json["timings"] if k.startswith("eps_")} == eps_keys
         assert all(par_json["timings"][k] > 0 for k in eps_keys)
-        assert set(seq_json["timings"]) == eps_keys | {"incompressible", "limit_table", "limit"}
+        assert set(seq_json["timings"]) == eps_keys | {"limit_table", "limit"}
         assert set(par_json["timings"]) == set(seq_json["timings"])
         for key in ("rows", "slope_W_theta", "slope_flag", "verdicts"):
             assert par_json[key] == seq_json[key], key
@@ -668,6 +669,23 @@ class TestCLI:
         proc = self.run_cli("simulate", "--config", path, "--out", str(tmp_path))
         assert proc.returncode == 3
         assert "aborted" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["simulate", "limit-sim"])
+    def test_cfl_abort_exit_code(self, tmp_path, capsys, command):
+        # the desk config with large velocities: dt = 5e-3 breaks the CFL bound
+        # of u, and of its divergence-free part v, at the first step
+        with open(os.path.join(REPO, "configs", "desk.json")) as fh:
+            payload = json.load(fh)
+        payload["experiment"]["amplitude_u"] = 400.0
+        payload["solver"]["dt"] = 5e-3
+        path = os.path.join(str(tmp_path), "config.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        out = os.path.join(str(tmp_path), "out")
+        assert main([command, "--config", path, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert "aborted: dt = 5.000e-03 exceeds advective CFL bound" in err
+        assert not os.path.exists(out)
 
     def test_negative_mach_number_rejected_before_any_run(self, tmp_path, capsys):
         path = self.write_config(tmp_path, eps=[0.2, 0.1, -0.1])
@@ -800,15 +818,17 @@ def _b(s, band="full", eta=None, zeta=None, underlined=False):
     return NormSpec(s=s, r=1, band=band, eta=eta, zeta=zeta, underlined=underlined)
 
 
-def oracle_functionals(traj_eps, traj_v, traj_V, fs):
-    """The eleven functionals, norm by norm from the sampled fields."""
+def oracle_functionals(traj_eps, traj_limit, fs):
+    """The eleven functionals, norm by norm from the sampled fields and the
+    (v, V) samples of the limit run."""
     times = np.asarray(traj_eps.times)
     a = [s.a for s in traj_eps.states]
     pu, veps = zip(*(filtered_parts(s, fs.eps) for s in traj_eps.states))
     qu = [s.u - p for s, p in zip(traj_eps.states, pu)]
     pairs = list(zip(a, qu))
-    vdiff = [ve - V for ve, V in zip(veps, traj_V.states)]
-    udiff = [p - v for p, v in zip(pu, traj_v.states)]
+    vs, Vs = zip(*traj_limit.states)
+    vdiff = [ve - V for ve, V in zip(veps, Vs)]
+    udiff = [p - v for p, v in zip(pu, vs)]
     d = a[0].lattice.d
     hi, eps, zeta, theta = fs.high_cut, fs.eps, fs.zeta, fs.theta
     cl = lambda fields, q, spec: _oracle_cl_norm(times, fields, q, spec)
@@ -903,13 +923,12 @@ def full_trajectories(cfg):
     )
     v0 = helmholtz_project(u0, "P")
     base = cfg.solver_config(cfg.eps_list[0])
-    traj_v = run_trajectory(v0, base, "incompressible")
-    v_at = CubicTimeInterpolant(traj_v.times, traj_v.states)
     table = build_limit_tables(cfg.lattice)
-    traj_V = run_trajectory(acoustic_transform(a0, u0 - v0), base, "limit", table=table, v_at=v_at)
+    V0 = acoustic_transform(a0, u0 - v0)
+    traj_limit = run_trajectory((v0, V0), base, "limit", table=table)
     for eps in cfg.eps_list:
         traj_eps = run_trajectory((a0, u0), cfg.solver_config(eps), "compressible")
-        yield eps, traj_eps, traj_v, traj_V
+        yield eps, traj_eps, traj_limit
 
 
 class TestBlockEnergyPath:
@@ -923,9 +942,9 @@ class TestBlockEnergyPath:
         if case == "medium-band":
             assert any(band["medium"] for band in cfg.bands())
         study = convergence_study(cfg)
-        for (eps, traj_eps, traj_v, traj_V), streamed in zip(full_trajectories(cfg), study.rows):
+        for (eps, traj_eps, traj_limit), streamed in zip(full_trajectories(cfg), study.rows):
             settings = cfg.functional_settings(eps)
-            expected = oracle_functionals(traj_eps, traj_v, traj_V, settings)
+            expected = oracle_functionals(traj_eps, traj_limit, settings)
             assert len(expected) == 11
             for key, value in expected.items():
                 assert value > 0, key
@@ -1036,8 +1055,8 @@ class TestHalfBoxSamplePath:
         # the half-box path counts the Vdiff power of each mode with n_d > 0
         # for its mirror too; that needs V's branches Hermitian along the run
         stage = shared_stage(replace_quietly(tiny_config(), t_final=0.5))
-        assert len(stage.traj_V.states) == 51
-        for V in stage.traj_V.states:
+        assert len(stage.traj.states) == 51
+        for _, V in stage.traj.states:
             scale = float(np.max(np.abs(V.coeffs)))
             assert scale > 0
             assert V.conjugate_symmetry_defect() <= 1e-14 * scale

@@ -42,7 +42,6 @@ from lowmach.solvers import (
     AcousticViscousPropagator,
     CFLError,
     CompressibleState,
-    CubicTimeInterpolant,
     Forcing,
     ForcingMode,
     SolverConfig,
@@ -938,13 +937,11 @@ class TestLimit:
         table = build_limit_tables(lattice)
         _, u0 = generate_initial_data(lattice, 1.0, 1.0, seed=seed)
         v0 = helmholtz_project(u0, "P")
-        vtraj = run_trajectory(v0, cfg, "incompressible")
-        v_at = CubicTimeInterpolant(vtraj.times, vtraj.states)
-        return cfg, table, v_at
+        return cfg, table, v0
 
     def test_zero_initial_stays_zero(self, lat16):
-        cfg, table, v_at = self.make_setup(lat16, dt=1e-2, t_final=0.1)
-        out = step_limit(AcousticCoeffs.zeros(lat16), 0.0, v_at, cfg, table)
+        cfg, table, v0 = self.make_setup(lat16, dt=1e-2, t_final=0.1)
+        _, out = step_limit(v0, AcousticCoeffs.zeros(lat16), 0.0, cfg, table)
         assert out.l2_norm() == 0.0
 
     def test_resonant_growth_rate(self):
@@ -969,13 +966,10 @@ class TestLimit:
                 ((-1, 0), -1): 0.5,
             },
         )
-        zero_v = CubicTimeInterpolant(
-            [0.0, 1.0],
-            [SpectralField.zeros(lattice, 2), SpectralField.zeros(lattice, 2)],
-        )
-        V = V0
+        v, V = SpectralField.zeros(lattice, 2), V0
         for n in range(cfg.n_steps):
-            V = step_limit(V, n * cfg.dt, zero_v, cfg, table)
+            v, V = step_limit(v, V, n * cfg.dt, cfg, table)
+        assert v.l2_norm() == 0.0
         from lowmach.resonance import limit_q2
 
         rate = limit_q2(V0, V0, table, kappa=kappa)
@@ -985,7 +979,7 @@ class TestLimit:
         assert abs(got) > 0
 
     def test_self_convergence_second_order(self, lat16):
-        cfg0, table, v_at = self.make_setup(lat16, dt=1e-3, t_final=0.1)
+        cfg0, table, v0 = self.make_setup(lat16, dt=1e-3, t_final=0.1)
         a0, u0 = generate_initial_data(lat16, 0.8, 1.0, seed=13)
         V0 = acoustic_transform(a0, helmholtz_project(u0, "Q"))
         outs = {}
@@ -999,8 +993,8 @@ class TestLimit:
                 t_final=0.1,
                 sample_stride=10**9,
             )
-            traj = run_trajectory(V0, cfg, "limit", table=table, v_at=v_at)
-            outs[dt] = traj.states[-1]
+            traj = run_trajectory((v0, V0), cfg, "limit", table=table)
+            outs[dt] = traj.states[-1][1]
         errs = [
             (outs[dt] - outs[2.5e-4]).l2_norm() for dt in (4e-3, 2e-3, 1e-3)
         ]
@@ -1010,37 +1004,32 @@ class TestLimit:
 
 class TestHeatFactor:
     """``IncompressibleStepper`` and ``LimitStepper`` store their heat factors
-    as complex; the same stepper with the real factor swapped in gives the
-    same bytes."""
+    (v's ``heat``, and V's ``heat_V`` of the limit pair) as complex; the same
+    stepper with a real factor swapped in gives the same bytes."""
 
     @staticmethod
-    def assert_real_factor_same_bytes(make, dt):
+    def assert_real_factor_same_bytes(make, dt, factor):
         stepper, real = make(), make()
-        assert stepper.heat.dtype == np.complex128
-        real.heat = stepper.heat.real.copy()
+        assert getattr(stepper, factor).dtype == np.complex128
+        setattr(real, factor, getattr(stepper, factor).real.copy())
         for n in range(3):
             stepper.step(n * dt)
             real.step(n * dt)
-            t = (n + 1) * dt
-            assert stepper.state(t).coeffs.tobytes() == real.state(t).coeffs.tobytes()
+            assert [x.tobytes() for x in stepper.x] == [x.tobytes() for x in real.x]
 
     @pytest.mark.parametrize("name", ["16x16", "8x8x6"])
     def test_same_bytes_as_real_factor(self, name):
         cfg, a0, u0 = TestCompressibleStepper().make_case(name, "gamma1.4", forced=True)
         v0 = helmholtz_project(u0, "P")
         self.assert_real_factor_same_bytes(
-            lambda: solvers.IncompressibleStepper(cfg, v0), cfg.dt
+            lambda: solvers.IncompressibleStepper(cfg, v0), cfg.dt, "heat"
         )
-        stepper, v_samples = solvers.IncompressibleStepper(cfg, v0), [v0]
-        for n in range(3):
-            stepper.step(n * cfg.dt)
-            v_samples.append(stepper.state((n + 1) * cfg.dt))
-        v_at = CubicTimeInterpolant(cfg.dt * np.arange(4), v_samples)
         table = build_limit_tables(cfg.lattice)
         V0 = acoustic_transform(a0, u0 - v0)
-        self.assert_real_factor_same_bytes(
-            lambda: solvers.LimitStepper(cfg, V0, v_at, table), cfg.dt
-        )
+        for factor in ("heat", "heat_V"):
+            self.assert_real_factor_same_bytes(
+                lambda: solvers.LimitStepper(cfg, v0, V0, table), cfg.dt, factor
+            )
 
     def test_complex_factor_allocates_only_the_result(self):
         """``scale_modes`` with a complex-stored factor, which each step applies
@@ -1131,17 +1120,16 @@ class TestTrajectoryLoop:
     def test_limit_matches_hand_stepping(self, lat16, cfg):
         a0, u0 = generate_initial_data(lat16, 0.5, 0.5, seed=23)
         v0 = helmholtz_project(u0, "P")
-        vtraj = run_trajectory(v0, cfg, "incompressible")
-        v_at = CubicTimeInterpolant(vtraj.times, vtraj.states)
         table = build_limit_tables(lat16)
         V0 = acoustic_transform(a0, u0 - v0)
-        traj = run_trajectory(V0, cfg, "limit", table=table, v_at=v_at)
+        traj = run_trajectory((v0, V0), cfg, "limit", table=table)
         hand = self.hand_run(
-            cfg, V0, lambda V, t: step_limit(V, t, v_at, cfg, table)
+            cfg, (v0, V0), lambda x, t: step_limit(*x, t, cfg, table)
         )
         self.check_times(traj, cfg, "limit")
         assert len(traj) == len(hand)
-        for V_traj, V_hand in zip(traj.states, hand):
+        for (v_traj, V_traj), (v_hand, V_hand) in zip(traj.states, hand):
+            assert np.array_equal(v_traj.coeffs, v_hand.coeffs)
             assert np.array_equal(V_traj.plus, V_hand.plus)
             assert np.array_equal(V_traj.minus, V_hand.minus)
 
@@ -1347,40 +1335,3 @@ class TestInitialDataAndIO:
         assert np.count_nonzero(f.coeffs) == 2
         with pytest.raises(ValueError, match="real amplitudes"):
             Forcing(lat16, [ForcingMode(mode=(0, 0), amplitude=(1.0j, 0.0))])
-
-
-class TestInterpolant:
-    def test_cubic_accuracy(self, lat16):
-        times = np.linspace(0.0, 1.0, 21)
-        base, _ = generate_initial_data(lat16, 1.0, 1.0, seed=19)
-        fields = [math.cos(t) * base for t in times]
-        interp = CubicTimeInterpolant(times, fields)
-        t = 0.337
-        err = (interp(t) - math.cos(t) * base).l2_norm() / base.l2_norm()
-        assert err <= 1e-5
-
-    def test_nodes_reproduced(self, lat16):
-        times = np.array([0.0, 0.5, 1.0])
-        base, _ = generate_initial_data(lat16, 1.0, 1.0, seed=20)
-        fields = [t * base for t in times]
-        interp = CubicTimeInterpolant(times, fields)
-        for t in times:
-            assert (interp(float(t)) - t * base).l2_norm() <= 1e-12
-
-    def test_build_holds_two_copies(self, lat16):
-        """The samples, held by reference, and the second derivatives, and no
-        more: the spline system is solved in place."""
-        times = np.linspace(0.0, 1.0, 41)
-        base, _ = generate_initial_data(lat16, 1.0, 1.0, seed=19)
-        fields = [math.cos(t) * base for t in times]
-        interp = CubicTimeInterpolant(times, fields)
-        assert all(y is f.coeffs for y, f in zip(interp.values, fields))
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            CubicTimeInterpolant(times, fields)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        stacked = len(fields) * base.coeffs.nbytes
-        assert peak - start < 1.5 * stacked
