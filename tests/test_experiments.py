@@ -1106,8 +1106,8 @@ class TestStreamingMemory:
     def test_sweep_keeps_rows_not_fields(self):
         """The per-Mach-number stage of convergence_study on 16²: its peak above
         the shared stage grows by less than one scalar field per extra sample.
-        (The shared v and V series are kept whole, since both the interpolant
-        and the differences read them.)"""
+        (The shared (v, V) samples are kept whole, since the differences
+        read them.)"""
         stage_growth = {}
         for stride in (self.N_STEPS, 1):
             cfg = replace_quietly(
