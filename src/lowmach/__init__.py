@@ -56,7 +56,6 @@ from .resonance import (
 from .solvers import (
     AcousticViscousPropagator,
     CFLError,
-    CompressibleState,
     CompressibleStepper,
     Forcing,
     ForcingMode,

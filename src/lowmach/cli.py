@@ -64,21 +64,21 @@ def _cmd_simulate(args) -> int:
         cfg.initial_data(), cfg.solver_config(eps), "compressible", record=lambda state, t: None
     )
     os.makedirs(args.out, exist_ok=True)
-    final = traj.final
+    a, u = traj.final
     path = os.path.join(args.out, f"compressible_eps{eps:g}.lmc")
     save_checkpoint(
         path,
         cfg.lattice,
         float(traj.times[-1]),
-        {"a": final.a, "u": final.u},
+        {"a": a, "u": u},
         meta={"eps": eps, "kind": "compressible"},
     )
     summary = {
         "eps": eps,
         "t_final": float(traj.times[-1]),
         "samples": len(traj),
-        "final_a_l2": final.a.l2_norm(),
-        "final_u_l2": final.u.l2_norm(),
+        "final_a_l2": a.l2_norm(),
+        "final_u_l2": u.l2_norm(),
         "checkpoint": path,
     }
     print(json.dumps(summary, indent=1, sort_keys=True))

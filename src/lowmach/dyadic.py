@@ -146,10 +146,10 @@ class NormSpec:
     """Spatial norm description.
 
     kind "B": Besov with indices (s, p, r); kind "H": Sobolev with index s.
-    ``band`` restricts the dyadic sum: "full", "h" (2^j >= eta), "m"
-    (zeta <= 2^j < eta), or "l" (2^j < zeta).  The mean mode contributes to
-    "full" and "l" norms unless ``underlined`` drops it; "h"/"m" norms never
-    see the mean.
+    ``band`` restricts a Besov sum: "full", "h" (2^j >= eta), "m" (zeta <=
+    2^j < eta), or "l" (2^j < zeta), and takes only the thresholds it reads.
+    The mean mode contributes to "full" and "l" norms unless ``underlined``
+    drops it; "h"/"m" norms never see the mean.
     """
 
     kind: str = "B"
@@ -169,14 +169,15 @@ class NormSpec:
                 raise ValueError("p must be 2 or inf")
             if self.r not in (1, 2, _INF):
                 raise ValueError("r must be 1, 2, or inf")
-            if self.band not in ("full", "h", "m", "l"):
-                raise ValueError(f"unknown band {self.band!r}")
-            if self.band in ("h", "m") and self.eta is None:
-                raise ValueError("h/m band needs eta")
-            if self.band in ("m", "l") and self.zeta is None:
-                raise ValueError("m/l band needs zeta")
-            if self.band == "m" and not (0 < self.zeta < self.eta):
-                raise ValueError("medium band requires 0 < zeta < eta")
+        if self.band not in (("full", "h", "m", "l") if self.kind == "B" else ("full",)):
+            raise ValueError(f"kind {self.kind!r} has no band {self.band!r}")
+        reads = {"full": (), "h": ("eta",), "m": ("eta", "zeta"), "l": ("zeta",)}[self.band]
+        for name in ("eta", "zeta"):
+            if (getattr(self, name) is not None) != (name in reads):
+                verb = "needs" if name in reads else "reads no"
+                raise ValueError(f"band {self.band!r} {verb} {name}")
+        if self.band == "m" and not (0 < self.zeta < self.eta):
+            raise ValueError("medium band requires 0 < zeta < eta")
 
     @property
     def includes_mean(self) -> bool:
@@ -220,6 +221,8 @@ def parse_norm_spec(text: str) -> NormSpec:
         field := "s=" float | "p=" ("2"|"inf") | "r=" ("1"|"2"|"inf")
                | "band=" ("full"|"h"|"m"|"l") | "eta=" float | "zeta=" float
                | "mean=" ("incl"|"excl")
+
+    Kind "H" takes only s and mean; a field that would be ignored raises.
     """
     parts = text.strip().split(":")
     kind = parts[0].strip()
@@ -230,6 +233,8 @@ def parse_norm_spec(text: str) -> NormSpec:
         name, _, value = part.partition("=")
         name = name.strip()
         value = value.strip()
+        if kind == "H" and name in ("p", "r", "band", "eta", "zeta"):
+            raise ValueError(f"norm-spec field {name!r} is Besov-only, in {text!r}")
         if name == "s":
             kwargs["s"] = float(value)
         elif name in ("p", "r"):
@@ -239,6 +244,8 @@ def parse_norm_spec(text: str) -> NormSpec:
         elif name in ("eta", "zeta"):
             kwargs[name] = float(value)
         elif name == "mean":
+            if value not in ("incl", "excl"):
+                raise ValueError(f"mean must be incl or excl, got {value!r} in {text!r}")
             kwargs["underlined"] = value == "excl"
         else:
             raise ValueError(f"unknown norm-spec field {name!r} in {text!r}")

@@ -101,12 +101,12 @@ def _box_multipliers(lattice: LatticeSpec) -> tuple:
     return k, _safe_inv_ksq(lattice).ravel()[index], acoustic, frequency, divisor
 
 
-def sample_energies(state, t: float, eps: float, v, V, theta: float) -> dict:
+def sample_energies(state: tuple, partner: tuple, t: float, eps: float, theta: float) -> dict:
     """Block-energy rows of the six diagnostic series at one sample.
 
-    ``state`` is the compressible state at time ``t`` and Mach number ``eps``,
-    and ``v``, ``V`` are the incompressible and limit states at the same time.
-    The series are a, Qu, Pu, the bundle (a, Qu), Veps - V and Pu - v, with
+    ``state`` is the compressible pair (a, u) at time ``t`` and Mach number
+    ``eps``, and ``partner`` the limit pair (v, V) at the same time.  The
+    series are a, Qu, Pu, the bundle (a, Qu), Veps - V and Pu - v, with
     the Helmholtz parts Pu, Qu of u and the filtered state
     Veps = L(-t/eps)(a, Qu); every row carries the Sobolev sum of order
     d/2 - theta that Z_theta reads.
@@ -118,10 +118,10 @@ def sample_energies(state, t: float, eps: float, v, V, theta: float) -> dict:
     with n_d > 0 for its n_d-mirror too, which is exact for Hermitian series:
     the fields of real functions and each branch of V.
     """
-    lattice = state.a.lattice
+    lattice = state[0].lattice
     index = lattice.half_box()[0]
     a, u, v, V = (
-        np.take(f.coeffs.reshape(f.components, -1), index, axis=1) for f in (state.a, state.u, v, V)
+        np.take(f.coeffs.reshape(f.components, -1), index, axis=1) for f in (*state, *partner)
     )
     k, inv_ksq, acoustic, frequency, divisor = _box_multipliers(lattice)
     pu = u - k * (np.sum(k * u, axis=0) * inv_ksq)
@@ -178,6 +178,7 @@ def compute_functionals(times, rows: list, settings: FunctionalSettings) -> Diag
         "hm_bracket": hm,
         "low_bracket_diff": low_diff,
     }
+    values["W_theta_scaled"] = values["W_theta"] / eps ** (theta / (1.0 + theta))
     for key, val in values.items():
         if not (np.isfinite(val) and val >= 0):
             raise ValueError(f"functional {key} is not finite and nonnegative: {val}")

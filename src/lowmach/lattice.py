@@ -424,9 +424,10 @@ class SpectralField:
         mirror = _conjugate_mirror(self.coeffs, tuple(range(1, self.lattice.d + 1)))
         return float(np.max(np.abs(self.coeffs - mirror)))
 
-    def is_reality_symmetric(self, tol: float = 1e-12) -> bool:
+    def is_reality_symmetric(self) -> bool:
+        """Conjugate-symmetry defect at most 1e-12 times max(1, max |c_k|)."""
         scale = max(1.0, float(np.max(np.abs(self.coeffs), initial=0.0)))
-        return self.conjugate_symmetry_defect() <= tol * scale
+        return self.conjugate_symmetry_defect() <= 1e-12 * scale
 
     # -- arithmetic --------------------------------------------------------
 

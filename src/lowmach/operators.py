@@ -173,21 +173,20 @@ class AcousticCoeffs(SpectralField):
         return self.coeffs[1]
 
 
-def acoustic_transform(
-    a: SpectralField, qu: SpectralField, check: bool = True, tol: float = 1e-10
-) -> AcousticCoeffs:
+def acoustic_transform(a: SpectralField, qu: SpectralField, check: bool = True) -> AcousticCoeffs:
     """Expand a (zero-mean scalar, gradient vector) pair in the eigenbasis.
 
     With the longitudinal amplitude ``mu_k = (k/|k|) . qu_k`` the coefficients
-    are ``V_k^alpha = (a_k - alpha*sg(k)*mu_k)/sqrt(2)``.
+    are ``V_k^alpha = (a_k - alpha*sg(k)*mu_k)/sqrt(2)``.  ``check`` rejects a
+    mean of a or a solenoidal part of qu above 1e-10 times max(1, max |c_k|).
     """
     lattice = a.lattice
     if check:
-        scale = max(1.0, float(np.max(np.abs(a.coeffs))), float(np.max(np.abs(qu.coeffs))))
-        if abs(a.mean_coefficient()[0]) > tol * scale:
+        tol = 1e-10 * max(1.0, float(np.max(np.abs(a.coeffs))), float(np.max(np.abs(qu.coeffs))))
+        if abs(a.mean_coefficient()[0]) > tol:
             raise ValueError("scalar part must be zero-mean")
         p_part = helmholtz_project(qu, "P")
-        if np.max(np.abs(p_part.coeffs)) > tol * scale:
+        if np.max(np.abs(p_part.coeffs)) > tol:
             raise ValueError("vector part must be a gradient field")
     kvecs = lattice.wavevectors()
     mu = sum(k * qu.coeffs[c] for c, k in enumerate(kvecs)) / _safe_k_modulus(lattice)

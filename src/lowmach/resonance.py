@@ -523,17 +523,13 @@ class SmallDivisorReport:
         }
 
 
-def small_divisors(
-    lattice: LatticeSpec,
-    M: float,
-    theta: float = 0.25,
-    forcing_regularity: float = 1.0,
-) -> SmallDivisorReport:
+def small_divisors(lattice: LatticeSpec, M: float, theta: float = 0.25) -> SmallDivisorReport:
     """Reciprocal worst non-resonant frequency mismatches up to cutoff M.
 
     ``c_combined`` aggregates the truncation powers used by the corrector
     error budget: max{M, M^((d/2+S-2*theta+1)/2), M^(d/2+S-1),
-    (C1+C2)*M^(2+2*theta)} with generic constant 1.
+    (C1+C2)*M^(2+2*theta)} with generic constant 1 and the forcing
+    regularity S = 1.
     """
     table = enumerate_resonance_sets(lattice, M)
     nq1, nq2 = table.nonres_q1, table.nonres_q2
@@ -558,7 +554,7 @@ def small_divisors(
         else {}
     )
     d = lattice.d
-    s_forcing = forcing_regularity
+    s_forcing = 1.0
     c_comb = max(
         M,
         M ** ((d / 2.0 + s_forcing - 2 * theta + 1) / 2.0),

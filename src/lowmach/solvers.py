@@ -23,6 +23,10 @@ complex averaged state V, which v drives, as one coupled system, so that v's
 part of each step is the incompressible step itself.  Full fields are built
 only for samples and the final state.  :func:`step_compressible`,
 :func:`step_incompressible` and :func:`step_limit` are one step of each.
+
+A system's state is its fields and nothing else: the pair (a, u), the
+velocity v, or the pair (v, V).  No state carries a time: a step is told the
+time it starts at, and :func:`run_trajectory` stamps each sample it records.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ __all__ = [
     "ForcingMode",
     "Forcing",
     "SolverConfig",
-    "CompressibleState",
     "CompressibleStepper",
     "IncompressibleStepper",
     "LimitStepper",
@@ -253,15 +256,8 @@ class SolverConfig:
 
 
 # ---------------------------------------------------------------------------
-# States and trajectories
+# Trajectories
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class CompressibleState:
-    a: SpectralField  # zero-mean rescaled density fluctuation
-    u: SpectralField  # velocity
-    t: float = 0.0
 
 
 @dataclass
@@ -382,12 +378,18 @@ def _add_lamb(lamb: np.ndarray, u: np.ndarray, rot: np.ndarray, pairs: list, scr
 class _Stepper:
     """One run of dx/dt = L x + N(x, t): a subclass holds the state ``x`` (a
     tuple of arrays) and gives ``linear``, the exact one-step exponential of
-    L, ``rhs``, the right-hand side N, and ``state(t)``, the system's state
-    built from ``x`` at the caller's time ``t``.  The stepper keeps no clock."""
+    L, ``rhs``, the right-hand side N, and ``state()``, the system's fields
+    built from ``x``.  The stepper keeps no clock."""
 
     def step(self, t: float) -> None:
         """One Lawson RK2 step started at time ``t``."""
         self.x = _lawson_rk2(self.x, t, self.cfg.dt, self.linear, self.rhs)
+
+
+def _one_step(stepper: _Stepper, t: float):
+    """The state after one step of ``stepper`` started at time ``t``."""
+    stepper.step(t)
+    return stepper.state()
 
 
 class CompressibleStepper(_Stepper):
@@ -404,8 +406,8 @@ class CompressibleStepper(_Stepper):
     of eps a.
     """
 
-    def __init__(self, cfg: SolverConfig, initial: CompressibleState):
-        for name, value in (("a", initial.a), ("u", initial.u)):
+    def __init__(self, cfg: SolverConfig, a: SpectralField, u: SpectralField):
+        for name, value in (("a", a), ("u", u)):
             if not value.reality:
                 raise ValueError(
                     f"compressible data must be real: {name} has reality=False"
@@ -416,7 +418,7 @@ class CompressibleStepper(_Stepper):
         self.cfg = cfg
         self.propagator = AcousticViscousPropagator(lattice, cfg.dt, cfg.eps, cfg.nu, cfg.mu)
         self.vacuum_warned = False
-        self.x = (initial.a.coeffs[..., : cut + 1], initial.u.coeffs[..., : cut + 1])
+        self.x = (a.coeffs[..., : cut + 1], u.coeffs[..., : cut + 1])
         self.pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
         self.ik = 1j * lattice.half_wavevectors()
         # complex, so that numpy does not cast it in every product
@@ -547,23 +549,17 @@ class CompressibleStepper(_Stepper):
     def linear(self, x: tuple) -> tuple[np.ndarray, np.ndarray]:
         return self.propagator.apply(*x)
 
-    def state(self, t: float) -> CompressibleState:
-        """The current full, Hermitian fields, stamped with time ``t``."""
-        lattice = self.cfg.lattice
-        a, u = (SpectralField._in_box(lattice, _half_to_full(y, lattice), True) for y in self.x)
-        return CompressibleState(a=a, u=u, t=t)
+    def state(self) -> tuple[SpectralField, SpectralField]:
+        """The current (a, u) as full, Hermitian fields."""
+        lat = self.cfg.lattice
+        return tuple(SpectralField._in_box(lat, _half_to_full(y, lat), True) for y in self.x)
 
 
-def step_compressible(state: CompressibleState, cfg: SolverConfig) -> CompressibleState:
-    """One Lawson RK2 step of the rescaled compressible system.
-
-    The step runs on the retained half spectra of the real fields a and u,
-    through a :class:`CompressibleStepper` built for it alone, and returns
-    their full Hermitian coefficient grids.
-    """
-    stepper = CompressibleStepper(cfg, state)
-    stepper.step(state.t)
-    return stepper.state(state.t + cfg.dt)
+def step_compressible(a: SpectralField, u: SpectralField, t: float, cfg: SolverConfig) -> tuple:
+    """One Lawson RK2 step of the rescaled compressible system on the half
+    spectra of a and u, through a :class:`CompressibleStepper` built for it
+    alone; returns the full Hermitian fields (a, u) at ``t + dt``."""
+    return _one_step(CompressibleStepper(cfg, a, u), t)
 
 
 class IncompressibleStepper(_Stepper):
@@ -577,12 +573,12 @@ class IncompressibleStepper(_Stepper):
     term's grid values, their real-data FFT and their half spectra.
     """
 
-    def __init__(self, cfg: SolverConfig, v0: SpectralField):
-        if not v0.reality:
+    def __init__(self, cfg: SolverConfig, v: SpectralField):
+        if not v.reality:
             raise ValueError("incompressible data must be real: v has reality=False")
         lattice = cfg.lattice
         d, n, cut = lattice.d, lattice.resolution, lattice.cutoffs[-1]
-        self.cfg, self.x = cfg, (v0.coeffs[..., : cut + 1],)
+        self.cfg, self.x = cfg, (v.coeffs[..., : cut + 1],)
         ksq = lattice.k_squared()[..., : cut + 1]
         self.heat = np.exp(-cfg.mu * ksq * cfg.dt).astype(np.complex128)
         self.ik = 1j * lattice.half_wavevectors()
@@ -632,8 +628,8 @@ class IncompressibleStepper(_Stepper):
             np.add(wc, np.multiply(ik, ik_dot_w, out=oc), out=oc)
         return (out,)
 
-    def state(self, t: float) -> SpectralField:
-        """The current full, Hermitian velocity field (a field keeps no time)."""
+    def state(self) -> SpectralField:
+        """The current full, Hermitian velocity field."""
         lattice = self.cfg.lattice
         return SpectralField._in_box(lattice, _half_to_full(self.x[0], lattice), True)
 
@@ -650,10 +646,10 @@ class LimitStepper(IncompressibleStepper):
     """
 
     def __init__(
-        self, cfg: SolverConfig, v0: SpectralField, V0: AcousticCoeffs, table: ResonanceTable
+        self, cfg: SolverConfig, v: SpectralField, V: AcousticCoeffs, table: ResonanceTable
     ):
-        super().__init__(cfg, v0)
-        self.x = self.x + (V0.coeffs,)
+        super().__init__(cfg, v)
+        self.x = self.x + (V.coeffs,)
         ksq = cfg.lattice.k_squared()
         self.heat_V = np.exp(-0.5 * cfg.nu * ksq * cfg.dt).astype(np.complex128)
         self.table = table
@@ -669,18 +665,17 @@ class LimitStepper(IncompressibleStepper):
         n_V = (-1.0 * q1 - limit_q2(V, V, self.table, kappa=self.cfg.law.kappa)).coeffs
         return super().rhs(x[:1], t) + (n_V,)
 
-    def state(self, t: float) -> tuple[SpectralField, AcousticCoeffs]:
+    def state(self) -> tuple[SpectralField, AcousticCoeffs]:
         """The current (v, V): v's full Hermitian field, and V's
         coefficients as a view of an array that no step overwrites."""
-        return super().state(t), AcousticCoeffs._in_box(self.cfg.lattice, self.x[1], False)
+        return super().state(), AcousticCoeffs._in_box(self.cfg.lattice, self.x[1], False)
 
 
 def step_incompressible(v: SpectralField, t: float, cfg: SolverConfig) -> SpectralField:
     """One Lawson RK2 step of the incompressible system (heat integrating
-    factor), through an :class:`IncompressibleStepper` built for it alone."""
-    stepper = IncompressibleStepper(cfg, v)
-    stepper.step(t)
-    return stepper.state(t + cfg.dt)
+    factor), through an :class:`IncompressibleStepper` built for it alone;
+    returns v at ``t + dt``."""
+    return _one_step(IncompressibleStepper(cfg, v), t)
 
 
 def step_limit(
@@ -689,9 +684,7 @@ def step_limit(
     """One Lawson RK2 step of the coupled incompressible and averaged
     systems, through a :class:`LimitStepper` built for it alone; returns
     (v, V) at ``t + dt``."""
-    stepper = LimitStepper(cfg, v, V, table)
-    stepper.step(t)
-    return stepper.state(t + cfg.dt)
+    return _one_step(LimitStepper(cfg, v, V, table), t)
 
 
 # ---------------------------------------------------------------------------
@@ -708,27 +701,26 @@ def run_trajectory(
 ) -> Trajectory:
     """Advance to t_final, sampling every ``sample_stride`` steps and the last.
 
-    ``kind`` selects the system: "compressible" (initial = (a0, u0)),
-    "incompressible" (initial = v0), or "limit" (initial = (v0, V0), the
-    incompressible velocity and the averaged state, stepped together; it
-    also needs the resonance table).  Each step starts, and each sample is
-    stamped, at an exact multiple of ``dt``.
+    ``kind`` selects the system and the form of its state: "compressible"
+    (the pair (a, u)), "incompressible" (the velocity v), or "limit" (the
+    pair (v, V) of the incompressible velocity and the averaged state,
+    stepped together; it also needs the resonance table).  ``initial`` is
+    the state at time 0.  Each step starts, and each sample is taken, at an
+    exact multiple of ``dt``; the times live only here and in
+    ``Trajectory.times``.
 
-    ``record(state, t)`` gives what the trajectory keeps of each sample; the
-    state is a :class:`CompressibleState` stamped ``t``, the velocity field,
-    or the pair (v, V).  By default the sample is the state itself.  The
-    final state is kept either way.
+    ``record(state, t)`` gives what the trajectory keeps of the state at
+    sample time ``t``; by default the sample is the state itself.  The final
+    state is kept either way.
     """
-    start = initial
     if kind == "compressible":
-        start = CompressibleState(*initial)
-        stepper = CompressibleStepper(cfg, start)
+        stepper = CompressibleStepper(cfg, *initial)
     elif kind == "incompressible":
-        stepper = IncompressibleStepper(cfg, start)
+        stepper = IncompressibleStepper(cfg, initial)
     elif kind == "limit":
         if table is None:
             raise ValueError("limit runs need a resonance table")
-        stepper = LimitStepper(cfg, *start, table)
+        stepper = LimitStepper(cfg, *initial, table)
     else:
         raise ValueError(f"unknown trajectory kind {kind!r}")
     if record is None:
@@ -736,14 +728,14 @@ def run_trajectory(
 
     dt = cfg.dt
     times = [0.0]
-    states = [record(start, 0.0)]
+    states = [record(initial, 0.0)]
     n_steps = cfg.n_steps
     for step in range(1, n_steps + 1):
         stepper.step((step - 1) * dt)
         if step % cfg.sample_stride == 0 or step == n_steps:
             times.append(step * dt)
-            states.append(record(stepper.state(step * dt), step * dt))
-    return Trajectory(times=np.array(times), states=states, final=stepper.state(n_steps * dt))
+            states.append(record(stepper.state(), step * dt))
+    return Trajectory(times=np.array(times), states=states, final=stepper.state())
 
 
 # ---------------------------------------------------------------------------

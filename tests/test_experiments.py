@@ -55,41 +55,41 @@ from lowmach.operators import (
 )
 from lowmach.resonance import build_limit_tables
 from lowmach.solvers import (
-    CompressibleState,
     Forcing,
     ForcingMode,
     SolverConfig,
     generate_initial_data,
     load_checkpoint,
     run_trajectory,
+    save_checkpoint,
 )
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def random_states(lattice, rng, times):
-    """Random compressible states stamped with ``times``."""
-    states = []
-    for t in times:
-        a0, u0 = generate_initial_data(lattice, 1.0, 1.0, seed=int(rng.integers(0, 2**31)))
-        states.append(CompressibleState(a0, u0, t))
-    return states
+    """Random compressible states (a, u), one per sample time."""
+    return [
+        generate_initial_data(lattice, 1.0, 1.0, seed=int(rng.integers(0, 2**31)))
+        for _ in times
+    ]
 
 
-def filtered_parts(state, eps):
-    """Pu and the filtered state Veps = L(-t/eps)(a, Qu) of a compressible state."""
-    pu = helmholtz_project(state.u, "P")
-    qu = state.u - pu
-    return pu, wave_group(acoustic_transform(state.a, qu, check=False), -state.t / eps)
+def filtered_parts(state, t, eps):
+    """Pu and the filtered state Veps = L(-t/eps)(a, Qu) of a compressible
+    state (a, u) at time ``t``."""
+    a, u = state
+    pu = helmholtz_project(u, "P")
+    return pu, wave_group(acoustic_transform(a, u - pu, check=False), -t / eps)
 
 
-def functionals_of(states, vs, Vs, settings):
+def functionals_of(times, states, vs, Vs, settings):
     """compute_functionals on the sample_energies rows of aligned samples."""
     rows = [
-        sample_energies(s, s.t, settings.eps, v, V, settings.theta)
-        for s, v, V in zip(states, vs, Vs)
+        sample_energies(s, (v, V), t, settings.eps, settings.theta)
+        for t, s, v, V in zip(times, states, vs, Vs)
     ]
-    return compute_functionals([s.t for s in states], rows, settings)
+    return compute_functionals(times, rows, settings)
 
 
 @pytest.fixture
@@ -106,9 +106,10 @@ class TestFunctionals:
     def test_all_zero_trajectories(self, lat16, settings):
         times = np.linspace(0.0, 1.0, 5)
         zs, zv = SpectralField.zeros(lat16), SpectralField.zeros(lat16, 2)
-        states = [CompressibleState(zs, zv, t) for t in times]
+        states = [(zs, zv)] * len(times)
         zero_V = [AcousticCoeffs.zeros(lat16)] * len(times)
-        row = functionals_of(states, [zv] * len(times), zero_V, settings)
+        row = functionals_of(times, states, [zv] * len(times), zero_V, settings)
+        assert "W_theta_scaled" in row.values  # the row is whole where it is computed
         for name, value in row.values.items():
             assert value == 0.0, name
 
@@ -119,9 +120,10 @@ class TestFunctionals:
 
     def test_identical_trajectories_zero_differences(self, lat16, settings):
         rng = np.random.default_rng(0)
-        states = random_states(lat16, rng, np.linspace(0.0, 0.5, 4))
-        vs, Vs = zip(*(filtered_parts(s, settings.eps) for s in states))
-        row = functionals_of(states, vs, Vs, settings)
+        times = np.linspace(0.0, 0.5, 4)
+        states = random_states(lat16, rng, times)
+        vs, Vs = zip(*(filtered_parts(s, t, settings.eps) for s, t in zip(states, times)))
+        row = functionals_of(times, states, vs, Vs, settings)
         assert row.values["Z_theta"] == 0.0
         assert row.values["W_theta"] == 0.0
         assert row.values["low_bracket_diff"] == 0.0
@@ -160,9 +162,9 @@ class TestFunctionals:
         rng = np.random.default_rng(2)
         times = np.linspace(0.0, 0.5, 4)
         states = random_states(lat16, rng, times)
-        v_fields = [helmholtz_project(s.u, "P") * 0.7 for s in states]
-        V_fields = [0.6 * filtered_parts(s, settings.eps)[1] for s in states]
-        row = functionals_of(states, v_fields, V_fields, settings)
+        v_fields = [helmholtz_project(u, "P") * 0.7 for _, u in states]
+        V_fields = [0.6 * filtered_parts(s, t, settings.eps)[1] for s, t in zip(states, times)]
+        row = functionals_of(times, states, v_fields, V_fields, settings)
         d = lat16.d
         z = settings.zeta
         background = (
@@ -175,12 +177,13 @@ class TestFunctionals:
 
     def test_monotone_in_horizon(self, lat16, settings):
         rng = np.random.default_rng(3)
-        states = random_states(lat16, rng, np.linspace(0.0, 1.0, 9))
-        parts = [filtered_parts(s, settings.eps) for s in states]
+        times = np.linspace(0.0, 1.0, 9)
+        states = random_states(lat16, rng, times)
+        parts = [filtered_parts(s, t, settings.eps) for s, t in zip(states, times)]
         vs = [pu * 0.5 for pu, _ in parts]
         Vs = [0.5 * veps for _, veps in parts]
-        half = functionals_of(states[:5], vs[:5], Vs[:5], settings)  # t <= 0.5
-        full = functionals_of(states, vs, Vs, settings)
+        half = functionals_of(times[:5], states[:5], vs[:5], Vs[:5], settings)  # t <= 0.5
+        full = functionals_of(times, states, vs, Vs, settings)
         for key in full.values:
             assert half.values[key] <= full.values[key] * (1 + 1e-12), key
 
@@ -285,6 +288,12 @@ class TestConfig:
             ({"gamma": -1.4}, "gamma must be positive"),
             ({"eta0": 0.0}, "eta0 must be positive"),
             ({"eta0": -0.1}, "eta0 must be positive"),
+            # inviscid: the default eta0 = nu/2 would be 0
+            ({"mu": 0.0, "lam": 0.0, "eta0": None}, "experiment.eta0 must be given"),
+            (
+                {"json": {"solver": {"mu": 0.0, "lambda": 0.0}, "experiment": {"eta0": None}}},
+                "experiment.eta0 must be given",
+            ),
             # a "json" entry edits the sections of a config file instead;
             # None deletes the key
             ({"json": {"experiment": {"eta0": "0.1"}}}, "experiment.eta0 must be a number"),
@@ -465,7 +474,7 @@ class TestSharedStage:
         stage = shared_stage(cfg)
         # v's part of the coupled run is the incompressible run, sample by sample
         run_v = run_trajectory(
-            helmholtz_project(stage.u0, "P"), cfg.solver_config(0.2), "incompressible"
+            helmholtz_project(stage.initial[1], "P"), cfg.solver_config(0.2), "incompressible"
         )
         assert np.array_equal(stage.traj.times, run_v.times)
         assert len(stage.traj) == len(run_v) == 6
@@ -687,6 +696,35 @@ class TestCLI:
         assert "aborted: dt = 5.000e-03 exceeds advective CFL bound" in err
         assert not os.path.exists(out)
 
+    def test_inviscid_config_without_eta0_rejected(self, tmp_path, capsys):
+        payload = edited_config_json({"solver": {"mu": 0.0, "lambda": 0.0}})
+        payload["experiment"]["eta0"] = None
+        path = os.path.join(str(tmp_path), "config.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        out = os.path.join(str(tmp_path), "sweep")
+        assert main(["converge", "--config", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "invalid input: config field experiment.eta0 must be given" in err
+        assert not os.path.exists(out)
+        # an explicit eta0 makes the same inviscid config valid
+        payload["experiment"]["eta0"] = 0.4
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert ExperimentConfig.from_json(payload).eta0_value == 0.4
+
+    @pytest.mark.parametrize(
+        "spec", ["H:s=1:band=h:eta=4", "B:s=1:mean=yes", "B:s=1:eta=4"]
+    )
+    def test_norms_rejects_ignored_spec_fields(self, tmp_path, capsys, spec):
+        path = os.path.join(str(tmp_path), "field.lmc")
+        a0, _ = generate_initial_data(LatticeSpec.square(2, 16), 1.0, 1.0, seed=3)
+        save_checkpoint(path, a0.lattice, 0.0, {"a": a0})
+        assert main(["norms", "--field", path, "--spec", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid input: ")
+        assert captured.out == ""
+
     def test_negative_mach_number_rejected_before_any_run(self, tmp_path, capsys):
         path = self.write_config(tmp_path, eps=[0.2, 0.1, -0.1])
         out = os.path.join(str(tmp_path), "sweep")
@@ -822,9 +860,9 @@ def oracle_functionals(traj_eps, traj_limit, fs):
     """The eleven functionals, norm by norm from the sampled fields and the
     (v, V) samples of the limit run."""
     times = np.asarray(traj_eps.times)
-    a = [s.a for s in traj_eps.states]
-    pu, veps = zip(*(filtered_parts(s, fs.eps) for s in traj_eps.states))
-    qu = [s.u - p for s, p in zip(traj_eps.states, pu)]
+    a = [a for a, _ in traj_eps.states]
+    pu, veps = zip(*(filtered_parts(s, t, fs.eps) for s, t in zip(traj_eps.states, times)))
+    qu = [u - p for (_, u), p in zip(traj_eps.states, pu)]
     pairs = list(zip(a, qu))
     vs, Vs = zip(*traj_limit.states)
     vdiff = [ve - V for ve, V in zip(veps, Vs)]
@@ -985,14 +1023,15 @@ def reference_block_energies(obj, h_orders=()):
     return BlockEnergies(obj.lattice, h_orders, np.array([np.sum(w * power) for w in weights]))
 
 
-def reference_sample_energies(state, t, eps, v, V, theta):
-    pu = helmholtz_project(state.u, "P")
-    qu = state.u - pu
-    veps = wave_group(acoustic_transform(state.a, qu, check=False), -t / eps)
-    h_orders = (state.a.lattice.d / 2 - theta,)
+def reference_sample_energies(state, partner, t, eps, theta):
+    (a, u), (v, V) = state, partner
+    pu = helmholtz_project(u, "P")
+    qu = u - pu
+    veps = wave_group(acoustic_transform(a, qu, check=False), -t / eps)
+    h_orders = (a.lattice.d / 2 - theta,)
     rows = {
         key: reference_block_energies(f, h_orders)
-        for key, f in (("a", state.a), ("Qu", qu), ("Pu", pu))
+        for key, f in (("a", a), ("Qu", qu), ("Pu", pu))
     }
     rows["aQu"] = rows["a"] + rows["Qu"]
     rows["Vdiff"] = reference_block_energies(veps - V, h_orders)
@@ -1028,9 +1067,8 @@ class TestHalfBoxSamplePath:
         a2, u2 = generate_initial_data(lattice, 1.0, 1.0, seed=32)
         v = helmholtz_project(u2, "P")
         V = wave_group(acoustic_transform(a2, u2 - v), 0.4)
-        state = CompressibleState(a, u, t)
-        got = sample_energies(state, t, eps, v, V, 0.25)
-        ref = reference_sample_energies(state, t, eps, v, V, 0.25)
+        got = sample_energies((a, u), (v, V), t, eps, 0.25)
+        ref = reference_sample_energies((a, u), (v, V), t, eps, 0.25)
         assert got.keys() == ref.keys()
         for key in ref:
             assert_rows_close(got[key], ref[key])
@@ -1100,8 +1138,8 @@ class TestStreamingMemory:
         bare = run_trajectory((a0, u0), cfg, "compressible", record=keep)
         assert len(bare) == len(full) == self.N_STEPS + 1
         assert bare.states == [None] * len(full)
-        np.testing.assert_array_equal(bare.final.a.coeffs, full.states[-1].a.coeffs)
-        np.testing.assert_array_equal(bare.final.u.coeffs, full.states[-1].u.coeffs)
+        for got, sampled in zip(bare.final, full.states[-1]):
+            np.testing.assert_array_equal(got.coeffs, sampled.coeffs)
 
     def test_sweep_keeps_rows_not_fields(self):
         """The per-Mach-number stage of convergence_study on 16²: its peak above

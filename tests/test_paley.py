@@ -194,6 +194,45 @@ class TestNorms:
         with pytest.raises(ValueError):
             parse_norm_spec("X:s=0")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("H:s=1:band=h:eta=4", "'band' is Besov-only"),
+            ("H:s=1:p=2", "'p' is Besov-only"),
+            ("H:s=1:r=1", "'r' is Besov-only"),
+            ("H:s=1:eta=4", "'eta' is Besov-only"),
+            ("H:s=1:zeta=2", "'zeta' is Besov-only"),
+            ("B:s=1:mean=yes", "mean must be incl or excl, got 'yes'"),
+            ("H:s=1:mean=no", "mean must be incl or excl, got 'no'"),
+            ("B:s=1:eta=4", "band 'full' reads no eta"),
+            ("B:s=1:zeta=2", "band 'full' reads no zeta"),
+            ("B:s=1:band=h:eta=4:zeta=2", "band 'h' reads no zeta"),
+            ("B:s=1:band=l:zeta=2:eta=4", "band 'l' reads no eta"),
+        ],
+    )
+    def test_spec_rejects_what_it_would_ignore(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_norm_spec(text)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(kind="H", band="h", eta=4.0), "kind 'H' has no band 'h'"),
+            (dict(kind="H", band="bogus"), "kind 'H' has no band 'bogus'"),
+            (dict(band="bogus"), "kind 'B' has no band 'bogus'"),
+            (dict(kind="H", eta=4.0), "band 'full' reads no eta"),
+            (dict(kind="H", zeta=4.0), "band 'full' reads no zeta"),
+            (dict(eta=4.0), "band 'full' reads no eta"),
+            (dict(band="h", eta=4.0, zeta=2.0), "band 'h' reads no zeta"),
+            (dict(band="l", zeta=2.0, eta=4.0), "band 'l' reads no eta"),
+            (dict(band="h"), "band 'h' needs eta"),
+            (dict(band="l"), "band 'l' needs zeta"),
+        ],
+    )
+    def test_norm_spec_rejects_unread_fields(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            NormSpec(**fields)
+
     def test_linf_norm_of_known_field(self):
         lat = LatticeSpec.square(2, 16)
         x = lat.grid_points()[0]
