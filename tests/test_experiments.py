@@ -288,12 +288,6 @@ class TestConfig:
             ({"gamma": -1.4}, "gamma must be positive"),
             ({"eta0": 0.0}, "eta0 must be positive"),
             ({"eta0": -0.1}, "eta0 must be positive"),
-            # inviscid: the default eta0 = nu/2 would be 0
-            ({"mu": 0.0, "lam": 0.0, "eta0": None}, "experiment.eta0 must be given"),
-            (
-                {"json": {"solver": {"mu": 0.0, "lambda": 0.0}, "experiment": {"eta0": None}}},
-                "experiment.eta0 must be given",
-            ),
             # a "json" entry edits the sections of a config file instead;
             # None deletes the key
             ({"json": {"experiment": {"eta0": "0.1"}}}, "experiment.eta0 must be a number"),
@@ -318,6 +312,12 @@ class TestConfig:
             (
                 {"json": {"lattice": {"d": 3}}},
                 "config field lattice is malformed: d is 3, not the number of periods, 2",
+            ),
+            # inviscid: the default eta0 = nu/2 would be 0
+            ({"mu": 0.0, "lam": 0.0, "eta0": None}, "experiment.eta0 must be given"),
+            (
+                {"json": {"solver": {"mu": 0.0, "lambda": 0.0}, "experiment": {"eta0": None}}},
+                "experiment.eta0 must be given",
             ),
         ],
     )
