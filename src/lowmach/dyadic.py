@@ -169,6 +169,8 @@ class NormSpec:
                 raise ValueError("p must be 2 or inf")
             if self.r not in (1, 2, _INF):
                 raise ValueError("r must be 1, 2, or inf")
+        elif (self.p, self.r) != (2, 1):
+            raise ValueError(f"kind 'H' reads no p or r: got p={self.p:g}, r={self.r:g}")
         if self.band not in (("full", "h", "m", "l") if self.kind == "B" else ("full",)):
             raise ValueError(f"kind {self.kind!r} has no band {self.band!r}")
         reads = {"full": (), "h": ("eta",), "m": ("eta", "zeta"), "l": ("zeta",)}[self.band]

@@ -328,10 +328,6 @@ class GridField:
                 f"grid shape {self.values.shape[1:]} does not match lattice {expected}"
             )
 
-    @property
-    def components(self) -> int:
-        return self.values.shape[0]
-
 
 class SpectralField:
     """Dealiased Fourier coefficient table of a scalar or vector field.
@@ -448,9 +444,6 @@ class SpectralField:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "SpectralField":
-        return self._like(-self.coeffs, self.reality)
-
     def component(self, c: int) -> "SpectralField":
         return self._like(self.coeffs[c : c + 1], self.reality)
 
@@ -463,9 +456,6 @@ class SpectralField:
             raise ValueError("fields live on different lattices")
         if other.components != self.components:
             raise ValueError("component count mismatch")
-
-    def copy(self) -> "SpectralField":
-        return self._like(self.coeffs.copy(), self.reality)
 
     def copy_with_reality(self, reality: bool) -> "SpectralField":
         return self._like(self.coeffs, reality)

@@ -9,7 +9,10 @@ square roots and are decided exactly:
 
 The resonant triples drive the averaged (limit) quadratic forms; the
 non-resonant ones carry the small divisors and build the two-time-scale
-correctors.  Tables are enumerated once per (lattice, cutoff).
+correctors.  Tables are enumerated once per (lattice, cutoff).  Each term of
+the low-band remainder oscillates as exp(i omega t/eps), and its corrector is
+the same term divided by i omega; both sum over one triad list, m in the box
+and |k|, |l| <= M, whatever cutoff the table was enumerated at.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import numpy as np
 from .lattice import LatticeSpec, SpectralField
 from .operators import (
     AcousticCoeffs,
-    _safe_k_modulus,
     _signed_modulus,
     acoustic_transform,
     advect,
@@ -56,9 +58,6 @@ __all__ = [
 class ResonanceResult:
     resonant: bool
     divisor: float  # |sum of signed roots|; 0.0 when resonant
-
-    def __bool__(self):
-        return self.resonant
 
 
 def _sqrt_sum_is_zero(terms) -> bool:
@@ -582,135 +581,107 @@ class CorrectorSet:
         return self.r1 + self.r2 + self.r3 + self.s
 
 
-def _accumulate(lattice, m_idx, branch_sign, values):
-    """Scatter complex values into the two branches by branch sign."""
-    size = int(np.prod(lattice.resolution))
-    acc = np.zeros(2 * size, dtype=np.complex128)
-    np.add.at(acc, np.where(branch_sign == 1, m_idx, m_idx + size), values)
-    return AcousticCoeffs(lattice, *acc.reshape((2,) + lattice.resolution))
-
-
 def _branch_gather(V: AcousticCoeffs, idx: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return V.coeffs.reshape(2, -1)[np.where(alpha == 1, 0, 1), idx]
 
 
-def _band_weights(lattice: LatticeSpec, M: float) -> np.ndarray:
-    return (lattice.k_modulus() <= M + 1e-12).astype(np.float64)
+# Each term helper returns the term's values at time t, phase included, and
+# the rate omega at which each value oscillates as exp(i omega t/eps).  The
+# grid terms R1 and S return (2, *resolution) arrays in the branch layout of
+# their output; the triad terms R2 and R3 return one value per table entry.
 
 
-def _s_corrector(V: AcousticCoeffs, M: float, t: float, eps: float, nu: float, tilde: bool):
-    """Viscous corrector (tilde=True) or its driving remainder S^eps (low band)."""
+def _r1_term(fml: AcousticCoeffs, low: np.ndarray, t: float, eps: float):
+    """R1: (f - Lambda)^alpha on the low band, at rate -alpha*sg(k)|k|."""
+    rate = _signed_modulus(fml.lattice)
+    omega = np.stack([-rate, rate])
+    return fml.coeffs * np.exp(1j * (t / eps) * omega) * low, omega
+
+
+def _s_term(V: AcousticCoeffs, low: np.ndarray, t: float, eps: float, nu: float):
+    """S: nu/2 |k|^2 V^alpha on the low band, landing on branch -alpha at rate
+    2*alpha*sg(k)|k|."""
     lattice = V.lattice
-    rate = _signed_modulus(lattice)
-    low = _band_weights(lattice, M)
-    osc_plus = np.exp(2j * (t / eps) * rate)  # branch alpha = +1 oscillation
-    if tilde:
-        amp_p = -0.25j * nu * rate * V.plus * osc_plus * low
-        amp_m = -0.25j * nu * (-rate) * V.minus * np.conj(osc_plus) * low
-    else:
-        ksq = lattice.k_squared()
-        amp_p = 0.5 * nu * ksq * V.plus * osc_plus * low
-        amp_m = 0.5 * nu * ksq * V.minus * np.conj(osc_plus) * low
-    # source branch alpha lands on branch -alpha
-    return AcousticCoeffs(lattice, amp_m, amp_p)
+    rate = 2.0 * _signed_modulus(lattice)
+    omega = np.stack([-rate, rate])
+    phase = np.exp(1j * (t / eps) * omega)
+    return 0.5 * nu * lattice.k_squared() * V.coeffs[::-1] * phase * low, omega
 
 
-def _r1_corrector(f_minus_lam: AcousticCoeffs, M: float, t: float, eps: float, tilde: bool):
-    lattice = f_minus_lam.lattice
-    rate = _signed_modulus(lattice)
-    kmod = _safe_k_modulus(lattice)
-    low = _band_weights(lattice, M)
-    phase_p = np.exp(-1j * (t / eps) * rate)  # alpha = +1
-    if tilde:
-        sgk = lattice.sign_grid()
-        plus = 1j * sgk / kmod * f_minus_lam.plus * phase_p * low
-        minus = -1j * sgk / kmod * f_minus_lam.minus * np.conj(phase_p) * low
-    else:
-        plus = f_minus_lam.plus * phase_p * low
-        minus = f_minus_lam.minus * np.conj(phase_p) * low
-    return AcousticCoeffs(lattice, plus, minus)
-
-
-def _r2_sum(entries, V, v, t, eps, vol, tilde, dV=None, dv=None):
-    keep = entries["m"] >= 0
-    m_idx = entries["m"][keep]
-    k_idx = entries["k"][keep]
-    l_idx = entries["l"][keep]
-    alpha = entries["alpha"][keep]
-    gamma = entries["gamma"][keep]
-    div = entries["div"][keep]
-    bracket = entries["bracket"][keep]
+def _r2_term(q1: dict, V: AcousticCoeffs, v: SpectralField, t: float, eps: float):
+    """R2 on the q1 triads: V_k^alpha advected by v_l, at rate div."""
     lattice = V.lattice
-    d = lattice.d
-    kvecs = [g.reshape(-1) for g in lattice.wavevectors()]
-
-    def k_dot(vfield, li, ki):
-        vals = 0.0
-        for c in range(d):
-            vflat = vfield.coeffs[c].reshape(-1)
-            good = li >= 0
-            arr = np.zeros(li.shape, dtype=np.complex128)
-            arr[good] = vflat[li[good]]
-            vals = vals + kvecs[c][ki] * arr
-        return vals
-
-    vk = _branch_gather(V, k_idx, alpha)
-    kv = k_dot(v, l_idx, k_idx)
-    if tilde:
-        coeff = vk * kv / div
-        if dV is not None:
-            coeff = (_branch_gather(dV, k_idx, alpha) * kv + vk * k_dot(dv, l_idx, k_idx)) / div
-        phase = np.exp(1j * (t / eps) * div)
-        vals = -1.0 / (2.0 * math.sqrt(vol)) * coeff * bracket * phase
-    else:
-        phase = np.exp(1j * (t / eps) * div)
-        vals = -1j / (2.0 * math.sqrt(vol)) * vk * kv * bracket * phase
-    return _accumulate(V.lattice, m_idx, gamma, vals)
+    k, l = q1["k"], q1["l"]
+    k_dot_v = sum(
+        kc.reshape(-1)[k] * vc.reshape(-1)[l] for kc, vc in zip(lattice.wavevectors(), v.coeffs)
+    )
+    vk = _branch_gather(V, k, q1["alpha"])
+    values = -1j / (2.0 * math.sqrt(lattice.volume)) * vk * k_dot_v * q1["bracket"]
+    return values * np.exp(1j * (t / eps) * q1["div"]), q1["div"]
 
 
-def _r3_sum(entries, V, t, eps, kappa, c_d, tilde, dV=None):
-    keep = entries["m"] >= 0
-    m_idx = entries["m"][keep]
-    k_idx = entries["k"][keep]
-    l_idx = entries["l"][keep]
-    alpha = entries["alpha"][keep]
-    beta = entries["beta"][keep]
-    gamma = entries["gamma"][keep]
-    div = entries["div"][keep]
-    base = entries["base"][keep]
-    smod = entries["smod"][keep]
-    bracket = base + gamma * kappa / 2.0
-    vk = _branch_gather(V, k_idx, alpha)
-    vl = _branch_gather(V, l_idx, beta)
-    prod = vk * vl
-    if dV is not None:
-        prod = _branch_gather(dV, k_idx, alpha) * vl + vk * _branch_gather(dV, l_idx, beta)
-    phase = np.exp(1j * (t / eps) * div)
-    if tilde:
-        vals = c_d / 2.0 * prod / div * smod * bracket * phase
-    else:
-        vals = 1j * c_d / 2.0 * prod * smod * bracket * phase
-    return _accumulate(V.lattice, m_idx, gamma, vals)
+def _r3_term(q2: dict, A: AcousticCoeffs, B: AcousticCoeffs, t: float, eps: float, kappa: float):
+    """R3 on the q2 triads: the product A_k^alpha B_l^beta, at rate div."""
+    c_d = 1.0 / math.sqrt(2.0 * A.lattice.volume)
+    prod = _branch_gather(A, q2["k"], q2["alpha"]) * _branch_gather(B, q2["l"], q2["beta"])
+    bracket = q2["base"] + q2["gamma"] * kappa / 2.0
+    values = 1j * c_d / 2.0 * prod * q2["smod"] * bracket
+    return values * np.exp(1j * (t / eps) * q2["div"]), q2["div"]
 
 
-def _lambda_coeffs(v: SpectralField) -> AcousticCoeffs:
-    """Acoustic coefficients of (0, Q(v.grad v))."""
-    nonlin = helmholtz_project(advect(v, v), "Q")
-    zero = SpectralField.zeros(v.lattice)
-    return acoustic_transform(zero, nonlin, check=False)
+def _term_set(lattice: LatticeSpec, q1: dict, q2: dict, terms, corrector: bool) -> CorrectorSet:
+    """The terms (R1, R2, R3, S), each given as (values, omega), as fields.  A
+    corrector's values are the term's divided by i*omega, 0 where omega = 0.
+    Triad values are summed into their output mode m on branch gamma."""
+    size = int(np.prod(lattice.resolution))
+    fields = []
+    for (values, omega), triads in zip(terms, (None, q1, q2, None)):
+        if corrector:
+            quotient = np.zeros_like(values)
+            np.divide(values, omega, out=quotient, where=omega != 0)
+            values = -1j * quotient
+        if triads is not None:
+            acc = np.zeros(2 * size, dtype=np.complex128)
+            np.add.at(acc, np.where(triads["gamma"] == 1, triads["m"], triads["m"] + size), values)
+            values = acc.reshape((2,) + lattice.resolution)
+        fields.append(AcousticCoeffs(lattice, *values))
+    return CorrectorSet(*fields)
 
 
-def _corrector_inputs(V, v, f_ac, M, table, lam_ac):
-    """Table (enumerated when missing), volume, c_d and f - Lambda of a corrector call."""
+def _triads(entries: dict, kmod: np.ndarray, M: float) -> dict:
+    """The table entries with m in the box and |k|, |l| <= M.  A q1 entry
+    whose l lies outside the box (index -1) reads v_l = 0 and is dropped."""
+    k, l = entries["k"], entries["l"]
+    keep = (entries["m"] >= 0) & (l >= 0) & (kmod[k] <= M + 1e-12) & (kmod[l] <= M + 1e-12)
+    return {key: arr[keep] for key, arr in entries.items()}
+
+
+def _lambda_coeffs(w: SpectralField, v: SpectralField) -> AcousticCoeffs:
+    """Acoustic coefficients of (0, Q(w.grad v))."""
+    nonlin = helmholtz_project(advect(w, v), "Q")
+    return acoustic_transform(SpectralField.zeros(v.lattice), nonlin, check=False)
+
+
+def _remainder_terms(V, v, f_ac, M, t, eps, kappa, nu, table, lam_ac):
+    """The low-band weights and the q1 and q2 triads with m in the box and
+    |k|, |l| <= M (the table is enumerated when missing), and the terms
+    (R1, R2, R3, S) of the remainder at time t."""
     lattice = V.lattice
     if table is None or table.nonres_q1 is None:
         table = enumerate_resonance_sets(lattice, M)
-    vol = lattice.volume
+    kmod = lattice.k_modulus()
+    low = (kmod <= M + 1e-12).astype(np.float64)
+    q1, q2 = (_triads(e, kmod.reshape(-1), M) for e in (table.nonres_q1, table.nonres_q2))
     if lam_ac is None:
-        lam_ac = _lambda_coeffs(v)
-    if f_ac is None:
-        f_ac = AcousticCoeffs.zeros(lattice)
-    return table, vol, 1.0 / math.sqrt(2.0 * vol), f_ac - lam_ac
+        lam_ac = _lambda_coeffs(v, v)
+    fml = (f_ac if f_ac is not None else AcousticCoeffs.zeros(lattice)) - lam_ac
+    terms = (
+        _r1_term(fml, low, t, eps),
+        _r2_term(q1, V, v, t, eps),
+        _r3_term(q2, V, V, t, eps, kappa),
+        _s_term(V, low, t, eps, nu),
+    )
+    return (low, q1, q2), terms
 
 
 def assemble_correctors(
@@ -729,36 +700,34 @@ def assemble_correctors(
 ):
     """Two-time-scale correctors (R1~, R2~, R3~, S~) truncated at cutoff M.
 
-    ``f_ac`` holds the acoustic decomposition of (0, Qf); the advected-flow
-    coefficients are derived from ``v`` unless ``lam_ac`` overrides them.
-    When ``time_derivatives = (dV, dv, df_ac, dlam_ac)`` is given, the set of
-    time-derivative correctors is returned as well, so that
+    Each corrector is the matching term of :func:`remainder_fields`, over the
+    same triads, divided by i*omega, where omega is the term's rate of
+    oscillation.  ``f_ac`` holds the acoustic decomposition of (0, Qf); the
+    advected-flow coefficients are derived from ``v`` unless ``lam_ac``
+    overrides them.  When ``time_derivatives = (dV, dv, df_ac, dlam_ac)`` is
+    given, the correctors of the amplitudes' time derivatives (by the product
+    rule on the bilinear terms) are returned as well, so that
 
         eps * d/dt corrector_total = low-band remainder + eps * derivative_total.
     """
     lattice = V.lattice
-    table, vol, c_d, fml = _corrector_inputs(V, v, f_ac, M, table, lam_ac)
-    base = CorrectorSet(
-        r1=_r1_corrector(fml, M, t, eps, tilde=True),
-        r2=_r2_sum(table.nonres_q1, V, v, t, eps, vol, tilde=True),
-        r3=_r3_sum(table.nonres_q2, V, t, eps, kappa, c_d, tilde=True),
-        s=_s_corrector(V, M, t, eps, nu, tilde=True),
-    )
+    (low, q1, q2), terms = _remainder_terms(V, v, f_ac, M, t, eps, kappa, nu, table, lam_ac)
+    base = _term_set(lattice, q1, q2, terms, corrector=True)
     if time_derivatives is None:
         return base, None
     dV, dv, df_ac, dlam_ac = time_derivatives
     if dlam_ac is None:
-        # product rule on the derived advected-flow coefficients
-        nonlin = helmholtz_project(advect(dv, v) + advect(v, dv), "Q")
-        dlam_ac = acoustic_transform(SpectralField.zeros(lattice), nonlin, check=False)
+        dlam_ac = _lambda_coeffs(dv, v) + _lambda_coeffs(v, dv)
     dfml = (df_ac if df_ac is not None else AcousticCoeffs.zeros(lattice)) - dlam_ac
-    deriv = CorrectorSet(
-        r1=_r1_corrector(dfml, M, t, eps, tilde=True),
-        r2=_r2_sum(table.nonres_q1, V, v, t, eps, vol, tilde=True, dV=dV, dv=dv),
-        r3=_r3_sum(table.nonres_q2, V, t, eps, kappa, c_d, tilde=True, dV=dV),
-        s=_s_corrector(dV, M, t, eps, nu, tilde=True),
+    (r2a, rate2), (r2b, _) = _r2_term(q1, dV, v, t, eps), _r2_term(q1, V, dv, t, eps)
+    (r3a, rate3), (r3b, _) = _r3_term(q2, dV, V, t, eps, kappa), _r3_term(q2, V, dV, t, eps, kappa)
+    deriv_terms = (
+        _r1_term(dfml, low, t, eps),
+        (r2a + r2b, rate2),
+        (r3a + r3b, rate3),
+        _s_term(dV, low, t, eps, nu),
     )
-    return base, deriv
+    return base, _term_set(lattice, q1, q2, deriv_terms, corrector=True)
 
 
 def remainder_fields(
@@ -775,23 +744,8 @@ def remainder_fields(
     lam_ac: AcousticCoeffs | None = None,
 ) -> AcousticCoeffs:
     """Low-band oscillatory remainder R_M = (R1 + R2 + R3 + S)_M at time t."""
-    table, vol, c_d, fml = _corrector_inputs(V, v, f_ac, M, table, lam_ac)
-    # restrict the bilinear sums to |k|, |l| <= M exactly as the corrector does
-    kmod_flat = V.lattice.k_modulus().reshape(-1)
-
-    def band_filter(entries):
-        keep = (kmod_flat[entries["k"]] <= M + 1e-12)
-        lk = entries["l"] >= 0
-        lmod = np.full(entries["l"].shape, 0.0)
-        lmod[lk] = kmod_flat[entries["l"][lk]]
-        keep &= lmod <= M + 1e-12
-        return {key: arr[keep] for key, arr in entries.items()}
-
-    r1 = _r1_corrector(fml, M, t, eps, tilde=False)
-    r2 = _r2_sum(band_filter(table.nonres_q1), V, v, t, eps, vol, tilde=False)
-    r3 = _r3_sum(band_filter(table.nonres_q2), V, t, eps, kappa, c_d, tilde=False)
-    s = _s_corrector(V, M, t, eps, nu, tilde=False)
-    return r1 + r2 + r3 + s
+    (_, q1, q2), terms = _remainder_terms(V, v, f_ac, M, t, eps, kappa, nu, table, lam_ac)
+    return _term_set(V.lattice, q1, q2, terms, corrector=False).total()
 
 
 def low_freq_split(form, M: float, *args, **kwargs):

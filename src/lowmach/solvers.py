@@ -386,6 +386,17 @@ class _Stepper:
         self.x = _lawson_rk2(self.x, t, self.cfg.dt, self.linear, self.rhs)
 
 
+def _check_fields(lattice: LatticeSpec, **fields) -> None:
+    """Reject a field that a stepper on ``lattice`` would misread; each
+    keyword maps the field's name to (field, expected component count), a
+    count of None checking the lattice alone."""
+    for name, (value, components) in fields.items():
+        if value.lattice != lattice:
+            raise ValueError(f"{name} lives on {value.lattice}, not on the config's {lattice}")
+        if components is not None and value.components != components:
+            raise ValueError(f"{name} has {value.components} components, expected {components}")
+
+
 def _one_step(stepper: _Stepper, t: float):
     """The state after one step of ``stepper`` started at time ``t``."""
     stepper.step(t)
@@ -407,6 +418,7 @@ class CompressibleStepper(_Stepper):
     """
 
     def __init__(self, cfg: SolverConfig, a: SpectralField, u: SpectralField):
+        _check_fields(cfg.lattice, a=(a, 1), u=(u, cfg.lattice.d))
         for name, value in (("a", a), ("u", u)):
             if not value.reality:
                 raise ValueError(
@@ -574,6 +586,7 @@ class IncompressibleStepper(_Stepper):
     """
 
     def __init__(self, cfg: SolverConfig, v: SpectralField):
+        _check_fields(cfg.lattice, v=(v, cfg.lattice.d))
         if not v.reality:
             raise ValueError("incompressible data must be real: v has reality=False")
         lattice = cfg.lattice
@@ -649,6 +662,7 @@ class LimitStepper(IncompressibleStepper):
         self, cfg: SolverConfig, v: SpectralField, V: AcousticCoeffs, table: ResonanceTable
     ):
         super().__init__(cfg, v)
+        _check_fields(cfg.lattice, V=(V, 2), table=(table, None))
         self.x = self.x + (V.coeffs,)
         ksq = cfg.lattice.k_squared()
         self.heat_V = np.exp(-0.5 * cfg.nu * ksq * cfg.dt).astype(np.complex128)

@@ -205,6 +205,7 @@ def test_criterion_2_littlewood_paley():
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason=(
         "Unattainable as stated: any dyadic bump supported in [3/4, 8/3] puts "
         "the single mode |k| = 3 in the block 2^j = 2 with full weight, so "
@@ -519,28 +520,27 @@ def _acceptance_study(tmp_path):
     if "report" in _STUDY_CACHE:
         return _STUDY_CACHE["report"], _STUDY_CACHE["elapsed"]
     started = time.perf_counter()
-    cfg = ExperimentConfig(
-        lattice=LatticeSpec.square(2, 64),
-        eps_list=(0.2, 0.1, 0.05, 0.025),
-        mu=0.05,
-        lam=0.05,
-        gamma=2.0,
-        dt=5e-3,
-        t_final=1.0,
-        sample_stride=2,
-        zeta=8.0,
-        eta0=0.075,
-        theta=0.25,
-        amplitude_a=2.0,
-        amplitude_u=2.0,
-        smoothness=3.0,
-        seed=2,
-    )
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        report = convergence_study(cfg)
+    # the pinned thresholds leave the medium band empty at all four Mach numbers
+    with pytest.warns(RuntimeWarning, match="medium band is empty") as caught:
+        cfg = ExperimentConfig(
+            lattice=LatticeSpec.square(2, 64),
+            eps_list=(0.2, 0.1, 0.05, 0.025),
+            mu=0.05,
+            lam=0.05,
+            gamma=2.0,
+            dt=5e-3,
+            t_final=1.0,
+            sample_stride=2,
+            zeta=8.0,
+            eta0=0.075,
+            theta=0.25,
+            amplitude_a=2.0,
+            amplitude_u=2.0,
+            smoothness=3.0,
+            seed=2,
+        )
+    assert len(caught) == 4
+    report = convergence_study(cfg)
     emit_report(report, str(tmp_path))
     elapsed = time.perf_counter() - started
     _STUDY_CACHE["report"] = report
@@ -568,6 +568,7 @@ def test_criterion_9_low_mach_experiment(tmp_path):
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason=(
         "Unattainable at the pinned parameters: with unit periods the minimum "
         "nonzero frequency is 1, while the high-band thresholds eta0/eps = "

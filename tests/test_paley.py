@@ -227,6 +227,9 @@ class TestNorms:
             (dict(band="l", zeta=2.0, eta=4.0), "band 'l' reads no eta"),
             (dict(band="h"), "band 'h' needs eta"),
             (dict(band="l"), "band 'l' needs zeta"),
+            (dict(kind="H", s=1.0, p=math.inf, r=math.inf), "kind 'H' reads no p or r"),
+            (dict(kind="H", p=math.inf), "kind 'H' reads no p or r: got p=inf, r=1"),
+            (dict(kind="H", r=2), "kind 'H' reads no p or r: got p=2, r=2"),
         ],
     )
     def test_norm_spec_rejects_unread_fields(self, fields, message):
@@ -275,6 +278,7 @@ class TestTruncation:
 
     @pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,
         reason=(
             "High-pass truncation with constant exactly 1 is false for every "
             "admissible bump: a single mode |k|=3 lives in the block 2^j=2, so "

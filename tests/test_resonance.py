@@ -871,6 +871,62 @@ class TestCorrectors:
         residual = (eps * fd - rem - eps * deriv.total()).l2_norm()
         assert residual <= 1e-8
 
+    def identity_terms(self, table, V0, v0, f0, lam0, derived):
+        """Corrector total, remainder and identity residual of the decaying
+        path (V0, v0, f0, lam0)*exp(-t) at t0 = 0.37 (M = 2, eps = 1).  With
+        ``derived`` the advected-flow coefficients come from v and their
+        time derivative from the product rule; lam0 is then unused."""
+        M, eps, t0, h = 2.0, 1.0, 0.37, 1e-4
+        kw = dict(kappa=1.0, nu=0.15, table=table)
+
+        def args(t):
+            decay = math.exp(-t)
+            lam = {} if derived else {"lam_ac": decay * lam0}
+            return (decay * V0, decay * v0, decay * f0, M, t, eps), {**kw, **lam}
+
+        def corrector_total(t):
+            a, k = args(t)
+            return assemble_correctors(*a, **k)[0].total()
+
+        fd = (1.0 / (2 * h)) * (corrector_total(t0 + h) - corrector_total(t0 - h))
+        a, k = args(t0)
+        decay = math.exp(-t0)
+        dlam = None if derived else -decay * lam0
+        base, deriv = assemble_correctors(
+            *a, **k, time_derivatives=(-decay * V0, -decay * v0, -decay * f0, dlam)
+        )
+        rem = remainder_fields(*a, **k)
+        return base.total(), rem, (eps * fd - rem - eps * deriv.total()).l2_norm()
+
+    def test_identity_with_derived_lambda(self):
+        # Lambda derived from v, and its time derivative by the product rule
+        lat = LatticeSpec.square(2, 16)
+        rng = np.random.default_rng(29)
+        table = enumerate_resonance_sets(lat, 2.0)
+        V0, v0, f0, _ = self.manufactured(lat, rng, 2.0)
+        _, rem, residual = self.identity_terms(table, V0, v0, f0, None, derived=True)
+        assert rem.l2_norm() > 1e-3
+        assert residual <= 1e-8
+
+    def test_larger_cutoff_table_reads_the_same_triads(self):
+        # full-band data: a table enumerated beyond M must add no triad with
+        # |k| or |l| > M to either the corrector or the remainder
+        lat = LatticeSpec.square(2, 16)
+        rng = np.random.default_rng(5)
+        V0 = random_acoustic(lat, rng, scale=0.01)
+        v0 = random_divfree(lat, rng, scale=0.01)
+        f0 = random_acoustic(lat, rng, scale=0.01)
+        lam0 = random_acoustic(lat, rng, scale=0.01)
+        total2, rem2, _ = self.identity_terms(
+            enumerate_resonance_sets(lat, 2.0), V0, v0, f0, lam0, derived=False
+        )
+        total3, rem3, residual3 = self.identity_terms(
+            enumerate_resonance_sets(lat, 3.0), V0, v0, f0, lam0, derived=False
+        )
+        assert (total3 - total2).l2_norm() <= 1e-12 * total2.l2_norm()
+        assert (rem3 - rem2).l2_norm() <= 1e-12 * rem2.l2_norm()
+        assert residual3 <= 1e-8
+
 
 class TestLowFreqSplit:
     def test_exact_reconstruction(self, lat8):

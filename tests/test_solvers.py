@@ -702,6 +702,43 @@ class TestIncompressibleStepOracle:
         assert max(peaks[1:]) < 6 * half_spectrum
 
 
+class TestStepperFieldChecks:
+    """Each stepper rejects, by name, a field on another lattice or with the
+    wrong number of components, and a limit table of another lattice."""
+
+    def test_misread_fields_rejected(self):
+        lat16 = LatticeSpec.square(2, 16)
+        cfg = SolverConfig(lattice=lat16, mu=0.05, lam=0.05, eps=0.5, dt=1e-3, t_final=1e-3)
+        a, u = generate_initial_data(lat16, 1.0, 1.0, seed=5)
+        v, V = helmholtz_project(u, "P"), AcousticCoeffs.zeros(lat16)
+        table = build_limit_tables(lat16)
+        cases = [
+            ("compressible", (u, a), None, "a has 2 components, expected 1"),
+            ("compressible", (a, a), None, "u has 1 components, expected 2"),
+            ("incompressible", a, None, "v has 1 components, expected 2"),
+            ("limit", (v, a), table, "V has 1 components, expected 2"),
+        ]
+        for other in (LatticeSpec.square(2, 16, period=2), LatticeSpec.square(2, 32)):
+            a2, u2 = generate_initial_data(other, 1.0, 1.0, seed=5)
+            v2, V2 = helmholtz_project(u2, "P"), AcousticCoeffs.zeros(other)
+            cases += [
+                ("compressible", (a2, u), None, "a lives on LatticeSpec"),
+                ("compressible", (a, u2), None, "u lives on LatticeSpec"),
+                ("incompressible", v2, None, "v lives on LatticeSpec"),
+                ("limit", (v2, V), table, "v lives on LatticeSpec"),
+                ("limit", (v, V2), table, "V lives on LatticeSpec"),
+                ("limit", (v, V), build_limit_tables(other), "table lives on LatticeSpec"),
+            ]
+        for kind, initial, tab, message in cases:
+            with pytest.raises(ValueError, match=message):
+                run_trajectory(initial, cfg, kind, table=tab)
+        # the one-step functions build the same steppers
+        with pytest.raises(ValueError, match="a has 2 components"):
+            step_compressible(u, a, 0.0, cfg)
+        with pytest.raises(ValueError, match="table lives on LatticeSpec"):
+            step_limit(v, V, 0.0, cfg, build_limit_tables(LatticeSpec.square(2, 16, period=2)))
+
+
 class TestTransformBudget:
     """Component counts of the transforms in one compressible right-hand side."""
 
