@@ -1,13 +1,12 @@
 """Pseudospectral simulation and diagnostics for slightly compressible flow
 on the rational-period torus: spectral fields, dyadic norm machinery, the
-acoustic eigenbasis and filtered forms, exact resonance tables, exponential
+acoustic eigenbasis, exact resonance tables and limit forms, exponential
 time steppers, and the Mach-number sweep diagnostics."""
 
 from .lattice import (
     GridField,
     LatticeSpec,
     SpectralField,
-    convolution_product,
     dealiased_product,
     forward_transform,
     inverse_transform,
@@ -17,12 +16,10 @@ from .lattice import (
 from .dyadic import (
     BumpProfile,
     NormSpec,
-    bony_paraproduct,
     chemin_lerner_norm,
     compute_jb,
     dyadic_block,
     low_cut,
-    mode_truncate,
     norm,
     parse_norm_spec,
     time_norm,
@@ -31,15 +28,9 @@ from .operators import (
     AcousticCoeffs,
     PressureLaw,
     VacuumError,
-    a2_eps,
     acoustic_inverse,
     acoustic_transform,
     helmholtz_project,
-    q1_eps,
-    q1_eps_modesum,
-    q2_eps,
-    q2_eps_modesum,
-    sg,
     wave_group,
 )
 from .resonance import (
@@ -49,7 +40,6 @@ from .resonance import (
     enumerate_resonance_sets,
     limit_q1,
     limit_q2,
-    low_freq_split,
     resonance_test,
     small_divisors,
 )
@@ -69,7 +59,7 @@ from .solvers import (
     step_incompressible,
     step_limit,
 )
-from .functionals import DiagnosticsRow, FunctionalSettings, bridge_constant, compute_functionals
+from .functionals import DiagnosticsRow, FunctionalSettings, compute_functionals
 from .experiments import (
     ConvergenceReport,
     ExperimentConfig,

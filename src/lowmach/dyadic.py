@@ -1,4 +1,4 @@
-"""Dyadic frequency decomposition, Besov/Sobolev norms, and paraproducts.
+"""Dyadic frequency decomposition and Besov/Sobolev norms.
 
 The decomposition uses a fixed smooth radial bump ``phi`` supported exactly in
 ``{3/4 <= r <= 8/3}`` with ``sum_j phi(2^-j r) = 1`` for ``r != 0``.  The
@@ -18,18 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
-from .lattice import (
-    LatticeSpec,
-    SpectralField,
-    _cached,
-    dealiased_product,
-    inverse_transform,
-    zero_mean_split,
-)
+from .lattice import LatticeSpec, SpectralField, _cached, inverse_transform
 
 __all__ = [
     "BumpProfile",
@@ -45,8 +37,6 @@ __all__ = [
     "norm",
     "time_norm",
     "chemin_lerner_norm",
-    "bony_paraproduct",
-    "mode_truncate",
 ]
 
 _INF = float("inf")
@@ -81,13 +71,6 @@ class BumpProfile:
     def __call__(self, r) -> np.ndarray:
         r = np.abs(np.asarray(r, dtype=np.float64))
         return self.plateau(r / 2.0) - self.plateau(r)
-
-    def partition_sum(self, r, jmin: int, jmax: int) -> np.ndarray:
-        r = np.asarray(r, dtype=np.float64)
-        total = np.zeros_like(r)
-        for j in range(jmin, jmax + 1):
-            total = total + self(np.ldexp(r, -j))
-        return total
 
 
 DEFAULT_PROFILE = BumpProfile()
@@ -424,45 +407,3 @@ def chemin_lerner_norm(times, fields, q: float, spec) -> float:
         raise ValueError("trajectory norms need at least two samples")
     scale, terms = _block_terms(_series_energies(fields, ()), spec)
     return float(_ell_r(scale * _time_lq(times, terms, q), spec.r))
-
-
-# ---------------------------------------------------------------------------
-# Paraproducts and truncations
-# ---------------------------------------------------------------------------
-
-
-def bony_paraproduct(f: SpectralField, g: SpectralField, product: Callable = dealiased_product):
-    """Four-part product splitting: (T_f g, T_g f, R(f, g), mean*mean).
-
-    The parts sum to the dealiased product of f and g on retained modes.  A
-    different ``product`` callable (e.g. the exact convolution oracle) can be
-    supplied for exact-arithmetic frequency-support checks.
-    """
-    lattice = f.lattice
-    js = list(block_range(lattice))
-    blocks_f = {j: dyadic_block(f, j) for j in js}
-    blocks_g = {j: dyadic_block(g, j) for j in js}
-
-    t_fg = SpectralField.zeros(lattice, f.components, reality=f.reality and g.reality)
-    t_gf = SpectralField.zeros(lattice, f.components, reality=f.reality and g.reality)
-    rem = SpectralField.zeros(lattice, f.components, reality=f.reality and g.reality)
-    for j in js:
-        t_fg = t_fg + product(low_cut(f, j - 2), blocks_g[j])
-        t_gf = t_gf + product(low_cut(g, j - 2), blocks_f[j])
-        for jp in js:
-            if abs(j - jp) <= 2:
-                rem = rem + product(blocks_f[j], blocks_g[jp])
-    mean_f, _ = zero_mean_split(f)
-    mean_g, _ = zero_mean_split(g)
-    mean_mean = product(mean_f, mean_g)
-    return t_fg, t_gf, rem, mean_mean
-
-
-def mode_truncate(obj, cutoff: float, keep: str = "low"):
-    """Sharp modulus truncation: keep |k| <= cutoff ("low") or > ("high").
-
-    The mean mode counts as |k| = 0 and is retained by the low part.
-    """
-    low = obj.lattice.k_modulus() <= cutoff + 1e-12
-    weights = low.astype(np.float64) if keep == "low" else (~low).astype(np.float64)
-    return obj.scale_modes(weights)

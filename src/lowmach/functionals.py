@@ -18,7 +18,6 @@ from .dyadic import (
     NormSpec,
     _energy_matrix,
     _mode_power,
-    block_range,
     chemin_lerner_norm,
     time_norm,
 )
@@ -30,16 +29,9 @@ __all__ = [
     "FunctionalSettings",
     "compute_functionals",
     "sample_energies",
-    "bridge_constant",
-    "HS_EQUIV_BOUND",
 ]
 
 _INF = float("inf")
-
-# Besov(2,2)/Sobolev equivalence bound measured from the shipped bump profile
-# for regularity indices in [-1, 1] (worst observed ratio 2.1406).
-HS_EQUIV_BOUND = 2.15
-
 
 @dataclass(frozen=True)
 class FunctionalSettings:
@@ -184,14 +176,3 @@ def compute_functionals(times, rows: list, settings: FunctionalSettings) -> Diag
             raise ValueError(f"functional {key} is not finite and nonnegative: {val}")
     return DiagnosticsRow(eps=eps, t_final=float(times[-1]), values=values)
 
-
-def bridge_constant(lattice: LatticeSpec, theta: float) -> float:
-    """Constant in the low-band/low-regularity bridge, from lattice frequencies.
-
-    Combines the Cauchy-Schwarz block constant (1 + sum over active blocks of
-    2^(-2*j*theta))^(1/2) with the Besov(2,2)/Sobolev equivalence bound of the
-    shipped bump profile.
-    """
-    js = list(block_range(lattice))
-    block_sum = sum(2.0 ** (-2 * j * theta) for j in js)
-    return math.sqrt(1.0 + block_sum) * HS_EQUIV_BOUND

@@ -45,7 +45,6 @@ __all__ = [
     "inverse_transform",
     "spectral_derivative",
     "dealiased_product",
-    "convolution_product",
     "zero_mean_split",
 ]
 
@@ -239,14 +238,6 @@ class LatticeSpec:
             sg = np.where(undecided & (grid < 0), -1, sg)
             undecided &= grid == 0
         return sg
-
-    @_cached
-    def grid_points(self) -> tuple[np.ndarray, ...]:
-        axes = [
-            np.arange(n) * (2.0 * math.pi * float(b) / n)
-            for n, b in zip(self.resolution, self.periods)
-        ]
-        return np.meshgrid(*axes, indexing="ij")
 
     def max_modulus(self) -> float:
         return math.sqrt(
@@ -637,36 +628,6 @@ def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
     return forward_transform(GridField(lattice, prod)).copy_with_reality(
         f.reality and g.reality
     )
-
-
-def convolution_product(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Direct truncated Fourier convolution.
-
-    Exact-arithmetic reference for :func:`dealiased_product`; coefficients of
-    the result at modes unreachable by retained-mode sums are exactly zero.
-    Cost is quadratic in the number of retained modes, so this is only for
-    small lattices and frequency-support tests.
-    """
-    if f.lattice != g.lattice:
-        raise ValueError("fields live on different lattices")
-    if f.components != 1 or g.components != 1:
-        raise ValueError("convolution oracle handles scalar fields")
-    lattice = f.lattice
-    mask = lattice.dealias_mask()
-    res = lattice.resolution
-    norm = 1.0 / math.sqrt(lattice.volume)
-    out = np.zeros(res, dtype=np.complex128)
-    f_idx = np.argwhere(mask)
-    for idx in f_idx:
-        fval = f.coeffs[(0,) + tuple(idx)]
-        if fval == 0:
-            continue
-        shifted = np.roll(
-            g.coeffs[0], shift=tuple(int(i) for i in idx), axis=tuple(range(lattice.d))
-        )
-        out += fval * shifted
-    out *= norm
-    return SpectralField(lattice, out[None], reality=f.reality and g.reality)
 
 
 def zero_mean_split(field: SpectralField) -> tuple[SpectralField, SpectralField]:

@@ -1,4 +1,4 @@
-"""Helmholtz projection, acoustic eigenbasis, wave group, and filtered forms.
+"""Helmholtz projection, acoustic eigenbasis, wave group, pressure law and advection.
 
 The wave operator ``L(a, u) = (div u, grad a)`` is diagonalized over nonzero
 modes by the orthonormal basis
@@ -7,18 +7,17 @@ modes by the orthonormal basis
     c_d = (2*vol)^(-1/2),  alpha in {+1, -1},
 
 with eigenvalue ``-i*alpha*sg(k)*|k|``; ``sg`` is +1 iff the first nonzero
-component of k is positive.  :class:`AcousticCoeffs` stores a state of the
-orthogonal complement of Ker L in this basis as a two-component spectral
-field, component 0 for alpha = +1 and component 1 for alpha = -1: the layout
-of ``limit.lmc`` checkpoints, which ``lowmach norms`` reads back as a plain
-two-component field.  The wave group ``exp(-tau*L)`` is then a per-mode phase
-rotation.
+component of k is positive (``LatticeSpec.sign_grid``).  :class:`AcousticCoeffs`
+stores a state of the orthogonal complement of Ker L in this basis as a
+two-component spectral field, component 0 for alpha = +1 and component 1 for
+alpha = -1: the layout of ``limit.lmc`` checkpoints, which ``lowmach norms``
+reads back as a plain two-component field.  The wave group ``exp(-tau*L)`` is
+then a per-mode phase rotation.
 
-The filtered quadratic forms are provided twice: a pseudospectral evaluation
-(grid products, FFT cost) and a direct mode-sum path (quadratic cost) kept as
-its oracle, plus closed-form time averages.  The tests use them to check the
-limit system; the solvers step it with the resonant forms
-``resonance.limit_q1`` and ``resonance.limit_q2``.
+The solvers step the limit system with the resonant forms
+``resonance.limit_q1`` and ``resonance.limit_q2``.  The filtered quadratic
+forms they are checked against (pseudospectral, direct mode sums and
+closed-form time averages) live with the tests, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -33,15 +32,12 @@ from .lattice import (
     LatticeSpec,
     SpectralField,
     _cached,
-    dealiased_product,
     forward_transform,
     inverse_transform,
-    spectral_derivative,
 )
 
 __all__ = [
     "VacuumError",
-    "sg",
     "helmholtz_project",
     "AcousticCoeffs",
     "acoustic_transform",
@@ -49,29 +45,11 @@ __all__ = [
     "wave_group",
     "PressureLaw",
     "advect",
-    "q1_eps",
-    "q2_eps",
-    "a2_eps",
-    "q1_eps_modesum",
-    "q2_eps_modesum",
-    "q1_eps_time_average",
-    "q2_eps_time_average",
-    "a2_eps_time_average",
 ]
 
 
 class VacuumError(RuntimeError):
     """Raised when eps*||a||_inf leaves the regime where 1 + eps*a stays away from zero."""
-
-
-def sg(k) -> int:
-    """Generalized sign: +1 iff the first nonzero component of k is positive."""
-    for comp in np.atleast_1d(np.asarray(k)).ravel():
-        if comp > 0:
-            return 1
-        if comp < 0:
-            return -1
-    raise ValueError("sg is undefined at k = 0")
 
 
 @_cached
@@ -283,18 +261,9 @@ class PressureLaw:
         a = np.asarray(a, dtype=np.float64)
         return np.divide(a, np.add(a, 1.0, out=out), out=out)
 
-    def expansion_defect(self, amax: float = 0.5, samples: int = 512) -> float:
-        """Max deviation of 1 + kappa*a + a*K(a) from P'(1+a)/(1+a) on [-amax, amax]."""
-        if self.gamma is None:
-            return 0.0
-        a = np.linspace(-amax, amax, samples)
-        exact = (1.0 + a) ** (self.gamma - 2.0)
-        model = 1.0 + self.kappa * a + a * self.remainder(a)
-        return float(np.max(np.abs(exact - model)))
-
 
 # ---------------------------------------------------------------------------
-# Filtered quadratic forms: pseudospectral path
+# Advection
 # ---------------------------------------------------------------------------
 
 
@@ -314,207 +283,3 @@ def advect(p: SpectralField, q: SpectralField) -> SpectralField:
     prod = sum(grid[c] * grid[d + c * nq : d + (c + 1) * nq] for c in range(d))
     return forward_transform(GridField(lattice, prod)).copy_with_reality(reality)
 
-
-def q1_eps(
-    u: SpectralField, B: AcousticCoeffs, t: float, eps: float
-) -> AcousticCoeffs:
-    """Filtered advection form: L(-t/e)(div(u L1 B); Q(u.grad L2 B + L2 B.grad u)).
-
-    ``u`` must be divergence-free (its mean mode may be nonzero).
-    """
-    scalar, vector = acoustic_inverse(wave_group(B, t / eps))
-    s_part = spectral_derivative(dealiased_product(u, scalar), "div")
-    v_part = helmholtz_project(advect(u, vector) + advect(vector, u), "Q")
-    out = acoustic_transform(s_part, v_part, check=False)
-    return wave_group(out, -t / eps)
-
-
-def q2_eps(
-    A: AcousticCoeffs, B: AcousticCoeffs, t: float, eps: float, kappa: float = 0.0
-) -> AcousticCoeffs:
-    """Filtered symmetric acoustic form, including the kappa pressure term."""
-    aA, wA = acoustic_inverse(wave_group(A, t / eps))
-    aB, wB = acoustic_inverse(wave_group(B, t / eps))
-    mixed = dealiased_product(aA, wB) + dealiased_product(aB, wA)
-    s_part = 0.5 * spectral_derivative(mixed, "div")
-    dot = SpectralField.zeros(A.lattice, 1, reality=True)
-    for c in range(A.lattice.d):
-        dot = dot + dealiased_product(wA.component(c), wB.component(c))
-    v_part = 0.5 * spectral_derivative(
-        dot + kappa * dealiased_product(aA, aB), "grad"
-    )
-    out = acoustic_transform(s_part, v_part, check=False)
-    return wave_group(out, -t / eps)
-
-
-def a2_eps(B: AcousticCoeffs, t: float, eps: float) -> AcousticCoeffs:
-    """Filtered viscous symbol: per mode
-    -(1/2) sum_alpha alpha*gamma*|k|^2 B_k^alpha e^{i(t/eps)(alpha-gamma)sg(k)|k|}."""
-    lattice = B.lattice
-    ksq = lattice.k_squared()
-    rate = _signed_modulus(lattice)
-    osc = _conjugate_pair(np.exp(-2j * (t / eps) * rate))
-    return B._like(-0.5 * ksq * (B.coeffs - B.coeffs[::-1] * osc), False)
-
-
-# ---------------------------------------------------------------------------
-# Mode-sum oracles and closed-form time averages
-# ---------------------------------------------------------------------------
-
-
-@_cached
-def _box_modes(lattice: LatticeSpec, include_zero: bool):
-    """(mode index tuple, raw FFT index tuple) of each dealiased mode, the
-    mean mode only with ``include_zero``."""
-    grids = lattice.index_grids()
-    out = []
-    for raw in np.argwhere(lattice.dealias_mask()):
-        raw = tuple(int(i) for i in raw)
-        n = tuple(int(g[raw]) for g in grids)
-        if include_zero or any(n):
-            out.append((n, raw))
-    return out
-
-
-def _mod_vec(n, b):
-    return math.sqrt(sum((c / float(bb)) ** 2 for c, bb in zip(n, b)))
-
-
-def _phase_factor(omega: float, t: float, eps: float) -> complex:
-    return complex(np.exp(1j * (t / eps) * omega))
-
-
-def _average_factor(omega: float, T: float, eps: float) -> complex:
-    """(1/T) * integral_0^T e^{i omega t / eps} dt, exactly."""
-    if omega == 0.0:
-        return 1.0 + 0.0j
-    x = omega * T / eps
-    return (np.exp(1j * x) - 1.0) / (1j * x)
-
-
-def _band_keeps(lattice, band, kmod, lmod) -> bool:
-    """Interaction-band predicate for the low/high frequency split."""
-    if band is None:
-        return True
-    side, M = band
-    low = kmod <= M + 1e-12 and lmod <= M + 1e-12
-    return low if side == "low" else not low
-
-
-def _q1_modesum_generic(u, B, t, eps, factor, band=None) -> AcousticCoeffs:
-    lattice = u.lattice
-    b = lattice.periods
-    vol = lattice.volume
-    out = AcousticCoeffs.zeros(lattice)
-    modes = _box_modes(lattice, False)
-    uhat = {}
-    for n, raw in _box_modes(lattice, True):
-        uhat[n] = np.array([u.coeffs[c][raw] for c in range(lattice.d)])
-    for m, raw_m in modes:
-        mmod = _mod_vec(m, b)
-        sgm = sg(m)
-        for gamma, target in ((1, out.plus), (-1, out.minus)):
-            total = 0.0 + 0.0j
-            for k, raw_k in modes:
-                l = tuple(mi - ki for mi, ki in zip(m, k))
-                ul = uhat.get(l)
-                if ul is None:
-                    continue
-                kmod = _mod_vec(k, b)
-                if not _band_keeps(lattice, band, kmod, _mod_vec(l, b)):
-                    continue
-                sgk = sg(k)
-                k_dot_u = sum(ki / float(bi) * uc for ki, bi, uc in zip(k, b, ul))
-                lm_dot_k = sum(
-                    (li + mi) / float(bi) * ki / float(bi)
-                    for li, mi, ki, bi in zip(l, m, k, b)
-                )
-                for alpha, coeff in ((1, B.plus[raw_k]), (-1, B.minus[raw_k])):
-                    if coeff == 0:
-                        continue
-                    bracket = 1.0 + alpha * gamma * sgk * sgm * lm_dot_k / (kmod * mmod)
-                    omega = alpha * sgk * kmod - gamma * sgm * mmod
-                    total += coeff * k_dot_u * bracket * factor(omega, t, eps)
-            target[raw_m] = 1j / (2.0 * math.sqrt(vol)) * total
-    return out
-
-
-def q1_eps_modesum(u, B, t: float, eps: float, band=None) -> AcousticCoeffs:
-    """Direct double-sum evaluation of the filtered advection form."""
-    return _q1_modesum_generic(u, B, t, eps, _phase_factor, band=band)
-
-
-def q1_eps_time_average(u, B, T: float, eps: float) -> AcousticCoeffs:
-    """(1/T) * integral over [0, T] of the filtered advection form, exactly."""
-    return _q1_modesum_generic(u, B, T, eps, _average_factor)
-
-
-def _q2_modesum_generic(A, B, t, eps, kappa, factor, band=None) -> AcousticCoeffs:
-    lattice = A.lattice
-    b = lattice.periods
-    c_d = 1.0 / math.sqrt(2.0 * lattice.volume)
-    out = AcousticCoeffs.zeros(lattice)
-    modes = _box_modes(lattice, False)
-    index = {n: raw for n, raw in modes}
-    for m, raw_m in modes:
-        mmod = _mod_vec(m, b)
-        sgm = sg(m)
-        for gamma, target in ((1, out.plus), (-1, out.minus)):
-            total = 0.0 + 0.0j
-            for k, raw_k in modes:
-                l = tuple(mi - ki for mi, ki in zip(m, k))
-                raw_l = index.get(l)
-                if raw_l is None or all(c == 0 for c in l):
-                    continue
-                kmod = _mod_vec(k, b)
-                lmod = _mod_vec(l, b)
-                if not _band_keeps(lattice, band, kmod, lmod):
-                    continue
-                sgk, sgl = sg(k), sg(l)
-                l_dot_m = sum(
-                    li / float(bi) * mi / float(bi) for li, mi, bi in zip(l, m, b)
-                )
-                k_dot_l = sum(
-                    ki / float(bi) * li / float(bi) for ki, li, bi in zip(k, l, b)
-                )
-                for alpha in (1, -1):
-                    a_k = A.branch(alpha)[raw_k]
-                    b_k = B.branch(alpha)[raw_k]
-                    for beta in (1, -1):
-                        b_l = B.branch(beta)[raw_l]
-                        a_l = A.branch(beta)[raw_l]
-                        sym = 0.5 * (a_k * b_l + b_k * a_l)
-                        if sym == 0:
-                            continue
-                        bracket = (
-                            beta * sgl * sgm * l_dot_m / (lmod * mmod)
-                            + gamma * kappa / 2.0
-                            + alpha * beta * gamma / 2.0 * sgk * sgl * k_dot_l / (kmod * lmod)
-                        )
-                        omega = alpha * sgk * kmod + beta * sgl * lmod - gamma * sgm * mmod
-                        total += sym * bracket * factor(omega, t, eps)
-            target[raw_m] = -1j * c_d / 2.0 * sgm * mmod * total
-    return out
-
-
-def q2_eps_modesum(
-    A, B, t: float, eps: float, kappa: float = 0.0, band=None
-) -> AcousticCoeffs:
-    """Direct double-sum evaluation of the filtered symmetric form."""
-    return _q2_modesum_generic(A, B, t, eps, kappa, _phase_factor, band=band)
-
-
-def q2_eps_time_average(A, B, T: float, eps: float, kappa: float = 0.0) -> AcousticCoeffs:
-    """(1/T) * integral over [0, T] of the filtered symmetric form, exactly."""
-    return _q2_modesum_generic(A, B, T, eps, kappa, _average_factor)
-
-
-def a2_eps_time_average(B: AcousticCoeffs, T: float, eps: float) -> AcousticCoeffs:
-    """(1/T) * integral over [0, T] of the filtered viscous symbol, exactly."""
-    lattice = B.lattice
-    ksq = lattice.k_squared()
-    rate = _signed_modulus(lattice)
-    x = -2.0 * (T / eps) * rate
-    with np.errstate(divide="ignore", invalid="ignore"):
-        avg = np.where(x != 0.0, (np.exp(1j * x) - 1.0) / (1j * np.where(x == 0, 1, x)), 1.0)
-    return B._like(-0.5 * ksq * (B.coeffs - B.coeffs[::-1] * _conjugate_pair(avg)), False)

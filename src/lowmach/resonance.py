@@ -45,7 +45,6 @@ __all__ = [
     "CorrectorSet",
     "assemble_correctors",
     "remainder_fields",
-    "low_freq_split",
 ]
 
 
@@ -665,10 +664,22 @@ def _lambda_coeffs(w: SpectralField, v: SpectralField) -> AcousticCoeffs:
 def _remainder_terms(V, v, f_ac, M, t, eps, kappa, nu, table, lam_ac):
     """The low-band weights and the q1 and q2 triads with m in the box and
     |k|, |l| <= M (the table is enumerated when missing), and the terms
-    (R1, R2, R3, S) of the remainder at time t."""
+    (R1, R2, R3, S) of the remainder at time t.  A given table must be
+    enumerated on the fields' lattice at a cutoff of at least M; otherwise
+    ValueError."""
     lattice = V.lattice
     if table is None or table.nonres_q1 is None:
         table = enumerate_resonance_sets(lattice, M)
+    elif table.lattice != lattice:
+        raise ValueError(
+            f"the resonance table is enumerated on the lattice {table.lattice.descriptor()}, "
+            f"not on the fields' lattice {lattice.descriptor()}"
+        )
+    elif table.M < M:
+        raise ValueError(
+            f"the resonance table is enumerated at cutoff M = {table.M:g}, "
+            f"below the corrector cutoff M = {M:g}"
+        )
     kmod = lattice.k_modulus()
     low = (kmod <= M + 1e-12).astype(np.float64)
     q1, q2 = (_triads(e, kmod.reshape(-1), M) for e in (table.nonres_q1, table.nonres_q2))
@@ -747,14 +758,3 @@ def remainder_fields(
     (_, q1, q2), terms = _remainder_terms(V, v, f_ac, M, t, eps, kappa, nu, table, lam_ac)
     return _term_set(V.lattice, q1, q2, terms, corrector=False).total()
 
-
-def low_freq_split(form, M: float, *args, **kwargs):
-    """Split a mode-sum bilinear form into (low, high) frequency parts.
-
-    ``form`` must accept a ``band`` keyword ("low"/"high" with cutoff M); the
-    two parts reconstruct the unrestricted sum exactly (disjoint partition of
-    the interaction indices).
-    """
-    low = form(*args, band=("low", M), **kwargs)
-    high = form(*args, band=("high", M), **kwargs)
-    return low, high

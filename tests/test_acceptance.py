@@ -21,7 +21,6 @@ from lowmach.lattice import (
     GridField,
     LatticeSpec,
     SpectralField,
-    convolution_product,
     dealiased_product,
     forward_transform,
     inverse_transform,
@@ -30,26 +29,18 @@ from lowmach.lattice import (
 from lowmach.dyadic import (
     NormSpec,
     block_range,
-    bony_paraproduct,
     chemin_lerner_norm,
     compute_jb,
     dyadic_block,
     low_cut,
-    mode_truncate,
     norm,
     time_norm,
 )
 from lowmach.operators import (
     AcousticCoeffs,
     PressureLaw,
-    a2_eps,
     acoustic_transform,
     helmholtz_project,
-    q1_eps,
-    q1_eps_modesum,
-    q2_eps,
-    q2_eps_modesum,
-    q2_eps_time_average,
     wave_group,
 )
 from lowmach.resonance import (
@@ -74,6 +65,22 @@ from lowmach.experiments import (
     emit_report,
     fit_loglog_slope,
 )
+from oracles import (
+    a2_eps,
+    bony_paraproduct,
+    convolution_product,
+    grid_points,
+    mode_truncate,
+    q1_eps,
+    q1_eps_modesum,
+    q2_eps,
+    q2_eps_modesum,
+    q2_eps_time_average,
+    random_acoustic,
+    random_field,
+    sqrt_sum_oracle,
+)
+
 RESULTS: list[tuple[str, str, str]] = []
 
 
@@ -83,29 +90,13 @@ def record(criterion: str, status: str, detail: str = ""):
     print(line, flush=True)
 
 
-def random_reality_field(lattice, rng, components=1, zero_mean=False):
-    values = rng.standard_normal((components,) + lattice.resolution)
-    field = forward_transform(GridField(lattice, values))
-    if zero_mean:
-        coeffs = field.coeffs.copy()
-        coeffs[(slice(None),) + (0,) * lattice.d] = 0.0
-        field = SpectralField(lattice, coeffs, reality=True)
-    return field
-
-
-def random_acoustic(lattice, rng, scale=1.0):
-    a = random_reality_field(lattice, rng, zero_mean=True)
-    qu = helmholtz_project(random_reality_field(lattice, rng, components=lattice.d), "Q")
-    return acoustic_transform(scale * a, scale * qu)
-
-
 def test_criterion_1_spectral_core():
     started = time.perf_counter()
     lattice = LatticeSpec.square(2, 16)
     rng = np.random.default_rng(2024)
     worst_rt = worst_pars = worst_prod = 0.0
     for _ in range(100):
-        field = random_reality_field(lattice, rng)
+        field = random_field(lattice, rng)
         grid = inverse_transform(field)
         back = forward_transform(grid)
         scale = float(np.max(np.abs(field.coeffs)))
@@ -115,7 +106,7 @@ def test_criterion_1_spectral_core():
         )
         coeff_sum = float(np.sum(field.mode_power()))
         worst_pars = max(worst_pars, abs(integral - coeff_sum) / coeff_sum)
-        other = random_reality_field(lattice, rng)
+        other = random_field(lattice, rng)
         fast = dealiased_product(field, other)
         slow = convolution_product(field, other)
         pscale = max(1.0, float(np.max(np.abs(slow.coeffs))))
@@ -139,7 +130,7 @@ def test_criterion_2_littlewood_paley():
     lattice = LatticeSpec.square(2, 16)
     rng = np.random.default_rng(7)
     # partition of unity reconstruction
-    g = random_reality_field(lattice, rng)
+    g = random_field(lattice, rng)
     total = low_cut(g, compute_jb(lattice) + 1)
     for j in block_range(lattice):
         total = total + dyadic_block(g, j)
@@ -156,8 +147,8 @@ def test_criterion_2_littlewood_paley():
                 )
     # paraproduct support facts, exactly (convolution arithmetic)
     small = LatticeSpec.square(2, 8)
-    f8 = random_reality_field(small, rng)
-    g8 = random_reality_field(small, rng)
+    f8 = random_field(small, rng)
+    g8 = random_field(small, rng)
     js = list(block_range(small))
     for j in js:
         prod = convolution_product(low_cut(f8, j - 2), dyadic_block(g8, j))
@@ -172,7 +163,7 @@ def test_criterion_2_littlewood_paley():
                     if jpp - j >= 5:
                         assert np.max(np.abs(dyadic_block(prod, jpp).coeffs)) == 0.0
     # Bony reconstruction
-    f = random_reality_field(lattice, rng)
+    f = random_field(lattice, rng)
     t_fg, t_gf, rem, mm = bony_paraproduct(f, g)
     direct = dealiased_product(f, g)
     four = t_fg + t_gf + rem + mm
@@ -190,7 +181,7 @@ def test_criterion_2_littlewood_paley():
     for i in range(100):
         times = np.linspace(0.0, 1.0, 4)
         fields = [
-            random_reality_field(small_lat, rng, zero_mean=True) for _ in times
+            random_field(small_lat, rng, zero_mean=True) for _ in times
         ]
         for q, r in ((1.0, 2), (2.0, 1)):
             spec = NormSpec(s=0.4, r=r)
@@ -270,7 +261,7 @@ def test_criterion_4_oracle_equivalence():
     worst = {"q1": 0.0, "q2": 0.0, "a2": 0.0}
     for _ in range(20):
         u = helmholtz_project(
-            random_reality_field(lattice, rng, components=2), "P"
+            random_field(lattice, rng, components=2), "P"
         )
         A = random_acoustic(lattice, rng)
         B = random_acoustic(lattice, rng)
@@ -305,14 +296,6 @@ def test_criterion_4_oracle_equivalence():
         "PASS",
         f"(q1 {worst['q1']:.1e}, q2 {worst['q2']:.1e}, a2 {worst['a2']:.1e})",
     )
-
-
-def sqrt_sum_oracle(terms, digits=80):
-    scale = 10**digits
-    total = 0
-    for s, n in terms:
-        total += s * math.isqrt(n * scale * scale)
-    return abs(total) <= len(terms)
 
 
 def test_criterion_5_resonance_exactness():
@@ -389,7 +372,7 @@ def test_criterion_7_solver_validation():
     lattice = LatticeSpec.square(2, 64)
     mu = 0.1
     cfg = SolverConfig(lattice=lattice, mu=mu, lam=0.0, dt=0.01, t_final=1.0)
-    x, y = lattice.grid_points()
+    x, y = grid_points(lattice)
     tg = forward_transform(
         GridField(lattice, np.stack([np.cos(x) * np.sin(y), -np.sin(x) * np.cos(y)]))
     )
@@ -483,7 +466,7 @@ def test_criterion_8_corrector_identity():
     V0 = random_acoustic(lattice, rng, scale=0.01).scale_modes(low)
     v0 = (
         0.01
-        * helmholtz_project(random_reality_field(lattice, rng, components=2), "P")
+        * helmholtz_project(random_field(lattice, rng, components=2), "P")
     ).scale_modes(low)
     f0 = random_acoustic(lattice, rng, scale=0.01).scale_modes(low)
     lam0 = random_acoustic(lattice, rng, scale=0.01).scale_modes(low)

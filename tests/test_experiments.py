@@ -42,7 +42,6 @@ from lowmach.experiments import (
 from lowmach.functionals import (
     DiagnosticsRow,
     FunctionalSettings,
-    bridge_constant,
     compute_functionals,
     sample_energies,
 )
@@ -63,6 +62,7 @@ from lowmach.solvers import (
     run_trajectory,
     save_checkpoint,
 )
+from oracles import bridge_constant
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -90,11 +90,6 @@ def functionals_of(times, states, vs, Vs, settings):
         for t, s, v, V in zip(times, states, vs, Vs)
     ]
     return compute_functionals(times, rows, settings)
-
-
-@pytest.fixture
-def lat16():
-    return LatticeSpec.square(2, 16)
 
 
 @pytest.fixture

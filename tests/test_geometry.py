@@ -6,25 +6,14 @@ import numpy as np
 import pytest
 
 from lowmach.lattice import (
-    GridField,
     LatticeSpec,
     SpectralField,
-    convolution_product,
     dealiased_product,
     forward_transform,
     inverse_transform,
 )
 from lowmach.dyadic import NormSpec, block_range, compute_jb, dyadic_block, norm
-from lowmach.operators import (
-    acoustic_transform,
-    helmholtz_project,
-    q1_eps,
-    q1_eps_modesum,
-    q1_eps_time_average,
-    q2_eps,
-    q2_eps_modesum,
-    wave_group,
-)
+from lowmach.operators import acoustic_transform, helmholtz_project, wave_group
 from lowmach.resonance import build_limit_tables, limit_q1, small_divisors
 from lowmach.solvers import (
     SolverConfig,
@@ -32,22 +21,16 @@ from lowmach.solvers import (
     run_trajectory,
     step_compressible,
 )
-
-
-def random_field(lattice, rng, components=1, zero_mean=False):
-    values = rng.standard_normal((components,) + lattice.resolution)
-    field = forward_transform(GridField(lattice, values))
-    if zero_mean:
-        coeffs = field.coeffs.copy()
-        coeffs[(slice(None),) + (0,) * lattice.d] = 0.0
-        field = SpectralField(lattice, coeffs, reality=True)
-    return field
-
-
-def random_acoustic(lattice, rng):
-    a = random_field(lattice, rng, zero_mean=True)
-    qu = helmholtz_project(random_field(lattice, rng, components=lattice.d), "Q")
-    return acoustic_transform(a, qu)
+from oracles import (
+    convolution_product,
+    q1_eps,
+    q1_eps_modesum,
+    q1_eps_time_average,
+    q2_eps,
+    q2_eps_modesum,
+    random_acoustic,
+    random_field,
+)
 
 
 class TestAnisotropicPeriods:

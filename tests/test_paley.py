@@ -5,46 +5,28 @@ import math
 import numpy as np
 import pytest
 
-from lowmach.lattice import (
-    GridField,
-    LatticeSpec,
-    SpectralField,
-    convolution_product,
-    forward_transform,
-)
+from lowmach.lattice import GridField, LatticeSpec, SpectralField, forward_transform
 from lowmach.dyadic import (
     DEFAULT_PROFILE,
     NormSpec,
     block_range,
-    bony_paraproduct,
     chemin_lerner_norm,
     compute_jb,
     dyadic_block,
     low_cut,
-    mode_truncate,
     norm,
     parse_norm_spec,
     time_norm,
 )
-
-# Besov(2,2) vs Sobolev equivalence constant, measured once from the shipped
-# bump profile over all 16^2 lattice moduli and s in [-1, 1] (worst 2.1406).
-HS_EQUIV_GOLD = 2.15
-
-
-def random_field(lattice, rng, components=1, zero_mean=False):
-    values = rng.standard_normal((components,) + lattice.resolution)
-    field = forward_transform(GridField(lattice, values))
-    if zero_mean:
-        coeffs = field.coeffs.copy()
-        coeffs[(slice(None),) + (0,) * lattice.d] = 0.0
-        field = SpectralField(lattice, coeffs, reality=True)
-    return field
-
-
-@pytest.fixture
-def lat16():
-    return LatticeSpec.square(2, 16)
+from oracles import (
+    HS_EQUIV_BOUND,
+    bony_paraproduct,
+    convolution_product,
+    grid_points,
+    mode_truncate,
+    partition_sum,
+    random_field,
+)
 
 
 class TestProfileAndBlocks:
@@ -59,7 +41,7 @@ class TestProfileAndBlocks:
         phi = DEFAULT_PROFILE
         J = 8
         r = np.linspace(2.0 ** (-J + 2), 2.0 ** (J - 2), 3001)
-        dev = np.abs(phi.partition_sum(r, -J, J) - 1.0)
+        dev = np.abs(partition_sum(phi, r, -J, J) - 1.0)
         assert np.max(dev) <= 1e-12
 
     def test_jb_values(self):
@@ -143,13 +125,13 @@ class TestNorms:
 
     def test_besov_sobolev_equivalence(self, lat16):
         rng = np.random.default_rng(5)
-        assert HS_EQUIV_GOLD <= 3.0
+        assert HS_EQUIV_BOUND <= 3.0
         for s in (-1.0, -0.5, 0.0, 0.5, 1.0):
             g = random_field(lat16, rng, zero_mean=True)
             b = norm(g, NormSpec(kind="B", s=s, p=2, r=2))
             h = norm(g, NormSpec(kind="H", s=s))
             ratio = b / h
-            assert 1.0 / HS_EQUIV_GOLD <= ratio <= HS_EQUIV_GOLD
+            assert 1.0 / HS_EQUIV_BOUND <= ratio <= HS_EQUIV_BOUND
 
     def test_zero_field_every_spec(self, lat16):
         g = SpectralField.zeros(lat16)
@@ -238,7 +220,7 @@ class TestNorms:
 
     def test_linf_norm_of_known_field(self):
         lat = LatticeSpec.square(2, 16)
-        x = lat.grid_points()[0]
+        x = grid_points(lat)[0]
         g = forward_transform(GridField(lat, np.cos(x)))
         # single |k|=1 shell; block values recombine to cos(x) whose max is 1
         total = sum(

@@ -10,17 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lowmach.lattice import GridField, LatticeSpec, SpectralField, forward_transform
-from lowmach.operators import (
-    AcousticCoeffs,
-    acoustic_transform,
-    helmholtz_project,
-    q1_eps_modesum,
-    q1_eps_time_average,
-    q2_eps_modesum,
-    q2_eps_time_average,
-    sg,
-    wave_group,
-)
+from lowmach.operators import AcousticCoeffs, helmholtz_project, wave_group
 from lowmach.dyadic import norm
 from lowmach import resonance
 from lowmach.resonance import (
@@ -31,46 +21,24 @@ from lowmach.resonance import (
     enumerate_resonance_sets,
     limit_q1,
     limit_q2,
-    low_freq_split,
     remainder_fields,
     resonance_test,
     small_divisors,
 )
-
-
-def sqrt_sum_oracle(terms, digits=80):
-    """Scaled-integer square roots: exact to `digits` decimal digits."""
-    scale = 10**digits
-    total = 0
-    for s, n in terms:
-        total += s * math.isqrt(n * scale * scale)
-    # each isqrt floors by at most 1
-    return abs(total) <= len(terms)
+from oracles import (
+    q1_eps_modesum,
+    q1_eps_time_average,
+    q2_eps_modesum,
+    q2_eps_time_average,
+    random_acoustic,
+    sg,
+    sqrt_sum_oracle,
+)
 
 
 def random_divfree(lattice, rng, scale=1.0):
     values = rng.standard_normal((lattice.d,) + lattice.resolution)
     return scale * helmholtz_project(forward_transform(GridField(lattice, values)), "P")
-
-
-def random_acoustic(lattice, rng, scale=1.0):
-    a_vals = rng.standard_normal(lattice.resolution)
-    a = forward_transform(GridField(lattice, a_vals))
-    coeffs = a.coeffs.copy()
-    coeffs[(0,) + (0,) * lattice.d] = 0.0
-    a = SpectralField(lattice, coeffs, reality=True)
-    qu = helmholtz_project(
-        forward_transform(
-            GridField(lattice, rng.standard_normal((lattice.d,) + lattice.resolution))
-        ),
-        "Q",
-    )
-    return acoustic_transform(scale * a, scale * qu)
-
-
-@pytest.fixture
-def lat8():
-    return LatticeSpec.square(2, 8)
 
 
 class TestExactTest:
@@ -927,6 +895,21 @@ class TestCorrectors:
         assert (rem3 - rem2).l2_norm() <= 1e-12 * rem2.l2_norm()
         assert residual3 <= 1e-8
 
+    def test_table_below_the_cutoff_or_on_another_lattice_rejected(self):
+        lat = LatticeSpec.square(2, 16)
+        rng = np.random.default_rng(5)
+        V0, v0, f0, lam0 = self.manufactured(lat, rng, 2.0)
+        args = (V0, v0, f0, 2.0, 0.37, 1.0)
+        low = enumerate_resonance_sets(lat, 1.0)
+        other = enumerate_resonance_sets(LatticeSpec.square(2, 32), 2.0)
+        below = r"cutoff M = 1, below the corrector cutoff M = 2"
+        lattices = r"'resolution': \[32, 32\].*'resolution': \[16, 16\]"
+        for form in (remainder_fields, assemble_correctors):
+            with pytest.raises(ValueError, match=below):
+                form(*args, table=low, lam_ac=lam0)
+            with pytest.raises(ValueError, match=lattices):
+                form(*args, table=other, lam_ac=lam0)
+
 
 class TestLowFreqSplit:
     def test_exact_reconstruction(self, lat8):
@@ -936,11 +919,13 @@ class TestLowFreqSplit:
         B = random_acoustic(lat8, rng)
         t, eps = 0.3, 0.1
         full = q1_eps_modesum(u, B, t, eps)
-        low, high = low_freq_split(q1_eps_modesum, 1.5, u, B, t, eps)
+        low = q1_eps_modesum(u, B, t, eps, band=("low", 1.5))
+        high = q1_eps_modesum(u, B, t, eps, band=("high", 1.5))
         scale = max(1.0, full.l2_norm())
         assert ((low + high) - full).l2_norm() <= 1e-12 * scale
         full2 = q2_eps_modesum(A, B, t, eps, kappa=1.0)
-        low2, high2 = low_freq_split(q2_eps_modesum, 1.5, A, B, t, eps, kappa=1.0)
+        low2 = q2_eps_modesum(A, B, t, eps, kappa=1.0, band=("low", 1.5))
+        high2 = q2_eps_modesum(A, B, t, eps, kappa=1.0, band=("high", 1.5))
         assert ((low2 + high2) - full2).l2_norm() <= 1e-12 * scale
 
     def test_band_edges(self, lat8):
@@ -950,8 +935,8 @@ class TestLowFreqSplit:
         t, eps = 0.2, 0.1
         # M at the lattice maximum: nothing in the high part
         M = lat8.max_modulus()
-        _, high = low_freq_split(q1_eps_modesum, M, u, B, t, eps)
+        high = q1_eps_modesum(u, B, t, eps, band=("high", M))
         assert high.l2_norm() == 0.0
         # M = 0: no nonzero k survives the low filter
-        low, _ = low_freq_split(q1_eps_modesum, 0.0, u, B, t, eps)
+        low = q1_eps_modesum(u, B, t, eps, band=("low", 0.0))
         assert low.l2_norm() == 0.0

@@ -12,13 +12,13 @@ from lowmach.lattice import (
     GridField,
     LatticeSpec,
     SpectralField,
-    convolution_product,
     dealiased_product,
     forward_transform,
     inverse_transform,
     spectral_derivative,
     zero_mean_split,
 )
+from oracles import _box_modes, convolution_product, grid_points, sg
 
 
 def random_field(lattice, rng, components=1, reality=True):
@@ -29,11 +29,6 @@ def random_field(lattice, rng, components=1, reality=True):
     if not reality:
         field = field.copy_with_reality(False)
     return field
-
-
-@pytest.fixture
-def lat16():
-    return LatticeSpec.square(2, 16)
 
 
 def test_constant_field_transform():
@@ -49,7 +44,7 @@ def test_constant_field_transform():
 
 def test_cosine_coefficients():
     lat = LatticeSpec.square(2, 16)
-    x = lat.grid_points()[0]
+    x = grid_points(lat)[0]
     spec = forward_transform(GridField(lat, np.cos(x)))
     expected = 0.5 * math.sqrt(lat.volume)
     assert spec.mode((1, 0))[0] == pytest.approx(expected, rel=1e-13)
@@ -76,7 +71,7 @@ def test_single_mode_inverse():
     amp = math.sqrt(lat.volume)
     field = SpectralField.from_modes(lat, {(1, 0): amp})
     grid = inverse_transform(field)
-    x = lat.grid_points()[0]
+    x = grid_points(lat)[0]
     assert np.allclose(grid.values[0], np.exp(1j * x), atol=1e-12)
 
 
@@ -251,7 +246,7 @@ def test_reality_preserved_by_products_and_derivatives(lat16):
 
 def test_zero_mean_split():
     lat = LatticeSpec.square(2, 8)
-    x = lat.grid_points()[0]
+    x = grid_points(lat)[0]
     g = forward_transform(GridField(lat, 1.0 + np.cos(x)))
     mean, rest = zero_mean_split(g)
     assert rest.mean_coefficient()[0] == 0.0
@@ -320,15 +315,33 @@ def test_half_box(lat):
 
 def test_sign_grid():
     lat = LatticeSpec.square(2, 8)
-    sg = lat.sign_grid()
-    assert sg[0, 3] == 1  # k = (0, 3)
-    assert sg[-1, 5] == -1  # k = (-1, 5) -> wrapped index
+    signs = lat.sign_grid()
+    assert signs[0, 3] == 1  # k = (0, 3)
+    assert signs[-1, 5] == -1  # k = (-1, 5) -> wrapped index
     n1, n2 = lat.index_grids()
     nonzero = ((n1 != 0) | (n2 != 0)) & lat.dealias_mask()
     # sg(-k) = -sg(k) on retained modes (Nyquist rows are their own negation)
-    flipped = np.roll(np.flip(np.flip(sg, 0), 1), (1, 1), axis=(0, 1))
-    assert np.all(sg[nonzero] == -flipped[nonzero])
-    assert sg[0, 0] == 0
+    flipped = np.roll(np.flip(np.flip(signs, 0), 1), (1, 1), axis=(0, 1))
+    assert np.all(signs[nonzero] == -flipped[nonzero])
+    assert signs[0, 0] == 0
+
+
+# a square lattice and a 3D lattice with rational periods
+LATTICES = [
+    LatticeSpec.square(2, 16),
+    LatticeSpec(periods=(1, Fraction(3, 2), Fraction(1, 2)), resolution=(8, 8, 6)),
+]
+LATTICE_IDS = ["2d", "3d-rational"]
+
+
+@pytest.mark.parametrize("lat", LATTICES, ids=LATTICE_IDS)
+def test_sign_grid_matches_sg(lat):
+    # the grid the library uses against the scalar definition, mode by mode
+    signs = lat.sign_grid()
+    modes = _box_modes(lat, False)
+    assert len(modes) == np.count_nonzero(lat.dealias_mask()) - 1
+    for n, raw in modes:
+        assert signs[raw] == sg(n), n
 
 
 # every table derived from a lattice alone, each cached once per lattice
@@ -343,12 +356,10 @@ CACHED_TABLES = {
     "lowmach.lattice.LatticeSpec.dealias_mask": lambda lat: lat.dealias_mask(),
     "lowmach.lattice.LatticeSpec.norm_scale": lambda lat: lat.norm_scale(),
     "lowmach.lattice.LatticeSpec.sign_grid": lambda lat: lat.sign_grid(),
-    "lowmach.lattice.LatticeSpec.grid_points": lambda lat: lat.grid_points(),
     "lowmach.operators._signed_modulus": operators._signed_modulus,
     "lowmach.operators._safe_k_modulus": operators._safe_k_modulus,
     "lowmach.operators._safe_inv_ksq": operators._safe_inv_ksq,
     "lowmach.operators._acoustic_mask": operators._acoustic_mask,
-    "lowmach.operators._box_modes": lambda lat: operators._box_modes(lat, True),
     "lowmach.dyadic.block_range": dyadic.block_range,
     "lowmach.dyadic._block_weights": lambda lat: dyadic._block_weights(lat, 0),
     "lowmach.dyadic._energy_matrix": lambda lat: dyadic._energy_matrix(lat, (1.0,)),
@@ -381,13 +392,7 @@ class TestLatticeCache:
     """The contract of ``lattice._cached``: each table is built once per
     lattice, is read-only, and survives pickling with the lattice."""
 
-    @pytest.fixture(
-        params=[
-            LatticeSpec.square(2, 16),
-            LatticeSpec(periods=(1, Fraction(3, 2), Fraction(1, 2)), resolution=(8, 8, 6)),
-        ],
-        ids=["2d", "3d-rational"],
-    )
+    @pytest.fixture(params=LATTICES, ids=LATTICE_IDS)
     def warm(self, request):
         lattice = LatticeSpec(request.param.periods, request.param.resolution)
         for table in CACHED_TABLES.values():
