@@ -7,6 +7,14 @@ square roots and are decided exactly:
 
     sqrt(a) + sqrt(b) = sqrt(c)   iff   c >= a + b and (c - a - b)^2 = 4ab.
 
+The triad tables need no roots.  A q1 triad resonates when the integers
+D|k|^2 and D|m|^2 agree and alpha*sg(k) = gamma*sg(m).  A q2 triad
+m = k + l (k, l, m nonzero) resonates only when k and l are parallel,
+because +-|k| +- |l| +- |m| = 0 is the triangle equality.  On a line,
+k = a*p and l = b*p with sg(p) = 1, the exponent alpha*a + beta*b -
+gamma*(a + b) (times |p|) vanishes exactly when alpha = beta = gamma, so q2
+is the collinear equal-branch pairs.
+
 The resonant triples drive the averaged (limit) quadratic forms; the
 non-resonant ones carry the small divisors and build the two-time-scale
 correctors.  Tables are enumerated once per (lattice, cutoff).  Each term of
@@ -17,6 +25,7 @@ and |k|, |l| <= M, whatever cutoff the table was enumerated at.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -105,22 +114,6 @@ def resonance_test(signed_freqs) -> ResonanceResult:
     return ResonanceResult(False, abs(value))
 
 
-def _vec_three_term_zero(s1, n1, s2, n2, s3, n3) -> np.ndarray:
-    """Vectorized exact test of s1*sqrt(n1) + s2*sqrt(n2) + s3*sqrt(n3) == 0.
-
-    All n arrays must be positive integers small enough that (c-a-b)^2 fits
-    in int64 (guarded by the callers).
-    """
-    pair_a = (s1 == s2) & (s1 != s3)
-    pair_b = (s1 == s3) & (s1 != s2)
-    pair_c = (s2 == s3) & (s1 != s2)
-    a = np.where(pair_a, n1, np.where(pair_b, n1, n2))
-    b = np.where(pair_a, n2, np.where(pair_b, n3, n3))
-    c = np.where(pair_a, n3, np.where(pair_b, n2, n1))
-    diff = c - a - b
-    return (pair_a | pair_b | pair_c) & (diff >= 0) & (diff * diff == 4 * a * b)
-
-
 # ---------------------------------------------------------------------------
 # Mode bookkeeping
 # ---------------------------------------------------------------------------
@@ -133,12 +126,22 @@ def _mode_data(lattice: LatticeSpec, n: np.ndarray):
     the wavevectors, the moduli, the dealiased-box flags and the flat FFT-grid
     indices of ``n`` modulo the resolution.  Everything is computed from ``n``
     itself, so modes off the FFT grid (such as m = k + l) are handled too.
+    Periods whose scaled norms of ``n`` would leave the int64 range raise
+    ValueError.
     """
     scale = lattice.norm_scale()
     cols = n.T  # per-component loops: reductions over the short last axis are slow
+    weights = [scale * (b * b).denominator // (b * b).numerator for b in lattice.periods]
+    reach = [int(np.max(np.abs(col), initial=0)) for col in cols]
+    if sum(w * r * r for w, r in zip(weights, reach)) >= 2**63:
+        raise ValueError(
+            "the scaled norms D*|k|^2 on the lattice with periods "
+            f"({', '.join(str(b) for b in lattice.periods)}) exceed the int64 range"
+        )
+    # an axis that n does not reach adds nothing, however large its weight
     norms = sum(
-        (scale * (b * b).denominator // (b * b).numerator) * col * col
-        for col, b in zip(cols, lattice.periods)
+        (w * col * col for col, w, r in zip(cols, weights, reach) if r),
+        np.zeros(len(n), dtype=np.int64),
     )
     sgs = np.zeros(len(n), dtype=np.int64)
     for col in cols[::-1]:  # the first nonzero component decides
@@ -214,16 +217,16 @@ class ResonanceTable:
         )
 
 
-def _guard_int64(max_scaled_norm: int):
-    if (3 * max_scaled_norm) ** 2 > 2**62:
-        raise ValueError(
-            "scaled norms too large for vectorized exact tests; "
-            "use smaller periods denominators or resolution"
-        )
-
-
-# Candidate (k, l) pairs examined per array pass of the q2 search.
-_Q2_BLOCK_PAIRS = 1 << 16
+def _group_pairs(label: np.ndarray):
+    """Every ordered pair (i, j) of positions with label[i] == label[j], for
+    labels in 0 .. G-1: groups in ascending label, then i, then j ascending."""
+    order = np.argsort(label, kind="stable")
+    counts = np.bincount(label)
+    size = counts[label[order]]
+    start = (np.cumsum(counts) - counts)[label[order]]
+    first = np.repeat(order, size)
+    offset = np.arange(first.size) - np.repeat(np.cumsum(size) - size, size)
+    return first, order[np.repeat(start, size) + offset]
 
 
 def build_limit_tables(lattice: LatticeSpec) -> ResonanceTable:
@@ -232,57 +235,36 @@ def build_limit_tables(lattice: LatticeSpec) -> ResonanceTable:
     Modes are the nonzero box modes in FFT-grid order.  q1 lists every ordered
     pair of a same-modulus shell (shells in order of first appearance, modes
     ascending within a shell) whose difference lies in the box.  q2 lists, for
-    k and then l ascending, every pair with m = k + l a nonzero box mode that
-    passes the exact three-root test; each pass tests a block of k at once.
+    k and then l ascending, every pair on one line through the origin with
+    m = k + l a nonzero box mode.  These are all the equal-branch resonances:
+    by the triangle equality, sg(k)|k| + sg(l)|l| = sg(m)|m| needs k and l
+    parallel, and on a line k = a*p, l = b*p it reads a + b = a + b.
     """
     flat = np.flatnonzero(lattice.dealias_mask())
     flat = flat[flat != 0]  # the mean mode sits at flat index 0
     nvecs = np.stack([g.reshape(-1)[flat] for g in lattice.index_grids()], axis=1)
     norms, sgs, kvecs, mods, _, _ = _mode_data(lattice, nvecs)
-    nmodes = flat.size
     cut = np.array(lattice.cutoffs)
-    _guard_int64(int(np.max(norms)) * 4)
 
     # --- q1: ordered pairs within each same-modulus shell ----------------
     _, first, shell = np.unique(norms, return_index=True, return_inverse=True)
-    rank = np.argsort(np.argsort(first))[shell]
-    order = np.argsort(rank, kind="stable")
-    counts = np.bincount(rank)
-    size = counts[rank[order]]
-    start = (np.cumsum(counts) - counts)[rank[order]]
-    im = np.repeat(order, size)
-    offset = np.arange(im.size) - np.repeat(np.cumsum(size) - size, size)
-    ik = order[np.repeat(start, size) + offset]
+    im, ik = _group_pairs(np.argsort(np.argsort(first))[shell])
     l = nvecs[im] - nvecs[ik]
     keep = np.all(np.abs(l) <= cut, axis=1)
     im, ik, l = im[keep], ik[keep], l[keep]
 
-    # --- q2: exact three-root condition over blocks of (k, l) ------------
-    # With equal branches alpha = beta = gamma the oscillation exponent is
-    # gamma*(sg(k)|k| + sg(l)|l| - sg(m)|m|), so the resonant pair set is the
-    # same for both output branches.
-    flat_of = np.full(int(np.prod(lattice.resolution)), -1, dtype=np.int64)
-    flat_of[flat] = np.arange(nmodes)
-    step = max(1, _Q2_BLOCK_PAIRS // nmodes)
-    hits = []
-    for k0 in range(0, nmodes, step):
-        mvec = nvecs[k0 : k0 + step, None, :] + nvecs[None, :, :]
-        # per-component tests: reductions over the short last axis are slow
-        inbox = np.ones(mvec.shape[:2], dtype=bool)
-        nonzero = np.zeros(mvec.shape[:2], dtype=bool)
-        for c in range(lattice.d):
-            inbox &= np.abs(mvec[..., c]) <= cut[c]
-            nonzero |= mvec[..., c] != 0
-        bk, bl = np.nonzero(inbox & nonzero)
-        bm = flat_of[_grid_index(lattice, mvec[bk, bl])]
-        bk += k0
-        hit = _vec_three_term_zero(
-            sgs[bk], norms[bk], sgs[bl], norms[bl], -sgs[bm], norms[bm]
-        )
-        hits.append((bm[hit], bk[hit], bl[hit]))
-    q2m, q2k, q2l = (np.concatenate(h) for h in zip(*hits))
-    q2_m, q2_k, q2_l = flat[q2m], flat[q2k], flat[q2l]
-    q2_smod = sgs[q2m] * mods[q2m]
+    # --- q2: ordered pairs on each line through the origin ---------------
+    # a line's key is its primitive direction n/gcd(n), oriented to sg = 1;
+    # the equal-branch pair set is the same for both output branches
+    direction = nvecs // (np.gcd.reduce(nvecs, axis=1) * sgs)[:, None]
+    jk, jl = _group_pairs(np.unique(direction, axis=0, return_inverse=True)[1].reshape(-1))
+    mvec = nvecs[jk] + nvecs[jl]
+    keep = np.any(mvec != 0, axis=1) & np.all(np.abs(mvec) <= cut, axis=1)
+    order = np.lexsort((jl[keep], jk[keep]))
+    jk, jl, mvec = jk[keep][order], jl[keep][order], mvec[keep][order]
+    _, m_sgs, _, m_mods, _, q2_m = _mode_data(lattice, mvec)
+    q2_k, q2_l = flat[jk], flat[jl]
+    q2_smod = m_sgs * m_mods
 
     return ResonanceTable(
         lattice=lattice,
@@ -338,7 +320,6 @@ def enumerate_resonance_sets(lattice: LatticeSpec, M: float) -> ResonanceTable:
                 f"cutoff M = {M} exceeds the index range of the {n}-point axis"
             )
     bound = math.floor(M * M * lattice.norm_scale() + 1e-9)
-    _guard_int64(4 * bound)
     cube = np.indices([2 * r + 1 for r in reach]).reshape(d, -1).T - np.array(reach)
     ball = cube[(_mode_data(lattice, cube)[0] <= bound) & np.any(cube != 0, axis=1)]
     modes = np.concatenate([ball, np.zeros((1, d), dtype=np.int64)])
@@ -394,15 +375,15 @@ def enumerate_resonance_sets(lattice: LatticeSpec, M: float) -> ResonanceTable:
         q1_kvec=vec[k],
     )
 
-    # --- q2: the exact three-root test on every pair with l != 0 ---------
+    # --- q2: resonant iff k and l are parallel and alpha = beta = gamma ----
     two = np.flatnonzero(il < len(ball))
     gamma, alpha, beta = _Q2_BRANCHES
     k, l = ik[two], il[two]
-    resonant = _vec_three_term_zero(
-        alpha * sgn[k][:, None], norm[k][:, None],
-        beta * sgn[l][:, None], norm[l][:, None],
-        -gamma * m_sgn[two][:, None], m_norm[two][:, None],
-    )
+    kn, ln = modes[k], modes[l]
+    parallel = np.ones(two.size, dtype=bool)
+    for i, j in itertools.combinations(range(d), 2):
+        parallel &= kn[:, i] * ln[:, j] == kn[:, j] * ln[:, i]
+    resonant = parallel[:, None] & (alpha == gamma) & (beta == gamma)
     # equal-branch triples for the limit form: branch 0 (alpha = beta = gamma
     # = 1) selects the same pairs as gamma = -1, with m, k and l in the box
     eq = two[resonant[:, 0] & m_box[two] & box[k] & box[l]]

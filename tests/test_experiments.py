@@ -760,6 +760,21 @@ class TestCLI:
         assert message in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("command", [["resonances", "--cutoff", "1"], ["converge"]])
+    def test_periods_beyond_int64_rejected(self, tmp_path, capsys, command):
+        # D*|k|^2 reaches 2.5e21 at the box's edge on the second axis
+        path = os.path.join(str(tmp_path), "config.json")
+        with open(path, "w") as fh:
+            json.dump(edited_config_json({"lattice": {"periods": [[1, 1], [1, 10**10]]}}), fh)
+        out = os.path.join(str(tmp_path), "out")
+        assert main([command[0], "--config", path, "--out", out, *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "invalid input: the scaled norms D*|k|^2 on the lattice with periods "
+            "(1, 1/10000000000) exceed the int64 range\n"
+        )
+        assert not os.path.exists(out)
+
     def test_invalid_config_exit_code(self, tmp_path):
         path = os.path.join(str(tmp_path), "bad.json")
         with open(path, "w") as fh:

@@ -1,7 +1,5 @@
 """Anisotropic-period and off-dimension coverage (d = 1, 2, 3)."""
 
-import math
-
 import numpy as np
 import pytest
 

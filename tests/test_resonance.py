@@ -1,5 +1,6 @@
 """Exact resonance tests, limit forms, small divisors, and correctors."""
 
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -433,6 +434,8 @@ ORACLE_LATTICES = {
     "16x12-aniso": LatticeSpec((1, Fraction(3, 2)), (16, 12)),
     "8x8x8": LatticeSpec.square(3, 8),
     "8x8x6-aniso": LatticeSpec((1, Fraction(1, 2), Fraction(2, 3)), (8, 8, 6)),
+    # scaled norms D*|k|^2 up to 2.5e11 on the box's second axis
+    "16x16-1e-5": LatticeSpec((1, Fraction(1, 10**5)), (16, 16)),
 }
 
 
@@ -473,6 +476,65 @@ def test_limit_tables_match_per_pair_oracle(name):
     assert_q2_collinear(lattice, table)
 
 
+# sha256 of the little-endian bytes of q1_m, q1_k, q1_l, q1_ss, q2_m[1],
+# q2_k[1] and q2_l[1], in that order, with the q1 and q2 entry counts;
+# recorded from the exact three-root search over every (k, l) box pair
+FULL_SIZE_TABLES = {
+    "64x64": (
+        LatticeSpec.square(2, 64),
+        10824,
+        9096,
+        "7baefa746c13871c527f92922c3045ffc27b0b1184c9ebe6f6214a5f96b66c06",
+    ),
+    "128x128": (
+        LatticeSpec.square(2, 128),
+        49496,
+        44616,
+        "9ea5fb7ec70b74d72185db30542ed298db234d2627f62f371621be0afd4b7375",
+    ),
+    "16x16x12-sweep3d": (
+        LatticeSpec((1, Fraction(1, 2), Fraction(2, 3)), (16, 16, 12)),
+        2784,
+        522,
+        "25e28d6ab1d8f572471f0bf47d4786c67a9de164b54e7cb219fb7757c7455c20",
+    ),
+    "48x40-aniso": (
+        LatticeSpec((1, Fraction(3, 2)), (48, 40)),
+        2162,
+        3306,
+        "54140f6cadeb6d46bc82e25df6900b7223dddebe5385139f688438fce02195a8",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(FULL_SIZE_TABLES))
+def test_limit_tables_pinned_at_full_size(name):
+    lattice, q1_entries, q2_entries, digest = FULL_SIZE_TABLES[name]
+    table = build_limit_tables(lattice)
+    arrays = (table.q1_m, table.q1_k, table.q1_l, table.q1_ss)
+    arrays += (table.q2_m[1], table.q2_k[1], table.q2_l[1])
+    sha = hashlib.sha256()
+    for arr in arrays:
+        sha.update(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
+    assert (table.q1_m.size, table.q2_m[1].size) == (q1_entries, q2_entries)
+    assert sha.hexdigest() == digest
+
+
+def test_scaled_norms_beyond_int64_rejected():
+    # D = 1 and D*|k|^2 = 2.5e21 at the box's edge on the second axis
+    wide = LatticeSpec((1, Fraction(1, 10**10)), (16, 16))
+    with pytest.raises(ValueError, match=r"periods \(1, 1/10000000000\) exceed the int64"):
+        build_limit_tables(wide)
+    # its unit ball lies on the first axis, where D*|k|^2 is small
+    assert enumerate_resonance_sets(wide, 1.0).q2_m[1].size == 2
+    # D = (1e10 + 1)^2 already leaves int64 on the unit ball
+    near = LatticeSpec((1, Fraction(10**10 + 1, 10**10)), (16, 16))
+    with pytest.raises(ValueError, match=r"periods \(1, 10000000001/10000000000\) exceed"):
+        enumerate_resonance_sets(near, 1.0)
+    with pytest.raises(ValueError, match="exceed the int64 range"):
+        build_limit_tables(near)
+
+
 def assert_resonance_sets_match(table, ref):
     """Array table equals the per-pair oracle: indices, signs and divisors
     exactly (value and dtype), weights, brackets and bases within 4 ulp."""
@@ -510,6 +572,7 @@ ORACLE_CUTOFFS = [
     ("8x8x8", 2.0, True),
     ("8x8x6-aniso", 1.0, False),
     ("8x8x6-aniso", 2.0, True),
+    ("16x16-1e-5", 3.0, True),
 ]
 
 

@@ -34,7 +34,7 @@ from lowmach.operators import (
     wave_group,
 )
 from lowmach.cli import main
-from lowmach.resonance import build_limit_tables, limit_q1, limit_q2
+from lowmach.resonance import build_limit_tables, limit_q2
 from lowmach import lattice as lattice_module
 from lowmach import solvers
 from lowmach.solvers import (
