@@ -27,8 +27,8 @@ from .experiments import (
     ExperimentConfig,
     convergence_study,
     emit_report,
+    limit_initial_data,
     run_invariant_suite,
-    shared_stage,
     vanishing_limit_check,
 )
 from .lattice import LatticeSpec, SpectralField
@@ -87,7 +87,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_limit_sim(args) -> int:
     cfg = _load_config(args)
-    traj = shared_stage(cfg).traj
+    initial = limit_initial_data(*cfg.initial_data())
+    table = build_limit_tables(cfg.lattice)
+    # only the final state is written, so no sample is kept
+    traj = run_trajectory(
+        initial, cfg.solver_config(cfg.eps_list[0]), "limit", table, lambda state, t: None
+    )
     v, V = traj.final
     os.makedirs(args.out, exist_ok=True)
     paths = {}

@@ -21,21 +21,21 @@ from .lattice import (
     inverse_transform,
 )
 from .operators import PressureLaw, acoustic_transform, helmholtz_project, wave_group
-from .resonance import build_limit_tables, resonance_test
+from .resonance import ResonanceTable, build_limit_tables, resonance_test
 from .solvers import (
+    CompressibleStepper,
     Forcing,
+    LimitStepper,
     SolverConfig,
-    Trajectory,
     generate_initial_data,
-    run_trajectory,
+    sample_clock,
 )
 
 __all__ = [
     "ExperimentConfig",
     "ConvergenceReport",
-    "SharedStage",
     "convergence_study",
-    "shared_stage",
+    "limit_initial_data",
     "vanishing_limit_check",
     "fit_loglog_slope",
     "emit_report",
@@ -265,73 +265,51 @@ def _monotone_verdict(values) -> str:
     return "decreasing" if np.all(diffs < 0) else "not-decreasing"
 
 
-@dataclass
-class SharedStage:
-    """The Mach-independent part of a sweep, built once by :func:`shared_stage`.
-
-    ``initial`` is the compressible pair (a0, u0) of every Mach number's
-    run.  ``traj`` is one coupled "limit" run whose samples are (v, V)
-    pairs: the incompressible velocity and the averaged state it drives,
-    stepped together.  ``timings`` gives the wall time of the limit table's
-    build (``limit_table``) and of that run (``limit``).
-    """
-
-    initial: tuple[SpectralField, SpectralField]
-    traj: Trajectory
-    timings: dict
-
-
-def shared_stage(cfg: ExperimentConfig) -> SharedStage:
-    """Initial data, limit table and the coupled incompressible and averaged
-    run of a sweep; none of them depends on the Mach number."""
-    a0, u0 = initial = cfg.initial_data()
-    t0 = _time.perf_counter()
-    table = build_limit_tables(cfg.lattice)
-    timings = {"limit_table": _time.perf_counter() - t0}
-
-    t0 = _time.perf_counter()
+def limit_initial_data(a0: SpectralField, u0: SpectralField) -> tuple:
+    """The limit pair (v0, V0) of compressible data (a0, u0): the
+    incompressible velocity v0 = P u0 and the averaged state V0 = L(a0, Q u0)."""
     v0 = helmholtz_project(u0, "P")
-    V0 = acoustic_transform(a0, u0 - v0)
-    traj = run_trajectory((v0, V0), cfg.solver_config(cfg.eps_list[0]), "limit", table=table)
-    timings["limit"] = _time.perf_counter() - t0
-    return SharedStage(initial, traj, timings)
+    return v0, acoustic_transform(a0, u0 - v0)
 
 
 def convergence_study(
     cfg: ExperimentConfig, progress=None, threads: int = 1
 ) -> ConvergenceReport:
-    """Run the full sweep: the shared stage once, then one compressible run
-    per Mach number with its functionals row.
+    """Run the full sweep: the limit table once, then the limit pair and every
+    Mach number's compressible run in lockstep (:func:`_lockstep_rows`).
 
-    With ``threads`` > 1 the Mach numbers run in a process pool of at most one
-    worker per Mach number.  Each worker receives the stage once, through the
-    pool initializer (under the fork start method nothing is pickled), and
-    returns only its row.  ``progress(msg)`` is called before each Mach
-    number that runs in this process, and on the pool path as each row comes
-    back, in the order of ``eps_list``.
+    With ``threads`` > 1, a pool of at most one worker per Mach number runs
+    the lockstep on consecutive shares of ``eps_list``, each worker with its
+    own limit stepper.  ``progress(msg)`` is called once per Mach number, in
+    the order of ``eps_list``.  The timings are the table build
+    (``limit_table``), the limit steppers' time summed over workers
+    (``limit``) and each Mach number's stepping and reductions (``eps_<eps>``).
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    stage = shared_stage(cfg)
-    workers = min(threads, len(cfg.eps_list))
+    initial = cfg.initial_data()
+    t0 = _time.perf_counter()
+    table = build_limit_tables(cfg.lattice)
+    timings = {"limit_table": _time.perf_counter() - t0, "limit": 0.0}
+    n, workers = len(cfg.eps_list), min(threads, len(cfg.eps_list))
+    shares = [cfg.eps_list[i * n // workers : (i + 1) * n // workers] for i in range(workers)]
+    calls = ([cfg] * workers, [table] * workers, [initial] * workers, shares)
     if workers > 1:
         # imported here: concurrent.futures is a noticeable share of the CLI's start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(
-            workers, initializer=_init_worker, initargs=(cfg, stage)
-        ) as pool:
-            rows = []
-            for eps, row in zip(cfg.eps_list, pool.map(_worker_row, cfg.eps_list)):
-                if progress:
-                    progress(f"eps = {eps:g} done")
-                rows.append(row)
+        with ProcessPoolExecutor(workers) as pool:
+            results = list(pool.map(_lockstep_rows, *calls))
     else:
-        rows = []
+        results = list(map(_lockstep_rows, *calls))
+    rows = []
+    for share, (share_rows, clock) in zip(shares, results):
+        timings["limit"] += clock.pop("limit")
+        timings.update((f"eps_{eps:g}", clock[eps]) for eps in share)
+        rows += share_rows
+    if progress:
         for eps in cfg.eps_list:
-            if progress:
-                progress(f"eps = {eps:g}")
-            rows.append(_eps_row(cfg, stage, eps))
+            progress(f"eps = {eps:g} done")
 
     slope = fit_loglog_slope(cfg.eps_list, [r.values["W_theta"] for r in rows])
     slope_flag = "ok" if len(cfg.eps_list) >= 2 else "insufficient-data"
@@ -339,8 +317,6 @@ def convergence_study(
         key: _monotone_verdict([r.values[key] for r in rows])
         for key in ("D", "eps_a_linf_besov", "Vdiff_composite", "Pudiff_composite", "W_theta")
     }
-    timings = dict(stage.timings)
-    timings.update((f"eps_{eps:g}", row.wall_time) for eps, row in zip(cfg.eps_list, rows))
     return ConvergenceReport(
         config=cfg.to_json(),
         rows=rows,
@@ -352,36 +328,42 @@ def convergence_study(
     )
 
 
-def _eps_row(cfg: ExperimentConfig, stage: SharedStage, eps: float) -> DiagnosticsRow:
-    """Functionals row of the compressible run at Mach number ``eps``.
+def _lockstep_rows(
+    cfg: ExperimentConfig, table: ResonanceTable, initial: tuple, eps_list: tuple
+) -> tuple[list[DiagnosticsRow], dict]:
+    """Functionals rows of the Mach numbers ``eps_list``, and the wall time of
+    each stepper, keyed by its Mach number or "limit".
 
-    Each compressible sample is reduced at once to its
-    :func:`sample_energies` rows, against the (v, V) sample of the stage at
-    the same index; no compressible field outlives its sample.
+    One :class:`CompressibleStepper` per Mach number steps (a, u), and one
+    :class:`LimitStepper` the limit pair (v, V); all advance to each sample
+    time of :func:`sample_clock` in turn.  There each compressible state is
+    reduced to its :func:`sample_energies` rows against the limit state of
+    the same time, and both states are dropped.
     """
-    t0 = _time.perf_counter()
-    partners = iter(stage.traj.states)
-
-    def reduce(state, t):
-        return sample_energies(state, next(partners), t, eps, cfg.theta)
-
-    traj_eps = run_trajectory(stage.initial, cfg.solver_config(eps), "compressible", record=reduce)
-    row = compute_functionals(traj_eps.times, traj_eps.states, cfg.functional_settings(eps))
-    row.wall_time = _time.perf_counter() - t0
-    return row
-
-
-# (cfg, stage) of a pool worker process, set once by the pool initializer
-_worker_args: tuple = ()
-
-
-def _init_worker(cfg: ExperimentConfig, stage: SharedStage) -> None:
-    global _worker_args
-    _worker_args = (cfg, stage)
-
-
-def _worker_row(eps: float) -> DiagnosticsRow:
-    return _eps_row(*_worker_args, eps)
+    limit_cfg = cfg.solver_config(cfg.eps_list[0])
+    state = limit_initial_data(*initial)
+    steppers = {eps: CompressibleStepper(cfg.solver_config(eps), *initial) for eps in eps_list}
+    steppers["limit"] = LimitStepper(limit_cfg, *state, table)
+    samples = {eps: [sample_energies(initial, state, 0.0, eps, cfg.theta)] for eps in eps_list}
+    clock = dict.fromkeys(steppers, 0.0)
+    times = [0.0]
+    for steps, t in sample_clock(limit_cfg):
+        for key, stepper in steppers.items():
+            t0 = _time.perf_counter()
+            stepper.advance(steps)
+            clock[key] += _time.perf_counter() - t0
+        state = steppers["limit"].state()
+        for eps in eps_list:
+            t0 = _time.perf_counter()
+            samples[eps].append(sample_energies(steppers[eps].state(), state, t, eps, cfg.theta))
+            clock[eps] += _time.perf_counter() - t0
+        times.append(t)
+    rows = []
+    for eps in eps_list:
+        t0 = _time.perf_counter()
+        rows.append(compute_functionals(times, samples.pop(eps), cfg.functional_settings(eps)))
+        clock[eps] += _time.perf_counter() - t0
+    return rows, clock
 
 
 def vanishing_limit_check(report: ConvergenceReport) -> dict:

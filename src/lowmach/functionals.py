@@ -55,7 +55,6 @@ class DiagnosticsRow:
     eps: float
     t_final: float
     values: dict = field(default_factory=dict)
-    wall_time: float = 0.0
 
 
 def _b(s, band="full", eta=None, zeta=None, underlined=False):

@@ -207,6 +207,12 @@ class ResonanceTable:
             out["q2_nonresonant"] = int(self.nonres_q2["m"].size)
         return out
 
+    def work_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """New work arrays of :func:`limit_q1` and :func:`limit_q2`, shaped
+        (2, q1 entries) and (3, q2 entries)."""
+        q2_size = max((m.size for m in self.q2_m.values()), default=0)
+        return np.empty((2, self.q1_m.size), np.complex128), np.empty((3, q2_size), np.complex128)
+
     @cached_property
     def q1_gather(self) -> np.ndarray:
         """Flat indices of the B_k^alpha that :func:`limit_q1` reads, one row
@@ -430,50 +436,80 @@ def enumerate_resonance_sets(lattice: LatticeSpec, M: float) -> ResonanceTable:
 # ---------------------------------------------------------------------------
 
 
-def limit_q1(u: SpectralField, B: AcousticCoeffs, table: ResonanceTable) -> AcousticCoeffs:
+def _gather(values: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``values[index]`` written into ``out``.  A table's indices are in
+    range; the default mode "raise" would copy ``out`` through a buffer."""
+    return np.take(values, index, out=out, mode="clip")
+
+
+def limit_q1(
+    u: SpectralField, B: AcousticCoeffs, table: ResonanceTable, work: np.ndarray | None = None
+) -> AcousticCoeffs:
     """Averaged advection form: resonant sum over same-modulus pairs.
 
     ``u`` is divergence-free (its mean mode participates through the l = 0
-    entries, which average trivially).
+    entries, which average trivially).  ``work``, the first of
+    ``table.work_arrays()``, is filled with the gathers and products; a
+    stepper passes its own, so that no call allocates them.
     """
     lattice = table.lattice
     out = AcousticCoeffs.zeros(lattice)
     if table.q1_m.size == 0:
         return out
+    k_dot_u, term = table.work_arrays()[0] if work is None else work
     prefactor = 1j / math.sqrt(lattice.volume)
-    uflat = [u.coeffs[c].reshape(-1) for c in range(lattice.d)]
-    k_dot_u = sum(
-        table.q1_kvec[:, c] * uflat[c][table.q1_l] for c in range(lattice.d)
-    )
+    # k . u[l], one component at a time
+    for c in range(lattice.d):
+        _gather(u.coeffs[c].reshape(-1), table.q1_l, term)
+        np.multiply(table.q1_kvec[:, c], term, out=k_dot_u if c == 0 else term)
+        if c:
+            k_dot_u += term
     acc = out.coeffs.reshape(2, -1)
     b_flat = B.coeffs.reshape(-1)
     for row, gather in enumerate(table.q1_gather):
-        contrib = prefactor * b_flat[gather] * k_dot_u * table.q1_weight
-        np.add.at(acc[row], table.q1_m, contrib)
+        # prefactor * B[gather] * (k . u[l]) * weight
+        np.multiply(prefactor, _gather(b_flat, gather, term), out=term)
+        term *= k_dot_u
+        term *= table.q1_weight
+        np.add.at(acc[row], table.q1_m, term)
     return out
 
 
 def limit_q2(
-    A: AcousticCoeffs, B: AcousticCoeffs, table: ResonanceTable, kappa: float = 0.0
+    A: AcousticCoeffs,
+    B: AcousticCoeffs,
+    table: ResonanceTable,
+    kappa: float = 0.0,
+    work: np.ndarray | None = None,
 ) -> AcousticCoeffs:
-    """Averaged symmetric form: equal-branch collinear resonances only."""
+    """Averaged symmetric form: equal-branch collinear resonances only.
+
+    ``work``, the second of ``table.work_arrays()``, is filled with the
+    gathers and products, as in :func:`limit_q1`.
+    """
     lattice = table.lattice
     out = AcousticCoeffs.zeros(lattice)
     c_d = 1.0 / math.sqrt(2.0 * lattice.volume)
     front = -1j * c_d * (kappa + 3.0) / 4.0
     a_rows, b_rows = A.coeffs.reshape(2, -1), B.coeffs.reshape(2, -1)
     acc = out.coeffs.reshape(2, -1)
+    if work is None:
+        work = table.work_arrays()[1]
     for row, gamma in enumerate((1, -1)):
         m_idx = table.q2_m[gamma]
         if m_idx.size == 0:
             continue
+        k_idx, l_idx = table.q2_k[gamma], table.q2_l[gamma]
         a_flat, b_flat = a_rows[row], b_rows[row]
-        sym = 0.5 * (
-            a_flat[table.q2_k[gamma]] * b_flat[table.q2_l[gamma]]
-            + b_flat[table.q2_k[gamma]] * a_flat[table.q2_l[gamma]]
-        )
-        contrib = front * gamma * table.q2_smod[gamma] * sym
-        np.add.at(acc[row], m_idx, contrib)
+        sym, other, term = work[:, : m_idx.size]
+        # sym = 0.5 * (A[k] B[l] + B[k] A[l])
+        np.multiply(_gather(a_flat, k_idx, sym), _gather(b_flat, l_idx, term), out=sym)
+        np.multiply(_gather(b_flat, k_idx, other), _gather(a_flat, l_idx, term), out=other)
+        np.multiply(0.5, np.add(sym, other, out=sym), out=sym)
+        # front * gamma * |m|-weight * sym
+        np.multiply(front * gamma, table.q2_smod[gamma], out=term)
+        term *= sym
+        np.add.at(acc[row], m_idx, term)
     return out
 
 

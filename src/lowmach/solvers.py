@@ -67,6 +67,7 @@ __all__ = [
     "step_incompressible",
     "step_limit",
     "run_trajectory",
+    "sample_clock",
     "generate_initial_data",
     "save_checkpoint",
     "load_checkpoint",
@@ -385,6 +386,11 @@ class _Stepper:
         """One Lawson RK2 step started at time ``t``."""
         self.x = _lawson_rk2(self.x, t, self.cfg.dt, self.linear, self.rhs)
 
+    def advance(self, steps: range) -> None:
+        """Take the steps numbered ``steps``; step n starts at time n * dt."""
+        for n in steps:
+            self.step(n * self.cfg.dt)
+
 
 def _check_fields(lattice: LatticeSpec, **fields) -> None:
     """Reject a field that a stepper on ``lattice`` would misread; each
@@ -667,6 +673,7 @@ class LimitStepper(IncompressibleStepper):
         ksq = cfg.lattice.k_squared()
         self.heat_V = np.exp(-0.5 * cfg.nu * ksq * cfg.dt).astype(np.complex128)
         self.table = table
+        self.q1_work, self.q2_work = table.work_arrays()
 
     def linear(self, x: tuple) -> tuple[np.ndarray, np.ndarray]:
         return super().linear(x[:1]) + (_scale_modes(x[1], self.heat_V),)
@@ -675,8 +682,9 @@ class LimitStepper(IncompressibleStepper):
         lattice = self.cfg.lattice
         v = SpectralField._in_box(lattice, _half_to_full(x[0], lattice), True)
         V = AcousticCoeffs._in_box(lattice, x[1], False)
-        q1 = limit_q1(v, V, self.table)
-        n_V = (-1.0 * q1 - limit_q2(V, V, self.table, kappa=self.cfg.law.kappa)).coeffs
+        q1 = limit_q1(v, V, self.table, work=self.q1_work)
+        q2 = limit_q2(V, V, self.table, kappa=self.cfg.law.kappa, work=self.q2_work)
+        n_V = (-1.0 * q1 - q2).coeffs
         return super().rhs(x[:1], t) + (n_V,)
 
     def state(self) -> tuple[SpectralField, AcousticCoeffs]:
@@ -706,6 +714,14 @@ def step_limit(
 # ---------------------------------------------------------------------------
 
 
+def sample_clock(cfg: SolverConfig):
+    """Per sample after time 0 (every ``sample_stride`` steps and the last),
+    the range of the step numbers that reach it and its time, step * dt."""
+    stops = [*range(cfg.sample_stride, cfg.n_steps, cfg.sample_stride), cfg.n_steps]
+    for start, stop in zip([0] + stops, stops):
+        yield range(start, stop), stop * cfg.dt
+
+
 def run_trajectory(
     initial,
     cfg: SolverConfig,
@@ -713,7 +729,7 @@ def run_trajectory(
     table: ResonanceTable | None = None,
     record=None,
 ) -> Trajectory:
-    """Advance to t_final, sampling every ``sample_stride`` steps and the last.
+    """Advance to t_final, sampling at time 0 and then by :func:`sample_clock`.
 
     ``kind`` selects the system and the form of its state: "compressible"
     (the pair (a, u)), "incompressible" (the velocity v), or "limit" (the
@@ -740,15 +756,12 @@ def run_trajectory(
     if record is None:
         record = lambda state, t: state
 
-    dt = cfg.dt
     times = [0.0]
     states = [record(initial, 0.0)]
-    n_steps = cfg.n_steps
-    for step in range(1, n_steps + 1):
-        stepper.step((step - 1) * dt)
-        if step % cfg.sample_stride == 0 or step == n_steps:
-            times.append(step * dt)
-            states.append(record(stepper.state(), step * dt))
+    for steps, t in sample_clock(cfg):
+        stepper.advance(steps)
+        times.append(t)
+        states.append(record(stepper.state(), t))
     return Trajectory(times=np.array(times), states=states, final=stepper.state())
 
 

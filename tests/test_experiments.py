@@ -6,7 +6,6 @@ import json
 import math
 import multiprocessing
 import os
-import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -35,8 +34,8 @@ from lowmach.experiments import (
     convergence_study,
     emit_report,
     fit_loglog_slope,
+    limit_initial_data,
     run_invariant_suite,
-    shared_stage,
     vanishing_limit_check,
 )
 from lowmach.functionals import (
@@ -54,8 +53,10 @@ from lowmach.operators import (
 )
 from lowmach.resonance import build_limit_tables
 from lowmach.solvers import (
+    CompressibleStepper,
     Forcing,
     ForcingMode,
+    LimitStepper,
     SolverConfig,
     generate_initial_data,
     load_checkpoint,
@@ -415,18 +416,22 @@ class TestStudyAndDeterminism:
 
 
 class TestSharedStage:
-    def test_pool_runs_only_the_compressible_solves(self, tmp_path, monkeypatch):
-        """A pooled sweep builds the stage in this process only, and starts at
-        most one worker per Mach number."""
+    def test_pool_steps_one_limit_pair_per_worker(self, tmp_path, monkeypatch):
+        """A pooled sweep starts at most one worker per Mach number.  Each
+        worker steps one limit pair beside its Mach numbers, and this process
+        steps none."""
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("the logging wrapper reaches the workers only through fork")
-        log = os.path.join(str(tmp_path), "runs.log")
-        original = experiments.run_trajectory
+        log = os.path.join(str(tmp_path), "steppers.log")
 
-        def logged(initial, cfg, kind, *args, **kwargs):
-            with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {kind}\n")
-            return original(initial, cfg, kind, *args, **kwargs)
+        def logged(cls):
+            class Logged(cls):
+                def __init__(self, cfg, *args):
+                    with open(log, "a") as fh:
+                        fh.write(f"{os.getpid()} {cls.__name__} {cfg.eps}\n")
+                    super().__init__(cfg, *args)
+
+            return Logged
 
         pool_sizes = []
 
@@ -435,28 +440,47 @@ class TestSharedStage:
                 pool_sizes.append(max_workers)
                 super().__init__(max_workers, **kwargs)
 
-        monkeypatch.setattr(experiments, "run_trajectory", logged)
+        monkeypatch.setattr(experiments, "LimitStepper", logged(LimitStepper))
+        monkeypatch.setattr(experiments, "CompressibleStepper", logged(CompressibleStepper))
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         cfg = tiny_config()
-        report = convergence_study(cfg, threads=4)
+        convergence_study(cfg, threads=4)
         assert pool_sizes == [len(cfg.eps_list)] == [2]
-        assert set(report.timings) == {"limit_table", "limit", "eps_0.2", "eps_0.1"}
         with open(log) as fh:
-            runs = [line.split() for line in fh]
-        parent = str(os.getpid())
-        assert sorted(kind for pid, kind in runs if pid == parent) == ["limit"]
-        assert sorted(kind for pid, kind in runs if pid != parent) == ["compressible"] * 2
+            steppers = [line.split() for line in fh]
+        assert str(os.getpid()) not in {pid for pid, _, _ in steppers}
+        assert sorted(eps for _, name, eps in steppers if name == "CompressibleStepper") == [
+            "0.1",
+            "0.2",
+        ]
+        assert [name for _, name, _ in steppers].count("LimitStepper") == pool_sizes[0]
+        # one Mach number per worker here, so one limit stepper beside each
+        for pid in {pid for pid, _, _ in steppers}:
+            names = [name for p, name, _ in steppers if p == pid]
+            assert names.count("LimitStepper") == names.count("CompressibleStepper") >= 1
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_report_timings_per_stepper(self, tmp_path, threads):
+        cfg = tiny_config()
+        paths = emit_report(convergence_study(cfg, threads=threads), str(tmp_path))
+        with open(paths["json"]) as fh:
+            timings = json.load(fh)["timings"]
+        assert set(timings) == {"limit_table", "limit", "eps_0.2", "eps_0.1"}
+        assert all(value > 0 for value in timings.values()), timings
 
     def test_pool_reports_progress_in_eps_order(self, tmp_path, capsys):
         path = os.path.join(str(tmp_path), "config.json")
         with open(path, "w") as fh:
             json.dump(tiny_config().to_json(), fh)
         seq, par = (os.path.join(str(tmp_path), name) for name in ("seq", "par"))
-        assert main(["converge", "--config", path, "--out", seq]) == 0
-        capsys.readouterr()
-        assert main(["converge", "--config", path, "--out", par, "--threads", "2", "--verbose"]) == 0
-        err = capsys.readouterr().err
-        assert [line for line in err.splitlines() if line.startswith("[converge]")] == [
+        lines = {}
+        for out, threads in ((seq, "1"), (par, "2")):
+            args = ["converge", "--config", path, "--out", out, "--threads", threads, "--verbose"]
+            assert main(args) == 0
+            err = capsys.readouterr().err
+            lines[threads] = [line for line in err.splitlines() if line.startswith("[converge]")]
+        # both paths report the same lines
+        assert lines["1"] == lines["2"] == [
             "[converge] eps = 0.2 done",
             "[converge] eps = 0.1 done",
         ]
@@ -466,16 +490,17 @@ class TestSharedStage:
 
     def test_limit_sim_writes_the_stage_finals(self, tmp_path):
         cfg = tiny_config()
-        stage = shared_stage(cfg)
+        a0, u0 = cfg.initial_data()
+        base = cfg.solver_config(0.2)
+        table = build_limit_tables(cfg.lattice)
+        stage = run_trajectory(limit_initial_data(a0, u0), base, "limit", table=table)
         # v's part of the coupled run is the incompressible run, sample by sample
-        run_v = run_trajectory(
-            helmholtz_project(stage.initial[1], "P"), cfg.solver_config(0.2), "incompressible"
-        )
-        assert np.array_equal(stage.traj.times, run_v.times)
-        assert len(stage.traj) == len(run_v) == 6
-        for (v, _), alone in zip(stage.traj.states, run_v.states):
+        run_v = run_trajectory(helmholtz_project(u0, "P"), base, "incompressible")
+        assert np.array_equal(stage.times, run_v.times)
+        assert len(stage) == len(run_v) == 6
+        for (v, _), alone in zip(stage.states, run_v.states):
             assert v.coeffs.tobytes() == alone.coeffs.tobytes()
-        v_final, V = stage.traj.final
+        v_final, V = stage.final
         assert v_final.coeffs.tobytes() == run_v.final.coeffs.tobytes()
         path = os.path.join(str(tmp_path), "config.json")
         with open(path, "w") as fh:
@@ -489,9 +514,6 @@ class TestSharedStage:
             _, t, arrays, meta = load_checkpoint(os.path.join(out, f"{name}.lmc"))
             assert (t, meta["kind"]) == (cfg.t_final, name)
             np.testing.assert_array_equal(arrays[key], final)
-        # a worker started with spawn or forkserver receives the stage pickled
-        again = pickle.loads(pickle.dumps(stage))
-        np.testing.assert_array_equal(again.traj.final[1].plus, V.plus)
 
 
 class TestInvariantSuite:
@@ -1102,9 +1124,15 @@ class TestHalfBoxSamplePath:
     def test_limit_run_keeps_each_branch_hermitian(self):
         # the half-box path counts the Vdiff power of each mode with n_d > 0
         # for its mirror too; that needs V's branches Hermitian along the run
-        stage = shared_stage(replace_quietly(tiny_config(), t_final=0.5))
-        assert len(stage.traj.states) == 51
-        for _, V in stage.traj.states:
+        cfg = replace_quietly(tiny_config(), t_final=0.5)
+        stage = run_trajectory(
+            limit_initial_data(*cfg.initial_data()),
+            cfg.solver_config(0.2),
+            "limit",
+            table=build_limit_tables(cfg.lattice),
+        )
+        assert len(stage.states) == 51
+        for _, V in stage.states:
             scale = float(np.max(np.abs(V.coeffs)))
             assert scale > 0
             assert V.conjugate_symmetry_defect() <= 1e-14 * scale
@@ -1151,57 +1179,22 @@ class TestStreamingMemory:
         for got, sampled in zip(bare.final, full.states[-1]):
             np.testing.assert_array_equal(got.coeffs, sampled.coeffs)
 
-    def test_sweep_keeps_rows_not_fields(self):
-        """The per-Mach-number stage of convergence_study on 16²: its peak above
-        the shared stage grows by less than one scalar field per extra sample.
-        (The shared (v, V) samples are kept whole, since the differences
-        read them.)"""
-        stage_growth = {}
-        for stride in (self.N_STEPS, 1):
-            cfg = replace_quietly(
-                oracle_case("medium-band"), t_final=self.N_STEPS * 5e-3, sample_stride=stride
-            )
-            marks = []
-
-            def progress(msg):
-                if marks:
-                    marks[-1][1] = tracemalloc.get_traced_memory()[1]
-                tracemalloc.reset_peak()
-                marks.append([tracemalloc.get_traced_memory()[0], None])
-
-            tracemalloc.start()
-            try:
-                convergence_study(cfg, progress=progress)
-                marks[-1][1] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            stage_growth[stride] = max(peak - start for start, peak in marks)
-        field_bytes = 16 * math.prod(cfg.lattice.resolution)
-        assert stage_growth[1] - stage_growth[self.N_STEPS] < self.N_STEPS * field_bytes
-
-    def test_sweep_holds_v_samples_once(self):
-        """Entering the per-Mach-number stage, each extra sample holds the v
-        sample and its spline second derivative (two vector fields) and the
-        V sample (two scalar fields), and no second copy of v."""
-        live = {}
-        # the first run also holds what its lazy imports allocate, so it is
-        # repeated and only the repeat is compared
+    def test_sweep_keeps_no_stage_samples(self):
+        """A whole convergence_study on 16², limit table and limit pair
+        included: its peak grows by less than one scalar field per extra
+        sample, so neither the limit pair's samples nor the compressible ones
+        are kept."""
+        peaks = {}
+        # the first run also holds what its lazy imports and lattice caches
+        # allocate, so it is repeated and only the repeat is compared
         for stride in (self.N_STEPS, self.N_STEPS, 1):
             cfg = replace_quietly(
                 oracle_case("medium-band"), t_final=self.N_STEPS * 5e-3, sample_stride=stride
             )
-            marks = []
-            tracemalloc.start()
-            try:
-                convergence_study(
-                    cfg, progress=lambda msg: marks.append(tracemalloc.get_traced_memory()[0])
-                )
-            finally:
-                tracemalloc.stop()
-            live[stride] = marks[0]
+            peaks[stride] = _peak(lambda: convergence_study(cfg))
         field_bytes = 16 * math.prod(cfg.lattice.resolution)
         extra_samples = self.N_STEPS - 1
-        assert live[1] - live[self.N_STEPS] < extra_samples * 7 * field_bytes
+        assert peaks[1] - peaks[self.N_STEPS] < extra_samples * field_bytes
 
 
 class TestBandOccupancy:

@@ -704,6 +704,33 @@ class TestLimitForms:
         slope = np.polyfit(np.log(eps_list), np.log(errs), 1)[0]
         assert 0.7 <= slope <= 1.3
 
+    def test_forms_fill_the_work_arrays(self):
+        """With a stepper's work arrays, reused across inputs, the forms give
+        the bytes of a call without them and allocate less than the work
+        arrays besides their output: no gather or product of the entries."""
+        lattice = LatticeSpec.square(2, 32)
+        table = build_limit_tables(lattice)
+        q1_work, q2_work = table.work_arrays()
+        rng = np.random.default_rng(8)
+        calls = {}
+        for _ in range(2):
+            u, B = random_divfree(lattice, rng), random_acoustic(lattice, rng)
+            calls = {
+                "q1": (lambda work: limit_q1(u, B, table, work=work), q1_work),
+                "q2": (lambda work: limit_q2(B, B, table, kappa=1.0, work=work), q2_work),
+            }
+            for form, work in calls.values():
+                assert form(work).coeffs.tobytes() == form(None).coeffs.tobytes()
+        out_bytes = AcousticCoeffs.zeros(lattice).coeffs.nbytes
+        for name, (form, work) in calls.items():
+            tracemalloc.start()
+            try:
+                form(work)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < out_bytes + work.nbytes, name
+
 
 class TestAcousticLayout:
     """Acoustic coefficients are a two-component spectral field: component 0
