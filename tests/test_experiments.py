@@ -1179,7 +1179,7 @@ class TestStreamingMemory:
         for got, sampled in zip(bare.final, full.states[-1]):
             np.testing.assert_array_equal(got.coeffs, sampled.coeffs)
 
-    def test_sweep_keeps_no_stage_samples(self):
+    def test_sweep_keeps_rows_not_fields(self):
         """A whole convergence_study on 16², limit table and limit pair
         included: its peak grows by less than one scalar field per extra
         sample, so neither the limit pair's samples nor the compressible ones
@@ -1195,6 +1195,31 @@ class TestStreamingMemory:
         field_bytes = 16 * math.prod(cfg.lattice.resolution)
         extra_samples = self.N_STEPS - 1
         assert peaks[1] - peaks[self.N_STEPS] < extra_samples * field_bytes
+
+    def test_sweep_holds_v_samples_once(self):
+        """When the sweep reports its first Mach number, the rows are in and
+        the live memory holds no (v, V) sample: each extra sample costs less
+        than one scalar field, where a stored sample costs seven."""
+        live = {}
+        # the first run also holds what its lazy imports allocate, so it is
+        # repeated and only the repeat is compared
+        for stride in (self.N_STEPS, self.N_STEPS, 1):
+            cfg = replace_quietly(
+                oracle_case("medium-band"), t_final=self.N_STEPS * 5e-3, sample_stride=stride
+            )
+            marks = []
+            tracemalloc.start()
+            try:
+                convergence_study(
+                    cfg, progress=lambda msg: marks.append(tracemalloc.get_traced_memory()[0])
+                )
+            finally:
+                tracemalloc.stop()
+            assert len(marks) == len(cfg.eps_list)
+            live[stride] = marks[0]
+        field_bytes = 16 * math.prod(cfg.lattice.resolution)
+        extra_samples = self.N_STEPS - 1
+        assert live[1] - live[self.N_STEPS] < extra_samples * field_bytes
 
 
 class TestBandOccupancy:
