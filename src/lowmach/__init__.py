@@ -34,6 +34,7 @@ from .operators import (
     wave_group,
 )
 from .resonance import (
+    NonResonantTriads,
     ResonanceTable,
     assemble_correctors,
     build_limit_tables,

@@ -46,11 +46,14 @@ SCHEMA_VERSION = 1
 
 
 def _config_number(value, name: str, kind=float):
-    """``kind(value)`` for a JSON number, an integer where ``kind`` is int;
-    ValueError naming the config field otherwise (strings and booleans too)."""
+    """``kind(value)`` for a finite JSON number, an integer where ``kind`` is
+    int; ValueError naming the config field otherwise (strings, booleans,
+    NaN and the infinities too)."""
     if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
         what = "an integer" if kind is int else "a number"
         raise ValueError(f"config field {name} must be {what}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"config field {name} must be finite, got {value!r}")
     return kind(value)
 
 
@@ -99,7 +102,7 @@ class ExperimentConfig:
             raise ValueError("Mach numbers must be strictly descending")
         if not (0 < self.theta < 0.5):
             raise ValueError("theta must lie in (0, 1/2)")
-        if self.zeta <= 0:
+        if not self.zeta > 0:
             raise ValueError("zeta must be positive")
         if self.eta0 is not None and not self.eta0 > 0:
             raise ValueError("eta0 must be positive")

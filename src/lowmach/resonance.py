@@ -15,19 +15,21 @@ k = a*p and l = b*p with sg(p) = 1, the exponent alpha*a + beta*b -
 gamma*(a + b) (times |p|) vanishes exactly when alpha = beta = gamma, so q2
 is the collinear equal-branch pairs.
 
-The resonant triples drive the averaged (limit) quadratic forms; the
-non-resonant ones carry the small divisors and build the two-time-scale
-correctors.  Tables are enumerated once per (lattice, cutoff).  Each term of
-the low-band remainder oscillates as exp(i omega t/eps), and its corrector is
-the same term divided by i omega; both sum over one triad list, m in the box
-and |k|, |l| <= M, whatever cutoff the table was enumerated at.
+Each set of triads has one reader.  The resonant triples over the dealiased
+box, a :class:`ResonanceTable` built once per lattice, drive the averaged
+(limit) quadratic forms.  The non-resonant triples with |k|, |l| <= M, a
+:class:`NonResonantTriads` enumerated once per (lattice, cutoff), carry the
+small divisors and build the two-time-scale correctors.  Each term of the
+low-band remainder oscillates as exp(i omega t/eps), and its corrector is the
+same term divided by i omega; both sum over one triad list, m in the box and
+|k|, |l| <= M, whatever cutoff the triads were enumerated at.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -45,6 +47,7 @@ __all__ = [
     "ResonanceResult",
     "resonance_test",
     "ResonanceTable",
+    "NonResonantTriads",
     "enumerate_resonance_sets",
     "build_limit_tables",
     "limit_q1",
@@ -167,51 +170,36 @@ def _grid_index(lattice: LatticeSpec, n: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ResonanceTable:
-    """Classified interaction triples up to a cutoff.
+    """The resonant triples over the dealiased box, read by the limit forms.
 
-    Resonant entries feed the limit forms; non-resonant entries (when kept)
-    carry divisors, brackets, and oscillation rates for the correctors.  All
-    index arrays are flat indices into the lattice's FFT grid; entries whose
-    output mode m falls outside the dealiased box are kept only in the
-    divisor statistics, not in the field-building arrays.
+    All index arrays are flat indices into the lattice's FFT grid, and every
+    mode m, k and l of an entry lies in the box.
     """
 
     lattice: LatticeSpec
-    M: float
-    # q1 resonant: |k| = |m|, alpha = gamma*sg(m)*sg(k); l = m - k may be 0
-    q1_m: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-    q1_k: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-    q1_l: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-    q1_ss: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int8))
-    q1_weight: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    q1_kvec: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    # q2 resonant, keyed by output branch gamma; the limit table holds one
-    # equal-branch set, so its 1 and -1 keys share the same arrays
-    q2_m: dict = field(default_factory=dict)
-    q2_k: dict = field(default_factory=dict)
-    q2_l: dict = field(default_factory=dict)
-    q2_smod: dict = field(default_factory=dict)
-    # non-resonant (corrector) entries, optional
-    nonres_q1: dict | None = None
-    nonres_q2: dict | None = None
+    # q1: |k| = |m|, alpha = gamma*sg(m)*sg(k); l = m - k may be 0
+    q1_m: np.ndarray
+    q1_k: np.ndarray
+    q1_l: np.ndarray
+    q1_ss: np.ndarray
+    q1_weight: np.ndarray
+    q1_kvec: np.ndarray
+    # q2, keyed by output branch gamma: the table holds one equal-branch set,
+    # so its 1 and -1 keys share the same arrays
+    q2_m: dict
+    q2_k: dict
+    q2_l: dict
+    q2_smod: dict
 
     def counts(self) -> dict:
         # both gamma keys of q2_m hold the same equal-branch triples
-        out = {
-            "q1_resonant": int(self.q1_m.size),
-            "q2_resonant": int(self.q2_m[1].size) if self.q2_m else 0,
-        }
-        if self.nonres_q1 is not None:
-            out["q1_nonresonant"] = int(self.nonres_q1["m"].size)
-        if self.nonres_q2 is not None:
-            out["q2_nonresonant"] = int(self.nonres_q2["m"].size)
-        return out
+        return {"q1_resonant": int(self.q1_m.size), "q2_resonant": int(self.q2_m[1].size)}
 
     def work_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """New work arrays of :func:`limit_q1` and :func:`limit_q2`, shaped
         (2, q1 entries) and (3, q2 entries)."""
-        q2_size = max((m.size for m in self.q2_m.values()), default=0)
-        return np.empty((2, self.q1_m.size), np.complex128), np.empty((3, q2_size), np.complex128)
+        q1, q2 = self.q1_m.size, self.q2_m[1].size
+        return np.empty((2, q1), np.complex128), np.empty((3, q2), np.complex128)
 
     @cached_property
     def q1_gather(self) -> np.ndarray:
@@ -274,7 +262,6 @@ def build_limit_tables(lattice: LatticeSpec) -> ResonanceTable:
 
     return ResonanceTable(
         lattice=lattice,
-        M=float(lattice.max_modulus()),
         q1_m=flat[im],
         q1_k=flat[ik],
         q1_l=_grid_index(lattice, l),
@@ -301,20 +288,35 @@ _Q2_BRANCHES = np.array(
 ).T
 
 
-def enumerate_resonance_sets(lattice: LatticeSpec, M: float) -> ResonanceTable:
-    """Classify every triple with |k|, |l| <= M (paper-style modulus balls).
+@dataclass
+class NonResonantTriads:
+    """The non-resonant triples with |k|, |l| <= M, read by the small-divisor
+    report and the correctors.
 
-    Returns resonant entries (restricted to output modes representable on the
-    dealiased box) plus the complete non-resonant complements with divisors,
-    brackets, and oscillation rates for corrector assembly and small-divisor
-    reports.  Pairs run over k in the ball and, for each k, over l in the ball
-    and then l = 0 (ball modes in ascending index order), skipping m = k + l
-    = 0; each pair lists its non-resonant branches with gamma, then alpha,
-    then beta running over (1, -1).  A non-resonant m outside the box, and a
-    q1 difference l outside the box, get the index -1.  A cutoff whose pairs
-    would need more than ``_MAX_ENUMERATION_BYTES`` raises ValueError before
-    anything large is allocated, and so does a cutoff that is not a finite
-    number >= 0.
+    ``q1`` and ``q2`` map names to one array per entry: the flat indices m, k
+    and l (-1 for a mode outside the dealiased box), the branches, the
+    divisor ``div``, the corrector weight (``bracket`` for q1, ``base`` and
+    ``smod`` for q2) and the integer index vectors ``mn``, ``kn`` and ``ln``.
+    """
+
+    lattice: LatticeSpec
+    M: float
+    q1: dict
+    q2: dict
+
+
+def enumerate_resonance_sets(lattice: LatticeSpec, M: float) -> NonResonantTriads:
+    """Classify every triple with |k|, |l| <= M (paper-style modulus balls)
+    and keep the non-resonant ones.
+
+    Pairs run over k in the ball and, for each k, over l in the ball and then
+    l = 0 (ball modes in ascending index order), skipping m = k + l = 0; each
+    pair lists its non-resonant branches with gamma, then alpha, then beta
+    running over (1, -1).  A q1 triple resonates when |k| = |m| and
+    alpha*sg(k) = gamma*sg(m), a q2 triple when k and l are parallel and
+    alpha = beta = gamma.  A cutoff whose pairs would need more than
+    ``_MAX_ENUMERATION_BYTES`` raises ValueError before anything large is
+    allocated, and so does a cutoff that is not a finite number >= 0.
     """
     if not (math.isfinite(M) and M >= 0):
         raise ValueError(f"cutoff M = {M} must be a finite number >= 0")
@@ -357,7 +359,7 @@ def enumerate_resonance_sets(lattice: LatticeSpec, M: float) -> ResonanceTable:
     g, a = gamma[c], alpha[c]
     sk, sm = sgn[k], m_sgn[p]
     lm_dot_k = np.sum((vec[l] + m_vec[p]) * vec[k], axis=1)
-    nonres_q1 = {
+    q1 = {
         "m": m_out[p],
         "k": idx[k],
         "l": np.where(box, idx, -1)[l],
@@ -369,17 +371,6 @@ def enumerate_resonance_sets(lattice: LatticeSpec, M: float) -> ResonanceTable:
         "kn": modes[k],
         "ln": modes[l],
     }
-    # the resonant gamma = 1 branch of each same-modulus pair, m and l in the box
-    p = np.flatnonzero(same & m_box & box[il])
-    k, l = ik[p], il[p]
-    q1 = dict(
-        q1_m=m_idx[p],
-        q1_k=idx[k],
-        q1_l=idx[l],
-        q1_ss=(m_sgn[p] * sgn[k]).astype(np.int8),
-        q1_weight=np.sum(vec[k] * m_vec[p], axis=1) / (mod[k] * m_mod[p]),
-        q1_kvec=vec[k],
-    )
 
     # --- q2: resonant iff k and l are parallel and alpha = beta = gamma ----
     two = np.flatnonzero(il < len(ball))
@@ -390,11 +381,6 @@ def enumerate_resonance_sets(lattice: LatticeSpec, M: float) -> ResonanceTable:
     for i, j in itertools.combinations(range(d), 2):
         parallel &= kn[:, i] * ln[:, j] == kn[:, j] * ln[:, i]
     resonant = parallel[:, None] & (alpha == gamma) & (beta == gamma)
-    # equal-branch triples for the limit form: branch 0 (alpha = beta = gamma
-    # = 1) selects the same pairs as gamma = -1, with m, k and l in the box
-    eq = two[resonant[:, 0] & m_box[two] & box[k] & box[l]]
-    q2_m, q2_k, q2_l = m_idx[eq], idx[ik[eq]], idx[il[eq]]
-    q2_smod = m_sgn[eq] * m_mod[eq]
     p, c = np.nonzero(~resonant)
     p = two[p]
     k, l = ik[p], il[p]
@@ -402,7 +388,7 @@ def enumerate_resonance_sets(lattice: LatticeSpec, M: float) -> ResonanceTable:
     sk, sl, sm = sgn[k], sgn[l], m_sgn[p]
     l_dot_m = np.sum(vec[l] * m_vec[p], axis=1)
     k_dot_l = np.sum(vec[k] * vec[l], axis=1)
-    nonres_q2 = {
+    q2 = {
         "m": m_out[p],
         "k": idx[k],
         "l": idx[l],
@@ -418,17 +404,7 @@ def enumerate_resonance_sets(lattice: LatticeSpec, M: float) -> ResonanceTable:
         "ln": modes[l],
     }
 
-    return ResonanceTable(
-        lattice=lattice,
-        M=float(M),
-        **q1,
-        q2_m={1: q2_m, -1: q2_m},
-        q2_k={1: q2_k, -1: q2_k},
-        q2_l={1: q2_l, -1: q2_l},
-        q2_smod={1: q2_smod, -1: q2_smod},
-        nonres_q1=nonres_q1,
-        nonres_q2=nonres_q2,
-    )
+    return NonResonantTriads(lattice, float(M), q1, q2)
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +430,6 @@ def limit_q1(
     """
     lattice = table.lattice
     out = AcousticCoeffs.zeros(lattice)
-    if table.q1_m.size == 0:
-        return out
     k_dot_u, term = table.work_arrays()[0] if work is None else work
     prefactor = 1j / math.sqrt(lattice.volume)
     # k . u[l], one component at a time
@@ -497,8 +471,6 @@ def limit_q2(
         work = table.work_arrays()[1]
     for row, gamma in enumerate((1, -1)):
         m_idx = table.q2_m[gamma]
-        if m_idx.size == 0:
-            continue
         k_idx, l_idx = table.q2_k[gamma], table.q2_l[gamma]
         a_flat, b_flat = a_rows[row], b_rows[row]
         sym, other, term = work[:, : m_idx.size]
@@ -546,28 +518,22 @@ def small_divisors(lattice: LatticeSpec, M: float, theta: float = 0.25) -> Small
     (C1+C2)*M^(2+2*theta)} with generic constant 1 and the forcing
     regularity S = 1.
     """
-    table = enumerate_resonance_sets(lattice, M)
-    nq1, nq2 = table.nonres_q1, table.nonres_q2
+    triads = enumerate_resonance_sets(lattice, M)
 
-    def attaining(entries, names):
+    def worst(entries, names):
+        """1/|div| at the first smallest |div| and that entry's triad; 0 and
+        {} without entries."""
+        if entries["div"].size == 0:
+            return 0.0, {}
         i = int(np.argmin(np.abs(entries["div"])))
         info = {"divisor": float(abs(entries["div"][i]))}
         for name in names:
-            info[name] = (
-                int(entries[name][i])
-                if entries[name].ndim == 1
-                else [int(v) for v in entries[name][i]]
-            )
-        return info
+            value = entries[name][i]
+            info[name] = int(value) if value.ndim == 0 else [int(v) for v in value]
+        return float(1.0 / np.abs(entries["div"][i])), info
 
-    c1 = float(1.0 / np.min(np.abs(nq1["div"]))) if nq1["div"].size else 0.0
-    c2 = float(1.0 / np.min(np.abs(nq2["div"]))) if nq2["div"].size else 0.0
-    att1 = attaining(nq1, ("alpha", "gamma", "kn", "ln", "mn")) if nq1["div"].size else {}
-    att2 = (
-        attaining(nq2, ("alpha", "beta", "gamma", "kn", "ln", "mn"))
-        if nq2["div"].size
-        else {}
-    )
+    c1, att1 = worst(triads.q1, ("alpha", "gamma", "kn", "ln", "mn"))
+    c2, att2 = worst(triads.q2, ("alpha", "beta", "gamma", "kn", "ln", "mn"))
     d = lattice.d
     s_forcing = 1.0
     c_comb = max(
@@ -680,26 +646,26 @@ def _lambda_coeffs(w: SpectralField, v: SpectralField) -> AcousticCoeffs:
 
 def _remainder_terms(V, v, f_ac, M, t, eps, kappa, nu, table, lam_ac):
     """The low-band weights and the q1 and q2 triads with m in the box and
-    |k|, |l| <= M (the table is enumerated when missing), and the terms
-    (R1, R2, R3, S) of the remainder at time t.  A given table must be
+    |k|, |l| <= M (enumerated when ``table`` is None), and the terms
+    (R1, R2, R3, S) of the remainder at time t.  Given triads must be
     enumerated on the fields' lattice at a cutoff of at least M; otherwise
     ValueError."""
     lattice = V.lattice
-    if table is None or table.nonres_q1 is None:
+    if table is None:
         table = enumerate_resonance_sets(lattice, M)
     elif table.lattice != lattice:
         raise ValueError(
-            f"the resonance table is enumerated on the lattice {table.lattice.descriptor()}, "
+            f"the triads are enumerated on the lattice {table.lattice.descriptor()}, "
             f"not on the fields' lattice {lattice.descriptor()}"
         )
     elif table.M < M:
         raise ValueError(
-            f"the resonance table is enumerated at cutoff M = {table.M:g}, "
+            f"the triads are enumerated at cutoff M = {table.M:g}, "
             f"below the corrector cutoff M = {M:g}"
         )
     kmod = lattice.k_modulus()
     low = (kmod <= M + 1e-12).astype(np.float64)
-    q1, q2 = (_triads(e, kmod.reshape(-1), M) for e in (table.nonres_q1, table.nonres_q2))
+    q1, q2 = (_triads(e, kmod.reshape(-1), M) for e in (table.q1, table.q2))
     if lam_ac is None:
         lam_ac = _lambda_coeffs(v, v)
     fml = (f_ac if f_ac is not None else AcousticCoeffs.zeros(lattice)) - lam_ac
@@ -722,7 +688,7 @@ def assemble_correctors(
     *,
     kappa: float = 0.0,
     nu: float = 1.0,
-    table: ResonanceTable | None = None,
+    table: NonResonantTriads | None = None,
     lam_ac: AcousticCoeffs | None = None,
     time_derivatives: tuple | None = None,
 ):
@@ -768,7 +734,7 @@ def remainder_fields(
     *,
     kappa: float = 0.0,
     nu: float = 1.0,
-    table: ResonanceTable | None = None,
+    table: NonResonantTriads | None = None,
     lam_ac: AcousticCoeffs | None = None,
 ) -> AcousticCoeffs:
     """Low-band oscillatory remainder R_M = (R1 + R2 + R3 + S)_M at time t."""

@@ -232,7 +232,7 @@ class SolverConfig:
     include_nonlinear: bool = True
 
     def __post_init__(self):
-        if self.mu < 0 or self.nu < 0:
+        if not (self.mu >= 0 and self.nu >= 0):
             raise ValueError("viscosities must satisfy mu >= 0 and nu = 2*mu+lam >= 0")
         if not (0 < self.eps <= 1):
             raise ValueError("Mach number must lie in (0, 1]")

@@ -315,6 +315,19 @@ class TestConfig:
                 {"json": {"solver": {"mu": 0.0, "lambda": 0.0}, "experiment": {"eta0": None}}},
                 "experiment.eta0 must be given",
             ),
+            # json.load reads NaN, Infinity and -Infinity as floats
+            ({"mu": math.nan}, "viscosities"),
+            ({"json": {"solver": {"mu": math.nan}}}, "solver.mu must be finite, got nan"),
+            ({"json": {"solver": {"mu": math.inf}}}, "solver.mu must be finite, got inf"),
+            ({"json": {"solver": {"lambda": math.nan}}}, "solver.lambda must be finite"),
+            ({"json": {"solver": {"dt": math.nan}}}, "solver.dt must be finite"),
+            ({"json": {"experiment": {"zeta": math.nan}}}, "experiment.zeta must be finite"),
+            ({"json": {"experiment": {"amplitude_a": math.nan}}}, "amplitude_a must be finite"),
+            ({"json": {"experiment": {"amplitude_u": -math.inf}}}, "amplitude_u must be finite"),
+            ({"json": {"experiment": {"smoothness": math.nan}}}, "smoothness must be finite"),
+            ({"json": {"experiment": {"eps": [0.2, math.nan]}}}, "experiment.eps must be finite"),
+            ({"json": {"experiment": {"eta0": math.inf}}}, "experiment.eta0 must be finite"),
+            ({"zeta": math.nan}, "zeta must be positive"),
         ],
     )
     def test_rejected_at_load(self, tmp_path, lat16, overrides, message):
@@ -760,6 +773,8 @@ class TestCLI:
                 {"lattice": {"periods": [[1, 0], [1, 1]]}},
                 "config field lattice is malformed: periods[0] is [1, 0], not a fraction",
             ),
+            # json.dump writes the NaN literal that json.load reads back
+            ({"solver": {"mu": math.nan}}, "config field solver.mu must be finite, got nan"),
         ],
     )
     def test_malformed_config_rejected(self, tmp_path, capsys, edits, message):

@@ -1,6 +1,8 @@
 """Exact resonance tests, limit forms, small divisors, and correctors."""
 
 import hashlib
+import itertools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -13,9 +15,10 @@ from hypothesis import strategies as st
 from lowmach.lattice import GridField, LatticeSpec, SpectralField, forward_transform
 from lowmach.operators import AcousticCoeffs, helmholtz_project, wave_group
 from lowmach.dyadic import norm
+from lowmach.experiments import limit_initial_data
 from lowmach import resonance
 from lowmach.resonance import (
-    ResonanceTable,
+    NonResonantTriads,
     _sqrt_sum_is_zero,
     assemble_correctors,
     build_limit_tables,
@@ -26,6 +29,7 @@ from lowmach.resonance import (
     resonance_test,
     small_divisors,
 )
+from lowmach.solvers import generate_initial_data
 from oracles import (
     q1_eps_modesum,
     q1_eps_time_average,
@@ -125,38 +129,16 @@ class TestEnumeration:
         )[0]
         assert bad.size == 0
 
-    def test_enumeration_paths_agree(self, lat8):
-        # on the 8^2 unit lattice the dealiased box equals the modulus ball
-        # of radius 2*sqrt(2), so both enumeration paths must list the same
-        # resonant triples
-        box_table = build_limit_tables(lat8)
-        ball_table = enumerate_resonance_sets(lat8, 2.0 * math.sqrt(2.0))
-
-        def q1_set(table):
-            return {
-                (int(m), int(k), int(l))
-                for m, k, l in zip(table.q1_m, table.q1_k, table.q1_l)
-            }
-
-        def q2_set(table):
-            return {
-                (int(m), int(k), int(l))
-                for m, k, l in zip(table.q2_m[1], table.q2_k[1], table.q2_l[1])
-            }
-
-        assert q1_set(box_table) == q1_set(ball_table)
-        assert q2_set(box_table) == q2_set(ball_table)
-
     def test_counts_report_distinct_q2_triples(self, lat8):
         # the gamma = +1 and -1 keys hold the same equal-branch triples, so
         # counts() reports one key's entries, each a distinct triple
-        for table in (build_limit_tables(lat8), enumerate_resonance_sets(lat8, 2.0)):
-            counts = table.counts()
-            assert counts["q2_resonant"] == table.q2_m[1].size > 0
-            assert counts["q1_resonant"] == table.q1_m.size
-            triples = set(zip(table.q2_m[1], table.q2_k[1], table.q2_l[1]))
-            assert len(triples) == table.q2_m[1].size
-            assert triples == set(zip(table.q2_m[-1], table.q2_k[-1], table.q2_l[-1]))
+        table = build_limit_tables(lat8)
+        counts = table.counts()
+        assert counts["q2_resonant"] == table.q2_m[1].size > 0
+        assert counts["q1_resonant"] == table.q1_m.size
+        triples = set(zip(table.q2_m[1], table.q2_k[1], table.q2_l[1]))
+        assert len(triples) == table.q2_m[1].size
+        assert triples == set(zip(table.q2_m[-1], table.q2_k[-1], table.q2_l[-1]))
 
     def test_table_reality_closure(self, lat8):
         # every resonant q1 pair has its mirrored partner
@@ -231,11 +213,10 @@ def reference_resonance_sets(lattice, M):
 
     Loops over k in the modulus ball and l in the ball followed by l = 0,
     classifying each pair's four q1 and eight q2 branch combinations with the
-    scalar exact test.
+    scalar exact test and keeping the non-resonant ones.
     """
     d = lattice.d
     ball = _ball_modes(lattice, M)
-    q1_res = {"m": [], "k": [], "l": [], "ss": [], "w": [], "kv": []}
     nq1 = {k: [] for k in ("m", "k", "l", "alpha", "gamma", "div", "bracket", "mn", "kn", "ln")}
     nq2 = {
         k: []
@@ -254,16 +235,7 @@ def reference_resonance_sets(lattice, M):
         )
         for gamma in (1, -1):
             for alpha in (1, -1):
-                resonant = nk == nm and alpha * sgk == gamma * sgm
-                if resonant:
-                    if gamma == 1 and _in_box(lattice, m) and _in_box(lattice, l):
-                        q1_res["m"].append(_flat_index(lattice, m))
-                        q1_res["k"].append(_flat_index(lattice, k))
-                        q1_res["l"].append(_flat_index(lattice, l))
-                        q1_res["ss"].append(sgm * sgk)
-                        q1_res["w"].append(float(np.dot(kv, mv)) / (kmod * mmod))
-                        q1_res["kv"].append(kv)
-                else:
+                if not (nk == nm and alpha * sgk == gamma * sgm):
                     div = alpha * sgk * kmod - gamma * sgm * mmod
                     bracket = 1.0 + alpha * gamma * sgk * sgm * float(
                         np.dot(lv + mv, kv)
@@ -328,7 +300,6 @@ def reference_resonance_sets(lattice, M):
                         nq2["kn"].append(k)
                         nq2["ln"].append(l)
 
-    q2_res = {1: ([], [], [], []), -1: ([], [], [], [])}
     ball_with_zero = ball + [(0,) * d]
     for k in ball:
         for l in ball_with_zero:
@@ -338,20 +309,6 @@ def reference_resonance_sets(lattice, M):
             record_q1(m, k, l)
             if any(l):
                 record_q2(m, k, l)
-                # equal-branch resonant entries for the limit form
-                nm = _scaled_norm_of(lattice, m)
-                nk = _scaled_norm_of(lattice, k)
-                nl = _scaled_norm_of(lattice, l)
-                sgm, sgk, sgl = sg(m), sg(k), sg(l)
-                for gamma in (1, -1):
-                    if _sqrt_sum_is_zero(
-                        [(gamma * sgk, nk), (gamma * sgl, nl), (-gamma * sgm, nm)]
-                    ) and _in_box(lattice, m) and _in_box(lattice, k) and _in_box(lattice, l):
-                        ms, ks, ls, smods = q2_res[gamma]
-                        ms.append(_flat_index(lattice, m))
-                        ks.append(_flat_index(lattice, k))
-                        ls.append(_flat_index(lattice, l))
-                        smods.append(sgm * _modulus_of(lattice, m))
 
     int_arrays = {"m", "k", "l", "mn", "kn", "ln"}
     small_ints = {"alpha", "beta", "gamma"}
@@ -363,22 +320,7 @@ def reference_resonance_sets(lattice, M):
             out[key] = np.array(values, dtype=dtype)
         return out
 
-    return ResonanceTable(
-        lattice=lattice,
-        M=float(M),
-        q1_m=np.array(q1_res["m"], dtype=np.int64),
-        q1_k=np.array(q1_res["k"], dtype=np.int64),
-        q1_l=np.array(q1_res["l"], dtype=np.int64),
-        q1_ss=np.array(q1_res["ss"], dtype=np.int8),
-        q1_weight=np.array(q1_res["w"]),
-        q1_kvec=np.array(q1_res["kv"]) if q1_res["kv"] else np.zeros((0, d)),
-        q2_m={g: np.array(q2_res[g][0], dtype=np.int64) for g in (1, -1)},
-        q2_k={g: np.array(q2_res[g][1], dtype=np.int64) for g in (1, -1)},
-        q2_l={g: np.array(q2_res[g][2], dtype=np.int64) for g in (1, -1)},
-        q2_smod={g: np.array(q2_res[g][3]) for g in (1, -1)},
-        nonres_q1=as_arrays(nq1),
-        nonres_q2=as_arrays(nq2),
-    )
+    return NonResonantTriads(lattice, float(M), as_arrays(nq1), as_arrays(nq2))
 
 
 def reference_limit_tables(lattice):
@@ -525,8 +467,9 @@ def test_scaled_norms_beyond_int64_rejected():
     wide = LatticeSpec((1, Fraction(1, 10**10)), (16, 16))
     with pytest.raises(ValueError, match=r"periods \(1, 1/10000000000\) exceed the int64"):
         build_limit_tables(wide)
-    # its unit ball lies on the first axis, where D*|k|^2 is small
-    assert enumerate_resonance_sets(wide, 1.0).q2_m[1].size == 2
+    # its unit ball lies on the first axis, where D*|k|^2 is small: the pairs
+    # (k, k) with k = (1, 0) and (-1, 0) resonate on their equal branches
+    assert resonant_branches(enumerate_resonance_sets(wide, 1.0).q2, 8) == 4
     # D = (1e10 + 1)^2 already leaves int64 on the unit ball
     near = LatticeSpec((1, Fraction(10**10 + 1, 10**10)), (16, 16))
     with pytest.raises(ValueError, match=r"periods \(1, 10000000001/10000000000\) exceed"):
@@ -535,30 +478,41 @@ def test_scaled_norms_beyond_int64_rejected():
         build_limit_tables(near)
 
 
-def assert_resonance_sets_match(table, ref):
-    """Array table equals the per-pair oracle: indices, signs and divisors
-    exactly (value and dtype), weights, brackets and bases within 4 ulp."""
+def assert_resonance_sets_match(triads, ref):
+    """Enumerated triads equal the per-pair oracle: indices, branches and
+    divisors exactly (value and dtype), brackets and bases within 4 ulp."""
     ulps = 4 * np.finfo(float).eps
-
-    def same(got, want):
-        assert got.dtype == want.dtype and got.size == want.size
-        assert np.array_equal(got, want.reshape(got.shape))
-
-    for key in ("q1_m", "q1_k", "q1_l", "q1_ss", "q1_kvec"):
-        same(getattr(table, key), getattr(ref, key))
-    np.testing.assert_allclose(table.q1_weight, ref.q1_weight, rtol=ulps, atol=ulps)
-    for key in ("q2_m", "q2_k", "q2_l", "q2_smod"):
-        for gamma in (1, -1):
-            same(getattr(table, key)[gamma], getattr(ref, key)[gamma])
-        # the equal-branch set is stored once and shared by both output branches
-        assert getattr(table, key)[1] is getattr(table, key)[-1]
-    for got, want in ((table.nonres_q1, ref.nonres_q1), (table.nonres_q2, ref.nonres_q2)):
+    assert (triads.lattice, triads.M) == (ref.lattice, ref.M)
+    for got, want in ((triads.q1, ref.q1), (triads.q2, ref.q2)):
         assert set(got) == set(want)
         for key in want:
             if key in ("bracket", "base"):
                 np.testing.assert_allclose(got[key], want[key], rtol=ulps, atol=ulps)
             else:
-                same(got[key], want[key])
+                assert got[key].dtype == want[key].dtype and got[key].size == want[key].size
+                assert np.array_equal(got[key], want[key].reshape(got[key].shape))
+
+
+def resonant_branches(entries, branches):
+    """Branch combinations left out of ``entries`` as resonant.  Each (k, l)
+    pair has ``branches`` combinations and at most two resonate, so every
+    pair is listed."""
+    pairs = np.unique(np.concatenate([entries["kn"], entries["ln"]], axis=1), axis=0)
+    return branches * len(pairs) - entries["m"].size
+
+
+def assert_q2_resonances_collinear(triads):
+    """The q2 branches left out are exactly the equal-branch ones of the
+    collinear pairs: those whose 2x2 minors of (k, l) all vanish."""
+    q2 = triads.q2
+    k, l = q2["kn"], q2["ln"]
+    parallel = np.ones(len(k), dtype=bool)
+    for i, j in itertools.combinations(range(triads.lattice.d), 2):
+        parallel &= k[:, i] * l[:, j] == k[:, j] * l[:, i]
+    equal = (q2["alpha"] == q2["gamma"]) & (q2["beta"] == q2["gamma"])
+    assert not np.any(parallel & equal)
+    _, first = np.unique(np.concatenate([k, l], axis=1), axis=0, return_index=True)
+    assert resonant_branches(q2, 8) == 2 * np.count_nonzero(parallel[first])
 
 
 # (lattice, cutoff, whether some m = k + l leaves the dealiased box)
@@ -581,15 +535,62 @@ ORACLE_CUTOFFS = [
 )
 def test_resonance_sets_match_per_pair_oracle(name, M, leaves_box, monkeypatch):
     lattice = ORACLE_LATTICES[name]
-    table = enumerate_resonance_sets(lattice, M)
+    triads = enumerate_resonance_sets(lattice, M)
     ref = reference_resonance_sets(lattice, M)
-    assert_resonance_sets_match(table, ref)
-    assert table.q2_m[1].size > 0
-    assert bool(np.any(table.nonres_q2["m"] == -1)) == leaves_box
+    assert_resonance_sets_match(triads, ref)
+    assert resonant_branches(triads.q2, 8) > 0
+    assert bool(np.any(triads.q2["m"] == -1)) == leaves_box
     # the small-divisor report, argmin ties included, is the oracle's
     report = small_divisors(lattice, M).to_json()
     monkeypatch.setattr(resonance, "enumerate_resonance_sets", lambda lat, cutoff: ref)
     assert small_divisors(lattice, M).to_json() == report
+
+
+# sha256 of the little-endian bytes of every array of the q1 and then the q2
+# triads, keys sorted, and of the small-divisor report's JSON (keys sorted),
+# with the q1 and q2 entry counts; recorded before the resonant arrays left
+# the enumeration
+FULL_SIZE_TRIADS = {
+    "64x64-M6": (
+        LatticeSpec.square(2, 64),
+        6.0,
+        49224,
+        98496,
+        "921ff095eb3449c45ca60ffb829d2dece568f813d8b6bf0def31ed4ad162c0f3",
+        "5298b1e24da6c86d20feb31cf82717e6550498a5d8e79ae09f897f701fa0f198",
+    ),
+    "16x16x12-sweep3d-M2": (
+        LatticeSpec((1, Fraction(1, 2), Fraction(2, 3)), (16, 16, 12)),
+        2.0,
+        540,
+        1016,
+        "04101f07a7bc534f1d2358d8c2856fe5e9596aa14b8681912f3721a7f028cd53",
+        "b20e730954359a517c50c8e84cb031e9805bbb282de4099a8e9c6408a1fe6ac0",
+    ),
+    "48x40-aniso-M5": (
+        LatticeSpec((1, Fraction(3, 2)), (48, 40)),
+        5.0,
+        53268,
+        105640,
+        "f5a5c28d121ea9f461ac81d9b9dae6f378af88e637946af59e400c15cebac4e9",
+        "586390e09fce0f90d728921e6e2e6ac8d825c6968744a70fd27cf08a6907533f",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(FULL_SIZE_TRIADS))
+def test_enumeration_pinned_at_full_size(name):
+    lattice, M, q1_entries, q2_entries, digest, report_digest = FULL_SIZE_TRIADS[name]
+    triads = enumerate_resonance_sets(lattice, M)
+    sha = hashlib.sha256()
+    for entries in (triads.q1, triads.q2):
+        for key in sorted(entries):
+            arr = entries[key]
+            sha.update(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
+    report = json.dumps(small_divisors(lattice, M).to_json(), sort_keys=True)
+    assert (triads.q1["m"].size, triads.q2["m"].size) == (q1_entries, q2_entries)
+    assert sha.hexdigest() == digest
+    assert hashlib.sha256(report.encode()).hexdigest() == report_digest
 
 
 @st.composite
@@ -624,11 +625,11 @@ def lattice_and_cutoff(draw):
 @given(lattice_and_cutoff())
 def test_resonance_sets_property(case):
     lattice, M = case
-    table = enumerate_resonance_sets(lattice, M)
-    assert_resonance_sets_match(table, reference_resonance_sets(lattice, M))
-    for entries in (table.nonres_q1, table.nonres_q2):
+    triads = enumerate_resonance_sets(lattice, M)
+    assert_resonance_sets_match(triads, reference_resonance_sets(lattice, M))
+    for entries in (triads.q1, triads.q2):
         assert np.all(entries["div"] != 0)
-    assert_q2_collinear(lattice, table)
+    assert_q2_resonances_collinear(triads)
 
 
 class TestLimitForms:
@@ -703,6 +704,20 @@ class TestLimitForms:
             errs.append((avg - limit).l2_norm())
         slope = np.polyfit(np.log(eps_list), np.log(errs), 1)[0]
         assert 0.7 <= slope <= 1.3
+
+    @pytest.mark.parametrize("name", ["16x16", "8x8x6-aniso", "16x12-aniso"])
+    def test_forms_are_energy_neutral(self, name):
+        """Re<V, Q1(v, V)> and Re<V, Q2(V, V)> vanish on real data, whose
+        branches are Hermitian, so the forms leave ||V||^2 to the heat factor.
+        Q2 is not neutral on arbitrary complex V.  A form's sign, weight or
+        branch does not change its neutrality, but a slipped index does."""
+        lattice = ORACLE_LATTICES[name]
+        table = build_limit_tables(lattice)
+        v, V = limit_initial_data(*generate_initial_data(lattice, 1.0, 1.0, seed=0))
+        for form in (limit_q1(v, V, table), limit_q2(V, V, table, kappa=1.0)):
+            assert form.l2_norm() > 1e-3  # 1.4e-2 to 5.9e-2 on these data
+            work = float(np.vdot(V.coeffs, form.coeffs).real)
+            assert abs(work) <= 1e-13 * V.l2_norm() * form.l2_norm()
 
     def test_forms_fill_the_work_arrays(self):
         """With a stepper's work arrays, reused across inputs, the forms give
@@ -794,9 +809,9 @@ class TestSmallDivisors:
 
     def test_divisors_positive(self):
         lat = LatticeSpec.square(2, 8)
-        table = enumerate_resonance_sets(lat, 2.0)
-        assert np.all(np.abs(table.nonres_q1["div"]) > 0)
-        assert np.all(np.abs(table.nonres_q2["div"]) > 0)
+        triads = enumerate_resonance_sets(lat, 2.0)
+        assert np.all(np.abs(triads.q1["div"]) > 0)
+        assert np.all(np.abs(triads.q2["div"]) > 0)
 
     def test_attaining_triples_verify_their_divisors(self):
         lat = LatticeSpec.square(2, 16)

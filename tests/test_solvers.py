@@ -34,6 +34,7 @@ from lowmach.operators import (
     wave_group,
 )
 from lowmach.cli import main
+from lowmach.experiments import limit_initial_data
 from lowmach.resonance import build_limit_tables, limit_q2
 from lowmach import lattice as lattice_module
 from lowmach import solvers
@@ -1003,6 +1004,18 @@ class TestLimit:
         got = V.plus[2, 0]
         assert got == pytest.approx(expected, rel=2e-2)
         assert abs(got) > 0
+
+    def test_energy_law(self, lat16):
+        # ||V(T)||^2 - ||V(0)||^2 = -nu int sum_k |k|^2 |V_k|^2 dt: the heat
+        # factor exp(-nu |k|^2 t/2) dissipates and the limit forms are neutral
+        cfg, table, _ = self.make_setup(lat16, dt=5e-4, t_final=0.25)
+        initial = limit_initial_data(*generate_initial_data(lat16, 1.0, 1.0, seed=10))
+        traj = run_trajectory(initial, cfg, "limit", table=table)
+        energies = [V.l2_norm() ** 2 for _, V in traj.states]
+        grads = [float(np.sum(lat16.k_squared() * V.mode_power())) for _, V in traj.states]
+        dissipated = cfg.nu * _trapezoid(grads, traj.times)
+        defect = abs(energies[-1] - energies[0] + dissipated) / energies[0]
+        assert defect <= 1e-6
 
     def test_self_convergence_second_order(self, lat16):
         cfg0, table, v0 = self.make_setup(lat16, dt=1e-3, t_final=0.1)
