@@ -26,7 +26,6 @@ from .dyadic import (
 )
 from .operators import (
     AcousticCoeffs,
-    PressureLaw,
     VacuumError,
     acoustic_inverse,
     acoustic_transform,

@@ -20,13 +20,14 @@ from .lattice import (
     forward_transform,
     inverse_transform,
 )
-from .operators import PressureLaw, acoustic_transform, helmholtz_project, wave_group
+from .operators import acoustic_transform, helmholtz_project, wave_group
 from .resonance import ResonanceTable, build_limit_tables, resonance_test
 from .solvers import (
     CompressibleStepper,
     Forcing,
     LimitStepper,
     SolverConfig,
+    _config_number,
     generate_initial_data,
     sample_clock,
 )
@@ -43,18 +44,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-
-def _config_number(value, name: str, kind=float):
-    """``kind(value)`` for a finite JSON number, an integer where ``kind`` is
-    int; ValueError naming the config field otherwise (strings, booleans,
-    NaN and the infinities too)."""
-    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
-        what = "an integer" if kind is int else "a number"
-        raise ValueError(f"config field {name} must be {what}, got {value!r}")
-    if kind is float and not math.isfinite(value):
-        raise ValueError(f"config field {name} must be finite, got {value!r}")
-    return kind(value)
 
 
 # (JSON section, JSON key, ExperimentConfig field, kind) of the numeric settings
@@ -149,7 +138,7 @@ class ExperimentConfig:
             mu=self.mu,
             lam=self.lam,
             eps=eps,
-            law=PressureLaw.gamma_law(self.gamma),
+            gamma=self.gamma,
             dt=self.dt,
             t_final=self.t_final,
             forcing=self.forcing,
@@ -230,8 +219,10 @@ class ExperimentConfig:
             settings["eps_list"] = tuple(_config_number(e, "experiment.eps") for e in eps)
         if experiment.get("eta0") is not None:
             settings["eta0"] = _config_number(experiment["eta0"], "experiment.eta0")
-        if data.get("forcing"):
-            settings["forcing"] = Forcing.from_json(lattice, data["forcing"])
+        if "forcing" in data:
+            forcing = Forcing.from_json(lattice, data["forcing"])
+            if forcing.modes:  # an empty list is no forcing, as to_json writes it
+                settings["forcing"] = forcing
         return cls(lattice=lattice, **settings)
 
     @classmethod

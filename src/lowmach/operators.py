@@ -1,4 +1,4 @@
-"""Helmholtz projection, acoustic eigenbasis, wave group, pressure law and advection.
+"""Helmholtz projection, acoustic eigenbasis, wave group and advection.
 
 The wave operator ``L(a, u) = (div u, grad a)`` is diagonalized over nonzero
 modes by the orthonormal basis
@@ -23,7 +23,6 @@ closed-form time averages) live with the tests, in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +42,6 @@ __all__ = [
     "acoustic_transform",
     "acoustic_inverse",
     "wave_group",
-    "PressureLaw",
     "advect",
 ]
 
@@ -197,69 +195,6 @@ def wave_group(V: AcousticCoeffs, tau: float) -> AcousticCoeffs:
     """Acoustic propagator exp(-tau*L): phase e^{i*alpha*sg(k)*|k|*tau} per mode."""
     phase = np.exp(1j * tau * _signed_modulus(V.lattice))
     return V._like(V.coeffs * _conjugate_pair(phase), False)
-
-
-# ---------------------------------------------------------------------------
-# Pressure law
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PressureLaw:
-    """Normalized pressure law through P'(1+a)/(1+a) = 1 + kappa*a + a*K(a).
-
-    Either a power law with exponent ``gamma`` (closed-form remainder K) or a
-    truncated Taylor description of K.
-    """
-
-    kappa: float
-    gamma: float | None = None
-    taylor: tuple[float, ...] = ()
-
-    @classmethod
-    def gamma_law(cls, gamma: float = 2.0) -> "PressureLaw":
-        """P(rho) = rho^gamma / gamma, so P'(1) = 1 and kappa = gamma - 2."""
-        if not gamma > 0:
-            raise ValueError(f"gamma must be positive, got {gamma!r}")
-        return cls(kappa=float(gamma) - 2.0, gamma=float(gamma))
-
-    @classmethod
-    def from_taylor(cls, kappa: float, coeffs) -> "PressureLaw":
-        """K(a) = sum_n coeffs[n-1] * a^n, truncated Taylor representation."""
-        coeffs = tuple(float(c) for c in coeffs)
-        if len(coeffs) > 8:
-            raise ValueError("at most 8 Taylor coefficients are supported")
-        return cls(kappa=float(kappa), taylor=coeffs)
-
-    @property
-    def remainder_is_zero(self) -> bool:
-        """K vanishes identically: gamma = 2, or every Taylor coefficient is 0."""
-        if self.gamma is not None:
-            return self.gamma == 2.0
-        return not any(self.taylor)
-
-    def remainder(self, a: np.ndarray) -> np.ndarray:
-        """K(a), smooth with K(0) = 0."""
-        a = np.asarray(a, dtype=np.float64)
-        if self.gamma is not None:
-            e = self.gamma - 2.0
-            small = np.abs(a) < 1e-4
-            asafe = np.where(small, 1.0, a)
-            out = ((1.0 + asafe) ** e - 1.0 - e * asafe) / asafe
-            # quadratic Taylor start, relative error O(a^2) below the switch
-            coef2 = 0.5 * e * (e - 1.0)
-            coef3 = e * (e - 1.0) * (e - 2.0) / 6.0
-            out = np.where(small, coef2 * a + coef3 * a * a, out)
-            return out
-        out = np.zeros_like(a)
-        for c in reversed(self.taylor):
-            out = a * (out + c)
-        return out
-
-    def quotient(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """I(a) = a / (1 + a), written to ``out`` when given."""
-        a = np.asarray(a, dtype=np.float64)
-        return np.divide(a, np.add(a, 1.0, out=out), out=out)
 
 
 # ---------------------------------------------------------------------------

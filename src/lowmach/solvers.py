@@ -35,7 +35,7 @@ import json
 import math
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from .lattice import (
     zero_mean_split,
 )
 from .dyadic import NormSpec, norm
-from .operators import AcousticCoeffs, PressureLaw, VacuumError, _safe_inv_ksq
+from .operators import AcousticCoeffs, VacuumError, _safe_inv_ksq
 from .resonance import ResonanceTable, limit_q1, limit_q2
 
 __all__ = [
@@ -84,9 +84,12 @@ CFL_SAFETY = 0.5
 
 
 def _check_cfl(cfg: "SolverConfig", u_sq_max: float) -> None:
-    """Raise CFLError if dt exceeds the advective bound for max|u|^2 = ``u_sq_max``."""
+    """Raise CFLError if dt exceeds the advective bound for max|u|^2 = ``u_sq_max``
+    or if max|u| is not finite."""
     lattice = cfg.lattice
     umax = math.sqrt(u_sq_max)
+    if not math.isfinite(umax):
+        raise CFLError(f"max|u| = {umax} is not finite")
     dx_min = min(
         2.0 * math.pi * float(b) / n for b, n in zip(lattice.periods, lattice.resolution)
     )
@@ -100,6 +103,24 @@ def _check_cfl(cfg: "SolverConfig", u_sq_max: float) -> None:
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
+
+
+def _config_number(value, name: str, kind=float):
+    """``kind(value)`` for a finite JSON number, an integer where ``kind`` is
+    int; ValueError naming the config field otherwise (strings, booleans,
+    NaN, the infinities and integers beyond the float range too)."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"config field {name} must be {what}, got {value!r}")
+    if kind is int:
+        return value
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"config field {name} is too large for a float") from None
+    if not math.isfinite(number):
+        raise ValueError(f"config field {name} must be finite, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -197,41 +218,50 @@ class Forcing:
     @classmethod
     def from_json(cls, lattice: LatticeSpec, data: list) -> "Forcing":
         """The forcing of a config's ``forcing`` list; ValueError names a
-        malformed entry."""
+        malformed entry or the field of a number that is not an integer
+        (mode entries) or not a finite number (amplitude parts, omega)."""
         if not isinstance(data, list):
             raise ValueError(f"config field forcing must be a list, got {data!r}")
         modes = []
         for i, entry in enumerate(data):
+            name = f"forcing[{i}]"
             try:
-                modes.append(
-                    ForcingMode(
-                        mode=tuple(entry["mode"]),
-                        amplitude=tuple(complex(re, im) for re, im in entry["amplitude"]),
-                        envelope=entry.get("envelope", "const"),
-                        omega=float(entry.get("omega", 0.0)),
-                    )
-                )
+                mode, parts = tuple(entry["mode"]), [(re, im) for re, im in entry["amplitude"]]
+                envelope, omega = entry.get("envelope", "const"), entry.get("omega", 0.0)
             except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"config field forcing[{i}] is malformed: {exc!r}") from None
+                raise ValueError(f"config field {name} is malformed: {exc!r}") from None
+            amplitude = tuple(
+                complex(*(_config_number(x, f"{name}.amplitude") for x in part)) for part in parts
+            )
+            modes.append(
+                ForcingMode(
+                    mode=tuple(_config_number(c, f"{name}.mode", int) for c in mode),
+                    amplitude=amplitude,
+                    envelope=envelope,
+                    omega=_config_number(omega, f"{name}.omega"),
+                )
+            )
         return cls(lattice, modes)
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Run description shared by the three steppers."""
+    """Run description shared by the three steppers; ``gamma`` is the
+    exponent of the pressure law P(rho) = rho^gamma / gamma."""
 
     lattice: LatticeSpec
     mu: float = 0.1
     lam: float = 0.0
     eps: float = 0.1
-    law: PressureLaw = field(default_factory=PressureLaw.gamma_law)
+    gamma: float = 2.0
     dt: float = 1e-2
     t_final: float = 1.0
     forcing: Forcing | None = None
     sample_stride: int = 1
-    include_nonlinear: bool = True
 
     def __post_init__(self):
+        if not self.gamma > 0:
+            raise ValueError(f"gamma must be positive, got {self.gamma!r}")
         if not (self.mu >= 0 and self.nu >= 0):
             raise ValueError("viscosities must satisfy mu >= 0 and nu = 2*mu+lam >= 0")
         if not (0 < self.eps <= 1):
@@ -250,6 +280,11 @@ class SolverConfig:
     @property
     def nu(self) -> float:
         return 2.0 * self.mu + self.lam
+
+    @property
+    def kappa(self) -> float:
+        """The linear coefficient of P'(1+a)/(1+a) = 1 + kappa*a + a*K(a)."""
+        return self.gamma - 2.0
 
     @property
     def n_steps(self) -> int:
@@ -409,6 +444,20 @@ def _one_step(stepper: _Stepper, t: float):
     return stepper.state()
 
 
+def _pressure_remainder(a: np.ndarray, gamma: float) -> np.ndarray:
+    """K(a) of the law P(rho) = rho^gamma / gamma through
+    P'(1+a)/(1+a) = 1 + (gamma - 2)*a + a*K(a); smooth with K(0) = 0."""
+    a = np.asarray(a, dtype=np.float64)
+    e = gamma - 2.0
+    small = np.abs(a) < 1e-4
+    asafe = np.where(small, 1.0, a)
+    out = ((1.0 + asafe) ** e - 1.0 - e * asafe) / asafe
+    # quadratic Taylor start, relative error O(a^2) below the switch
+    coef2 = 0.5 * e * (e - 1.0)
+    coef3 = e * (e - 1.0) * (e - 2.0) / 6.0
+    return np.where(small, coef2 * a + coef3 * a * a, out)
+
+
 class CompressibleStepper(_Stepper):
     """The compressible system for one run, stepped on half spectra.
 
@@ -489,6 +538,8 @@ class CompressibleStepper(_Stepper):
             u_sq += np.square(u_grid[c], out=products[d])
 
         amax = float(np.max(np.abs(a_grid, out=eps_a)))
+        if not math.isfinite(amax):
+            raise VacuumError(f"||a||_inf = {amax} is not finite")
         if cfg.eps * amax >= 1.0:
             raise VacuumError(
                 f"eps*||a||_inf = {cfg.eps * amax:.3f} >= 1: density reached vacuum"
@@ -509,7 +560,8 @@ class CompressibleStepper(_Stepper):
         products[d] *= a_grid
         # a's grid values are read no more: their slot is the scratch from here on
         scratch = a_grid
-        quotient = cfg.law.quotient(eps_a, out=scratch)
+        # I(eps a) = eps a / (1 + eps a)
+        quotient = np.divide(eps_a, np.add(eps_a, 1.0, out=scratch), out=scratch)
         lamb = products[d + 2 :]
         for c in range(d):
             np.negative(np.multiply(quotient, visc_grid[c], out=lamb[c]), out=lamb[c])
@@ -522,44 +574,37 @@ class CompressibleStepper(_Stepper):
         One inverse transform (:meth:`_grid_terms`) and one forward transform
         of the products, in rotational form: (u.grad)u = grad(|u|^2/2) - Lamb
         and a grad a = grad(a^2/2), both exact for the dealiased products.
-        Unless K vanishes identically, the K term multiplies the grid values
-        of the dealiased a grad a, which costs one more inverse and forward
-        pass.  The transforms work in the stepper's arrays; the returned
-        arrays are new.
+        Unless gamma = 2, the K term multiplies the grid values of the
+        dealiased a grad a, which costs one more inverse and forward pass.
+        The transforms work in the stepper's arrays; the returned arrays are
+        new.
         """
         a, u = x
         cfg = self.cfg
         lattice = cfg.lattice
-        if not cfg.include_nonlinear:
-            n_a, n_u = np.zeros_like(a), np.zeros_like(u)
-        else:
-            d = lattice.d
-            ik = self.ik
-            self._grid_terms(a, u)
-            dealiased = _half_forward(
-                self.products, lattice, out=self.forward, spectrum=self.spectrum
+        d = lattice.d
+        ik = self.ik
+        self._grid_terms(a, u)
+        dealiased = _half_forward(self.products, lattice, out=self.forward, spectrum=self.spectrum)
+        au, a_sq, u_sq, lamb = dealiased[:d], dealiased[d], dealiased[d + 1], dealiased[d + 2 :]
+
+        # continuity: -div(a u)
+        n_a = (-1.0 * sum(ik[c] * au[c] for c in range(d)))[None]
+
+        # momentum: -(u.grad)u - kappa a grad a - K(eps a) a grad a - I(eps a) Au + f,
+        # = (Lamb - I(eps a) Au) - grad(|u|^2/2 + kappa a^2/2) - K(eps a) grad(a^2/2) + f
+        n_u = np.empty_like(u)
+        pressure = u_sq + cfg.kappa * a_sq
+        for c in range(d):
+            np.subtract(lamb[c], np.multiply(ik[c], pressure, out=n_u[c]), out=n_u[c])
+        if cfg.gamma != 2.0:  # K vanishes identically at gamma = 2
+            # the K pass reuses the first d components of each array
+            a_grad_a = np.multiply(ik, a_sq, out=self.spectral[:d])
+            a_grad_a_grid = _half_inverse(a_grad_a, lattice, out=self.grid[:d])
+            k_term = np.multiply(
+                _pressure_remainder(self.eps_a, cfg.gamma), a_grad_a_grid, out=self.products[:d]
             )
-            au, a_sq, u_sq, lamb = dealiased[:d], dealiased[d], dealiased[d + 1], dealiased[d + 2 :]
-
-            # continuity: -div(a u)
-            n_a = (-1.0 * sum(ik[c] * au[c] for c in range(d)))[None]
-
-            # momentum: -(u.grad)u - kappa a grad a - K(eps a) a grad a - I(eps a) Au + f,
-            # = (Lamb - I(eps a) Au) - grad(|u|^2/2 + kappa a^2/2) - K(eps a) grad(a^2/2) + f
-            n_u = np.empty_like(u)
-            pressure = u_sq + cfg.law.kappa * a_sq
-            for c in range(d):
-                np.subtract(lamb[c], np.multiply(ik[c], pressure, out=n_u[c]), out=n_u[c])
-            if not cfg.law.remainder_is_zero:
-                # the K pass reuses the first d components of each array
-                a_grad_a = np.multiply(ik, a_sq, out=self.spectral[:d])
-                a_grad_a_grid = _half_inverse(a_grad_a, lattice, out=self.grid[:d])
-                k_term = np.multiply(
-                    cfg.law.remainder(self.eps_a), a_grad_a_grid, out=self.products[:d]
-                )
-                n_u -= _half_forward(
-                    k_term, lattice, out=self.forward[:d], spectrum=self.spectrum[:d]
-                )
+            n_u -= _half_forward(k_term, lattice, out=self.forward[:d], spectrum=self.spectrum[:d])
         if cfg.forcing is not None:
             n_u = n_u + cfg.forcing.half_spectrum(t)
         return n_a, n_u
@@ -622,21 +667,18 @@ class IncompressibleStepper(_Stepper):
         Lamb term."""
         (v,) = x
         cfg, lattice, d = self.cfg, self.cfg.lattice, self.cfg.lattice.d
-        if cfg.include_nonlinear:
-            self.spectral[:d] = v
-            _rotation(self.ik, v, self.pairs, self.spectral[d:])
-            grid = _half_inverse(self.spectral, lattice, out=self.grid)
-            # |v|^2 in the scratch, with the Lamb term's first slot as the
-            # scratch of the squares, before the Lamb term is written
-            v_sq = np.square(grid[0], out=self.scratch)
-            for c in range(1, d):
-                v_sq += np.square(grid[c], out=self.lamb[0])
-            _check_cfl(cfg, float(np.max(v_sq)))
-            self.lamb.fill(0.0)
-            _add_lamb(self.lamb, grid[:d], grid[d:], self.pairs, self.scratch)
-            w = _half_forward(self.lamb, lattice, out=self.forward, spectrum=self.spectrum)
-        else:
-            w = np.zeros_like(v)
+        self.spectral[:d] = v
+        _rotation(self.ik, v, self.pairs, self.spectral[d:])
+        grid = _half_inverse(self.spectral, lattice, out=self.grid)
+        # |v|^2 in the scratch, with the Lamb term's first slot as the
+        # scratch of the squares, before the Lamb term is written
+        v_sq = np.square(grid[0], out=self.scratch)
+        for c in range(1, d):
+            v_sq += np.square(grid[c], out=self.lamb[0])
+        _check_cfl(cfg, float(np.max(v_sq)))
+        self.lamb.fill(0.0)
+        _add_lamb(self.lamb, grid[:d], grid[d:], self.pairs, self.scratch)
+        w = _half_forward(self.lamb, lattice, out=self.forward, spectrum=self.spectrum)
         if cfg.forcing is not None:
             w += cfg.forcing.half_spectrum(t)
         # Leray projection w - k (k.w)/|k|^2 = w + ik (ik.w)/|k|^2, which
@@ -683,7 +725,7 @@ class LimitStepper(IncompressibleStepper):
         v = SpectralField._in_box(lattice, _half_to_full(x[0], lattice), True)
         V = AcousticCoeffs._in_box(lattice, x[1], False)
         q1 = limit_q1(v, V, self.table, work=self.q1_work)
-        q2 = limit_q2(V, V, self.table, kappa=self.cfg.law.kappa, work=self.q2_work)
+        q2 = limit_q2(V, V, self.table, kappa=self.cfg.kappa, work=self.q2_work)
         n_V = (-1.0 * q1 - q2).coeffs
         return super().rhs(x[:1], t) + (n_V,)
 

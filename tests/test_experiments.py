@@ -1,6 +1,7 @@
 """Functional assembly, sweep report, determinism, and CLI tests."""
 
 import concurrent.futures
+import csv
 import dataclasses
 import json
 import math
@@ -328,6 +329,41 @@ class TestConfig:
             ({"json": {"experiment": {"eps": [0.2, math.nan]}}}, "experiment.eps must be finite"),
             ({"json": {"experiment": {"eta0": math.inf}}}, "experiment.eta0 must be finite"),
             ({"zeta": math.nan}, "zeta must be positive"),
+            # a JSON integer beyond the float range
+            ({"json": {"solver": {"mu": 10**400}}}, "solver.mu is too large for a float"),
+            # every forcing number is read like the numbers above
+            (
+                {"json": {"forcing": [{"mode": [1, 0], "amplitude": [[math.nan, 0], [0, 0]]}]}},
+                r"forcing\[0\]\.amplitude must be finite, got nan",
+            ),
+            (
+                {
+                    "json": {
+                        "forcing": [
+                            {"mode": [0, 1], "amplitude": [[0.5, 0], [0, 0]]},
+                            {
+                                "mode": [1, 0],
+                                "amplitude": [[1, 0], [0, 0]],
+                                "envelope": "cos",
+                                "omega": math.nan,
+                            },
+                        ]
+                    }
+                },
+                r"forcing\[1\]\.omega must be finite, got nan",
+            ),
+            (
+                {"json": {"forcing": [{"mode": [1.5, 0], "amplitude": [[1, 0], [0, 0]]}]}},
+                r"forcing\[0\]\.mode must be an integer, got 1.5",
+            ),
+            (
+                {"json": {"forcing": [{"mode": [True, 0], "amplitude": [[1, 0], [0, 0]]}]}},
+                r"forcing\[0\]\.mode must be an integer, got True",
+            ),
+            ({"json": {"forcing": {}}}, r"config field forcing must be a list, got \{\}"),
+            ({"json": {"forcing": 0}}, "config field forcing must be a list, got 0"),
+            ({"json": {"forcing": False}}, "config field forcing must be a list, got False"),
+            ({"json": {"forcing": ""}}, "config field forcing must be a list, got ''"),
         ],
     )
     def test_rejected_at_load(self, tmp_path, lat16, overrides, message):
@@ -338,6 +374,21 @@ class TestConfig:
         payload = edited_config_json(overrides["json"])
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_json(payload)
+
+    def test_solver_settings_are_config_settings(self):
+        """Every SolverConfig field but the Mach number is an ExperimentConfig
+        field, and solver_config passes it through unchanged: a run has no
+        setting that a config cannot express."""
+        solver = {f.name for f in dataclasses.fields(SolverConfig)}
+        experiment = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert solver - experiment == {"eps"}
+        # no field at SolverConfig's default, so that a dropped one shows
+        cfg = replace_quietly(oracle_case("cos-forcing"), gamma=1.4, sample_stride=4)
+        for eps in cfg.eps_list:
+            run = cfg.solver_config(eps)
+            assert run.eps == eps
+            for name in solver - {"eps"}:
+                assert getattr(run, name) == getattr(cfg, name), name
 
     def test_defaults_from_the_dataclass(self, lat16):
         with warnings.catch_warnings():
@@ -393,9 +444,13 @@ def tiny_config():
 
 def edited_config_json(edits):
     """The JSON of ``tiny_config`` with ``{section: {key: value}}`` applied;
-    a value of None deletes the key."""
+    a value of None deletes the key, and a ``forcing`` edit replaces the
+    forcing list whole."""
     payload = tiny_config().to_json()
     for section, changes in edits.items():
+        if section == "forcing":
+            payload[section] = changes
+            continue
         for key, value in changes.items():
             if value is None:
                 del payload[section][key]
@@ -537,6 +592,16 @@ class TestInvariantSuite:
             assert ok, f"{name}: {detail}"
 
 
+# report.csv of ``converge --seed 0`` on configs/desk.json with solver.gamma
+# set to 1.4, recorded with numpy 2.4: each right-hand side takes the K pass
+DESK_GAMMA_1_4_REPORT = (
+    "eps,T,D,P,Pudiff_composite,Vdiff_composite,W_theta,W_theta_scaled,X,Y,Z_theta,eps_a_linf_besov,hm_bracket,low_bracket_diff\n"
+    "0.2,0.5,2.56516425879105,1.2163773572988341,0.013569432849258881,0.049536659627148344,0.011387868346480267,0.015712179738454103,2.8888330538207674,4.0529403126533,0.02966350182836795,0.20023128587115335,2.550812799997795,0.014351458793255155\n"
+    "0.1,0.5,2.1537580135546293,1.2160351245628442,0.008789195805405716,0.033326505927325646,0.007323719797205987,0.011607313650084456,2.9495497348787936,3.6469553984659804,0.020313139692740997,0.1001045291564102,2.1450225483521144,0.008735465202514886\n"
+    "0.05,0.5,1.5033386942862819,1.215770496927073,0.004420589678392071,0.02527150161673149,0.0036888807174924546,0.0067158441834999265,2.5870028868034547,2.9999218001604886,0.015536130048383391,0.05005302582483115,1.498202736319747,0.005135957966534811\n"
+)
+
+
 class TestCLI:
     def run_cli(self, *args):
         return subprocess.run(
@@ -613,6 +678,26 @@ class TestCLI:
         c1 = payload["small_divisors"]["C1"]
         assert c1 == pytest.approx(math.sqrt(2.0) + 1.0, rel=1e-12)
 
+    def test_converge_takes_the_k_pass(self, tmp_path):
+        """Every shipped config has gamma = 2, where the compressible
+        right-hand side skips its K pass; at gamma = 1.4 the sweep reproduces
+        the recorded values.  Values, not bytes: FFT round-off differs
+        between numpy versions."""
+        with open(os.path.join(REPO, "configs", "desk.json")) as fh:
+            payload = json.load(fh)
+        payload["solver"]["gamma"] = 1.4
+        path = os.path.join(str(tmp_path), "config.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        out = os.path.join(str(tmp_path), "study")
+        assert main(["converge", "--config", path, "--out", out, "--seed", "0"]) == 0
+        with open(os.path.join(out, "report.csv")) as fh:
+            got = list(csv.reader(fh))
+        expected = list(csv.reader(DESK_GAMMA_1_4_REPORT.splitlines()))
+        assert got[0] == expected[0] and len(got) == len(expected) == 4
+        for row, ref in zip(got[1:], expected[1:]):
+            assert [float(x) for x in row] == pytest.approx([float(x) for x in ref], rel=1e-9)
+
     def test_converge_cli(self, tmp_path):
         path = self.write_config(tmp_path)
         out = os.path.join(str(tmp_path), "study")
@@ -677,6 +762,10 @@ class TestCLI:
             (
                 {"mode": [1, 0], "amplitude": 1.0},
                 "config field forcing[0] is malformed: TypeError(",
+            ),
+            (
+                {"mode": [1, 0], "amplitude": [[1.0, 0.0]] * 2, "envelope": "cos", "omega": math.nan},
+                "config field forcing[0].omega must be finite, got nan",
             ),
         ],
     )

@@ -15,14 +15,13 @@ from lowmach.lattice import (
 from lowmach.dyadic import NormSpec, norm
 from lowmach.operators import (
     AcousticCoeffs,
-    PressureLaw,
     VacuumError,
     acoustic_inverse,
     acoustic_transform,
     helmholtz_project,
     wave_group,
 )
-from lowmach.solvers import SolverConfig, step_compressible
+from lowmach.solvers import SolverConfig, _pressure_remainder, step_compressible
 from oracles import (
     a2_eps,
     a2_eps_time_average,
@@ -196,32 +195,30 @@ class TestWaveGroup:
         assert W.conjugate_symmetry_defect() <= 1e-12 * scale
 
 
-class TestPressureLaw:
-    def test_gamma_presets(self):
-        assert PressureLaw.gamma_law(2.0).kappa == pytest.approx(0.0)
-        assert PressureLaw.gamma_law(3.0).kappa == pytest.approx(1.0)
+class TestPressure:
+    def test_gamma_presets(self, lat8):
+        assert SolverConfig(lattice=lat8, gamma=2.0).kappa == pytest.approx(0.0)
+        assert SolverConfig(lattice=lat8, gamma=3.0).kappa == pytest.approx(1.0)
+        for gamma in (0.0, -1.4, math.nan):
+            with pytest.raises(ValueError, match="gamma must be positive"):
+                SolverConfig(lattice=lat8, gamma=gamma)
 
     def test_remainder_vanishes_at_zero(self):
-        law = PressureLaw.gamma_law(1.4)
-        assert law.remainder(np.array([0.0]))[0] == pytest.approx(0.0, abs=1e-14)
+        assert _pressure_remainder(np.array([0.0]), 1.4)[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_expansion_accuracy(self):
         for gamma in (1.4, 2.0, 3.0, 5.0 / 3.0):
-            law = PressureLaw.gamma_law(gamma)
-            assert expansion_defect(law, 0.5) <= 1e-10
+            assert expansion_defect(gamma, 0.5) <= 1e-10
 
-    def test_quotient_pointwise(self, lat8):
-        # the solver evaluates I(eps*a) and K(eps*a) on the grid values of a
+    def test_remainder_pointwise(self, lat8):
+        # the solver evaluates K(eps*a) on the grid values of a
         rng = np.random.default_rng(10)
         eps = 0.5
         x = eps * inverse_transform(0.3 * random_field(lat8, rng, zero_mean=True)).values[0].real
-        law = PressureLaw.gamma_law(2.0)
-        assert np.max(np.abs(law.quotient(x) - x / (1 + x))) <= 1e-14
-        assert law.kappa == 0.0
-        assert np.max(np.abs(law.remainder(x))) <= 1e-12  # gamma = 2 has no remainder
+        assert np.max(np.abs(_pressure_remainder(x, 2.0))) <= 1e-12  # gamma = 2 has no remainder
         # 1 + kappa*a + a*K(a) = P'(1+a)/(1+a) = (1+a)^(gamma-2) pointwise
-        law = PressureLaw.gamma_law(1.4)
-        expansion = 1.0 + law.kappa * x + x * law.remainder(x)
+        kappa = SolverConfig(lattice=lat8, gamma=1.4).kappa
+        expansion = 1.0 + kappa * x + x * _pressure_remainder(x, 1.4)
         assert np.max(np.abs(expansion - (1.0 + x) ** (1.4 - 2.0))) <= 1e-12
 
     def test_vacuum_guard(self, lat8):
@@ -231,12 +228,6 @@ class TestPressureLaw:
         cfg = SolverConfig(lattice=lat8, eps=0.5, dt=1e-3, t_final=1e-3)
         with pytest.raises(VacuumError, match="density reached vacuum"):
             step_compressible(a, SpectralField.zeros(lat8, 2), 0.0, cfg)
-
-    def test_taylor_law(self):
-        # K(a) = a reproduces kappa-law with extra cubic pressure correction
-        law = PressureLaw.from_taylor(kappa=1.0, coeffs=[1.0])
-        vals = law.remainder(np.array([0.0, 0.25, -0.25]))
-        assert np.allclose(vals, [0.0, 0.25, -0.25])
 
 
 class TestFilteredForms:
