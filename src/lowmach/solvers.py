@@ -13,6 +13,11 @@ and averaged systems and, for the compressible system, the longitudinal
 is exponentiated in closed form, which removes the acoustic time-step
 restriction; only the advective CFL limit remains.
 
+The pressure law is P(rho) = rho^gamma / gamma with the one exponent
+``SolverConfig.gamma``.  It enters through P'(1+a)/(1+a) = 1 + kappa*a +
+a*K(a) with kappa = gamma - 2 and K in closed form; K vanishes identically at
+gamma = 2, where the compressible right-hand side skips its K pass.
+
 A run is one stepper object that builds, once, what it reads: its
 propagator or heat factors, the half spectra of its real fields, and the
 preallocated arrays that every right-hand side fills in place, so that on
