@@ -50,7 +50,6 @@ from .solvers import (
     Forcing,
     ForcingMode,
     SolverConfig,
-    Trajectory,
     generate_initial_data,
     load_checkpoint,
     run_trajectory,

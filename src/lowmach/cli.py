@@ -59,24 +59,21 @@ def _load_config(args) -> ExperimentConfig:
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
     eps = cfg.eps_list[0]
-    # only the final state is written, so no sample is kept
-    traj = run_trajectory(
-        cfg.initial_data(), cfg.solver_config(eps), "compressible", record=lambda state, t: None
+    run = cfg.solver_config(eps)
+    samples = [0.0]  # the sample times; only the final state is written
+    a, u = run_trajectory(
+        cfg.initial_data(), run, "compressible", on_sample=lambda t, steppers: samples.append(t)
     )
     os.makedirs(args.out, exist_ok=True)
-    a, u = traj.final
     path = os.path.join(args.out, f"compressible_eps{eps:g}.lmc")
+    t_final = run.n_steps * run.dt
     save_checkpoint(
-        path,
-        cfg.lattice,
-        float(traj.times[-1]),
-        {"a": a, "u": u},
-        meta={"eps": eps, "kind": "compressible"},
+        path, cfg.lattice, t_final, {"a": a, "u": u}, meta={"eps": eps, "kind": "compressible"}
     )
     summary = {
         "eps": eps,
-        "t_final": float(traj.times[-1]),
-        "samples": len(traj),
+        "t_final": t_final,
+        "samples": len(samples),
         "final_a_l2": a.l2_norm(),
         "final_u_l2": u.l2_norm(),
         "checkpoint": path,
@@ -89,17 +86,14 @@ def _cmd_limit_sim(args) -> int:
     cfg = _load_config(args)
     initial = limit_initial_data(*cfg.initial_data())
     table = build_limit_tables(cfg.lattice)
-    # only the final state is written, so no sample is kept
-    traj = run_trajectory(
-        initial, cfg.solver_config(cfg.eps_list[0]), "limit", table, lambda state, t: None
-    )
-    v, V = traj.final
+    run = cfg.solver_config(cfg.eps_list[0])
+    v, V = run_trajectory(initial, run, "limit", table)
     os.makedirs(args.out, exist_ok=True)
     paths = {}
     for kind, key, final in (("incompressible", "v", v), ("limit", "V", V)):
         paths[kind] = os.path.join(args.out, f"{kind}.lmc")
         save_checkpoint(
-            paths[kind], cfg.lattice, float(traj.times[-1]), {key: final}, meta={"kind": kind}
+            paths[kind], cfg.lattice, run.n_steps * run.dt, {key: final}, meta={"kind": kind}
         )
     summary = dict(paths, final_v_l2=v.l2_norm(), final_V_l2=V.l2_norm())
     print(json.dumps(summary, indent=1, sort_keys=True))

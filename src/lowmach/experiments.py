@@ -29,7 +29,7 @@ from .solvers import (
     SolverConfig,
     _config_number,
     generate_initial_data,
-    sample_clock,
+    run_lockstep,
 )
 
 __all__ = [
@@ -329,34 +329,34 @@ def _lockstep_rows(
     each stepper, keyed by its Mach number or "limit".
 
     One :class:`CompressibleStepper` per Mach number steps (a, u), and one
-    :class:`LimitStepper` the limit pair (v, V); all advance to each sample
-    time of :func:`sample_clock` in turn.  There each compressible state is
-    reduced to its :func:`sample_energies` rows against the limit state of
-    the same time, and both states are dropped.
+    :class:`LimitStepper` the limit pair (v, V); :func:`run_lockstep` advances
+    them together.  At each sample time the hook reduces each compressible
+    state to its :func:`sample_energies` rows against the limit state of the
+    same time, and both states are dropped.  A Mach number's time is its
+    stepping, its reductions and its functionals.
     """
     limit_cfg = cfg.solver_config(cfg.eps_list[0])
     state = limit_initial_data(*initial)
     steppers = {eps: CompressibleStepper(cfg.solver_config(eps), *initial) for eps in eps_list}
     steppers["limit"] = LimitStepper(limit_cfg, *state, table)
     samples = {eps: [sample_energies(initial, state, 0.0, eps, cfg.theta)] for eps in eps_list}
-    clock = dict.fromkeys(steppers, 0.0)
+    reducing = dict.fromkeys(eps_list, 0.0)
     times = [0.0]
-    for steps, t in sample_clock(limit_cfg):
-        for key, stepper in steppers.items():
-            t0 = _time.perf_counter()
-            stepper.advance(steps)
-            clock[key] += _time.perf_counter() - t0
-        state = steppers["limit"].state()
+
+    def on_sample(t, steppers):
+        partner = steppers["limit"].state()
         for eps in eps_list:
             t0 = _time.perf_counter()
-            samples[eps].append(sample_energies(steppers[eps].state(), state, t, eps, cfg.theta))
-            clock[eps] += _time.perf_counter() - t0
+            samples[eps].append(sample_energies(steppers[eps].state(), partner, t, eps, cfg.theta))
+            reducing[eps] += _time.perf_counter() - t0
         times.append(t)
+
+    clock = run_lockstep(steppers, limit_cfg, on_sample)
     rows = []
     for eps in eps_list:
         t0 = _time.perf_counter()
         rows.append(compute_functionals(times, samples.pop(eps), cfg.functional_settings(eps)))
-        clock[eps] += _time.perf_counter() - t0
+        clock[eps] += reducing[eps] + _time.perf_counter() - t0
     return rows, clock
 
 

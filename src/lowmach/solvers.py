@@ -26,12 +26,12 @@ numpy >= 2 a step allocates only its half-spectrum stages
 is a pair: :class:`LimitStepper` steps the incompressible velocity v and the
 complex averaged state V, which v drives, as one coupled system, so that v's
 part of each step is the incompressible step itself.  Full fields are built
-only for samples and the final state.  :func:`step_compressible`,
+only where a caller asks for a ``state()``.  :func:`step_compressible`,
 :func:`step_incompressible` and :func:`step_limit` are one step of each.
 
 A system's state is its fields and nothing else: the pair (a, u), the
 velocity v, or the pair (v, V).  No state carries a time: a step is told the
-time it starts at, and :func:`run_trajectory` stamps each sample it records.
+time it starts at by :func:`run_lockstep`, the one loop of every run.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -67,10 +68,10 @@ __all__ = [
     "IncompressibleStepper",
     "LimitStepper",
     "AcousticViscousPropagator",
-    "Trajectory",
     "step_compressible",
     "step_incompressible",
     "step_limit",
+    "run_lockstep",
     "run_trajectory",
     "sample_clock",
     "generate_initial_data",
@@ -235,6 +236,10 @@ class Forcing:
                 envelope, omega = entry.get("envelope", "const"), entry.get("omega", 0.0)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"config field {name} is malformed: {exc!r}") from None
+            unknown = sorted(entry.keys() - {"mode", "amplitude", "envelope", "omega"})
+            if unknown:
+                keys = ", ".join(f"{name}.{key}" for key in unknown)
+                raise ValueError(f"unknown config keys: {keys}")
             amplitude = tuple(
                 complex(*(_config_number(x, f"{name}.amplitude") for x in part)) for part in parts
             )
@@ -294,24 +299,6 @@ class SolverConfig:
     @property
     def n_steps(self) -> int:
         return int(round(self.t_final / self.dt))
-
-
-# ---------------------------------------------------------------------------
-# Trajectories
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Trajectory:
-    """Time-stamped samples of a run: ``states`` holds what the run's record
-    kept per sample, and ``final`` is the solver state at the last sample."""
-
-    times: np.ndarray
-    states: list
-    final: object
-
-    def __len__(self) -> int:
-        return len(self.states)
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +412,6 @@ class _Stepper:
     def step(self, t: float) -> None:
         """One Lawson RK2 step started at time ``t``."""
         self.x = _lawson_rk2(self.x, t, self.cfg.dt, self.linear, self.rhs)
-
-    def advance(self, steps: range) -> None:
-        """Take the steps numbered ``steps``; step n starts at time n * dt."""
-        for n in steps:
-            self.step(n * self.cfg.dt)
 
 
 def _check_fields(lattice: LatticeSpec, **fields) -> None:
@@ -716,6 +698,9 @@ class LimitStepper(IncompressibleStepper):
     ):
         super().__init__(cfg, v)
         _check_fields(cfg.lattice, V=(V, 2), table=(table, None))
+        # v's non-finite values stop the first step at the CFL check; V has no such check
+        if not np.isfinite(V.coeffs).all():
+            raise ValueError("V has non-finite coefficients")
         self.x = self.x + (V.coeffs,)
         ksq = cfg.lattice.k_squared()
         self.heat_V = np.exp(-0.5 * cfg.nu * ksq * cfg.dt).astype(np.complex128)
@@ -757,38 +742,67 @@ def step_limit(
 
 
 # ---------------------------------------------------------------------------
-# Trajectory runner
+# The stepping loop
 # ---------------------------------------------------------------------------
 
 
 def sample_clock(cfg: SolverConfig):
-    """Per sample after time 0 (every ``sample_stride`` steps and the last),
-    the range of the step numbers that reach it and its time, step * dt."""
-    stops = [*range(cfg.sample_stride, cfg.n_steps, cfg.sample_stride), cfg.n_steps]
-    for start, stop in zip([0] + stops, stops):
-        yield range(start, stop), stop * cfg.dt
+    """The sample times after time 0: every ``sample_stride`` steps and the
+    last, each at step * dt exactly."""
+    for stop in (*range(cfg.sample_stride, cfg.n_steps, cfg.sample_stride), cfg.n_steps):
+        yield stop * cfg.dt
 
 
+def run_lockstep(steppers: dict, clock_cfg: SolverConfig, on_sample=None) -> dict:
+    """Advance every stepper of ``steppers`` (name -> stepper) to each sample
+    time t of :func:`sample_clock` on ``clock_cfg`` in turn, and call
+    ``on_sample(t, steppers)`` there; return each stepper's stepping wall
+    time, keyed by its name.
+
+    A stepper takes the whole number of its own ``cfg.dt`` steps that reaches
+    t, and its step n starts at exactly n * dt.  A stepper whose dt does not
+    divide a sample time raises ValueError naming it, before any step.  The
+    loop builds no full field: a state is built only where the hook asks a
+    stepper for its ``state()``.
+    """
+    times = list(sample_clock(clock_cfg))
+    stops = {}  # per stepper, its step count at time 0 and at each sample
+    for key, stepper in steppers.items():
+        dt = stepper.cfg.dt
+        stops[key] = [0] + [round(t / dt) for t in times]
+        for t, n in zip(times, stops[key][1:]):
+            if abs(t / dt - n) > 1e-9 * (t / dt):
+                raise ValueError(
+                    f"stepper {key!r}: dt = {dt!r} does not divide the sample time {t!r}"
+                )
+    clock = dict.fromkeys(steppers, 0.0)
+    for i, t in enumerate(times):
+        for key, stepper in steppers.items():
+            t0 = perf_counter()
+            for n in range(stops[key][i], stops[key][i + 1]):
+                stepper.step(n * stepper.cfg.dt)
+            clock[key] += perf_counter() - t0
+        if on_sample is not None:
+            on_sample(t, steppers)
+    return clock
+
+
+# run_trajectory with ``kind`` third and positional, and the one-step
+# functions above with _one_step, stay under these names: bench/tracer.py
+# wraps them by name and labels the run_trajectory spans with args[2].
 def run_trajectory(
-    initial,
-    cfg: SolverConfig,
-    kind: str,
-    table: ResonanceTable | None = None,
-    record=None,
-) -> Trajectory:
-    """Advance to t_final, sampling at time 0 and then by :func:`sample_clock`.
+    initial, cfg: SolverConfig, kind: str, table: ResonanceTable | None = None, on_sample=None
+):
+    """The state at t_final of the run from ``initial`` at time 0:
+    :func:`run_lockstep` over the one stepper named ``kind``.
 
     ``kind`` selects the system and the form of its state: "compressible"
     (the pair (a, u)), "incompressible" (the velocity v), or "limit" (the
     pair (v, V) of the incompressible velocity and the averaged state,
-    stepped together; it also needs the resonance table).  ``initial`` is
-    the state at time 0.  Each step starts, and each sample is taken, at an
-    exact multiple of ``dt``; the times live only here and in
-    ``Trajectory.times``.
-
-    ``record(state, t)`` gives what the trajectory keeps of the state at
-    sample time ``t``; by default the sample is the state itself.  The final
-    state is kept either way.
+    stepped together; it also needs the resonance table).  ``on_sample(t,
+    steppers)``, if given, is called at each sample time t after 0 with
+    ``steppers = {kind: stepper}``; the stepper's ``state()`` is the state
+    at t.
     """
     if kind == "compressible":
         stepper = CompressibleStepper(cfg, *initial)
@@ -800,16 +814,8 @@ def run_trajectory(
         stepper = LimitStepper(cfg, *initial, table)
     else:
         raise ValueError(f"unknown trajectory kind {kind!r}")
-    if record is None:
-        record = lambda state, t: state
-
-    times = [0.0]
-    states = [record(initial, 0.0)]
-    for steps, t in sample_clock(cfg):
-        stepper.advance(steps)
-        times.append(t)
-        states.append(record(stepper.state(), t))
-    return Trajectory(times=np.array(times), states=states, final=stepper.state())
+    run_lockstep({kind: stepper}, cfg, on_sample)
+    return stepper.state()
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ pseudospectral filtered quadratic forms with their direct mode-sum
 evaluations and closed-form time averages, the pressure law's expansion
 defect, the low-band bridge constant, and the 80-digit scaled-integer
 square-root test.  One fake stands beside them: the compressible stepper
-without its right-hand side, which steps the exact linear propagator alone.  Each is written for clarity over speed, and several
+without its right-hand side, which steps the exact linear propagator alone.
+And one hook: :class:`SampledRun` keeps every sample of a run, which the
+library never does.  Each is written for clarity over speed, and several
 cost time quadratic in the number of retained modes, so they are only for
 small lattices.
 """
@@ -39,7 +41,7 @@ from lowmach.operators import (
     helmholtz_project,
     wave_group,
 )
-from lowmach.solvers import CompressibleStepper, _pressure_remainder
+from lowmach.solvers import CompressibleStepper, _pressure_remainder, run_trajectory
 
 # ---------------------------------------------------------------------------
 # Random test data
@@ -232,6 +234,22 @@ def linear_compressible_step(a, u, t, cfg):
     stepper = LinearCompressibleStepper(cfg, a, u)
     stepper.step(t)
     return stepper.state()
+
+
+class SampledRun:
+    """``run_trajectory`` with an ``on_sample`` hook that keeps every sample:
+    ``times`` and ``states`` start with the initial state at time 0, each
+    sample appends its time and its stepper's ``state()``, and ``final`` is
+    the state that ``run_trajectory`` returns."""
+
+    def __init__(self, initial, cfg, kind, table=None):
+        self.times, self.states = [0.0], [initial]
+        self.final = run_trajectory(initial, cfg, kind, table, self.keep)
+
+    def keep(self, t, steppers):
+        (stepper,) = steppers.values()
+        self.times.append(t)
+        self.states.append(stepper.state())
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,7 @@ from oracles import (
     q2_eps_time_average,
     random_acoustic,
     random_field,
+    SampledRun,
     sqrt_sum_oracle,
 )
 
@@ -405,8 +406,7 @@ def test_criterion_7_solver_validation():
             lattice=lat16, mu=0.05, lam=0.05, eps=0.5, dt=dt, t_final=0.1,
             sample_stride=10**9,
         )
-        traj = run_trajectory((a0, u0), c, "compressible")
-        outs[dt] = traj.states[-1]
+        outs[dt] = run_trajectory((a0, u0), c, "compressible")
     errs = [
         sum((x - ref).l2_norm() for x, ref in zip(outs[dt], outs[2.5e-4]))
         for dt in (4e-3, 2e-3)
@@ -416,7 +416,7 @@ def test_criterion_7_solver_validation():
     outs = {}
     for dt in (4e-3, 2e-3, 2.5e-4):
         c = SolverConfig(lattice=lat16, mu=0.02, dt=dt, t_final=0.2, sample_stride=10**9)
-        outs[dt] = run_trajectory(v0, c, "incompressible").states[-1]
+        outs[dt] = run_trajectory(v0, c, "incompressible")
     orders.append(
         math.log2(
             (outs[4e-3] - outs[2.5e-4]).l2_norm() / (outs[2e-3] - outs[2.5e-4]).l2_norm()
@@ -430,7 +430,7 @@ def test_criterion_7_solver_validation():
             lattice=lat16, mu=0.05, lam=0.05, gamma=3.0,
             dt=dt, t_final=0.1, sample_stride=10**9,
         )
-        outs[dt] = run_trajectory((v0, V0), c, "limit", table=table).states[-1][1]
+        outs[dt] = run_trajectory((v0, V0), c, "limit", table=table)[1]
     orders.append(
         math.log2(
             (outs[4e-3] - outs[2.5e-4]).l2_norm() / (outs[2e-3] - outs[2.5e-4]).l2_norm()
@@ -441,7 +441,7 @@ def test_criterion_7_solver_validation():
     # mass conservation
     cfg_m = SolverConfig(lattice=lat16, mu=0.05, lam=0.05, eps=0.5, dt=2e-3, t_final=0.05)
     a0, u0 = generate_initial_data(lat16, 1.0, 1.0, seed=5)
-    traj = run_trajectory((a0, u0), cfg_m, "compressible")
+    traj = SampledRun((a0, u0), cfg_m, "compressible")
     mass_defect = max(abs(a.mean_coefficient()[0]) for a, _ in traj.states)
     assert mass_defect <= 1e-13
     record(

@@ -64,7 +64,7 @@ from lowmach.solvers import (
     run_trajectory,
     save_checkpoint,
 )
-from oracles import bridge_constant
+from oracles import bridge_constant, SampledRun
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -364,6 +364,33 @@ class TestConfig:
             ({"json": {"forcing": 0}}, "config field forcing must be a list, got 0"),
             ({"json": {"forcing": False}}, "config field forcing must be a list, got False"),
             ({"json": {"forcing": ""}}, "config field forcing must be a list, got ''"),
+            # a forcing entry has no keys but its four
+            (
+                {
+                    "json": {
+                        "forcing": [
+                            {
+                                "mode": [1, 0],
+                                "amplitude": [[1, 0], [0, 0]],
+                                "envelope": "cos",
+                                "omgea": 3.0,
+                            }
+                        ]
+                    }
+                },
+                r"unknown config keys: forcing\[0\]\.omgea$",
+            ),
+            (
+                {
+                    "json": {
+                        "forcing": [
+                            {"mode": [0, 1], "amplitude": [[0.5, 0], [0, 0]]},
+                            {"mode": [1, 0], "amplitude": [[1, 0], [0, 0]], "phase": 0, "Mode": 1},
+                        ]
+                    }
+                },
+                r"unknown config keys: forcing\[1\]\.Mode, forcing\[1\]\.phase$",
+            ),
         ],
     )
     def test_rejected_at_load(self, tmp_path, lat16, overrides, message):
@@ -561,11 +588,11 @@ class TestSharedStage:
         a0, u0 = cfg.initial_data()
         base = cfg.solver_config(0.2)
         table = build_limit_tables(cfg.lattice)
-        stage = run_trajectory(limit_initial_data(a0, u0), base, "limit", table=table)
+        stage = SampledRun(limit_initial_data(a0, u0), base, "limit", table=table)
         # v's part of the coupled run is the incompressible run, sample by sample
-        run_v = run_trajectory(helmholtz_project(u0, "P"), base, "incompressible")
-        assert np.array_equal(stage.times, run_v.times)
-        assert len(stage) == len(run_v) == 6
+        run_v = SampledRun(helmholtz_project(u0, "P"), base, "incompressible")
+        assert stage.times == run_v.times
+        assert len(stage.states) == len(run_v.states) == 6
         for (v, _), alone in zip(stage.states, run_v.states):
             assert v.coeffs.tobytes() == alone.coeffs.tobytes()
         v_final, V = stage.final
@@ -698,6 +725,33 @@ class TestCLI:
         for row, ref in zip(got[1:], expected[1:]):
             assert [float(x) for x in row] == pytest.approx([float(x) for x in ref], rel=1e-9)
 
+    def test_simulate_and_limit_sim_pinned(self, tmp_path, capsys):
+        """On configs/desk.json at seed 0, both runs print the recorded
+        final norms and write their checkpoints at t_final.  Values, not
+        bytes: FFT round-off differs between numpy versions."""
+        path = os.path.join(REPO, "configs", "desk.json")
+        expected = {
+            "simulate": {
+                "eps": 0.2,
+                "final_a_l2": 0.2775675106574665,
+                "final_u_l2": 0.6796206778547392,
+                "samples": 51,
+                "t_final": 0.5,
+            },
+            "limit-sim": {"final_V_l2": 0.40360876977154037, "final_v_l2": 0.614349873503252},
+        }
+        for command, values in expected.items():
+            out = os.path.join(str(tmp_path), command)
+            assert main([command, "--config", path, "--out", out, "--seed", "0"]) == 0
+            printed = json.loads(capsys.readouterr().out)
+            paths = [printed.pop(k) for k in ("checkpoint", "incompressible", "limit") if k in printed]
+            assert printed.keys() == values.keys()
+            for key, value in values.items():
+                assert printed[key] == pytest.approx(value, rel=1e-9), key
+            assert len(paths) == (1 if command == "simulate" else 2)
+            for checkpoint in paths:
+                assert load_checkpoint(checkpoint)[1] == pytest.approx(0.5, rel=1e-9)
+
     def test_converge_cli(self, tmp_path):
         path = self.write_config(tmp_path)
         out = os.path.join(str(tmp_path), "study")
@@ -766,6 +820,10 @@ class TestCLI:
             (
                 {"mode": [1, 0], "amplitude": [[1.0, 0.0]] * 2, "envelope": "cos", "omega": math.nan},
                 "config field forcing[0].omega must be finite, got nan",
+            ),
+            (
+                {"mode": [1, 0], "amplitude": [[1.0, 0.0]] * 2, "envelope": "cos", "omgea": 3.0},
+                "unknown config keys: forcing[0].omgea",
             ),
         ],
     )
@@ -1099,9 +1157,9 @@ def full_trajectories(cfg):
     base = cfg.solver_config(cfg.eps_list[0])
     table = build_limit_tables(cfg.lattice)
     V0 = acoustic_transform(a0, u0 - v0)
-    traj_limit = run_trajectory((v0, V0), base, "limit", table=table)
+    traj_limit = SampledRun((v0, V0), base, "limit", table=table)
     for eps in cfg.eps_list:
-        traj_eps = run_trajectory((a0, u0), cfg.solver_config(eps), "compressible")
+        traj_eps = SampledRun((a0, u0), cfg.solver_config(eps), "compressible")
         yield eps, traj_eps, traj_limit
 
 
@@ -1229,7 +1287,7 @@ class TestHalfBoxSamplePath:
         # the half-box path counts the Vdiff power of each mode with n_d > 0
         # for its mirror too; that needs V's branches Hermitian along the run
         cfg = replace_quietly(tiny_config(), t_final=0.5)
-        stage = run_trajectory(
+        stage = SampledRun(
             limit_initial_data(*cfg.initial_data()),
             cfg.solver_config(0.2),
             "limit",
@@ -1269,18 +1327,14 @@ class TestStreamingMemory:
                 t_final=self.N_STEPS * 5e-3,
                 sample_stride=stride,
             )
-            keep = lambda state, t: None
-            peaks[stride] = _peak(
-                lambda: run_trajectory((a0, u0), cfg, "compressible", record=keep)
-            )
+            peaks[stride] = _peak(lambda: run_trajectory((a0, u0), cfg, "compressible"))
         # forty more samples may cost their time stamps, not one more field
         assert peaks[1] <= peaks[self.N_STEPS] + a0.coeffs.nbytes
 
-        full = run_trajectory((a0, u0), cfg, "compressible")
-        bare = run_trajectory((a0, u0), cfg, "compressible", record=keep)
-        assert len(bare) == len(full) == self.N_STEPS + 1
-        assert bare.states == [None] * len(full)
-        for got, sampled in zip(bare.final, full.states[-1]):
+        full = SampledRun((a0, u0), cfg, "compressible")
+        final = run_trajectory((a0, u0), cfg, "compressible")
+        assert len(full.states) == self.N_STEPS + 1
+        for got, sampled in zip(final, full.states[-1]):
             np.testing.assert_array_equal(got.coeffs, sampled.coeffs)
 
     def test_sweep_keeps_rows_not_fields(self):

@@ -13,11 +13,7 @@ from lowmach.lattice import (
 from lowmach.dyadic import NormSpec, block_range, compute_jb, dyadic_block, norm
 from lowmach.operators import acoustic_transform, helmholtz_project, wave_group
 from lowmach.resonance import build_limit_tables, limit_q1, small_divisors
-from lowmach.solvers import (
-    SolverConfig,
-    generate_initial_data,
-    run_trajectory,
-)
+from lowmach.solvers import SolverConfig, generate_initial_data
 from oracles import (
     convolution_product,
     linear_compressible_step,
@@ -28,6 +24,7 @@ from oracles import (
     q2_eps_modesum,
     random_acoustic,
     random_field,
+    SampledRun,
 )
 
 
@@ -149,8 +146,8 @@ class TestThreeDimensions:
             lattice=lattice, mu=0.05, lam=0.05, eps=0.5, dt=2e-3, t_final=0.01
         )
         a0, u0 = generate_initial_data(lattice, 0.5, 0.5, seed=7)
-        traj = run_trajectory((a0, u0), cfg, "compressible")
-        assert len(traj) == cfg.n_steps + 1
+        traj = SampledRun((a0, u0), cfg, "compressible")
+        assert len(traj.states) == cfg.n_steps + 1
         for t, (a, u) in zip(traj.times, traj.states):
             assert abs(a.mean_coefficient()[0]) <= 1e-13
             pair = acoustic_transform(a, u - helmholtz_project(u, "P"), check=False)

@@ -52,7 +52,7 @@ from lowmach.solvers import (
     step_incompressible,
     step_limit,
 )
-from oracles import grid_points, linear_compressible_step
+from oracles import grid_points, linear_compressible_step, SampledRun
 
 
 @pytest.fixture
@@ -189,7 +189,7 @@ class TestCompressible:
     def test_mass_mean_exactly_conserved(self, lat16):
         cfg = self.make_cfg(lat16, t_final=0.05)
         a0, u0 = generate_initial_data(lat16, 1.0, 1.0, seed=5)
-        traj = run_trajectory((a0, u0), cfg, "compressible")
+        traj = SampledRun((a0, u0), cfg, "compressible")
         for a, _ in traj.states:
             assert abs(a.mean_coefficient()[0]) <= 1e-13
 
@@ -207,7 +207,7 @@ class TestCompressible:
     def test_filtered_isometry_along_trajectory(self, lat16):
         cfg = self.make_cfg(lat16, t_final=0.05)
         a0, u0 = generate_initial_data(lat16, 1.0, 1.0, seed=7)
-        traj = run_trajectory((a0, u0), cfg, "compressible")
+        traj = SampledRun((a0, u0), cfg, "compressible")
         for t, (a, u) in zip(traj.times, traj.states):
             pair = acoustic_transform(a, u - helmholtz_project(u, "P"), check=False)
             n1 = norm(wave_group(pair, -t / cfg.eps), NormSpec(kind="H", s=0.5))
@@ -219,8 +219,7 @@ class TestCompressible:
         results = {}
         for dt in (4e-3, 2e-3, 1e-3, 2.5e-4):
             cfg = self.make_cfg(lat16, dt=dt, t_final=0.1, sample_stride=10**9)
-            traj = run_trajectory((a0, u0), cfg, "compressible")
-            results[dt] = traj.states[-1]
+            results[dt] = run_trajectory((a0, u0), cfg, "compressible")
         ref = results[2.5e-4]
         errs = []
         for dt in (4e-3, 2e-3, 1e-3):
@@ -660,7 +659,7 @@ class TestIncompressibleStepOracle:
         monkeypatch.setattr(solvers, "_lawson_rk2", measured)
         tracemalloc.start()
         try:
-            run_trajectory(v0, cfg, "incompressible", record=lambda v, t: None)
+            run_trajectory(v0, cfg, "incompressible")
         finally:
             tracemalloc.stop()
         assert len(peaks) == cfg.n_steps
@@ -735,6 +734,23 @@ class TestNonFiniteGuards:
             stepper = solvers.LimitStepper(cfg, fields["v"], V, build_limit_tables(lat16))
         with pytest.raises(error, match=message):
             stepper.step(0.0)
+
+    def test_non_finite_V_rejected_when_built(self, lat16):
+        """V has no grid maximum that a step reads, so the limit stepper
+        checks it once, when it is built."""
+        cfg = SolverConfig(lattice=lat16, mu=0.05, lam=0.05, eps=0.5, dt=1e-3, t_final=1e-2)
+        a, u = generate_initial_data(lat16, 1.0, 1.0, seed=5)
+        v = helmholtz_project(u, "P")
+        V = acoustic_transform(a, u - v)
+        table = build_limit_tables(lat16)
+        for value in (math.nan, math.inf):
+            coeffs = V.coeffs.copy()
+            coeffs[0, 1, 0] = value  # mode (1, 0) of one branch, inside the box
+            bad = AcousticCoeffs._in_box(lat16, coeffs, False)
+            with pytest.raises(ValueError, match="V has non-finite coefficients"):
+                solvers.LimitStepper(cfg, v, bad, table)
+            with pytest.raises(ValueError, match="V has non-finite coefficients"):
+                run_trajectory((v, bad), cfg, "limit", table=table)
 
 
 class TestTransformBudget:
@@ -819,7 +835,7 @@ class TestCompressibleStepper:
     @pytest.mark.parametrize("stride", [1, 3, 7])
     def test_sampling_does_not_change_the_bytes(self, name, law, forced, stride):
         cfg, a0, u0 = self.make_case(name, law, forced, stride=stride)
-        traj = run_trajectory((a0, u0), cfg, "compressible", record=lambda s, t: s)
+        traj = SampledRun((a0, u0), cfg, "compressible")
         state = (a0, u0)
         hand, times = [state], [0.0]
         for n in range(1, cfg.n_steps + 1):
@@ -827,8 +843,8 @@ class TestCompressibleStepper:
             if n % stride == 0 or n == cfg.n_steps:
                 hand.append(state)
                 times.append(n * cfg.dt)
-        assert len(traj) == len(hand)
-        assert traj.times.tolist() == times
+        assert len(traj.states) == len(hand)
+        assert traj.times == times
         for got, want in zip(traj.states + [traj.final], hand + [hand[-1]]):
             for g, w in zip(got, want):
                 assert g.coeffs.tobytes() == w.coeffs.tobytes()
@@ -886,7 +902,7 @@ class TestCompressibleStepper:
         monkeypatch.setattr(solvers, "_lawson_rk2", measured)
         tracemalloc.start()
         try:
-            run_trajectory((a0, u0), cfg, "compressible", record=lambda s, t: None)
+            run_trajectory((a0, u0), cfg, "compressible")
         finally:
             tracemalloc.stop()
         assert len(peaks) == cfg.n_steps
@@ -912,7 +928,7 @@ class TestIncompressible:
         cfg = SolverConfig(lattice=lat16, mu=0.02, dt=2e-3, t_final=0.1)
         _, u0 = generate_initial_data(lat16, 1.0, 1.5, seed=9)
         v = helmholtz_project(u0, "P")
-        traj = run_trajectory(v, cfg, "incompressible")
+        traj = SampledRun(v, cfg, "incompressible")
         for v in traj.states:
             div = spectral_derivative(v, "div")
             assert div.l2_norm() <= 1e-12 * max(1.0, v.l2_norm())
@@ -928,7 +944,7 @@ class TestIncompressible:
         cfg = SolverConfig(lattice=lat16, mu=0.05, dt=5e-4, t_final=0.25)
         _, u0 = generate_initial_data(lat16, 1.0, 1.0, seed=10)
         v0 = helmholtz_project(u0, "P")
-        traj = run_trajectory(v0, cfg, "incompressible")
+        traj = SampledRun(v0, cfg, "incompressible")
         energies = [v.l2_norm() ** 2 for v in traj.states]
         grads = [float(np.sum(lat16.k_squared() * v.mode_power())) for v in traj.states]
         dissipated = 2.0 * cfg.mu * _trapezoid(grads, traj.times)
@@ -943,8 +959,7 @@ class TestIncompressible:
             cfg = SolverConfig(
                 lattice=lat16, mu=0.02, dt=dt, t_final=0.2, sample_stride=10**9
             )
-            traj = run_trajectory(v0, cfg, "incompressible")
-            outs[dt] = traj.states[-1]
+            outs[dt] = run_trajectory(v0, cfg, "incompressible")
         errs = [
             (outs[dt] - outs[2.5e-4]).l2_norm() for dt in (4e-3, 2e-3, 1e-3)
         ]
@@ -1011,7 +1026,7 @@ class TestLimit:
         # factor exp(-nu |k|^2 t/2) dissipates and the limit forms are neutral
         cfg, table, _ = self.make_setup(lat16, dt=5e-4, t_final=0.25)
         initial = limit_initial_data(*generate_initial_data(lat16, 1.0, 1.0, seed=10))
-        traj = run_trajectory(initial, cfg, "limit", table=table)
+        traj = SampledRun(initial, cfg, "limit", table=table)
         energies = [V.l2_norm() ** 2 for _, V in traj.states]
         grads = [float(np.sum(lat16.k_squared() * V.mode_power())) for _, V in traj.states]
         dissipated = cfg.nu * _trapezoid(grads, traj.times)
@@ -1033,8 +1048,7 @@ class TestLimit:
                 t_final=0.1,
                 sample_stride=10**9,
             )
-            traj = run_trajectory((v0, V0), cfg, "limit", table=table)
-            outs[dt] = traj.states[-1][1]
+            outs[dt] = run_trajectory((v0, V0), cfg, "limit", table=table)[1]
         errs = [
             (outs[dt] - outs[2.5e-4]).l2_norm() for dt in (4e-3, 2e-3, 1e-3)
         ]
@@ -1126,33 +1140,33 @@ class TestTrajectoryLoop:
 
     def test_compressible_matches_hand_stepping(self, lat16, cfg):
         a0, u0 = generate_initial_data(lat16, 0.5, 0.5, seed=21)
-        traj = run_trajectory((a0, u0), cfg, "compressible")
+        traj = SampledRun((a0, u0), cfg, "compressible")
         hand = self.hand_run(
             cfg, (a0, u0), lambda s, t: step_compressible(*s, t, cfg)
         )
         self.check_times(traj, cfg, "compressible")
-        assert len(traj) == len(hand)
+        assert len(traj.states) == len(hand)
         for got, state in zip(traj.states, hand):
             for g, w in zip(got, state):
                 assert np.array_equal(g.coeffs, w.coeffs)
 
     def test_states_carry_their_stamp(self, lat16):
-        """Each sample, the last one too, is stamped t = step * dt exactly, in
-        ``Trajectory.times`` and in the time passed to ``record``, not a sum
-        of steps (0.025 + 0.005 is 0.030000000000000002)."""
+        """Each sample, the last one too, is stamped t = step * dt exactly in
+        the time passed to the hook, not a sum of steps (0.025 + 0.005 is
+        0.030000000000000002)."""
         cfg = SolverConfig(lattice=lat16, mu=0.05, lam=0.05, eps=0.2, dt=0.005, t_final=0.03)
         a0, u0 = generate_initial_data(lat16, 0.5, 0.5, seed=21)
-        traj = run_trajectory((a0, u0), cfg, "compressible", record=lambda s, t: t)
-        assert traj.times.tolist() == traj.states == [0.005 * n for n in range(7)]
+        traj = SampledRun((a0, u0), cfg, "compressible")
+        assert traj.times == [0.005 * n for n in range(7)]
         assert traj.times[-1] == 0.03
 
     def test_incompressible_matches_hand_stepping(self, lat16, cfg):
         _, u0 = generate_initial_data(lat16, 0.5, 0.5, seed=22)
         v0 = helmholtz_project(u0, "P")
-        traj = run_trajectory(v0, cfg, "incompressible")
+        traj = SampledRun(v0, cfg, "incompressible")
         hand = self.hand_run(cfg, v0, lambda v, t: step_incompressible(v, t, cfg))
         self.check_times(traj, cfg, "incompressible")
-        assert len(traj) == len(hand)
+        assert len(traj.states) == len(hand)
         for v_traj, v_hand in zip(traj.states, hand):
             assert np.array_equal(v_traj.coeffs, v_hand.coeffs)
 
@@ -1161,16 +1175,86 @@ class TestTrajectoryLoop:
         v0 = helmholtz_project(u0, "P")
         table = build_limit_tables(lat16)
         V0 = acoustic_transform(a0, u0 - v0)
-        traj = run_trajectory((v0, V0), cfg, "limit", table=table)
+        traj = SampledRun((v0, V0), cfg, "limit", table=table)
         hand = self.hand_run(
             cfg, (v0, V0), lambda x, t: step_limit(*x, t, cfg, table)
         )
         self.check_times(traj, cfg, "limit")
-        assert len(traj) == len(hand)
+        assert len(traj.states) == len(hand)
         for (v_traj, V_traj), (v_hand, V_hand) in zip(traj.states, hand):
             assert np.array_equal(v_traj.coeffs, v_hand.coeffs)
             assert np.array_equal(V_traj.plus, V_hand.plus)
             assert np.array_equal(V_traj.minus, V_hand.minus)
+
+
+    def test_steppers_with_their_own_dt(self, lat16, cfg):
+        """Two compressible steppers, at dt and dt/2, advance together to the
+        samples of one clock; each takes its own steps, step n starting at n
+        times its own dt, and matches hand-stepping bit for bit."""
+        a0, u0 = generate_initial_data(lat16, 0.5, 0.5, seed=21)
+        cfgs = {"dt": cfg, "dt/2": replace(cfg, dt=cfg.dt / 2)}
+        steppers = {key: solvers.CompressibleStepper(c, a0, u0) for key, c in cfgs.items()}
+        got = {key: [] for key in cfgs}
+
+        def on_sample(t, steppers):
+            for key, stepper in steppers.items():
+                got[key].append(stepper.state())
+
+        clock = solvers.run_lockstep(steppers, cfg, on_sample)
+        assert clock.keys() == cfgs.keys()
+        for key, c in cfgs.items():
+            per_step = round(cfg.dt / c.dt)
+            state, hand = (a0, u0), []
+            for n in range(1, per_step * cfg.n_steps + 1):
+                state = step_compressible(*state, (n - 1) * c.dt, c)
+                if n % per_step == 0 and n // per_step in self.SAMPLED:
+                    hand.append(state)
+            assert len(got[key]) == len(hand) == len(self.SAMPLED) - 1
+            for g, w in zip(got[key], hand):
+                for gf, wf in zip(g, w):
+                    assert gf.coeffs.tobytes() == wf.coeffs.tobytes()
+        assert got["dt"][-1][1].coeffs.tobytes() != got["dt/2"][-1][1].coeffs.tobytes()
+
+    @pytest.mark.parametrize(
+        "dt, t_final, sample",
+        [(0.3, 0.9, "1.0"), (0.04, 1.0, "0.30000000000000004")],
+    )
+    def test_dt_that_does_not_divide_a_sample_raises(self, lat16, cfg, dt, t_final, sample):
+        """The samples are at 0.3, 0.6, 0.9 and 1.0: dt = 0.3 misses the last
+        and dt = 0.04 the first.  The loop raises before any step."""
+        a0, u0 = generate_initial_data(lat16, 0.5, 0.5, seed=21)
+        steppers = {
+            "clock": solvers.CompressibleStepper(cfg, a0, u0),
+            "other": solvers.CompressibleStepper(replace(cfg, dt=dt, t_final=t_final), a0, u0),
+        }
+        start = {key: stepper.x for key, stepper in steppers.items()}
+        message = f"stepper 'other': dt = {dt!r} does not divide the sample time {sample}"
+        with pytest.raises(ValueError, match=message):
+            solvers.run_lockstep(steppers, cfg)
+        assert all(stepper.x is start[key] for key, stepper in steppers.items())
+
+    def test_no_hook_builds_no_state(self, monkeypatch, lat16, cfg):
+        """Without a hook the loop calls no stepper's state(); run_trajectory
+        calls it once, for the final state it returns."""
+        calls = []
+        for cls in (solvers.CompressibleStepper, solvers.IncompressibleStepper):
+            def counted(self, _state=cls.state):
+                calls.append(type(self).__name__)
+                return _state(self)
+
+            monkeypatch.setattr(cls, "state", counted)
+        a0, u0 = generate_initial_data(lat16, 0.5, 0.5, seed=23)
+        v0 = helmholtz_project(u0, "P")
+        table = build_limit_tables(lat16)
+        steppers = {
+            "compressible": solvers.CompressibleStepper(cfg, a0, u0),
+            "incompressible": solvers.IncompressibleStepper(cfg, v0),
+            "limit": solvers.LimitStepper(cfg, v0, acoustic_transform(a0, u0 - v0), table),
+        }
+        solvers.run_lockstep(steppers, cfg)
+        assert calls == []
+        run_trajectory((a0, u0), cfg, "compressible")
+        assert calls == ["CompressibleStepper"]
 
 
 class TestInitialDataAndIO:
@@ -1308,8 +1392,8 @@ class TestInitialDataAndIO:
         cfg = SolverConfig(lattice=lat16, mu=0.05, dt=1e-2, t_final=0.05)
         _, u0 = generate_initial_data(lat16, 1.0, 1.0, seed=18)
         v0 = helmholtz_project(u0, "P")
-        traj = run_trajectory(v0, cfg, "incompressible")
-        assert len(traj) == cfg.n_steps + 1
+        traj = SampledRun(v0, cfg, "incompressible")
+        assert len(traj.states) == cfg.n_steps + 1
         assert np.allclose(np.diff(traj.times), cfg.dt)
 
     def test_dt_must_divide_t_final(self, lat16):
