@@ -4,13 +4,11 @@ acoustic eigenbasis, exact resonance tables and limit forms, exponential
 time steppers, and the Mach-number sweep diagnostics."""
 
 from .lattice import (
-    GridField,
     LatticeSpec,
     SpectralField,
     dealiased_product,
     forward_transform,
     inverse_transform,
-    spectral_derivative,
     zero_mean_split,
 )
 from .dyadic import (
@@ -27,7 +25,6 @@ from .dyadic import (
 from .operators import (
     AcousticCoeffs,
     VacuumError,
-    acoustic_inverse,
     acoustic_transform,
     helmholtz_project,
     wave_group,

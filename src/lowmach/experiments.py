@@ -13,13 +13,7 @@ import numpy as np
 
 from .dyadic import NormSpec, block_range, compute_jb, norm
 from .functionals import DiagnosticsRow, FunctionalSettings, compute_functionals, sample_energies
-from .lattice import (
-    GridField,
-    LatticeSpec,
-    SpectralField,
-    forward_transform,
-    inverse_transform,
-)
+from .lattice import LatticeSpec, SpectralField, forward_transform, inverse_transform
 from .operators import acoustic_transform, helmholtz_project, wave_group
 from .resonance import ResonanceTable, build_limit_tables, resonance_test
 from .solvers import (
@@ -452,14 +446,14 @@ def run_invariant_suite():
         results.append((name, bool(ok), detail))
 
     values = rng.standard_normal((1,) + lattice.resolution)
-    fld = forward_transform(GridField(lattice, values))
-    back = forward_transform(inverse_transform(fld))
+    fld = forward_transform(lattice, values)
+    back = forward_transform(lattice, inverse_transform(fld))
     err = float(np.max(np.abs(back.coeffs - fld.coeffs)))
     record("transform-round-trip", err <= 1e-12 * np.max(np.abs(fld.coeffs)), f"err={err:.2e}")
 
     grid = inverse_transform(fld)
     integral = float(
-        np.sum(np.abs(grid.values) ** 2) * lattice.volume / np.prod(lattice.resolution)
+        np.sum(np.abs(grid) ** 2) * lattice.volume / np.prod(lattice.resolution)
     )
     coeff = float(np.sum(fld.mode_power()))
     record(
@@ -478,7 +472,7 @@ def run_invariant_suite():
     record("block-partition", err <= 1e-12 * np.max(np.abs(fld.coeffs)), f"err={err:.2e}")
 
     uvals = rng.standard_normal((lattice.d,) + lattice.resolution)
-    u = forward_transform(GridField(lattice, uvals))
+    u = forward_transform(lattice, uvals)
     p = helmholtz_project(u, "P")
     q = helmholtz_project(u, "Q")
     err = float(np.max(np.abs((p + q).coeffs - u.coeffs)))

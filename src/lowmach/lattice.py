@@ -1,9 +1,10 @@
 """Lattice and field representation for the rational-period torus.
 
 Fields live on a uniform periodic grid with axis lengths ``2*pi*b_h`` and are
-represented either by grid samples (:class:`GridField`) or by a truncated
-table of Fourier coefficients (:class:`SpectralField`).  The coefficient
-convention is
+represented by a truncated table of Fourier coefficients
+(:class:`SpectralField`).  Grid samples are plain arrays of shape
+``(components, *resolution)``, the input of :func:`forward_transform` and the
+output of :func:`inverse_transform`.  The coefficient convention is
 
     g(x) = sum_k  g_k  exp(i k.x) / sqrt(vol),
     g_k  = integral of g(x) exp(-i k.x) dx / sqrt(vol),
@@ -39,11 +40,9 @@ import numpy as np
 
 __all__ = [
     "LatticeSpec",
-    "GridField",
     "SpectralField",
     "forward_transform",
     "inverse_transform",
-    "spectral_derivative",
     "dealiased_product",
     "zero_mean_split",
 ]
@@ -302,24 +301,6 @@ class LatticeSpec:
         )
 
 
-@dataclass
-class GridField:
-    """Physical samples of a scalar or vector field on the uniform grid."""
-
-    lattice: LatticeSpec
-    values: np.ndarray  # shape (components, *resolution)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values)
-        if self.values.ndim == self.lattice.d:
-            self.values = self.values[None]
-        expected = self.lattice.resolution
-        if self.values.shape[1:] != expected:
-            raise ValueError(
-                f"grid shape {self.values.shape[1:]} does not match lattice {expected}"
-            )
-
-
 class SpectralField:
     """Dealiased Fourier coefficient table of a scalar or vector field.
 
@@ -339,7 +320,7 @@ class SpectralField:
                 f"coefficient shape {coeffs.shape[1:]} does not match lattice"
             )
         self.lattice = lattice
-        self.coeffs = coeffs * lattice.dealias_mask()
+        self.coeffs = _masked(coeffs, lattice.dealias_mask())
         self.reality = bool(reality)
 
     # -- constructors ----------------------------------------------------
@@ -361,31 +342,6 @@ class SpectralField:
     def zeros(cls, lattice: LatticeSpec, components: int = 1, reality: bool = True):
         shape = (components,) + lattice.resolution
         return cls(lattice, np.zeros(shape, dtype=np.complex128), reality=reality)
-
-    @classmethod
-    def from_modes(
-        cls,
-        lattice: LatticeSpec,
-        entries: dict,
-        components: int = 1,
-        reality: bool = False,
-    ):
-        """Build a field from ``{mode index tuple: coefficient}`` entries.
-
-        For vector fields the coefficient value must be a length-d sequence.
-        """
-        field = np.zeros((components,) + lattice.resolution, dtype=np.complex128)
-        for mode, value in entries.items():
-            idx = tuple(int(m) % n for m, n in zip(mode, lattice.resolution))
-            if components == 1 and np.isscalar(value):
-                field[(0,) + idx] = value
-            else:
-                vals = np.atleast_1d(np.asarray(value, dtype=np.complex128))
-                if vals.shape != (components,):
-                    raise ValueError("mode value has wrong number of components")
-                for c in range(components):
-                    field[(c,) + idx] = vals[c]
-        return cls(lattice, field, reality=reality)
 
     # -- basic properties --------------------------------------------------
 
@@ -450,6 +406,20 @@ class SpectralField:
 
     def copy_with_reality(self, reality: bool) -> "SpectralField":
         return self._like(self.coeffs, reality)
+
+
+def _masked(coeffs: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``coeffs`` times a boolean ``mask``, as a new array, without a warning:
+    a non-finite coefficient stays as given where the mask is set and becomes
+    0 where it is not.  Finite coefficients take the product's bytes, signed
+    zeros included."""
+    finite = np.isfinite(coeffs)
+    if finite.all():
+        return coeffs * mask
+    with np.errstate(invalid="ignore"):
+        out = coeffs * mask
+    out[~finite] = np.where(mask, coeffs, 0)[~finite]
+    return out
 
 
 def _scale_modes(coeffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -545,14 +515,20 @@ def _half_to_full(half: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
     return out
 
 
-def forward_transform(grid: GridField) -> SpectralField:
+def forward_transform(lattice: LatticeSpec, values: np.ndarray) -> SpectralField:
     """Grid samples to normalized, dealiased Fourier coefficients.
 
-    Real samples (or complex samples with zero imaginary part) give a
-    ``reality=True`` field through a real-data FFT.
+    ``values`` has shape ``(components, *resolution)``, or the lattice's
+    shape for one component.  Real samples (or complex samples with zero
+    imaginary part) give a ``reality=True`` field through a real-data FFT.
     """
-    lattice = grid.lattice
-    values = grid.values
+    values = np.asarray(values)
+    if values.ndim == lattice.d:
+        values = values[None]
+    if values.shape[1:] != lattice.resolution:
+        raise ValueError(
+            f"grid shape {values.shape[1:]} does not match lattice {lattice.resolution}"
+        )
     if np.iscomplexobj(values) and np.max(np.abs(values.imag), initial=0.0) == 0.0:
         values = values.real
     if not np.iscomplexobj(values):
@@ -563,12 +539,14 @@ def forward_transform(grid: GridField) -> SpectralField:
     return SpectralField(lattice, coeffs, reality=False)
 
 
-def inverse_transform(field: SpectralField) -> GridField:
-    """Fourier coefficients to grid samples (exact inverse on retained modes).
+def inverse_transform(field: SpectralField) -> np.ndarray:
+    """Fourier coefficients to grid samples of shape ``(components,
+    *resolution)`` (exact inverse on retained modes).
 
-    A ``reality=True`` field gives the real part of the complex inverse: the
-    half inverse of the Hermitian part (c_k + conj(c_-k))/2 of its
-    coefficients, which equals them when they are Hermitian.
+    A ``reality=True`` field gives real (float64) samples, the real part of
+    the complex inverse: the half inverse of the Hermitian part
+    (c_k + conj(c_-k))/2 of its coefficients, which equals them when they are
+    Hermitian.  Any other field gives complex samples.
     """
     lattice = field.lattice
     coeffs = field.coeffs
@@ -578,31 +556,11 @@ def inverse_transform(field: SpectralField) -> GridField:
         np.conj(half, out=half)
         half += coeffs[..., : cut + 1]
         half *= 0.5
-        return GridField(lattice, _half_inverse(half, lattice))
+        return _half_inverse(half, lattice)
     npoints = float(np.prod(lattice.resolution))
-    values = np.fft.ifftn(coeffs, axes=tuple(range(1, lattice.d + 1))) * (
+    return np.fft.ifftn(coeffs, axes=tuple(range(1, lattice.d + 1))) * (
         npoints / math.sqrt(lattice.volume)
     )
-    return GridField(lattice, values)
-
-
-def spectral_derivative(field: SpectralField, kind: str) -> SpectralField:
-    """Symbol calculus: grad (scalar->vector), div (vector->scalar), laplacian."""
-    lattice = field.lattice
-    kvecs = lattice.wavevectors()
-    if kind == "grad":
-        if field.components != 1:
-            raise ValueError("grad acts on scalar fields")
-        out = np.stack([1j * k * field.coeffs[0] for k in kvecs], axis=0)
-    elif kind == "div":
-        if field.components != lattice.d:
-            raise ValueError("div acts on vector fields")
-        out = sum(1j * k * field.coeffs[c] for c, k in enumerate(kvecs))[None]
-    elif kind == "laplacian":
-        out = -lattice.k_squared() * field.coeffs
-    else:
-        raise ValueError(f"unknown derivative kind {kind!r}")
-    return SpectralField._in_box(lattice, out, field.reality)
 
 
 def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
@@ -614,9 +572,8 @@ def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
     """
     if f.lattice is not g.lattice and f.lattice != g.lattice:
         raise ValueError("fields live on different lattices")
-    lattice = f.lattice
-    fvals = inverse_transform(f).values
-    gvals = inverse_transform(g).values
+    fvals = inverse_transform(f)
+    gvals = inverse_transform(g)
     if f.components == g.components:
         prod = fvals * gvals
     elif f.components == 1:
@@ -625,9 +582,7 @@ def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
         prod = fvals * gvals[0][None]
     else:
         raise ValueError("incompatible component counts for product")
-    return forward_transform(GridField(lattice, prod)).copy_with_reality(
-        f.reality and g.reality
-    )
+    return forward_transform(f.lattice, prod).copy_with_reality(f.reality and g.reality)
 
 
 def zero_mean_split(field: SpectralField) -> tuple[SpectralField, SpectralField]:

@@ -27,10 +27,10 @@ import math
 import numpy as np
 
 from .lattice import (
-    GridField,
     LatticeSpec,
     SpectralField,
     _cached,
+    _masked,
     forward_transform,
     inverse_transform,
 )
@@ -40,7 +40,6 @@ __all__ = [
     "helmholtz_project",
     "AcousticCoeffs",
     "acoustic_transform",
-    "acoustic_inverse",
     "wave_group",
     "advect",
 ]
@@ -118,24 +117,14 @@ class AcousticCoeffs(SpectralField):
 
     def __init__(self, lattice: LatticeSpec, plus: np.ndarray, minus: np.ndarray):
         self.lattice = lattice
-        self.coeffs = np.asarray((plus, minus), dtype=np.complex128) * _acoustic_mask(lattice)
+        coeffs = np.asarray((plus, minus), dtype=np.complex128)
+        self.coeffs = _masked(coeffs, _acoustic_mask(lattice))
         self.reality = False
 
     @classmethod
     def zeros(cls, lattice: LatticeSpec) -> "AcousticCoeffs":
         shape = (2,) + lattice.resolution
         return cls._in_box(lattice, np.zeros(shape, np.complex128), False)
-
-    @classmethod
-    def from_modes(cls, lattice: LatticeSpec, entries: dict) -> "AcousticCoeffs":
-        """Build from ``{(mode tuple, alpha): value}`` entries."""
-        out = cls.zeros(lattice)
-        for (mode, alpha), value in entries.items():
-            if alpha not in (1, -1):
-                raise ValueError("alpha must be +1 or -1")
-            idx = tuple(int(m) % n for m, n in zip(mode, lattice.resolution))
-            out.branch(alpha)[idx] = value
-        return out
 
     def branch(self, alpha: int) -> np.ndarray:
         return self.coeffs[0 if alpha == 1 else 1]
@@ -174,23 +163,6 @@ def acoustic_transform(a: SpectralField, qu: SpectralField, check: bool = True) 
     return AcousticCoeffs(lattice, plus, minus)
 
 
-def acoustic_inverse(V: AcousticCoeffs) -> tuple[SpectralField, SpectralField]:
-    """Reconstruct the (zero-mean scalar, gradient vector) pair."""
-    lattice = V.lattice
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    ahat = (V.plus + V.minus) * inv_sqrt2
-    sgk = lattice.sign_grid()
-    mu = -sgk * (V.plus - V.minus) * inv_sqrt2
-    kmod = _safe_k_modulus(lattice)
-    kvecs = lattice.wavevectors()
-    qu = np.stack([mu * k / kmod for k in kvecs], axis=0)
-    reality = V.is_reality_symmetric()
-    return (
-        SpectralField(lattice, ahat[None], reality=reality),
-        SpectralField(lattice, qu, reality=reality),
-    )
-
-
 def wave_group(V: AcousticCoeffs, tau: float) -> AcousticCoeffs:
     """Acoustic propagator exp(-tau*L): phase e^{i*alpha*sg(k)*|k|*tau} per mode."""
     phase = np.exp(1j * tau * _signed_modulus(V.lattice))
@@ -214,7 +186,7 @@ def advect(p: SpectralField, q: SpectralField) -> SpectralField:
     stacked = np.concatenate(
         [p.coeffs[:d]] + [1j * k * q.coeffs for k in lattice.wavevectors()]
     )
-    grid = inverse_transform(SpectralField._in_box(lattice, stacked, reality)).values
+    grid = inverse_transform(SpectralField._in_box(lattice, stacked, reality))
     prod = sum(grid[c] * grid[d + c * nq : d + (c + 1) * nq] for c in range(d))
-    return forward_transform(GridField(lattice, prod)).copy_with_reality(reality)
+    return forward_transform(lattice, prod).copy_with_reality(reality)
 

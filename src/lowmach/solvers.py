@@ -187,11 +187,6 @@ class Forcing:
     def __hash__(self) -> int:
         return hash((self.lattice, tuple(self.modes)))
 
-    def __call__(self, t: float) -> SpectralField:
-        return SpectralField._in_box(
-            self.lattice, _half_to_full(self.half_spectrum(t), self.lattice), True
-        )
-
     def half_spectrum(self, t: float) -> np.ndarray:
         """The force at time t on the retained half spectrum (columns 0..cut)."""
         lattice = self.lattice
@@ -787,9 +782,10 @@ def run_lockstep(steppers: dict, clock_cfg: SolverConfig, on_sample=None) -> dic
     return clock
 
 
-# run_trajectory with ``kind`` third and positional, and the one-step
-# functions above with _one_step, stay under these names: bench/tracer.py
-# wraps them by name and labels the run_trajectory spans with args[2].
+# The one-step functions step_* above and run_trajectory, with ``kind`` third
+# and positional, stay under these names: bench/tracer.py binds them by name
+# and labels the run_trajectory spans with args[2].  _one_step is only the
+# step functions' helper.
 def run_trajectory(
     initial, cfg: SolverConfig, kind: str, table: ResonanceTable | None = None, on_sample=None
 ):

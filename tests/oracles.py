@@ -6,8 +6,12 @@ convolution, the Bony paraproduct and the sharp modulus truncation, the
 pseudospectral filtered quadratic forms with their direct mode-sum
 evaluations and closed-form time averages, the pressure law's expansion
 defect, the low-band bridge constant, and the 80-digit scaled-integer
-square-root test.  One fake stands beside them: the compressible stepper
-without its right-hand side, which steps the exact linear propagator alone.
+square-root test.  Beside them stands the field API that only the tests
+use: the symbol calculus (:func:`spectral_derivative`), the reconstruction
+from acoustic coefficients (:func:`acoustic_inverse`), fields built from
+mode entries, and a forcing's full coefficient grid.  One fake stands beside
+them: the compressible stepper without its right-hand side, which steps the
+exact linear propagator alone.
 And one hook: :class:`SampledRun` keeps every sample of a run, which the
 library never does.  Each is written for clarity over speed, and several
 cost time quadratic in the number of retained modes, so they are only for
@@ -23,25 +27,24 @@ import numpy as np
 
 from lowmach.dyadic import BumpProfile, block_range, dyadic_block, low_cut
 from lowmach.lattice import (
-    GridField,
     LatticeSpec,
     SpectralField,
+    _half_to_full,
     dealiased_product,
     forward_transform,
-    spectral_derivative,
     zero_mean_split,
 )
 from lowmach.operators import (
     AcousticCoeffs,
     _conjugate_pair,
+    _safe_k_modulus,
     _signed_modulus,
-    acoustic_inverse,
     acoustic_transform,
     advect,
     helmholtz_project,
     wave_group,
 )
-from lowmach.solvers import CompressibleStepper, _pressure_remainder, run_trajectory
+from lowmach.solvers import CompressibleStepper, Forcing, _pressure_remainder, run_trajectory
 
 # ---------------------------------------------------------------------------
 # Random test data
@@ -52,7 +55,7 @@ def random_field(lattice, rng, components=1, zero_mean=False):
     """A reality-symmetric field from standard normal grid samples, its mean
     mode cleared with ``zero_mean``."""
     values = rng.standard_normal((components,) + lattice.resolution)
-    field = forward_transform(GridField(lattice, values))
+    field = forward_transform(lattice, values)
     if zero_mean:
         coeffs = field.coeffs.copy()
         coeffs[(slice(None),) + (0,) * lattice.d] = 0.0
@@ -83,7 +86,8 @@ def sqrt_sum_oracle(terms, digits=80):
 
 
 # ---------------------------------------------------------------------------
-# Lattice: grid points and the direct convolution
+# Lattice: grid points, fields from mode entries, the symbol calculus and
+# the direct convolution
 # ---------------------------------------------------------------------------
 
 
@@ -93,6 +97,49 @@ def grid_points(lattice: LatticeSpec) -> tuple[np.ndarray, ...]:
         for n, b in zip(lattice.resolution, lattice.periods)
     ]
     return np.meshgrid(*axes, indexing="ij")
+
+
+def field_from_modes(
+    lattice: LatticeSpec,
+    entries: dict,
+    components: int = 1,
+    reality: bool = False,
+):
+    """Build a field from ``{mode index tuple: coefficient}`` entries.
+
+    For vector fields the coefficient value must be a length-d sequence.
+    """
+    field = np.zeros((components,) + lattice.resolution, dtype=np.complex128)
+    for mode, value in entries.items():
+        idx = tuple(int(m) % n for m, n in zip(mode, lattice.resolution))
+        if components == 1 and np.isscalar(value):
+            field[(0,) + idx] = value
+        else:
+            vals = np.atleast_1d(np.asarray(value, dtype=np.complex128))
+            if vals.shape != (components,):
+                raise ValueError("mode value has wrong number of components")
+            for c in range(components):
+                field[(c,) + idx] = vals[c]
+    return SpectralField(lattice, field, reality=reality)
+
+
+def spectral_derivative(field: SpectralField, kind: str) -> SpectralField:
+    """Symbol calculus: grad (scalar->vector), div (vector->scalar), laplacian."""
+    lattice = field.lattice
+    kvecs = lattice.wavevectors()
+    if kind == "grad":
+        if field.components != 1:
+            raise ValueError("grad acts on scalar fields")
+        out = np.stack([1j * k * field.coeffs[0] for k in kvecs], axis=0)
+    elif kind == "div":
+        if field.components != lattice.d:
+            raise ValueError("div acts on vector fields")
+        out = sum(1j * k * field.coeffs[c] for c, k in enumerate(kvecs))[None]
+    elif kind == "laplacian":
+        out = -lattice.k_squared() * field.coeffs
+    else:
+        raise ValueError(f"unknown derivative kind {kind!r}")
+    return SpectralField._in_box(lattice, out, field.reality)
 
 
 def convolution_product(f: SpectralField, g: SpectralField) -> SpectralField:
@@ -197,8 +244,36 @@ def bridge_constant(lattice: LatticeSpec, theta: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Operators: generalized sign and pressure law
+# Operators: acoustic coefficients, generalized sign and pressure law
 # ---------------------------------------------------------------------------
+
+
+def acoustic_from_modes(lattice: LatticeSpec, entries: dict) -> AcousticCoeffs:
+    """Build from ``{(mode tuple, alpha): value}`` entries."""
+    out = AcousticCoeffs.zeros(lattice)
+    for (mode, alpha), value in entries.items():
+        if alpha not in (1, -1):
+            raise ValueError("alpha must be +1 or -1")
+        idx = tuple(int(m) % n for m, n in zip(mode, lattice.resolution))
+        out.branch(alpha)[idx] = value
+    return out
+
+
+def acoustic_inverse(V: AcousticCoeffs) -> tuple[SpectralField, SpectralField]:
+    """Reconstruct the (zero-mean scalar, gradient vector) pair."""
+    lattice = V.lattice
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    ahat = (V.plus + V.minus) * inv_sqrt2
+    sgk = lattice.sign_grid()
+    mu = -sgk * (V.plus - V.minus) * inv_sqrt2
+    kmod = _safe_k_modulus(lattice)
+    kvecs = lattice.wavevectors()
+    qu = np.stack([mu * k / kmod for k in kvecs], axis=0)
+    reality = V.is_reality_symmetric()
+    return (
+        SpectralField(lattice, ahat[None], reality=reality),
+        SpectralField(lattice, qu, reality=reality),
+    )
 
 
 def sg(k) -> int:
@@ -218,6 +293,19 @@ def expansion_defect(gamma: float, amax: float = 0.5, samples: int = 512) -> flo
     exact = (1.0 + a) ** (gamma - 2.0)
     model = 1.0 + (gamma - 2.0) * a + a * _pressure_remainder(a, gamma)
     return float(np.max(np.abs(exact - model)))
+
+
+# ---------------------------------------------------------------------------
+# Solvers: the full forcing grid, a fake stepper and the sampling hook
+# ---------------------------------------------------------------------------
+
+
+def forcing_field(forcing: Forcing, t: float) -> SpectralField:
+    """The force at time t on the full coefficient grid; the steppers read
+    its ``half_spectrum``."""
+    return SpectralField._in_box(
+        forcing.lattice, _half_to_full(forcing.half_spectrum(t), forcing.lattice), True
+    )
 
 
 class LinearCompressibleStepper(CompressibleStepper):

@@ -18,13 +18,11 @@ import numpy as np
 import pytest
 
 from lowmach.lattice import (
-    GridField,
     LatticeSpec,
     SpectralField,
     dealiased_product,
     forward_transform,
     inverse_transform,
-    spectral_derivative,
 )
 from lowmach.dyadic import (
     NormSpec,
@@ -36,12 +34,7 @@ from lowmach.dyadic import (
     norm,
     time_norm,
 )
-from lowmach.operators import (
-    AcousticCoeffs,
-    acoustic_transform,
-    helmholtz_project,
-    wave_group,
-)
+from lowmach.operators import acoustic_transform, helmholtz_project, wave_group
 from lowmach.resonance import (
     assemble_correctors,
     build_limit_tables,
@@ -65,8 +58,11 @@ from lowmach.experiments import (
 )
 from oracles import (
     a2_eps,
+    acoustic_from_modes,
+    acoustic_inverse,
     bony_paraproduct,
     convolution_product,
+    field_from_modes,
     grid_points,
     linear_compressible_step,
     mode_truncate,
@@ -78,6 +74,7 @@ from oracles import (
     random_acoustic,
     random_field,
     SampledRun,
+    spectral_derivative,
     sqrt_sum_oracle,
 )
 
@@ -98,11 +95,11 @@ def test_criterion_1_spectral_core():
     for _ in range(100):
         field = random_field(lattice, rng)
         grid = inverse_transform(field)
-        back = forward_transform(grid)
+        back = forward_transform(lattice, grid)
         scale = float(np.max(np.abs(field.coeffs)))
         worst_rt = max(worst_rt, float(np.max(np.abs(back.coeffs - field.coeffs))) / scale)
         integral = float(
-            np.sum(np.abs(grid.values) ** 2) * lattice.volume / np.prod(lattice.resolution)
+            np.sum(np.abs(grid) ** 2) * lattice.volume / np.prod(lattice.resolution)
         )
         coeff_sum = float(np.sum(field.mode_power()))
         worst_pars = max(worst_pars, abs(integral - coeff_sum) / coeff_sum)
@@ -213,7 +210,7 @@ def test_criterion_2b_high_pass_constant_one():
         "bump; counterexample |k|=3, M=2.5, sigma=1)",
     )
     lattice = LatticeSpec.square(2, 16)
-    g = SpectralField.from_modes(lattice, {(3, 0): 1.0})
+    g = field_from_modes(lattice, {(3, 0): 1.0})
     gm = mode_truncate(g, 2.5, "high")
     lhs = norm(gm, NormSpec(s=0.0, r=1))
     rhs = 2.5**-1.0 * norm(g, NormSpec(s=1.0, r=1))
@@ -237,8 +234,6 @@ def test_criterion_3_wave_group():
         )
         assert (combined - direct).l2_norm() <= 1e-12 * max(scale, 1e-30)
     # eigen-relation residual per mode: L acts as -i*alpha*sg(k)|k|
-    from lowmach.operators import acoustic_inverse
-
     V = random_acoustic(lattice, rng)
     a, qu = acoustic_inverse(V)
     la = spectral_derivative(qu, "div")
@@ -275,8 +270,6 @@ def test_criterion_4_oracle_equivalence():
         slow = q2_eps_modesum(A, B, t, eps, kappa=kappa)
         worst["q2"] = max(worst["q2"], (fast - slow).l2_norm() / max(slow.l2_norm(), 1e-30))
         # a2: closed per-mode formula against the filtered Laplacian definition
-        from lowmach.operators import acoustic_inverse
-
         direct = a2_eps(B, t, eps)
         W = wave_group(B, t / eps)
         aw, ww = acoustic_inverse(W)
@@ -352,7 +345,7 @@ def test_criterion_6_averaging():
             val = complex(rng.standard_normal(), rng.standard_normal()) / 2.0
             entries[(mode, alpha)] = val
             entries[(tuple(-c for c in mode), alpha)] = np.conj(val)
-    V = AcousticCoeffs.from_modes(lattice, entries)
+    V = acoustic_from_modes(lattice, entries)
     kappa = 1.0
     limit = limit_q2(V, V, table, kappa=kappa)
     eps_list = [0.1, 0.05, 0.025, 0.0125]
@@ -373,9 +366,7 @@ def test_criterion_7_solver_validation():
     mu = 0.1
     cfg = SolverConfig(lattice=lattice, mu=mu, lam=0.0, dt=0.01, t_final=1.0)
     x, y = grid_points(lattice)
-    tg = forward_transform(
-        GridField(lattice, np.stack([np.cos(x) * np.sin(y), -np.sin(x) * np.cos(y)]))
-    )
+    tg = forward_transform(lattice, np.stack([np.cos(x) * np.sin(y), -np.sin(x) * np.cos(y)]))
     v = tg
     t = 0.0
     for step in range(cfg.n_steps):

@@ -752,6 +752,39 @@ class TestCLI:
             for checkpoint in paths:
                 assert load_checkpoint(checkpoint)[1] == pytest.approx(0.5, rel=1e-9)
 
+    def test_norms_pinned(self, tmp_path, capsys):
+        """``lowmach norms`` on the simulate checkpoint of configs/desk.json
+        at seed 0 prints the recorded values, with the default specs and
+        with a p = inf spec, which reads the grid values of each block
+        through the complex inverse transform.  Values, not bytes: FFT
+        round-off differs between numpy versions."""
+        path = os.path.join(REPO, "configs", "desk.json")
+        out = os.path.join(str(tmp_path), "sim")
+        assert main(["simulate", "--config", path, "--out", out, "--seed", "0"]) == 0
+        checkpoint = json.loads(capsys.readouterr().out)["checkpoint"]
+        expected = {
+            (): {
+                ("a", "B:s=0:p=2:r=1"): 0.3972272168251837,
+                ("a", "B:s=1:p=2:r=1"): 0.5156423223207063,
+                ("a", "H:s=1"): 0.47535258966067095,
+                ("u", "B:s=0:p=2:r=1"): 1.1055843866356019,
+                ("u", "B:s=1:p=2:r=1"): 1.2464157714052697,
+                ("u", "H:s=1"): 0.8304870095134854,
+            },
+            ("--spec", "B:s=1:p=inf:r=1"): {
+                ("a", "B:s=1:p=inf:r=1"): 0.2031908981919466,
+                ("u", "B:s=1:p=inf:r=1"): 0.3194645874384472,
+            },
+        }
+        for specs, values in expected.items():
+            assert main(["norms", "--field", checkpoint, *specs]) == 0
+            header, *lines = capsys.readouterr().out.splitlines()
+            assert header == '# t = 0.5, meta = {"eps": 0.2, "kind": "compressible"}'
+            printed = {(name, key): float(value) for name, key, value in map(str.split, lines)}
+            assert printed.keys() == values.keys()
+            for row, value in values.items():
+                assert printed[row] == pytest.approx(value, rel=1e-9), row
+
     def test_converge_cli(self, tmp_path):
         path = self.write_config(tmp_path)
         out = os.path.join(str(tmp_path), "study")

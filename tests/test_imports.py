@@ -1,6 +1,7 @@
-"""Every module-level import in the package and the tests is used, and
-every private module-level function and class of the package is named
-somewhere besides its definition."""
+"""Every module-level import in the package and the tests is used, every
+private module-level function and class of the package is named somewhere
+besides its definition, and every public name of the package is called by
+the package itself, except the few listed with their reasons."""
 
 import ast
 import collections
@@ -85,3 +86,67 @@ def test_no_dead_private_definitions():
         if (dead := named_once(private_definitions(texts[path]), texts.values()))
     }
     assert found == {}
+
+
+# The public names that no code in src/lowmach reads, each with its reason.
+# The list can only shrink: a listed name that gains a caller in the package
+# fails the scan as surely as a new public name that has none.
+UNCALLED_PUBLIC = {
+    "dealiased_product": "bench/tracer.py binds it by name (ROADMAP item 6(b))",
+    "step_compressible": "bench/tracer.py binds it by name (ROADMAP item 6(b))",
+    "step_incompressible": "bench/tracer.py binds it by name (ROADMAP item 6(b))",
+    "step_limit": "bench/tracer.py binds it by name (ROADMAP item 6(b))",
+    "assemble_correctors": "whether the correctors stay is ROADMAP item 5",
+    "remainder_fields": "whether the correctors stay is ROADMAP item 5",
+}
+
+
+def public_names(source: str) -> list[str]:
+    """The strings of a module's ``__all__`` list."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return [element.value for element in node.value.elts]
+    return []
+
+
+def code_references(source: str) -> set[str]:
+    """The names that a module's code reads, as a name or as an attribute.
+    A top-level definition's references to its own name do not count, and
+    neither do docstrings, comments or the strings of ``__all__``."""
+    read = set()
+    for top in ast.parse(source).body:
+        names = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(top)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        }
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.discard(top.name)
+        read |= names
+    return read
+
+
+def test_scan_flags_an_uncalled_public_name():
+    module = (
+        '__all__ = ["used", "uncalled", "Recursive"]\n\n'
+        "def used():\n"
+        '    """uncalled() in a docstring is no call"""\n\n'
+        "# nor is uncalled() in a comment\n"
+        "def uncalled():\n"
+        "    return used()\n\n"
+        "class Recursive:\n"
+        "    def again(self):\n"
+        "        return Recursive()\n"
+    )
+    assert public_names(module) == ["used", "uncalled", "Recursive"]
+    assert code_references(module) == {"used"}
+    assert code_references("import m\nm.uncalled(Recursive)\n") == {"m", "uncalled", "Recursive"}
+
+
+def test_public_names_have_callers_in_the_package():
+    texts = [path.read_text(encoding="utf-8") for path in ROOT.glob("src/lowmach/*.py")]
+    read = set().union(*map(code_references, texts))
+    uncalled = sorted(name for text in texts for name in public_names(text) if name not in read)
+    assert uncalled == sorted(UNCALLED_PUBLIC)

@@ -5,18 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from lowmach.lattice import (
-    GridField,
-    SpectralField,
-    forward_transform,
-    inverse_transform,
-    spectral_derivative,
-)
+from lowmach.lattice import SpectralField, forward_transform, inverse_transform
 from lowmach.dyadic import NormSpec, norm
 from lowmach.operators import (
     AcousticCoeffs,
     VacuumError,
-    acoustic_inverse,
     acoustic_transform,
     helmholtz_project,
     wave_group,
@@ -25,7 +18,10 @@ from lowmach.solvers import SolverConfig, _pressure_remainder, step_compressible
 from oracles import (
     a2_eps,
     a2_eps_time_average,
+    acoustic_from_modes,
+    acoustic_inverse,
     expansion_defect,
+    field_from_modes,
     grid_points,
     q1_eps,
     q1_eps_modesum,
@@ -34,6 +30,7 @@ from oracles import (
     random_acoustic,
     random_field,
     sg,
+    spectral_derivative,
 )
 
 
@@ -57,7 +54,7 @@ class TestHelmholtz:
         assert np.max(np.abs(div.coeffs)) <= 1e-12 * np.max(np.abs(u.coeffs))
 
     def test_projection_formula_single_mode(self, lat8):
-        u = SpectralField.from_modes(lat8, {(1, 0): (1.0, 1.0)}, components=2)
+        u = field_from_modes(lat8, {(1, 0): (1.0, 1.0)}, components=2)
         q = helmholtz_project(u, "Q")
         p = helmholtz_project(u, "P")
         assert q.mode((1, 0))[0] == pytest.approx(1.0)
@@ -76,7 +73,7 @@ class TestHelmholtz:
         assert np.max(np.abs(helmholtz_project(p, "P").coeffs - p.coeffs)) <= 1e-12 * scale
 
     def test_mean_mode_goes_to_p(self, lat8):
-        u = SpectralField.from_modes(lat8, {(0, 0): (2.0, -1.0)}, components=2)
+        u = field_from_modes(lat8, {(0, 0): (2.0, -1.0)}, components=2)
         p = helmholtz_project(u, "P")
         q = helmholtz_project(u, "Q")
         assert np.allclose(p.mean_coefficient(), [2.0, -1.0])
@@ -129,7 +126,7 @@ class TestAcousticBasis:
     def test_eigen_relation(self, lat8):
         # L applied to a single basis vector multiplies it by -i*alpha*sg(k)*|k|
         for mode, alpha in (((1, 0), 1), ((0, -2), -1), ((1, 1), 1), ((-2, 1), -1)):
-            V = AcousticCoeffs.from_modes(lat8, {(mode, alpha): 1.0})
+            V = acoustic_from_modes(lat8, {(mode, alpha): 1.0})
             a, qu = acoustic_inverse(V)
             la = spectral_derivative(qu, "div")
             lu = spectral_derivative(a, "grad")
@@ -181,7 +178,7 @@ class TestWaveGroup:
             assert np.max(np.abs(WW.minus - W12.minus)) <= 1e-12 * scale
 
     def test_single_mode_phase(self, lat8):
-        V = AcousticCoeffs.from_modes(lat8, {((1, 0), 1): 1.0})
+        V = acoustic_from_modes(lat8, {((1, 0), 1): 1.0})
         W = wave_group(V, math.pi)
         got = W.plus[1, 0]
         assert got == pytest.approx(-1.0, rel=1e-12)
@@ -214,7 +211,7 @@ class TestPressure:
         # the solver evaluates K(eps*a) on the grid values of a
         rng = np.random.default_rng(10)
         eps = 0.5
-        x = eps * inverse_transform(0.3 * random_field(lat8, rng, zero_mean=True)).values[0].real
+        x = eps * inverse_transform(0.3 * random_field(lat8, rng, zero_mean=True))[0].real
         assert np.max(np.abs(_pressure_remainder(x, 2.0))) <= 1e-12  # gamma = 2 has no remainder
         # 1 + kappa*a + a*K(a) = P'(1+a)/(1+a) = (1+a)^(gamma-2) pointwise
         kappa = SolverConfig(lattice=lat8, gamma=1.4).kappa
@@ -224,7 +221,7 @@ class TestPressure:
     def test_vacuum_guard(self, lat8):
         # the compressible step aborts once eps*||a||_inf reaches 1
         x = grid_points(lat8)[0]
-        a = forward_transform(GridField(lat8, 2.5 * np.cos(x)))
+        a = forward_transform(lat8, 2.5 * np.cos(x))
         cfg = SolverConfig(lattice=lat8, eps=0.5, dt=1e-3, t_final=1e-3)
         with pytest.raises(VacuumError, match="density reached vacuum"):
             step_compressible(a, SpectralField.zeros(lat8, 2), 0.0, cfg)
@@ -273,7 +270,7 @@ class TestFilteredForms:
         assert (ab - ba).l2_norm() <= 1e-12 * scale
 
     def test_a2_diagonal_terms(self, lat8):
-        V = AcousticCoeffs.from_modes(lat8, {((2, 1), 1): 1.0})
+        V = acoustic_from_modes(lat8, {((2, 1), 1): 1.0})
         for t in (0.0, 0.33, 1.7):
             out = a2_eps(V, t, 0.1)
             ksq = 5.0
