@@ -413,12 +413,10 @@ def _masked(coeffs: np.ndarray, mask: np.ndarray) -> np.ndarray:
     a non-finite coefficient stays as given where the mask is set and becomes
     0 where it is not.  Finite coefficients take the product's bytes, signed
     zeros included."""
-    finite = np.isfinite(coeffs)
-    if finite.all():
-        return coeffs * mask
     with np.errstate(invalid="ignore"):
         out = coeffs * mask
-    out[~finite] = np.where(mask, coeffs, 0)[~finite]
+    bad = ~np.isfinite(coeffs)
+    out[bad] = np.where(np.broadcast_to(mask, coeffs.shape)[bad], coeffs[bad], 0)
     return out
 
 

@@ -88,9 +88,11 @@ def test_no_dead_private_definitions():
     assert found == {}
 
 
-# The public names that no code in src/lowmach reads, each with its reason.
-# The list can only shrink: a listed name that gains a caller in the package
-# fails the scan as surely as a new public name that has none.
+# The public names that no live code in src/lowmach reads, each with its
+# reason.  Code is live unless only these names' definitions reach it, so a
+# name that only they call is listed too.  The list can only shrink: a listed
+# name that gains a live caller fails the scan as surely as a new public name
+# that has none.
 UNCALLED_PUBLIC = {
     "dealiased_product": "bench/tracer.py binds it by name (ROADMAP item 6(b))",
     "step_compressible": "bench/tracer.py binds it by name (ROADMAP item 6(b))",
@@ -98,6 +100,8 @@ UNCALLED_PUBLIC = {
     "step_limit": "bench/tracer.py binds it by name (ROADMAP item 6(b))",
     "assemble_correctors": "whether the correctors stay is ROADMAP item 5",
     "remainder_fields": "whether the correctors stay is ROADMAP item 5",
+    "CorrectorSet": "only the correctors build it (ROADMAP item 5)",
+    "advect": "only the correctors call it (ROADMAP item 5); bench/tracer.py binds it",
 }
 
 
@@ -111,26 +115,42 @@ def public_names(source: str) -> list[str]:
     return []
 
 
-def code_references(source: str) -> set[str]:
-    """The names that a module's code reads, as a name or as an attribute.
-    A top-level definition's references to its own name do not count, and
-    neither do docstrings, comments or the strings of ``__all__``."""
-    read = set()
-    for top in ast.parse(source).body:
-        names = {
-            node.id if isinstance(node, ast.Name) else node.attr
-            for node in ast.walk(top)
-            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
-        }
-        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.discard(top.name)
-        read |= names
-    return read
+def top_level_reads(sources) -> tuple[dict[str, set[str]], set[str]]:
+    """The names that each top-level function or class reads, as a name or
+    as an attribute, its own name aside; and the names that the other
+    top-level statements read.  Docstrings, comments and the strings of
+    ``__all__`` are no reads."""
+    definitions, statements = collections.defaultdict(set), set()
+    for source in sources:
+        for top in ast.parse(source).body:
+            names = {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(top)
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+            }
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions[top.name] |= names - {top.name}
+            else:
+                statements |= names
+    return definitions, statements
+
+
+def live_reads(sources, dead_ends) -> set[str]:
+    """The names read by live code: the top-level statements, and the
+    definitions that they or a public name outside ``dead_ends`` reach."""
+    definitions, statements = top_level_reads(sources)
+    public = {name for source in sources for name in public_names(source)}
+    live, todo = set(), [*statements, *(public - set(dead_ends))]
+    while todo:
+        if (name := todo.pop()) not in live:
+            live.add(name)
+            todo += definitions.get(name, ())
+    return statements.union(*(definitions[name] for name in live if name in definitions))
 
 
 def test_scan_flags_an_uncalled_public_name():
     module = (
-        '__all__ = ["used", "uncalled", "Recursive"]\n\n'
+        '__all__ = ["used", "uncalled", "Recursive", "legacy", "only_legacy"]\n\n'
         "def used():\n"
         '    """uncalled() in a docstring is no call"""\n\n'
         "# nor is uncalled() in a comment\n"
@@ -138,15 +158,25 @@ def test_scan_flags_an_uncalled_public_name():
         "    return used()\n\n"
         "class Recursive:\n"
         "    def again(self):\n"
-        "        return Recursive()\n"
+        "        return Recursive()\n\n"
+        "def legacy():\n"
+        "    return _helper()\n\n"
+        "def _helper():\n"
+        "    return only_legacy()\n\n"
+        "def only_legacy():\n"
+        "    pass\n"
     )
-    assert public_names(module) == ["used", "uncalled", "Recursive"]
-    assert code_references(module) == {"used"}
-    assert code_references("import m\nm.uncalled(Recursive)\n") == {"m", "uncalled", "Recursive"}
+    assert public_names(module) == ["used", "uncalled", "Recursive", "legacy", "only_legacy"]
+    assert live_reads([module], []) == {"used", "_helper", "only_legacy"}
+    # code that only a dead end reaches is not live
+    assert live_reads([module], ["legacy"]) == {"used"}
+    # a helper that live code reaches stays live
+    assert live_reads([module, "_helper()\n"], ["legacy"]) == {"used", "_helper", "only_legacy"}
+    assert live_reads(["import m\nm.uncalled(Recursive)\n"], []) == {"m", "uncalled", "Recursive"}
 
 
 def test_public_names_have_callers_in_the_package():
     texts = [path.read_text(encoding="utf-8") for path in ROOT.glob("src/lowmach/*.py")]
-    read = set().union(*map(code_references, texts))
+    read = live_reads(texts, UNCALLED_PUBLIC)
     uncalled = sorted(name for text in texts for name in public_names(text) if name not in read)
     assert uncalled == sorted(UNCALLED_PUBLIC)
