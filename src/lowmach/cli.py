@@ -136,8 +136,10 @@ def _cmd_norms(args) -> int:
 
 def _cmd_converge(args) -> int:
     cfg = _load_config(args)
-    progress = (lambda msg: print(f"[converge] {msg}", file=sys.stderr)) if args.verbose else None
-    report = convergence_study(cfg, progress=progress, threads=args.threads)
+    report = convergence_study(cfg, threads=args.threads)
+    if args.verbose:
+        for eps in cfg.eps_list:
+            print(f"[converge] eps = {eps:g} done", file=sys.stderr)
     paths = emit_report(report, args.out)
     verdicts = vanishing_limit_check(report)
     print(

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import NormSpec, block_range, compute_jb, norm
+from .dyadic import NormSpec, block_range, compute_jb, dyadic_block, low_cut, norm
 from .functionals import DiagnosticsRow, FunctionalSettings, compute_functionals, sample_energies
 from .lattice import LatticeSpec, SpectralField, forward_transform, inverse_transform
 from .operators import acoustic_transform, helmholtz_project, wave_group
@@ -62,7 +62,7 @@ class ExperimentConfig:
     """Full description of a Mach-number sweep."""
 
     lattice: LatticeSpec
-    eps_list: tuple[float, ...] = (0.2, 0.1, 0.05, 0.025)
+    eps_list: tuple[float, ...] = (0.2, 0.1, 0.05, 0.025)  # any sequence, stored as a tuple
     mu: float = 0.05
     lam: float = 0.05
     gamma: float = 2.0
@@ -79,6 +79,7 @@ class ExperimentConfig:
     forcing: Forcing | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "eps_list", tuple(self.eps_list))
         if not self.eps_list:
             raise ValueError("need at least one Mach number")
         if any(e2 >= e1 for e1, e2 in zip(self.eps_list, self.eps_list[1:])):
@@ -260,18 +261,15 @@ def limit_initial_data(a0: SpectralField, u0: SpectralField) -> tuple:
     return v0, acoustic_transform(a0, u0 - v0)
 
 
-def convergence_study(
-    cfg: ExperimentConfig, progress=None, threads: int = 1
-) -> ConvergenceReport:
+def convergence_study(cfg: ExperimentConfig, threads: int = 1) -> ConvergenceReport:
     """Run the full sweep: the limit table once, then the limit pair and every
     Mach number's compressible run in lockstep (:func:`_lockstep_rows`).
 
     With ``threads`` > 1, a pool of at most one worker per Mach number runs
     the lockstep on consecutive shares of ``eps_list``, each worker with its
-    own limit stepper.  ``progress(msg)`` is called once per Mach number, in
-    the order of ``eps_list``.  The timings are the table build
-    (``limit_table``), the limit steppers' time summed over workers
-    (``limit``) and each Mach number's stepping and reductions (``eps_<eps>``).
+    own limit stepper.  The timings are the table build (``limit_table``),
+    the limit steppers' time summed over workers (``limit``) and each Mach
+    number's stepping and reductions (``eps_<eps>``).
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -295,10 +293,6 @@ def convergence_study(
         timings["limit"] += clock.pop("limit")
         timings.update((f"eps_{eps:g}", clock[eps]) for eps in share)
         rows += share_rows
-    if progress:
-        for eps in cfg.eps_list:
-            progress(f"eps = {eps:g} done")
-
     slope = fit_loglog_slope(cfg.eps_list, [r.values["W_theta"] for r in rows])
     slope_flag = "ok" if len(cfg.eps_list) >= 2 else "insufficient-data"
     verdicts = {
@@ -461,9 +455,6 @@ def run_invariant_suite():
         abs(integral - coeff) <= 1e-12 * coeff,
         f"defect={abs(integral - coeff):.2e}",
     )
-
-    total = None
-    from .dyadic import dyadic_block, low_cut
 
     total = low_cut(fld, compute_jb(lattice) + 1)
     for j in block_range(lattice):

@@ -48,13 +48,6 @@ __all__ = [
 ]
 
 
-def _conjugate_mirror(coeffs: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """conj(c_{-k}) at every mode k of a coefficient grid whose mode axes are
-    ``axes``: each such axis reversed and rolled by one, so that index 0 stays
-    in place.  A real field equals its conjugate mirror."""
-    return np.conj(np.roll(np.flip(coeffs, axis=axes), 1, axis=axes))
-
-
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -364,7 +357,7 @@ class SpectralField:
         return math.sqrt(float(np.sum(self.mode_power())))
 
     def conjugate_symmetry_defect(self) -> float:
-        mirror = _conjugate_mirror(self.coeffs, tuple(range(1, self.lattice.d + 1)))
+        mirror = np.conj(_mirror(self.coeffs, range(1, self.lattice.d + 1)))
         return float(np.max(np.abs(self.coeffs - mirror)))
 
     def is_reality_symmetric(self) -> bool:
@@ -431,9 +424,11 @@ def _scale_modes(coeffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mirror(x: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
-    """``x`` at the mirrored index (-i) mod n along every grid axis but the last."""
-    for axis, n in enumerate(lattice.resolution[:-1], start=1):
+def _mirror(x: np.ndarray, axes) -> np.ndarray:
+    """``x`` at the mirrored index (-i) mod n along each of ``axes``.  On the
+    mode axes, ``np.conj`` of it is conj(c_{-k}), which a real field equals."""
+    for axis in axes:
+        n = x.shape[axis]
         x = np.take(x, -np.arange(n) % n, axis=axis)
     return x
 
@@ -509,7 +504,7 @@ def _half_to_full(half: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
     cut, n = lattice.cutoffs[-1], lattice.resolution[-1]
     out = np.zeros(half.shape[:-1] + (n,), dtype=np.complex128)
     out[..., : cut + 1] = half
-    out[..., n - cut :] = np.conj(_mirror(half[..., cut:0:-1], lattice))
+    out[..., n - cut :] = np.conj(_mirror(half[..., cut:0:-1], range(1, lattice.d)))
     return out
 
 
@@ -550,7 +545,7 @@ def inverse_transform(field: SpectralField) -> np.ndarray:
     coeffs = field.coeffs
     if field.reality:
         cut, n = lattice.cutoffs[-1], lattice.resolution[-1]
-        half = _mirror(np.take(coeffs, -np.arange(cut + 1) % n, axis=-1), lattice)
+        half = _mirror(np.take(coeffs, -np.arange(cut + 1) % n, axis=-1), range(1, lattice.d))
         np.conj(half, out=half)
         half += coeffs[..., : cut + 1]
         half *= 0.5

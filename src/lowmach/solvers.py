@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import struct
 import warnings
 from dataclasses import dataclass
@@ -48,10 +49,10 @@ import numpy as np
 from .lattice import (
     LatticeSpec,
     SpectralField,
-    _conjugate_mirror,
     _half_forward,
     _half_inverse,
     _half_to_full,
+    _mirror,
     _scale_modes,
     zero_mean_split,
 )
@@ -129,23 +130,41 @@ def _config_number(value, name: str, kind=float):
     return number
 
 
+# the forcing envelopes: each name's time factor as a function of (omega, t)
+_ENVELOPES = {
+    "const": lambda omega, t: 1.0,
+    "cos": lambda omega, t: math.cos(omega * t),
+    "exp": lambda omega, t: math.exp(-omega * t),
+}
+
+
 @dataclass(frozen=True)
 class ForcingMode:
-    mode: tuple
-    amplitude: tuple  # complex amplitude per velocity component
-    envelope: str = "const"  # const | cos | exp
+    mode: tuple[int, ...]  # any sequence of integers, stored as a tuple
+    amplitude: tuple[complex, ...]  # one per velocity component, stored as a tuple
+    envelope: str = "const"  # a key of _ENVELOPES
     omega: float = 0.0
 
+    def __post_init__(self):
+        try:
+            mode = tuple(operator.index(c) for c in self.mode)
+        except TypeError:
+            raise ValueError(f"forcing mode {tuple(self.mode)} has a non-integer entry") from None
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "amplitude", tuple(complex(z) for z in self.amplitude))
+        object.__setattr__(self, "omega", float(self.omega))
+        if not isinstance(self.envelope, str) or self.envelope not in _ENVELOPES:
+            *first, last = _ENVELOPES
+            raise ValueError(
+                f"forcing mode {mode} has unknown envelope {self.envelope!r} "
+                f"({', '.join(first)} or {last})"
+            )
+
     def factor(self, t: float) -> float:
-        if self.envelope == "const":
-            return 1.0
-        if self.envelope == "cos":
-            return math.cos(self.omega * t)
-        if self.envelope == "exp":
-            return math.exp(-self.omega * t)
-        raise ValueError(f"unknown envelope {self.envelope!r}")
+        return _ENVELOPES[self.envelope](self.omega, t)
 
 
+@dataclass(frozen=True)
 class Forcing:
     """Sum of fixed Fourier modes with scalar time envelopes.
 
@@ -154,14 +173,15 @@ class Forcing:
     its own mirror, is set once and needs real amplitudes.
     """
 
-    def __init__(self, lattice: LatticeSpec, modes: list[ForcingMode]):
-        self.lattice = lattice
-        self.modes = list(modes)
+    lattice: LatticeSpec
+    modes: tuple[ForcingMode, ...]  # any sequence, stored as a tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "modes", tuple(self.modes))
+        lattice = self.lattice
         for fm in self.modes:
-            mode = tuple(int(c) for c in fm.mode)
-            if len(mode) != lattice.d or any(
-                abs(c) > cut for c, cut in zip(mode, lattice.cutoffs)
-            ):
+            mode = fm.mode
+            if len(mode) != lattice.d or any(abs(c) > cut for c, cut in zip(mode, lattice.cutoffs)):
                 raise ValueError(
                     f"forcing mode {mode} lies outside the dealiased box "
                     f"|n_h| <= {lattice.cutoffs}"
@@ -171,21 +191,8 @@ class Forcing:
                     f"forcing mode {mode} has {len(fm.amplitude)} amplitude "
                     f"components, the lattice needs d = {lattice.d}"
                 )
-            if fm.envelope not in ("const", "cos", "exp"):
-                raise ValueError(
-                    f"forcing mode {mode} has unknown envelope {fm.envelope!r} "
-                    "(const, cos or exp)"
-                )
-            if not any(mode) and any(complex(amp).imag for amp in fm.amplitude):
+            if not any(mode) and any(amp.imag for amp in fm.amplitude):
                 raise ValueError("the mean forcing mode needs real amplitudes")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Forcing):
-            return NotImplemented
-        return (self.lattice, self.modes) == (other.lattice, other.modes)
-
-    def __hash__(self) -> int:
-        return hash((self.lattice, tuple(self.modes)))
 
     def half_spectrum(self, t: float) -> np.ndarray:
         """The force at time t on the retained half spectrum (columns 0..cut)."""
@@ -198,10 +205,10 @@ class Forcing:
             amp = fm.factor(t) * np.asarray(fm.amplitude, dtype=np.complex128)
             entries = [(fm.mode, amp)]
             if any(fm.mode):
-                entries.append((tuple(-int(c) for c in fm.mode), np.conj(amp)))
+                entries.append((tuple(-c for c in fm.mode), np.conj(amp)))
             for mode, value in entries:
                 if mode[-1] >= 0:
-                    idx = tuple(int(c) % n for c, n in zip(mode, lattice.resolution))
+                    idx = tuple(c % n for c, n in zip(mode, lattice.resolution))
                     coeffs[(slice(len(value)),) + idx] += value
         return coeffs
 
@@ -209,7 +216,7 @@ class Forcing:
         return [
             {
                 "mode": list(fm.mode),
-                "amplitude": [[z.real, z.imag] for z in map(complex, fm.amplitude)],
+                "amplitude": [[z.real, z.imag] for z in fm.amplitude],
                 "envelope": fm.envelope,
                 "omega": fm.omega,
             }
@@ -281,6 +288,8 @@ class SolverConfig:
             )
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be at least 1")
+        if self.forcing is not None:
+            _check_fields(self.lattice, forcing=(self.forcing, None))
 
     @property
     def nu(self) -> float:
@@ -838,7 +847,7 @@ def generate_initial_data(
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     envelope = (1.0 + lattice.k_modulus()) ** (-smoothness)
     raw *= envelope
-    sym = 0.5 * (raw + _conjugate_mirror(raw, tuple(range(1, lattice.d + 1))))
+    sym = 0.5 * (raw + np.conj(_mirror(raw, range(1, lattice.d + 1))))
     a = SpectralField(lattice, sym[:1], reality=True)
     _, a = zero_mean_split(a)
     u = SpectralField(lattice, sym[1:], reality=True)

@@ -270,6 +270,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(lattice=lat16, zeta=-1.0)
 
+    def test_eps_list_is_stored_as_a_tuple(self):
+        listed = replace_quietly(tiny_config(), eps_list=[0.2, 0.1])
+        assert listed == tiny_config() and hash(listed) == hash(tiny_config())
+        assert listed.eps_list == (0.2, 0.1)
+        with pytest.raises(AttributeError):
+            listed.eps_list.append(0.5)
+
     @pytest.mark.parametrize(
         "overrides, message",
         [
@@ -1388,9 +1395,9 @@ class TestStreamingMemory:
         assert peaks[1] - peaks[self.N_STEPS] < extra_samples * field_bytes
 
     def test_sweep_holds_v_samples_once(self):
-        """When the sweep reports its first Mach number, the rows are in and
-        the live memory holds no (v, V) sample: each extra sample costs less
-        than one scalar field, where a stored sample costs seven."""
+        """When the sweep returns, with its report held, the live memory holds
+        no (v, V) sample: each extra sample costs less than one scalar field,
+        where a stored sample costs seven."""
         live = {}
         # the first run also holds what its lazy imports allocate, so it is
         # repeated and only the repeat is compared
@@ -1398,16 +1405,13 @@ class TestStreamingMemory:
             cfg = replace_quietly(
                 oracle_case("medium-band"), t_final=self.N_STEPS * 5e-3, sample_stride=stride
             )
-            marks = []
             tracemalloc.start()
             try:
-                convergence_study(
-                    cfg, progress=lambda msg: marks.append(tracemalloc.get_traced_memory()[0])
-                )
+                report = convergence_study(cfg)
+                live[stride] = tracemalloc.get_traced_memory()[0]
             finally:
                 tracemalloc.stop()
-            assert len(marks) == len(cfg.eps_list)
-            live[stride] = marks[0]
+            assert len(report.rows) == len(cfg.eps_list)
         field_bytes = 16 * math.prod(cfg.lattice.resolution)
         extra_samples = self.N_STEPS - 1
         assert live[1] - live[self.N_STEPS] < extra_samples * field_bytes

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import struct
 import tracemalloc
 
@@ -1449,6 +1450,37 @@ class TestInitialDataAndIO:
             ValueError, match=r"forcing mode \(0, 2\) has unknown envelope 'bogus'"
         ):
             Forcing(lat16, [ForcingMode(mode=(0, 2), amplitude=(1.0, 0.0), envelope="bogus")])
+
+    def test_forcing_built_from_lists_equals_tuple_form(self, lat16):
+        listed = Forcing(lat16, [ForcingMode(mode=[1, 2], amplitude=[0.3, -0.2j], omega=2)])
+        tupled = Forcing(lat16, (ForcingMode(mode=(1, 2), amplitude=(0.3 + 0j, -0.2j), omega=2.0),))
+        assert listed == tupled
+        assert listed.modes[0].mode == (1, 2) and listed.modes[0].amplitude == (0.3, -0.2j)
+        configs = [SolverConfig(lattice=lat16, forcing=f) for f in (listed, tupled)]
+        assert hash(configs[0]) == hash(configs[1])
+        # numpy integers are integers; the stored entries are Python ints
+        assert ForcingMode(mode=np.array([1, 2]), amplitude=(0.3, 0.0)).mode == (1, 2)
+
+    def test_config_forcing_is_frozen(self, lat16):
+        forcing = Forcing(lat16, [ForcingMode(mode=(1, 0), amplitude=(0.5, 0.0))])
+        cfg = SolverConfig(lattice=lat16, forcing=forcing)
+        before = hash(cfg)
+        with pytest.raises(AttributeError):
+            cfg.forcing.modes.append(ForcingMode(mode=(99, 0), amplitude=(0.5, 0.0)))
+        assert hash(cfg) == before and len(cfg.forcing.modes) == 1
+        assert np.count_nonzero(cfg.forcing.half_spectrum(0.0)) == 2
+
+    @pytest.mark.parametrize("mode", [(1.7, 0), (1.0, 0), ("1", 0)])
+    def test_forcing_mode_entries_must_be_integers(self, mode):
+        message = rf"forcing mode {re.escape(str(mode))} has a non-integer entry"
+        with pytest.raises(ValueError, match=message):
+            ForcingMode(mode=mode, amplitude=(1.0, 0.0))
+
+    def test_forcing_on_another_lattice_rejected(self, lat8, lat16):
+        forcing = Forcing(lat8, [ForcingMode(mode=(1, 0), amplitude=(0.5, 0.0))])
+        with pytest.raises(ValueError) as info:
+            SolverConfig(lattice=lat16, forcing=forcing)
+        assert str(info.value) == f"forcing lives on {lat8}, not on the config's {lat16}"
 
     def test_mean_forcing_mode_not_doubled(self, lat16):
         forcing = Forcing(lat16, [ForcingMode(mode=(0, 0), amplitude=(1.0, -0.5))])
