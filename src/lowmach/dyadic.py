@@ -40,8 +40,6 @@ __all__ = [
 ]
 
 _INF = float("inf")
-# numpy 2 renamed trapz to trapezoid; pyproject.toml allows numpy 1.24
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 def _smooth_step(s: np.ndarray) -> np.ndarray:
@@ -368,7 +366,7 @@ def _time_lq(times: np.ndarray, values: np.ndarray, q: float):
     """L^q in time over the first axis: trapezoid rule, or the max for q = inf."""
     if q == _INF:
         return np.max(values, axis=0, initial=0.0)
-    return _trapezoid(values**q, times, axis=0) ** (1.0 / q)
+    return np.trapezoid(values**q, times, axis=0) ** (1.0 / q)
 
 
 def time_norm(times, fields, q: float, spec):

@@ -241,7 +241,8 @@ class ConvergenceReport:
 
 
 def fit_loglog_slope(eps_values, values):
-    """Least-squares slope of log(value) against log(eps)."""
+    """Least-squares slope of log(value) against log(eps); None for fewer
+    than two Mach numbers or a value that is not positive."""
     eps_values = np.asarray(eps_values, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     if eps_values.size < 2 or np.any(values <= 0):
@@ -294,7 +295,7 @@ def convergence_study(cfg: ExperimentConfig, threads: int = 1) -> ConvergenceRep
         timings.update((f"eps_{eps:g}", clock[eps]) for eps in share)
         rows += share_rows
     slope = fit_loglog_slope(cfg.eps_list, [r.values["W_theta"] for r in rows])
-    slope_flag = "ok" if len(cfg.eps_list) >= 2 else "insufficient-data"
+    slope_flag = "insufficient-data" if slope is None else "ok"
     verdicts = {
         key: _monotone_verdict([r.values[key] for r in rows])
         for key in ("D", "eps_a_linf_besov", "Vdiff_composite", "Pudiff_composite", "W_theta")

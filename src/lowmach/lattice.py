@@ -63,19 +63,6 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret period {value!r} as a rational number")
 
 
-def _axis_cutoff(n: int, fraction: Fraction) -> int:
-    """Largest retained |index| on an axis of n points.
-
-    The cutoff satisfies ``cut <= fraction*n/2`` and, additionally,
-    ``3*cut < n`` so that pointwise quadratic products are alias-free on the
-    retained modes.
-    """
-    cut = int(fraction * n // 2)
-    if 3 * cut >= n:
-        cut = (n - 1) // 3
-    return max(cut, 1)
-
-
 def _frozen(value):
     """``value`` made read-only: arrays lose their write flag, and lists and
     tuples become tuples of frozen members."""
@@ -115,31 +102,25 @@ class LatticeSpec:
     periods:
         Tuple of positive rationals ``b_h`` (wavevectors are ``n_h/b_h``).
     resolution:
-        Even number of grid points per axis.
-    dealias_fraction:
-        Fraction of retained modes per axis; at most 2/3 so products of
-        retained fields are exact on retained modes.
+        Even number of grid points per axis.  Each axis keeps the modes
+        ``|n_h| <= (n - 1) // 3`` (the 2/3 rule), so products of retained
+        fields are exact on retained modes.
     """
 
     periods: tuple[Fraction, ...]
     resolution: tuple[int, ...]
-    dealias_fraction: Fraction = Fraction(2, 3)
 
     def __post_init__(self):
         periods = tuple(_as_fraction(b) for b in self.periods)
         object.__setattr__(self, "periods", periods)
         resolution = tuple(int(n) for n in self.resolution)
         object.__setattr__(self, "resolution", resolution)
-        frac = _as_fraction(self.dealias_fraction)
-        object.__setattr__(self, "dealias_fraction", frac)
         if len(periods) != len(resolution) or not periods:
             raise ValueError("periods and resolution must have equal positive length")
         if any(b <= 0 for b in periods):
             raise ValueError("periods must be positive")
         if any(n < 4 or n % 2 for n in resolution):
             raise ValueError("resolution must be even and at least 4 per axis")
-        if not (0 < frac <= Fraction(2, 3)):
-            raise ValueError("dealias_fraction must lie in (0, 2/3]")
         object.__setattr__(self, "_cache", {})
 
     def __setstate__(self, state):
@@ -163,7 +144,7 @@ class LatticeSpec:
     @property
     @_cached
     def cutoffs(self) -> tuple[int, ...]:
-        return tuple(_axis_cutoff(n, self.dealias_fraction) for n in self.resolution)
+        return tuple((n - 1) // 3 for n in self.resolution)
 
     # -- mode bookkeeping -----------------------------------------------
 
@@ -242,10 +223,7 @@ class LatticeSpec:
             "d": self.d,
             "periods": [[b.numerator, b.denominator] for b in self.periods],
             "resolution": list(self.resolution),
-            "dealias_fraction": [
-                self.dealias_fraction.numerator,
-                self.dealias_fraction.denominator,
-            ],
+            "dealias_fraction": [2, 3],
         }
 
     @classmethod
@@ -254,7 +232,8 @@ class LatticeSpec:
     ) -> "LatticeSpec":
         """Inverse of :meth:`descriptor`.  A missing key raises ValueError, and
         so does an entry of the wrong form, with a message that starts with
-        ``malformed`` and names the entry."""
+        ``malformed`` and names the entry.  ``dealias_fraction`` must be
+        [2, 3], the one cutoff rule of :attr:`cutoffs`."""
         if not isinstance(desc, dict):
             raise ValueError(f"{malformed}: {desc!r} is not a JSON object")
         for key in ("periods", "resolution", "dealias_fraction"):
@@ -278,19 +257,19 @@ class LatticeSpec:
         entry("resolution", resolution, integers(resolution), "a list of integers")
         d = desc.get("d", len(periods))
         entry("d", d, type(d) is int and d == len(periods), f"the number of periods, {len(periods)}")
+        dealias = desc["dealias_fraction"]
+        entry("dealias_fraction", dealias, integers(dealias) and list(dealias) == [2, 3], "[2, 3]")
         return cls(
             periods=tuple(fraction(f"periods[{i}]", b) for i, b in enumerate(periods)),
             resolution=tuple(resolution),
-            dealias_fraction=fraction("dealias_fraction", desc["dealias_fraction"]),
         )
 
     @classmethod
-    def square(cls, d: int, resolution: int, period=1, dealias_fraction=Fraction(2, 3)):
+    def square(cls, d: int, resolution: int, period=1):
         """Isotropic lattice: d axes, identical period and resolution."""
         return cls(
             periods=tuple(_as_fraction(period) for _ in range(d)),
             resolution=tuple(resolution for _ in range(d)),
-            dealias_fraction=dealias_fraction,
         )
 
 
@@ -433,18 +412,6 @@ def _mirror(x: np.ndarray, axes) -> np.ndarray:
     return x
 
 
-# numpy >= 2 lets the FFT functions write into a given array (``out=``)
-_FFT_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
-
-
-def _fft(transform, x: np.ndarray, out: np.ndarray | None, **kwargs) -> np.ndarray:
-    """``transform(x, **kwargs)``, written into ``out`` where numpy can, and
-    a new array otherwise; callers use the returned array."""
-    if out is None or not _FFT_OUT:
-        return transform(x, **kwargs)
-    return transform(x, out=out, **kwargs)
-
-
 # Real fields on the retained half spectrum: arrays of shape
 # (components, *leading axes, cut + 1) holding the columns 0..cut of the last
 # axis, zero outside the dealiased box on the leading axes.  The columns
@@ -464,12 +431,12 @@ def _half_forward(
     on the retained columns only.  Given ``out`` (complex, of the half
     spectrum's shape; unused in 1D) and ``spectrum`` (complex, of shape
     ``values.shape[:-1] + (n//2 + 1,)``, for the real-data FFT), the FFTs
-    write into them where numpy lets them (see ``_fft``).
+    write into them; without, they return new arrays.
     """
     cut = lattice.cutoffs[-1]
-    half = _fft(np.fft.rfft, values, spectrum, axis=-1)[..., : cut + 1]
+    half = np.fft.rfft(values, axis=-1, out=spectrum)[..., : cut + 1]
     if lattice.d > 1:
-        half = _fft(np.fft.fftn, half, out, axes=tuple(range(1, lattice.d)))
+        half = np.fft.fftn(half, axes=tuple(range(1, lattice.d)), out=out)
     half *= math.sqrt(lattice.volume) / float(np.prod(lattice.resolution))
     for axis, (c, m) in enumerate(zip(lattice.cutoffs, lattice.resolution[:-1]), start=1):
         half[(slice(None),) * axis + (slice(c + 1, m - c),)] = 0.0
@@ -486,17 +453,17 @@ def _half_inverse(
     drops the imaginary part of the column-0 bins, which takes the Hermitian
     part of that column.  With ``out`` (real, grid-shaped) the FFTs write
     the grid values there and run the leading-axis transforms in place on
-    ``half``, where numpy lets them (see ``_fft``); ``half`` may be lost.
+    ``half``, which may be lost.
     """
     scale = 1.0 / math.sqrt(lattice.volume)
     scratch = None if out is None else half
     if lattice.d > 1:
         axes = tuple(range(1, lattice.d))
-        half = _fft(np.fft.ifftn, half, scratch, axes=axes, norm="forward")
+        half = np.fft.ifftn(half, axes=axes, norm="forward", out=scratch)
         half *= scale
     else:
         half = np.multiply(half, scale, out=scratch)
-    return _fft(np.fft.irfft, half, out, n=lattice.resolution[-1], axis=-1, norm="forward")
+    return np.fft.irfft(half, n=lattice.resolution[-1], axis=-1, norm="forward", out=out)
 
 
 def _half_to_full(half: np.ndarray, lattice: LatticeSpec) -> np.ndarray:

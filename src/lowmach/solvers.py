@@ -20,9 +20,9 @@ gamma = 2, where the compressible right-hand side skips its K pass.
 
 A run is one stepper object that builds, once, what it reads: its
 propagator or heat factors, the half spectra of its real fields, and the
-preallocated arrays that every right-hand side fills in place, so that on
-numpy >= 2 a step allocates only its half-spectrum stages
-(:class:`CompressibleStepper`, :class:`IncompressibleStepper`).  The limit
+preallocated arrays that every right-hand side fills in place, so that a
+step allocates only its half-spectrum stages (:class:`CompressibleStepper`,
+:class:`IncompressibleStepper`).  The limit
 is a pair: :class:`LimitStepper` steps the incompressible velocity v and the
 complex averaged state V, which v drives, as one coupled system, so that v's
 part of each step is the incompressible step itself.  Full fields are built
@@ -153,6 +153,8 @@ class ForcingMode:
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "amplitude", tuple(complex(z) for z in self.amplitude))
         object.__setattr__(self, "omega", float(self.omega))
+        if not np.isfinite(self.amplitude + (self.omega,)).all():
+            raise ValueError(f"forcing mode {mode} has an amplitude or omega that is not finite")
         if not isinstance(self.envelope, str) or self.envelope not in _ENVELOPES:
             *first, last = _ENVELOPES
             raise ValueError(

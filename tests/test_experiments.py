@@ -398,6 +398,10 @@ class TestConfig:
                 },
                 r"unknown config keys: forcing\[1\]\.Mode, forcing\[1\]\.phase$",
             ),
+            (
+                {"json": {"lattice": {"dealias_fraction": [1, 2]}}},
+                r"config field lattice is malformed: dealias_fraction is \[1, 2\], not \[2, 3\]",
+            ),
         ],
     )
     def test_rejected_at_load(self, tmp_path, lat16, overrides, message):
@@ -498,11 +502,20 @@ class TestStudyAndDeterminism:
         cfg = tiny_config()
         report = convergence_study(cfg)
         assert len(report.rows) == 2
-        assert report.slope is not None
+        assert report.slope is not None and report.slope_flag == "ok"
         for row in report.rows:
             assert row.values["X"] > 0
         paths = emit_report(report, str(tmp_path))
         assert os.path.exists(paths["wide"])
+
+    def test_slope_flag_follows_the_fit(self):
+        """Zero data give W_theta = 0 at every Mach number, which has no
+        log-log slope: the flag says so, though there are two Mach numbers."""
+        cfg = replace_quietly(tiny_config(), amplitude_a=0.0, amplitude_u=0.0)
+        report = convergence_study(cfg)
+        assert report.row_values("W_theta") == [0.0, 0.0]
+        assert report.slope is None
+        assert report.slope_flag == "insufficient-data"
 
     def test_csv_byte_identical(self, tmp_path):
         cfg = tiny_config()

@@ -22,7 +22,7 @@ from lowmach.lattice import (
     forward_transform,
     inverse_transform,
 )
-from lowmach.dyadic import NormSpec, _trapezoid, norm
+from lowmach.dyadic import NormSpec, norm
 from lowmach.operators import (
     AcousticCoeffs,
     VacuumError,
@@ -34,7 +34,6 @@ from lowmach.operators import (
 from lowmach.cli import main
 from lowmach.experiments import limit_initial_data
 from lowmach.resonance import build_limit_tables, limit_q2
-from lowmach import lattice as lattice_module
 from lowmach import solvers
 from lowmach.solvers import (
     CFL_SAFETY,
@@ -638,9 +637,6 @@ class TestIncompressibleStepOracle:
         with pytest.raises(ValueError, match=message):
             run_trajectory(v, cfg, "incompressible")
 
-    @pytest.mark.skipif(
-        not lattice_module._FFT_OUT, reason="numpy < 2 FFTs allocate their outputs"
-    )
     def test_steps_allocate_only_half_spectrum_stages(self, monkeypatch):
         """The traced peak of steps 2..5 of a 64^2 run stays below six
         velocity half spectra.  The right-hand side's inverse, Lamb and
@@ -854,35 +850,6 @@ class TestCompressibleStepper:
             for g, w in zip(got, want):
                 assert g.coeffs.tobytes() == w.coeffs.tobytes()
 
-    @pytest.mark.parametrize("name", ["16x16", "8x8x6"])
-    def test_fft_fallback_gives_the_same_bytes(self, monkeypatch, name):
-        """With the numpy >= 2 ``out=`` path switched off, every FFT is the
-        plain call that returns a new array, as on numpy 1.24."""
-        cfg, a0, u0 = self.make_case(name, "gamma1.4", forced=True)
-
-        def run():
-            stepper = solvers.CompressibleStepper(cfg, a0, u0)
-            for n in range(cfg.n_steps):
-                stepper.step(n * cfg.dt)
-            return stepper.state()
-
-        with_out = run()
-        calls = []
-        for fname in ("rfft", "irfft", "fftn", "ifftn"):
-            def spy(*args, _fft=getattr(np.fft, fname), **kwargs):
-                calls.append("out" in kwargs)
-                return _fft(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, fname, spy)
-        monkeypatch.setattr(lattice_module, "_FFT_OUT", False)
-        plain = run()
-        assert calls and not any(calls)
-        for p, w in zip(plain, with_out):
-            assert p.coeffs.tobytes() == w.coeffs.tobytes()
-
-    @pytest.mark.skipif(
-        not lattice_module._FFT_OUT, reason="numpy < 2 FFTs allocate their outputs"
-    )
     def test_steps_allocate_less_than_one_grid_stack(self, monkeypatch):
         """After the first step, the traced peak of a 64^2 step stays below
         six components on the coefficient grid.  The right-hand side's
@@ -952,7 +919,7 @@ class TestIncompressible:
         traj = SampledRun(v0, cfg, "incompressible")
         energies = [v.l2_norm() ** 2 for v in traj.states]
         grads = [float(np.sum(lat16.k_squared() * v.mode_power())) for v in traj.states]
-        dissipated = 2.0 * cfg.mu * _trapezoid(grads, traj.times)
+        dissipated = 2.0 * cfg.mu * np.trapezoid(grads, traj.times)
         defect = abs(energies[-1] - energies[0] + dissipated) / energies[0]
         assert defect <= 1e-6
 
@@ -1034,7 +1001,7 @@ class TestLimit:
         traj = SampledRun(initial, cfg, "limit", table=table)
         energies = [V.l2_norm() ** 2 for _, V in traj.states]
         grads = [float(np.sum(lat16.k_squared() * V.mode_power())) for _, V in traj.states]
-        dissipated = cfg.nu * _trapezoid(grads, traj.times)
+        dissipated = cfg.nu * np.trapezoid(grads, traj.times)
         defect = abs(energies[-1] - energies[0] + dissipated) / energies[0]
         assert defect <= 1e-6
 
@@ -1340,6 +1307,17 @@ class TestInitialDataAndIO:
                 },
                 "the lattice descriptor is malformed: periods",
             ),
+            (
+                {
+                    "lattice": {
+                        "d": 2,
+                        "periods": [[1, 1], [1, 1]],
+                        "resolution": [16, 16],
+                        "dealias_fraction": [1, 2],
+                    }
+                },
+                "the lattice descriptor is malformed: dealias_fraction",
+            ),
         ],
     )
     def test_damaged_header_rejected(self, tmp_path, capsys, lat16, header, message):
@@ -1444,6 +1422,16 @@ class TestInitialDataAndIO:
             match=rf"forcing mode \(1, 0\) has {len(amplitude)} amplitude components",
         ):
             Forcing(lat16, [ForcingMode(mode=(1, 0), amplitude=amplitude)])
+
+    @pytest.mark.parametrize(
+        "amplitude, omega",
+        [((math.nan, 0.0), 0.0), ((0.0, complex(0.0, math.inf)), 0.0), ((1.0, 0.0), math.inf)],
+        ids=["nan-amplitude", "inf-imaginary-part", "inf-omega"],
+    )
+    def test_forcing_mode_numbers_must_be_finite(self, amplitude, omega):
+        message = r"forcing mode \(1, 0\) has an amplitude or omega that is not finite"
+        with pytest.raises(ValueError, match=message):
+            ForcingMode(mode=(1, 0), amplitude=amplitude, envelope="cos", omega=omega)
 
     def test_forcing_unknown_envelope_rejected(self, lat16):
         with pytest.raises(

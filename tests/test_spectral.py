@@ -1,5 +1,6 @@
 """Transform, derivative, and product tests for the spectral core."""
 
+import dataclasses
 import math
 import pickle
 from fractions import Fraction
@@ -316,8 +317,6 @@ def test_lattice_validation():
         LatticeSpec.square(2, 7)  # odd resolution
     with pytest.raises(ValueError):
         LatticeSpec(periods=(1,), resolution=(8, 8))
-    with pytest.raises(ValueError):
-        LatticeSpec.square(2, 8, dealias_fraction="3/4")
 
 
 def test_cutoff_respects_fraction_bound():
@@ -326,6 +325,16 @@ def test_cutoff_respects_fraction_bound():
         (cut,) = lat.cutoffs
         assert cut <= (2 / 3) * n / 2
         assert 3 * cut < n  # alias-free quadratic products
+
+
+def test_cutoff_is_the_two_thirds_rule():
+    """The one cutoff rule, (n - 1) // 3 per axis, multiples of 3 included;
+    a lattice has no other setting, and its descriptor records the rule."""
+    assert [f.name for f in dataclasses.fields(LatticeSpec)] == ["periods", "resolution"]
+    for n in (6, 12, 24, 48, 64, 96):
+        lat = LatticeSpec.square(1, n)
+        assert lat.cutoffs == ((n - 1) // 3,)
+        assert lat.descriptor()["dealias_fraction"] == [2, 3]
 
 
 def test_anisotropic_wavevectors():
