@@ -18,10 +18,17 @@ The pressure law is P(rho) = rho^gamma / gamma with the one exponent
 a*K(a) with kappa = gamma - 2 and K in closed form; K vanishes identically at
 gamma = 2, where the compressible right-hand side skips its K pass.
 
-A run is one stepper object that builds, once, what it reads: its
-propagator or heat factors, the half spectra of its real fields, and the
-preallocated arrays that every right-hand side fills in place, so that a
-step allocates only its half-spectrum stages (:class:`CompressibleStepper`,
+A run is one stepper object that holds only what depends on its own state
+and Mach number: the half spectra of its real fields and, for the
+compressible system, the propagator's per-mode exponentials for its eps.
+The multipliers that do not depend on eps (i k, the viscous symbols, the heat
+factor exp(-mu |k|^2 dt), the propagator's wavevector tables) are built once
+per lattice by ``lattice._cached`` builders.  The arrays that a right-hand
+side fills and reads within one call come from one workspace per lattice and
+thread (``_Stepper._work``), shared by every stepper on that lattice in that
+thread and kept alive by them alone.  So a step allocates only its
+half-spectrum stages, and a Mach sweep adds per Mach number its fields and
+exponentials, not a stack of grid arrays (:class:`CompressibleStepper`,
 :class:`IncompressibleStepper`).  The limit
 is a pair: :class:`LimitStepper` steps the incompressible velocity v and the
 complex averaged state V, which v drives, as one coupled system, so that v's
@@ -40,7 +47,9 @@ import json
 import math
 import operator
 import struct
+import threading
 import warnings
+import weakref
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -49,6 +58,7 @@ import numpy as np
 from .lattice import (
     LatticeSpec,
     SpectralField,
+    _cached,
     _half_forward,
     _half_inverse,
     _half_to_full,
@@ -57,7 +67,7 @@ from .lattice import (
     zero_mean_split,
 )
 from .dyadic import NormSpec, norm
-from .operators import AcousticCoeffs, VacuumError, _safe_inv_ksq
+from .operators import AcousticCoeffs, VacuumError, _safe_inv_ksq, _safe_k_modulus
 from .resonance import ResonanceTable, limit_q1, limit_q2
 
 __all__ = [
@@ -312,14 +322,56 @@ class SolverConfig:
 # ---------------------------------------------------------------------------
 
 
+# Multipliers on the retained half spectrum that do not depend on eps, built
+# once per lattice.  Real multipliers are stored as complex: numpy would
+# otherwise cast them, through a temporary buffer, in every product with the
+# data.
+
+
+@_cached
+def _half_ik(lattice: LatticeSpec) -> np.ndarray:
+    """i k on the retained half spectrum, shape (d, *leading axes, cut + 1)."""
+    return 1j * lattice.half_wavevectors()
+
+
+@_cached
+def _heat_factor(lattice: LatticeSpec, mu: float, dt: float) -> np.ndarray:
+    """exp(-mu |k|^2 dt): the incompressible heat factor and the
+    compressible transverse factor."""
+    ksq = lattice.k_squared()[..., : lattice.cutoffs[-1] + 1]
+    return np.exp(-mu * ksq * dt).astype(np.complex128)
+
+
+@_cached
+def _viscous_symbols(lattice: LatticeSpec, mu: float, lam: float) -> tuple:
+    """The symbols -mu |k|^2 of mu lap and (mu + lam) i k of (mu + lam) grad div."""
+    laplacian = -mu * lattice.k_squared()[..., : lattice.cutoffs[-1] + 1]
+    return laplacian.astype(np.complex128), (mu + lam) * _half_ik(lattice)
+
+
+@_cached
+def _leray_symbol(lattice: LatticeSpec) -> np.ndarray:
+    """i k / |k|^2 (0 at the mean mode), the Leray projection's multiplier."""
+    return _half_ik(lattice) * _safe_inv_ksq(lattice)[..., : lattice.cutoffs[-1] + 1]
+
+
+@_cached
+def _half_directions(lattice: LatticeSpec) -> tuple:
+    """The wavevectors k, |k| (1 at the mean mode) and k/|k|."""
+    kmod = _safe_k_modulus(lattice)[..., : lattice.cutoffs[-1] + 1]
+    kvecs = lattice.half_wavevectors()
+    return tuple(x.astype(np.complex128) for x in (kvecs, kmod, kvecs / kmod))
+
+
 class AcousticViscousPropagator:
     """Per-mode exact exponential of the linear compressible operator, on the
-    retained half spectrum."""
+    retained half spectrum.  It holds the exponentials of its eps
+    (``e11``, ``e12``, ``e22``) and reads the lattice's cached transverse
+    factor and wavevector tables."""
 
     def __init__(self, lattice: LatticeSpec, dt: float, eps: float, nu: float, mu: float):
         cut = lattice.cutoffs[-1]
         ksq = lattice.k_squared()[..., : cut + 1]
-        kmod = lattice.k_modulus()[..., : cut + 1].copy()
         c = -nu * ksq  # longitudinal damping
         delta_sq = (c / 2.0) ** 2 - ksq / eps**2  # Delta^2 = (c/2)^2 + b^2
         delta = np.sqrt(delta_sq.astype(np.complex128))
@@ -334,7 +386,7 @@ class AcousticViscousPropagator:
         cosh = np.where(small, 1.0 + xs**2 / 2.0 + xs**4 / 24.0, cosh)
         s = sinhc * dt  # sinh(Delta dt)/Delta
         front = np.exp(c * dt / 2.0)
-        b = -1j * kmod / eps
+        b = -1j * lattice.k_modulus()[..., : cut + 1] / eps
         self.e11 = front * (cosh - (c / 2.0) * s)
         self.e12 = front * b * s
         self.e22 = front * (cosh + (c / 2.0) * s)
@@ -342,14 +394,8 @@ class AcousticViscousPropagator:
         self.e11[zero] = 1.0
         self.e12[zero] = 0.0
         self.e22[zero] = 1.0
-        # real multipliers are stored as complex: numpy would otherwise cast
-        # them, through a temporary buffer, in every product with the data
-        self.transverse = np.exp(-mu * ksq * dt).astype(np.complex128)
-        kmod[zero] = 1.0
-        kvecs = lattice.half_wavevectors()
-        self.kvecs = kvecs.astype(np.complex128)
-        self.kmod = kmod.astype(np.complex128)
-        self.khat = (kvecs / kmod).astype(np.complex128)
+        self.transverse = _heat_factor(lattice, mu, dt)
+        self.kvecs, self.kmod, self.khat = _half_directions(lattice)
 
     def apply(self, a: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Advance the half spectra of a (one component) and u (d components).
@@ -409,15 +455,70 @@ def _add_lamb(lamb: np.ndarray, u: np.ndarray, rot: np.ndarray, pairs: list, scr
         lamb[j] -= np.multiply(u[i], r, out=scratch)
 
 
+class _Workspace:
+    """The arrays that a right-hand side fills and reads within one call,
+    shared by the steppers of one lattice in one thread (``_Stepper._work``).
+
+    Each array has a leading component axis and holds as many components as
+    the largest request so far: ``spectral`` and ``forward`` half spectra
+    (complex), ``grid`` and ``products`` grid values (real), ``spectrum`` the
+    real-data FFT output (complex).  A right-hand side slices the components
+    it needs at each call and keeps no view, since a larger request replaces
+    an array.
+    """
+
+    def __init__(self, lattice: LatticeSpec):
+        n, cut = lattice.resolution, lattice.cutoffs[-1]
+        half = n[:-1] + (cut + 1,)
+        # per array: its shape after the component axis and its dtype
+        self.layout = {
+            "spectral": (half, np.complex128),
+            "grid": (n, np.float64),
+            "products": (n, np.float64),
+            "spectrum": (n[:-1] + (n[-1] // 2 + 1,), np.complex128),
+            "forward": (half, np.complex128),
+        }
+
+    def reserve(self, counts: dict) -> "_Workspace":
+        """Grow each array named in ``counts`` to at least that many components."""
+        for name, count in counts.items():
+            if len(getattr(self, name, ())) < count:
+                shape, dtype = self.layout[name]
+                setattr(self, name, np.empty((count,) + shape, dtype))
+        return self
+
+
+class _Workspaces(threading.local):
+    """Per thread, its workspaces by lattice, held weakly: a workspace lives
+    as long as a stepper holds it."""
+
+    def __init__(self):
+        self.by_lattice = weakref.WeakValueDictionary()
+
+
+_workspaces = _Workspaces()
+
+
 class _Stepper:
     """One run of dx/dt = L x + N(x, t): a subclass holds the state ``x`` (a
-    tuple of arrays) and gives ``linear``, the exact one-step exponential of
+    tuple of arrays) and ``counts``, the components it needs of each
+    workspace array, and gives ``linear``, the exact one-step exponential of
     L, ``rhs``, the right-hand side N, and ``state()``, the system's fields
     built from ``x``.  The stepper keeps no clock."""
 
     def step(self, t: float) -> None:
         """One Lawson RK2 step started at time ``t``."""
         self.x = _lawson_rk2(self.x, t, self.cfg.dt, self.linear, self.rhs)
+
+    def _work(self) -> _Workspace:
+        """The calling thread's workspace of the lattice, grown to this
+        stepper's ``counts``; the stepper holds it until the next call."""
+        lattice = self.cfg.lattice
+        work = _workspaces.by_lattice.get(lattice)
+        if work is None:
+            work = _workspaces.by_lattice[lattice] = _Workspace(lattice)
+        self.work = work.reserve(self.counts)
+        return self.work
 
 
 def _check_fields(lattice: LatticeSpec, **fields) -> None:
@@ -455,14 +556,14 @@ class CompressibleStepper(_Stepper):
     """The compressible system for one run, stepped on half spectra.
 
     Holds the exact propagator, the warn-once flag of the vacuum check
-    (``vacuum_warned``), the retained half spectra (columns 0..cut) of the
-    real fields a and u as ``x = (a, u)``, and all the grid-sized arrays
-    of the right-hand side: ``spectral`` holds the half spectra of the
-    inverse stack (a, u, d_i u_j - d_j u_i for i < j, viscous term), which
-    the inverse transform overwrites; ``grid`` its grid values; ``products``
-    the forward stack (a u, a^2/2, |u|^2/2, Lamb term); ``spectrum`` their
-    real-data FFT; ``forward`` their half spectra; ``eps_a`` the grid values
-    of eps a.
+    (``vacuum_warned``) and the retained half spectra (columns 0..cut) of the
+    real fields a and u as ``x = (a, u)``.  Its right-hand side works in the
+    lattice's workspace: ``spectral`` holds the half spectra of the inverse
+    stack (a, u, d_i u_j - d_j u_i for i < j, viscous term), which the
+    inverse transform overwrites; ``grid`` its grid values; ``products`` the
+    forward stack (a u, |u|^2/2, Lamb term, and a^2/2 unless gamma = 2), then
+    the grid values of eps a; ``spectrum`` the forward stack's real-data
+    FFT; ``forward`` its half spectra.
     """
 
     def __init__(self, cfg: SolverConfig, a: SpectralField, u: SpectralField):
@@ -473,35 +574,31 @@ class CompressibleStepper(_Stepper):
                     f"compressible data must be real: {name} has reality=False"
                 )
         lattice = cfg.lattice
-        d, n = lattice.d, lattice.resolution
-        cut = lattice.cutoffs[-1]
+        d, cut = lattice.d, lattice.cutoffs[-1]
         self.cfg = cfg
         self.propagator = AcousticViscousPropagator(lattice, cfg.dt, cfg.eps, cfg.nu, cfg.mu)
         self.vacuum_warned = False
         self.x = (a.coeffs[..., : cut + 1], u.coeffs[..., : cut + 1])
         self.pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-        self.ik = 1j * lattice.half_wavevectors()
-        # complex, so that numpy does not cast it in every product
-        laplacian = -cfg.mu * lattice.k_squared()[..., : cut + 1]
-        self.laplacian = laplacian.astype(np.complex128)
-        self.grad_div = (cfg.mu + cfg.lam) * self.ik
-        stack, products = 1 + 2 * d + len(self.pairs), 2 * d + 2
-        self.spectral = np.empty((stack,) + n[:-1] + (cut + 1,), dtype=np.complex128)
-        self.grid = np.empty((stack,) + n)
-        self.products = np.empty((products,) + n)
-        self.spectrum = np.empty(
-            (products,) + n[:-1] + (n[-1] // 2 + 1,), dtype=np.complex128
+        self.ik = _half_ik(lattice)
+        self.laplacian, self.grad_div = _viscous_symbols(lattice, cfg.mu, cfg.lam)
+        # a^2/2 is read only by the pressure terms kappa a^2/2 and K, which
+        # vanish at gamma = 2
+        self.n_products = 2 * d + 1 + (cfg.gamma != 2.0)
+        stack, products = 1 + 2 * d + len(self.pairs), self.n_products
+        self.counts = dict(
+            spectral=stack, grid=stack, products=products + 1, spectrum=products, forward=products
         )
-        self.forward = np.empty((products,) + n[:-1] + (cut + 1,), dtype=np.complex128)
-        self.eps_a = np.empty(n)
+        self._work()
 
-    def _grid_terms(self, a: np.ndarray, u: np.ndarray) -> None:
+    def _grid_terms(self, a: np.ndarray, u: np.ndarray, work: _Workspace) -> np.ndarray:
         """Grid values for the right-hand side, from one inverse pass.
 
         Transforms the half spectra of (a, u, d_i u_j - d_j u_i for i < j,
-        viscous term) at once, runs the vacuum and CFL checks, and fills
-        ``eps_a`` and ``products`` (a u, a^2/2, |u|^2/2, Lamb term minus
-        I(eps a) times the viscous term mu lap u + (mu + lam) grad div u).
+        viscous term) at once, runs the vacuum and CFL checks, and fills the
+        forward stack (a u, |u|^2/2, Lamb term minus I(eps a) times the
+        viscous term mu lap u + (mu + lam) grad div u, and a^2/2 unless
+        gamma = 2) and, after it, the grid values of eps a, which it returns.
         The Lamb term -sum_i u_i (d_i u_j - d_j u_i) is grad(|u|^2/2) -
         (u.grad)u.
         """
@@ -510,7 +607,7 @@ class CompressibleStepper(_Stepper):
         d = lattice.d
         pairs, ik = self.pairs, self.ik
         # components: a | u | d_i u_j - d_j u_i for each pair i < j | viscous term
-        spectral = self.spectral
+        spectral = work.spectral[: self.counts["spectral"]]
         spectral[0] = a[0]
         spectral[1 : 1 + d] = u
         _rotation(ik, u, pairs, spectral[1 + d : 1 + d + len(pairs)])
@@ -519,16 +616,17 @@ class CompressibleStepper(_Stepper):
         for c in range(d):  # per component: see AcousticViscousPropagator.apply
             np.multiply(u[c], self.laplacian, out=visc[c])
             visc[c] += self.grad_div[c] * div_u
-        grid = _half_inverse(spectral, lattice, out=self.grid)
+        grid = _half_inverse(spectral, lattice, out=work.grid[: len(spectral)])
         a_grid, u_grid = grid[0], grid[1 : 1 + d]
         rot_grid = grid[1 + d : 1 + d + len(pairs)]
         visc_grid = grid[1 + d + len(pairs) :]
-        # (a u, a^2/2, |u|^2/2, Lamb - I(eps a) visc); the a^2/2 slot holds the
-        # squares of the velocity components until a^2/2 is written
-        products, eps_a = self.products, self.eps_a
-        u_sq = np.square(u_grid[0], out=products[d + 1])
+        # (a u, |u|^2/2, Lamb - I(eps a) visc[, a^2/2]), eps a; the Lamb term's
+        # first slot holds the squares of the velocity components until the
+        # Lamb term is written
+        products, eps_a = work.products, work.products[self.n_products]
+        u_sq = np.square(u_grid[0], out=products[d])
         for c in range(1, d):
-            u_sq += np.square(u_grid[c], out=products[d])
+            u_sq += np.square(u_grid[c], out=products[d + 1])
 
         amax = float(np.max(np.abs(a_grid, out=eps_a)))
         if not math.isfinite(amax):
@@ -549,16 +647,18 @@ class CompressibleStepper(_Stepper):
         u_sq *= 0.5
         for c in range(d):
             np.multiply(a_grid, u_grid[c], out=products[c])
-        np.multiply(a_grid, 0.5, out=products[d])
-        products[d] *= a_grid
+        if cfg.gamma != 2.0:
+            np.multiply(a_grid, 0.5, out=products[2 * d + 1])
+            products[2 * d + 1] *= a_grid
         # a's grid values are read no more: their slot is the scratch from here on
         scratch = a_grid
         # I(eps a) = eps a / (1 + eps a)
         quotient = np.divide(eps_a, np.add(eps_a, 1.0, out=scratch), out=scratch)
-        lamb = products[d + 2 :]
+        lamb = products[d + 1 : 2 * d + 1]
         for c in range(d):
             np.negative(np.multiply(quotient, visc_grid[c], out=lamb[c]), out=lamb[c])
         _add_lamb(lamb, u_grid, rot_grid, pairs, scratch)
+        return eps_a
 
     def rhs(self, x: tuple, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Right-hand side beyond the exactly-propagated linear part, on the
@@ -569,35 +669,40 @@ class CompressibleStepper(_Stepper):
         and a grad a = grad(a^2/2), both exact for the dealiased products.
         Unless gamma = 2, the K term multiplies the grid values of the
         dealiased a grad a, which costs one more inverse and forward pass.
-        The transforms work in the stepper's arrays; the returned arrays are
-        new.
+        The transforms work in the lattice's workspace; the returned arrays
+        are new.
         """
         a, u = x
         cfg = self.cfg
         lattice = cfg.lattice
         d = lattice.d
         ik = self.ik
-        self._grid_terms(a, u)
-        dealiased = _half_forward(self.products, lattice, out=self.forward, spectrum=self.spectrum)
-        au, a_sq, u_sq, lamb = dealiased[:d], dealiased[d], dealiased[d + 1], dealiased[d + 2 :]
+        work = self._work()
+        eps_a = self._grid_terms(a, u, work)
+        m = self.n_products
+        dealiased = _half_forward(
+            work.products[:m], lattice, out=work.forward[:m], spectrum=work.spectrum[:m]
+        )
+        au, u_sq, lamb = dealiased[:d], dealiased[d], dealiased[d + 1 : 2 * d + 1]
 
         # continuity: -div(a u)
         n_a = (-1.0 * sum(ik[c] * au[c] for c in range(d)))[None]
 
         # momentum: -(u.grad)u - kappa a grad a - K(eps a) a grad a - I(eps a) Au + f,
-        # = (Lamb - I(eps a) Au) - grad(|u|^2/2 + kappa a^2/2) - K(eps a) grad(a^2/2) + f
+        # = (Lamb - I(eps a) Au) - grad(|u|^2/2 + kappa a^2/2) - K(eps a) grad(a^2/2) + f;
+        # kappa and K vanish at gamma = 2
         n_u = np.empty_like(u)
-        pressure = u_sq + cfg.kappa * a_sq
+        pressure = u_sq if cfg.gamma == 2.0 else u_sq + cfg.kappa * dealiased[2 * d + 1]
         for c in range(d):
             np.subtract(lamb[c], np.multiply(ik[c], pressure, out=n_u[c]), out=n_u[c])
-        if cfg.gamma != 2.0:  # K vanishes identically at gamma = 2
+        if cfg.gamma != 2.0:
             # the K pass reuses the first d components of each array
-            a_grad_a = np.multiply(ik, a_sq, out=self.spectral[:d])
-            a_grad_a_grid = _half_inverse(a_grad_a, lattice, out=self.grid[:d])
+            a_grad_a = np.multiply(ik, dealiased[2 * d + 1], out=work.spectral[:d])
+            a_grad_a_grid = _half_inverse(a_grad_a, lattice, out=work.grid[:d])
             k_term = np.multiply(
-                _pressure_remainder(self.eps_a, cfg.gamma), a_grad_a_grid, out=self.products[:d]
+                _pressure_remainder(eps_a, cfg.gamma), a_grad_a_grid, out=work.products[:d]
             )
-            n_u -= _half_forward(k_term, lattice, out=self.forward[:d], spectrum=self.spectrum[:d])
+            n_u -= _half_forward(k_term, lattice, out=work.forward[:d], spectrum=work.spectrum[:d])
         if cfg.forcing is not None:
             n_u = n_u + cfg.forcing.half_spectrum(t)
         return n_a, n_u
@@ -621,12 +726,12 @@ def step_compressible(a: SpectralField, u: SpectralField, t: float, cfg: SolverC
 class IncompressibleStepper(_Stepper):
     """The incompressible system for one run, stepped on the half spectrum.
 
-    Holds the half spectrum of the real velocity v, the heat factor
-    ``heat`` = exp(-mu |k|^2 dt) (stored as complex: see
-    AcousticViscousPropagator) and the Leray projection's multipliers on the
-    columns 0..cut, and the arrays of the right-hand side: the inverse stack
-    on the half spectrum (transformed in place) and on the grid, the Lamb
-    term's grid values, their real-data FFT and their half spectra.
+    Holds the half spectrum of the real velocity v and the lattice's cached
+    heat factor ``heat`` = exp(-mu |k|^2 dt) and Leray multipliers.  Its
+    right-hand side works in the lattice's workspace: the inverse stack on
+    the half spectrum (transformed in place) and on the grid, the Lamb
+    term's grid values and one grid-sized scratch (``products``), their
+    real-data FFT and their half spectra.
     """
 
     def __init__(self, cfg: SolverConfig, v: SpectralField):
@@ -634,20 +739,15 @@ class IncompressibleStepper(_Stepper):
         if not v.reality:
             raise ValueError("incompressible data must be real: v has reality=False")
         lattice = cfg.lattice
-        d, n, cut = lattice.d, lattice.resolution, lattice.cutoffs[-1]
+        d, cut = lattice.d, lattice.cutoffs[-1]
         self.cfg, self.x = cfg, (v.coeffs[..., : cut + 1],)
-        ksq = lattice.k_squared()[..., : cut + 1]
-        self.heat = np.exp(-cfg.mu * ksq * cfg.dt).astype(np.complex128)
-        self.ik = 1j * lattice.half_wavevectors()
-        self.ik_over_ksq = self.ik * _safe_inv_ksq(lattice)[..., : cut + 1]
+        self.heat = _heat_factor(lattice, cfg.mu, cfg.dt)
+        self.ik = _half_ik(lattice)
+        self.ik_over_ksq = _leray_symbol(lattice)
         self.pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-        half = n[:-1] + (cut + 1,)
-        self.spectral = np.empty((d + len(self.pairs),) + half, dtype=np.complex128)
-        self.grid = np.empty((d + len(self.pairs),) + n)
-        self.lamb = np.empty((d,) + n)
-        self.scratch = np.empty(n)
-        self.spectrum = np.empty((d,) + n[:-1] + (n[-1] // 2 + 1,), dtype=np.complex128)
-        self.forward = np.empty((d,) + half, dtype=np.complex128)
+        stack = d + len(self.pairs)
+        self.counts = dict(spectral=stack, grid=stack, products=d + 1, spectrum=d, forward=d)
+        self._work()
 
     def linear(self, x: tuple) -> tuple[np.ndarray]:
         return (_scale_modes(x[0], self.heat),)
@@ -660,18 +760,21 @@ class IncompressibleStepper(_Stepper):
         Lamb term."""
         (v,) = x
         cfg, lattice, d = self.cfg, self.cfg.lattice, self.cfg.lattice.d
-        self.spectral[:d] = v
-        _rotation(self.ik, v, self.pairs, self.spectral[d:])
-        grid = _half_inverse(self.spectral, lattice, out=self.grid)
+        work = self._work()
+        spectral = work.spectral[: self.counts["spectral"]]
+        spectral[:d] = v
+        _rotation(self.ik, v, self.pairs, spectral[d:])
+        grid = _half_inverse(spectral, lattice, out=work.grid[: len(spectral)])
+        lamb, scratch = work.products[:d], work.products[d]
         # |v|^2 in the scratch, with the Lamb term's first slot as the
         # scratch of the squares, before the Lamb term is written
-        v_sq = np.square(grid[0], out=self.scratch)
+        v_sq = np.square(grid[0], out=scratch)
         for c in range(1, d):
-            v_sq += np.square(grid[c], out=self.lamb[0])
+            v_sq += np.square(grid[c], out=lamb[0])
         _check_cfl(cfg, float(np.max(v_sq)))
-        self.lamb.fill(0.0)
-        _add_lamb(self.lamb, grid[:d], grid[d:], self.pairs, self.scratch)
-        w = _half_forward(self.lamb, lattice, out=self.forward, spectrum=self.spectrum)
+        lamb.fill(0.0)
+        _add_lamb(lamb, grid[:d], grid[d:], self.pairs, scratch)
+        w = _half_forward(lamb, lattice, out=work.forward[:d], spectrum=work.spectrum[:d])
         if cfg.forcing is not None:
             w += cfg.forcing.half_spectrum(t)
         # Leray projection w - k (k.w)/|k|^2 = w + ik (ik.w)/|k|^2, which
@@ -688,6 +791,14 @@ class IncompressibleStepper(_Stepper):
         return SpectralField._in_box(lattice, _half_to_full(self.x[0], lattice), True)
 
 
+def _check_finite_V(V: np.ndarray) -> None:
+    """Raise ValueError if the averaged state V has a non-finite coefficient.
+    v's non-finite values stop a step at the CFL check, but no grid maximum
+    of V is read, and V does not feed back into v."""
+    if not np.isfinite(V).all():
+        raise ValueError("V has non-finite coefficients")
+
+
 class LimitStepper(IncompressibleStepper):
     """The limit pair for one run: the incompressible velocity v and the
     averaged state V that v drives, stepped together as ``x = (v, V)``.
@@ -696,7 +807,8 @@ class LimitStepper(IncompressibleStepper):
     code, so that its part of every step is the incompressible step; V is the
     two-branch coefficient array, with the heat factor ``heat_V`` =
     exp(-nu |k|^2 dt/2) and the right-hand side -Q1(v, V) - Q2(V, V), which
-    reads the limit table and v of the same stage.
+    reads the limit table and v of the same stage and raises ValueError on
+    a non-finite V.
     """
 
     def __init__(
@@ -704,9 +816,7 @@ class LimitStepper(IncompressibleStepper):
     ):
         super().__init__(cfg, v)
         _check_fields(cfg.lattice, V=(V, 2), table=(table, None))
-        # v's non-finite values stop the first step at the CFL check; V has no such check
-        if not np.isfinite(V.coeffs).all():
-            raise ValueError("V has non-finite coefficients")
+        _check_finite_V(V.coeffs)
         self.x = self.x + (V.coeffs,)
         ksq = cfg.lattice.k_squared()
         self.heat_V = np.exp(-0.5 * cfg.nu * ksq * cfg.dt).astype(np.complex128)
@@ -718,6 +828,7 @@ class LimitStepper(IncompressibleStepper):
 
     def rhs(self, x: tuple, t: float) -> tuple[np.ndarray, np.ndarray]:
         lattice = self.cfg.lattice
+        _check_finite_V(x[1])
         v = SpectralField._in_box(lattice, _half_to_full(x[0], lattice), True)
         V = AcousticCoeffs._in_box(lattice, x[1], False)
         q1 = limit_q1(v, V, self.table, work=self.q1_work)

@@ -5,6 +5,8 @@ import math
 import os
 import re
 import struct
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -753,6 +755,21 @@ class TestNonFiniteGuards:
             with pytest.raises(ValueError, match="V has non-finite coefficients"):
                 run_trajectory((v, bad), cfg, "limit", table=table)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_V_raises_at_first_step(self, lat16, value):
+        """A non-finite V that reaches a built stepper, here written into its
+        state, stops the next step: V does not feed back into v, so nothing
+        else would notice it."""
+        cfg = SolverConfig(lattice=lat16, mu=0.05, lam=0.05, eps=0.5, dt=1e-3, t_final=1e-2)
+        a, u = generate_initial_data(lat16, 1.0, 1.0, seed=5)
+        v, V = limit_initial_data(a, u)
+        stepper = solvers.LimitStepper(cfg, v, V, build_limit_tables(lat16))
+        coeffs = stepper.x[1].copy()
+        coeffs[0, 1, 0] = value
+        stepper.x = (stepper.x[0], coeffs)
+        with pytest.raises(ValueError, match="V has non-finite coefficients"):
+            stepper.step(0.0)
+
 
 class TestTransformBudget:
     """Component counts of the transforms in one compressible right-hand side."""
@@ -760,10 +777,10 @@ class TestTransformBudget:
     @pytest.mark.parametrize(
         "name, law, inverse, forward",
         [
-            ("16x16", "gamma2", [6], [6]),
+            ("16x16", "gamma2", [6], [5]),
             ("16x16", "gamma1.4", [6, 2], [6, 2]),
             ("16x16", "gamma3", [6, 2], [6, 2]),
-            ("8x8x8", "gamma2", [10], [8]),
+            ("8x8x8", "gamma2", [10], [7]),
             ("8x8x8", "gamma1.4", [10, 3], [8, 3]),
         ],
     )
@@ -880,6 +897,133 @@ class TestCompressibleStepper:
         assert len(peaks) == cfg.n_steps
         stack = 6 * a0.coeffs.nbytes  # six components on the coefficient grid
         assert max(peaks[1:]) < stack
+
+
+class TestSharedWorkspace:
+    """Steppers on one lattice in one thread share one right-hand-side
+    workspace and the lattice's cached multipliers, so that each holds only
+    its fields and, for the compressible system, the exponentials of its
+    eps."""
+
+    @staticmethod
+    def makers(cfg, a0, u0, table):
+        """Builders of a limit stepper and of compressible steppers at eps 0.2
+        and 0.1, in that order, so that the compressible steppers grow the
+        workspace that the limit stepper sized."""
+        v0, V0 = limit_initial_data(a0, u0)
+        return {
+            "limit": lambda: solvers.LimitStepper(cfg, v0, V0, table),
+            0.2: lambda: solvers.CompressibleStepper(replace(cfg, eps=0.2), a0, u0),
+            0.1: lambda: solvers.CompressibleStepper(replace(cfg, eps=0.1), a0, u0),
+        }
+
+    @staticmethod
+    def run(steppers, n_steps):
+        """Step ``steppers`` in turn, one step each per round; their states' bytes."""
+        for n in range(n_steps):
+            for stepper in steppers.values():
+                stepper.step(n * stepper.cfg.dt)
+        return {key: [x.tobytes() for x in stepper.x] for key, stepper in steppers.items()}
+
+    @pytest.mark.parametrize("name", ["16x16", "8x8x6"])
+    @pytest.mark.parametrize("law", ["gamma2", "gamma1.4"])
+    def test_interleaved_steppers_match_lone_runs(self, name, law):
+        cfg, a0, u0 = TestCompressibleStepper().make_case(name, law, forced=True)
+        makers = self.makers(cfg, a0, u0, build_limit_tables(cfg.lattice))
+        lone = {}
+        for key, make in makers.items():
+            lone.update(self.run({key: make()}, cfg.n_steps))
+        steppers = {key: make() for key, make in makers.items()}
+        assert len({id(stepper.work) for stepper in steppers.values()}) == 1
+        assert self.run(steppers, cfg.n_steps) == lone
+
+    @pytest.mark.parametrize("built_in", ["worker", "main"])
+    def test_two_threads_give_the_sequential_bytes(self, built_in):
+        """Two threads step their own steppers on one lattice object, with a
+        short switch interval so that their right-hand sides interleave; the
+        steppers are built in the worker threads or in the main thread."""
+        cfg, a0, u0 = TestCompressibleStepper().make_case("16x16", "gamma1.4", False, n_steps=30)
+        makers = self.makers(cfg, a0, u0, build_limit_tables(cfg.lattice))
+        groups = [{key: makers[key] for key in ("limit", 0.2)}, {0.1: makers[0.1]}]
+        want = [self.run({key: make() for key, make in group.items()}, cfg.n_steps) for group in groups]
+        built = [{key: make() for key, make in group.items()} for group in groups]
+        if built_in == "worker":
+            built = [None, None]
+        results, works = [None, None], [None, None]
+        barrier = threading.Barrier(2)
+
+        def work(i):
+            steppers = built[i] or {key: make() for key, make in groups[i].items()}
+            barrier.wait()
+            results[i] = self.run(steppers, cfg.n_steps)
+            works[i] = next(iter(steppers.values())).work
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == want
+        assert works[0] is not works[1]
+
+    def test_each_added_compressible_stepper_holds_its_state_only(self):
+        """After one stepped 64^2 compressible stepper, each further one, built
+        and stepped, adds less than eight half-spectrum components: its
+        (a, u) and the propagator's e11, e12 and e22 are six.  With its own
+        right-hand-side arrays and multipliers, a stepper added about 57
+        (1.3 MB)."""
+        lattice = LatticeSpec.square(2, 64)
+        cfg = SolverConfig(lattice=lattice, mu=0.05, lam=0.05, eps=0.2, dt=2e-3, t_final=1e-2)
+        a0, u0 = generate_initial_data(lattice, 1.0, 1.0, seed=0)
+        steppers = []
+
+        def add(eps):
+            steppers.append(solvers.CompressibleStepper(replace(cfg, eps=eps), a0, u0))
+            steppers[-1].step(0.0)
+
+        add(0.2)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for eps in (0.1, 0.05, 0.025, 0.0125):
+                add(eps)
+            added = (tracemalloc.get_traced_memory()[0] - start) / 4
+        finally:
+            tracemalloc.stop()
+        assert added < 8 * half(a0).nbytes
+
+    def test_lone_incompressible_stepper_allocates_its_own_arrays_only(self):
+        """A lone 64^2 stepper's workspace holds just what its right-hand side
+        reads, and with the lattice's multipliers cached (by an earlier
+        stepper, now gone with its workspace) building it allocates less
+        than the right-hand-side arrays and the three multipliers that each
+        stepper once allocated for itself."""
+        lattice = LatticeSpec.square(2, 64)
+        cfg = SolverConfig(lattice=lattice, mu=0.05, dt=2e-3, t_final=1e-2)
+        _, u0 = generate_initial_data(lattice, 1.0, 1.0, seed=0)
+        v0 = helmholtz_project(u0, "P")
+        solvers.IncompressibleStepper(cfg, v0).step(0.0)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            stepper = solvers.IncompressibleStepper(cfg, v0)
+            allocated = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        half_c = half(v0).nbytes // 2  # one component on the half spectrum
+        grid_c = 64 * 64 * 8  # one real grid component
+        spectrum_c = 64 * 33 * 16  # one component of a real-data FFT
+        # spectral 3, forward 2; grid 3, Lamb term 2 and scratch 1; spectrum 2
+        arrays = 5 * half_c + 6 * grid_c + 2 * spectrum_c
+        layout = ("spectral", "forward", "grid", "products", "spectrum")
+        assert sum(getattr(stepper.work, name).nbytes for name in layout) == arrays
+        # the heat factor 1, i k 2 and the Leray multipliers 2
+        assert allocated < arrays + 5 * half_c
 
 
 class TestIncompressible:
