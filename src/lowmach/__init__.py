@@ -32,7 +32,6 @@ from .operators import (
 from .resonance import (
     NonResonantTriads,
     ResonanceTable,
-    assemble_correctors,
     build_limit_tables,
     enumerate_resonance_sets,
     limit_q1,

@@ -5,22 +5,28 @@ Nothing in ``src/lowmach`` calls these.  They are the direct truncated
 convolution, the Bony paraproduct and the sharp modulus truncation, the
 pseudospectral filtered quadratic forms with their direct mode-sum
 evaluations and closed-form time averages, the pressure law's expansion
-defect, the low-band bridge constant, and the 80-digit scaled-integer
-square-root test.  Beside them stands the field API that only the tests
-use: the symbol calculus (:func:`spectral_derivative`), the reconstruction
-from acoustic coefficients (:func:`acoustic_inverse`), fields built from
-mode entries, and a forcing's full coefficient grid.  One fake stands beside
-them: the compressible stepper without its right-hand side, which steps the
-exact linear propagator alone.
-And one hook: :class:`SampledRun` keeps every sample of a run, which the
-library never does.  Each is written for clarity over speed, and several
-cost time quadratic in the number of retained modes, so they are only for
-small lattices.
+defect, the low-band bridge constant, the 80-digit scaled-integer
+square-root test, and the two-time-scale correctors with the low-band
+remainder that they remove.  Each term of the remainder oscillates as
+exp(i omega t/eps), and its corrector is the same term divided by i omega;
+both sum over one list of non-resonant triads, m in the box and
+|k|, |l| <= M, whatever cutoff the triads were enumerated at.
+
+Beside them stands the field API that only the tests use: the symbol
+calculus (:func:`spectral_derivative`), the reconstruction from acoustic
+coefficients (:func:`acoustic_inverse`), fields built from mode entries, and
+a forcing's full coefficient grid.  One fake stands beside them: the
+compressible stepper without its right-hand side, which steps the exact
+linear propagator alone.  And one hook: :class:`SampledRun` keeps every
+sample of a run, which the library never does.  Each is written for clarity
+over speed, and several cost time quadratic in the number of retained modes,
+so they are only for small lattices.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -44,6 +50,7 @@ from lowmach.operators import (
     helmholtz_project,
     wave_group,
 )
+from lowmach.resonance import NonResonantTriads, enumerate_resonance_sets
 from lowmach.solvers import CompressibleStepper, Forcing, _pressure_remainder, run_trajectory
 
 # ---------------------------------------------------------------------------
@@ -547,3 +554,199 @@ def a2_eps_time_average(B: AcousticCoeffs, T: float, eps: float) -> AcousticCoef
     with np.errstate(divide="ignore", invalid="ignore"):
         avg = np.where(x != 0.0, (np.exp(1j * x) - 1.0) / (1j * np.where(x == 0, 1, x)), 1.0)
     return B._like(-0.5 * ksq * (B.coeffs - B.coeffs[::-1] * _conjugate_pair(avg)), False)
+
+
+# ---------------------------------------------------------------------------
+# Correctors and remainder fields
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class CorrectorSet:
+    r1: AcousticCoeffs
+    r2: AcousticCoeffs
+    r3: AcousticCoeffs
+    s: AcousticCoeffs
+
+    def total(self) -> AcousticCoeffs:
+        return self.r1 + self.r2 + self.r3 + self.s
+
+
+def _branch_gather(V: AcousticCoeffs, idx: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    return V.coeffs.reshape(2, -1)[np.where(alpha == 1, 0, 1), idx]
+
+
+# Each term helper returns the term's values at time t, phase included, and
+# the rate omega at which each value oscillates as exp(i omega t/eps).  The
+# grid terms R1 and S return (2, *resolution) arrays in the branch layout of
+# their output; the triad terms R2 and R3 return one value per table entry.
+
+
+def _r1_term(fml: AcousticCoeffs, low: np.ndarray, t: float, eps: float):
+    """R1: (f - Lambda)^alpha on the low band, at rate -alpha*sg(k)|k|."""
+    rate = _signed_modulus(fml.lattice)
+    omega = np.stack([-rate, rate])
+    return fml.coeffs * np.exp(1j * (t / eps) * omega) * low, omega
+
+
+def _s_term(V: AcousticCoeffs, low: np.ndarray, t: float, eps: float, nu: float):
+    """S: nu/2 |k|^2 V^alpha on the low band, landing on branch -alpha at rate
+    2*alpha*sg(k)|k|."""
+    lattice = V.lattice
+    rate = 2.0 * _signed_modulus(lattice)
+    omega = np.stack([-rate, rate])
+    phase = np.exp(1j * (t / eps) * omega)
+    return 0.5 * nu * lattice.k_squared() * V.coeffs[::-1] * phase * low, omega
+
+
+def _r2_term(q1: dict, V: AcousticCoeffs, v: SpectralField, t: float, eps: float):
+    """R2 on the q1 triads: V_k^alpha advected by v_l, at rate div."""
+    lattice = V.lattice
+    k, l = q1["k"], q1["l"]
+    k_dot_v = sum(
+        kc.reshape(-1)[k] * vc.reshape(-1)[l] for kc, vc in zip(lattice.wavevectors(), v.coeffs)
+    )
+    vk = _branch_gather(V, k, q1["alpha"])
+    values = -1j / (2.0 * math.sqrt(lattice.volume)) * vk * k_dot_v * q1["bracket"]
+    return values * np.exp(1j * (t / eps) * q1["div"]), q1["div"]
+
+
+def _r3_term(q2: dict, A: AcousticCoeffs, B: AcousticCoeffs, t: float, eps: float, kappa: float):
+    """R3 on the q2 triads: the product A_k^alpha B_l^beta, at rate div."""
+    c_d = 1.0 / math.sqrt(2.0 * A.lattice.volume)
+    prod = _branch_gather(A, q2["k"], q2["alpha"]) * _branch_gather(B, q2["l"], q2["beta"])
+    bracket = q2["base"] + q2["gamma"] * kappa / 2.0
+    values = 1j * c_d / 2.0 * prod * q2["smod"] * bracket
+    return values * np.exp(1j * (t / eps) * q2["div"]), q2["div"]
+
+
+def _term_set(lattice: LatticeSpec, q1: dict, q2: dict, terms, corrector: bool) -> CorrectorSet:
+    """The terms (R1, R2, R3, S), each given as (values, omega), as fields.  A
+    corrector's values are the term's divided by i*omega, 0 where omega = 0.
+    Triad values are summed into their output mode m on branch gamma."""
+    size = int(np.prod(lattice.resolution))
+    fields = []
+    for (values, omega), triads in zip(terms, (None, q1, q2, None)):
+        if corrector:
+            quotient = np.zeros_like(values)
+            np.divide(values, omega, out=quotient, where=omega != 0)
+            values = -1j * quotient
+        if triads is not None:
+            acc = np.zeros(2 * size, dtype=np.complex128)
+            np.add.at(acc, np.where(triads["gamma"] == 1, triads["m"], triads["m"] + size), values)
+            values = acc.reshape((2,) + lattice.resolution)
+        fields.append(AcousticCoeffs(lattice, *values))
+    return CorrectorSet(*fields)
+
+
+def _triads(entries: dict, kmod: np.ndarray, M: float) -> dict:
+    """The table entries with m in the box and |k|, |l| <= M.  A q1 entry
+    whose l lies outside the box (index -1) reads v_l = 0 and is dropped."""
+    k, l = entries["k"], entries["l"]
+    keep = (entries["m"] >= 0) & (l >= 0) & (kmod[k] <= M + 1e-12) & (kmod[l] <= M + 1e-12)
+    return {key: arr[keep] for key, arr in entries.items()}
+
+
+def _lambda_coeffs(w: SpectralField, v: SpectralField) -> AcousticCoeffs:
+    """Acoustic coefficients of (0, Q(w.grad v))."""
+    nonlin = helmholtz_project(advect(w, v), "Q")
+    return acoustic_transform(SpectralField.zeros(v.lattice), nonlin, check=False)
+
+
+def _remainder_terms(V, v, f_ac, M, t, eps, kappa, nu, table, lam_ac):
+    """The low-band weights and the q1 and q2 triads with m in the box and
+    |k|, |l| <= M (enumerated when ``table`` is None), and the terms
+    (R1, R2, R3, S) of the remainder at time t.  Given triads must be
+    enumerated on the fields' lattice at a cutoff of at least M; otherwise
+    ValueError."""
+    lattice = V.lattice
+    if table is None:
+        table = enumerate_resonance_sets(lattice, M)
+    elif table.lattice != lattice:
+        raise ValueError(
+            f"the triads are enumerated on the lattice {table.lattice.descriptor()}, "
+            f"not on the fields' lattice {lattice.descriptor()}"
+        )
+    elif table.M < M:
+        raise ValueError(
+            f"the triads are enumerated at cutoff M = {table.M:g}, "
+            f"below the corrector cutoff M = {M:g}"
+        )
+    kmod = lattice.k_modulus()
+    low = (kmod <= M + 1e-12).astype(np.float64)
+    q1, q2 = (_triads(e, kmod.reshape(-1), M) for e in (table.q1, table.q2))
+    if lam_ac is None:
+        lam_ac = _lambda_coeffs(v, v)
+    fml = (f_ac if f_ac is not None else AcousticCoeffs.zeros(lattice)) - lam_ac
+    terms = (
+        _r1_term(fml, low, t, eps),
+        _r2_term(q1, V, v, t, eps),
+        _r3_term(q2, V, V, t, eps, kappa),
+        _s_term(V, low, t, eps, nu),
+    )
+    return (low, q1, q2), terms
+
+
+def assemble_correctors(
+    V: AcousticCoeffs,
+    v: SpectralField,
+    f_ac: AcousticCoeffs | None,
+    M: float,
+    t: float,
+    eps: float,
+    *,
+    kappa: float = 0.0,
+    nu: float = 1.0,
+    table: NonResonantTriads | None = None,
+    lam_ac: AcousticCoeffs | None = None,
+    time_derivatives: tuple | None = None,
+):
+    """Two-time-scale correctors (R1~, R2~, R3~, S~) truncated at cutoff M.
+
+    Each corrector is the matching term of :func:`remainder_fields`, over the
+    same triads, divided by i*omega, where omega is the term's rate of
+    oscillation.  ``f_ac`` holds the acoustic decomposition of (0, Qf); the
+    advected-flow coefficients are derived from ``v`` unless ``lam_ac``
+    overrides them.  When ``time_derivatives = (dV, dv, df_ac, dlam_ac)`` is
+    given, the correctors of the amplitudes' time derivatives (by the product
+    rule on the bilinear terms) are returned as well, so that
+
+        eps * d/dt corrector_total = low-band remainder + eps * derivative_total.
+    """
+    lattice = V.lattice
+    (low, q1, q2), terms = _remainder_terms(V, v, f_ac, M, t, eps, kappa, nu, table, lam_ac)
+    base = _term_set(lattice, q1, q2, terms, corrector=True)
+    if time_derivatives is None:
+        return base, None
+    dV, dv, df_ac, dlam_ac = time_derivatives
+    if dlam_ac is None:
+        dlam_ac = _lambda_coeffs(dv, v) + _lambda_coeffs(v, dv)
+    dfml = (df_ac if df_ac is not None else AcousticCoeffs.zeros(lattice)) - dlam_ac
+    (r2a, rate2), (r2b, _) = _r2_term(q1, dV, v, t, eps), _r2_term(q1, V, dv, t, eps)
+    (r3a, rate3), (r3b, _) = _r3_term(q2, dV, V, t, eps, kappa), _r3_term(q2, V, dV, t, eps, kappa)
+    deriv_terms = (
+        _r1_term(dfml, low, t, eps),
+        (r2a + r2b, rate2),
+        (r3a + r3b, rate3),
+        _s_term(dV, low, t, eps, nu),
+    )
+    return base, _term_set(lattice, q1, q2, deriv_terms, corrector=True)
+
+
+def remainder_fields(
+    V: AcousticCoeffs,
+    v: SpectralField,
+    f_ac: AcousticCoeffs | None,
+    M: float,
+    t: float,
+    eps: float,
+    *,
+    kappa: float = 0.0,
+    nu: float = 1.0,
+    table: NonResonantTriads | None = None,
+    lam_ac: AcousticCoeffs | None = None,
+) -> AcousticCoeffs:
+    """Low-band oscillatory remainder R_M = (R1 + R2 + R3 + S)_M at time t."""
+    (_, q1, q2), terms = _remainder_terms(V, v, f_ac, M, t, eps, kappa, nu, table, lam_ac)
+    return _term_set(V.lattice, q1, q2, terms, corrector=False).total()
+

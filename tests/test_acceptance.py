@@ -36,11 +36,9 @@ from lowmach.dyadic import (
 )
 from lowmach.operators import acoustic_transform, helmholtz_project, wave_group
 from lowmach.resonance import (
-    assemble_correctors,
     build_limit_tables,
     enumerate_resonance_sets,
     limit_q2,
-    remainder_fields,
     resonance_test,
     small_divisors,
 )
@@ -60,6 +58,7 @@ from oracles import (
     a2_eps,
     acoustic_from_modes,
     acoustic_inverse,
+    assemble_correctors,
     bony_paraproduct,
     convolution_product,
     field_from_modes,
@@ -73,6 +72,7 @@ from oracles import (
     q2_eps_time_average,
     random_acoustic,
     random_field,
+    remainder_fields,
     SampledRun,
     spectral_derivative,
     sqrt_sum_oracle,

@@ -20,23 +20,23 @@ from lowmach import resonance
 from lowmach.resonance import (
     NonResonantTriads,
     _sqrt_sum_is_zero,
-    assemble_correctors,
     build_limit_tables,
     enumerate_resonance_sets,
     limit_q1,
     limit_q2,
-    remainder_fields,
     resonance_test,
     small_divisors,
 )
 from lowmach.solvers import generate_initial_data
 from oracles import (
     acoustic_from_modes,
+    assemble_correctors,
     q1_eps_modesum,
     q1_eps_time_average,
     q2_eps_modesum,
     q2_eps_time_average,
     random_acoustic,
+    remainder_fields,
     sg,
     sqrt_sum_oracle,
 )
