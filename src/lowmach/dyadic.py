@@ -296,7 +296,10 @@ def block_energies(obj, h_orders=()) -> BlockEnergies:
 
 
 def _series_energies(fields, h_orders) -> BlockEnergies:
-    """Stacked rows of a series of fields or rows."""
+    """Stacked rows of a series of fields or rows; a series given stacked,
+    as one :class:`BlockEnergies` with one row per sample, passes through."""
+    if isinstance(fields, BlockEnergies):
+        return fields
     rows = [f if isinstance(f, BlockEnergies) else block_energies(f, h_orders) for f in fields]
     return BlockEnergies(rows[0].lattice, rows[0].h_orders, np.stack([r.values for r in rows]))
 
@@ -373,7 +376,7 @@ def time_norm(times, fields, q: float, spec):
     """L^q-in-time of the spatial norm along a sampled trajectory.
 
     ``fields`` holds one field per sample, or for p = 2 its
-    :class:`BlockEnergies` row.
+    :class:`BlockEnergies` row, or the rows stacked in one.
     """
     if isinstance(spec, str):
         spec = parse_norm_spec(spec)
@@ -392,7 +395,7 @@ def chemin_lerner_norm(times, fields, q: float, spec) -> float:
     Compared with :func:`time_norm` the order of the time integral and the
     block summation is swapped.  Time integrals use the trapezoid rule on the
     sample grid; q = inf takes the max over samples.  ``fields`` holds one
-    field or :class:`BlockEnergies` row per sample.
+    field or :class:`BlockEnergies` row per sample, or the rows stacked in one.
     """
     if isinstance(spec, str):
         spec = parse_norm_spec(spec)
@@ -401,7 +404,7 @@ def chemin_lerner_norm(times, fields, q: float, spec) -> float:
     if spec.p != 2:
         raise ValueError("time-inside norms are implemented for p = 2")
     times = np.asarray(times, dtype=np.float64)
-    if len(fields) < 2:
+    if len(fields.values if isinstance(fields, BlockEnergies) else fields) < 2:
         raise ValueError("trajectory norms need at least two samples")
     scale, terms = _block_terms(_series_energies(fields, ()), spec)
     return float(_ell_r(scale * _time_lq(times, terms, q), spec.r))

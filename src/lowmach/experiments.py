@@ -15,7 +15,7 @@ from .dyadic import NormSpec, block_range, compute_jb, dyadic_block, low_cut, no
 from .functionals import DiagnosticsRow, FunctionalSettings, compute_functionals, sample_energies
 from .lattice import LatticeSpec, SpectralField, forward_transform, inverse_transform
 from .operators import acoustic_transform, helmholtz_project, wave_group
-from .resonance import ResonanceTable, build_limit_tables, resonance_test
+from .resonance import HalfTable, build_limit_tables, resonance_test
 from .solvers import (
     CompressibleStepper,
     Forcing,
@@ -24,6 +24,7 @@ from .solvers import (
     _config_number,
     generate_initial_data,
     run_lockstep,
+    sample_clock,
 )
 
 __all__ = [
@@ -276,7 +277,8 @@ def convergence_study(cfg: ExperimentConfig, threads: int = 1) -> ConvergenceRep
         raise ValueError(f"threads must be at least 1, got {threads}")
     initial = cfg.initial_data()
     t0 = _time.perf_counter()
-    table = build_limit_tables(cfg.lattice)
+    # the steppers read only the half-box entries: the whole table is dropped here
+    table = build_limit_tables(cfg.lattice).half()
     timings = {"limit_table": _time.perf_counter() - t0, "limit": 0.0}
     n, workers = len(cfg.eps_list), min(threads, len(cfg.eps_list))
     shares = [cfg.eps_list[i * n // workers : (i + 1) * n // workers] for i in range(workers)]
@@ -312,39 +314,46 @@ def convergence_study(cfg: ExperimentConfig, threads: int = 1) -> ConvergenceRep
 
 
 def _lockstep_rows(
-    cfg: ExperimentConfig, table: ResonanceTable, initial: tuple, eps_list: tuple
+    cfg: ExperimentConfig, table: HalfTable, initial: tuple, eps_list: tuple
 ) -> tuple[list[DiagnosticsRow], dict]:
     """Functionals rows of the Mach numbers ``eps_list``, and the wall time of
     each stepper, keyed by its Mach number or "limit".
 
     One :class:`CompressibleStepper` per Mach number steps (a, u), and one
     :class:`LimitStepper` the limit pair (v, V); :func:`run_lockstep` advances
-    them together.  At each sample time the hook reduces each compressible
-    state to its :func:`sample_energies` rows against the limit state of the
-    same time, and both states are dropped.  A Mach number's time is its
-    stepping, its reductions and its functionals.
+    them together.  At time 0 and at each sample time the hook reduces each
+    compressible stepper's half spectra to its :func:`sample_energies` rows
+    against the limit stepper's, and writes them into that Mach number's
+    array of shape (5, sample times, entries); no full field is built.  A
+    Mach number's time is its stepping, its reductions and its functionals.
     """
-    limit_cfg = cfg.solver_config(cfg.eps_list[0])
-    state = limit_initial_data(*initial)
+    lattice, limit_cfg = cfg.lattice, cfg.solver_config(cfg.eps_list[0])
     steppers = {eps: CompressibleStepper(cfg.solver_config(eps), *initial) for eps in eps_list}
-    steppers["limit"] = LimitStepper(limit_cfg, *state, table)
-    samples = {eps: [sample_energies(initial, state, 0.0, eps, cfg.theta)] for eps in eps_list}
+    steppers["limit"] = LimitStepper(limit_cfg, *limit_initial_data(*initial), table)
+    times = [0.0, *sample_clock(limit_cfg)]
+    samples = {}
     reducing = dict.fromkeys(eps_list, 0.0)
-    times = [0.0]
+    index = 0  # the position of the next sample in times
 
     def on_sample(t, steppers):
-        partner = steppers["limit"].state()
+        nonlocal index
+        partner = steppers["limit"].x
         for eps in eps_list:
             t0 = _time.perf_counter()
-            samples[eps].append(sample_energies(steppers[eps].state(), partner, t, eps, cfg.theta))
+            rows = sample_energies(lattice, steppers[eps].x, partner, t, eps, cfg.theta)
+            if eps not in samples:
+                samples[eps] = np.empty((len(rows), len(times), rows.shape[1]))
+            samples[eps][:, index] = rows
             reducing[eps] += _time.perf_counter() - t0
-        times.append(t)
+        index += 1
 
+    on_sample(0.0, steppers)
     clock = run_lockstep(steppers, limit_cfg, on_sample)
     rows = []
     for eps in eps_list:
         t0 = _time.perf_counter()
-        rows.append(compute_functionals(times, samples.pop(eps), cfg.functional_settings(eps)))
+        settings = cfg.functional_settings(eps)
+        rows.append(compute_functionals(lattice, times, samples.pop(eps), settings))
         clock[eps] += reducing[eps] + _time.perf_counter() - t0
     return rows, clock
 

@@ -80,27 +80,40 @@ def _acoustic(times, fields, s, **band) -> float:
 
 @_cached
 def _box_multipliers(lattice: LatticeSpec) -> tuple:
-    """Per-mode multipliers on the half box (``LatticeSpec.half_box``): the
-    wavevectors (one row per axis), 1/|k|^2, the acoustic factor 1/sqrt(2),
-    the wave-group frequency sg(k)|k|, all 0 at the mean mode, and sg(k)|k|
-    with 1 there, a safe divisor."""
-    index = lattice.half_box()[0]
-    k = np.stack([kh.ravel()[index] for kh in lattice.wavevectors()])
-    frequency = _signed_modulus(lattice).ravel()[index]
+    """The half box (``LatticeSpec.half_box``, in the same order) as flat
+    indices into a half spectrum, shape (*leading axes, cut + 1), and
+    per-mode multipliers on it: the wavevectors (one row per axis), 1/|k|^2,
+    the acoustic factor 1/sqrt(2), the wave-group frequency sg(k)|k|, all 0
+    at the mean mode, and sg(k)|k| with 1 there, a safe divisor."""
+    cut = lattice.cutoffs[-1]
+    index = np.flatnonzero(lattice.dealias_mask()[..., : cut + 1])
+    k = lattice.half_wavevectors().reshape(lattice.d, -1)[:, index]
+    frequency, inv_ksq = (
+        grid[..., : cut + 1].ravel()[index]
+        for grid in (_signed_modulus(lattice), _safe_inv_ksq(lattice))
+    )
     acoustic = (frequency != 0) / math.sqrt(2.0)
     divisor = np.where(frequency == 0, 1.0, frequency)
-    return k, _safe_inv_ksq(lattice).ravel()[index], acoustic, frequency, divisor
+    return index, k, inv_ksq, acoustic, frequency, divisor
 
 
-def sample_energies(state: tuple, partner: tuple, t: float, eps: float, theta: float) -> dict:
-    """Block-energy rows of the six diagnostic series at one sample.
+def _h_orders(lattice: LatticeSpec, theta: float) -> tuple:
+    """The Sobolev order d/2 - theta of the sample rows, which Z_theta reads."""
+    return (lattice.d / 2 - theta,)
 
-    ``state`` is the compressible pair (a, u) at time ``t`` and Mach number
-    ``eps``, and ``partner`` the limit pair (v, V) at the same time.  The
-    series are a, Qu, Pu, the bundle (a, Qu), Veps - V and Pu - v, with
-    the Helmholtz parts Pu, Qu of u and the filtered state
-    Veps = L(-t/eps)(a, Qu); every row carries the Sobolev sum of order
-    d/2 - theta that Z_theta reads.
+
+def sample_energies(
+    lattice: LatticeSpec, state: tuple, partner: tuple, t: float, eps: float, theta: float
+) -> np.ndarray:
+    """Block-energy rows of the five diagnostic series at one sample, as one
+    array of shape (5, entries): the :class:`BlockEnergies` values of a, Qu,
+    Pu, Veps - V and Pu - v, in that order, each carrying the Sobolev sum of
+    order d/2 - theta that Z_theta reads.
+
+    ``state`` holds the half spectra (a, u) of the compressible run at time
+    ``t`` and Mach number ``eps``, and ``partner`` those of the limit pair
+    (v, V) at the same time, as the steppers store them.  Pu and Qu are the
+    Helmholtz parts of u and Veps = L(-t/eps)(a, Qu) the filtered state.
 
     The series are formed on the half box alone, where the Helmholtz split,
     the acoustic transform and the wave group are per-mode multipliers that
@@ -109,39 +122,31 @@ def sample_energies(state: tuple, partner: tuple, t: float, eps: float, theta: f
     with n_d > 0 for its n_d-mirror too, which is exact for Hermitian series:
     the fields of real functions and each branch of V.
     """
-    lattice = state[0].lattice
-    index = lattice.half_box()[0]
-    a, u, v, V = (
-        np.take(f.coeffs.reshape(f.components, -1), index, axis=1) for f in (*state, *partner)
-    )
-    k, inv_ksq, acoustic, frequency, divisor = _box_multipliers(lattice)
+    index, k, inv_ksq, acoustic, frequency, divisor = _box_multipliers(lattice)
+    a, u, v, V = (np.take(x.reshape(len(x), -1), index, axis=1) for x in (*state, *partner))
     pu = u - k * (np.sum(k * u, axis=0) * inv_ksq)
     qu = u - pu
     signed_mu = np.sum(k * qu, axis=0) / divisor
     phase = np.exp(1j * (-t / eps) * frequency)
     plus, minus = (a[0] - signed_mu) * acoustic, (a[0] + signed_mu) * acoustic
     veps = np.stack((plus * phase, minus * np.conj(phase)))
-    h_orders = (lattice.d / 2 - theta,)
     power = np.stack([_mode_power(x) for x in (a, qu, pu, veps - V, pu - v)])
-    energies = power @ _energy_matrix(lattice, h_orders).T
-    rows = {
-        key: BlockEnergies(lattice, h_orders, row)
-        for key, row in zip(("a", "Qu", "Pu", "Vdiff", "udiff"), energies)
-    }
-    rows["aQu"] = rows["a"] + rows["Qu"]
-    return rows
+    return power @ _energy_matrix(lattice, _h_orders(lattice, theta)).T
 
 
-def compute_functionals(times, rows: list, settings: FunctionalSettings) -> DiagnosticsRow:
-    """Evaluate the full diagnostics row from the :func:`sample_energies` rows
-    of a compressible run, one per sample time."""
+def compute_functionals(
+    lattice: LatticeSpec, times, samples: np.ndarray, settings: FunctionalSettings
+) -> DiagnosticsRow:
+    """Evaluate the full diagnostics row of a compressible run from its
+    :func:`sample_energies` rows, stacked per series: ``samples`` has shape
+    (5, sample times, entries)."""
     times = np.asarray(times)
-    if len(rows) != times.size:
-        raise ValueError(f"{len(rows)} sample rows for {times.size} sample times")
-    a, qu, aqu, pu, vdiff, udiff = (
-        [row[key] for row in rows] for key in ("a", "Qu", "aQu", "Pu", "Vdiff", "udiff")
-    )
-    s, eps, zeta, hi = a[0].lattice.d / 2, settings.eps, settings.zeta, settings.high_cut
+    if samples.shape[1] != times.size:
+        raise ValueError(f"{samples.shape[1]} sample rows for {times.size} sample times")
+    h_orders = _h_orders(lattice, settings.theta)
+    a, qu, pu, vdiff, udiff = (BlockEnergies(lattice, h_orders, series) for series in samples)
+    aqu = a + qu
+    s, eps, zeta, hi = lattice.d / 2, settings.eps, settings.zeta, settings.high_cut
     high_a = eps * chemin_lerner_norm(times, a, _INF, _b(s, "h", eta=hi))
     high_a += (1.0 / eps) * time_norm(times, a, 1.0, _b(s, "h", eta=hi))
     # high/medium bracket of the compressible state

@@ -17,7 +17,10 @@ is the collinear equal-branch pairs.
 
 Each set of triads has one reader.  The resonant triples over the dealiased
 box, a :class:`ResonanceTable` built once per lattice, drive the averaged
-(limit) quadratic forms.  The non-resonant triples with |k|, |l| <= M, a
+(limit) quadratic forms; the forms read its entries whose output lies in the
+half box (:class:`HalfTable`) and work on half spectra, as the steppers
+store real fields, since each branch of the averaged state is the spectrum
+of a real function.  The non-resonant triples with |k|, |l| <= M, a
 :class:`NonResonantTriads` enumerated once per (lattice, cutoff), carry the
 small divisors; the tests' two-time-scale correctors read them too.
 """
@@ -27,17 +30,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .lattice import LatticeSpec, SpectralField
-from .operators import AcousticCoeffs
+from .lattice import LatticeSpec
 
 __all__ = [
     "ResonanceResult",
     "resonance_test",
     "ResonanceTable",
+    "HalfTable",
     "NonResonantTriads",
     "enumerate_resonance_sets",
     "build_limit_tables",
@@ -158,7 +160,8 @@ def _grid_index(lattice: LatticeSpec, n: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ResonanceTable:
-    """The resonant triples over the dealiased box, read by the limit forms.
+    """The resonant triples over the dealiased box.  The limit forms read
+    the entries whose output lies in the half box (:meth:`half`).
 
     All index arrays are flat indices into the lattice's FFT grid, and every
     mode m, k and l of an entry lies in the box.
@@ -183,19 +186,84 @@ class ResonanceTable:
         # both gamma keys of q2_m hold the same equal-branch triples
         return {"q1_resonant": int(self.q1_m.size), "q2_resonant": int(self.q2_m[1].size)}
 
+    def half(self) -> "HalfTable":
+        """The entries whose output mode m lies in the half box, in this
+        table's order, as the limit forms read them (:class:`HalfTable`).
+        The other entries write the mirrors of these outputs, which a
+        Hermitian result determines."""
+        lattice = self.lattice
+        size = _half_size(lattice)
+        q1_m, q2_m = (_half_position(lattice, m) for m in (self.q1_m, self.q2_m[1]))
+        q1, q2 = q1_m < size, q2_m < size
+        k, ss = _half_position(lattice, self.q1_k[q1]), self.q1_ss[q1]
+        return HalfTable(
+            lattice=lattice,
+            q1_m=q1_m[q1],
+            q1_l=_half_position(lattice, self.q1_l[q1]),
+            q1_gather=np.stack([np.where(gamma * ss == 1, 0, 2 * size) + k for gamma in (1, -1)]),
+            q1_weight=self.q1_weight[q1].astype(np.complex128),
+            q1_kvec=self.q1_kvec[q1].T.astype(np.complex128, order="C"),
+            q2_m=q2_m[q2],
+            q2_k=_half_position(lattice, self.q2_k[1][q2]),
+            q2_l=_half_position(lattice, self.q2_l[1][q2]),
+            q2_smod=self.q2_smod[1][q2].astype(np.complex128),
+        )
+
+
+def _half_size(lattice: LatticeSpec) -> int:
+    """The number of modes of a half spectrum, shape (*leading axes, cut + 1)."""
+    return math.prod(lattice.resolution[:-1]) * (lattice.cutoffs[-1] + 1)
+
+
+def _half_position(lattice: LatticeSpec, flat: np.ndarray) -> np.ndarray:
+    """Positions in an extended half spectrum (:func:`_extend`) of the box
+    modes with flat FFT-grid indices ``flat``: a mode with n_d >= 0 sits at
+    its flat index in the half spectrum, one with n_d < 0 at the half
+    spectrum's size plus that of its mirror -n."""
+    res, cut = lattice.resolution, lattice.cutoffs[-1]
+    index = np.unravel_index(flat, res)
+    mirrored = index[-1] > cut
+    index = [np.where(mirrored, -i % n, i) for i, n in zip(index, res)]
+    return np.ravel_multi_index(index, res[:-1] + (cut + 1,)) + _half_size(lattice) * mirrored
+
+
+@dataclass
+class HalfTable:
+    """The entries of a :class:`ResonanceTable` whose output mode m lies in
+    the half box (n_d >= 0), in the table's order: what the limit forms read
+    on half spectra (``ResonanceTable.half``).
+
+    ``q1_m`` and ``q2_m`` are flat indices into a half spectrum.  The input
+    indices ``q1_l``, ``q2_k``, ``q2_l`` and the rows of ``q1_gather`` index
+    the extended half spectrum of :func:`_extend`, which holds every box mode
+    of a Hermitian field; ``q1_gather`` has one row per output branch
+    gamma = 1, -1, reading the branch alpha = gamma*sg(m)*sg(k) of the
+    extended pair of branches at k.  The multipliers ``q1_weight``,
+    ``q1_kvec`` (one row per axis) and ``q2_smod`` are stored as complex, so
+    that no product with the data casts them through a buffer.
+    """
+
+    lattice: LatticeSpec
+    q1_m: np.ndarray
+    q1_l: np.ndarray
+    q1_gather: np.ndarray
+    q1_weight: np.ndarray
+    q1_kvec: np.ndarray
+    q2_m: np.ndarray
+    q2_k: np.ndarray
+    q2_l: np.ndarray
+    q2_smod: np.ndarray
+
+    def half(self) -> "HalfTable":
+        """This table, which holds the half box's entries only."""
+        return self
+
     def work_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """New work arrays of :func:`limit_q1` and :func:`limit_q2`, shaped
         (2, q1 entries) and (3, q2 entries)."""
-        q1, q2 = self.q1_m.size, self.q2_m[1].size
-        return np.empty((2, q1), np.complex128), np.empty((3, q2), np.complex128)
-
-    @cached_property
-    def q1_gather(self) -> np.ndarray:
-        """Flat indices of the B_k^alpha that :func:`limit_q1` reads, one row
-        per output branch gamma = 1, -1 (alpha = gamma*sg(m)*sg(k))."""
-        size = int(np.prod(self.lattice.resolution))
-        return np.stack(
-            [np.where(gamma * self.q1_ss == 1, 0, size) + self.q1_k for gamma in (1, -1)]
+        return (
+            np.empty((2, self.q1_m.size), np.complex128),
+            np.empty((3, self.q2_m.size), np.complex128),
         )
 
 
@@ -406,28 +474,49 @@ def _gather(values: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarra
     return np.take(values, index, out=out, mode="clip")
 
 
-def limit_q1(
-    u: SpectralField, B: AcousticCoeffs, table: ResonanceTable, work: np.ndarray | None = None
-) -> AcousticCoeffs:
-    """Averaged advection form: resonant sum over same-modulus pairs.
+def _extend(half: np.ndarray) -> np.ndarray:
+    """Half spectra (components, *leading axes, cut + 1), flattened per
+    component and followed by their conjugates: for a Hermitian field, entry
+    size + i holds the coefficient of the mirror of mode i, so that every box
+    mode has a position (:func:`_half_position`).  The limit forms read their
+    inputs so extended."""
+    out = np.empty((len(half), 2) + half.shape[1:], np.complex128)
+    out[:, 0] = half
+    np.conjugate(half, out=out[:, 1])
+    return out.reshape(len(half), -1)
 
-    ``u`` is divergence-free (its mean mode participates through the l = 0
-    entries, which average trivially).  ``work``, the first of
-    ``table.work_arrays()``, is filled with the gathers and products; a
-    stepper passes its own, so that no call allocates them.
+
+def _half_zeros(lattice: LatticeSpec) -> np.ndarray:
+    """Zero half spectra of the two branches, shape (2, *leading axes, cut + 1)."""
+    return np.zeros((2,) + lattice.resolution[:-1] + (lattice.cutoffs[-1] + 1,), np.complex128)
+
+
+def limit_q1(
+    u: np.ndarray, B: np.ndarray, table: HalfTable, work: np.ndarray | None = None
+) -> np.ndarray:
+    """Averaged advection form: resonant sum over same-modulus pairs, on half
+    spectra.
+
+    ``u`` is a real divergence-free field (its mean mode participates
+    through the l = 0 entries, which average trivially) and ``B`` the pair of
+    branches, each the spectrum of a real function, both as extended half
+    spectra (:func:`_extend`).  Returns the half spectra of the form's two
+    branches, a new array.  ``work``, the first of ``table.work_arrays()``,
+    is filled with the gathers and products; a stepper passes its own, so
+    that no call allocates them.
     """
     lattice = table.lattice
-    out = AcousticCoeffs.zeros(lattice)
+    out = _half_zeros(lattice)
     k_dot_u, term = table.work_arrays()[0] if work is None else work
     prefactor = 1j / math.sqrt(lattice.volume)
     # k . u[l], one component at a time
     for c in range(lattice.d):
-        _gather(u.coeffs[c].reshape(-1), table.q1_l, term)
-        np.multiply(table.q1_kvec[:, c], term, out=k_dot_u if c == 0 else term)
+        _gather(u[c], table.q1_l, term)
+        np.multiply(table.q1_kvec[c], term, out=k_dot_u if c == 0 else term)
         if c:
             k_dot_u += term
-    acc = out.coeffs.reshape(2, -1)
-    b_flat = B.coeffs.reshape(-1)
+    acc = out.reshape(2, -1)
+    b_flat = B.reshape(-1)
     for row, gather in enumerate(table.q1_gather):
         # prefactor * B[gather] * (k . u[l]) * weight
         np.multiply(prefactor, _gather(b_flat, gather, term), out=term)
@@ -438,38 +527,37 @@ def limit_q1(
 
 
 def limit_q2(
-    A: AcousticCoeffs,
-    B: AcousticCoeffs,
-    table: ResonanceTable,
+    A: np.ndarray,
+    B: np.ndarray,
+    table: HalfTable,
     kappa: float = 0.0,
     work: np.ndarray | None = None,
-) -> AcousticCoeffs:
-    """Averaged symmetric form: equal-branch collinear resonances only.
-
-    ``work``, the second of ``table.work_arrays()``, is filled with the
-    gathers and products, as in :func:`limit_q1`.
+) -> np.ndarray:
+    """Averaged symmetric form: equal-branch collinear resonances only, on
+    two pairs of branches given as extended half spectra, as in
+    :func:`limit_q1`.  Returns the half spectra of the form's two branches,
+    a new array; ``work``, the second of ``table.work_arrays()``, is filled
+    with the gathers and products.
     """
     lattice = table.lattice
-    out = AcousticCoeffs.zeros(lattice)
+    out = _half_zeros(lattice)
     c_d = 1.0 / math.sqrt(2.0 * lattice.volume)
     front = -1j * c_d * (kappa + 3.0) / 4.0
-    a_rows, b_rows = A.coeffs.reshape(2, -1), B.coeffs.reshape(2, -1)
-    acc = out.coeffs.reshape(2, -1)
+    acc = out.reshape(2, -1)
     if work is None:
         work = table.work_arrays()[1]
+    sym, other, term = work
+    k_idx, l_idx = table.q2_k, table.q2_l
     for row, gamma in enumerate((1, -1)):
-        m_idx = table.q2_m[gamma]
-        k_idx, l_idx = table.q2_k[gamma], table.q2_l[gamma]
-        a_flat, b_flat = a_rows[row], b_rows[row]
-        sym, other, term = work[:, : m_idx.size]
+        a_flat, b_flat = A[row], B[row]
         # sym = 0.5 * (A[k] B[l] + B[k] A[l])
         np.multiply(_gather(a_flat, k_idx, sym), _gather(b_flat, l_idx, term), out=sym)
         np.multiply(_gather(b_flat, k_idx, other), _gather(a_flat, l_idx, term), out=other)
         np.multiply(0.5, np.add(sym, other, out=sym), out=sym)
         # front * gamma * |m|-weight * sym
-        np.multiply(front * gamma, table.q2_smod[gamma], out=term)
+        np.multiply(front * gamma, table.q2_smod, out=term)
         term *= sym
-        np.add.at(acc[row], m_idx, term)
+        np.add.at(acc[row], table.q2_m, term)
     return out
 
 

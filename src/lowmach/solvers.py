@@ -29,11 +29,12 @@ thread (``_Stepper._work``), shared by every stepper on that lattice in that
 thread and kept alive by them alone.  So a step allocates only its
 half-spectrum stages, and a Mach sweep adds per Mach number its fields and
 exponentials, not a stack of grid arrays (:class:`CompressibleStepper`,
-:class:`IncompressibleStepper`).  The limit
-is a pair: :class:`LimitStepper` steps the incompressible velocity v and the
-complex averaged state V, which v drives, as one coupled system, so that v's
-part of each step is the incompressible step itself.  Full fields are built
-only where a caller asks for a ``state()``.  :func:`step_compressible`,
+:class:`IncompressibleStepper`).  The limit is a pair: :class:`LimitStepper`
+steps the incompressible velocity v and the averaged state V, which v
+drives, as one coupled system, so that v's part of each step is the
+incompressible step itself; each branch of V is the spectrum of a real
+function, so V too is stepped on half spectra.  Full fields are built only
+where a caller asks for a ``state()``.  :func:`step_compressible`,
 :func:`step_incompressible` and :func:`step_limit` are one step of each.
 
 A system's state is its fields and nothing else: the pair (a, u), the
@@ -68,7 +69,7 @@ from .lattice import (
 )
 from .dyadic import NormSpec, norm
 from .operators import AcousticCoeffs, VacuumError, _safe_inv_ksq, _safe_k_modulus
-from .resonance import ResonanceTable, limit_q1, limit_q2
+from .resonance import HalfTable, ResonanceTable, _extend, limit_q1, limit_q2
 
 __all__ = [
     "CFLError",
@@ -804,42 +805,51 @@ class LimitStepper(IncompressibleStepper):
     averaged state V that v drives, stepped together as ``x = (v, V)``.
 
     v is the incompressible run's half spectrum, stepped by the inherited
-    code, so that its part of every step is the incompressible step; V is the
-    two-branch coefficient array, with the heat factor ``heat_V`` =
-    exp(-nu |k|^2 dt/2) and the right-hand side -Q1(v, V) - Q2(V, V), which
-    reads the limit table and v of the same stage and raises ValueError on
-    a non-finite V.
+    code, so that its part of every step is the incompressible step.  Each
+    branch of V is the spectrum of a real function, so V is stored as the
+    half spectra of its two branches, with the heat factor ``heat_V`` =
+    exp(-nu |k|^2 dt/2) on the half spectrum.  V's right-hand side
+    -Q1(v, V) - Q2(V, V) reads the table's half-box entries (``table``, a
+    :class:`~lowmach.resonance.HalfTable`) and v of the same stage, and
+    raises ValueError on a non-finite V.  A ``table`` given whole is
+    restricted to its half-box entries, and only those are kept.
     """
 
     def __init__(
-        self, cfg: SolverConfig, v: SpectralField, V: AcousticCoeffs, table: ResonanceTable
+        self,
+        cfg: SolverConfig,
+        v: SpectralField,
+        V: AcousticCoeffs,
+        table: ResonanceTable | HalfTable,
     ):
         super().__init__(cfg, v)
         _check_fields(cfg.lattice, V=(V, 2), table=(table, None))
         _check_finite_V(V.coeffs)
-        self.x = self.x + (V.coeffs,)
-        ksq = cfg.lattice.k_squared()
-        self.heat_V = np.exp(-0.5 * cfg.nu * ksq * cfg.dt).astype(np.complex128)
-        self.table = table
-        self.q1_work, self.q2_work = table.work_arrays()
+        if not V.is_reality_symmetric():
+            raise ValueError(
+                "V's branches are not Hermitian: each must be the spectrum of a real function"
+            )
+        lattice = cfg.lattice
+        self.x = self.x + (V.coeffs[..., : lattice.cutoffs[-1] + 1],)
+        self.heat_V = _heat_factor(lattice, 0.5 * cfg.nu, cfg.dt)
+        self.table = table.half()
+        self.q1_work, self.q2_work = self.table.work_arrays()
 
     def linear(self, x: tuple) -> tuple[np.ndarray, np.ndarray]:
         return super().linear(x[:1]) + (_scale_modes(x[1], self.heat_V),)
 
     def rhs(self, x: tuple, t: float) -> tuple[np.ndarray, np.ndarray]:
-        lattice = self.cfg.lattice
         _check_finite_V(x[1])
-        v = SpectralField._in_box(lattice, _half_to_full(x[0], lattice), True)
-        V = AcousticCoeffs._in_box(lattice, x[1], False)
+        v, V = (_extend(y) for y in x)
         q1 = limit_q1(v, V, self.table, work=self.q1_work)
         q2 = limit_q2(V, V, self.table, kappa=self.cfg.kappa, work=self.q2_work)
-        n_V = (-1.0 * q1 - q2).coeffs
-        return super().rhs(x[:1], t) + (n_V,)
+        return super().rhs(x[:1], t) + (-1.0 * q1 - q2,)
 
     def state(self) -> tuple[SpectralField, AcousticCoeffs]:
-        """The current (v, V): v's full Hermitian field, and V's
-        coefficients as a view of an array that no step overwrites."""
-        return super().state(), AcousticCoeffs._in_box(self.cfg.lattice, self.x[1], False)
+        """The current (v, V) as full fields; V's branches are Hermitian."""
+        lattice = self.cfg.lattice
+        V = AcousticCoeffs._in_box(lattice, _half_to_full(self.x[1], lattice), False)
+        return super().state(), V
 
 
 def step_incompressible(v: SpectralField, t: float, cfg: SolverConfig) -> SpectralField:

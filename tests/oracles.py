@@ -14,8 +14,10 @@ both sum over one list of non-resonant triads, m in the box and
 
 Beside them stands the field API that only the tests use: the symbol
 calculus (:func:`spectral_derivative`), the reconstruction from acoustic
-coefficients (:func:`acoustic_inverse`), fields built from mode entries, and
-a forcing's full coefficient grid.  One fake stands beside them: the
+coefficients (:func:`acoustic_inverse`), fields built from mode entries, a
+forcing's full coefficient grid, and the limit forms on full fields
+(:func:`limit_q1`, :func:`limit_q2`), which the library evaluates on half
+spectra.  One fake stands beside them: the
 compressible stepper without its right-hand side, which steps the exact
 linear propagator alone.  And one hook: :class:`SampledRun` keeps every
 sample of a run, which the library never does.  Each is written for clarity
@@ -50,6 +52,7 @@ from lowmach.operators import (
     helmholtz_project,
     wave_group,
 )
+from lowmach import resonance
 from lowmach.resonance import NonResonantTriads, enumerate_resonance_sets
 from lowmach.solvers import CompressibleStepper, Forcing, _pressure_remainder, run_trajectory
 
@@ -395,6 +398,36 @@ def a2_eps(B: AcousticCoeffs, t: float, eps: float) -> AcousticCoeffs:
 
 
 # ---------------------------------------------------------------------------
+# Limit forms on full fields
+# ---------------------------------------------------------------------------
+
+
+def _half(field: SpectralField) -> np.ndarray:
+    """The half spectrum (columns 0..cut of the last axis) of a field."""
+    return field.coeffs[..., : field.lattice.cutoffs[-1] + 1]
+
+
+def limit_q1(u: SpectralField, B: AcousticCoeffs, table) -> AcousticCoeffs:
+    """``resonance.limit_q1`` on full fields: the form on the half spectra of
+    u and B over the table's half-box entries, expanded to the full grid
+    (exact for Hermitian branches)."""
+    lattice = B.lattice
+    u, B = (resonance._extend(_half(f)) for f in (u, B))
+    half = resonance.limit_q1(u, B, table.half())
+    return AcousticCoeffs._in_box(lattice, _half_to_full(half, lattice), False)
+
+
+def limit_q2(
+    A: AcousticCoeffs, B: AcousticCoeffs, table, kappa: float = 0.0
+) -> AcousticCoeffs:
+    """``resonance.limit_q2`` on full fields, expanded as :func:`limit_q1`."""
+    lattice = A.lattice
+    A, B = (resonance._extend(_half(f)) for f in (A, B))
+    half = resonance.limit_q2(A, B, table.half(), kappa=kappa)
+    return AcousticCoeffs._in_box(lattice, _half_to_full(half, lattice), False)
+
+
+# ---------------------------------------------------------------------------
 # Mode-sum oracles and closed-form time averages
 # ---------------------------------------------------------------------------
 
@@ -543,6 +576,24 @@ def q2_eps_modesum(
 def q2_eps_time_average(A, B, T: float, eps: float, kappa: float = 0.0) -> AcousticCoeffs:
     """(1/T) * integral over [0, T] of the filtered symmetric form, exactly."""
     return _q2_modesum_generic(A, B, T, eps, kappa, _average_factor)
+
+
+def _resonant_factor(omega: float, t: float, eps: float) -> complex:
+    """1 on the resonant triads, whose phase rate omega vanishes (up to the
+    rounding of the moduli), and 0 elsewhere: the eps -> 0 limit of the
+    time average."""
+    return 1.0 + 0.0j if abs(omega) <= 1e-9 else 0.0j
+
+
+def q1_limit_modesum(u, B) -> AcousticCoeffs:
+    """Direct double-sum evaluation of the limit advection form: the
+    filtered form's resonant triads only."""
+    return _q1_modesum_generic(u, B, 0.0, 1.0, _resonant_factor)
+
+
+def q2_limit_modesum(A, B, kappa: float = 0.0) -> AcousticCoeffs:
+    """Direct double-sum evaluation of the limit symmetric form."""
+    return _q2_modesum_generic(A, B, 0.0, 1.0, kappa, _resonant_factor)
 
 
 def a2_eps_time_average(B: AcousticCoeffs, T: float, eps: float) -> AcousticCoeffs:

@@ -38,7 +38,6 @@ from lowmach.operators import acoustic_transform, helmholtz_project, wave_group
 from lowmach.resonance import (
     build_limit_tables,
     enumerate_resonance_sets,
-    limit_q2,
     resonance_test,
     small_divisors,
 )
@@ -63,6 +62,7 @@ from oracles import (
     convolution_product,
     field_from_modes,
     grid_points,
+    limit_q2,
     linear_compressible_step,
     mode_truncate,
     q1_eps,

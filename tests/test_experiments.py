@@ -85,13 +85,24 @@ def filtered_parts(state, t, eps):
     return pu, wave_group(acoustic_transform(a, u - pu, check=False), -t / eps)
 
 
+# the series of the rows of a sample_energies array, in order
+SERIES = ("a", "Qu", "Pu", "Vdiff", "udiff")
+
+
+def halves(fields):
+    """The half spectra (columns 0..cut of the last axis) of fields, as the
+    steppers store them."""
+    return tuple(f.coeffs[..., : f.lattice.cutoffs[-1] + 1] for f in fields)
+
+
 def functionals_of(times, states, vs, Vs, settings):
     """compute_functionals on the sample_energies rows of aligned samples."""
+    lattice = vs[0].lattice
     rows = [
-        sample_energies(s, (v, V), t, settings.eps, settings.theta)
+        sample_energies(lattice, halves(s), halves((v, V)), t, settings.eps, settings.theta)
         for t, s, v, V in zip(times, states, vs, Vs)
     ]
-    return compute_functionals(times, rows, settings)
+    return compute_functionals(lattice, times, np.stack(rows, axis=1), settings)
 
 
 @pytest.fixture
@@ -111,9 +122,9 @@ class TestFunctionals:
             assert value == 0.0, name
 
     def test_rows_match_times(self, lat16, settings):
-        rows = [{}] * 3
+        rows = np.zeros((len(SERIES), 3, 1))
         with pytest.raises(ValueError, match="3 sample rows for 4 sample times"):
-            compute_functionals(np.linspace(0.0, 1.0, 4), rows, settings)
+            compute_functionals(lat16, np.linspace(0.0, 1.0, 4), rows, settings)
 
     def test_identical_trajectories_zero_differences(self, lat16, settings):
         rng = np.random.default_rng(0)
@@ -715,6 +726,24 @@ class TestCLI:
         assert proc2.returncode == 0, proc2.stderr
         assert "H:s=0.5" in proc2.stdout
 
+    def test_limit_sim_writes_V_on_the_full_grid(self, tmp_path):
+        """The limit pair steps V's half spectra; its checkpoint still holds
+        V on the full grid, shape (2, *resolution), with Hermitian branches,
+        equal to the final state of the same run in process."""
+        path = self.write_config(tmp_path)
+        out = os.path.join(str(tmp_path), "lim")
+        proc = self.run_cli("limit-sim", "--config", path, "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        lattice, _, arrays, meta = load_checkpoint(os.path.join(out, "limit.lmc"))
+        cfg = tiny_config()
+        assert meta == {"kind": "limit"} and lattice == cfg.lattice
+        assert arrays["V"].shape == (2,) + cfg.lattice.resolution
+        run = cfg.solver_config(cfg.eps_list[0])
+        table = build_limit_tables(cfg.lattice)
+        _, V = run_trajectory(limit_initial_data(*cfg.initial_data()), run, "limit", table)
+        assert arrays["V"].tobytes() == V.coeffs.astype("<c16").tobytes()
+        assert V.is_reality_symmetric()
+
     def test_resonances_cli(self, tmp_path):
         path = self.write_config(tmp_path)
         proc = self.run_cli(
@@ -1295,6 +1324,15 @@ SAMPLE_LATTICES = {
 }
 
 
+def sample_rows(lattice, rows, theta):
+    """A sample_energies array read as one BlockEnergies row per series,
+    with the bundle row aQu = a + Qu, keyed as reference_sample_energies."""
+    h_orders = (lattice.d / 2 - theta,)
+    out = {key: BlockEnergies(lattice, h_orders, row) for key, row in zip(SERIES, rows)}
+    out["aQu"] = out["a"] + out["Qu"]
+    return out
+
+
 def assert_rows_close(got, ref, rtol=1e-13):
     """Every entry within ``rtol`` of the reference, relative to that entry."""
     assert got.lattice == ref.lattice and got.h_orders == ref.h_orders
@@ -1314,12 +1352,42 @@ class TestHalfBoxSamplePath:
         a2, u2 = generate_initial_data(lattice, 1.0, 1.0, seed=32)
         v = helmholtz_project(u2, "P")
         V = wave_group(acoustic_transform(a2, u2 - v), 0.4)
-        got = sample_energies((a, u), (v, V), t, eps, 0.25)
+        got = sample_rows(
+            lattice, sample_energies(lattice, halves((a, u)), halves((v, V)), t, eps, 0.25), 0.25
+        )
         ref = reference_sample_energies((a, u), (v, V), t, eps, 0.25)
         assert got.keys() == ref.keys()
         for key in ref:
             assert_rows_close(got[key], ref[key])
             assert np.any(ref[key].values > 0), key
+
+    @pytest.mark.parametrize("case", ["16x16", "3d-8", "medium-band"])
+    def test_sweep_samples_match_full_grid(self, case, monkeypatch):
+        """The sweep's per-sample arrays, reduced from the steppers' half
+        spectra, against the full-grid rows of each sample's states, stacked
+        per series."""
+        cfg = replace_quietly(oracle_case(case), t_final=0.05)
+        seen = {}
+
+        def keep(lattice, times, samples, settings):
+            seen[settings.eps] = (list(times), samples.copy())
+            return compute_functionals(lattice, times, samples, settings)
+
+        monkeypatch.setattr(experiments, "compute_functionals", keep)
+        convergence_study(cfg)
+        assert sorted(seen) == sorted(cfg.eps_list)
+        for eps, traj_eps, traj_limit in full_trajectories(cfg):
+            times, samples = seen[eps]
+            assert times == traj_eps.times == traj_limit.times
+            rows = [
+                reference_sample_energies(state, partner, t, eps, cfg.theta)
+                for t, state, partner in zip(times, traj_eps.states, traj_limit.states)
+            ]
+            assert samples.shape[:2] == (len(SERIES), len(times))
+            for series, key in zip(samples, SERIES):
+                ref = np.stack([row[key].values for row in rows])
+                assert np.all(np.abs(series - ref) <= 1e-13 * np.abs(ref)), key
+                assert np.any(ref > 0), key
 
     @pytest.mark.parametrize("name", list(SAMPLE_LATTICES))
     def test_block_energies_of_non_hermitian_fields(self, name):

@@ -12,11 +12,12 @@ from lowmach.lattice import (
 )
 from lowmach.dyadic import NormSpec, block_range, compute_jb, dyadic_block, norm
 from lowmach.operators import acoustic_transform, helmholtz_project, wave_group
-from lowmach.resonance import build_limit_tables, limit_q1, small_divisors
+from lowmach.resonance import build_limit_tables, small_divisors
 from lowmach.solvers import SolverConfig, generate_initial_data
 from oracles import (
     acoustic_inverse,
     convolution_product,
+    limit_q1,
     linear_compressible_step,
     q1_eps,
     q1_eps_modesum,

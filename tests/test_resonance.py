@@ -22,8 +22,6 @@ from lowmach.resonance import (
     _sqrt_sum_is_zero,
     build_limit_tables,
     enumerate_resonance_sets,
-    limit_q1,
-    limit_q2,
     resonance_test,
     small_divisors,
 )
@@ -31,10 +29,14 @@ from lowmach.solvers import generate_initial_data
 from oracles import (
     acoustic_from_modes,
     assemble_correctors,
+    limit_q1,
+    limit_q2,
     q1_eps_modesum,
+    q1_limit_modesum,
     q1_eps_time_average,
     q2_eps_modesum,
     q2_eps_time_average,
+    q2_limit_modesum,
     random_acoustic,
     remainder_fields,
     sg,
@@ -720,24 +722,70 @@ class TestLimitForms:
             work = float(np.vdot(V.coeffs, form.coeffs).real)
             assert abs(work) <= 1e-13 * V.l2_norm() * form.l2_norm()
 
+    @pytest.mark.parametrize("kind", ["initial-data", "random"])
+    def test_half_forms_match_mode_sums(self, kind):
+        """The forms on half spectra, over the table's half-box entries and
+        expanded to the full grid, against the direct resonant mode sums."""
+        lattice = LatticeSpec.square(2, 16)
+        table = build_limit_tables(lattice)
+        if kind == "initial-data":
+            v, V = limit_initial_data(*generate_initial_data(lattice, 1.0, 1.0, seed=4))
+            A = V
+        else:
+            rng = np.random.default_rng(9)
+            v = random_divfree(lattice, rng)
+            V, A = random_acoustic(lattice, rng), random_acoustic(lattice, rng)
+        for got, ref in (
+            (limit_q1(v, V, table), q1_limit_modesum(v, V)),
+            (limit_q2(A, V, table, kappa=0.4), q2_limit_modesum(A, V, kappa=0.4)),
+        ):
+            scale = float(np.max(np.abs(ref.coeffs)))
+            assert scale > 0
+            np.testing.assert_allclose(got.coeffs, ref.coeffs, rtol=0, atol=1e-13 * scale)
+
+    def test_half_table_keeps_the_half_box_entries_in_order(self):
+        """``ResonanceTable.half`` keeps the entries whose output mode has
+        n_d >= 0, in the table's order, so each kept output sums its terms in
+        the same order; at 64^2 that is 51% of q1 and 57% of q2."""
+        lattice = LatticeSpec.square(2, 64)
+        table = build_limit_tables(lattice)
+        half = table.half()
+        n, cut = lattice.resolution[-1], lattice.cutoffs[-1]
+        for full, kept in ((table.q1_m, half.q1_m), (table.q2_m[1], half.q2_m)):
+            rows = full[full % n <= cut]
+            assert np.array_equal(kept, rows // n * (cut + 1) + rows % n)
+        assert (table.q1_m.size, table.q2_m[1].size) == (10824, 9096)
+        assert (half.q1_m.size, half.q2_m.size) == (5519, 5178)
+        assert half.half() is half
+        for name in ("q1_weight", "q1_kvec", "q2_smod"):
+            assert getattr(half, name).dtype == np.complex128, name
+            assert getattr(half, name).flags.c_contiguous, name
+
     def test_forms_fill_the_work_arrays(self):
         """With a stepper's work arrays, reused across inputs, the forms give
         the bytes of a call without them and allocate less than the work
         arrays besides their output: no gather or product of the entries."""
         lattice = LatticeSpec.square(2, 32)
-        table = build_limit_tables(lattice)
+        table = build_limit_tables(lattice).half()
         q1_work, q2_work = table.work_arrays()
         rng = np.random.default_rng(8)
         calls = {}
+        cut = lattice.cutoffs[-1]
         for _ in range(2):
-            u, B = random_divfree(lattice, rng), random_acoustic(lattice, rng)
+            u, B = (
+                resonance._extend(f.coeffs[..., : cut + 1])
+                for f in (random_divfree(lattice, rng), random_acoustic(lattice, rng))
+            )
             calls = {
-                "q1": (lambda work: limit_q1(u, B, table, work=work), q1_work),
-                "q2": (lambda work: limit_q2(B, B, table, kappa=1.0, work=work), q2_work),
+                "q1": (lambda work: resonance.limit_q1(u, B, table, work=work), q1_work),
+                "q2": (
+                    lambda work: resonance.limit_q2(B, B, table, kappa=1.0, work=work),
+                    q2_work,
+                ),
             }
             for form, work in calls.values():
-                assert form(work).coeffs.tobytes() == form(None).coeffs.tobytes()
-        out_bytes = AcousticCoeffs.zeros(lattice).coeffs.nbytes
+                assert form(work).tobytes() == form(None).tobytes()
+        out_bytes = resonance._half_zeros(lattice).nbytes
         for name, (form, work) in calls.items():
             tracemalloc.start()
             try:

@@ -20,6 +20,7 @@ from lowmach.lattice import (
     LatticeSpec,
     SpectralField,
     _half_to_full,
+    _mirror,
     dealiased_product,
     forward_transform,
     inverse_transform,
@@ -35,7 +36,7 @@ from lowmach.operators import (
 )
 from lowmach.cli import main
 from lowmach.experiments import limit_initial_data
-from lowmach.resonance import build_limit_tables, limit_q2
+from lowmach.resonance import build_limit_tables
 from lowmach import solvers
 from lowmach.solvers import (
     CFL_SAFETY,
@@ -57,6 +58,7 @@ from oracles import (
     field_from_modes,
     forcing_field,
     grid_points,
+    limit_q2,
     linear_compressible_step,
     SampledRun,
     spectral_derivative,
@@ -1129,8 +1131,6 @@ class TestLimit:
         for n in range(cfg.n_steps):
             v, V = step_limit(v, V, n * cfg.dt, cfg, table)
         assert v.l2_norm() == 0.0
-        from lowmach.resonance import limit_q2
-
         rate = limit_q2(V0, V0, table, kappa=kappa)
         expected = -cfg.t_final * rate.plus[2, 0]
         got = V.plus[2, 0]
@@ -1148,6 +1148,37 @@ class TestLimit:
         dissipated = cfg.nu * np.trapezoid(grads, traj.times)
         defect = abs(energies[-1] - energies[0] + dissipated) / energies[0]
         assert defect <= 1e-6
+
+    @pytest.mark.parametrize("name", ["16x16", "8x8x6"])
+    def test_state_V_is_hermitian_bit_for_bit(self, name):
+        """The stepper holds V's half spectra, so each branch of ``state()``'s
+        V satisfies V[-k] = conj V[k] exactly on the columns 1..cut."""
+        lattice = {
+            "16x16": LatticeSpec.square(2, 16),
+            "8x8x6": LatticeSpec((1, Fraction(1, 2), Fraction(2, 3)), (8, 8, 6)),
+        }[name]
+        cfg, table, _ = self.make_setup(lattice, dt=5e-3, t_final=0.05)
+        v0, V0 = limit_initial_data(*generate_initial_data(lattice, 1.0, 1.0, seed=10))
+        stepper = solvers.LimitStepper(cfg, v0, V0, table)
+        for n in range(5):
+            stepper.step(n * cfg.dt)
+        v, V = stepper.state()
+        assert V.coeffs.shape == (2,) + lattice.resolution
+        cut, n = lattice.cutoffs[-1], lattice.resolution[-1]
+        mirror = np.conj(_mirror(V.coeffs, range(1, lattice.d + 1)))
+        assert np.array_equal(V.coeffs[..., n - cut :], mirror[..., n - cut :])
+        assert np.any(V.coeffs[..., n - cut :] != 0)
+        assert not np.array_equal(V.coeffs, V0.coeffs)
+
+    def test_non_hermitian_V_rejected(self, lat16):
+        """Only V's half spectra are stepped, so a V whose branches are not
+        Hermitian, which they would misread, is rejected when built."""
+        cfg, table, v0 = self.make_setup(lat16, dt=5e-3, t_final=0.05)
+        V = acoustic_from_modes(lat16, {((1, 2), 1): 1.0, ((-1, -2), 1): 0.5})
+        with pytest.raises(ValueError, match="V's branches are not Hermitian"):
+            solvers.LimitStepper(cfg, v0, V, table)
+        with pytest.raises(ValueError, match="V's branches are not Hermitian"):
+            run_trajectory((v0, V), cfg, "limit", table=table)
 
     def test_self_convergence_second_order(self, lat16):
         cfg0, table, v0 = self.make_setup(lat16, dt=1e-3, t_final=0.1)
