@@ -89,10 +89,13 @@ class ExperimentConfig:
             raise ValueError("theta must lie in (0, 1/2)")
         if not self.zeta > 0:
             raise ValueError("zeta must be positive")
-        if self.eta0 is not None and not self.eta0 > 0:
+        if self.eta0 is not None and not _config_number(self.eta0, "experiment.eta0") > 0:
             raise ValueError("eta0 must be positive")
         for eps in self.eps_list:
             self.solver_config(eps)  # runs SolverConfig's checks at load
+        # a number that the checks above let through must be finite
+        for section, key, name, kind in _CONFIG_NUMBERS:
+            _config_number(getattr(self, name), f"{section}.{key}", kind)
         if self.eta0 is None and self.nu == 0:
             raise ValueError("config field experiment.eta0 must be given when nu/2 is 0")
         for issue in self.issues():

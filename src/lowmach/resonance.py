@@ -22,7 +22,7 @@ half box (:class:`HalfTable`) and work on half spectra, as the steppers
 store real fields, since each branch of the averaged state is the spectrum
 of a real function.  The non-resonant triples with |k|, |l| <= M, a
 :class:`NonResonantTriads` enumerated once per (lattice, cutoff), carry the
-small divisors; the tests' two-time-scale correctors read them too.
+small divisors.
 """
 
 from __future__ import annotations
@@ -116,9 +116,8 @@ def _mode_data(lattice: LatticeSpec, n: np.ndarray):
     """Per-mode data of integer index vectors ``n`` of shape (N, d).
 
     Returns the scaled norms D*|k|^2, the generalized signs sg(k) (0 at k = 0),
-    the wavevectors, the moduli, the dealiased-box flags and the flat FFT-grid
-    indices of ``n`` modulo the resolution.  Everything is computed from ``n``
-    itself, so modes off the FFT grid (such as m = k + l) are handled too.
+    the wavevectors and the moduli.  Everything is computed from ``n`` itself,
+    so modes off the FFT grid (such as m = k + l) are handled too.
     Periods whose scaled norms of ``n`` would leave the int64 range raise
     ValueError.
     """
@@ -141,10 +140,7 @@ def _mode_data(lattice: LatticeSpec, n: np.ndarray):
         sgs = np.where(col != 0, np.sign(col), sgs)
     kvecs = n / np.array([float(b) for b in lattice.periods])
     mods = np.sqrt(sum(kvecs[:, c] * kvecs[:, c] for c in range(lattice.d)))
-    inbox = np.ones(len(n), dtype=bool)
-    for col, cut in zip(cols, lattice.cutoffs):
-        inbox &= np.abs(col) <= cut
-    return norms, sgs, kvecs, mods, inbox, _grid_index(lattice, n)
+    return norms, sgs, kvecs, mods
 
 
 def _grid_index(lattice: LatticeSpec, n: np.ndarray) -> np.ndarray:
@@ -258,14 +254,6 @@ class HalfTable:
         """This table, which holds the half box's entries only."""
         return self
 
-    def work_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """New work arrays of :func:`limit_q1` and :func:`limit_q2`, shaped
-        (2, q1 entries) and (3, q2 entries)."""
-        return (
-            np.empty((2, self.q1_m.size), np.complex128),
-            np.empty((3, self.q2_m.size), np.complex128),
-        )
-
 
 def _group_pairs(label: np.ndarray):
     """Every ordered pair (i, j) of positions with label[i] == label[j], for
@@ -293,7 +281,7 @@ def build_limit_tables(lattice: LatticeSpec) -> ResonanceTable:
     flat = np.flatnonzero(lattice.dealias_mask())
     flat = flat[flat != 0]  # the mean mode sits at flat index 0
     nvecs = np.stack([g.reshape(-1)[flat] for g in lattice.index_grids()], axis=1)
-    norms, sgs, kvecs, mods, _, _ = _mode_data(lattice, nvecs)
+    norms, sgs, kvecs, mods = _mode_data(lattice, nvecs)
     cut = np.array(lattice.cutoffs)
 
     # --- q1: ordered pairs within each same-modulus shell ----------------
@@ -312,8 +300,8 @@ def build_limit_tables(lattice: LatticeSpec) -> ResonanceTable:
     keep = np.any(mvec != 0, axis=1) & np.all(np.abs(mvec) <= cut, axis=1)
     order = np.lexsort((jl[keep], jk[keep]))
     jk, jl, mvec = jk[keep][order], jl[keep][order], mvec[keep][order]
-    _, m_sgs, _, m_mods, _, q2_m = _mode_data(lattice, mvec)
-    q2_k, q2_l = flat[jk], flat[jl]
+    _, m_sgs, _, m_mods = _mode_data(lattice, mvec)
+    q2_m, q2_k, q2_l = _grid_index(lattice, mvec), flat[jk], flat[jl]
     q2_smod = m_sgs * m_mods
 
     return ResonanceTable(
@@ -332,7 +320,7 @@ def build_limit_tables(lattice: LatticeSpec) -> ResonanceTable:
 
 
 # enumerate_resonance_sets holds every (k, l) pair times its branch columns at
-# once: about 2 kB per pair at its peak (64^2, M = 6, 10 and 14).  Cutoffs
+# once: about 1.1 kB per pair at its peak (64^2, M = 6, 10 and 14).  Cutoffs
 # whose pairs would need more than the limit below are rejected up front.
 _BYTES_PER_PAIR = 2048
 _MAX_ENUMERATION_BYTES = 1 << 30
@@ -347,12 +335,11 @@ _Q2_BRANCHES = np.array(
 @dataclass
 class NonResonantTriads:
     """The non-resonant triples with |k|, |l| <= M, which carry the small
-    divisors; the tests' correctors read them too.
+    divisors.
 
-    ``q1`` and ``q2`` map names to one array per entry: the flat indices m, k
-    and l (-1 for a mode outside the dealiased box), the branches, the
-    divisor ``div``, the corrector weight (``bracket`` for q1, ``base`` and
-    ``smod`` for q2) and the integer index vectors ``mn``, ``kn`` and ``ln``.
+    ``q1`` and ``q2`` map names to one array per entry: the branches, the
+    divisor ``div`` and the integer index vectors ``mn``, ``kn`` and ``ln``
+    of m = k + l, k and l, which is what :func:`small_divisors` reads.
     """
 
     lattice: LatticeSpec
@@ -394,7 +381,7 @@ def enumerate_resonance_sets(lattice: LatticeSpec, M: float) -> NonResonantTriad
             f"{pairs * _BYTES_PER_PAIR / 2**30:.1f} GiB (limit "
             f"{_MAX_ENUMERATION_BYTES / 2**30:g} GiB); use a smaller cutoff"
         )
-    norm, sgn, vec, mod, box, idx = _mode_data(lattice, modes)
+    norm, sgn, _, mod = _mode_data(lattice, modes)
 
     # every (k, l) pair, k-major, as indices into modes
     ik = np.repeat(np.arange(len(ball)), len(modes))
@@ -402,8 +389,7 @@ def enumerate_resonance_sets(lattice: LatticeSpec, M: float) -> NonResonantTriad
     mvec = modes[ik] + modes[il]
     keep = np.any(mvec != 0, axis=1)
     ik, il, mvec = ik[keep], il[keep], mvec[keep]
-    m_norm, m_sgn, m_vec, m_mod, m_box, m_idx = _mode_data(lattice, mvec)
-    m_out = np.where(m_box, m_idx, -1)
+    m_norm, m_sgn, _, m_mod = _mode_data(lattice, mvec)
 
     # --- q1: resonant iff |k| = |m| and alpha*sg(k) = gamma*sg(m) ---------
     same = norm[ik] == m_norm
@@ -413,16 +399,10 @@ def enumerate_resonance_sets(lattice: LatticeSpec, M: float) -> NonResonantTriad
     )
     k, l = ik[p], il[p]
     g, a = gamma[c], alpha[c]
-    sk, sm = sgn[k], m_sgn[p]
-    lm_dot_k = np.sum((vec[l] + m_vec[p]) * vec[k], axis=1)
     q1 = {
-        "m": m_out[p],
-        "k": idx[k],
-        "l": np.where(box, idx, -1)[l],
         "alpha": a,
         "gamma": g,
-        "div": a * sk * mod[k] - g * sm * m_mod[p],
-        "bracket": 1.0 + a * g * sk * sm * lm_dot_k / (mod[k] * m_mod[p]),
+        "div": a * sgn[k] * mod[k] - g * m_sgn[p] * m_mod[p],
         "mn": mvec[p],
         "kn": modes[k],
         "ln": modes[l],
@@ -431,30 +411,19 @@ def enumerate_resonance_sets(lattice: LatticeSpec, M: float) -> NonResonantTriad
     # --- q2: resonant iff k and l are parallel and alpha = beta = gamma ----
     two = np.flatnonzero(il < len(ball))
     gamma, alpha, beta = _Q2_BRANCHES
-    k, l = ik[two], il[two]
-    kn, ln = modes[k], modes[l]
+    kn, ln = modes[ik[two]], modes[il[two]]
     parallel = np.ones(two.size, dtype=bool)
     for i, j in itertools.combinations(range(d), 2):
         parallel &= kn[:, i] * ln[:, j] == kn[:, j] * ln[:, i]
-    resonant = parallel[:, None] & (alpha == gamma) & (beta == gamma)
-    p, c = np.nonzero(~resonant)
+    p, c = np.nonzero(~(parallel[:, None] & (alpha == gamma) & (beta == gamma)))
     p = two[p]
     k, l = ik[p], il[p]
     g, a, b = gamma[c], alpha[c], beta[c]
-    sk, sl, sm = sgn[k], sgn[l], m_sgn[p]
-    l_dot_m = np.sum(vec[l] * m_vec[p], axis=1)
-    k_dot_l = np.sum(vec[k] * vec[l], axis=1)
     q2 = {
-        "m": m_out[p],
-        "k": idx[k],
-        "l": idx[l],
         "alpha": a,
         "beta": b,
         "gamma": g,
-        "div": a * sk * mod[k] + b * sl * mod[l] - g * sm * m_mod[p],
-        "base": b * sl * sm * l_dot_m / (mod[l] * m_mod[p])
-        + a * b * g / 2.0 * sk * sl * k_dot_l / (mod[k] * mod[l]),
-        "smod": sm * m_mod[p],
+        "div": a * sgn[k] * mod[k] + b * sgn[l] * mod[l] - g * m_sgn[p] * m_mod[p],
         "mn": mvec[p],
         "kn": modes[k],
         "ln": modes[l],
@@ -491,23 +460,22 @@ def _half_zeros(lattice: LatticeSpec) -> np.ndarray:
     return np.zeros((2,) + lattice.resolution[:-1] + (lattice.cutoffs[-1] + 1,), np.complex128)
 
 
-def limit_q1(
-    u: np.ndarray, B: np.ndarray, table: HalfTable, work: np.ndarray | None = None
-) -> np.ndarray:
-    """Averaged advection form: resonant sum over same-modulus pairs, on half
-    spectra.
+def limit_q1(u: np.ndarray, B: np.ndarray, table: HalfTable, work: np.ndarray) -> np.ndarray:
+    """Averaged advection form Q1(u, B): resonant sum over same-modulus
+    pairs, on half spectra.
 
     ``u`` is a real divergence-free field (its mean mode participates
     through the l = 0 entries, which average trivially) and ``B`` the pair of
     branches, each the spectrum of a real function, both as extended half
     spectra (:func:`_extend`).  Returns the half spectra of the form's two
-    branches, a new array.  ``work``, the first of ``table.work_arrays()``,
-    is filled with the gathers and products; a stepper passes its own, so
-    that no call allocates them.
+    branches, a new array.  ``work``, flat complex scratch of at least twice
+    the table's q1 entries (a limit stepper's workspace ``forms``), is filled
+    with the gathers and products, so that no call allocates them.
     """
     lattice = table.lattice
     out = _half_zeros(lattice)
-    k_dot_u, term = table.work_arrays()[0] if work is None else work
+    entries = table.q1_m.size
+    k_dot_u, term = work[: 2 * entries].reshape(2, entries)
     prefactor = 1j / math.sqrt(lattice.volume)
     # k . u[l], one component at a time
     for c in range(lattice.d):
@@ -526,37 +494,26 @@ def limit_q1(
     return out
 
 
-def limit_q2(
-    A: np.ndarray,
-    B: np.ndarray,
-    table: HalfTable,
-    kappa: float = 0.0,
-    work: np.ndarray | None = None,
-) -> np.ndarray:
-    """Averaged symmetric form: equal-branch collinear resonances only, on
-    two pairs of branches given as extended half spectra, as in
-    :func:`limit_q1`.  Returns the half spectra of the form's two branches,
-    a new array; ``work``, the second of ``table.work_arrays()``, is filled
-    with the gathers and products.
+def limit_q2(B: np.ndarray, table: HalfTable, kappa: float, work: np.ndarray) -> np.ndarray:
+    """Averaged quadratic form Q2(B, B): equal-branch collinear resonances
+    only, on a pair of branches given as extended half spectra, as in
+    :func:`limit_q1`, with ``work`` as there but of at least twice the q2
+    entries.  Returns the half spectra of the form's two branches, a new
+    array.
     """
     lattice = table.lattice
     out = _half_zeros(lattice)
     c_d = 1.0 / math.sqrt(2.0 * lattice.volume)
     front = -1j * c_d * (kappa + 3.0) / 4.0
     acc = out.reshape(2, -1)
-    if work is None:
-        work = table.work_arrays()[1]
-    sym, other, term = work
-    k_idx, l_idx = table.q2_k, table.q2_l
+    entries = table.q2_m.size
+    prod, term = work[: 2 * entries].reshape(2, entries)
     for row, gamma in enumerate((1, -1)):
-        a_flat, b_flat = A[row], B[row]
-        # sym = 0.5 * (A[k] B[l] + B[k] A[l])
-        np.multiply(_gather(a_flat, k_idx, sym), _gather(b_flat, l_idx, term), out=sym)
-        np.multiply(_gather(b_flat, k_idx, other), _gather(a_flat, l_idx, term), out=other)
-        np.multiply(0.5, np.add(sym, other, out=sym), out=sym)
-        # front * gamma * |m|-weight * sym
+        # prod = B[k] B[l] on branch gamma
+        np.multiply(_gather(B[row], table.q2_k, prod), _gather(B[row], table.q2_l, term), out=prod)
+        # front * gamma * |m|-weight * prod
         np.multiply(front * gamma, table.q2_smod, out=term)
-        term *= sym
+        term *= prod
         np.add.at(acc[row], table.q2_m, term)
     return out
 

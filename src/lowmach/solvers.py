@@ -24,12 +24,13 @@ compressible system, the propagator's per-mode exponentials for its eps.
 The multipliers that do not depend on eps (i k, the viscous symbols, the heat
 factor exp(-mu |k|^2 dt), the propagator's wavevector tables) are built once
 per lattice by ``lattice._cached`` builders.  The arrays that a right-hand
-side fills and reads within one call come from one workspace per lattice and
-thread (``_Stepper._work``), shared by every stepper on that lattice in that
-thread and kept alive by them alone.  So a step allocates only its
-half-spectrum stages, and a Mach sweep adds per Mach number its fields and
-exponentials, not a stack of grid arrays (:class:`CompressibleStepper`,
-:class:`IncompressibleStepper`).  The limit is a pair: :class:`LimitStepper`
+side fills and reads within one call, the limit forms' scratch too, come from
+one workspace per lattice and thread (``_Stepper._work``), shared by every
+stepper on that lattice in that thread and kept alive by them alone.  So a
+step allocates only its half-spectrum stages, and a Mach sweep or an ensemble
+adds per run its fields and exponentials, not a stack of scratch arrays
+(:class:`CompressibleStepper`, :class:`IncompressibleStepper`,
+:class:`LimitStepper`).  The limit is a pair: :class:`LimitStepper`
 steps the incompressible velocity v and the averaged state V, which v
 drives, as one coupled system, so that v's part of each step is the
 incompressible step itself; each branch of V is the spectrum of a real
@@ -291,10 +292,13 @@ class SolverConfig:
             raise ValueError("viscosities must satisfy mu >= 0 and nu = 2*mu+lam >= 0")
         if not (0 < self.eps <= 1):
             raise ValueError("Mach number must lie in (0, 1]")
+        for name in ("mu", "lam", "eps", "gamma", "dt", "t_final"):
+            _config_number(getattr(self, name), name)
+        _config_number(self.sample_stride, "sample_stride", int)
         if self.dt <= 0 or self.t_final <= 0:
             raise ValueError("dt and t_final must be positive")
         ratio = self.t_final / self.dt
-        if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9 * ratio:
+        if not math.isfinite(ratio) or round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9 * ratio:
             raise ValueError(
                 f"dt = {self.dt!r} does not divide t_final = {self.t_final!r} "
                 "into a whole number of steps"
@@ -463,9 +467,10 @@ class _Workspace:
     Each array has a leading component axis and holds as many components as
     the largest request so far: ``spectral`` and ``forward`` half spectra
     (complex), ``grid`` and ``products`` grid values (real), ``spectrum`` the
-    real-data FFT output (complex).  A right-hand side slices the components
-    it needs at each call and keeps no view, since a larger request replaces
-    an array.
+    real-data FFT output (complex), and ``forms`` the limit forms' gathers and
+    products (complex entries, no further axis).  A right-hand side slices
+    the components it needs at each call and keeps no view, since a larger
+    request replaces an array.
     """
 
     def __init__(self, lattice: LatticeSpec):
@@ -478,6 +483,7 @@ class _Workspace:
             "products": (n, np.float64),
             "spectrum": (n[:-1] + (n[-1] // 2 + 1,), np.complex128),
             "forward": (half, np.complex128),
+            "forms": ((), np.complex128),
         }
 
     def reserve(self, counts: dict) -> "_Workspace":
@@ -811,8 +817,9 @@ class LimitStepper(IncompressibleStepper):
     exp(-nu |k|^2 dt/2) on the half spectrum.  V's right-hand side
     -Q1(v, V) - Q2(V, V) reads the table's half-box entries (``table``, a
     :class:`~lowmach.resonance.HalfTable`) and v of the same stage, and
-    raises ValueError on a non-finite V.  A ``table`` given whole is
-    restricted to its half-box entries, and only those are kept.
+    raises ValueError on a non-finite V; the two forms fill the workspace's
+    ``forms`` array in turn.  A ``table`` given whole is restricted to its
+    half-box entries, and only those are kept.
     """
 
     def __init__(
@@ -832,8 +839,9 @@ class LimitStepper(IncompressibleStepper):
         lattice = cfg.lattice
         self.x = self.x + (V.coeffs[..., : lattice.cutoffs[-1] + 1],)
         self.heat_V = _heat_factor(lattice, 0.5 * cfg.nu, cfg.dt)
-        self.table = table.half()
-        self.q1_work, self.q2_work = self.table.work_arrays()
+        table = self.table = table.half()
+        self.counts = dict(self.counts, forms=2 * max(table.q1_m.size, table.q2_m.size))
+        self._work()
 
     def linear(self, x: tuple) -> tuple[np.ndarray, np.ndarray]:
         return super().linear(x[:1]) + (_scale_modes(x[1], self.heat_V),)
@@ -841,8 +849,9 @@ class LimitStepper(IncompressibleStepper):
     def rhs(self, x: tuple, t: float) -> tuple[np.ndarray, np.ndarray]:
         _check_finite_V(x[1])
         v, V = (_extend(y) for y in x)
-        q1 = limit_q1(v, V, self.table, work=self.q1_work)
-        q2 = limit_q2(V, V, self.table, kappa=self.cfg.kappa, work=self.q2_work)
+        forms = self._work().forms
+        q1 = limit_q1(v, V, self.table, forms)
+        q2 = limit_q2(V, self.table, self.cfg.kappa, forms)
         return super().rhs(x[:1], t) + (-1.0 * q1 - q2,)
 
     def state(self) -> tuple[SpectralField, AcousticCoeffs]:

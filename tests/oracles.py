@@ -10,14 +10,16 @@ square-root test, and the two-time-scale correctors with the low-band
 remainder that they remove.  Each term of the remainder oscillates as
 exp(i omega t/eps), and its corrector is the same term divided by i omega;
 both sum over one list of non-resonant triads, m in the box and
-|k|, |l| <= M, whatever cutoff the triads were enumerated at.
+|k|, |l| <= M, whatever cutoff the triads were enumerated at, with the
+indices and weights that the correctors alone read added to the library's
+enumeration (:func:`with_corrector_keys`).
 
 Beside them stands the field API that only the tests use: the symbol
 calculus (:func:`spectral_derivative`), the reconstruction from acoustic
 coefficients (:func:`acoustic_inverse`), fields built from mode entries, a
 forcing's full coefficient grid, and the limit forms on full fields
 (:func:`limit_q1`, :func:`limit_q2`), which the library evaluates on half
-spectra.  One fake stands beside them: the
+spectra, Q2 as a quadratic form only.  One fake stands beside them: the
 compressible stepper without its right-hand side, which steps the exact
 linear propagator alone.  And one hook: :class:`SampledRun` keeps every
 sample of a run, which the library never does.  Each is written for clarity
@@ -53,7 +55,7 @@ from lowmach.operators import (
     wave_group,
 )
 from lowmach import resonance
-from lowmach.resonance import NonResonantTriads, enumerate_resonance_sets
+from lowmach.resonance import NonResonantTriads, _grid_index, _mode_data, enumerate_resonance_sets
 from lowmach.solvers import CompressibleStepper, Forcing, _pressure_remainder, run_trajectory
 
 # ---------------------------------------------------------------------------
@@ -407,24 +409,35 @@ def _half(field: SpectralField) -> np.ndarray:
     return field.coeffs[..., : field.lattice.cutoffs[-1] + 1]
 
 
+def _forms_work(table) -> np.ndarray:
+    """Fresh scratch of the limit forms over ``table``'s half-box entries."""
+    half = table.half()
+    return np.empty(2 * max(half.q1_m.size, half.q2_m.size), np.complex128)
+
+
 def limit_q1(u: SpectralField, B: AcousticCoeffs, table) -> AcousticCoeffs:
     """``resonance.limit_q1`` on full fields: the form on the half spectra of
     u and B over the table's half-box entries, expanded to the full grid
     (exact for Hermitian branches)."""
     lattice = B.lattice
     u, B = (resonance._extend(_half(f)) for f in (u, B))
-    half = resonance.limit_q1(u, B, table.half())
+    half = resonance.limit_q1(u, B, table.half(), _forms_work(table))
     return AcousticCoeffs._in_box(lattice, _half_to_full(half, lattice), False)
 
 
 def limit_q2(
     A: AcousticCoeffs, B: AcousticCoeffs, table, kappa: float = 0.0
 ) -> AcousticCoeffs:
-    """``resonance.limit_q2`` on full fields, expanded as :func:`limit_q1`."""
+    """The symmetric bilinear form Q2(A, B) on full fields, by polarization
+    of the quadratic form ``resonance.limit_q2``: (Q(A + B) - Q(A - B))/4,
+    each expanded as :func:`limit_q1`.  At A = B this is Q(2A)/4, the bytes
+    of Q(A), since scaling by powers of two is exact."""
     lattice = A.lattice
-    A, B = (resonance._extend(_half(f)) for f in (A, B))
-    half = resonance.limit_q2(A, B, table.half(), kappa=kappa)
-    return AcousticCoeffs._in_box(lattice, _half_to_full(half, lattice), False)
+    half, work = table.half(), _forms_work(table)
+    plus, minus = (
+        resonance.limit_q2(resonance._extend(_half(f)), half, kappa, work) for f in (A + B, A - B)
+    )
+    return AcousticCoeffs._in_box(lattice, _half_to_full(0.25 * (plus - minus), lattice), False)
 
 
 # ---------------------------------------------------------------------------
@@ -704,6 +717,49 @@ def _lambda_coeffs(w: SpectralField, v: SpectralField) -> AcousticCoeffs:
     return acoustic_transform(SpectralField.zeros(v.lattice), nonlin, check=False)
 
 
+def with_corrector_keys(triads: NonResonantTriads) -> NonResonantTriads:
+    """The triads with the keys that only the correctors read, computed from
+    their index vectors as the library's enumeration once computed them:
+    the flat FFT-grid indices ``m``, ``k`` and ``l`` (-1 for a mode outside
+    the dealiased box), the q1 weight ``bracket`` and the q2 weights
+    ``base`` and ``smod``."""
+    lattice = triads.lattice
+    cut = np.array(lattice.cutoffs)
+
+    def modes(n):
+        """sg, wavevectors, moduli, box-masked and plain grid indices of n."""
+        _, sgn, vec, mod = _mode_data(lattice, n)
+        idx = _grid_index(lattice, n)
+        return sgn, vec, mod, np.where(np.all(np.abs(n) <= cut, axis=1), idx, -1), idx
+
+    q1 = dict(triads.q1)
+    sk, k_vec, k_mod, _, k_idx = modes(q1["kn"])
+    _, l_vec, _, l_out, _ = modes(q1["ln"])
+    sm, m_vec, m_mod, m_out, _ = modes(q1["mn"])
+    a, g = q1["alpha"], q1["gamma"]
+    lm_dot_k = np.sum((l_vec + m_vec) * k_vec, axis=1)
+    q1.update(
+        m=m_out, k=k_idx, l=l_out, bracket=1.0 + a * g * sk * sm * lm_dot_k / (k_mod * m_mod)
+    )
+
+    q2 = dict(triads.q2)
+    sk, k_vec, k_mod, _, k_idx = modes(q2["kn"])
+    sl, l_vec, l_mod, _, l_idx = modes(q2["ln"])
+    sm, m_vec, m_mod, m_out, _ = modes(q2["mn"])
+    a, b, g = q2["alpha"], q2["beta"], q2["gamma"]
+    l_dot_m = np.sum(l_vec * m_vec, axis=1)
+    k_dot_l = np.sum(k_vec * l_vec, axis=1)
+    q2.update(
+        m=m_out,
+        k=k_idx,
+        l=l_idx,
+        base=b * sl * sm * l_dot_m / (l_mod * m_mod)
+        + a * b * g / 2.0 * sk * sl * k_dot_l / (k_mod * l_mod),
+        smod=sm * m_mod,
+    )
+    return NonResonantTriads(lattice, triads.M, q1, q2)
+
+
 def _remainder_terms(V, v, f_ac, M, t, eps, kappa, nu, table, lam_ac):
     """The low-band weights and the q1 and q2 triads with m in the box and
     |k|, |l| <= M (enumerated when ``table`` is None), and the terms
@@ -723,6 +779,7 @@ def _remainder_terms(V, v, f_ac, M, t, eps, kappa, nu, table, lam_ac):
             f"the triads are enumerated at cutoff M = {table.M:g}, "
             f"below the corrector cutoff M = {M:g}"
         )
+    table = with_corrector_keys(table)
     kmod = lattice.k_modulus()
     low = (kmod <= M + 1e-12).astype(np.float64)
     q1, q2 = (_triads(e, kmod.reshape(-1), M) for e in (table.q1, table.q2))

@@ -281,6 +281,28 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(lattice=lat16, zeta=-1.0)
 
+    @pytest.mark.parametrize(
+        "make, overrides, message",
+        [
+            (SolverConfig, {"t_final": math.inf}, "config field t_final must be finite"),
+            (SolverConfig, {"dt": math.nan}, "config field dt must be finite"),
+            (SolverConfig, {"mu": math.inf}, "config field mu must be finite"),
+            (SolverConfig, {"gamma": math.inf}, "config field gamma must be finite"),
+            (SolverConfig, {"sample_stride": 1.5}, "field sample_stride must be an integer"),
+            # finite, but t_final/dt overflows to inf
+            (SolverConfig, {"dt": 1e-300, "t_final": 1e10}, "does not divide"),
+            (ExperimentConfig, {"amplitude_a": math.nan}, "experiment.amplitude_a must be finite"),
+            (ExperimentConfig, {"zeta": math.inf}, "config field experiment.zeta must be finite"),
+            (ExperimentConfig, {"eta0": math.inf}, "config field experiment.eta0 must be finite"),
+            (ExperimentConfig, {"seed": 1.5}, "config field experiment.seed must be an integer"),
+        ],
+    )
+    def test_python_api_rejects_bad_numbers(self, lat16, make, overrides, message):
+        """A config built in Python checks its numbers as a JSON config's
+        are checked, naming the field of each bad value."""
+        with pytest.raises(ValueError, match=message):
+            make(lattice=lat16, **overrides)
+
     def test_eps_list_is_stored_as_a_tuple(self):
         listed = replace_quietly(tiny_config(), eps_list=[0.2, 0.1])
         assert listed == tiny_config() and hash(listed) == hash(tiny_config())

@@ -25,7 +25,7 @@ from lowmach.resonance import (
     resonance_test,
     small_divisors,
 )
-from lowmach.solvers import generate_initial_data
+from lowmach.solvers import LimitStepper, SolverConfig, generate_initial_data
 from oracles import (
     acoustic_from_modes,
     assemble_correctors,
@@ -41,6 +41,7 @@ from oracles import (
     remainder_fields,
     sg,
     sqrt_sum_oracle,
+    with_corrector_keys,
 )
 
 
@@ -501,7 +502,7 @@ def resonant_branches(entries, branches):
     pair has ``branches`` combinations and at most two resonate, so every
     pair is listed."""
     pairs = np.unique(np.concatenate([entries["kn"], entries["ln"]], axis=1), axis=0)
-    return branches * len(pairs) - entries["m"].size
+    return branches * len(pairs) - entries["div"].size
 
 
 def assert_q2_resonances_collinear(triads):
@@ -538,7 +539,7 @@ ORACLE_CUTOFFS = [
 )
 def test_resonance_sets_match_per_pair_oracle(name, M, leaves_box, monkeypatch):
     lattice = ORACLE_LATTICES[name]
-    triads = enumerate_resonance_sets(lattice, M)
+    triads = with_corrector_keys(enumerate_resonance_sets(lattice, M))
     ref = reference_resonance_sets(lattice, M)
     assert_resonance_sets_match(triads, ref)
     assert resonant_branches(triads.q2, 8) > 0
@@ -550,9 +551,9 @@ def test_resonance_sets_match_per_pair_oracle(name, M, leaves_box, monkeypatch):
 
 
 # sha256 of the little-endian bytes of every array of the q1 and then the q2
-# triads, keys sorted, and of the small-divisor report's JSON (keys sorted),
-# with the q1 and q2 entry counts; recorded before the resonant arrays left
-# the enumeration
+# triads with the correctors' keys (with_corrector_keys), keys sorted, and of
+# the small-divisor report's JSON (keys sorted), with the q1 and q2 entry
+# counts; recorded before the resonant arrays left the enumeration
 FULL_SIZE_TRIADS = {
     "64x64-M6": (
         LatticeSpec.square(2, 64),
@@ -584,7 +585,7 @@ FULL_SIZE_TRIADS = {
 @pytest.mark.parametrize("name", list(FULL_SIZE_TRIADS))
 def test_enumeration_pinned_at_full_size(name):
     lattice, M, q1_entries, q2_entries, digest, report_digest = FULL_SIZE_TRIADS[name]
-    triads = enumerate_resonance_sets(lattice, M)
+    triads = with_corrector_keys(enumerate_resonance_sets(lattice, M))
     sha = hashlib.sha256()
     for entries in (triads.q1, triads.q2):
         for key in sorted(entries):
@@ -594,6 +595,17 @@ def test_enumeration_pinned_at_full_size(name):
     assert (triads.q1["m"].size, triads.q2["m"].size) == (q1_entries, q2_entries)
     assert sha.hexdigest() == digest
     assert hashlib.sha256(report.encode()).hexdigest() == report_digest
+
+
+def test_enumeration_keeps_what_small_divisors_reads():
+    """The enumeration holds the branches, the divisors and the index
+    vectors, which ``small_divisors`` reads, and nothing else: the keys that
+    only the correctors read come from the oracle (``with_corrector_keys``)."""
+    triads = enumerate_resonance_sets(ORACLE_LATTICES["16x16"], 3.0)
+    assert set(triads.q1) == {"alpha", "gamma", "div", "mn", "kn", "ln"}
+    assert set(triads.q2) == {"alpha", "beta", "gamma", "div", "mn", "kn", "ln"}
+    assert set(with_corrector_keys(triads).q1) == set(triads.q1) | {"m", "k", "l", "bracket"}
+    assert set(with_corrector_keys(triads).q2) == set(triads.q2) | {"m", "k", "l", "base", "smod"}
 
 
 @st.composite
@@ -628,7 +640,7 @@ def lattice_and_cutoff(draw):
 @given(lattice_and_cutoff())
 def test_resonance_sets_property(case):
     lattice, M = case
-    triads = enumerate_resonance_sets(lattice, M)
+    triads = with_corrector_keys(enumerate_resonance_sets(lattice, M))
     assert_resonance_sets_match(triads, reference_resonance_sets(lattice, M))
     for entries in (triads.q1, triads.q2):
         assert np.all(entries["div"] != 0)
@@ -762,12 +774,16 @@ class TestLimitForms:
             assert getattr(half, name).flags.c_contiguous, name
 
     def test_forms_fill_the_work_arrays(self):
-        """With a stepper's work arrays, reused across inputs, the forms give
-        the bytes of a call without them and allocate less than the work
-        arrays besides their output: no gather or product of the entries."""
+        """Both forms fill a limit stepper's workspace array ``forms`` in
+        turn: reused across inputs, it gives the bytes of a fresh array
+        filled with NaN, and a call allocates less than the array besides its
+        output, so no gather or product of the entries is allocated."""
         lattice = LatticeSpec.square(2, 32)
         table = build_limit_tables(lattice).half()
-        q1_work, q2_work = table.work_arrays()
+        cfg = SolverConfig(lattice=lattice, mu=0.05, lam=0.05, dt=2e-3, t_final=1e-2)
+        v0, V0 = limit_initial_data(*generate_initial_data(lattice, 1.0, 1.0, seed=0))
+        work = LimitStepper(cfg, v0, V0, table).work.forms
+        assert work.shape == (2 * max(table.q1_m.size, table.q2_m.size),)
         rng = np.random.default_rng(8)
         calls = {}
         cut = lattice.cutoffs[-1]
@@ -777,16 +793,13 @@ class TestLimitForms:
                 for f in (random_divfree(lattice, rng), random_acoustic(lattice, rng))
             )
             calls = {
-                "q1": (lambda work: resonance.limit_q1(u, B, table, work=work), q1_work),
-                "q2": (
-                    lambda work: resonance.limit_q2(B, B, table, kappa=1.0, work=work),
-                    q2_work,
-                ),
+                "q1": lambda work: resonance.limit_q1(u, B, table, work),
+                "q2": lambda work: resonance.limit_q2(B, table, 1.0, work),
             }
-            for form, work in calls.values():
-                assert form(work).tobytes() == form(None).tobytes()
+            for form in calls.values():
+                assert form(work).tobytes() == form(np.full_like(work, np.nan)).tobytes()
         out_bytes = resonance._half_zeros(lattice).nbytes
-        for name, (form, work) in calls.items():
+        for name, form in calls.items():
             tracemalloc.start()
             try:
                 form(work)

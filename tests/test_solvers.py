@@ -909,12 +909,15 @@ class TestSharedWorkspace:
 
     @staticmethod
     def makers(cfg, a0, u0, table):
-        """Builders of a limit stepper and of compressible steppers at eps 0.2
-        and 0.1, in that order, so that the compressible steppers grow the
-        workspace that the limit stepper sized."""
+        """Builders of two limit steppers over one table, the second on half
+        the averaged state, and of compressible steppers at eps 0.2 and 0.1,
+        in that order, so that the compressible steppers grow the workspace
+        that the limit steppers sized, and the limit steppers fill its
+        ``forms`` array in turn."""
         v0, V0 = limit_initial_data(a0, u0)
         return {
             "limit": lambda: solvers.LimitStepper(cfg, v0, V0, table),
+            "limit, V0/2": lambda: solvers.LimitStepper(cfg, v0, 0.5 * V0, table),
             0.2: lambda: solvers.CompressibleStepper(replace(cfg, eps=0.2), a0, u0),
             0.1: lambda: solvers.CompressibleStepper(replace(cfg, eps=0.1), a0, u0),
         }
