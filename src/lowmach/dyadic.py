@@ -306,7 +306,7 @@ def _series_energies(fields, h_orders) -> BlockEnergies:
 
 def _block_linf(obj: SpectralField, j: int) -> float:
     block = dyadic_block(obj, j)
-    grid = inverse_transform(block.copy_with_reality(False))
+    grid = inverse_transform(block)
     mag = np.sqrt(np.sum(np.abs(grid) ** 2, axis=0))
     return float(np.max(mag))
 

@@ -19,13 +19,14 @@ mask applied; the retained per-axis cutoff guarantees that quadratic products
 evaluated on the grid agree exactly with the truncated Fourier convolution
 (the classical 2/3 rule).
 
-A field flagged ``reality=True`` stands for a real function.  Its transforms
-use real-data FFTs on the retained half spectrum: the inverse returns the
-real part of the complex inverse (for any coefficients, Hermitian or not),
-and the forward transform of real samples rebuilds the full, masked,
-Hermitian coefficient grid from the half spectrum.  Complex fields use the
-complex FFTs.  The half-spectrum primitives behind these transforms also
-serve the compressible stepper, which works on half spectra throughout.
+A field stands for a real function exactly when its coefficients are
+Hermitian, c_{-k} = conj(c_k) (:meth:`SpectralField.is_reality_symmetric`).
+The transforms of such a field use real-data FFTs on the retained half
+spectrum: the inverse reads the columns 0..cut alone, and the forward
+transform of real samples rebuilds the full, masked, Hermitian coefficient
+grid from the half spectrum.  Any other field uses the complex FFTs.  The
+half-spectrum primitives behind these transforms also serve the steppers,
+which work on half spectra throughout.
 """
 
 from __future__ import annotations
@@ -281,9 +282,9 @@ class SpectralField:
     operations return new fields.
     """
 
-    __slots__ = ("lattice", "coeffs", "reality")
+    __slots__ = ("lattice", "coeffs")
 
-    def __init__(self, lattice: LatticeSpec, coeffs: np.ndarray, reality: bool = False):
+    def __init__(self, lattice: LatticeSpec, coeffs: np.ndarray):
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if coeffs.ndim == lattice.d:
             coeffs = coeffs[None]
@@ -293,12 +294,11 @@ class SpectralField:
             )
         self.lattice = lattice
         self.coeffs = _masked(coeffs, lattice.dealias_mask())
-        self.reality = bool(reality)
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def _in_box(cls, lattice: LatticeSpec, coeffs: np.ndarray, reality: bool):
+    def _in_box(cls, lattice: LatticeSpec, coeffs: np.ndarray):
         """Wrap a complex array that is already zero outside the dealiased box.
 
         Skips the re-mask and the checks of ``__init__``; for Fourier
@@ -307,13 +307,12 @@ class SpectralField:
         out = cls.__new__(cls)
         out.lattice = lattice
         out.coeffs = coeffs
-        out.reality = reality
         return out
 
     @classmethod
-    def zeros(cls, lattice: LatticeSpec, components: int = 1, reality: bool = True):
+    def zeros(cls, lattice: LatticeSpec, components: int = 1):
         shape = (components,) + lattice.resolution
-        return cls(lattice, np.zeros(shape, dtype=np.complex128), reality=reality)
+        return cls(lattice, np.zeros(shape, dtype=np.complex128))
 
     # -- basic properties --------------------------------------------------
 
@@ -340,44 +339,41 @@ class SpectralField:
         return float(np.max(np.abs(self.coeffs - mirror)))
 
     def is_reality_symmetric(self) -> bool:
-        """Conjugate-symmetry defect at most 1e-12 times max(1, max |c_k|)."""
-        scale = max(1.0, float(np.max(np.abs(self.coeffs), initial=0.0)))
+        """Whether each component stands for a real function: conjugate-symmetry
+        defect at most 1e-12 times max |c_k|."""
+        scale = float(np.max(np.abs(self.coeffs), initial=0.0))
         return self.conjugate_symmetry_defect() <= 1e-12 * scale
 
     # -- arithmetic --------------------------------------------------------
 
-    def _like(self, coeffs, reality):
-        return self._in_box(self.lattice, coeffs, reality)
+    def _like(self, coeffs):
+        return self._in_box(self.lattice, coeffs)
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         self._check_compatible(other)
-        return self._like(self.coeffs + other.coeffs, self.reality and other.reality)
+        return self._like(self.coeffs + other.coeffs)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         self._check_compatible(other)
-        return self._like(self.coeffs - other.coeffs, self.reality and other.reality)
+        return self._like(self.coeffs - other.coeffs)
 
     def __mul__(self, scalar) -> "SpectralField":
-        reality = self.reality and abs(complex(scalar).imag) == 0.0
-        return self._like(self.coeffs * scalar, reality)
+        return self._like(self.coeffs * scalar)
 
     __rmul__ = __mul__
 
     def component(self, c: int) -> "SpectralField":
-        return self._like(self.coeffs[c : c + 1], self.reality)
+        return self._like(self.coeffs[c : c + 1])
 
     def scale_modes(self, weights: np.ndarray) -> "SpectralField":
         """Multiply coefficients by a real, radially even mode-weight array."""
-        return self._like(_scale_modes(self.coeffs, weights), self.reality)
+        return self._like(_scale_modes(self.coeffs, weights))
 
     def _check_compatible(self, other: "SpectralField"):
         if other.lattice is not self.lattice and other.lattice != self.lattice:
             raise ValueError("fields live on different lattices")
         if other.components != self.components:
             raise ValueError("component count mismatch")
-
-    def copy_with_reality(self, reality: bool) -> "SpectralField":
-        return self._like(self.coeffs, reality)
 
 
 def _masked(coeffs: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -480,7 +476,7 @@ def forward_transform(lattice: LatticeSpec, values: np.ndarray) -> SpectralField
 
     ``values`` has shape ``(components, *resolution)``, or the lattice's
     shape for one component.  Real samples (or complex samples with zero
-    imaginary part) give a ``reality=True`` field through a real-data FFT.
+    imaginary part) give a Hermitian field through a real-data FFT.
     """
     values = np.asarray(values)
     if values.ndim == lattice.d:
@@ -493,30 +489,25 @@ def forward_transform(lattice: LatticeSpec, values: np.ndarray) -> SpectralField
         values = values.real
     if not np.iscomplexobj(values):
         half = _half_forward(values, lattice)
-        return SpectralField._in_box(lattice, _half_to_full(half, lattice), True)
+        return SpectralField._in_box(lattice, _half_to_full(half, lattice))
     scale = math.sqrt(lattice.volume) / float(np.prod(lattice.resolution))
     coeffs = np.fft.fftn(values, axes=tuple(range(1, lattice.d + 1))) * scale
-    return SpectralField(lattice, coeffs, reality=False)
+    return SpectralField(lattice, coeffs)
 
 
 def inverse_transform(field: SpectralField) -> np.ndarray:
     """Fourier coefficients to grid samples of shape ``(components,
     *resolution)`` (exact inverse on retained modes).
 
-    A ``reality=True`` field gives real (float64) samples, the real part of
-    the complex inverse: the half inverse of the Hermitian part
-    (c_k + conj(c_-k))/2 of its coefficients, which equals them when they are
-    Hermitian.  Any other field gives complex samples.
+    A field whose coefficients are Hermitian
+    (:meth:`SpectralField.is_reality_symmetric`) gives real (float64) samples,
+    the half inverse of its columns 0..cut.  Any other field gives complex
+    samples.
     """
     lattice = field.lattice
     coeffs = field.coeffs
-    if field.reality:
-        cut, n = lattice.cutoffs[-1], lattice.resolution[-1]
-        half = _mirror(np.take(coeffs, -np.arange(cut + 1) % n, axis=-1), range(1, lattice.d))
-        np.conj(half, out=half)
-        half += coeffs[..., : cut + 1]
-        half *= 0.5
-        return _half_inverse(half, lattice)
+    if field.is_reality_symmetric():
+        return _half_inverse(coeffs[..., : lattice.cutoffs[-1] + 1], lattice)
     npoints = float(np.prod(lattice.resolution))
     return np.fft.ifftn(coeffs, axes=tuple(range(1, lattice.d + 1))) * (
         npoints / math.sqrt(lattice.volume)
@@ -527,8 +518,8 @@ def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
     """Pointwise product, exact on retained modes by the 2/3-rule cutoff.
 
     Operand component counts must match, or one operand must be scalar (which
-    is then broadcast against the other).  Real operands are multiplied as
-    real grid values.
+    is then broadcast against the other).  Operands with Hermitian
+    coefficients are multiplied as real grid values.
     """
     if f.lattice is not g.lattice and f.lattice != g.lattice:
         raise ValueError("fields live on different lattices")
@@ -542,7 +533,7 @@ def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
         prod = fvals * gvals[0][None]
     else:
         raise ValueError("incompatible component counts for product")
-    return forward_transform(f.lattice, prod).copy_with_reality(f.reality and g.reality)
+    return forward_transform(f.lattice, prod)
 
 
 def zero_mean_split(field: SpectralField) -> tuple[SpectralField, SpectralField]:
@@ -551,7 +542,4 @@ def zero_mean_split(field: SpectralField) -> tuple[SpectralField, SpectralField]
     zero_idx = (slice(None),) + (0,) * field.lattice.d
     mean[zero_idx] = field.coeffs[zero_idx]
     rest = field.coeffs - mean
-    return (
-        SpectralField(field.lattice, mean, reality=field.reality),
-        SpectralField(field.lattice, rest, reality=field.reality),
-    )
+    return SpectralField(field.lattice, mean), SpectralField(field.lattice, rest)

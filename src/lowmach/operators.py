@@ -83,9 +83,9 @@ def helmholtz_project(u: SpectralField, which: str) -> SpectralField:
     inv_ksq = _safe_inv_ksq(lattice)
     q_coeffs = np.stack([dot * inv_ksq * k for k in kvecs], axis=0)
     if which == "Q":
-        return SpectralField(lattice, q_coeffs, reality=u.reality)
+        return SpectralField(lattice, q_coeffs)
     if which == "P":
-        return SpectralField(lattice, u.coeffs - q_coeffs, reality=u.reality)
+        return SpectralField(lattice, u.coeffs - q_coeffs)
     raise ValueError("which must be 'P' or 'Q'")
 
 
@@ -119,12 +119,11 @@ class AcousticCoeffs(SpectralField):
         self.lattice = lattice
         coeffs = np.asarray((plus, minus), dtype=np.complex128)
         self.coeffs = _masked(coeffs, _acoustic_mask(lattice))
-        self.reality = False
 
     @classmethod
     def zeros(cls, lattice: LatticeSpec) -> "AcousticCoeffs":
         shape = (2,) + lattice.resolution
-        return cls._in_box(lattice, np.zeros(shape, np.complex128), False)
+        return cls._in_box(lattice, np.zeros(shape, np.complex128))
 
     def branch(self, alpha: int) -> np.ndarray:
         return self.coeffs[0 if alpha == 1 else 1]
@@ -166,7 +165,7 @@ def acoustic_transform(a: SpectralField, qu: SpectralField, check: bool = True) 
 def wave_group(V: AcousticCoeffs, tau: float) -> AcousticCoeffs:
     """Acoustic propagator exp(-tau*L): phase e^{i*alpha*sg(k)*|k|*tau} per mode."""
     phase = np.exp(1j * tau * _signed_modulus(V.lattice))
-    return V._like(V.coeffs * _conjugate_pair(phase), False)
+    return V._like(V.coeffs * _conjugate_pair(phase))
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +181,10 @@ def advect(p: SpectralField, q: SpectralField) -> SpectralField:
     """
     lattice = p.lattice
     d, nq = lattice.d, q.components
-    reality = p.reality and q.reality
     stacked = np.concatenate(
         [p.coeffs[:d]] + [1j * k * q.coeffs for k in lattice.wavevectors()]
     )
-    grid = inverse_transform(SpectralField._in_box(lattice, stacked, reality))
+    grid = inverse_transform(SpectralField._in_box(lattice, stacked))
     prod = sum(grid[c] * grid[d + c * nq : d + (c + 1) * nq] for c in range(d))
-    return forward_transform(lattice, prod).copy_with_reality(reality)
+    return forward_transform(lattice, prod)
 

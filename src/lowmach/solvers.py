@@ -286,15 +286,15 @@ class SolverConfig:
     sample_stride: int = 1
 
     def __post_init__(self):
+        for name in ("mu", "lam", "eps", "gamma", "dt", "t_final"):
+            object.__setattr__(self, name, _config_number(getattr(self, name), name))
+        _config_number(self.sample_stride, "sample_stride", int)
         if not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma!r}")
         if not (self.mu >= 0 and self.nu >= 0):
             raise ValueError("viscosities must satisfy mu >= 0 and nu = 2*mu+lam >= 0")
         if not (0 < self.eps <= 1):
             raise ValueError("Mach number must lie in (0, 1]")
-        for name in ("mu", "lam", "eps", "gamma", "dt", "t_final"):
-            _config_number(getattr(self, name), name)
-        _config_number(self.sample_stride, "sample_stride", int)
         if self.dt <= 0 or self.t_final <= 0:
             raise ValueError("dt and t_final must be positive")
         ratio = self.t_final / self.dt
@@ -307,6 +307,14 @@ class SolverConfig:
             raise ValueError("sample_stride must be at least 1")
         if self.forcing is not None:
             _check_fields(self.lattice, forcing=(self.forcing, None))
+            for fm in self.forcing.modes:
+                try:  # each envelope is monotone or bounded on [0, t_final]
+                    fm.factor(self.t_final)
+                except OverflowError:
+                    raise ValueError(
+                        f"forcing mode {fm.mode}: the {fm.envelope} envelope with omega = "
+                        f"{fm.omega!r} overflows before t_final = {self.t_final!r}"
+                    ) from None
 
     @property
     def nu(self) -> float:
@@ -531,12 +539,19 @@ class _Stepper:
 def _check_fields(lattice: LatticeSpec, **fields) -> None:
     """Reject a field that a stepper on ``lattice`` would misread; each
     keyword maps the field's name to (field, expected component count), a
-    count of None checking the lattice alone."""
+    count of None checking the lattice alone.  A stepper keeps a field's half
+    spectrum only, so each component must stand for a real function: finite
+    coefficients must be Hermitian (non-finite ones are left to the steps'
+    checks)."""
     for name, (value, components) in fields.items():
         if value.lattice != lattice:
             raise ValueError(f"{name} lives on {value.lattice}, not on the config's {lattice}")
-        if components is not None and value.components != components:
+        if components is None:
+            continue
+        if value.components != components:
             raise ValueError(f"{name} has {value.components} components, expected {components}")
+        if np.isfinite(value.coeffs).all() and not value.is_reality_symmetric():
+            raise ValueError(f"{name} is not real: its coefficients are not Hermitian")
 
 
 def _one_step(stepper: _Stepper, t: float):
@@ -575,11 +590,6 @@ class CompressibleStepper(_Stepper):
 
     def __init__(self, cfg: SolverConfig, a: SpectralField, u: SpectralField):
         _check_fields(cfg.lattice, a=(a, 1), u=(u, cfg.lattice.d))
-        for name, value in (("a", a), ("u", u)):
-            if not value.reality:
-                raise ValueError(
-                    f"compressible data must be real: {name} has reality=False"
-                )
         lattice = cfg.lattice
         d, cut = lattice.d, lattice.cutoffs[-1]
         self.cfg = cfg
@@ -720,7 +730,7 @@ class CompressibleStepper(_Stepper):
     def state(self) -> tuple[SpectralField, SpectralField]:
         """The current (a, u) as full, Hermitian fields."""
         lat = self.cfg.lattice
-        return tuple(SpectralField._in_box(lat, _half_to_full(y, lat), True) for y in self.x)
+        return tuple(SpectralField._in_box(lat, _half_to_full(y, lat)) for y in self.x)
 
 
 def step_compressible(a: SpectralField, u: SpectralField, t: float, cfg: SolverConfig) -> tuple:
@@ -743,8 +753,6 @@ class IncompressibleStepper(_Stepper):
 
     def __init__(self, cfg: SolverConfig, v: SpectralField):
         _check_fields(cfg.lattice, v=(v, cfg.lattice.d))
-        if not v.reality:
-            raise ValueError("incompressible data must be real: v has reality=False")
         lattice = cfg.lattice
         d, cut = lattice.d, lattice.cutoffs[-1]
         self.cfg, self.x = cfg, (v.coeffs[..., : cut + 1],)
@@ -795,7 +803,7 @@ class IncompressibleStepper(_Stepper):
     def state(self) -> SpectralField:
         """The current full, Hermitian velocity field."""
         lattice = self.cfg.lattice
-        return SpectralField._in_box(lattice, _half_to_full(self.x[0], lattice), True)
+        return SpectralField._in_box(lattice, _half_to_full(self.x[0], lattice))
 
 
 def _check_finite_V(V: np.ndarray) -> None:
@@ -832,10 +840,6 @@ class LimitStepper(IncompressibleStepper):
         super().__init__(cfg, v)
         _check_fields(cfg.lattice, V=(V, 2), table=(table, None))
         _check_finite_V(V.coeffs)
-        if not V.is_reality_symmetric():
-            raise ValueError(
-                "V's branches are not Hermitian: each must be the spectrum of a real function"
-            )
         lattice = cfg.lattice
         self.x = self.x + (V.coeffs[..., : lattice.cutoffs[-1] + 1],)
         self.heat_V = _heat_factor(lattice, 0.5 * cfg.nu, cfg.dt)
@@ -857,7 +861,7 @@ class LimitStepper(IncompressibleStepper):
     def state(self) -> tuple[SpectralField, AcousticCoeffs]:
         """The current (v, V) as full fields; V's branches are Hermitian."""
         lattice = self.cfg.lattice
-        V = AcousticCoeffs._in_box(lattice, _half_to_full(self.x[1], lattice), False)
+        V = AcousticCoeffs._in_box(lattice, _half_to_full(self.x[1], lattice))
         return super().state(), V
 
 
@@ -951,6 +955,7 @@ def run_trajectory(
         stepper = LimitStepper(cfg, *initial, table)
     else:
         raise ValueError(f"unknown trajectory kind {kind!r}")
+    del initial  # the stepper holds what it reads of it, until its first step
     run_lockstep({kind: stepper}, cfg, on_sample)
     return stepper.state()
 
@@ -980,9 +985,8 @@ def generate_initial_data(
     envelope = (1.0 + lattice.k_modulus()) ** (-smoothness)
     raw *= envelope
     sym = 0.5 * (raw + np.conj(_mirror(raw, range(1, lattice.d + 1))))
-    a = SpectralField(lattice, sym[:1], reality=True)
-    _, a = zero_mean_split(a)
-    u = SpectralField(lattice, sym[1:], reality=True)
+    _, a = zero_mean_split(SpectralField(lattice, sym[:1]))
+    u = SpectralField(lattice, sym[1:])
     d = lattice.d
     na = norm(a, NormSpec(s=d / 2.0, r=1))
     nu_ = norm(u, NormSpec(s=d / 2.0 - 1.0, r=1))

@@ -64,14 +64,14 @@ from lowmach.solvers import CompressibleStepper, Forcing, _pressure_remainder, r
 
 
 def random_field(lattice, rng, components=1, zero_mean=False):
-    """A reality-symmetric field from standard normal grid samples, its mean
+    """A Hermitian field from standard normal grid samples, its mean
     mode cleared with ``zero_mean``."""
     values = rng.standard_normal((components,) + lattice.resolution)
     field = forward_transform(lattice, values)
     if zero_mean:
         coeffs = field.coeffs.copy()
         coeffs[(slice(None),) + (0,) * lattice.d] = 0.0
-        field = SpectralField(lattice, coeffs, reality=True)
+        field = SpectralField(lattice, coeffs)
     return field
 
 
@@ -115,7 +115,6 @@ def field_from_modes(
     lattice: LatticeSpec,
     entries: dict,
     components: int = 1,
-    reality: bool = False,
 ):
     """Build a field from ``{mode index tuple: coefficient}`` entries.
 
@@ -132,7 +131,7 @@ def field_from_modes(
                 raise ValueError("mode value has wrong number of components")
             for c in range(components):
                 field[(c,) + idx] = vals[c]
-    return SpectralField(lattice, field, reality=reality)
+    return SpectralField(lattice, field)
 
 
 def spectral_derivative(field: SpectralField, kind: str) -> SpectralField:
@@ -151,7 +150,7 @@ def spectral_derivative(field: SpectralField, kind: str) -> SpectralField:
         out = -lattice.k_squared() * field.coeffs
     else:
         raise ValueError(f"unknown derivative kind {kind!r}")
-    return SpectralField._in_box(lattice, out, field.reality)
+    return SpectralField._in_box(lattice, out)
 
 
 def convolution_product(f: SpectralField, g: SpectralField) -> SpectralField:
@@ -181,7 +180,7 @@ def convolution_product(f: SpectralField, g: SpectralField) -> SpectralField:
         )
         out += fval * shifted
     out *= norm
-    return SpectralField(lattice, out[None], reality=f.reality and g.reality)
+    return SpectralField(lattice, out[None])
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +208,9 @@ def bony_paraproduct(f: SpectralField, g: SpectralField, product: Callable = dea
     blocks_f = {j: dyadic_block(f, j) for j in js}
     blocks_g = {j: dyadic_block(g, j) for j in js}
 
-    t_fg = SpectralField.zeros(lattice, f.components, reality=f.reality and g.reality)
-    t_gf = SpectralField.zeros(lattice, f.components, reality=f.reality and g.reality)
-    rem = SpectralField.zeros(lattice, f.components, reality=f.reality and g.reality)
+    t_fg = SpectralField.zeros(lattice, f.components)
+    t_gf = SpectralField.zeros(lattice, f.components)
+    rem = SpectralField.zeros(lattice, f.components)
     for j in js:
         t_fg = t_fg + product(low_cut(f, j - 2), blocks_g[j])
         t_gf = t_gf + product(low_cut(g, j - 2), blocks_f[j])
@@ -281,11 +280,7 @@ def acoustic_inverse(V: AcousticCoeffs) -> tuple[SpectralField, SpectralField]:
     kmod = _safe_k_modulus(lattice)
     kvecs = lattice.wavevectors()
     qu = np.stack([mu * k / kmod for k in kvecs], axis=0)
-    reality = V.is_reality_symmetric()
-    return (
-        SpectralField(lattice, ahat[None], reality=reality),
-        SpectralField(lattice, qu, reality=reality),
-    )
+    return SpectralField(lattice, ahat[None]), SpectralField(lattice, qu)
 
 
 def sg(k) -> int:
@@ -316,7 +311,7 @@ def forcing_field(forcing: Forcing, t: float) -> SpectralField:
     """The force at time t on the full coefficient grid; the steppers read
     its ``half_spectrum``."""
     return SpectralField._in_box(
-        forcing.lattice, _half_to_full(forcing.half_spectrum(t), forcing.lattice), True
+        forcing.lattice, _half_to_full(forcing.half_spectrum(t), forcing.lattice)
     )
 
 
@@ -379,7 +374,7 @@ def q2_eps(
     aB, wB = acoustic_inverse(wave_group(B, t / eps))
     mixed = dealiased_product(aA, wB) + dealiased_product(aB, wA)
     s_part = 0.5 * spectral_derivative(mixed, "div")
-    dot = SpectralField.zeros(A.lattice, 1, reality=True)
+    dot = SpectralField.zeros(A.lattice, 1)
     for c in range(A.lattice.d):
         dot = dot + dealiased_product(wA.component(c), wB.component(c))
     v_part = 0.5 * spectral_derivative(
@@ -396,7 +391,7 @@ def a2_eps(B: AcousticCoeffs, t: float, eps: float) -> AcousticCoeffs:
     ksq = lattice.k_squared()
     rate = _signed_modulus(lattice)
     osc = _conjugate_pair(np.exp(-2j * (t / eps) * rate))
-    return B._like(-0.5 * ksq * (B.coeffs - B.coeffs[::-1] * osc), False)
+    return B._like(-0.5 * ksq * (B.coeffs - B.coeffs[::-1] * osc))
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +417,7 @@ def limit_q1(u: SpectralField, B: AcousticCoeffs, table) -> AcousticCoeffs:
     lattice = B.lattice
     u, B = (resonance._extend(_half(f)) for f in (u, B))
     half = resonance.limit_q1(u, B, table.half(), _forms_work(table))
-    return AcousticCoeffs._in_box(lattice, _half_to_full(half, lattice), False)
+    return AcousticCoeffs._in_box(lattice, _half_to_full(half, lattice))
 
 
 def limit_q2(
@@ -437,7 +432,7 @@ def limit_q2(
     plus, minus = (
         resonance.limit_q2(resonance._extend(_half(f)), half, kappa, work) for f in (A + B, A - B)
     )
-    return AcousticCoeffs._in_box(lattice, _half_to_full(0.25 * (plus - minus), lattice), False)
+    return AcousticCoeffs._in_box(lattice, _half_to_full(0.25 * (plus - minus), lattice))
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +612,7 @@ def a2_eps_time_average(B: AcousticCoeffs, T: float, eps: float) -> AcousticCoef
     x = -2.0 * (T / eps) * rate
     with np.errstate(divide="ignore", invalid="ignore"):
         avg = np.where(x != 0.0, (np.exp(1j * x) - 1.0) / (1j * np.where(x == 0, 1, x)), 1.0)
-    return B._like(-0.5 * ksq * (B.coeffs - B.coeffs[::-1] * _conjugate_pair(avg)), False)
+    return B._like(-0.5 * ksq * (B.coeffs - B.coeffs[::-1] * _conjugate_pair(avg)))
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,13 @@ class TestConfig:
             (ExperimentConfig, {"zeta": math.inf}, "config field experiment.zeta must be finite"),
             (ExperimentConfig, {"eta0": math.inf}, "config field experiment.eta0 must be finite"),
             (ExperimentConfig, {"seed": 1.5}, "config field experiment.seed must be an integer"),
+            # checked before any comparison, which would raise a bare TypeError
+            (SolverConfig, {"mu": "0.1"}, "config field mu must be a number, got '0.1'"),
+            (SolverConfig, {"eps": "0.1"}, "config field eps must be a number, got '0.1'"),
+            (SolverConfig, {"gamma": "2"}, "config field gamma must be a number, got '2'"),
+            (ExperimentConfig, {"theta": "0.2"}, "config field experiment.theta must be a number"),
+            (ExperimentConfig, {"zeta": "8"}, "config field experiment.zeta must be a number"),
+            (ExperimentConfig, {"eps_list": 0.1}, "config field experiment.eps must be a list"),
         ],
     )
     def test_python_api_rejects_bad_numbers(self, lat16, make, overrides, message):
@@ -302,6 +309,17 @@ class TestConfig:
         are checked, naming the field of each bad value."""
         with pytest.raises(ValueError, match=message):
             make(lattice=lat16, **overrides)
+
+    def test_numbers_are_stored_converted(self, lat16):
+        """An integer given in Python is stored as the float that a JSON round
+        trip reads, so the config and its round trip write the same JSON."""
+        cfg = ExperimentConfig(lattice=lat16, mu=1, eps_list=[1, 0.5], eta0=1, zeta=0.5)
+        assert type(cfg.mu) is float and type(cfg.eta0) is float
+        assert all(type(eps) is float for eps in cfg.eps_list)
+        data = cfg.to_json()
+        assert data["solver"]["mu"] == 1.0 and type(data["solver"]["mu"]) is float
+        assert ExperimentConfig.from_json(json.loads(json.dumps(data))).to_json() == data
+        assert type(SolverConfig(lattice=lat16, dt=1, t_final=2).dt) is float
 
     def test_eps_list_is_stored_as_a_tuple(self):
         listed = replace_quietly(tiny_config(), eps_list=[0.2, 0.1])
@@ -357,7 +375,8 @@ class TestConfig:
                 "experiment.eta0 must be given",
             ),
             # json.load reads NaN, Infinity and -Infinity as floats
-            ({"mu": math.nan}, "viscosities"),
+            # a NaN given in Python is named before any comparison reads it
+            ({"mu": math.nan}, "config field solver.mu must be finite, got nan"),
             ({"json": {"solver": {"mu": math.nan}}}, "solver.mu must be finite, got nan"),
             ({"json": {"solver": {"mu": math.inf}}}, "solver.mu must be finite, got inf"),
             ({"json": {"solver": {"lambda": math.nan}}}, "solver.lambda must be finite"),
@@ -368,7 +387,7 @@ class TestConfig:
             ({"json": {"experiment": {"smoothness": math.nan}}}, "smoothness must be finite"),
             ({"json": {"experiment": {"eps": [0.2, math.nan]}}}, "experiment.eps must be finite"),
             ({"json": {"experiment": {"eta0": math.inf}}}, "experiment.eta0 must be finite"),
-            ({"zeta": math.nan}, "zeta must be positive"),
+            ({"zeta": math.nan}, "config field experiment.zeta must be finite, got nan"),
             # a JSON integer beyond the float range
             ({"json": {"solver": {"mu": 10**400}}}, "solver.mu is too large for a float"),
             # every forcing number is read like the numbers above
@@ -928,6 +947,12 @@ class TestCLI:
             (
                 {"mode": [1, 0], "amplitude": [[1.0, 0.0]] * 2, "envelope": "cos", "omgea": 3.0},
                 "unknown config keys: forcing[0].omgea",
+            ),
+            # exp(20000 * 0.05) overflows before the config's t_final
+            (
+                {"mode": [1, 0], "amplitude": [[1.0, 0.0]] * 2, "envelope": "exp", "omega": -2e4},
+                "forcing mode (1, 0): the exp envelope with omega = -20000.0 overflows before "
+                "t_final = 0.05",
             ),
         ],
     )

@@ -110,7 +110,7 @@ class TestProfileAndBlocks:
 class TestNorms:
     def test_two_block_example(self):
         lat = LatticeSpec.square(2, 16)
-        g = field_from_modes(lat, {(1, 0): 1.0, (-1, 0): 1.0}, reality=True)
+        g = field_from_modes(lat, {(1, 0): 1.0, (-1, 0): 1.0})
         phi = DEFAULT_PROFILE
         # direct per-block oracle: |k| = 1 hits blocks j = -1, 0 only
         expected = sum(
@@ -365,9 +365,7 @@ class TestBony:
         rng = np.random.default_rng(12)
         g = random_field(lat16, rng)
         c = 1.75
-        f = field_from_modes(
-            lat16, {(0, 0): c * math.sqrt(lat16.volume)}, reality=True
-        )
+        f = field_from_modes(lat16, {(0, 0): c * math.sqrt(lat16.volume)})
         t_fg, t_gf, rem, mean_mean = bony_paraproduct(f, g)
         mean_g = g.mean_coefficient()[0]
         underline = g.coeffs.copy()

@@ -53,7 +53,7 @@ def real_field(lattice, rng, components=1):
 def complex_field(lattice, rng, components=1):
     shape = (components,) + lattice.resolution
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return SpectralField(lattice, coeffs, reality=False)
+    return SpectralField(lattice, coeffs)
 
 
 def max_abs(x) -> float:
@@ -77,7 +77,7 @@ def test_forward_inverse_identity_on_both_paths(case):
     lattice, rng = case
     for field in (real_field(lattice, rng, 3), complex_field(lattice, rng, 3)):
         back = forward_transform(lattice, inverse_transform(field))
-        assert back.reality == field.reality
+        assert back.is_reality_symmetric() == field.is_reality_symmetric()
         assert max_abs(back.coeffs - field.coeffs) <= 1e-13 * max_abs(field.coeffs)
 
 

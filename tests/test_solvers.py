@@ -83,7 +83,7 @@ def half(field):
 
 def from_half(lattice, array):
     """The real field whose retained half spectrum is ``array``."""
-    return SpectralField._in_box(lattice, _half_to_full(array, lattice), True)
+    return SpectralField._in_box(lattice, _half_to_full(array, lattice))
 
 
 def propagate(prop, a, u):
@@ -109,12 +109,12 @@ class TestPropagator:
         nu = 0.3
         dt = 0.05
         prop = AcousticViscousPropagator(lat16, dt=dt, eps=1e9, nu=nu, mu=0.0)
-        a0 = field_from_modes(lat16, {(1, 0): 1.0, (-1, 0): 1.0}, reality=True)
+        a0 = field_from_modes(lat16, {(1, 0): 1.0, (-1, 0): 1.0})
         u0 = SpectralField.zeros(lat16, 2)
         a1, u1 = propagate(prop, a0, u0)
         assert a1.mode((1, 0))[0] == pytest.approx(1.0, rel=1e-6)
         q = helmholtz_project(
-            field_from_modes(lat16, {(1, 0): (1.0, 0.0), (-1, 0): (1.0, 0.0)}, components=2, reality=True),
+            field_from_modes(lat16, {(1, 0): (1.0, 0.0), (-1, 0): (1.0, 0.0)}, components=2),
             "Q",
         )
         _, u2 = propagate(prop, SpectralField.zeros(lat16), q)
@@ -185,7 +185,6 @@ class TestCompressible:
             lat16,
             {(0, 1): (amp, 0.0), (0, -1): (amp, 0.0)},
             components=2,
-            reality=True,
         )
         a, u = SpectralField.zeros(lat16), u0
         for n in range(cfg.n_steps):
@@ -247,11 +246,9 @@ class TestCompressible:
 def reference_advect(p, q):
     """(p . grad) q as a sum of one dealiased product per direction."""
     lattice = p.lattice
-    out = SpectralField.zeros(lattice, q.components, reality=p.reality and q.reality)
+    out = SpectralField.zeros(lattice, q.components)
     for c in range(lattice.d):
-        dq = SpectralField(
-            lattice, 1j * lattice.wavevectors()[c] * q.coeffs, reality=q.reality
-        )
+        dq = SpectralField(lattice, 1j * lattice.wavevectors()[c] * q.coeffs)
         out = out + dealiased_product(p.component(c), dq)
     return out
 
@@ -304,8 +301,8 @@ def reference_compressible_nonlinear(state_a, state_u, t, cfg, warn_state):
     eps_a = cfg.eps * a_grid
     i_vals = eps_a / (1 + eps_a)
     k_vals = solvers._pressure_remainder(eps_a, cfg.gamma)
-    a_grad_a_grid = inverse_transform(a_grad_a.copy_with_reality(True)).real
-    visc_grid = inverse_transform(visc.copy_with_reality(True)).real
+    a_grad_a_grid = inverse_transform(a_grad_a).real
+    visc_grid = inverse_transform(visc).real
     correction = k_vals[None] * a_grad_a_grid + i_vals[None] * visc_grid
     n_u = n_u - forward_transform(lattice, correction)
     if cfg.forcing is not None:
@@ -367,8 +364,8 @@ class ReferencePropagator:
             new_u[c] = self.transverse * trans + new_mu * khat
         new_u[mean_idx] = u.coeffs[mean_idx]
         return (
-            SpectralField._in_box(lattice, new_a[None], a.reality),
-            SpectralField._in_box(lattice, new_u, u.reality),
+            SpectralField._in_box(lattice, new_a[None]),
+            SpectralField._in_box(lattice, new_u),
         )
 
 
@@ -386,7 +383,7 @@ def reference_grid_terms(state_a, state_u, cfg, warn_state):
         np.multiply(1j * k, a_hat, out=spectral[1 + d + c])
         np.multiply(1j * k, u_hat, out=grad_u[c])
     spectral[1 + 2 * d + d * d :] = reference_viscous_operator(state_u, cfg.mu, cfg.lam).coeffs
-    grid = inverse_transform(SpectralField._in_box(lattice, spectral, True))
+    grid = inverse_transform(SpectralField._in_box(lattice, spectral))
     a_grid, u_grid = grid[0], grid[1 : 1 + d]
     grad_a_grid = grid[1 + d : 1 + 2 * d]
     grad_u_grid = grid[1 + 2 * d : 1 + 2 * d + d * d].reshape((d, d) + lattice.resolution)
@@ -422,11 +419,11 @@ def reference_grid_nonlinear(state_a, state_u, t, cfg, warn_state):
     dealiased = forward_transform(lattice, products).coeffs
     au, a_grad_a, adv = dealiased[:d], dealiased[d : 2 * d], dealiased[2 * d :]
     n_a = -1.0 * sum(1j * k * au[c] for c, k in enumerate(lattice.wavevectors()))
-    n_a = SpectralField._in_box(lattice, n_a[None], True)
-    a_grad_a_grid = inverse_transform(SpectralField._in_box(lattice, a_grad_a, True))
+    n_a = SpectralField._in_box(lattice, n_a[None])
+    a_grad_a_grid = inverse_transform(SpectralField._in_box(lattice, a_grad_a))
     correction = forward_transform(lattice, k_vals * a_grad_a_grid + i_visc)
     n_u = (-1.0 * adv - cfg.kappa * a_grad_a) - correction.coeffs
-    n_u = SpectralField._in_box(lattice, n_u, True)
+    n_u = SpectralField._in_box(lattice, n_u)
     if cfg.forcing is not None:
         n_u = n_u + forcing_field(cfg.forcing, t)
     return n_a, n_u
@@ -487,7 +484,7 @@ class TestRightHandSideOracle:
     @staticmethod
     def assert_close(got, ref):
         for g, r in zip(got, ref):
-            assert g.reality == r.reality
+            assert g.is_reality_symmetric() == r.is_reality_symmetric()
             assert g.coeffs.shape == r.coeffs.shape
             scale = float(np.max(np.abs(r.coeffs)))
             assert float(np.max(np.abs(g.coeffs - r.coeffs))) <= 1e-12 * scale
@@ -588,11 +585,17 @@ class TestStepOracle:
         assert np.array_equal(half(from_half(lattice, array)), array)
 
     def test_non_real_data_rejected(self, lat16):
+        """A field whose coefficients are not Hermitian is rejected by name;
+        its half spectrum would stand for its Hermitian part."""
         cfg = TestCompressible().make_cfg(lat16)
         a, u = generate_initial_data(lat16, 1.0, 1.0, seed=5)
-        for bad, name in ((a.copy_with_reality(False), "a"), (u.copy_with_reality(False), "u")):
+        non_hermitian = {
+            "a": a + field_from_modes(lat16, {(1, 2): 0.1j}),
+            "u": u + field_from_modes(lat16, {(1, 2): (0.1j, 0.0)}, components=2),
+        }
+        for name, bad in non_hermitian.items():
             fields = {"a": a, "u": u, name: bad}
-            message = f"compressible data must be real: {name} has reality=False"
+            message = f"{name} is not real: its coefficients are not Hermitian"
             with pytest.raises(ValueError, match=message):
                 step_compressible(fields["a"], fields["u"], 0.0, cfg)
             with pytest.raises(ValueError, match=message):
@@ -634,12 +637,17 @@ class TestIncompressibleStepOracle:
 
     def test_non_real_data_rejected(self, lat16):
         cfg = SolverConfig(lattice=lat16, mu=0.05, dt=1e-2, t_final=0.1)
-        v = SpectralField.zeros(lat16, 2, reality=False)
-        message = "incompressible data must be real: v has reality=False"
+        v = field_from_modes(lat16, {(0, 1): (1.0, 0.0), (0, -1): (0.5, 0.0)}, components=2)
+        message = "v is not real: its coefficients are not Hermitian"
         with pytest.raises(ValueError, match=message):
             step_incompressible(v, 0.0, cfg)
         with pytest.raises(ValueError, match=message):
             run_trajectory(v, cfg, "incompressible")
+        table = build_limit_tables(lat16)
+        with pytest.raises(ValueError, match=message):
+            run_trajectory((v, AcousticCoeffs.zeros(lat16)), cfg, "limit", table=table)
+        # the zero field, like any Hermitian field, is real
+        step_incompressible(SpectralField.zeros(lat16, 2), 0.0, cfg)
 
     def test_steps_allocate_only_half_spectrum_stages(self, monkeypatch):
         """The traced peak of steps 2..5 of a 64^2 run stays below six
@@ -729,7 +737,7 @@ class TestNonFiniteGuards:
         fields = {"a": a, "u": u, "v": helmholtz_project(u, "P")}
         coeffs = fields[poisoned].coeffs.copy()
         coeffs[:, 1, 0] = coeffs[:, -1, 0] = math.nan  # mode (1, 0) and its mirror
-        fields[poisoned] = SpectralField(lat16, coeffs, reality=True)
+        fields[poisoned] = SpectralField(lat16, coeffs)
         if kind == "compressible":
             stepper = solvers.CompressibleStepper(cfg, fields["a"], fields["u"])
         elif kind == "incompressible":
@@ -751,7 +759,7 @@ class TestNonFiniteGuards:
         for value in (math.nan, math.inf):
             coeffs = V.coeffs.copy()
             coeffs[0, 1, 0] = value  # mode (1, 0) of one branch, inside the box
-            bad = AcousticCoeffs._in_box(lat16, coeffs, False)
+            bad = AcousticCoeffs._in_box(lat16, coeffs)
             with pytest.raises(ValueError, match="V has non-finite coefficients"):
                 solvers.LimitStepper(cfg, v, bad, table)
             with pytest.raises(ValueError, match="V has non-finite coefficients"):
@@ -1178,9 +1186,10 @@ class TestLimit:
         Hermitian, which they would misread, is rejected when built."""
         cfg, table, v0 = self.make_setup(lat16, dt=5e-3, t_final=0.05)
         V = acoustic_from_modes(lat16, {((1, 2), 1): 1.0, ((-1, -2), 1): 0.5})
-        with pytest.raises(ValueError, match="V's branches are not Hermitian"):
+        message = "V is not real: its coefficients are not Hermitian"
+        with pytest.raises(ValueError, match=message):
             solvers.LimitStepper(cfg, v0, V, table)
-        with pytest.raises(ValueError, match="V's branches are not Hermitian"):
+        with pytest.raises(ValueError, match=message):
             run_trajectory((v0, V), cfg, "limit", table=table)
 
     def test_self_convergence_second_order(self, lat16):
@@ -1543,7 +1552,8 @@ class TestInitialDataAndIO:
         for n in range(5, 10):
             state = step_compressible(*state, n * cfg.dt, cfg)
         _, t_mid, arrays, _ = load_checkpoint(path)
-        resumed = tuple(SpectralField(lat16, arrays[name], reality=True) for name in "au")
+        # rebuilt from the arrays alone: a field is real by its coefficients
+        resumed = tuple(SpectralField(lat16, arrays[name]) for name in "au")
         for n in range(5):
             resumed = step_compressible(*resumed, t_mid + n * cfg.dt, cfg)
         for got, want in zip(resumed, state):

@@ -27,14 +27,15 @@ from oracles import (
 )
 
 
-def random_field(lattice, rng, components=1, reality=True):
-    """Reality-symmetric random band-limited field."""
+def random_field(lattice, rng, components=1):
+    """Hermitian random band-limited field."""
     shape = (components,) + lattice.resolution
-    values = rng.standard_normal(shape)
-    field = forward_transform(lattice, values)
-    if not reality:
-        field = field.copy_with_reality(False)
-    return field
+    return forward_transform(lattice, rng.standard_normal(shape))
+
+
+def test_a_field_holds_its_lattice_and_coefficients_alone():
+    """Whether a field is real is read from its coefficients, not stored."""
+    assert SpectralField.__slots__ == ("lattice", "coeffs")
 
 
 def test_constant_field_transform():
@@ -88,7 +89,8 @@ def test_zero_coefficients_inverse(lat16):
 def test_reality_symmetric_inverse_is_real(lat16):
     rng = np.random.default_rng(3)
     field = random_field(lat16, rng)
-    complex_view = inverse_transform(field.copy_with_reality(False))
+    assert inverse_transform(field).dtype == np.float64
+    complex_view = complex_fft_values(lat16, field.coeffs)
     assert np.max(np.abs(complex_view.imag)) <= 1e-12
 
 
@@ -159,12 +161,12 @@ def test_real_transforms_match_complex_on_hermitian_fields(lattice):
     field = forward_transform(lattice, values)
     ref = complex_fft_coefficients(lattice, values)
     scale = np.max(np.abs(ref))
-    assert field.reality
+    assert field.is_reality_symmetric()
     assert np.max(np.abs(field.coeffs - ref)) <= 1e-14 * scale
     assert field.conjugate_symmetry_defect() <= 1e-15 * scale
     # complex samples with zero imaginary part take the same path
     same = forward_transform(lattice, values.astype(np.complex128))
-    assert same.reality and np.array_equal(same.coeffs, field.coeffs)
+    assert np.array_equal(same.coeffs, field.coeffs)
     grid = inverse_transform(field)
     assert grid.dtype == np.float64
     full = complex_fft_values(lattice, field.coeffs)
@@ -173,21 +175,36 @@ def test_real_transforms_match_complex_on_hermitian_fields(lattice):
 
 
 @pytest.mark.parametrize("lattice", TRANSFORM_LATTICES, ids=lambda lat: str(lat.resolution))
-def test_real_inverse_of_non_hermitian_field_is_real_part(lattice):
+def test_non_hermitian_fields_take_complex_transforms(lattice):
+    """A field is real when its coefficients are Hermitian: a field that is
+    not gives the complex inverse, and a product with it the product of the
+    complex grid values."""
     rng = np.random.default_rng(32)
     shape = (2,) + lattice.resolution
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    field = SpectralField(lattice, coeffs, reality=True)
+    field = SpectralField(lattice, coeffs)
     assert field.conjugate_symmetry_defect() > 0.1
     full = complex_fft_values(lattice, field.coeffs)
-    grid = inverse_transform(field)
-    assert grid.dtype == np.float64
-    assert np.max(np.abs(grid - full.real)) <= 1e-13 * np.max(np.abs(full))
-    # the product of such operands uses the real parts of their grid values
-    prod = dealiased_product(field.component(0), field.component(1))
-    real_parts = full.real[0] * full.real[1]
-    ref = complex_fft_coefficients(lattice, real_parts[None])
+    assert np.array_equal(inverse_transform(field), full)
+    real = random_field(lattice, rng)
+    prod = dealiased_product(field.component(0), real)
+    ref = complex_fft_coefficients(lattice, full[:1] * inverse_transform(real))
     assert np.max(np.abs(prod.coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_tiny_complex_mode_is_not_taken_for_a_real_field(lat16):
+    """The Hermitian test scales with the field, with no floor of 1: one
+    complex mode of amplitude 1e-14 is not real, and its inverse is the
+    complex one."""
+    field = field_from_modes(lat16, {(1, 2): 1e-14j})
+    assert not field.is_reality_symmetric()
+    grid = inverse_transform(field)
+    assert np.array_equal(grid, complex_fft_values(lat16, field.coeffs))
+    assert np.max(np.abs(grid.imag)) > 0
+    # with its mirror it is real, at any amplitude
+    real = field_from_modes(lat16, {(1, 2): 1e-14j, (-1, -2): -1e-14j})
+    assert real.is_reality_symmetric()
+    assert inverse_transform(real).dtype == np.float64
 
 
 @pytest.mark.parametrize("lattice", TRANSFORM_LATTICES, ids=lambda lat: str(lat.resolution))
@@ -195,12 +212,12 @@ def test_complex_fields_keep_complex_transforms(lattice):
     rng = np.random.default_rng(33)
     shape = (2,) + lattice.resolution
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    field = SpectralField(lattice, coeffs, reality=False)
+    field = SpectralField(lattice, coeffs)
     grid = inverse_transform(field)
     assert grid.dtype == np.complex128
     assert np.array_equal(grid, complex_fft_values(lattice, field.coeffs))
     back = forward_transform(lattice, grid)
-    assert not back.reality
+    assert not back.is_reality_symmetric()
     assert np.array_equal(back.coeffs, complex_fft_coefficients(lattice, grid))
     assert np.max(np.abs(back.coeffs - field.coeffs)) <= 1e-13 * np.max(np.abs(coeffs))
 
