@@ -374,9 +374,9 @@ class TestConfig:
                 {"json": {"solver": {"mu": 0.0, "lambda": 0.0}, "experiment": {"eta0": None}}},
                 "experiment.eta0 must be given",
             ),
+            # the file's "lambda" is the solver's lam
+            ({"json": {"solver": {"lambda": -1.0}}}, "viscosities"),
             # json.load reads NaN, Infinity and -Infinity as floats
-            # a NaN given in Python is named before any comparison reads it
-            ({"mu": math.nan}, "config field solver.mu must be finite, got nan"),
             ({"json": {"solver": {"mu": math.nan}}}, "solver.mu must be finite, got nan"),
             ({"json": {"solver": {"mu": math.inf}}}, "solver.mu must be finite, got inf"),
             ({"json": {"solver": {"lambda": math.nan}}}, "solver.lambda must be finite"),
@@ -454,6 +454,8 @@ class TestConfig:
                 {"json": {"lattice": {"dealias_fraction": [1, 2]}}},
                 r"config field lattice is malformed: dealias_fraction is \[1, 2\], not \[2, 3\]",
             ),
+            # a NaN given in Python is named before any comparison reads it
+            ({"mu": math.nan}, "config field solver.mu must be finite, got nan"),
         ],
     )
     def test_rejected_at_load(self, tmp_path, lat16, overrides, message):
