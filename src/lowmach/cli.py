@@ -85,9 +85,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_limit_sim(args) -> int:
     cfg = _load_config(args)
     initial = limit_initial_data(*cfg.initial_data())
-    table = build_limit_tables(cfg.lattice)
     run = cfg.solver_config(cfg.eps_list[0])
-    v, V = run_trajectory(initial, run, "limit", table)
+    v, V = run_trajectory(initial, run, "limit")
     os.makedirs(args.out, exist_ok=True)
     paths = {}
     for kind, key, final in (("incompressible", "v", v), ("limit", "V", V)):

@@ -58,9 +58,6 @@ def _smooth_step(s: np.ndarray) -> np.ndarray:
 class BumpProfile:
     """Radial bump with support [3/4, 8/3] and dyadic partition of unity."""
 
-    lower = 0.75
-    upper = 8.0 / 3.0
-
     def plateau(self, r) -> np.ndarray:
         """chi: 1 on [0, 3/4], 0 on [4/3, inf), smooth in between."""
         r = np.abs(np.asarray(r, dtype=np.float64))

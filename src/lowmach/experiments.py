@@ -15,7 +15,7 @@ from .dyadic import NormSpec, block_range, compute_jb, dyadic_block, low_cut, no
 from .functionals import DiagnosticsRow, FunctionalSettings, compute_functionals, sample_energies
 from .lattice import LatticeSpec, SpectralField, forward_transform, inverse_transform
 from .operators import acoustic_transform, helmholtz_project, wave_group
-from .resonance import HalfTable, build_limit_tables, resonance_test
+from .resonance import _limit_table, resonance_test
 from .solvers import (
     CompressibleStepper,
     Forcing,
@@ -285,12 +285,11 @@ def convergence_study(cfg: ExperimentConfig, threads: int = 1) -> ConvergenceRep
         raise ValueError(f"threads must be at least 1, got {threads}")
     initial = cfg.initial_data()
     t0 = _time.perf_counter()
-    # the steppers read only the half-box entries: the whole table is dropped here
-    table = build_limit_tables(cfg.lattice).half()
+    _limit_table(cfg.lattice)  # cached with the lattice, which the pool's workers receive
     timings = {"limit_table": _time.perf_counter() - t0, "limit": 0.0}
     n, workers = len(cfg.eps_list), min(threads, len(cfg.eps_list))
     shares = [cfg.eps_list[i * n // workers : (i + 1) * n // workers] for i in range(workers)]
-    calls = ([cfg] * workers, [table] * workers, [initial] * workers, shares)
+    calls = ([cfg] * workers, [initial] * workers, shares)
     if workers > 1:
         # imported here: concurrent.futures is a noticeable share of the CLI's start-up
         from concurrent.futures import ProcessPoolExecutor
@@ -322,7 +321,7 @@ def convergence_study(cfg: ExperimentConfig, threads: int = 1) -> ConvergenceRep
 
 
 def _lockstep_rows(
-    cfg: ExperimentConfig, table: HalfTable, initial: tuple, eps_list: tuple
+    cfg: ExperimentConfig, initial: tuple, eps_list: tuple
 ) -> tuple[list[DiagnosticsRow], dict]:
     """Functionals rows of the Mach numbers ``eps_list``, and the wall time of
     each stepper, keyed by its Mach number or "limit".
@@ -337,7 +336,7 @@ def _lockstep_rows(
     """
     lattice, limit_cfg = cfg.lattice, cfg.solver_config(cfg.eps_list[0])
     steppers = {eps: CompressibleStepper(cfg.solver_config(eps), *initial) for eps in eps_list}
-    steppers["limit"] = LimitStepper(limit_cfg, *limit_initial_data(*initial), table)
+    steppers["limit"] = LimitStepper(limit_cfg, *limit_initial_data(*initial))
     times = [0.0, *sample_clock(limit_cfg)]
     samples = {}
     reducing = dict.fromkeys(eps_list, 0.0)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -65,12 +65,17 @@ def _as_fraction(value) -> Fraction:
 
 
 def _frozen(value):
-    """``value`` made read-only: arrays lose their write flag, and lists and
-    tuples become tuples of frozen members."""
+    """``value`` made read-only: arrays lose their write flag, lists and
+    tuples become tuples of frozen members, and the array fields of a
+    dataclass are frozen in place."""
     if isinstance(value, np.ndarray):
         value.flags.writeable = False
     elif isinstance(value, (list, tuple)):
         value = tuple(_frozen(v) for v in value)
+    elif is_dataclass(value):
+        for field in fields(value):
+            if isinstance(array := getattr(value, field.name), np.ndarray):
+                array.flags.writeable = False
     return value
 
 
@@ -335,13 +340,17 @@ class SpectralField:
         return math.sqrt(float(np.sum(self.mode_power())))
 
     def conjugate_symmetry_defect(self) -> float:
+        """max |c_k - conj(c_-k)|; a pair whose two members are both
+        non-finite counts as matching."""
         mirror = np.conj(_mirror(self.coeffs, range(1, self.lattice.d + 1)))
-        return float(np.max(np.abs(self.coeffs - mirror)))
+        pairs = np.isfinite(self.coeffs) | np.isfinite(mirror)
+        return float(np.max(np.abs(self.coeffs - mirror), where=pairs, initial=0.0))
 
     def is_reality_symmetric(self) -> bool:
         """Whether each component stands for a real function: conjugate-symmetry
-        defect at most 1e-12 times max |c_k|."""
-        scale = float(np.max(np.abs(self.coeffs), initial=0.0))
+        defect at most 1e-12 times the largest finite |c_k|."""
+        magnitude = np.abs(self.coeffs)
+        scale = float(np.max(magnitude, where=np.isfinite(magnitude), initial=0.0))
         return self.conjugate_symmetry_defect() <= 1e-12 * scale
 
     # -- arithmetic --------------------------------------------------------

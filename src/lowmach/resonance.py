@@ -16,11 +16,12 @@ gamma*(a + b) (times |p|) vanishes exactly when alpha = beta = gamma, so q2
 is the collinear equal-branch pairs.
 
 Each set of triads has one reader.  The resonant triples over the dealiased
-box, a :class:`ResonanceTable` built once per lattice, drive the averaged
-(limit) quadratic forms; the forms read its entries whose output lies in the
-half box (:class:`HalfTable`) and work on half spectra, as the steppers
-store real fields, since each branch of the averaged state is the spectrum
-of a real function.  The non-resonant triples with |k|, |l| <= M, a
+box, a :class:`ResonanceTable`, drive the averaged (limit) quadratic forms;
+the forms read its entries whose output lies in the half box
+(:class:`HalfTable`, built once per lattice and cached with it by
+``_limit_table``) and work on half spectra, as the steppers store real
+fields, since each branch of the averaged state is the spectrum of a real
+function.  The non-resonant triples with |k|, |l| <= M, a
 :class:`NonResonantTriads` enumerated once per (lattice, cutoff), carry the
 small divisors.
 """
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeSpec
+from .lattice import LatticeSpec, _cached
 
 __all__ = [
     "ResonanceResult",
@@ -250,10 +251,6 @@ class HalfTable:
     q2_l: np.ndarray
     q2_smod: np.ndarray
 
-    def half(self) -> "HalfTable":
-        """This table, which holds the half box's entries only."""
-        return self
-
 
 def _group_pairs(label: np.ndarray):
     """Every ordered pair (i, j) of positions with label[i] == label[j], for
@@ -317,6 +314,14 @@ def build_limit_tables(lattice: LatticeSpec) -> ResonanceTable:
         q2_l={1: q2_l, -1: q2_l},
         q2_smod={1: q2_smod, -1: q2_smod},
     )
+
+
+@_cached
+def _limit_table(lattice: LatticeSpec) -> HalfTable:
+    """The half-box entries of the lattice's limit table, which every limit
+    stepper on the lattice reads; the whole table is dropped once they are
+    taken."""
+    return build_limit_tables(lattice).half()
 
 
 # enumerate_resonance_sets holds every (k, l) pair times its branch columns at

@@ -23,13 +23,14 @@ and Mach number: the half spectra of its real fields and, for the
 compressible system, the propagator's per-mode exponentials for its eps.
 The multipliers that do not depend on eps (i k, the viscous symbols, the heat
 factor exp(-mu |k|^2 dt), the propagator's wavevector tables) are built once
-per lattice by ``lattice._cached`` builders.  The arrays that a right-hand
-side fills and reads within one call, the limit forms' scratch too, come from
-one workspace per lattice and thread (``_Stepper._work``), shared by every
-stepper on that lattice in that thread and kept alive by them alone.  So a
-step allocates only its half-spectrum stages, and a Mach sweep or an ensemble
-adds per run its fields and exponentials, not a stack of scratch arrays
-(:class:`CompressibleStepper`, :class:`IncompressibleStepper`,
+per lattice by ``lattice._cached`` builders, and so is the limit table that
+every limit stepper reads (``resonance._limit_table``).  The arrays that a
+right-hand side fills and reads within one call, the limit forms' scratch
+too, come from one workspace per lattice and thread (``_Stepper._work``),
+shared by every stepper on that lattice in that thread and kept alive by them
+alone.  So a step allocates only its half-spectrum stages, and a Mach sweep
+or an ensemble adds per run its fields and exponentials, not a stack of
+scratch arrays (:class:`CompressibleStepper`, :class:`IncompressibleStepper`,
 :class:`LimitStepper`).  The limit is a pair: :class:`LimitStepper`
 steps the incompressible velocity v and the averaged state V, which v
 drives, as one coupled system, so that v's part of each step is the
@@ -70,7 +71,7 @@ from .lattice import (
 )
 from .dyadic import NormSpec, norm
 from .operators import AcousticCoeffs, VacuumError, _safe_inv_ksq, _safe_k_modulus
-from .resonance import HalfTable, ResonanceTable, _extend, limit_q1, limit_q2
+from .resonance import _extend, _limit_table, limit_q1, limit_q2
 
 __all__ = [
     "CFLError",
@@ -306,7 +307,10 @@ class SolverConfig:
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be at least 1")
         if self.forcing is not None:
-            _check_fields(self.lattice, forcing=(self.forcing, None))
+            if self.forcing.lattice != self.lattice:
+                raise ValueError(
+                    f"forcing lives on {self.forcing.lattice}, not on the config's {self.lattice}"
+                )
             for fm in self.forcing.modes:
                 try:  # each envelope is monotone or bounded on [0, t_final]
                     fm.factor(self.t_final)
@@ -538,16 +542,13 @@ class _Stepper:
 
 def _check_fields(lattice: LatticeSpec, **fields) -> None:
     """Reject a field that a stepper on ``lattice`` would misread; each
-    keyword maps the field's name to (field, expected component count), a
-    count of None checking the lattice alone.  A stepper keeps a field's half
-    spectrum only, so each component must stand for a real function: finite
-    coefficients must be Hermitian (non-finite ones are left to the steps'
-    checks)."""
+    keyword maps the field's name to (field, expected component count).  A
+    stepper keeps a field's half spectrum only, so each component must stand
+    for a real function: finite coefficients must be Hermitian (non-finite
+    ones are left to the steps' checks)."""
     for name, (value, components) in fields.items():
         if value.lattice != lattice:
             raise ValueError(f"{name} lives on {value.lattice}, not on the config's {lattice}")
-        if components is None:
-            continue
         if value.components != components:
             raise ValueError(f"{name} has {value.components} components, expected {components}")
         if np.isfinite(value.coeffs).all() and not value.is_reality_symmetric():
@@ -823,27 +824,21 @@ class LimitStepper(IncompressibleStepper):
     branch of V is the spectrum of a real function, so V is stored as the
     half spectra of its two branches, with the heat factor ``heat_V`` =
     exp(-nu |k|^2 dt/2) on the half spectrum.  V's right-hand side
-    -Q1(v, V) - Q2(V, V) reads the table's half-box entries (``table``, a
-    :class:`~lowmach.resonance.HalfTable`) and v of the same stage, and
-    raises ValueError on a non-finite V; the two forms fill the workspace's
-    ``forms`` array in turn.  A ``table`` given whole is restricted to its
-    half-box entries, and only those are kept.
+    -Q1(v, V) - Q2(V, V) reads the lattice's limit table (``table``, a
+    :class:`~lowmach.resonance.HalfTable` cached with the lattice, so every
+    limit stepper on it shares one) and v of the same stage, and raises
+    ValueError on a non-finite V; the two forms fill the workspace's
+    ``forms`` array in turn.
     """
 
-    def __init__(
-        self,
-        cfg: SolverConfig,
-        v: SpectralField,
-        V: AcousticCoeffs,
-        table: ResonanceTable | HalfTable,
-    ):
+    def __init__(self, cfg: SolverConfig, v: SpectralField, V: AcousticCoeffs):
         super().__init__(cfg, v)
-        _check_fields(cfg.lattice, V=(V, 2), table=(table, None))
+        _check_fields(cfg.lattice, V=(V, 2))
         _check_finite_V(V.coeffs)
         lattice = cfg.lattice
         self.x = self.x + (V.coeffs[..., : lattice.cutoffs[-1] + 1],)
         self.heat_V = _heat_factor(lattice, 0.5 * cfg.nu, cfg.dt)
-        table = self.table = table.half()
+        table = self.table = _limit_table(lattice)
         self.counts = dict(self.counts, forms=2 * max(table.q1_m.size, table.q2_m.size))
         self._work()
 
@@ -873,12 +868,12 @@ def step_incompressible(v: SpectralField, t: float, cfg: SolverConfig) -> Spectr
 
 
 def step_limit(
-    v: SpectralField, V: AcousticCoeffs, t: float, cfg: SolverConfig, table: ResonanceTable
+    v: SpectralField, V: AcousticCoeffs, t: float, cfg: SolverConfig
 ) -> tuple[SpectralField, AcousticCoeffs]:
     """One Lawson RK2 step of the coupled incompressible and averaged
     systems, through a :class:`LimitStepper` built for it alone; returns
     (v, V) at ``t + dt``."""
-    return _one_step(LimitStepper(cfg, v, V, table), t)
+    return _one_step(LimitStepper(cfg, v, V), t)
 
 
 # ---------------------------------------------------------------------------
@@ -931,16 +926,14 @@ def run_lockstep(steppers: dict, clock_cfg: SolverConfig, on_sample=None) -> dic
 # and positional, stay under these names: bench/tracer.py binds them by name
 # and labels the run_trajectory spans with args[2].  _one_step is only the
 # step functions' helper.
-def run_trajectory(
-    initial, cfg: SolverConfig, kind: str, table: ResonanceTable | None = None, on_sample=None
-):
+def run_trajectory(initial, cfg: SolverConfig, kind: str, on_sample=None):
     """The state at t_final of the run from ``initial`` at time 0:
     :func:`run_lockstep` over the one stepper named ``kind``.
 
     ``kind`` selects the system and the form of its state: "compressible"
     (the pair (a, u)), "incompressible" (the velocity v), or "limit" (the
     pair (v, V) of the incompressible velocity and the averaged state,
-    stepped together; it also needs the resonance table).  ``on_sample(t,
+    stepped together, over the lattice's limit table).  ``on_sample(t,
     steppers)``, if given, is called at each sample time t after 0 with
     ``steppers = {kind: stepper}``; the stepper's ``state()`` is the state
     at t.
@@ -950,9 +943,7 @@ def run_trajectory(
     elif kind == "incompressible":
         stepper = IncompressibleStepper(cfg, initial)
     elif kind == "limit":
-        if table is None:
-            raise ValueError("limit runs need a resonance table")
-        stepper = LimitStepper(cfg, *initial, table)
+        stepper = LimitStepper(cfg, *initial)
     else:
         raise ValueError(f"unknown trajectory kind {kind!r}")
     del initial  # the stepper holds what it reads of it, until its first step

@@ -337,9 +337,9 @@ class SampledRun:
     sample appends its time and its stepper's ``state()``, and ``final`` is
     the state that ``run_trajectory`` returns."""
 
-    def __init__(self, initial, cfg, kind, table=None):
+    def __init__(self, initial, cfg, kind):
         self.times, self.states = [0.0], [initial]
-        self.final = run_trajectory(initial, cfg, kind, table, self.keep)
+        self.final = run_trajectory(initial, cfg, kind, self.keep)
 
     def keep(self, t, steppers):
         (stepper,) = steppers.values()
@@ -405,32 +405,31 @@ def _half(field: SpectralField) -> np.ndarray:
 
 
 def _forms_work(table) -> np.ndarray:
-    """Fresh scratch of the limit forms over ``table``'s half-box entries."""
-    half = table.half()
-    return np.empty(2 * max(half.q1_m.size, half.q2_m.size), np.complex128)
+    """Fresh scratch of the limit forms over ``table``'s entries."""
+    return np.empty(2 * max(table.q1_m.size, table.q2_m.size), np.complex128)
 
 
-def limit_q1(u: SpectralField, B: AcousticCoeffs, table) -> AcousticCoeffs:
+def limit_q1(u: SpectralField, B: AcousticCoeffs) -> AcousticCoeffs:
     """``resonance.limit_q1`` on full fields: the form on the half spectra of
-    u and B over the table's half-box entries, expanded to the full grid
-    (exact for Hermitian branches)."""
+    u and B over the lattice's limit table, expanded to the full grid (exact
+    for Hermitian branches)."""
     lattice = B.lattice
+    table = resonance._limit_table(lattice)
     u, B = (resonance._extend(_half(f)) for f in (u, B))
-    half = resonance.limit_q1(u, B, table.half(), _forms_work(table))
+    half = resonance.limit_q1(u, B, table, _forms_work(table))
     return AcousticCoeffs._in_box(lattice, _half_to_full(half, lattice))
 
 
-def limit_q2(
-    A: AcousticCoeffs, B: AcousticCoeffs, table, kappa: float = 0.0
-) -> AcousticCoeffs:
+def limit_q2(A: AcousticCoeffs, B: AcousticCoeffs, kappa: float = 0.0) -> AcousticCoeffs:
     """The symmetric bilinear form Q2(A, B) on full fields, by polarization
     of the quadratic form ``resonance.limit_q2``: (Q(A + B) - Q(A - B))/4,
     each expanded as :func:`limit_q1`.  At A = B this is Q(2A)/4, the bytes
     of Q(A), since scaling by powers of two is exact."""
     lattice = A.lattice
-    half, work = table.half(), _forms_work(table)
+    table = resonance._limit_table(lattice)
+    work = _forms_work(table)
     plus, minus = (
-        resonance.limit_q2(resonance._extend(_half(f)), half, kappa, work) for f in (A + B, A - B)
+        resonance.limit_q2(resonance._extend(_half(f)), table, kappa, work) for f in (A + B, A - B)
     )
     return AcousticCoeffs._in_box(lattice, _half_to_full(0.25 * (plus - minus), lattice))
 

@@ -36,7 +36,6 @@ from lowmach.dyadic import (
 )
 from lowmach.operators import acoustic_transform, helmholtz_project, wave_group
 from lowmach.resonance import (
-    build_limit_tables,
     enumerate_resonance_sets,
     resonance_test,
     small_divisors,
@@ -336,7 +335,6 @@ def test_criterion_5_resonance_exactness():
 def test_criterion_6_averaging():
     started = time.perf_counter()
     lattice = LatticeSpec.square(2, 8)
-    table = build_limit_tables(lattice)
     # frozen smooth coefficients on 8 active modes (4 conjugate pairs)
     entries = {}
     rng = np.random.default_rng(19)
@@ -347,7 +345,7 @@ def test_criterion_6_averaging():
             entries[(tuple(-c for c in mode), alpha)] = np.conj(val)
     V = acoustic_from_modes(lattice, entries)
     kappa = 1.0
-    limit = limit_q2(V, V, table, kappa=kappa)
+    limit = limit_q2(V, V, kappa=kappa)
     eps_list = [0.1, 0.05, 0.025, 0.0125]
     errs = [
         (q2_eps_time_average(V, V, 1.0, eps, kappa=kappa) - limit).l2_norm()
@@ -413,7 +411,6 @@ def test_criterion_7_solver_validation():
             (outs[4e-3] - outs[2.5e-4]).l2_norm() / (outs[2e-3] - outs[2.5e-4]).l2_norm()
         )
     )
-    table = build_limit_tables(lat16)
     V0 = acoustic_transform(a0, helmholtz_project(u0, "Q"))
     outs = {}
     for dt in (4e-3, 2e-3, 2.5e-4):
@@ -421,7 +418,7 @@ def test_criterion_7_solver_validation():
             lattice=lat16, mu=0.05, lam=0.05, gamma=3.0,
             dt=dt, t_final=0.1, sample_stride=10**9,
         )
-        outs[dt] = run_trajectory((v0, V0), c, "limit", table=table)[1]
+        outs[dt] = run_trajectory((v0, V0), c, "limit")[1]
     orders.append(
         math.log2(
             (outs[4e-3] - outs[2.5e-4]).l2_norm() / (outs[2e-3] - outs[2.5e-4]).l2_norm()

@@ -28,7 +28,7 @@ from lowmach.dyadic import (
     parse_norm_spec,
     time_norm,
 )
-from lowmach import experiments
+from lowmach import experiments, resonance
 from lowmach.cli import main
 from lowmach.experiments import (
     ExperimentConfig,
@@ -52,7 +52,6 @@ from lowmach.operators import (
     helmholtz_project,
     wave_group,
 )
-from lowmach.resonance import build_limit_tables
 from lowmach.solvers import (
     CompressibleStepper,
     Forcing,
@@ -629,6 +628,24 @@ class TestSharedStage:
             assert names.count("LimitStepper") == names.count("CompressibleStepper") >= 1
 
     @pytest.mark.parametrize("threads", [1, 2])
+    def test_sweep_builds_the_limit_table_once(self, tmp_path, monkeypatch, threads):
+        """The sweep builds the limit table once, in this process: the pool's
+        workers receive it cached with the lattice."""
+        if threads > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the logging wrapper reaches the workers only through fork")
+        log, build = os.path.join(str(tmp_path), "builds.log"), resonance.build_limit_tables
+
+        def logged(lattice):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return build(lattice)
+
+        monkeypatch.setattr(resonance, "build_limit_tables", logged)
+        convergence_study(tiny_config(), threads=threads)
+        with open(log) as fh:
+            assert fh.read().split() == [str(os.getpid())]
+
+    @pytest.mark.parametrize("threads", [1, 2])
     def test_report_timings_per_stepper(self, tmp_path, threads):
         cfg = tiny_config()
         paths = emit_report(convergence_study(cfg, threads=threads), str(tmp_path))
@@ -661,8 +678,7 @@ class TestSharedStage:
         cfg = tiny_config()
         a0, u0 = cfg.initial_data()
         base = cfg.solver_config(0.2)
-        table = build_limit_tables(cfg.lattice)
-        stage = SampledRun(limit_initial_data(a0, u0), base, "limit", table=table)
+        stage = SampledRun(limit_initial_data(a0, u0), base, "limit")
         # v's part of the coupled run is the incompressible run, sample by sample
         run_v = SampledRun(helmholtz_project(u0, "P"), base, "incompressible")
         assert stage.times == run_v.times
@@ -782,8 +798,7 @@ class TestCLI:
         assert meta == {"kind": "limit"} and lattice == cfg.lattice
         assert arrays["V"].shape == (2,) + cfg.lattice.resolution
         run = cfg.solver_config(cfg.eps_list[0])
-        table = build_limit_tables(cfg.lattice)
-        _, V = run_trajectory(limit_initial_data(*cfg.initial_data()), run, "limit", table)
+        _, V = run_trajectory(limit_initial_data(*cfg.initial_data()), run, "limit")
         assert arrays["V"].tobytes() == V.coeffs.astype("<c16").tobytes()
         assert V.is_reality_symmetric()
 
@@ -1286,9 +1301,8 @@ def full_trajectories(cfg):
     )
     v0 = helmholtz_project(u0, "P")
     base = cfg.solver_config(cfg.eps_list[0])
-    table = build_limit_tables(cfg.lattice)
     V0 = acoustic_transform(a0, u0 - v0)
-    traj_limit = SampledRun((v0, V0), base, "limit", table=table)
+    traj_limit = SampledRun((v0, V0), base, "limit")
     for eps in cfg.eps_list:
         traj_eps = SampledRun((a0, u0), cfg.solver_config(eps), "compressible")
         yield eps, traj_eps, traj_limit
@@ -1457,12 +1471,8 @@ class TestHalfBoxSamplePath:
         # the half-box path counts the Vdiff power of each mode with n_d > 0
         # for its mirror too; that needs V's branches Hermitian along the run
         cfg = replace_quietly(tiny_config(), t_final=0.5)
-        stage = SampledRun(
-            limit_initial_data(*cfg.initial_data()),
-            cfg.solver_config(0.2),
-            "limit",
-            table=build_limit_tables(cfg.lattice),
-        )
+        initial = limit_initial_data(*cfg.initial_data())
+        stage = SampledRun(initial, cfg.solver_config(0.2), "limit")
         assert len(stage.states) == 51
         for _, V in stage.states:
             scale = float(np.max(np.abs(V.coeffs)))

@@ -650,28 +650,25 @@ def test_resonance_sets_property(case):
 class TestLimitForms:
     def test_zero_inputs(self, lat8):
         rng = np.random.default_rng(0)
-        table = build_limit_tables(lat8)
         u = random_divfree(lat8, rng)
         B = random_acoustic(lat8, rng)
         zero_u = SpectralField.zeros(lat8, 2)
         zero_B = AcousticCoeffs.zeros(lat8)
-        assert limit_q1(zero_u, B, table).l2_norm() == 0.0
-        assert limit_q1(u, zero_B, table).l2_norm() == 0.0
-        assert limit_q2(zero_B, B, table).l2_norm() == 0.0
+        assert limit_q1(zero_u, B).l2_norm() == 0.0
+        assert limit_q1(u, zero_B).l2_norm() == 0.0
+        assert limit_q2(zero_B, B).l2_norm() == 0.0
 
     def test_reality_preserved(self, lat8):
         rng = np.random.default_rng(1)
-        table = build_limit_tables(lat8)
         u = random_divfree(lat8, rng)
         B = random_acoustic(lat8, rng)
-        out1 = limit_q1(u, B, table)
-        out2 = limit_q2(B, B, table, kappa=1.0)
+        out1 = limit_q1(u, B)
+        out2 = limit_q2(B, B, kappa=1.0)
         for out in (out1, out2):
             scale = max(1e-30, float(np.max(np.abs(out.plus))), float(np.max(np.abs(out.minus))))
             assert out.conjugate_symmetry_defect() <= 1e-12 * scale
 
     def test_q2_support_and_kappa_scaling(self, lat8):
-        table = build_limit_tables(lat8)
         A = acoustic_from_modes(
             lat8,
             {
@@ -681,8 +678,8 @@ class TestLimitForms:
                 ((-1, 0), -1): 0.2 + 0.3j,
             },
         )
-        out0 = limit_q2(A, A, table, kappa=0.0)
-        out1 = limit_q2(A, A, table, kappa=1.0)
+        out0 = limit_q2(A, A, kappa=0.0)
+        out1 = limit_q2(A, A, kappa=1.0)
         for branch in (out1.plus, out1.minus):
             support = {
                 tuple(idx) for idx, val in np.ndenumerate(branch) if abs(val) > 1e-15
@@ -693,10 +690,9 @@ class TestLimitForms:
 
     def test_q1_average_converges_to_limit(self, lat8):
         rng = np.random.default_rng(2)
-        table = build_limit_tables(lat8)
         u = random_divfree(lat8, rng)
         B = random_acoustic(lat8, rng)
-        limit = limit_q1(u, B, table)
+        limit = limit_q1(u, B)
         errs = []
         eps_list = [0.1, 0.05, 0.025, 0.0125]
         for eps in eps_list:
@@ -707,11 +703,10 @@ class TestLimitForms:
 
     def test_q2_average_converges_to_limit(self, lat8):
         rng = np.random.default_rng(3)
-        table = build_limit_tables(lat8)
         A = random_acoustic(lat8, rng)
         B = random_acoustic(lat8, rng)
         kappa = 1.0
-        limit = limit_q2(A, B, table, kappa=kappa)
+        limit = limit_q2(A, B, kappa=kappa)
         errs = []
         eps_list = [0.1, 0.05, 0.025, 0.0125]
         for eps in eps_list:
@@ -727,9 +722,8 @@ class TestLimitForms:
         Q2 is not neutral on arbitrary complex V.  A form's sign, weight or
         branch does not change its neutrality, but a slipped index does."""
         lattice = ORACLE_LATTICES[name]
-        table = build_limit_tables(lattice)
         v, V = limit_initial_data(*generate_initial_data(lattice, 1.0, 1.0, seed=0))
-        for form in (limit_q1(v, V, table), limit_q2(V, V, table, kappa=1.0)):
+        for form in (limit_q1(v, V), limit_q2(V, V, kappa=1.0)):
             assert form.l2_norm() > 1e-3  # 1.4e-2 to 5.9e-2 on these data
             work = float(np.vdot(V.coeffs, form.coeffs).real)
             assert abs(work) <= 1e-13 * V.l2_norm() * form.l2_norm()
@@ -739,7 +733,6 @@ class TestLimitForms:
         """The forms on half spectra, over the table's half-box entries and
         expanded to the full grid, against the direct resonant mode sums."""
         lattice = LatticeSpec.square(2, 16)
-        table = build_limit_tables(lattice)
         if kind == "initial-data":
             v, V = limit_initial_data(*generate_initial_data(lattice, 1.0, 1.0, seed=4))
             A = V
@@ -748,27 +741,26 @@ class TestLimitForms:
             v = random_divfree(lattice, rng)
             V, A = random_acoustic(lattice, rng), random_acoustic(lattice, rng)
         for got, ref in (
-            (limit_q1(v, V, table), q1_limit_modesum(v, V)),
-            (limit_q2(A, V, table, kappa=0.4), q2_limit_modesum(A, V, kappa=0.4)),
+            (limit_q1(v, V), q1_limit_modesum(v, V)),
+            (limit_q2(A, V, kappa=0.4), q2_limit_modesum(A, V, kappa=0.4)),
         ):
             scale = float(np.max(np.abs(ref.coeffs)))
             assert scale > 0
             np.testing.assert_allclose(got.coeffs, ref.coeffs, rtol=0, atol=1e-13 * scale)
 
     def test_half_table_keeps_the_half_box_entries_in_order(self):
-        """``ResonanceTable.half`` keeps the entries whose output mode has
-        n_d >= 0, in the table's order, so each kept output sums its terms in
-        the same order; at 64^2 that is 51% of q1 and 57% of q2."""
+        """The lattice's limit table, ``ResonanceTable.half`` of the whole
+        table, keeps the entries whose output mode has n_d >= 0, in their
+        order, so each kept output sums its terms in the same order; at 64^2
+        that is 51% of q1 and 57% of q2."""
         lattice = LatticeSpec.square(2, 64)
-        table = build_limit_tables(lattice)
-        half = table.half()
+        table, half = build_limit_tables(lattice), resonance._limit_table(lattice)
         n, cut = lattice.resolution[-1], lattice.cutoffs[-1]
         for full, kept in ((table.q1_m, half.q1_m), (table.q2_m[1], half.q2_m)):
             rows = full[full % n <= cut]
             assert np.array_equal(kept, rows // n * (cut + 1) + rows % n)
         assert (table.q1_m.size, table.q2_m[1].size) == (10824, 9096)
         assert (half.q1_m.size, half.q2_m.size) == (5519, 5178)
-        assert half.half() is half
         for name in ("q1_weight", "q1_kvec", "q2_smod"):
             assert getattr(half, name).dtype == np.complex128, name
             assert getattr(half, name).flags.c_contiguous, name
@@ -779,10 +771,10 @@ class TestLimitForms:
         filled with NaN, and a call allocates less than the array besides its
         output, so no gather or product of the entries is allocated."""
         lattice = LatticeSpec.square(2, 32)
-        table = build_limit_tables(lattice).half()
         cfg = SolverConfig(lattice=lattice, mu=0.05, lam=0.05, dt=2e-3, t_final=1e-2)
         v0, V0 = limit_initial_data(*generate_initial_data(lattice, 1.0, 1.0, seed=0))
-        work = LimitStepper(cfg, v0, V0, table).work.forms
+        stepper = LimitStepper(cfg, v0, V0)
+        table, work = stepper.table, stepper.work.forms
         assert work.shape == (2 * max(table.q1_m.size, table.q2_m.size),)
         rng = np.random.default_rng(8)
         calls = {}
@@ -815,14 +807,13 @@ class TestAcousticLayout:
 
     def test_forms_return_two_component_fields(self, lat8):
         rng = np.random.default_rng(6)
-        table = build_limit_tables(lat8)
         u = random_divfree(lat8, rng)
         B = random_acoustic(lat8, rng)
         outs = {
             "acoustic_transform": B,
             "wave_group": wave_group(B, 0.3),
-            "limit_q1": limit_q1(u, B, table),
-            "limit_q2": limit_q2(B, B, table, kappa=1.0),
+            "limit_q1": limit_q1(u, B),
+            "limit_q2": limit_q2(B, B, kappa=1.0),
         }
         outs["sum"] = outs["limit_q1"] + outs["limit_q2"]
         outs["difference"] = outs["wave_group"] - B

@@ -36,7 +36,6 @@ from lowmach.operators import (
 )
 from lowmach.cli import main
 from lowmach.experiments import limit_initial_data
-from lowmach.resonance import build_limit_tables
 from lowmach import solvers
 from lowmach.solvers import (
     CFL_SAFETY,
@@ -643,9 +642,8 @@ class TestIncompressibleStepOracle:
             step_incompressible(v, 0.0, cfg)
         with pytest.raises(ValueError, match=message):
             run_trajectory(v, cfg, "incompressible")
-        table = build_limit_tables(lat16)
         with pytest.raises(ValueError, match=message):
-            run_trajectory((v, AcousticCoeffs.zeros(lat16)), cfg, "limit", table=table)
+            run_trajectory((v, AcousticCoeffs.zeros(lat16)), cfg, "limit")
         # the zero field, like any Hermitian field, is real
         step_incompressible(SpectralField.zeros(lat16, 2), 0.0, cfg)
 
@@ -682,39 +680,35 @@ class TestIncompressibleStepOracle:
 
 class TestStepperFieldChecks:
     """Each stepper rejects, by name, a field on another lattice or with the
-    wrong number of components, and a limit table of another lattice."""
+    wrong number of components."""
 
     def test_misread_fields_rejected(self):
         lat16 = LatticeSpec.square(2, 16)
         cfg = SolverConfig(lattice=lat16, mu=0.05, lam=0.05, eps=0.5, dt=1e-3, t_final=1e-3)
         a, u = generate_initial_data(lat16, 1.0, 1.0, seed=5)
         v, V = helmholtz_project(u, "P"), AcousticCoeffs.zeros(lat16)
-        table = build_limit_tables(lat16)
         cases = [
-            ("compressible", (u, a), None, "a has 2 components, expected 1"),
-            ("compressible", (a, a), None, "u has 1 components, expected 2"),
-            ("incompressible", a, None, "v has 1 components, expected 2"),
-            ("limit", (v, a), table, "V has 1 components, expected 2"),
+            ("compressible", (u, a), "a has 2 components, expected 1"),
+            ("compressible", (a, a), "u has 1 components, expected 2"),
+            ("incompressible", a, "v has 1 components, expected 2"),
+            ("limit", (v, a), "V has 1 components, expected 2"),
         ]
         for other in (LatticeSpec.square(2, 16, period=2), LatticeSpec.square(2, 32)):
             a2, u2 = generate_initial_data(other, 1.0, 1.0, seed=5)
             v2, V2 = helmholtz_project(u2, "P"), AcousticCoeffs.zeros(other)
             cases += [
-                ("compressible", (a2, u), None, "a lives on LatticeSpec"),
-                ("compressible", (a, u2), None, "u lives on LatticeSpec"),
-                ("incompressible", v2, None, "v lives on LatticeSpec"),
-                ("limit", (v2, V), table, "v lives on LatticeSpec"),
-                ("limit", (v, V2), table, "V lives on LatticeSpec"),
-                ("limit", (v, V), build_limit_tables(other), "table lives on LatticeSpec"),
+                ("compressible", (a2, u), "a lives on LatticeSpec"),
+                ("compressible", (a, u2), "u lives on LatticeSpec"),
+                ("incompressible", v2, "v lives on LatticeSpec"),
+                ("limit", (v2, V), "v lives on LatticeSpec"),
+                ("limit", (v, V2), "V lives on LatticeSpec"),
             ]
-        for kind, initial, tab, message in cases:
+        for kind, initial, message in cases:
             with pytest.raises(ValueError, match=message):
-                run_trajectory(initial, cfg, kind, table=tab)
+                run_trajectory(initial, cfg, kind)
         # the one-step functions build the same steppers
         with pytest.raises(ValueError, match="a has 2 components"):
             step_compressible(u, a, 0.0, cfg)
-        with pytest.raises(ValueError, match="table lives on LatticeSpec"):
-            step_limit(v, V, 0.0, cfg, build_limit_tables(LatticeSpec.square(2, 16, period=2)))
 
 
 class TestNonFiniteGuards:
@@ -744,7 +738,7 @@ class TestNonFiniteGuards:
             stepper = solvers.IncompressibleStepper(cfg, fields["v"])
         else:
             V = AcousticCoeffs.zeros(lat16)
-            stepper = solvers.LimitStepper(cfg, fields["v"], V, build_limit_tables(lat16))
+            stepper = solvers.LimitStepper(cfg, fields["v"], V)
         with pytest.raises(error, match=message):
             stepper.step(0.0)
 
@@ -755,15 +749,14 @@ class TestNonFiniteGuards:
         a, u = generate_initial_data(lat16, 1.0, 1.0, seed=5)
         v = helmholtz_project(u, "P")
         V = acoustic_transform(a, u - v)
-        table = build_limit_tables(lat16)
         for value in (math.nan, math.inf):
             coeffs = V.coeffs.copy()
             coeffs[0, 1, 0] = value  # mode (1, 0) of one branch, inside the box
             bad = AcousticCoeffs._in_box(lat16, coeffs)
             with pytest.raises(ValueError, match="V has non-finite coefficients"):
-                solvers.LimitStepper(cfg, v, bad, table)
+                solvers.LimitStepper(cfg, v, bad)
             with pytest.raises(ValueError, match="V has non-finite coefficients"):
-                run_trajectory((v, bad), cfg, "limit", table=table)
+                run_trajectory((v, bad), cfg, "limit")
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_V_raises_at_first_step(self, lat16, value):
@@ -773,7 +766,7 @@ class TestNonFiniteGuards:
         cfg = SolverConfig(lattice=lat16, mu=0.05, lam=0.05, eps=0.5, dt=1e-3, t_final=1e-2)
         a, u = generate_initial_data(lat16, 1.0, 1.0, seed=5)
         v, V = limit_initial_data(a, u)
-        stepper = solvers.LimitStepper(cfg, v, V, build_limit_tables(lat16))
+        stepper = solvers.LimitStepper(cfg, v, V)
         coeffs = stepper.x[1].copy()
         coeffs[0, 1, 0] = value
         stepper.x = (stepper.x[0], coeffs)
@@ -916,16 +909,16 @@ class TestSharedWorkspace:
     eps."""
 
     @staticmethod
-    def makers(cfg, a0, u0, table):
-        """Builders of two limit steppers over one table, the second on half
-        the averaged state, and of compressible steppers at eps 0.2 and 0.1,
+    def makers(cfg, a0, u0):
+        """Builders of two limit steppers, the second on half the averaged
+        state, and of compressible steppers at eps 0.2 and 0.1,
         in that order, so that the compressible steppers grow the workspace
         that the limit steppers sized, and the limit steppers fill its
         ``forms`` array in turn."""
         v0, V0 = limit_initial_data(a0, u0)
         return {
-            "limit": lambda: solvers.LimitStepper(cfg, v0, V0, table),
-            "limit, V0/2": lambda: solvers.LimitStepper(cfg, v0, 0.5 * V0, table),
+            "limit": lambda: solvers.LimitStepper(cfg, v0, V0),
+            "limit, V0/2": lambda: solvers.LimitStepper(cfg, v0, 0.5 * V0),
             0.2: lambda: solvers.CompressibleStepper(replace(cfg, eps=0.2), a0, u0),
             0.1: lambda: solvers.CompressibleStepper(replace(cfg, eps=0.1), a0, u0),
         }
@@ -942,12 +935,14 @@ class TestSharedWorkspace:
     @pytest.mark.parametrize("law", ["gamma2", "gamma1.4"])
     def test_interleaved_steppers_match_lone_runs(self, name, law):
         cfg, a0, u0 = TestCompressibleStepper().make_case(name, law, forced=True)
-        makers = self.makers(cfg, a0, u0, build_limit_tables(cfg.lattice))
+        makers = self.makers(cfg, a0, u0)
         lone = {}
         for key, make in makers.items():
             lone.update(self.run({key: make()}, cfg.n_steps))
         steppers = {key: make() for key, make in makers.items()}
         assert len({id(stepper.work) for stepper in steppers.values()}) == 1
+        # the limit table is the lattice's, one object for every limit stepper
+        assert steppers["limit"].table is steppers["limit, V0/2"].table
         assert self.run(steppers, cfg.n_steps) == lone
 
     @pytest.mark.parametrize("built_in", ["worker", "main"])
@@ -956,7 +951,7 @@ class TestSharedWorkspace:
         short switch interval so that their right-hand sides interleave; the
         steppers are built in the worker threads or in the main thread."""
         cfg, a0, u0 = TestCompressibleStepper().make_case("16x16", "gamma1.4", False, n_steps=30)
-        makers = self.makers(cfg, a0, u0, build_limit_tables(cfg.lattice))
+        makers = self.makers(cfg, a0, u0)
         groups = [{key: makers[key] for key in ("limit", 0.2)}, {0.1: makers[0.1]}]
         want = [self.run({key: make() for key, make in group.items()}, cfg.n_steps) for group in groups]
         built = [{key: make() for key, make in group.items()} for group in groups]
@@ -1098,37 +1093,21 @@ class TestIncompressible:
 
 class TestLimit:
     def make_setup(self, lattice, dt, t_final, seed=12):
-        cfg = SolverConfig(
-            lattice=lattice,
-            mu=0.05,
-            lam=0.05,
-            gamma=3.0,
-            dt=dt,
-            t_final=t_final,
-        )
-        table = build_limit_tables(lattice)
+        cfg = SolverConfig(lattice=lattice, mu=0.05, lam=0.05, gamma=3.0, dt=dt, t_final=t_final)
         _, u0 = generate_initial_data(lattice, 1.0, 1.0, seed=seed)
         v0 = helmholtz_project(u0, "P")
-        return cfg, table, v0
+        return cfg, v0
 
     def test_zero_initial_stays_zero(self, lat16):
-        cfg, table, v0 = self.make_setup(lat16, dt=1e-2, t_final=0.1)
-        _, out = step_limit(v0, AcousticCoeffs.zeros(lat16), 0.0, cfg, table)
+        cfg, v0 = self.make_setup(lat16, dt=1e-2, t_final=0.1)
+        _, out = step_limit(v0, AcousticCoeffs.zeros(lat16), 0.0, cfg)
         assert out.l2_norm() == 0.0
 
     def test_resonant_growth_rate(self):
         # mode pair +-(1,0): output (2,0) grows at the limit-form rate
         lattice = LatticeSpec.square(2, 16)
         kappa = 1.0
-        cfg = SolverConfig(
-            lattice=lattice,
-            mu=0.0,
-            lam=0.0,
-            gamma=3.0,
-            dt=1e-4,
-            t_final=5e-3,
-        )
-        table = build_limit_tables(lattice)
+        cfg = SolverConfig(lattice=lattice, mu=0.0, lam=0.0, gamma=3.0, dt=1e-4, t_final=5e-3)
         V0 = acoustic_from_modes(
             lattice,
             {
@@ -1140,9 +1119,9 @@ class TestLimit:
         )
         v, V = SpectralField.zeros(lattice, 2), V0
         for n in range(cfg.n_steps):
-            v, V = step_limit(v, V, n * cfg.dt, cfg, table)
+            v, V = step_limit(v, V, n * cfg.dt, cfg)
         assert v.l2_norm() == 0.0
-        rate = limit_q2(V0, V0, table, kappa=kappa)
+        rate = limit_q2(V0, V0, kappa=kappa)
         expected = -cfg.t_final * rate.plus[2, 0]
         got = V.plus[2, 0]
         assert got == pytest.approx(expected, rel=2e-2)
@@ -1151,9 +1130,9 @@ class TestLimit:
     def test_energy_law(self, lat16):
         # ||V(T)||^2 - ||V(0)||^2 = -nu int sum_k |k|^2 |V_k|^2 dt: the heat
         # factor exp(-nu |k|^2 t/2) dissipates and the limit forms are neutral
-        cfg, table, _ = self.make_setup(lat16, dt=5e-4, t_final=0.25)
+        cfg, _ = self.make_setup(lat16, dt=5e-4, t_final=0.25)
         initial = limit_initial_data(*generate_initial_data(lat16, 1.0, 1.0, seed=10))
-        traj = SampledRun(initial, cfg, "limit", table=table)
+        traj = SampledRun(initial, cfg, "limit")
         energies = [V.l2_norm() ** 2 for _, V in traj.states]
         grads = [float(np.sum(lat16.k_squared() * V.mode_power())) for _, V in traj.states]
         dissipated = cfg.nu * np.trapezoid(grads, traj.times)
@@ -1168,9 +1147,9 @@ class TestLimit:
             "16x16": LatticeSpec.square(2, 16),
             "8x8x6": LatticeSpec((1, Fraction(1, 2), Fraction(2, 3)), (8, 8, 6)),
         }[name]
-        cfg, table, _ = self.make_setup(lattice, dt=5e-3, t_final=0.05)
+        cfg, _ = self.make_setup(lattice, dt=5e-3, t_final=0.05)
         v0, V0 = limit_initial_data(*generate_initial_data(lattice, 1.0, 1.0, seed=10))
-        stepper = solvers.LimitStepper(cfg, v0, V0, table)
+        stepper = solvers.LimitStepper(cfg, v0, V0)
         for n in range(5):
             stepper.step(n * cfg.dt)
         v, V = stepper.state()
@@ -1184,33 +1163,26 @@ class TestLimit:
     def test_non_hermitian_V_rejected(self, lat16):
         """Only V's half spectra are stepped, so a V whose branches are not
         Hermitian, which they would misread, is rejected when built."""
-        cfg, table, v0 = self.make_setup(lat16, dt=5e-3, t_final=0.05)
+        cfg, v0 = self.make_setup(lat16, dt=5e-3, t_final=0.05)
         V = acoustic_from_modes(lat16, {((1, 2), 1): 1.0, ((-1, -2), 1): 0.5})
         message = "V is not real: its coefficients are not Hermitian"
         with pytest.raises(ValueError, match=message):
-            solvers.LimitStepper(cfg, v0, V, table)
+            solvers.LimitStepper(cfg, v0, V)
         with pytest.raises(ValueError, match=message):
-            run_trajectory((v0, V), cfg, "limit", table=table)
+            run_trajectory((v0, V), cfg, "limit")
 
     def test_self_convergence_second_order(self, lat16):
-        cfg0, table, v0 = self.make_setup(lat16, dt=1e-3, t_final=0.1)
+        cfg0, v0 = self.make_setup(lat16, dt=1e-3, t_final=0.1)
         a0, u0 = generate_initial_data(lat16, 0.8, 1.0, seed=13)
         V0 = acoustic_transform(a0, helmholtz_project(u0, "Q"))
         outs = {}
         for dt in (4e-3, 2e-3, 1e-3, 2.5e-4):
             cfg = SolverConfig(
-                lattice=lat16,
-                mu=0.05,
-                lam=0.05,
-                gamma=cfg0.gamma,
-                dt=dt,
-                t_final=0.1,
+                lattice=lat16, mu=0.05, lam=0.05, gamma=cfg0.gamma, dt=dt, t_final=0.1,
                 sample_stride=10**9,
             )
-            outs[dt] = run_trajectory((v0, V0), cfg, "limit", table=table)[1]
-        errs = [
-            (outs[dt] - outs[2.5e-4]).l2_norm() for dt in (4e-3, 2e-3, 1e-3)
-        ]
+            outs[dt] = run_trajectory((v0, V0), cfg, "limit")[1]
+        errs = [(outs[dt] - outs[2.5e-4]).l2_norm() for dt in (4e-3, 2e-3, 1e-3)]
         assert math.log2(errs[0] / errs[1]) >= 1.9
         assert math.log2(errs[1] / errs[2]) >= 1.9
 
@@ -1237,11 +1209,10 @@ class TestHeatFactor:
         self.assert_real_factor_same_bytes(
             lambda: solvers.IncompressibleStepper(cfg, v0), cfg.dt, "heat"
         )
-        table = build_limit_tables(cfg.lattice)
         V0 = acoustic_transform(a0, u0 - v0)
         for factor in ("heat", "heat_V"):
             self.assert_real_factor_same_bytes(
-                lambda: solvers.LimitStepper(cfg, v0, V0, table), cfg.dt, factor
+                lambda: solvers.LimitStepper(cfg, v0, V0), cfg.dt, factor
             )
 
     def test_complex_factor_allocates_only_the_result(self):
@@ -1332,11 +1303,10 @@ class TestTrajectoryLoop:
     def test_limit_matches_hand_stepping(self, lat16, cfg):
         a0, u0 = generate_initial_data(lat16, 0.5, 0.5, seed=23)
         v0 = helmholtz_project(u0, "P")
-        table = build_limit_tables(lat16)
         V0 = acoustic_transform(a0, u0 - v0)
-        traj = SampledRun((v0, V0), cfg, "limit", table=table)
+        traj = SampledRun((v0, V0), cfg, "limit")
         hand = self.hand_run(
-            cfg, (v0, V0), lambda x, t: step_limit(*x, t, cfg, table)
+            cfg, (v0, V0), lambda x, t: step_limit(*x, t, cfg)
         )
         self.check_times(traj, cfg, "limit")
         assert len(traj.states) == len(hand)
@@ -1404,11 +1374,10 @@ class TestTrajectoryLoop:
             monkeypatch.setattr(cls, "state", counted)
         a0, u0 = generate_initial_data(lat16, 0.5, 0.5, seed=23)
         v0 = helmholtz_project(u0, "P")
-        table = build_limit_tables(lat16)
         steppers = {
             "compressible": solvers.CompressibleStepper(cfg, a0, u0),
             "incompressible": solvers.IncompressibleStepper(cfg, v0),
-            "limit": solvers.LimitStepper(cfg, v0, acoustic_transform(a0, u0 - v0), table),
+            "limit": solvers.LimitStepper(cfg, v0, acoustic_transform(a0, u0 - v0)),
         }
         solvers.run_lockstep(steppers, cfg)
         assert calls == []

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lowmach import dyadic, functionals, operators
+from lowmach import dyadic, functionals, operators, resonance
 from lowmach.lattice import (
     LatticeSpec,
     SpectralField,
@@ -205,6 +205,19 @@ def test_tiny_complex_mode_is_not_taken_for_a_real_field(lat16):
     real = field_from_modes(lat16, {(1, 2): 1e-14j, (-1, -2): -1e-14j})
     assert real.is_reality_symmetric()
     assert inverse_transform(real).dtype == np.float64
+
+
+def test_non_finite_pair_keeps_the_real_inverse(lat16):
+    """A pair whose two members are both non-finite matches, and the scale is
+    the largest finite |c_k|: a real field with NaN at (1, 0) and (-1, 0)
+    inverts to real samples.  NaN at (1, 0) alone is a mismatch, so the
+    complex inverse spreads it to every sample."""
+    field = forward_transform(lat16, np.random.default_rng(34).standard_normal((1, 16, 16)))
+    pair, alone = field.coeffs.copy(), field.coeffs.copy()
+    pair[:, 1, 0] = pair[:, -1, 0] = alone[:, 1, 0] = math.nan
+    assert inverse_transform(SpectralField(lat16, pair)).dtype == np.float64
+    grid = inverse_transform(SpectralField(lat16, alone))
+    assert grid.dtype == np.complex128 and np.isnan(grid).all()
 
 
 @pytest.mark.parametrize("lattice", TRANSFORM_LATTICES, ids=lambda lat: str(lat.resolution))
@@ -432,15 +445,24 @@ CACHED_TABLES = {
     "lowmach.dyadic._block_weights": lambda lat: dyadic._block_weights(lat, 0),
     "lowmach.dyadic._energy_matrix": lambda lat: dyadic._energy_matrix(lat, (1.0,)),
     "lowmach.functionals._box_multipliers": functionals._box_multipliers,
+    "lowmach.resonance._limit_table": resonance._limit_table,
 }
 
 
+def _members(value):
+    """The members of a tuple or the fields of a dataclass."""
+    if dataclasses.is_dataclass(value):
+        return [getattr(value, field.name) for field in dataclasses.fields(value)]
+    return list(value)
+
+
 def _arrays(value):
-    """The arrays in a cached value, tuple members included."""
+    """The arrays in a cached value, tuple members and dataclass fields
+    included."""
     if isinstance(value, np.ndarray):
         return [value]
-    if isinstance(value, tuple):
-        return [a for v in value for a in _arrays(v)]
+    if isinstance(value, tuple) or dataclasses.is_dataclass(value):
+        return [a for v in _members(value) for a in _arrays(v)]
     return []
 
 
@@ -448,9 +470,9 @@ def _assert_equal_tables(a, b):
     assert type(a) is type(b)
     if isinstance(a, np.ndarray):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    elif isinstance(a, tuple):
-        assert len(a) == len(b)
-        for x, y in zip(a, b):
+    elif isinstance(a, tuple) or dataclasses.is_dataclass(a):
+        assert len(_members(a)) == len(_members(b))
+        for x, y in zip(_members(a), _members(b)):
             _assert_equal_tables(x, y)
     else:
         assert a == b
@@ -478,6 +500,7 @@ class TestLatticeCache:
                 with pytest.raises(ValueError):
                     array[(0,) * array.ndim] = 0
         assert _arrays(warm._cache[("lowmach.dyadic._energy_matrix", ((1.0,),))])
+        assert len(_arrays(warm._cache[("lowmach.resonance._limit_table", ())])) == 9
 
     def test_second_call_same_object(self, warm):
         cached = dict(warm._cache)
