@@ -103,8 +103,6 @@ class ExperimentConfig:
             self.solver_config(eps)  # runs SolverConfig's checks at load
         if self.eta0 is None and self.nu == 0:
             raise ValueError("config field experiment.eta0 must be given when nu/2 is 0")
-        for issue in self.issues():
-            warnings.warn(issue, RuntimeWarning)
 
     @property
     def nu(self) -> float:
@@ -117,9 +115,9 @@ class ExperimentConfig:
     def issues(self) -> list[str]:
         """Band-geometry conditions that are assumed by the estimates.
 
-        Violations are reported as warnings rather than errors: the
-        functionals remain well-defined (the medium band is simply empty when
-        zeta >= eta0/eps).
+        Violations are reported where the bands are used (as warnings of
+        :func:`convergence_study`, as lines of ``check``), not as errors: the
+        functionals stay well-defined (the medium band is empty when zeta >= eta0/eps).
         """
         out = []
         for eps in self.eps_list:
@@ -279,10 +277,13 @@ def convergence_study(cfg: ExperimentConfig, threads: int = 1) -> ConvergenceRep
     the lockstep on consecutive shares of ``eps_list``, each worker with its
     own limit stepper.  The timings are the table build (``limit_table``),
     the limit steppers' time summed over workers (``limit``) and each Mach
-    number's stepping and reductions (``eps_<eps>``).
+    number's stepping and reductions (``eps_<eps>``).  Each config issue,
+    such as an empty medium band, is a RuntimeWarning.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
+    for issue in cfg.issues():
+        warnings.warn(issue, RuntimeWarning)
     initial = cfg.initial_data()
     t0 = _time.perf_counter()
     _limit_table(cfg.lattice)  # cached with the lattice, which the pool's workers receive
@@ -344,10 +345,11 @@ def _lockstep_rows(
 
     def on_sample(t, steppers):
         nonlocal index
-        partner = steppers["limit"].x
+        partner = np.split(steppers["limit"].x, [lattice.d])  # (v, V)
         for eps in eps_list:
             t0 = _time.perf_counter()
-            rows = sample_energies(lattice, steppers[eps].x, partner, t, eps, cfg.theta)
+            state = np.split(steppers[eps].x, [1])  # (a, u)
+            rows = sample_energies(lattice, state, partner, t, eps, cfg.theta)
             if eps not in samples:
                 samples[eps] = np.empty((len(rows), len(times), rows.shape[1]))
             samples[eps][:, index] = rows

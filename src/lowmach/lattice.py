@@ -141,6 +141,7 @@ class LatticeSpec:
         return len(self.periods)
 
     @property
+    @_cached
     def volume(self) -> float:
         vol = 1.0
         for b in self.periods:
@@ -344,7 +345,9 @@ class SpectralField:
         non-finite counts as matching."""
         mirror = np.conj(_mirror(self.coeffs, range(1, self.lattice.d + 1)))
         pairs = np.isfinite(self.coeffs) | np.isfinite(mirror)
-        return float(np.max(np.abs(self.coeffs - mirror), where=pairs, initial=0.0))
+        # subtract within the pairs alone: inf - inf would warn
+        defect = np.subtract(self.coeffs, mirror, where=pairs, out=np.zeros_like(mirror))
+        return float(np.max(np.abs(defect), where=pairs, initial=0.0))
 
     def is_reality_symmetric(self) -> bool:
         """Whether each component stands for a real function: conjugate-symmetry
@@ -421,28 +424,31 @@ def _mirror(x: np.ndarray, axes) -> np.ndarray:
 # (components, *leading axes, cut + 1) holding the columns 0..cut of the last
 # axis, zero outside the dealiased box on the leading axes.  The columns
 # -cut..-1 of a Hermitian field are the conjugates of the mirrored columns
-# 1..cut, and the Nyquist column is never read, because ``3*cut < n``.
+# 1..cut, and the Nyquist column is never read, because ``3*cut < n``.  The
+# half-spectrum transforms leave their scales (``_scales``) to the callers,
+# which fold them into multipliers that they apply anyway.
+
+
+@_cached
+def _scales(lattice: LatticeSpec) -> tuple[float, float]:
+    """The inverse scale 1/sqrt(vol) and the forward scale sqrt(vol)/prod(N)."""
+    root = math.sqrt(lattice.volume)
+    return 1.0 / root, root / math.prod(lattice.resolution)
 
 
 def _half_forward(
-    values: np.ndarray,
-    lattice: LatticeSpec,
-    out: np.ndarray | None = None,
-    spectrum: np.ndarray | None = None,
+    values: np.ndarray, lattice: LatticeSpec, spectrum: np.ndarray | None = None
 ) -> np.ndarray:
-    """Normalized half spectrum of real grid samples.
+    """Half spectrum of real grid samples, divided by the forward scale.
 
-    A real-data FFT along the last axis, then complex FFTs along the others
-    on the retained columns only.  Given ``out`` (complex, of the half
-    spectrum's shape; unused in 1D) and ``spectrum`` (complex, of shape
-    ``values.shape[:-1] + (n//2 + 1,)``, for the real-data FFT), the FFTs
-    write into them; without, they return new arrays.
+    A real-data FFT along the last axis into ``spectrum`` (complex, of shape
+    ``values.shape[:-1] + (n//2 + 1,)``; a new array without it), then
+    complex FFTs along the others, in the order of ``fftn``, in place on its
+    retained columns, which are returned: a view into the spectrum.
     """
-    cut = lattice.cutoffs[-1]
-    half = np.fft.rfft(values, axis=-1, out=spectrum)[..., : cut + 1]
-    if lattice.d > 1:
-        half = np.fft.fftn(half, axes=tuple(range(1, lattice.d)), out=out)
-    half *= math.sqrt(lattice.volume) / float(np.prod(lattice.resolution))
+    half = np.fft.rfft(values, axis=-1, out=spectrum)[..., : lattice.cutoffs[-1] + 1]
+    for axis in range(lattice.d - 1, 0, -1):
+        np.fft.fft(half, axis=axis, out=half)
     for axis, (c, m) in enumerate(zip(lattice.cutoffs, lattice.resolution[:-1]), start=1):
         half[(slice(None),) * axis + (slice(c + 1, m - c),)] = 0.0
     return half
@@ -451,23 +457,16 @@ def _half_forward(
 def _half_inverse(
     half: np.ndarray, lattice: LatticeSpec, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Real grid values of a half spectrum.
+    """Real grid values of a half spectrum, times sqrt(vol).
 
-    Complex inverse FFTs along the leading axes, then a real-data inverse FFT
-    along the last, which zero-pads the columns beyond cut itself; ``irfft``
-    drops the imaginary part of the column-0 bins, which takes the Hermitian
-    part of that column.  With ``out`` (real, grid-shaped) the FFTs write
-    the grid values there and run the leading-axis transforms in place on
-    ``half``, which may be lost.
+    Complex inverse FFTs along the leading axes, in the order of ``ifftn``,
+    in place on ``half``, which is lost; then a real-data inverse FFT along
+    the last axis into ``out`` (a new array without it), which zero-pads the
+    columns beyond cut and drops the imaginary part of the column-0 bins,
+    the Hermitian part of that column.
     """
-    scale = 1.0 / math.sqrt(lattice.volume)
-    scratch = None if out is None else half
-    if lattice.d > 1:
-        axes = tuple(range(1, lattice.d))
-        half = np.fft.ifftn(half, axes=axes, norm="forward", out=scratch)
-        half *= scale
-    else:
-        half = np.multiply(half, scale, out=scratch)
+    for axis in range(lattice.d - 1, 0, -1):
+        np.fft.ifft(half, axis=axis, norm="forward", out=half)
     return np.fft.irfft(half, n=lattice.resolution[-1], axis=-1, norm="forward", out=out)
 
 
@@ -496,10 +495,11 @@ def forward_transform(lattice: LatticeSpec, values: np.ndarray) -> SpectralField
         )
     if np.iscomplexobj(values) and np.max(np.abs(values.imag), initial=0.0) == 0.0:
         values = values.real
+    scale = _scales(lattice)[1]
     if not np.iscomplexobj(values):
         half = _half_forward(values, lattice)
+        half *= scale
         return SpectralField._in_box(lattice, _half_to_full(half, lattice))
-    scale = math.sqrt(lattice.volume) / float(np.prod(lattice.resolution))
     coeffs = np.fft.fftn(values, axes=tuple(range(1, lattice.d + 1))) * scale
     return SpectralField(lattice, coeffs)
 
@@ -515,12 +515,15 @@ def inverse_transform(field: SpectralField) -> np.ndarray:
     """
     lattice = field.lattice
     coeffs = field.coeffs
-    if field.is_reality_symmetric():
-        return _half_inverse(coeffs[..., : lattice.cutoffs[-1] + 1], lattice)
-    npoints = float(np.prod(lattice.resolution))
-    return np.fft.ifftn(coeffs, axes=tuple(range(1, lattice.d + 1))) * (
-        npoints / math.sqrt(lattice.volume)
-    )
+    # a non-finite coefficient gives non-finite samples, without a warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        if field.is_reality_symmetric():
+            half = coeffs[..., : lattice.cutoffs[-1] + 1] * _scales(lattice)[0]
+            return _half_inverse(half, lattice)
+        npoints = float(np.prod(lattice.resolution))
+        return np.fft.ifftn(coeffs, axes=tuple(range(1, lattice.d + 1))) * (
+            npoints / math.sqrt(lattice.volume)
+        )
 
 
 def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:

@@ -448,37 +448,36 @@ def _gather(values: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarra
     return np.take(values, index, out=out, mode="clip")
 
 
-def _extend(half: np.ndarray) -> np.ndarray:
+def _extend(half: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Half spectra (components, *leading axes, cut + 1), flattened per
-    component and followed by their conjugates: for a Hermitian field, entry
+    component and followed by their conjugates, written into ``out`` of shape
+    (components, 2 * size) and returned: for a Hermitian field, entry
     size + i holds the coefficient of the mirror of mode i, so that every box
     mode has a position (:func:`_half_position`).  The limit forms read their
     inputs so extended."""
-    out = np.empty((len(half), 2) + half.shape[1:], np.complex128)
-    out[:, 0] = half
-    np.conjugate(half, out=out[:, 1])
-    return out.reshape(len(half), -1)
+    pair = out.reshape((len(half), 2) + half.shape[1:])
+    pair[:, 0] = half
+    np.conjugate(half, out=pair[:, 1])
+    return out
 
 
-def _half_zeros(lattice: LatticeSpec) -> np.ndarray:
-    """Zero half spectra of the two branches, shape (2, *leading axes, cut + 1)."""
-    return np.zeros((2,) + lattice.resolution[:-1] + (lattice.cutoffs[-1] + 1,), np.complex128)
-
-
-def limit_q1(u: np.ndarray, B: np.ndarray, table: HalfTable, work: np.ndarray) -> np.ndarray:
+def limit_q1(
+    u: np.ndarray, B: np.ndarray, table: HalfTable, work: np.ndarray, out: np.ndarray
+) -> np.ndarray:
     """Averaged advection form Q1(u, B): resonant sum over same-modulus
     pairs, on half spectra.
 
     ``u`` is a real divergence-free field (its mean mode participates
     through the l = 0 entries, which average trivially) and ``B`` the pair of
     branches, each the spectrum of a real function, both as extended half
-    spectra (:func:`_extend`).  Returns the half spectra of the form's two
-    branches, a new array.  ``work``, flat complex scratch of at least twice
-    the table's q1 entries (a limit stepper's workspace ``forms``), is filled
+    spectra (:func:`_extend`).  Writes the half spectra of the form's two
+    branches into ``out`` (contiguous, of shape (2, *leading axes, cut + 1))
+    and returns it.  ``work``, flat complex scratch of at least twice the
+    table's q1 entries (a limit stepper's share of its workspace), is filled
     with the gathers and products, so that no call allocates them.
     """
     lattice = table.lattice
-    out = _half_zeros(lattice)
+    out.fill(0.0)
     entries = table.q1_m.size
     k_dot_u, term = work[: 2 * entries].reshape(2, entries)
     prefactor = 1j / math.sqrt(lattice.volume)
@@ -499,15 +498,16 @@ def limit_q1(u: np.ndarray, B: np.ndarray, table: HalfTable, work: np.ndarray) -
     return out
 
 
-def limit_q2(B: np.ndarray, table: HalfTable, kappa: float, work: np.ndarray) -> np.ndarray:
+def limit_q2(
+    B: np.ndarray, table: HalfTable, kappa: float, work: np.ndarray, out: np.ndarray
+) -> np.ndarray:
     """Averaged quadratic form Q2(B, B): equal-branch collinear resonances
     only, on a pair of branches given as extended half spectra, as in
-    :func:`limit_q1`, with ``work`` as there but of at least twice the q2
-    entries.  Returns the half spectra of the form's two branches, a new
-    array.
+    :func:`limit_q1`, with ``work`` and ``out`` as there but ``work`` of at
+    least twice the q2 entries.
     """
     lattice = table.lattice
-    out = _half_zeros(lattice)
+    out.fill(0.0)
     c_d = 1.0 / math.sqrt(2.0 * lattice.volume)
     front = -1j * c_d * (kappa + 3.0) / 4.0
     acc = out.reshape(2, -1)

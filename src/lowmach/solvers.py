@@ -19,18 +19,19 @@ a*K(a) with kappa = gamma - 2 and K in closed form; K vanishes identically at
 gamma = 2, where the compressible right-hand side skips its K pass.
 
 A run is one stepper object that holds only what depends on its own state
-and Mach number: the half spectra of its real fields and, for the
+and Mach number: its fields' half spectra, stacked, and, for the
 compressible system, the propagator's per-mode exponentials for its eps.
 The multipliers that do not depend on eps (i k, the viscous symbols, the heat
-factor exp(-mu |k|^2 dt), the propagator's wavevector tables) are built once
-per lattice by ``lattice._cached`` builders, and so is the limit table that
-every limit stepper reads (``resonance._limit_table``).  The arrays that a
-right-hand side fills and reads within one call, the limit forms' scratch
-too, come from one workspace per lattice and thread (``_Stepper._work``),
-shared by every stepper on that lattice in that thread and kept alive by them
-alone.  So a step allocates only its half-spectrum stages, and a Mach sweep
-or an ensemble adds per run its fields and exponentials, not a stack of
-scratch arrays (:class:`CompressibleStepper`, :class:`IncompressibleStepper`,
+factor exp(-mu |k|^2 dt), the propagator's directions), the transforms'
+scales folded in, are built once per lattice by ``lattice._cached``
+builders, and so is the limit table that every limit stepper reads
+(``resonance._limit_table``).  The arrays that a step fills
+and reads, its Lawson stages and the limit forms' scratch too, come from one
+workspace per lattice and thread (``_Stepper._work``), shared by every
+stepper on that lattice in that thread and kept alive by them alone.  So a
+step allocates only its new state, and a Mach sweep or an ensemble adds per
+run its fields and exponentials, not a stack of scratch arrays
+(:class:`CompressibleStepper`, :class:`IncompressibleStepper`,
 :class:`LimitStepper`).  The limit is a pair: :class:`LimitStepper`
 steps the incompressible velocity v and the averaged state V, which v
 drives, as one coupled system, so that v's part of each step is the
@@ -66,7 +67,7 @@ from .lattice import (
     _half_inverse,
     _half_to_full,
     _mirror,
-    _scale_modes,
+    _scales,
     zero_mean_split,
 )
 from .dyadic import NormSpec, norm
@@ -211,11 +212,12 @@ class Forcing:
 
     def half_spectrum(self, t: float) -> np.ndarray:
         """The force at time t on the retained half spectrum (columns 0..cut)."""
+        return self.add_to(np.zeros_like(self.lattice.half_wavevectors(), np.complex128), t)
+
+    def add_to(self, half: np.ndarray, t: float) -> np.ndarray:
+        """Add the force at time t to ``half``, velocity half spectra, in
+        place, mode by mode; return ``half``."""
         lattice = self.lattice
-        cut = lattice.cutoffs[-1]
-        coeffs = np.zeros(
-            (lattice.d,) + lattice.resolution[:-1] + (cut + 1,), dtype=np.complex128
-        )
         for fm in self.modes:
             amp = fm.factor(t) * np.asarray(fm.amplitude, dtype=np.complex128)
             entries = [(fm.mode, amp)]
@@ -224,8 +226,8 @@ class Forcing:
             for mode, value in entries:
                 if mode[-1] >= 0:
                     idx = tuple(c % n for c, n in zip(mode, lattice.resolution))
-                    coeffs[(slice(len(value)),) + idx] += value
-        return coeffs
+                    half[(slice(len(value)),) + idx] += value
+        return half
 
     def to_json(self) -> list:
         return [
@@ -342,13 +344,15 @@ class SolverConfig:
 # Multipliers on the retained half spectrum that do not depend on eps, built
 # once per lattice.  Real multipliers are stored as complex: numpy would
 # otherwise cast them, through a temporary buffer, in every product with the
-# data.
+# data.  A multiplier whose product feeds a transform carries the scales that
+# the half-spectrum transforms leave out (``lattice._scales``), so that no
+# pass is spent on them.
 
 
 @_cached
-def _half_ik(lattice: LatticeSpec) -> np.ndarray:
-    """i k on the retained half spectrum, shape (d, *leading axes, cut + 1)."""
-    return 1j * lattice.half_wavevectors()
+def _half_ik(lattice: LatticeSpec, scale: float) -> np.ndarray:
+    """scale * i k on the retained half spectrum, shape (d, *leading axes, cut + 1)."""
+    return (1j * scale) * lattice.half_wavevectors()
 
 
 @_cached
@@ -360,31 +364,40 @@ def _heat_factor(lattice: LatticeSpec, mu: float, dt: float) -> np.ndarray:
 
 
 @_cached
-def _viscous_symbols(lattice: LatticeSpec, mu: float, lam: float) -> tuple:
-    """The symbols -mu |k|^2 of mu lap and (mu + lam) i k of (mu + lam) grad div."""
-    laplacian = -mu * lattice.k_squared()[..., : lattice.cutoffs[-1] + 1]
-    return laplacian.astype(np.complex128), (mu + lam) * _half_ik(lattice)
+def _viscous_symbols(lattice: LatticeSpec, mu: float, lam: float, scale: float) -> tuple:
+    """scale times the symbols -mu |k|^2 of mu lap and (mu + lam) i k of
+    (mu + lam) grad div."""
+    laplacian = (-mu * scale) * lattice.k_squared()[..., : lattice.cutoffs[-1] + 1]
+    return laplacian.astype(np.complex128), (1j * (mu + lam) * scale) * lattice.half_wavevectors()
 
 
 @_cached
 def _leray_symbol(lattice: LatticeSpec) -> np.ndarray:
     """i k / |k|^2 (0 at the mean mode), the Leray projection's multiplier."""
-    return _half_ik(lattice) * _safe_inv_ksq(lattice)[..., : lattice.cutoffs[-1] + 1]
+    return _half_ik(lattice, 1.0) * _safe_inv_ksq(lattice)[..., : lattice.cutoffs[-1] + 1]
 
 
 @_cached
-def _half_directions(lattice: LatticeSpec) -> tuple:
-    """The wavevectors k, |k| (1 at the mean mode) and k/|k|."""
+def _half_khat(lattice: LatticeSpec) -> np.ndarray:
+    """k/|k| (0 at the mean mode) on the retained half spectrum."""
     kmod = _safe_k_modulus(lattice)[..., : lattice.cutoffs[-1] + 1]
-    kvecs = lattice.half_wavevectors()
-    return tuple(x.astype(np.complex128) for x in (kvecs, kmod, kvecs / kmod))
+    return (lattice.half_wavevectors() / kmod).astype(np.complex128)
+
+
+def _dot(m: np.ndarray, y: np.ndarray, out: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """sum_c m[c] y[c] into ``out``, one component at a time, with ``term``
+    one component of scratch."""
+    np.multiply(m[0], y[0], out=out)
+    for mc, yc in zip(m[1:], y[1:]):
+        np.add(out, np.multiply(mc, yc, out=term), out=out)
+    return out
 
 
 class AcousticViscousPropagator:
     """Per-mode exact exponential of the linear compressible operator, on the
     retained half spectrum.  It holds the exponentials of its eps
-    (``e11``, ``e12``, ``e22``) and reads the lattice's cached transverse
-    factor and wavevector tables."""
+    (``e11``, ``e12``, and ``e22_t``, e22 minus the transverse factor) and
+    reads the lattice's cached transverse factor T and directions k/|k|."""
 
     def __init__(self, lattice: LatticeSpec, dt: float, eps: float, nu: float, mu: float):
         cut = lattice.cutoffs[-1]
@@ -404,34 +417,34 @@ class AcousticViscousPropagator:
         s = sinhc * dt  # sinh(Delta dt)/Delta
         front = np.exp(c * dt / 2.0)
         b = -1j * lattice.k_modulus()[..., : cut + 1] / eps
+        self.transverse = _heat_factor(lattice, mu, dt)
         self.e11 = front * (cosh - (c / 2.0) * s)
         self.e12 = front * b * s
-        self.e22 = front * (cosh + (c / 2.0) * s)
+        # e22 - T: new mu_L - T mu_L = e12 a + (e22 - T) mu_L
+        self.e22_t = front * (cosh + (c / 2.0) * s) - self.transverse
         zero = (0,) * lattice.d
         self.e11[zero] = 1.0
-        self.e12[zero] = 0.0
-        self.e22[zero] = 1.0
-        self.transverse = _heat_factor(lattice, mu, dt)
-        self.kvecs, self.kmod, self.khat = _half_directions(lattice)
+        self.e12[zero] = self.e22_t[zero] = 0.0
+        self.khat = _half_khat(lattice)
 
-    def apply(self, a: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Advance the half spectra of a (one component) and u (d components).
-
-        On the mean mode ``khat`` vanishes and ``transverse`` is 1, so the
-        mean velocity is left as it is.
+    def apply(self, x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """Advance the stacked half spectra ``x`` of (a, u) into ``out``, which
+        may be ``x``, with three half spectra of ``scratch``: mu_L = khat . u
+        goes through the 2x2 block with a, and u becomes T u + khat (new mu_L
+        - T mu_L), which leaves the mean velocity as it is (khat = 0, T = 1).
+        One component at a time: a broadcast operand costs an iterator buffer.
         """
-        mu_long = sum(k * uc for k, uc in zip(self.kvecs, u)) / self.kmod
-        a_hat = a[0]
-        new_a = self.e11 * a_hat + self.e12 * mu_long
-        new_mu = self.e12 * a_hat + self.e22 * mu_long
-        # transverse (u - mu_long khat) + new_mu khat, one component at a
-        # time: a broadcast operand makes numpy allocate iterator buffers
-        new_u = np.empty_like(u)
-        for k, uc, out in zip(self.khat, u, new_u):
-            np.subtract(uc, np.multiply(mu_long, k, out=out), out=out)
-            out *= self.transverse
-            out += new_mu * k
-        return new_a[None], new_u
+        a, u, new_a = x[0], x[1:], out[0]
+        mu_long, change, term = scratch[:3]
+        _dot(self.khat, u, mu_long, term)
+        np.multiply(self.e12, a, out=change)
+        np.add(change, np.multiply(self.e22_t, mu_long, out=term), out=change)
+        np.multiply(self.e12, mu_long, out=term)
+        np.add(np.multiply(self.e11, a, out=new_a), term, out=new_a)
+        for k, uc, oc in zip(self.khat, u, out[1:]):
+            np.multiply(uc, self.transverse, out=oc)
+            np.add(oc, np.multiply(k, change, out=term), out=oc)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -439,28 +452,29 @@ class AcousticViscousPropagator:
 # ---------------------------------------------------------------------------
 
 
-def _lawson_rk2(x: tuple, t: float, dt: float, linear, rhs) -> tuple:
-    """One Lawson (integrating-factor) RK2 step of dx/dt = L x + N(x, t).
+def _lawson_rk2(x: np.ndarray, t: float, dt: float, linear, rhs, stages: np.ndarray) -> np.ndarray:
+    """One Lawson (integrating-factor) RK2 step of dx/dt = L x + N(x, t): with
+    n0 = N(x, t) and n1 = N(P(x + dt n0), t + dt), P = exp(dt L), the new state
+    P(x) + (dt/2) (P(n0) + n1) is evaluated as the equal (P is linear)
+    P(x + (dt/2) n0) + (dt/2) n1, in the three arrays of ``stages``, shaped
+    like ``x``; ``linear(y, out)`` writes P y and ``rhs(y, t, out)`` N(y, t)
+    into ``out``.  The new state is the one array allocated."""
+    n, half, predictor = stages
+    rhs(x, t, n)
+    np.add(x, np.multiply(n, dt / 2.0, out=half), out=half)
+    np.add(x, np.multiply(n, dt, out=predictor), out=predictor)
+    linear(half, half)
+    linear(predictor, predictor)
+    rhs(predictor, t + dt, n)
+    return np.add(half, np.multiply(n, dt / 2.0, out=n))
 
-    ``x`` is a tuple of fields or arrays, ``linear`` maps such a tuple through
-    the exact one-step exponential P = exp(dt L), and ``rhs(x, t)`` returns
-    N(x, t) as a tuple of the same shape.  With n0 = N(x, t) and
-    n1 = N(P(x + dt n0), t + dt) the step is P(x) + (dt/2) (P(n0) + n1),
-    evaluated as the equal (P is linear) P(x + (dt/2) n0) + (dt/2) n1 with two
-    applications of P.
-    """
-    n0 = rhs(x, t)
-    half = linear(tuple(xi + (dt / 2.0) * ni for xi, ni in zip(x, n0)))
-    predictor = linear(tuple(xi + dt * ni for xi, ni in zip(x, n0)))
-    del n0  # free it before the second evaluation, the step's memory peak
-    n1 = rhs(predictor, t + dt)
-    return tuple(hi + (dt / 2.0) * ni for hi, ni in zip(half, n1))
 
-
-def _rotation(ik: np.ndarray, u: np.ndarray, pairs: list, out: np.ndarray) -> None:
-    """Half spectra of d_i u_j - d_j u_i for each pair i < j, into ``out``."""
+def _rotation(ik: np.ndarray, u: np.ndarray, pairs: list, out: np.ndarray, term) -> None:
+    """Half spectra of d_i u_j - d_j u_i for each pair i < j, into ``out``,
+    with ``ik`` the (scaled) i k; ``term`` is one half-spectrum scratch."""
     for n, (i, j) in enumerate(pairs):
-        np.subtract(ik[i] * u[j], ik[j] * u[i], out=out[n])
+        np.multiply(ik[i], u[j], out=out[n])
+        np.subtract(out[n], np.multiply(ik[j], u[i], out=term), out=out[n])
 
 
 def _add_lamb(lamb: np.ndarray, u: np.ndarray, rot: np.ndarray, pairs: list, scratch) -> None:
@@ -468,34 +482,36 @@ def _add_lamb(lamb: np.ndarray, u: np.ndarray, rot: np.ndarray, pairs: list, scr
     grad(|u|^2/2) - (u.grad)u, to ``lamb`` from the grid values of u and of
     the :func:`_rotation` components; ``scratch`` is one grid-sized array."""
     for (i, j), r in zip(pairs, rot):
-        lamb[i] += np.multiply(u[j], r, out=scratch)
-        lamb[j] -= np.multiply(u[i], r, out=scratch)
+        np.add(lamb[i], np.multiply(u[j], r, out=scratch), out=lamb[i])
+        np.subtract(lamb[j], np.multiply(u[i], r, out=scratch), out=lamb[j])
+
+
+def _spectra_entries(lattice: LatticeSpec, stack: int, spectra: int) -> int:
+    """Entries of a workspace's ``spectra`` for an inverse stack of ``stack``
+    half spectra and, in turn, ``spectra`` real-data FFT spectra."""
+    n = lattice.resolution
+    return math.prod(n[:-1]) * max(stack * (lattice.cutoffs[-1] + 1), spectra * (n[-1] // 2 + 1))
 
 
 class _Workspace:
-    """The arrays that a right-hand side fills and reads within one call,
-    shared by the steppers of one lattice in one thread (``_Stepper._work``).
-
-    Each array has a leading component axis and holds as many components as
-    the largest request so far: ``spectral`` and ``forward`` half spectra
-    (complex), ``grid`` and ``products`` grid values (real), ``spectrum`` the
-    real-data FFT output (complex), and ``forms`` the limit forms' gathers and
-    products (complex entries, no further axis).  A right-hand side slices
-    the components it needs at each call and keeps no view, since a larger
-    request replaces an array.
-    """
+    """The arrays that a step fills and reads, shared by the steppers of one
+    lattice in one thread (``_Stepper._work``): the Lawson ``stages`` (half
+    spectra), ``grid`` and ``products`` (real grid values), and ``spectra``,
+    one flat complex buffer for, in turn, an inverse stack of half spectra, a
+    forward stack's real-data FFT, the propagator's scratch and the limit
+    forms.  Each holds as many components (entries of ``spectra``) as the
+    largest request so far; a step slices what it needs and keeps no view."""
 
     def __init__(self, lattice: LatticeSpec):
         n, cut = lattice.resolution, lattice.cutoffs[-1]
-        half = n[:-1] + (cut + 1,)
+        self.half = n[:-1] + (cut + 1,)  # a half spectrum's shape
+        self.spectrum = n[:-1] + (n[-1] // 2 + 1,)  # a real-data FFT's shape
         # per array: its shape after the component axis and its dtype
         self.layout = {
-            "spectral": (half, np.complex128),
+            "stages": (self.half, np.complex128),
             "grid": (n, np.float64),
             "products": (n, np.float64),
-            "spectrum": (n[:-1] + (n[-1] // 2 + 1,), np.complex128),
-            "forward": (half, np.complex128),
-            "forms": ((), np.complex128),
+            "spectra": ((), np.complex128),
         }
 
     def reserve(self, counts: dict) -> "_Workspace":
@@ -505,6 +521,10 @@ class _Workspace:
                 shape, dtype = self.layout[name]
                 setattr(self, name, np.empty((count,) + shape, dtype))
         return self
+
+    def view(self, count: int, shape: tuple) -> np.ndarray:
+        """The first ``count`` arrays of ``shape`` in ``spectra``."""
+        return self.spectra[: count * math.prod(shape)].reshape((count,) + shape)
 
 
 class _Workspaces(threading.local):
@@ -519,19 +539,20 @@ _workspaces = _Workspaces()
 
 
 class _Stepper:
-    """One run of dx/dt = L x + N(x, t): a subclass holds the state ``x`` (a
-    tuple of arrays) and ``counts``, the components it needs of each
-    workspace array, and gives ``linear``, the exact one-step exponential of
-    L, ``rhs``, the right-hand side N, and ``state()``, the system's fields
-    built from ``x``.  The stepper keeps no clock."""
+    """One run of dx/dt = L x + N(x, t): a subclass holds the state ``x``
+    (its fields' half spectra, stacked) and ``counts``, what it needs of each
+    workspace array, and gives ``linear(y, out)``, the exact one-step
+    exponential of L, ``rhs(y, t, out)``, the right-hand side N, both in the
+    workspace ``work``, and ``state()``, the fields.  It keeps no clock."""
 
     def step(self, t: float) -> None:
         """One Lawson RK2 step started at time ``t``."""
-        self.x = _lawson_rk2(self.x, t, self.cfg.dt, self.linear, self.rhs)
+        stages = self._work().stages[: 3 * len(self.x)].reshape((3,) + self.x.shape)
+        self.x = _lawson_rk2(self.x, t, self.cfg.dt, self.linear, self.rhs, stages)
 
     def _work(self) -> _Workspace:
         """The calling thread's workspace of the lattice, grown to this
-        stepper's ``counts``; the stepper holds it until the next call."""
+        stepper's ``counts``, held as ``work`` until the next step."""
         lattice = self.cfg.lattice
         work = _workspaces.by_lattice.get(lattice)
         if work is None:
@@ -580,13 +601,12 @@ class CompressibleStepper(_Stepper):
 
     Holds the exact propagator, the warn-once flag of the vacuum check
     (``vacuum_warned``) and the retained half spectra (columns 0..cut) of the
-    real fields a and u as ``x = (a, u)``.  Its right-hand side works in the
-    lattice's workspace: ``spectral`` holds the half spectra of the inverse
-    stack (a, u, d_i u_j - d_j u_i for i < j, viscous term), which the
-    inverse transform overwrites; ``grid`` its grid values; ``products`` the
+    real fields a and u, stacked as ``x``.  Its right-hand side works in the
+    lattice's workspace: ``spectra`` holds the inverse stack (a, u,
+    d_i u_j - d_j u_i for i < j, viscous term), then the forward stack's
+    real-data FFT; ``grid`` the inverse stack's grid values, ``products`` the
     forward stack (a u, |u|^2/2, Lamb term, and a^2/2 unless gamma = 2), then
-    the grid values of eps a; ``spectrum`` the forward stack's real-data
-    FFT; ``forward`` its half spectra.
+    the grid values of eps a.
     """
 
     def __init__(self, cfg: SolverConfig, a: SpectralField, u: SpectralField):
@@ -596,20 +616,26 @@ class CompressibleStepper(_Stepper):
         self.cfg = cfg
         self.propagator = AcousticViscousPropagator(lattice, cfg.dt, cfg.eps, cfg.nu, cfg.mu)
         self.vacuum_warned = False
-        self.x = (a.coeffs[..., : cut + 1], u.coeffs[..., : cut + 1])
+        self.x = np.concatenate((a.coeffs[..., : cut + 1], u.coeffs[..., : cut + 1]))
         self.pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-        self.ik = _half_ik(lattice)
-        self.laplacian, self.grad_div = _viscous_symbols(lattice, cfg.mu, cfg.lam)
+        # the Lamb term's inputs carry both scales, so its grid values carry
+        # the forward scale; the gradients of the forward stack carry it too
+        inverse, forward = self.scales = _scales(lattice)
+        self.ik, self.rotation = _half_ik(lattice, 1.0), _half_ik(lattice, inverse * forward)
+        self.gradient = _half_ik(lattice, -forward)
+        symbols = _viscous_symbols(lattice, cfg.mu, cfg.lam, inverse * forward)
+        self.laplacian, self.grad_div = symbols
         # a^2/2 is read only by the pressure terms kappa a^2/2 and K, which
         # vanish at gamma = 2
         self.n_products = 2 * d + 1 + (cfg.gamma != 2.0)
-        stack, products = 1 + 2 * d + len(self.pairs), self.n_products
-        self.counts = dict(
-            spectral=stack, grid=stack, products=products + 1, spectrum=products, forward=products
-        )
+        if cfg.gamma != 2.0:
+            self.k_gradient = _half_ik(lattice, inverse * forward * forward)
+        self.stack, m = 1 + 2 * d + len(self.pairs), self.n_products
+        spectra = _spectra_entries(lattice, self.stack, m)
+        self.counts = dict(stages=3 + 3 * d, grid=self.stack, products=m + 1, spectra=spectra)
         self._work()
 
-    def _grid_terms(self, a: np.ndarray, u: np.ndarray, work: _Workspace) -> np.ndarray:
+    def _grid_terms(self, x: np.ndarray, out: np.ndarray, work: _Workspace) -> np.ndarray:
         """Grid values for the right-hand side, from one inverse pass.
 
         Transforms the half spectra of (a, u, d_i u_j - d_j u_i for i < j,
@@ -618,33 +644,33 @@ class CompressibleStepper(_Stepper):
         viscous term mu lap u + (mu + lam) grad div u, and a^2/2 unless
         gamma = 2) and, after it, the grid values of eps a, which it returns.
         The Lamb term -sum_i u_i (d_i u_j - d_j u_i) is grad(|u|^2/2) -
-        (u.grad)u.
+        (u.grad)u.  ``out``'s first two components serve as scratch.
         """
         cfg = self.cfg
         lattice = cfg.lattice
         d = lattice.d
         pairs, ik = self.pairs, self.ik
+        u = x[1:]
         # components: a | u | d_i u_j - d_j u_i for each pair i < j | viscous term
-        spectral = work.spectral[: self.counts["spectral"]]
-        spectral[0] = a[0]
-        spectral[1 : 1 + d] = u
-        _rotation(ik, u, pairs, spectral[1 + d : 1 + d + len(pairs)])
+        spectral = work.view(self.stack, work.half)
+        np.multiply(x, self.scales[0], out=spectral[: 1 + d])
+        _rotation(self.rotation, u, pairs, spectral[1 + d : 1 + d + len(pairs)], out[0])
         visc = spectral[1 + d + len(pairs) :]
-        div_u = sum(ik[c] * u[c] for c in range(d))
+        div_u, term = _dot(ik, u, out[0], out[1]), out[1]
         for c in range(d):  # per component: see AcousticViscousPropagator.apply
             np.multiply(u[c], self.laplacian, out=visc[c])
-            visc[c] += self.grad_div[c] * div_u
-        grid = _half_inverse(spectral, lattice, out=work.grid[: len(spectral)])
+            np.add(visc[c], np.multiply(self.grad_div[c], div_u, out=term), out=visc[c])
+        grid = _half_inverse(spectral, lattice, out=work.grid[: self.stack])
         a_grid, u_grid = grid[0], grid[1 : 1 + d]
         rot_grid = grid[1 + d : 1 + d + len(pairs)]
         visc_grid = grid[1 + d + len(pairs) :]
-        # (a u, |u|^2/2, Lamb - I(eps a) visc[, a^2/2]), eps a; the Lamb term's
-        # first slot holds the squares of the velocity components until the
-        # Lamb term is written
+        # (a u, |u|^2/2, Lamb - I(eps a) visc[, a^2/2]), eps a; the slots of
+        # |u|^2/2 and the Lamb term hold the squares of the velocity
+        # components until they are written
         products, eps_a = work.products, work.products[self.n_products]
-        u_sq = np.square(u_grid[0], out=products[d])
+        u_sq = np.square(u_grid, out=products[d : 2 * d])[0]
         for c in range(1, d):
-            u_sq += np.square(u_grid[c], out=products[d + 1])
+            np.add(u_sq, products[d + c], out=u_sq)
 
         amax = float(np.max(np.abs(a_grid, out=eps_a)))
         if not math.isfinite(amax):
@@ -670,68 +696,63 @@ class CompressibleStepper(_Stepper):
             products[2 * d + 1] *= a_grid
         # a's grid values are read no more: their slot is the scratch from here on
         scratch = a_grid
-        # I(eps a) = eps a / (1 + eps a)
-        quotient = np.divide(eps_a, np.add(eps_a, 1.0, out=scratch), out=scratch)
+        # -I(eps a) = eps a / (-1 - eps a)
+        quotient = np.divide(eps_a, np.subtract(-1.0, eps_a, out=scratch), out=scratch)
         lamb = products[d + 1 : 2 * d + 1]
         for c in range(d):
-            np.negative(np.multiply(quotient, visc_grid[c], out=lamb[c]), out=lamb[c])
+            np.multiply(quotient, visc_grid[c], out=lamb[c])
         _add_lamb(lamb, u_grid, rot_grid, pairs, scratch)
         return eps_a
 
-    def rhs(self, x: tuple, t: float) -> tuple[np.ndarray, np.ndarray]:
+    def rhs(self, x: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
         """Right-hand side beyond the exactly-propagated linear part, on the
-        retained half spectra ``x = (a, u)``.
+        stacked half spectra ``x`` of (a, u), written into ``out``.
 
         One inverse transform (:meth:`_grid_terms`) and one forward transform
         of the products, in rotational form: (u.grad)u = grad(|u|^2/2) - Lamb
         and a grad a = grad(a^2/2), both exact for the dealiased products.
         Unless gamma = 2, the K term multiplies the grid values of the
         dealiased a grad a, which costs one more inverse and forward pass.
-        The transforms work in the lattice's workspace; the returned arrays
-        are new.
         """
-        a, u = x
         cfg = self.cfg
         lattice = cfg.lattice
         d = lattice.d
-        ik = self.ik
-        work = self._work()
-        eps_a = self._grid_terms(a, u, work)
+        work = self.work
+        eps_a = self._grid_terms(x, out, work)
         m = self.n_products
-        dealiased = _half_forward(
-            work.products[:m], lattice, out=work.forward[:m], spectrum=work.spectrum[:m]
-        )
-        au, u_sq, lamb = dealiased[:d], dealiased[d], dealiased[d + 1 : 2 * d + 1]
+        dealiased = _half_forward(work.products[:m], lattice, spectrum=work.view(m, work.spectrum))
+        au, pressure, lamb = dealiased[:d], dealiased[d], dealiased[d + 1 : 2 * d + 1]
+        n_a, n_u, term = out[0], out[1:], out[1]
+        grad = self.gradient  # minus i k, with the forward scale
 
-        # continuity: -div(a u)
-        n_a = (-1.0 * sum(ik[c] * au[c] for c in range(d)))[None]
+        _dot(grad, au, n_a, term)  # continuity: -div(a u)
 
         # momentum: -(u.grad)u - kappa a grad a - K(eps a) a grad a - I(eps a) Au + f,
         # = (Lamb - I(eps a) Au) - grad(|u|^2/2 + kappa a^2/2) - K(eps a) grad(a^2/2) + f;
         # kappa and K vanish at gamma = 2
-        n_u = np.empty_like(u)
-        pressure = u_sq if cfg.gamma == 2.0 else u_sq + cfg.kappa * dealiased[2 * d + 1]
-        for c in range(d):
-            np.subtract(lamb[c], np.multiply(ik[c], pressure, out=n_u[c]), out=n_u[c])
         if cfg.gamma != 2.0:
-            # the K pass reuses the first d components of each array
-            a_grad_a = np.multiply(ik, dealiased[2 * d + 1], out=work.spectral[:d])
-            a_grad_a_grid = _half_inverse(a_grad_a, lattice, out=work.grid[:d])
-            k_term = np.multiply(
-                _pressure_remainder(eps_a, cfg.gamma), a_grad_a_grid, out=work.products[:d]
-            )
-            n_u -= _half_forward(k_term, lattice, out=work.forward[:d], spectrum=work.spectrum[:d])
+            np.add(pressure, np.multiply(dealiased[2 * d + 1], cfg.kappa, out=term), out=pressure)
+        for c in range(d):
+            np.add(np.multiply(grad[c], pressure, out=n_u[c]), lamb[c], out=n_u[c])
+        if cfg.gamma != 2.0:
+            a_grad_a = work.view(d, work.half)  # ahead of a^2/2 in the buffer
+            for c in range(d):
+                np.multiply(self.k_gradient[c], dealiased[2 * d + 1], out=a_grad_a[c])
+            grid = _half_inverse(a_grad_a, lattice, out=work.grid[:d])
+            k_term = np.multiply(_pressure_remainder(eps_a, cfg.gamma), grid, out=work.products[:d])
+            n_u -= _half_forward(k_term, lattice, spectrum=work.view(d, work.spectrum))
         if cfg.forcing is not None:
-            n_u = n_u + cfg.forcing.half_spectrum(t)
-        return n_a, n_u
+            cfg.forcing.add_to(n_u, t)
+        return out
 
-    def linear(self, x: tuple) -> tuple[np.ndarray, np.ndarray]:
-        return self.propagator.apply(*x)
+    def linear(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return self.propagator.apply(x, out, self.work.view(3, self.work.half))
 
     def state(self) -> tuple[SpectralField, SpectralField]:
         """The current (a, u) as full, Hermitian fields."""
         lat = self.cfg.lattice
-        return tuple(SpectralField._in_box(lat, _half_to_full(y, lat)) for y in self.x)
+        full = _half_to_full(self.x, lat)
+        return SpectralField._in_box(lat, full[:1]), SpectralField._in_box(lat, full[1:])
 
 
 def step_compressible(a: SpectralField, u: SpectralField, t: float, cfg: SolverConfig) -> tuple:
@@ -744,67 +765,67 @@ def step_compressible(a: SpectralField, u: SpectralField, t: float, cfg: SolverC
 class IncompressibleStepper(_Stepper):
     """The incompressible system for one run, stepped on the half spectrum.
 
-    Holds the half spectrum of the real velocity v and the lattice's cached
-    heat factor ``heat`` = exp(-mu |k|^2 dt) and Leray multipliers.  Its
-    right-hand side works in the lattice's workspace: the inverse stack on
-    the half spectrum (transformed in place) and on the grid, the Lamb
-    term's grid values and one grid-sized scratch (``products``), their
-    real-data FFT and their half spectra.
+    Holds the half spectrum of the real velocity v as ``x`` and the
+    lattice's cached heat factor ``heat`` = exp(-mu |k|^2 dt) and Leray
+    multipliers.  Its right-hand side works in the lattice's workspace: the
+    inverse stack and then the Lamb term's real-data FFT in ``spectra``, the
+    stack's grid values in ``grid``, and the Lamb term's grid values and one
+    grid-sized scratch in ``products``.
     """
 
     def __init__(self, cfg: SolverConfig, v: SpectralField):
         _check_fields(cfg.lattice, v=(v, cfg.lattice.d))
         lattice = cfg.lattice
         d, cut = lattice.d, lattice.cutoffs[-1]
-        self.cfg, self.x = cfg, (v.coeffs[..., : cut + 1],)
+        self.cfg, self.x = cfg, v.coeffs[..., : cut + 1]
         self.heat = _heat_factor(lattice, cfg.mu, cfg.dt)
-        self.ik = _half_ik(lattice)
+        inverse, forward = self.scales = _scales(lattice)  # see CompressibleStepper
+        self.ik, self.rotation = _half_ik(lattice, 1.0), _half_ik(lattice, inverse * forward)
         self.ik_over_ksq = _leray_symbol(lattice)
         self.pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-        stack = d + len(self.pairs)
-        self.counts = dict(spectral=stack, grid=stack, products=d + 1, spectrum=d, forward=d)
+        self.stack = d + len(self.pairs)
+        spectra = _spectra_entries(lattice, self.stack, d)
+        self.counts = dict(stages=3 * d, grid=self.stack, products=d + 1, spectra=spectra)
         self._work()
 
-    def linear(self, x: tuple) -> tuple[np.ndarray]:
-        return (_scale_modes(x[0], self.heat),)
+    def linear(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        for xc, oc in zip(x, out):  # per component: see AcousticViscousPropagator.apply
+            np.multiply(xc, self.heat, out=oc)
+        return out
 
-    def rhs(self, x: tuple, t: float) -> tuple[np.ndarray]:
-        """P(f - (v.grad)v) on the half spectrum ``x = (v,)``, as a new array:
-        P(Lamb + f), since (v.grad)v = grad(|v|^2/2) - Lamb and P kills
-        gradients.  One inverse transform of (v, d_i v_j - d_j v_i for i < j),
-        the CFL check on v's grid values, and one forward transform of the
-        Lamb term."""
-        (v,) = x
+    def rhs(self, x: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
+        """P(f - (v.grad)v) on the half spectrum ``x`` of v, written into
+        ``out``: P(Lamb + f), since (v.grad)v = grad(|v|^2/2) - Lamb and P
+        kills gradients.  One inverse transform of (v, d_i v_j - d_j v_i for
+        i < j), the CFL check on v's grid values, and one forward transform
+        of the Lamb term."""
         cfg, lattice, d = self.cfg, self.cfg.lattice, self.cfg.lattice.d
-        work = self._work()
-        spectral = work.spectral[: self.counts["spectral"]]
-        spectral[:d] = v
-        _rotation(self.ik, v, self.pairs, spectral[d:])
-        grid = _half_inverse(spectral, lattice, out=work.grid[: len(spectral)])
+        work = self.work
+        spectral = work.view(self.stack, work.half)
+        np.multiply(x, self.scales[0], out=spectral[:d])
+        _rotation(self.rotation, x, self.pairs, spectral[d:], out[0])
+        grid = _half_inverse(spectral, lattice, out=work.grid[: self.stack])
         lamb, scratch = work.products[:d], work.products[d]
-        # |v|^2 in the scratch, with the Lamb term's first slot as the
-        # scratch of the squares, before the Lamb term is written
-        v_sq = np.square(grid[0], out=scratch)
+        v_sq = np.square(grid[:d], out=lamb)[0]  # the Lamb term's slots, still free
         for c in range(1, d):
-            v_sq += np.square(grid[c], out=lamb[0])
+            np.add(v_sq, lamb[c], out=v_sq)
         _check_cfl(cfg, float(np.max(v_sq)))
         lamb.fill(0.0)
         _add_lamb(lamb, grid[:d], grid[d:], self.pairs, scratch)
-        w = _half_forward(lamb, lattice, out=work.forward[:d], spectrum=work.spectrum[:d])
+        w = _half_forward(lamb, lattice, spectrum=work.view(d, work.spectrum))
         if cfg.forcing is not None:
-            w += cfg.forcing.half_spectrum(t)
+            cfg.forcing.add_to(w, t)
         # Leray projection w - k (k.w)/|k|^2 = w + ik (ik.w)/|k|^2, which
-        # leaves the mean mode as it is
-        ik_dot_w = sum(ik * wc for ik, wc in zip(self.ik, w))
-        out = np.empty_like(v)
-        for ik, wc, oc in zip(self.ik_over_ksq, w, out):
-            np.add(wc, np.multiply(ik, ik_dot_w, out=oc), out=oc)
-        return (out,)
+        # leaves the mean mode as it is; ik.w goes to out[0], written last
+        ik_dot_w = _dot(self.ik, w, out[0], out[-1])
+        for c in range(d - 1, -1, -1):
+            np.add(w[c], np.multiply(self.ik_over_ksq[c], ik_dot_w, out=out[c]), out=out[c])
+        return out
 
     def state(self) -> SpectralField:
         """The current full, Hermitian velocity field."""
         lattice = self.cfg.lattice
-        return SpectralField._in_box(lattice, _half_to_full(self.x[0], lattice))
+        return SpectralField._in_box(lattice, _half_to_full(self.x, lattice))
 
 
 def _check_finite_V(V: np.ndarray) -> None:
@@ -817,18 +838,18 @@ def _check_finite_V(V: np.ndarray) -> None:
 
 class LimitStepper(IncompressibleStepper):
     """The limit pair for one run: the incompressible velocity v and the
-    averaged state V that v drives, stepped together as ``x = (v, V)``.
+    averaged state V that v drives, stepped together as ``x``, the half
+    spectra of v and of V stacked.
 
-    v is the incompressible run's half spectrum, stepped by the inherited
-    code, so that its part of every step is the incompressible step.  Each
-    branch of V is the spectrum of a real function, so V is stored as the
-    half spectra of its two branches, with the heat factor ``heat_V`` =
-    exp(-nu |k|^2 dt/2) on the half spectrum.  V's right-hand side
-    -Q1(v, V) - Q2(V, V) reads the lattice's limit table (``table``, a
-    :class:`~lowmach.resonance.HalfTable` cached with the lattice, so every
-    limit stepper on it shares one) and v of the same stage, and raises
-    ValueError on a non-finite V; the two forms fill the workspace's
-    ``forms`` array in turn.
+    v's part is stepped by the inherited code, so that its part of every
+    step is the incompressible step.  Each branch of V is the spectrum of a
+    real function, so V is stored as the half spectra of its two branches,
+    with the heat factor ``heat_V`` = exp(-nu |k|^2 dt/2) on the half
+    spectrum.  V's right-hand side -Q1(v, V) - Q2(V, V) reads the lattice's
+    limit table (``table``, a :class:`~lowmach.resonance.HalfTable` cached
+    with the lattice, so every limit stepper on it shares one) and v of the
+    same stage, and raises ValueError on a non-finite V; the forms' extended
+    inputs, gathers and products fill the workspace's ``spectra``.
     """
 
     def __init__(self, cfg: SolverConfig, v: SpectralField, V: AcousticCoeffs):
@@ -836,28 +857,42 @@ class LimitStepper(IncompressibleStepper):
         _check_fields(cfg.lattice, V=(V, 2))
         _check_finite_V(V.coeffs)
         lattice = cfg.lattice
-        self.x = self.x + (V.coeffs[..., : lattice.cutoffs[-1] + 1],)
+        self.x = np.concatenate((self.x, V.coeffs[..., : lattice.cutoffs[-1] + 1]))
         self.heat_V = _heat_factor(lattice, 0.5 * cfg.nu, cfg.dt)
         table = self.table = _limit_table(lattice)
-        self.counts = dict(self.counts, forms=2 * max(table.q1_m.size, table.q2_m.size))
+        # the extended (v, V), then the forms' gathers and products
+        forms = 2 * self.x.size + 2 * max(table.q1_m.size, table.q2_m.size)
+        spectra = max(self.counts["spectra"], forms)
+        self.counts = dict(self.counts, stages=3 * len(self.x), spectra=spectra)
         self._work()
 
-    def linear(self, x: tuple) -> tuple[np.ndarray, np.ndarray]:
-        return super().linear(x[:1]) + (_scale_modes(x[1], self.heat_V),)
+    def linear(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        d = self.cfg.lattice.d
+        super().linear(x[:d], out[:d])
+        for xc, oc in zip(x[d:], out[d:]):
+            np.multiply(xc, self.heat_V, out=oc)
+        return out
 
-    def rhs(self, x: tuple, t: float) -> tuple[np.ndarray, np.ndarray]:
-        _check_finite_V(x[1])
-        v, V = (_extend(y) for y in x)
-        forms = self._work().forms
-        q1 = limit_q1(v, V, self.table, forms)
-        q2 = limit_q2(V, self.table, self.cfg.kappa, forms)
-        return super().rhs(x[:1], t) + (-1.0 * q1 - q2,)
+    def rhs(self, x: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
+        """v's right-hand side and -Q1(v, V) - Q2(V, V) on the stacked half
+        spectra ``x`` of (v, V), written into ``out``.  Q2 goes to the
+        extended v's slot once Q1 has read it."""
+        d = self.cfg.lattice.d
+        _check_finite_V(x[d:])
+        work = self.work
+        extended = _extend(x, work.spectra[: 2 * x.size].reshape(len(x), -1))
+        forms = work.spectra[2 * x.size :]
+        q1 = limit_q1(extended[:d], extended[d:], self.table, forms, out[d:])
+        q2 = limit_q2(extended[d:], self.table, self.cfg.kappa, forms, work.view(2, work.half))
+        np.subtract(np.negative(q1, out=q1), q2, out=q1)
+        super().rhs(x[:d], t, out[:d])
+        return out
 
     def state(self) -> tuple[SpectralField, AcousticCoeffs]:
         """The current (v, V) as full fields; V's branches are Hermitian."""
-        lattice = self.cfg.lattice
-        V = AcousticCoeffs._in_box(lattice, _half_to_full(self.x[1], lattice))
-        return super().state(), V
+        lattice, d = self.cfg.lattice, self.cfg.lattice.d
+        full = _half_to_full(self.x, lattice)
+        return SpectralField._in_box(lattice, full[:d]), AcousticCoeffs._in_box(lattice, full[d:])
 
 
 def step_incompressible(v: SpectralField, t: float, cfg: SolverConfig) -> SpectralField:

@@ -19,9 +19,11 @@ calculus (:func:`spectral_derivative`), the reconstruction from acoustic
 coefficients (:func:`acoustic_inverse`), fields built from mode entries, a
 forcing's full coefficient grid, and the limit forms on full fields
 (:func:`limit_q1`, :func:`limit_q2`), which the library evaluates on half
-spectra, Q2 as a quadratic form only.  One fake stands beside them: the
-compressible stepper without its right-hand side, which steps the exact
-linear propagator alone.  And one hook: :class:`SampledRun` keeps every
+spectra, Q2 as a quadratic form only.  The steppers' Lawson step has its
+reference here too, on tuples of fields with a new tuple per stage
+(:func:`lawson_rk2`).  One fake stands beside them: the compressible
+stepper without its right-hand side, which steps the exact linear
+propagator alone.  And one hook: :class:`SampledRun` keeps every
 sample of a run, which the library never does.  Each is written for clarity
 over speed, and several cost time quadratic in the number of retained modes,
 so they are only for small lattices.
@@ -319,8 +321,23 @@ class LinearCompressibleStepper(CompressibleStepper):
     """A fake: the compressible stepper whose right-hand side is zero, so that
     its Lawson step applies the exact acoustic-viscous propagator alone."""
 
-    def rhs(self, x, t):
-        return tuple(np.zeros_like(y) for y in x)
+    def rhs(self, x, t, out):
+        out.fill(0.0)
+        return out
+
+
+def lawson_rk2(x: tuple, t: float, dt: float, linear, rhs) -> tuple:
+    """One Lawson (integrating-factor) RK2 step of dx/dt = L x + N(x, t) on
+    tuples of fields, each stage a new tuple: the reference of the
+    steppers' in-place step.  ``linear`` maps a tuple through the exact
+    one-step exponential P = exp(dt L), and ``rhs(x, t)`` returns N(x, t) as
+    a tuple of the same shape; the step is P(x + (dt/2) n0) + (dt/2) n1 with
+    n0 = N(x, t) and n1 = N(P(x + dt n0), t + dt)."""
+    n0 = rhs(x, t)
+    half = linear(tuple(xi + (dt / 2.0) * ni for xi, ni in zip(x, n0)))
+    predictor = linear(tuple(xi + dt * ni for xi, ni in zip(x, n0)))
+    n1 = rhs(predictor, t + dt)
+    return tuple(hi + (dt / 2.0) * ni for hi, ni in zip(half, n1))
 
 
 def linear_compressible_step(a, u, t, cfg):
@@ -409,14 +426,24 @@ def _forms_work(table) -> np.ndarray:
     return np.empty(2 * max(table.q1_m.size, table.q2_m.size), np.complex128)
 
 
+def extended(half: np.ndarray) -> np.ndarray:
+    """``resonance._extend`` of half spectra into a fresh array."""
+    return resonance._extend(half, np.empty((len(half), 2 * half[0].size), np.complex128))
+
+
+def _form_out(lattice: LatticeSpec) -> np.ndarray:
+    """A fresh output of the limit forms: two half spectra."""
+    return np.empty((2,) + lattice.resolution[:-1] + (lattice.cutoffs[-1] + 1,), np.complex128)
+
+
 def limit_q1(u: SpectralField, B: AcousticCoeffs) -> AcousticCoeffs:
     """``resonance.limit_q1`` on full fields: the form on the half spectra of
     u and B over the lattice's limit table, expanded to the full grid (exact
     for Hermitian branches)."""
     lattice = B.lattice
     table = resonance._limit_table(lattice)
-    u, B = (resonance._extend(_half(f)) for f in (u, B))
-    half = resonance.limit_q1(u, B, table, _forms_work(table))
+    u, B = (extended(_half(f)) for f in (u, B))
+    half = resonance.limit_q1(u, B, table, _forms_work(table), _form_out(lattice))
     return AcousticCoeffs._in_box(lattice, _half_to_full(half, lattice))
 
 
@@ -429,7 +456,8 @@ def limit_q2(A: AcousticCoeffs, B: AcousticCoeffs, kappa: float = 0.0) -> Acoust
     table = resonance._limit_table(lattice)
     work = _forms_work(table)
     plus, minus = (
-        resonance.limit_q2(resonance._extend(_half(f)), table, kappa, work) for f in (A + B, A - B)
+        resonance.limit_q2(extended(_half(f)), table, kappa, work, _form_out(lattice))
+        for f in (A + B, A - B)
     )
     return AcousticCoeffs._in_box(lattice, _half_to_full(0.25 * (plus - minus), lattice))
 

@@ -321,7 +321,7 @@ class TestConfig:
         assert type(SolverConfig(lattice=lat16, dt=1, t_final=2).dt) is float
 
     def test_eps_list_is_stored_as_a_tuple(self):
-        listed = replace_quietly(tiny_config(), eps_list=[0.2, 0.1])
+        listed = dataclasses.replace(tiny_config(), eps_list=[0.2, 0.1])
         assert listed == tiny_config() and hash(listed) == hash(tiny_config())
         assert listed.eps_list == (0.2, 0.1)
         with pytest.raises(AttributeError):
@@ -474,7 +474,7 @@ class TestConfig:
         experiment = {f.name for f in dataclasses.fields(ExperimentConfig)}
         assert solver - experiment == {"eps"}
         # no field at SolverConfig's default, so that a dropped one shows
-        cfg = replace_quietly(oracle_case("cos-forcing"), gamma=1.4, sample_stride=4)
+        cfg = dataclasses.replace(oracle_case("cos-forcing"), gamma=1.4, sample_stride=4)
         for eps in cfg.eps_list:
             run = cfg.solver_config(eps)
             assert run.eps == eps
@@ -482,17 +482,19 @@ class TestConfig:
                 assert getattr(run, name) == getattr(cfg, name), name
 
     def test_defaults_from_the_dataclass(self, lat16):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            loaded = ExperimentConfig.from_json({"schema": 1, "lattice": lat16.descriptor()})
-            assert loaded == ExperimentConfig(lattice=lat16)
+        loaded = ExperimentConfig.from_json({"schema": 1, "lattice": lat16.descriptor()})
+        assert loaded == ExperimentConfig(lattice=lat16)
 
     def test_band_overlap_warns_not_raises(self, lat16):
-        with pytest.warns(RuntimeWarning, match="medium band is empty"):
-            cfg = ExperimentConfig(
-                lattice=lat16, zeta=8.0, eta0=0.075, eps_list=(0.2, 0.1)
-            )
+        """An empty medium band is a warning of the sweep, which reads the
+        bands, not of loading the config; the sweep runs to its end."""
+        cfg = ExperimentConfig(
+            lattice=lat16, zeta=8.0, eta0=0.075, eps_list=(0.2, 0.1), dt=5e-3, t_final=0.02
+        )
         assert cfg.issues()
+        with pytest.warns(RuntimeWarning, match="medium band is empty"):
+            report = convergence_study(cfg)
+        assert len(report.rows) == 2
 
     @pytest.mark.parametrize(
         "path",
@@ -505,15 +507,13 @@ class TestConfig:
         ],
     )
     def test_json_round_trip(self, path):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            if path == "forced":
-                cfg = oracle_case("cos-forcing")
-                assert cfg.forcing is not None
-            else:
-                cfg = ExperimentConfig.load(os.path.join(REPO, path))
-            again = ExperimentConfig.from_json(cfg.to_json())
-            assert again == cfg and hash(again) == hash(cfg)
+        if path == "forced":
+            cfg = oracle_case("cos-forcing")
+            assert cfg.forcing is not None
+        else:
+            cfg = ExperimentConfig.load(os.path.join(REPO, path))
+        again = ExperimentConfig.from_json(cfg.to_json())
+        assert again == cfg and hash(again) == hash(cfg)
 
 
 def tiny_config():
@@ -564,7 +564,7 @@ class TestStudyAndDeterminism:
     def test_slope_flag_follows_the_fit(self):
         """Zero data give W_theta = 0 at every Mach number, which has no
         log-log slope: the flag says so, though there are two Mach numbers."""
-        cfg = replace_quietly(tiny_config(), amplitude_a=0.0, amplitude_u=0.0)
+        cfg = dataclasses.replace(tiny_config(), amplitude_a=0.0, amplitude_u=0.0)
         report = convergence_study(cfg)
         assert report.row_values("W_theta") == [0.0, 0.0]
         assert report.slope is None
@@ -1032,9 +1032,7 @@ class TestCLI:
         assert not os.path.exists(out)
         # an explicit eta0 makes the same inviscid config valid
         payload["experiment"]["eta0"] = 0.4
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert ExperimentConfig.from_json(payload).eta0_value == 0.4
+        assert ExperimentConfig.from_json(payload).eta0_value == 0.4
 
     @pytest.mark.parametrize(
         "spec", ["H:s=1:band=h:eta=4", "B:s=1:mean=yes", "B:s=1:eta=4"]
@@ -1271,27 +1269,29 @@ def oracle_case(name):
         forcing = Forcing(lattice, [mode])
     # zeta 8, eta0 0.075 leave the medium band empty, as in configs/sweep64.json
     zeta, eta0 = (1.5, 0.4) if name == "medium-band" else (8.0, 0.075)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return ExperimentConfig(
-            lattice=lattice,
-            eps_list=(0.2, 0.1),
-            dt=5e-3,
-            t_final=0.04,
-            sample_stride=2,
-            zeta=zeta,
-            eta0=eta0,
-            amplitude_a=1.0,
-            amplitude_u=1.0,
-            seed=4,
-            forcing=forcing,
-        )
+    return ExperimentConfig(
+        lattice=lattice,
+        eps_list=(0.2, 0.1),
+        dt=5e-3,
+        t_final=0.04,
+        sample_stride=2,
+        zeta=zeta,
+        eta0=eta0,
+        amplitude_a=1.0,
+        amplitude_u=1.0,
+        seed=4,
+        forcing=forcing,
+    )
 
 
-def replace_quietly(cfg, **changes):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return dataclasses.replace(cfg, **changes)
+def study_with_issues(cfg):
+    """``convergence_study(cfg)``, whose warnings must be the config's
+    issues, one per Mach number whose medium band is empty."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = convergence_study(cfg)
+    assert [str(w.message) for w in caught] == cfg.issues()
+    return report
 
 
 def full_trajectories(cfg):
@@ -1318,7 +1318,7 @@ class TestBlockEnergyPath:
         cfg = oracle_case(case)
         if case == "medium-band":
             assert any(band["medium"] for band in cfg.bands())
-        study = convergence_study(cfg)
+        study = study_with_issues(cfg)
         for (eps, traj_eps, traj_limit), streamed in zip(full_trajectories(cfg), study.rows):
             settings = cfg.functional_settings(eps)
             expected = oracle_functionals(traj_eps, traj_limit, settings)
@@ -1429,7 +1429,7 @@ class TestHalfBoxSamplePath:
         """The sweep's per-sample arrays, reduced from the steppers' half
         spectra, against the full-grid rows of each sample's states, stacked
         per series."""
-        cfg = replace_quietly(oracle_case(case), t_final=0.05)
+        cfg = dataclasses.replace(oracle_case(case), t_final=0.05)
         seen = {}
 
         def keep(lattice, times, samples, settings):
@@ -1437,7 +1437,7 @@ class TestHalfBoxSamplePath:
             return compute_functionals(lattice, times, samples, settings)
 
         monkeypatch.setattr(experiments, "compute_functionals", keep)
-        convergence_study(cfg)
+        study_with_issues(cfg)
         assert sorted(seen) == sorted(cfg.eps_list)
         for eps, traj_eps, traj_limit in full_trajectories(cfg):
             times, samples = seen[eps]
@@ -1470,7 +1470,7 @@ class TestHalfBoxSamplePath:
     def test_limit_run_keeps_each_branch_hermitian(self):
         # the half-box path counts the Vdiff power of each mode with n_d > 0
         # for its mirror too; that needs V's branches Hermitian along the run
-        cfg = replace_quietly(tiny_config(), t_final=0.5)
+        cfg = dataclasses.replace(tiny_config(), t_final=0.5)
         initial = limit_initial_data(*cfg.initial_data())
         stage = SampledRun(initial, cfg.solver_config(0.2), "limit")
         assert len(stage.states) == 51
@@ -1526,7 +1526,7 @@ class TestStreamingMemory:
         # the first run also holds what its lazy imports and lattice caches
         # allocate, so it is repeated and only the repeat is compared
         for stride in (self.N_STEPS, self.N_STEPS, 1):
-            cfg = replace_quietly(
+            cfg = dataclasses.replace(
                 oracle_case("medium-band"), t_final=self.N_STEPS * 5e-3, sample_stride=stride
             )
             peaks[stride] = _peak(lambda: convergence_study(cfg))
@@ -1542,7 +1542,7 @@ class TestStreamingMemory:
         # the first run also holds what its lazy imports allocate, so it is
         # repeated and only the repeat is compared
         for stride in (self.N_STEPS, self.N_STEPS, 1):
-            cfg = replace_quietly(
+            cfg = dataclasses.replace(
                 oracle_case("medium-band"), t_final=self.N_STEPS * 5e-3, sample_stride=stride
             )
             tracemalloc.start()
@@ -1558,10 +1558,19 @@ class TestStreamingMemory:
 
 
 class TestBandOccupancy:
+    def test_simulate_on_sweep64_does_not_warn(self, tmp_path, capsys):
+        """configs/sweep64.json leaves the medium band empty, but loading it
+        and running ``simulate``, which reads no band, warn of nothing."""
+        path = os.path.join(REPO, "configs", "sweep64.json")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cfg = ExperimentConfig.load(path)
+            code = main(["simulate", "--config", path, "--out", str(tmp_path), "--seed", "0"])
+        assert code == 0 and cfg.issues()
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
     def test_sweep64_medium_band_empty_and_overlapping(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cfg = ExperimentConfig.load(os.path.join(REPO, "configs", "sweep64.json"))
+        cfg = ExperimentConfig.load(os.path.join(REPO, "configs", "sweep64.json"))
         bands = cfg.bands()
         assert [band["eps"] for band in bands] == [0.2, 0.1, 0.05, 0.025]
         # eta0/eps is at most 3 < zeta = 8: the high band starts inside the low one

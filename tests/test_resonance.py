@@ -29,6 +29,7 @@ from lowmach.solvers import LimitStepper, SolverConfig, generate_initial_data
 from oracles import (
     acoustic_from_modes,
     assemble_correctors,
+    extended,
     limit_q1,
     limit_q2,
     q1_eps_modesum,
@@ -766,39 +767,44 @@ class TestLimitForms:
             assert getattr(half, name).flags.c_contiguous, name
 
     def test_forms_fill_the_work_arrays(self):
-        """Both forms fill a limit stepper's workspace array ``forms`` in
-        turn: reused across inputs, it gives the bytes of a fresh array
-        filled with NaN, and a call allocates less than the array besides its
-        output, so no gather or product of the entries is allocated."""
+        """Both forms fill a limit stepper's share of its workspace buffer
+        ``spectra``, behind the extended (v, V), in turn: reused across
+        inputs, it gives the bytes of a fresh array filled with NaN, and a
+        call into a given output allocates less than one gather of the
+        entries, so no gather or product of them is allocated."""
         lattice = LatticeSpec.square(2, 32)
         cfg = SolverConfig(lattice=lattice, mu=0.05, lam=0.05, dt=2e-3, t_final=1e-2)
         v0, V0 = limit_initial_data(*generate_initial_data(lattice, 1.0, 1.0, seed=0))
         stepper = LimitStepper(cfg, v0, V0)
-        table, work = stepper.table, stepper.work.forms
+        table, work = stepper.table, stepper.work.spectra[2 * stepper.x.size :]
         assert work.shape == (2 * max(table.q1_m.size, table.q2_m.size),)
         rng = np.random.default_rng(8)
         calls = {}
         cut = lattice.cutoffs[-1]
+        out = np.empty((2,) + lattice.resolution[:-1] + (cut + 1,), np.complex128)
         for _ in range(2):
             u, B = (
-                resonance._extend(f.coeffs[..., : cut + 1])
+                extended(f.coeffs[..., : cut + 1])
                 for f in (random_divfree(lattice, rng), random_acoustic(lattice, rng))
             )
             calls = {
-                "q1": lambda work: resonance.limit_q1(u, B, table, work),
-                "q2": lambda work: resonance.limit_q2(B, table, 1.0, work),
+                "q1": lambda work: resonance.limit_q1(u, B, table, work, out).copy(),
+                "q2": lambda work: resonance.limit_q2(B, table, 1.0, work, out).copy(),
             }
             for form in calls.values():
                 assert form(work).tobytes() == form(np.full_like(work, np.nan)).tobytes()
-        out_bytes = resonance._half_zeros(lattice).nbytes
+        calls = {
+            "q1": lambda: resonance.limit_q1(u, B, table, work, out),
+            "q2": lambda: resonance.limit_q2(B, table, 1.0, work, out),
+        }
         for name, form in calls.items():
             tracemalloc.start()
             try:
-                form(work)
+                form()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < out_bytes + work.nbytes, name
+            assert peak < work.nbytes // 2, name
 
 
 class TestAcousticLayout:

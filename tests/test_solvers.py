@@ -57,6 +57,7 @@ from oracles import (
     field_from_modes,
     forcing_field,
     grid_points,
+    lawson_rk2,
     limit_q2,
     linear_compressible_step,
     SampledRun,
@@ -86,9 +87,10 @@ def from_half(lattice, array):
 
 
 def propagate(prop, a, u):
-    """``prop.apply`` on the half spectra of the fields a and u."""
-    new_a, new_u = prop.apply(half(a), half(u))
-    return from_half(a.lattice, new_a), from_half(a.lattice, new_u)
+    """``prop.apply`` on the stacked half spectra of the fields a and u."""
+    x = np.concatenate((half(a), half(u)))
+    new = prop.apply(x, np.empty_like(x), np.empty((3,) + x.shape[1:], np.complex128))
+    return from_half(a.lattice, new[:1]), from_half(a.lattice, new[1:])
 
 
 class TestPropagator:
@@ -436,7 +438,7 @@ def reference_compressible_step(state, t, cfg, propagator, warn_state):
     def rhs(x, time):
         return reference_grid_nonlinear(x[0], x[1], time, cfg, warn_state)
 
-    return solvers._lawson_rk2(state, t, cfg.dt, lambda x: propagator.apply(*x), rhs)
+    return lawson_rk2(state, t, cfg.dt, lambda x: propagator.apply(*x), rhs)
 
 
 def half_spectrum_rhs(a, u, t, cfg, stepper=None):
@@ -444,8 +446,9 @@ def half_spectrum_rhs(a, u, t, cfg, stepper=None):
     by ``stepper`` or by a stepper built for (a, u)."""
     if stepper is None:
         stepper = solvers.CompressibleStepper(cfg, a, u)
-    n_a, n_u = stepper.rhs((half(a), half(u)), t)
-    return from_half(cfg.lattice, n_a), from_half(cfg.lattice, n_u)
+    x = np.concatenate((half(a), half(u)))
+    n = stepper.rhs(x, t, np.empty_like(x))
+    return from_half(cfg.lattice, n[:1]), from_half(cfg.lattice, n[1:])
 
 
 # Pressure-law exponents for the oracles: make_case's gamma = 1.4, gamma = 2
@@ -614,7 +617,7 @@ def reference_incompressible_step(v, t, cfg):
             out = out + helmholtz_project(forcing_field(cfg.forcing, time), "P")
         return (out,)
 
-    return solvers._lawson_rk2((v,), t, cfg.dt, lambda x: (x[0].scale_modes(heat),), rhs)[0]
+    return lawson_rk2((v,), t, cfg.dt, lambda x: (x[0].scale_modes(heat),), rhs)[0]
 
 
 class TestIncompressibleStepOracle:
@@ -648,34 +651,46 @@ class TestIncompressibleStepOracle:
         step_incompressible(SpectralField.zeros(lat16, 2), 0.0, cfg)
 
     def test_steps_allocate_only_half_spectrum_stages(self, monkeypatch):
-        """The traced peak of steps 2..5 of a 64^2 run stays below six
-        velocity half spectra.  The right-hand side's inverse, Lamb and
-        forward stacks are the stepper's own arrays, so the peak is the five
-        half-spectrum stages that the Lawson step holds at once (the
-        full-grid step peaked at ten velocity fields on the full grid)."""
+        """The traced peak of steps 2..5 of a 64^2 incompressible,
+        compressible and limit run stays below the new state plus 4 kB.  The
+        Lawson stages and the right-hand side's stacks are the workspace's
+        arrays, so a step allocates its new state and a few small
+        temporaries (reductions, V's finiteness mask).  The step on tuples
+        held five velocity half spectra at once, the full-grid step ten
+        velocity fields on the full grid."""
         lattice = LatticeSpec.square(2, 64)
-        cfg = SolverConfig(lattice=lattice, mu=0.05, dt=2e-3, t_final=1e-2, sample_stride=5)
-        _, u0 = generate_initial_data(lattice, 1.0, 1.0, seed=0)
-        v0 = helmholtz_project(u0, "P")
-        peaks = []
+        cfg = SolverConfig(
+            lattice=lattice, mu=0.05, lam=0.05, eps=0.1, dt=2e-3, t_final=1e-2, sample_stride=5
+        )
+        a0, u0 = generate_initial_data(lattice, 1.0, 1.0, seed=0)
+        initial = {
+            "incompressible": helmholtz_project(u0, "P"),
+            "compressible": (a0, u0),
+            "limit": limit_initial_data(a0, u0),
+        }
         lawson = solvers._lawson_rk2
+        for kind, fields in initial.items():
+            peaks, states = [], []
 
-        def measured(*args):
-            start = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            out = lawson(*args)
-            peaks.append(tracemalloc.get_traced_memory()[1] - start)
-            return out
+            def measured(*args):
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = lawson(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+                states.append(out.nbytes)
+                return out
 
-        monkeypatch.setattr(solvers, "_lawson_rk2", measured)
-        tracemalloc.start()
-        try:
-            run_trajectory(v0, cfg, "incompressible")
-        finally:
-            tracemalloc.stop()
-        assert len(peaks) == cfg.n_steps
-        half_spectrum = v0.coeffs[..., : lattice.cutoffs[-1] + 1].nbytes
-        assert max(peaks[1:]) < 6 * half_spectrum
+            monkeypatch.setattr(solvers, "_lawson_rk2", measured)
+            tracemalloc.start()
+            try:
+                run_trajectory(fields, cfg, kind)
+            finally:
+                tracemalloc.stop()
+            assert len(peaks) == cfg.n_steps, kind
+            d = lattice.d
+            components = {"incompressible": d, "compressible": 1 + d, "limit": d + 2}[kind]
+            assert states[0] == components * half(u0).nbytes // d, kind
+            assert max(peaks[1:]) < states[0] + 4096, kind
 
 
 class TestStepperFieldChecks:
@@ -767,9 +782,9 @@ class TestNonFiniteGuards:
         a, u = generate_initial_data(lat16, 1.0, 1.0, seed=5)
         v, V = limit_initial_data(a, u)
         stepper = solvers.LimitStepper(cfg, v, V)
-        coeffs = stepper.x[1].copy()
-        coeffs[0, 1, 0] = value
-        stepper.x = (stepper.x[0], coeffs)
+        x = stepper.x.copy()
+        x[lat16.d, 1, 0] = value  # mode (1, 0) of V's first branch
+        stepper.x = x
         with pytest.raises(ValueError, match="V has non-finite coefficients"):
             stepper.step(0.0)
 
@@ -816,7 +831,7 @@ class TestTransformBudget:
                 return _transform(values, lattice, **buffers)
 
             monkeypatch.setattr(solvers, fname, wrapped)
-        stepper.rhs(stepper.x, 0.3)
+        stepper.rhs(stepper.x, 0.3, np.empty_like(stepper.x))
         assert calls == {"inverse": inverse, "forward": forward}
 
     def test_remainder_is_zero(self):
@@ -1006,11 +1021,11 @@ class TestSharedWorkspace:
         assert added < 8 * half(a0).nbytes
 
     def test_lone_incompressible_stepper_allocates_its_own_arrays_only(self):
-        """A lone 64^2 stepper's workspace holds just what its right-hand side
-        reads, and with the lattice's multipliers cached (by an earlier
-        stepper, now gone with its workspace) building it allocates less
-        than the right-hand-side arrays and the three multipliers that each
-        stepper once allocated for itself."""
+        """A lone 64^2 stepper's workspace holds just what its step reads,
+        and with the lattice's multipliers cached (by an earlier stepper,
+        now gone with its workspace) building it allocates less than the
+        workspace's arrays and the three multipliers that each stepper once
+        allocated for itself."""
         lattice = LatticeSpec.square(2, 64)
         cfg = SolverConfig(lattice=lattice, mu=0.05, dt=2e-3, t_final=1e-2)
         _, u0 = generate_initial_data(lattice, 1.0, 1.0, seed=0)
@@ -1026,12 +1041,42 @@ class TestSharedWorkspace:
         half_c = half(v0).nbytes // 2  # one component on the half spectrum
         grid_c = 64 * 64 * 8  # one real grid component
         spectrum_c = 64 * 33 * 16  # one component of a real-data FFT
-        # spectral 3, forward 2; grid 3, Lamb term 2 and scratch 1; spectrum 2
-        arrays = 5 * half_c + 6 * grid_c + 2 * spectrum_c
-        layout = ("spectral", "forward", "grid", "products", "spectrum")
+        # stages 3 x 2; grid 3, Lamb term 2 and scratch 1; spectra the larger
+        # of the inverse stack, 3, and the Lamb term's real-data FFT, 2
+        arrays = 6 * half_c + 6 * grid_c + max(3 * half_c, 2 * spectrum_c)
+        layout = ("stages", "grid", "products", "spectra")
+        assert tuple(stepper.work.layout) == layout
         assert sum(getattr(stepper.work, name).nbytes for name in layout) == arrays
         # the heat factor 1, i k 2 and the Leray multipliers 2
         assert allocated < arrays + 5 * half_c
+
+
+    @pytest.mark.parametrize("name", ["16x16", "8x8x6"])
+    @pytest.mark.parametrize("law", ["gamma2", "gamma1.4"])
+    def test_one_complex_buffer(self, name, law):
+        """The workspace of a Mach sweep holds no ``forward`` array: one
+        complex buffer, ``spectra``, holds the largest of the compressible
+        inverse stack, the forward stack's real-data FFT spectra and the
+        limit forms' extended inputs, gathers and products, entry for
+        entry; ``stages`` holds the limit pair's three stages."""
+        cfg, a0, u0 = TestCompressibleStepper().make_case(name, law, forced=True)
+        steppers = {key: make() for key, make in self.makers(cfg, a0, u0).items()}
+        work = steppers[0.1].work
+        lattice = cfg.lattice
+        d, pairs = lattice.d, lattice.d * (lattice.d - 1) // 2
+        lead = math.prod(lattice.resolution[:-1])
+        half_n = lead * (lattice.cutoffs[-1] + 1)
+        spectrum_n = lead * (lattice.resolution[-1] // 2 + 1)
+        table = steppers["limit"].table
+        sizes = {
+            "inverse stack": (1 + 2 * d + pairs) * half_n,
+            "forward spectra": (2 * d + 1 + (law != "gamma2")) * spectrum_n,
+            "forms": 2 * (d + 2) * half_n + 2 * max(table.q1_m.size, table.q2_m.size),
+        }
+        assert not hasattr(work, "forward")
+        assert set(work.layout) == {"stages", "grid", "products", "spectra"}
+        assert work.spectra.shape == (max(sizes.values()),)
+        assert work.stages.shape == (3 * (d + 2), *lattice.resolution[:-1], lattice.cutoffs[-1] + 1)
 
 
 class TestIncompressible:

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pickle
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -218,6 +219,19 @@ def test_non_finite_pair_keeps_the_real_inverse(lat16):
     assert inverse_transform(SpectralField(lat16, pair)).dtype == np.float64
     grid = inverse_transform(SpectralField(lat16, alone))
     assert grid.dtype == np.complex128 and np.isnan(grid).all()
+
+
+def test_infinite_pair_inverts_without_warning(lat16):
+    """An infinite pair at (1, 0) and (-1, 0) matches as a NaN pair does:
+    the defect subtracts within the pairs that count alone, since inf - inf
+    would warn, and the real inverse gives float64 samples with no warning."""
+    field = forward_transform(lat16, np.random.default_rng(34).standard_normal((1, 16, 16)))
+    coeffs = field.coeffs.copy()
+    coeffs[:, 1, 0] = coeffs[:, -1, 0] = math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = inverse_transform(SpectralField(lat16, coeffs))
+    assert grid.dtype == np.float64
 
 
 @pytest.mark.parametrize("lattice", TRANSFORM_LATTICES, ids=lambda lat: str(lat.resolution))
