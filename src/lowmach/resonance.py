@@ -454,10 +454,11 @@ def _extend(half: np.ndarray, out: np.ndarray) -> np.ndarray:
     (components, 2 * size) and returned: for a Hermitian field, entry
     size + i holds the coefficient of the mirror of mode i, so that every box
     mode has a position (:func:`_half_position`).  The limit forms read their
-    inputs so extended."""
-    pair = out.reshape((len(half), 2) + half.shape[1:])
-    pair[:, 0] = half
-    np.conjugate(half, out=pair[:, 1])
+    inputs so extended; each write is contiguous, so it needs no buffer."""
+    size = half[0].size
+    for component, row in zip(half, out):
+        row[:size] = component.reshape(-1)
+        np.conjugate(row[:size], out=row[size:])
     return out
 
 

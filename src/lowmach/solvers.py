@@ -215,8 +215,7 @@ class Forcing:
         return self.add_to(np.zeros_like(self.lattice.half_wavevectors(), np.complex128), t)
 
     def add_to(self, half: np.ndarray, t: float) -> np.ndarray:
-        """Add the force at time t to ``half``, velocity half spectra, in
-        place, mode by mode; return ``half``."""
+        """Add the force at time t to the velocity half spectra ``half``; return it."""
         lattice = self.lattice
         for fm in self.modes:
             amp = fm.factor(t) * np.asarray(fm.amplitude, dtype=np.complex128)
@@ -365,16 +364,18 @@ def _heat_factor(lattice: LatticeSpec, mu: float, dt: float) -> np.ndarray:
 
 @_cached
 def _viscous_symbols(lattice: LatticeSpec, mu: float, lam: float, scale: float) -> tuple:
-    """scale times the symbols -mu |k|^2 of mu lap and (mu + lam) i k of
-    (mu + lam) grad div."""
+    """scale times the symbol -mu |k|^2 of mu lap, and the symbol
+    (mu + lam) i k of (mu + lam) div, whose gradient takes scale * i k."""
     laplacian = (-mu * scale) * lattice.k_squared()[..., : lattice.cutoffs[-1] + 1]
-    return laplacian.astype(np.complex128), (1j * (mu + lam) * scale) * lattice.half_wavevectors()
+    return laplacian.astype(np.complex128), (1j * (mu + lam)) * lattice.half_wavevectors()
 
 
 @_cached
-def _leray_symbol(lattice: LatticeSpec) -> np.ndarray:
-    """i k / |k|^2 (0 at the mean mode), the Leray projection's multiplier."""
-    return _half_ik(lattice, 1.0) * _safe_inv_ksq(lattice)[..., : lattice.cutoffs[-1] + 1]
+def _leray_symbol(lattice: LatticeSpec, scale: float) -> np.ndarray:
+    """i k / (scale |k|^2) (0 at the mean mode), the Leray projection's
+    multiplier of the divergence taken with scale * i k."""
+    inv_ksq = _safe_inv_ksq(lattice)[..., : lattice.cutoffs[-1] + 1]
+    return (1j / scale) * lattice.half_wavevectors() * inv_ksq
 
 
 @_cached
@@ -456,17 +457,18 @@ def _lawson_rk2(x: np.ndarray, t: float, dt: float, linear, rhs, stages: np.ndar
     """One Lawson (integrating-factor) RK2 step of dx/dt = L x + N(x, t): with
     n0 = N(x, t) and n1 = N(P(x + dt n0), t + dt), P = exp(dt L), the new state
     P(x) + (dt/2) (P(n0) + n1) is evaluated as the equal (P is linear)
-    P(x + (dt/2) n0) + (dt/2) n1, in the three arrays of ``stages``, shaped
-    like ``x``; ``linear(y, out)`` writes P y and ``rhs(y, t, out)`` N(y, t)
-    into ``out``.  The new state is the one array allocated."""
-    n, half, predictor = stages
+    P(x + (dt/2) n0) + (dt/2) n1.  The half step is formed in the new state,
+    the one array allocated; N and the predictor are the two arrays of
+    ``stages``, shaped like ``x``.  ``linear(y, out)`` writes P y and
+    ``rhs(y, t, out)`` N(y, t) into ``out``."""
+    n, predictor = stages
     rhs(x, t, n)
-    np.add(x, np.multiply(n, dt / 2.0, out=half), out=half)
+    new = np.add(x, np.multiply(n, dt / 2.0, out=predictor))
     np.add(x, np.multiply(n, dt, out=predictor), out=predictor)
-    linear(half, half)
+    linear(new, new)
     linear(predictor, predictor)
     rhs(predictor, t + dt, n)
-    return np.add(half, np.multiply(n, dt / 2.0, out=n))
+    return np.add(new, np.multiply(n, dt / 2.0, out=n), out=new)
 
 
 def _rotation(ik: np.ndarray, u: np.ndarray, pairs: list, out: np.ndarray, term) -> None:
@@ -487,15 +489,14 @@ def _add_lamb(lamb: np.ndarray, u: np.ndarray, rot: np.ndarray, pairs: list, scr
 
 
 def _spectra_entries(lattice: LatticeSpec, stack: int, spectra: int) -> int:
-    """Entries of a workspace's ``spectra`` for an inverse stack of ``stack``
-    half spectra and, in turn, ``spectra`` real-data FFT spectra."""
+    """Entries of ``spectra`` for ``stack`` half spectra, then ``spectra`` real-data FFTs."""
     n = lattice.resolution
     return math.prod(n[:-1]) * max(stack * (lattice.cutoffs[-1] + 1), spectra * (n[-1] // 2 + 1))
 
 
 class _Workspace:
     """The arrays that a step fills and reads, shared by the steppers of one
-    lattice in one thread (``_Stepper._work``): the Lawson ``stages`` (half
+    lattice in one thread (``_Stepper._work``): two Lawson ``stages`` (half
     spectra), ``grid`` and ``products`` (real grid values), and ``spectra``,
     one flat complex buffer for, in turn, an inverse stack of half spectra, a
     forward stack's real-data FFT, the propagator's scratch and the limit
@@ -547,7 +548,7 @@ class _Stepper:
 
     def step(self, t: float) -> None:
         """One Lawson RK2 step started at time ``t``."""
-        stages = self._work().stages[: 3 * len(self.x)].reshape((3,) + self.x.shape)
+        stages = self._work().stages[: 2 * len(self.x)].reshape((2,) + self.x.shape)
         self.x = _lawson_rk2(self.x, t, self.cfg.dt, self.linear, self.rhs, stages)
 
     def _work(self) -> _Workspace:
@@ -621,10 +622,9 @@ class CompressibleStepper(_Stepper):
         # the Lamb term's inputs carry both scales, so its grid values carry
         # the forward scale; the gradients of the forward stack carry it too
         inverse, forward = self.scales = _scales(lattice)
-        self.ik, self.rotation = _half_ik(lattice, 1.0), _half_ik(lattice, inverse * forward)
+        self.ik = _half_ik(lattice, inverse * forward)
         self.gradient = _half_ik(lattice, -forward)
-        symbols = _viscous_symbols(lattice, cfg.mu, cfg.lam, inverse * forward)
-        self.laplacian, self.grad_div = symbols
+        self.laplacian, self.div = _viscous_symbols(lattice, cfg.mu, cfg.lam, inverse * forward)
         # a^2/2 is read only by the pressure terms kappa a^2/2 and K, which
         # vanish at gamma = 2
         self.n_products = 2 * d + 1 + (cfg.gamma != 2.0)
@@ -632,7 +632,7 @@ class CompressibleStepper(_Stepper):
             self.k_gradient = _half_ik(lattice, inverse * forward * forward)
         self.stack, m = 1 + 2 * d + len(self.pairs), self.n_products
         spectra = _spectra_entries(lattice, self.stack, m)
-        self.counts = dict(stages=3 + 3 * d, grid=self.stack, products=m + 1, spectra=spectra)
+        self.counts = dict(stages=2 + 2 * d, grid=self.stack, products=m + 1, spectra=spectra)
         self._work()
 
     def _grid_terms(self, x: np.ndarray, out: np.ndarray, work: _Workspace) -> np.ndarray:
@@ -654,12 +654,12 @@ class CompressibleStepper(_Stepper):
         # components: a | u | d_i u_j - d_j u_i for each pair i < j | viscous term
         spectral = work.view(self.stack, work.half)
         np.multiply(x, self.scales[0], out=spectral[: 1 + d])
-        _rotation(self.rotation, u, pairs, spectral[1 + d : 1 + d + len(pairs)], out[0])
+        _rotation(ik, u, pairs, spectral[1 + d : 1 + d + len(pairs)], out[0])
         visc = spectral[1 + d + len(pairs) :]
-        div_u, term = _dot(ik, u, out[0], out[1]), out[1]
+        div_u, term = _dot(self.div, u, out[0], out[1]), out[1]
         for c in range(d):  # per component: see AcousticViscousPropagator.apply
             np.multiply(u[c], self.laplacian, out=visc[c])
-            np.add(visc[c], np.multiply(self.grad_div[c], div_u, out=term), out=visc[c])
+            np.add(visc[c], np.multiply(ik[c], div_u, out=term), out=visc[c])
         grid = _half_inverse(spectral, lattice, out=work.grid[: self.stack])
         a_grid, u_grid = grid[0], grid[1 : 1 + d]
         rot_grid = grid[1 + d : 1 + d + len(pairs)]
@@ -780,12 +780,12 @@ class IncompressibleStepper(_Stepper):
         self.cfg, self.x = cfg, v.coeffs[..., : cut + 1]
         self.heat = _heat_factor(lattice, cfg.mu, cfg.dt)
         inverse, forward = self.scales = _scales(lattice)  # see CompressibleStepper
-        self.ik, self.rotation = _half_ik(lattice, 1.0), _half_ik(lattice, inverse * forward)
-        self.ik_over_ksq = _leray_symbol(lattice)
+        self.ik = _half_ik(lattice, inverse * forward)
+        self.ik_over_ksq = _leray_symbol(lattice, inverse * forward)
         self.pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
         self.stack = d + len(self.pairs)
         spectra = _spectra_entries(lattice, self.stack, d)
-        self.counts = dict(stages=3 * d, grid=self.stack, products=d + 1, spectra=spectra)
+        self.counts = dict(stages=2 * d, grid=self.stack, products=d + 1, spectra=spectra)
         self._work()
 
     def linear(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -803,7 +803,7 @@ class IncompressibleStepper(_Stepper):
         work = self.work
         spectral = work.view(self.stack, work.half)
         np.multiply(x, self.scales[0], out=spectral[:d])
-        _rotation(self.rotation, x, self.pairs, spectral[d:], out[0])
+        _rotation(self.ik, x, self.pairs, spectral[d:], out[0])
         grid = _half_inverse(spectral, lattice, out=work.grid[: self.stack])
         lamb, scratch = work.products[:d], work.products[d]
         v_sq = np.square(grid[:d], out=lamb)[0]  # the Lamb term's slots, still free
@@ -862,8 +862,7 @@ class LimitStepper(IncompressibleStepper):
         table = self.table = _limit_table(lattice)
         # the extended (v, V), then the forms' gathers and products
         forms = 2 * self.x.size + 2 * max(table.q1_m.size, table.q2_m.size)
-        spectra = max(self.counts["spectra"], forms)
-        self.counts = dict(self.counts, stages=3 * len(self.x), spectra=spectra)
+        self.counts.update(stages=2 * len(self.x), spectra=max(self.counts["spectra"], forms))
         self._work()
 
     def linear(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
