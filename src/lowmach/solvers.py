@@ -672,7 +672,7 @@ class CompressibleStepper(_Stepper):
         for c in range(1, d):
             np.add(u_sq, products[d + c], out=u_sq)
 
-        amax = float(np.max(np.abs(a_grid, out=eps_a)))
+        amax = float(np.abs(a_grid, out=eps_a).max())
         if not math.isfinite(amax):
             raise VacuumError(f"||a||_inf = {amax} is not finite")
         if cfg.eps * amax >= 1.0:
@@ -685,7 +685,7 @@ class CompressibleStepper(_Stepper):
                 f"eps*||a||_inf = {cfg.eps * amax:.3f} > 1/2: uniform bound lost",
                 RuntimeWarning,
             )
-        _check_cfl(cfg, float(np.max(u_sq)))
+        _check_cfl(cfg, float(u_sq.max()))
 
         np.multiply(a_grid, cfg.eps, out=eps_a)
         u_sq *= 0.5
@@ -809,7 +809,7 @@ class IncompressibleStepper(_Stepper):
         v_sq = np.square(grid[:d], out=lamb)[0]  # the Lamb term's slots, still free
         for c in range(1, d):
             np.add(v_sq, lamb[c], out=v_sq)
-        _check_cfl(cfg, float(np.max(v_sq)))
+        _check_cfl(cfg, float(v_sq.max()))
         lamb.fill(0.0)
         _add_lamb(lamb, grid[:d], grid[d:], self.pairs, scratch)
         w = _half_forward(lamb, lattice, spectrum=work.view(d, work.spectrum))
