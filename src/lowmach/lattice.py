@@ -411,6 +411,14 @@ def _scale_modes(coeffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
+def _dot(m: np.ndarray, y: np.ndarray, out: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """sum_c m[c] y[c] into ``out`` as :func:`_scale_modes`, ``term`` scratch."""
+    np.multiply(m[0], y[0], out=out)
+    for mc, yc in zip(m[1:], y[1:]):
+        np.add(out, np.multiply(mc, yc, out=term), out=out)
+    return out
+
+
 def _mirror(x: np.ndarray, axes) -> np.ndarray:
     """``x`` at the mirrored index (-i) mod n along each of ``axes``.  On the
     mode axes, ``np.conj`` of it is conj(c_{-k}), which a real field equals."""

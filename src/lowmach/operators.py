@@ -73,6 +73,48 @@ def _safe_inv_ksq(lattice: LatticeSpec) -> np.ndarray:
     return inv
 
 
+# The steppers' multipliers on the retained half spectrum, stored as complex
+# (numpy would cast a real one through a buffer in every product); those
+# whose products feed a transform carry its scales (``lattice._scales``).
+
+
+@_cached
+def _half_ik(lattice: LatticeSpec, scale: float) -> np.ndarray:
+    """scale * i k on the retained half spectrum, shape (d, *leading axes, cut + 1)."""
+    return (1j * scale) * lattice.half_wavevectors()
+
+
+@_cached
+def _heat_factor(lattice: LatticeSpec, mu: float, dt: float) -> np.ndarray:
+    """exp(-mu |k|^2 dt): the incompressible heat factor and the
+    compressible transverse factor."""
+    ksq = lattice.k_squared()[..., : lattice.cutoffs[-1] + 1]
+    return np.exp(-mu * ksq * dt).astype(np.complex128)
+
+
+@_cached
+def _viscous_symbols(lattice: LatticeSpec, mu: float, lam: float, scale: float) -> tuple:
+    """scale times the symbol -mu |k|^2 of mu lap, and the symbol
+    (mu + lam) i k of (mu + lam) div, whose gradient takes scale * i k."""
+    laplacian = (-mu * scale) * lattice.k_squared()[..., : lattice.cutoffs[-1] + 1]
+    return laplacian.astype(np.complex128), (1j * (mu + lam)) * lattice.half_wavevectors()
+
+
+@_cached
+def _leray_symbol(lattice: LatticeSpec, scale: float) -> np.ndarray:
+    """i k / (scale |k|^2) (0 at the mean mode), the Leray projection's
+    multiplier of the divergence taken with scale * i k."""
+    inv_ksq = _safe_inv_ksq(lattice)[..., : lattice.cutoffs[-1] + 1]
+    return (1j / scale) * lattice.half_wavevectors() * inv_ksq
+
+
+@_cached
+def _half_khat(lattice: LatticeSpec) -> np.ndarray:
+    """k/|k| (0 at the mean mode) on the retained half spectrum."""
+    kmod = _safe_k_modulus(lattice)[..., : lattice.cutoffs[-1] + 1]
+    return (lattice.half_wavevectors() / kmod).astype(np.complex128)
+
+
 def helmholtz_project(u: SpectralField, which: str) -> SpectralField:
     """Divergence-free ("P") or gradient ("Q") part; the mean mode goes to P."""
     lattice = u.lattice

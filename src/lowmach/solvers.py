@@ -24,7 +24,7 @@ compressible system, the propagator's per-mode exponentials for its eps.
 The multipliers that do not depend on eps (i k, the viscous symbols, the heat
 factor exp(-mu |k|^2 dt), the propagator's directions), the transforms'
 scales folded in, are built once per lattice by ``lattice._cached``
-builders, and so is the limit table that every limit stepper reads
+builders in ``operators``, and so is the limit table that every limit stepper reads
 (``resonance._limit_table``).  The arrays that a step fills
 and reads, its Lawson stages and the limit forms' scratch too, come from one
 workspace per lattice and thread (``_Stepper._work``), shared by every
@@ -62,7 +62,7 @@ import numpy as np
 from .lattice import (
     LatticeSpec,
     SpectralField,
-    _cached,
+    _dot,
     _half_forward,
     _half_inverse,
     _half_to_full,
@@ -71,7 +71,8 @@ from .lattice import (
     zero_mean_split,
 )
 from .dyadic import NormSpec, norm
-from .operators import AcousticCoeffs, VacuumError, _safe_inv_ksq, _safe_k_modulus
+from .operators import AcousticCoeffs, VacuumError, _half_ik, _half_khat, _heat_factor
+from .operators import _leray_symbol, _viscous_symbols
 from .resonance import _extend, _limit_table, limit_q1, limit_q2
 
 __all__ = [
@@ -338,60 +339,6 @@ class SolverConfig:
 # ---------------------------------------------------------------------------
 # Exact propagators
 # ---------------------------------------------------------------------------
-
-
-# Multipliers on the retained half spectrum that do not depend on eps, built
-# once per lattice.  Real multipliers are stored as complex: numpy would
-# otherwise cast them, through a temporary buffer, in every product with the
-# data.  A multiplier whose product feeds a transform carries the scales that
-# the half-spectrum transforms leave out (``lattice._scales``), so that no
-# pass is spent on them.
-
-
-@_cached
-def _half_ik(lattice: LatticeSpec, scale: float) -> np.ndarray:
-    """scale * i k on the retained half spectrum, shape (d, *leading axes, cut + 1)."""
-    return (1j * scale) * lattice.half_wavevectors()
-
-
-@_cached
-def _heat_factor(lattice: LatticeSpec, mu: float, dt: float) -> np.ndarray:
-    """exp(-mu |k|^2 dt): the incompressible heat factor and the
-    compressible transverse factor."""
-    ksq = lattice.k_squared()[..., : lattice.cutoffs[-1] + 1]
-    return np.exp(-mu * ksq * dt).astype(np.complex128)
-
-
-@_cached
-def _viscous_symbols(lattice: LatticeSpec, mu: float, lam: float, scale: float) -> tuple:
-    """scale times the symbol -mu |k|^2 of mu lap, and the symbol
-    (mu + lam) i k of (mu + lam) div, whose gradient takes scale * i k."""
-    laplacian = (-mu * scale) * lattice.k_squared()[..., : lattice.cutoffs[-1] + 1]
-    return laplacian.astype(np.complex128), (1j * (mu + lam)) * lattice.half_wavevectors()
-
-
-@_cached
-def _leray_symbol(lattice: LatticeSpec, scale: float) -> np.ndarray:
-    """i k / (scale |k|^2) (0 at the mean mode), the Leray projection's
-    multiplier of the divergence taken with scale * i k."""
-    inv_ksq = _safe_inv_ksq(lattice)[..., : lattice.cutoffs[-1] + 1]
-    return (1j / scale) * lattice.half_wavevectors() * inv_ksq
-
-
-@_cached
-def _half_khat(lattice: LatticeSpec) -> np.ndarray:
-    """k/|k| (0 at the mean mode) on the retained half spectrum."""
-    kmod = _safe_k_modulus(lattice)[..., : lattice.cutoffs[-1] + 1]
-    return (lattice.half_wavevectors() / kmod).astype(np.complex128)
-
-
-def _dot(m: np.ndarray, y: np.ndarray, out: np.ndarray, term: np.ndarray) -> np.ndarray:
-    """sum_c m[c] y[c] into ``out``, one component at a time, with ``term``
-    one component of scratch."""
-    np.multiply(m[0], y[0], out=out)
-    for mc, yc in zip(m[1:], y[1:]):
-        np.add(out, np.multiply(mc, yc, out=term), out=out)
-    return out
 
 
 class AcousticViscousPropagator:
