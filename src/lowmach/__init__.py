@@ -6,6 +6,7 @@ time steppers, and the Mach-number sweep diagnostics."""
 from .lattice import (
     LatticeSpec,
     SpectralField,
+    checkpoint_field,
     dealiased_product,
     forward_transform,
     inverse_transform,

@@ -20,8 +20,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .dyadic import norm, parse_norm_spec
 from .experiments import (
     ExperimentConfig,
@@ -31,7 +29,7 @@ from .experiments import (
     run_invariant_suite,
     vanishing_limit_check,
 )
-from .lattice import LatticeSpec, SpectralField
+from .lattice import LatticeSpec, checkpoint_field
 from .operators import VacuumError
 from .resonance import build_limit_tables, small_divisors
 from .solvers import CFLError, load_checkpoint, run_trajectory, save_checkpoint
@@ -123,7 +121,7 @@ def _cmd_norms(args) -> int:
     specs = [parse_norm_spec(s) for s in args.spec]
     rows = []
     for name, arr in sorted(arrays.items()):
-        field = SpectralField(lattice, np.asarray(arr))
+        field = checkpoint_field(lattice, name, arr)
         for spec in specs:
             rows.append((name, spec.key(), norm(field, spec)))
     width = max(len(r[1]) for r in rows) if rows else 10

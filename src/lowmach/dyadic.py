@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lattice import LatticeSpec, SpectralField, _cached, inverse_transform
+from .lattice import LatticeSpec, SpectralField, _cached, _mode_power, inverse_transform
 
 __all__ = [
     "BumpProfile",
@@ -95,7 +95,7 @@ def block_range(lattice: LatticeSpec) -> range:
 
 @_cached
 def _block_weights(lattice: LatticeSpec, j: int) -> np.ndarray:
-    return DEFAULT_PROFILE(np.ldexp(lattice.k_modulus(), -j))
+    return DEFAULT_PROFILE(np.ldexp(lattice.half(lattice.k_modulus()), -j))
 
 
 def dyadic_block(field, j: int):
@@ -106,7 +106,7 @@ def dyadic_block(field, j: int):
 def low_cut(field, j: int):
     """Mean plus all blocks strictly below j."""
     lattice = field.lattice
-    weights = np.zeros(lattice.resolution)
+    weights = np.zeros(lattice.half_shape)
     weights[(0,) * lattice.d] = 1.0
     for jp in block_range(lattice):
         if jp <= j - 1:
@@ -260,30 +260,25 @@ class BlockEnergies:
 
 @_cached
 def _energy_matrix(lattice: LatticeSpec, h_orders: tuple) -> np.ndarray:
-    """The weights of a :class:`BlockEnergies` row on the half box
-    (``LatticeSpec.half_box``): one row per entry, one column per mode.
-    Columns with n_d > 0 count twice, once for the mode's n_d-mirror, which
-    every weight, a function of |k| alone, treats alike."""
-    index, mirror = lattice.half_box()
-    ksq = lattice.k_squared().ravel()[index]
-    kmod = lattice.k_modulus().ravel()[index]
+    """The weights of a :class:`BlockEnergies` row on the dealiased modes of
+    a half spectrum (``LatticeSpec.half_box``): one row per entry, one column
+    per mode.  Modes with n_d > 0 count twice, once for their n_d-mirrors,
+    which every weight, a function of |k| alone, treats alike."""
+    index = lattice.half_box()[0]
+    ksq = lattice.half(lattice.k_squared()).ravel()[index]
+    kmod = lattice.half(lattice.k_modulus()).ravel()[index]
     rows = [DEFAULT_PROFILE(np.ldexp(kmod, -j)) ** 2 for j in block_range(lattice)]
     rows.append((ksq == 0).astype(np.float64))
     for s in h_orders:
         rows.append(np.zeros_like(ksq))
         rows[-1][ksq > 0] = ksq[ksq > 0] ** s
-    return np.stack(rows) * np.where(index == mirror, 1.0, 2.0)
-
-
-def _mode_power(coeffs: np.ndarray) -> np.ndarray:
-    """Squared magnitude per mode of a (components, modes) array, summed over
-    the components."""
-    return np.sum(coeffs.real**2 + coeffs.imag**2, axis=0)
+    return np.stack(rows) * np.where(index % (lattice.cutoffs[-1] + 1) == 0, 1.0, 2.0)
 
 
 def block_energies(obj, h_orders=()) -> BlockEnergies:
-    """Reduce a field to its energy row: the power of each half-box mode,
-    averaged with that of its n_d-mirror, against the weight matrix."""
+    """Reduce a field to its energy row: the power of each dealiased mode of
+    its half spectrum, averaged with that of the mode's n_d-mirror, against
+    the weight matrix."""
     h_orders = tuple(float(s) for s in h_orders)
     lattice = obj.lattice
     coeffs = obj.coeffs.reshape(obj.components, -1)

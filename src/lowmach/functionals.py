@@ -13,15 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import (
-    BlockEnergies,
-    NormSpec,
-    _energy_matrix,
-    _mode_power,
-    chemin_lerner_norm,
-    time_norm,
-)
-from .lattice import LatticeSpec, _cached
+from .dyadic import BlockEnergies, NormSpec, _energy_matrix, chemin_lerner_norm, time_norm
+from .lattice import LatticeSpec, _cached, _mode_power
 from .operators import _safe_inv_ksq, _signed_modulus
 
 __all__ = [
@@ -80,17 +73,15 @@ def _acoustic(times, fields, s, **band) -> float:
 
 @_cached
 def _box_multipliers(lattice: LatticeSpec) -> tuple:
-    """The half box (``LatticeSpec.half_box``, in the same order) as flat
-    indices into a half spectrum, shape (*leading axes, cut + 1), and
-    per-mode multipliers on it: the wavevectors (one row per axis), 1/|k|^2,
-    the acoustic factor 1/sqrt(2), the wave-group frequency sg(k)|k|, all 0
-    at the mean mode, and sg(k)|k| with 1 there, a safe divisor."""
-    cut = lattice.cutoffs[-1]
-    index = np.flatnonzero(lattice.dealias_mask()[..., : cut + 1])
+    """The dealiased modes of a half spectrum (``LatticeSpec.half_box``) and
+    per-mode multipliers on them: the wavevectors (one row per axis),
+    1/|k|^2, the acoustic factor 1/sqrt(2), the wave-group frequency
+    sg(k)|k|, all 0 at the mean mode, and sg(k)|k| with 1 there, a safe
+    divisor."""
+    index = lattice.half_box()[0]
     k = lattice.half_wavevectors().reshape(lattice.d, -1)[:, index]
     frequency, inv_ksq = (
-        grid[..., : cut + 1].ravel()[index]
-        for grid in (_signed_modulus(lattice), _safe_inv_ksq(lattice))
+        grid.ravel()[index] for grid in (_signed_modulus(lattice), _safe_inv_ksq(lattice))
     )
     acoustic = (frequency != 0) / math.sqrt(2.0)
     divisor = np.where(frequency == 0, 1.0, frequency)

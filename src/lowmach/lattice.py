@@ -1,10 +1,11 @@
 """Lattice and field representation for the rational-period torus.
 
-Fields live on a uniform periodic grid with axis lengths ``2*pi*b_h`` and are
-represented by a truncated table of Fourier coefficients
-(:class:`SpectralField`).  Grid samples are plain arrays of shape
-``(components, *resolution)``, the input of :func:`forward_transform` and the
-output of :func:`inverse_transform`.  The coefficient convention is
+Fields live on a uniform periodic grid with axis lengths ``2*pi*b_h`` and
+stand for real functions.  A field (:class:`SpectralField`) holds a
+truncated table of Fourier coefficients, and grid samples are real arrays
+of shape ``(components, *resolution)``, the input of
+:func:`forward_transform` and the output of :func:`inverse_transform`.  The
+coefficient convention is
 
     g(x) = sum_k  g_k  exp(i k.x) / sqrt(vol),
     g_k  = integral of g(x) exp(-i k.x) dx / sqrt(vol),
@@ -14,19 +15,18 @@ with integer ``n_h``.  With this normalization Parseval's identity holds with
 constant one: ``integral |g|^2 = sum_k |g_k|^2``.  All norm code downstream
 relies on that.
 
-Coefficients are stored on the full FFT index grid with a sharp dealiasing
-mask applied; the retained per-axis cutoff guarantees that quadratic products
-evaluated on the grid agree exactly with the truncated Fourier convolution
-(the classical 2/3 rule).
-
-A field stands for a real function exactly when its coefficients are
-Hermitian, c_{-k} = conj(c_k) (:meth:`SpectralField.is_reality_symmetric`).
-The transforms of such a field use real-data FFTs on the retained half
-spectrum: the inverse reads the columns 0..cut alone, and the forward
-transform of real samples rebuilds the full, masked, Hermitian coefficient
-grid from the half spectrum.  Any other field uses the complex FFTs.  The
-half-spectrum primitives behind these transforms also serve the steppers,
-which work on half spectra throughout.
+The coefficients of a real function are Hermitian, g_{-k} = conj(g_k), so a
+field stores the retained half spectrum alone, the real-data layout of FFTW
+and numpy's ``rfftn``: the columns n_d = 0..cut of the last axis, shape
+``(components, *leading axes, cut + 1)`` (:attr:`LatticeSpec.half_shape`),
+zero outside the dealiasing box on the leading axes.  A mode with n_d < 0
+holds the conjugate of its mirror's coefficient (:meth:`SpectralField.mode`).
+The per-axis cutoff guarantees that quadratic products evaluated on the
+grid agree exactly with the truncated Fourier convolution (the classical 2/3
+rule).  The transforms are real-data FFTs on the half spectrum; their
+primitives also serve the steppers, which step the same arrays.  The full
+coefficient grid (the geometry arrays of :class:`LatticeSpec` aside) appears
+only in checkpoint files (:func:`checkpoint_field`).
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ import numpy as np
 __all__ = [
     "LatticeSpec",
     "SpectralField",
+    "checkpoint_field",
     "forward_transform",
     "inverse_transform",
     "dealiased_product",
@@ -166,23 +167,32 @@ class LatticeSpec:
         """Wavevector components k_h = n_h/b_h on the full FFT grid."""
         return [g / float(b) for g, b in zip(self.index_grids(), self.periods)]
 
+    @property
+    def half_shape(self) -> tuple[int, ...]:
+        """The shape of one component's half spectrum: (*leading axes, cut + 1)."""
+        return self.resolution[:-1] + (self.cutoffs[-1] + 1,)
+
+    def half(self, grid: np.ndarray) -> np.ndarray:
+        """The half-spectrum part (columns 0..cut of the last axis) of an
+        array on the full FFT grid, a view."""
+        return grid[..., : self.cutoffs[-1] + 1]
+
     @_cached
     def half_wavevectors(self) -> np.ndarray:
-        """Wavevector components on the retained half spectrum (columns
-        0..cut of the last axis), stacked: shape (d, *leading axes, cut + 1)."""
-        cut = self.cutoffs[-1]
-        return np.stack([k[..., : cut + 1] for k in self.wavevectors()])
+        """Wavevector components on the half spectrum, stacked: shape
+        (d, *leading axes, cut + 1)."""
+        return np.stack([self.half(k) for k in self.wavevectors()])
 
     @_cached
     def half_box(self) -> np.ndarray:
-        """Flat indices into the full FFT grid of the retained half box, the
-        dealiased modes with n_d >= 0 in increasing order (row 0), and of
-        their n_d-mirrors, the same modes with n_d negated (row 1).  A mode
-        with n_d = 0 is its own n_d-mirror."""
-        n = self.resolution[-1]
-        index = np.flatnonzero(self.dealias_mask() & (self.index_grids()[-1] >= 0))
-        column = index % n
-        return np.stack((index, index - column + (-column) % n))
+        """Flat indices into a half spectrum of the dealiased modes, in
+        increasing order (row 0), and of the modes whose coefficients are
+        the conjugates of their n_d-mirrors' (row 1): the mirror (-n', n_d)
+        of a mode (n', n_d) with n_d > 0, and a mode with n_d = 0 itself."""
+        index = np.flatnonzero(self.half(self.dealias_mask()))
+        *leading, column = np.unravel_index(index, self.half_shape)
+        mirror = [np.where(column > 0, -i % n, i) for i, n in zip(leading, self.resolution)]
+        return np.stack((index, np.ravel_multi_index((*mirror, column), self.half_shape)))
 
     @_cached
     def k_squared(self) -> np.ndarray:
@@ -281,11 +291,12 @@ class LatticeSpec:
 
 
 class SpectralField:
-    """Dealiased Fourier coefficient table of a scalar or vector field.
+    """Dealiased half spectrum of a real scalar or vector field.
 
-    Coefficients are stored over the full FFT index grid with zeros outside
-    the dealiasing mask.  Instances are treated as immutable values: all
-    operations return new fields.
+    ``coeffs`` has shape ``(components, *lattice.half_shape)``: the
+    coefficients of the columns n_d = 0..cut, zero outside the dealiasing
+    box.  Instances are treated as immutable values: all operations return
+    new fields.
     """
 
     __slots__ = ("lattice", "coeffs")
@@ -294,21 +305,21 @@ class SpectralField:
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if coeffs.ndim == lattice.d:
             coeffs = coeffs[None]
-        if coeffs.shape[1:] != lattice.resolution:
-            raise ValueError(
-                f"coefficient shape {coeffs.shape[1:]} does not match lattice"
-            )
+        if coeffs.shape[1:] != lattice.half_shape:
+            raise ValueError(f"coefficient shape {coeffs.shape[1:]} is not {lattice.half_shape}")
         self.lattice = lattice
-        self.coeffs = _masked(coeffs, lattice.dealias_mask())
+        self.coeffs = _masked(coeffs, lattice.half(lattice.dealias_mask()))
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def _in_box(cls, lattice: LatticeSpec, coeffs: np.ndarray):
-        """Wrap a complex array that is already zero outside the dealiased box.
+        """Wrap a complex half-spectrum array that is already zero outside
+        the dealiased box, without a copy.
 
         Skips the re-mask and the checks of ``__init__``; for Fourier
-        multipliers of fields, sums of fields, and the transforms' own output.
+        multipliers of fields, sums of fields, the transforms' own output
+        and the steppers' states.
         """
         out = cls.__new__(cls)
         out.lattice = lattice
@@ -317,8 +328,7 @@ class SpectralField:
 
     @classmethod
     def zeros(cls, lattice: LatticeSpec, components: int = 1):
-        shape = (components,) + lattice.resolution
-        return cls(lattice, np.zeros(shape, dtype=np.complex128))
+        return cls._in_box(lattice, np.zeros((components,) + lattice.half_shape, np.complex128))
 
     # -- basic properties --------------------------------------------------
 
@@ -327,34 +337,23 @@ class SpectralField:
         return self.coeffs.shape[0]
 
     def mode(self, index: Sequence[int]) -> np.ndarray:
-        idx = tuple(int(m) % n for m, n in zip(index, self.lattice.resolution))
+        """The coefficients of the mode with integer indices ``index``, n_d in
+        -cut..cut, one per component; a mode with n_d < 0 holds the
+        conjugates of its mirror's."""
+        index = tuple(int(m) for m in index)
+        if index[-1] < 0:
+            return np.conj(self.mode(tuple(-m for m in index)))
+        idx = tuple(m % n for m, n in zip(index, self.lattice.resolution))
         return self.coeffs[(slice(None),) + idx]
 
     def mean_coefficient(self) -> np.ndarray:
         return self.coeffs[(slice(None),) + (0,) * self.lattice.d]
 
-    def mode_power(self) -> np.ndarray:
-        """Per-mode squared magnitude summed over components."""
-        return np.sum(np.abs(self.coeffs) ** 2, axis=0)
-
     def l2_norm(self) -> float:
-        return math.sqrt(float(np.sum(self.mode_power())))
-
-    def conjugate_symmetry_defect(self) -> float:
-        """max |c_k - conj(c_-k)|; a pair whose two members are both
-        non-finite counts as matching."""
-        mirror = np.conj(_mirror(self.coeffs, range(1, self.lattice.d + 1)))
-        pairs = np.isfinite(self.coeffs) | np.isfinite(mirror)
-        # subtract within the pairs alone: inf - inf would warn
-        defect = np.subtract(self.coeffs, mirror, where=pairs, out=np.zeros_like(mirror))
-        return float(np.max(np.abs(defect), where=pairs, initial=0.0))
-
-    def is_reality_symmetric(self) -> bool:
-        """Whether each component stands for a real function: conjugate-symmetry
-        defect at most 1e-12 times the largest finite |c_k|."""
-        magnitude = np.abs(self.coeffs)
-        scale = float(np.max(magnitude, where=np.isfinite(magnitude), initial=0.0))
-        return self.conjugate_symmetry_defect() <= 1e-12 * scale
+        """sqrt(sum_k |c_k|^2) over every mode: the columns n_d > 0 count
+        twice, once for their mirrors."""
+        power = _mode_power(self.coeffs)
+        return math.sqrt(float(2.0 * np.sum(power) - np.sum(power[..., 0])))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -378,7 +377,8 @@ class SpectralField:
         return self._like(self.coeffs[c : c + 1])
 
     def scale_modes(self, weights: np.ndarray) -> "SpectralField":
-        """Multiply coefficients by a real, radially even mode-weight array."""
+        """Multiply coefficients by a real, radially even mode-weight array
+        on the half spectrum."""
         return self._like(_scale_modes(self.coeffs, weights))
 
     def _check_compatible(self, other: "SpectralField"):
@@ -386,6 +386,12 @@ class SpectralField:
             raise ValueError("fields live on different lattices")
         if other.components != self.components:
             raise ValueError("component count mismatch")
+
+
+def _mode_power(coeffs: np.ndarray) -> np.ndarray:
+    """Squared magnitude per mode, summed over the components (the first
+    axis)."""
+    return np.sum(coeffs.real**2 + coeffs.imag**2, axis=0)
 
 
 def _masked(coeffs: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -428,13 +434,12 @@ def _mirror(x: np.ndarray, axes) -> np.ndarray:
     return x
 
 
-# Real fields on the retained half spectrum: arrays of shape
-# (components, *leading axes, cut + 1) holding the columns 0..cut of the last
-# axis, zero outside the dealiased box on the leading axes.  The columns
-# -cut..-1 of a Hermitian field are the conjugates of the mirrored columns
-# 1..cut, and the Nyquist column is never read, because ``3*cut < n``.  The
-# half-spectrum transforms leave their scales (``_scales``) to the callers,
-# which fold them into multipliers that they apply anyway.
+# The half-spectrum transforms act on arrays of shape (components, *leading
+# axes, cut + 1), the layout of ``SpectralField.coeffs`` and of the steppers'
+# states.  The columns -cut..-1 of a real field are the conjugates of the
+# mirrored columns 1..cut, and the Nyquist column is never read, because
+# ``3*cut < n``.  The transforms leave their scales (``_scales``) to the
+# callers, which fold them into multipliers that they apply anyway.
 
 
 @_cached
@@ -478,68 +483,71 @@ def _half_inverse(
     return np.fft.irfft(half, n=lattice.resolution[-1], axis=-1, norm="forward", out=out)
 
 
-def _half_to_full(half: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
-    """The full, masked, Hermitian coefficient grid of a half spectrum."""
+def _full_grid(half: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
+    """The full coefficient grid, as '<c16', of one component's half spectrum,
+    the layout of checkpoint files: the columns -cut..-1 hold the conjugates
+    of the mirrored columns 1..cut."""
     cut, n = lattice.cutoffs[-1], lattice.resolution[-1]
-    out = np.zeros(half.shape[:-1] + (n,), dtype=np.complex128)
+    out = np.zeros(lattice.resolution, dtype="<c16")
     out[..., : cut + 1] = half
-    out[..., n - cut :] = np.conj(_mirror(half[..., cut:0:-1], range(1, lattice.d)))
+    out[..., n - cut :] = np.conj(_mirror(half[..., cut:0:-1], range(lattice.d - 1)))
     return out
 
 
+def checkpoint_field(lattice: LatticeSpec, name: str, coeffs: np.ndarray) -> SpectralField:
+    """The field ``name`` of full coefficient grids ``coeffs`` as
+    ``solvers.load_checkpoint`` reads them: their half spectrum.  ValueError
+    names the field if its shape is not (components, *resolution) or if its
+    coefficients are not those of a real function: non-finite, or not
+    Hermitian, |c_{-k} - conj(c_k)| above 1e-12 times the largest |c_k|."""
+    coeffs = np.asarray(coeffs)
+    if coeffs.ndim != lattice.d + 1 or coeffs.shape[1:] != lattice.resolution:
+        raise ValueError(
+            f"checkpoint field {name!r} has shape {coeffs.shape}, "
+            f"not (components, *{lattice.resolution})"
+        )
+    if not np.isfinite(coeffs).all():
+        raise ValueError(f"checkpoint field {name!r} has non-finite coefficients")
+    defect = np.abs(coeffs - np.conj(_mirror(coeffs, range(1, lattice.d + 1))))
+    if np.max(defect, initial=0.0) > 1e-12 * np.max(np.abs(coeffs), initial=0.0):
+        raise ValueError(
+            f"checkpoint field {name!r} is not real: its coefficients are not Hermitian"
+        )
+    return SpectralField(lattice, lattice.half(coeffs))
+
+
 def forward_transform(lattice: LatticeSpec, values: np.ndarray) -> SpectralField:
-    """Grid samples to normalized, dealiased Fourier coefficients.
+    """Real grid samples to the normalized, dealiased half spectrum.
 
     ``values`` has shape ``(components, *resolution)``, or the lattice's
-    shape for one component.  Real samples (or complex samples with zero
-    imaginary part) give a Hermitian field through a real-data FFT.
+    shape for one component; complex samples raise TypeError.
     """
     values = np.asarray(values)
+    if np.iscomplexobj(values):
+        raise TypeError(f"forward_transform takes real samples, not {values.dtype} ones")
     if values.ndim == lattice.d:
         values = values[None]
     if values.shape[1:] != lattice.resolution:
         raise ValueError(
             f"grid shape {values.shape[1:]} does not match lattice {lattice.resolution}"
         )
-    if np.iscomplexobj(values) and np.max(np.abs(values.imag), initial=0.0) == 0.0:
-        values = values.real
-    scale = _scales(lattice)[1]
-    if not np.iscomplexobj(values):
-        half = _half_forward(values, lattice)
-        half *= scale
-        return SpectralField._in_box(lattice, _half_to_full(half, lattice))
-    coeffs = np.fft.fftn(values, axes=tuple(range(1, lattice.d + 1))) * scale
-    return SpectralField(lattice, coeffs)
+    return SpectralField._in_box(lattice, _half_forward(values, lattice) * _scales(lattice)[1])
 
 
 def inverse_transform(field: SpectralField) -> np.ndarray:
-    """Fourier coefficients to grid samples of shape ``(components,
-    *resolution)`` (exact inverse on retained modes).
-
-    A field whose coefficients are Hermitian
-    (:meth:`SpectralField.is_reality_symmetric`) gives real (float64) samples,
-    the half inverse of its columns 0..cut.  Any other field gives complex
-    samples.
-    """
+    """The real grid samples, shape ``(components, *resolution)``, of a
+    field: the half inverse (exact on retained modes)."""
     lattice = field.lattice
-    coeffs = field.coeffs
     # a non-finite coefficient gives non-finite samples, without a warning
     with np.errstate(invalid="ignore", over="ignore"):
-        if field.is_reality_symmetric():
-            half = coeffs[..., : lattice.cutoffs[-1] + 1] * _scales(lattice)[0]
-            return _half_inverse(half, lattice)
-        npoints = float(np.prod(lattice.resolution))
-        return np.fft.ifftn(coeffs, axes=tuple(range(1, lattice.d + 1))) * (
-            npoints / math.sqrt(lattice.volume)
-        )
+        return _half_inverse(field.coeffs * _scales(lattice)[0], lattice)
 
 
 def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
     """Pointwise product, exact on retained modes by the 2/3-rule cutoff.
 
     Operand component counts must match, or one operand must be scalar (which
-    is then broadcast against the other).  Operands with Hermitian
-    coefficients are multiplied as real grid values.
+    is then broadcast against the other).
     """
     if f.lattice is not g.lattice and f.lattice != g.lattice:
         raise ValueError("fields live on different lattices")

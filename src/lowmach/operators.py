@@ -10,9 +10,12 @@ with eigenvalue ``-i*alpha*sg(k)*|k|``; ``sg`` is +1 iff the first nonzero
 component of k is positive (``LatticeSpec.sign_grid``).  :class:`AcousticCoeffs`
 stores a state of the orthogonal complement of Ker L in this basis as a
 two-component spectral field, component 0 for alpha = +1 and component 1 for
-alpha = -1: the layout of ``limit.lmc`` checkpoints, which ``lowmach norms``
-reads back as a plain two-component field.  The wave group ``exp(-tau*L)`` is
-then a per-mode phase rotation.
+alpha = -1; each branch is the spectrum of a real function, so both are half
+spectra, as every field is.  ``limit.lmc`` checkpoints store the pair in this
+layout, which ``lowmach norms`` reads back as a plain two-component field.
+The wave group ``exp(-tau*L)`` is then a per-mode phase rotation.
+
+Every multiplier here lives on the half spectrum (``LatticeSpec.half``).
 
 The solvers step the limit system with the resonant forms
 ``resonance.limit_q1`` and ``resonance.limit_q2``.  The filtered quadratic
@@ -51,21 +54,21 @@ class VacuumError(RuntimeError):
 
 @_cached
 def _signed_modulus(lattice: LatticeSpec) -> np.ndarray:
-    """sg(k)*|k| on the full FFT grid (0 at the mean mode)."""
-    return lattice.sign_grid() * lattice.k_modulus()
+    """sg(k)*|k| (0 at the mean mode)."""
+    return lattice.half(lattice.sign_grid()) * lattice.half(lattice.k_modulus())
 
 
 @_cached
 def _safe_k_modulus(lattice: LatticeSpec) -> np.ndarray:
     """|k| with 1 at the mean mode, a safe divisor."""
-    kmod = lattice.k_modulus().copy()
+    kmod = lattice.half(lattice.k_modulus()).copy()
     kmod[(0,) * lattice.d] = 1.0
     return kmod
 
 
 @_cached
 def _safe_inv_ksq(lattice: LatticeSpec) -> np.ndarray:
-    ksq = lattice.k_squared().copy()
+    ksq = lattice.half(lattice.k_squared()).copy()
     zero = (0,) * lattice.d
     ksq[zero] = 1.0
     inv = 1.0 / ksq
@@ -73,14 +76,14 @@ def _safe_inv_ksq(lattice: LatticeSpec) -> np.ndarray:
     return inv
 
 
-# The steppers' multipliers on the retained half spectrum, stored as complex
-# (numpy would cast a real one through a buffer in every product); those
-# whose products feed a transform carry its scales (``lattice._scales``).
+# The steppers' multipliers, stored as complex (numpy would cast a real one
+# through a buffer in every product); those whose products feed a transform
+# carry its scales (``lattice._scales``).
 
 
 @_cached
 def _half_ik(lattice: LatticeSpec, scale: float) -> np.ndarray:
-    """scale * i k on the retained half spectrum, shape (d, *leading axes, cut + 1)."""
+    """scale * i k, shape (d, *leading axes, cut + 1)."""
     return (1j * scale) * lattice.half_wavevectors()
 
 
@@ -88,15 +91,14 @@ def _half_ik(lattice: LatticeSpec, scale: float) -> np.ndarray:
 def _heat_factor(lattice: LatticeSpec, mu: float, dt: float) -> np.ndarray:
     """exp(-mu |k|^2 dt): the incompressible heat factor and the
     compressible transverse factor."""
-    ksq = lattice.k_squared()[..., : lattice.cutoffs[-1] + 1]
-    return np.exp(-mu * ksq * dt).astype(np.complex128)
+    return np.exp(-mu * lattice.half(lattice.k_squared()) * dt).astype(np.complex128)
 
 
 @_cached
 def _viscous_symbols(lattice: LatticeSpec, mu: float, lam: float, scale: float) -> tuple:
     """scale times the symbol -mu |k|^2 of mu lap, and the symbol
     (mu + lam) i k of (mu + lam) div, whose gradient takes scale * i k."""
-    laplacian = (-mu * scale) * lattice.k_squared()[..., : lattice.cutoffs[-1] + 1]
+    laplacian = (-mu * scale) * lattice.half(lattice.k_squared())
     return laplacian.astype(np.complex128), (1j * (mu + lam)) * lattice.half_wavevectors()
 
 
@@ -104,15 +106,13 @@ def _viscous_symbols(lattice: LatticeSpec, mu: float, lam: float, scale: float) 
 def _leray_symbol(lattice: LatticeSpec, scale: float) -> np.ndarray:
     """i k / (scale |k|^2) (0 at the mean mode), the Leray projection's
     multiplier of the divergence taken with scale * i k."""
-    inv_ksq = _safe_inv_ksq(lattice)[..., : lattice.cutoffs[-1] + 1]
-    return (1j / scale) * lattice.half_wavevectors() * inv_ksq
+    return (1j / scale) * lattice.half_wavevectors() * _safe_inv_ksq(lattice)
 
 
 @_cached
 def _half_khat(lattice: LatticeSpec) -> np.ndarray:
-    """k/|k| (0 at the mean mode) on the retained half spectrum."""
-    kmod = _safe_k_modulus(lattice)[..., : lattice.cutoffs[-1] + 1]
-    return (lattice.half_wavevectors() / kmod).astype(np.complex128)
+    """k/|k| (0 at the mean mode)."""
+    return (lattice.half_wavevectors() / _safe_k_modulus(lattice)).astype(np.complex128)
 
 
 def helmholtz_project(u: SpectralField, which: str) -> SpectralField:
@@ -120,7 +120,7 @@ def helmholtz_project(u: SpectralField, which: str) -> SpectralField:
     lattice = u.lattice
     if u.components != lattice.d:
         raise ValueError("Helmholtz projection acts on vector fields")
-    kvecs = lattice.wavevectors()
+    kvecs = lattice.half_wavevectors()
     dot = sum(k * u.coeffs[c] for c, k in enumerate(kvecs))
     inv_ksq = _safe_inv_ksq(lattice)
     q_coeffs = np.stack([dot * inv_ksq * k for k in kvecs], axis=0)
@@ -134,7 +134,7 @@ def helmholtz_project(u: SpectralField, which: str) -> SpectralField:
 @_cached
 def _acoustic_mask(lattice: LatticeSpec) -> np.ndarray:
     """The dealias mask with the mean mode cleared."""
-    mask = lattice.dealias_mask().copy()
+    mask = lattice.half(lattice.dealias_mask()).copy()
     mask[(0,) * lattice.d] = False
     return mask
 
@@ -164,8 +164,7 @@ class AcousticCoeffs(SpectralField):
 
     @classmethod
     def zeros(cls, lattice: LatticeSpec) -> "AcousticCoeffs":
-        shape = (2,) + lattice.resolution
-        return cls._in_box(lattice, np.zeros(shape, np.complex128))
+        return cls._in_box(lattice, np.zeros((2,) + lattice.half_shape, np.complex128))
 
     def branch(self, alpha: int) -> np.ndarray:
         return self.coeffs[0 if alpha == 1 else 1]
@@ -194,9 +193,9 @@ def acoustic_transform(a: SpectralField, qu: SpectralField, check: bool = True) 
         p_part = helmholtz_project(qu, "P")
         if np.max(np.abs(p_part.coeffs)) > tol:
             raise ValueError("vector part must be a gradient field")
-    kvecs = lattice.wavevectors()
+    kvecs = lattice.half_wavevectors()
     mu = sum(k * qu.coeffs[c] for c, k in enumerate(kvecs)) / _safe_k_modulus(lattice)
-    sgk = lattice.sign_grid()
+    sgk = lattice.half(lattice.sign_grid())
     ahat = a.coeffs[0]
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     plus = (ahat - sgk * mu) * inv_sqrt2
@@ -224,7 +223,7 @@ def advect(p: SpectralField, q: SpectralField) -> SpectralField:
     lattice = p.lattice
     d, nq = lattice.d, q.components
     stacked = np.concatenate(
-        [p.coeffs[:d]] + [1j * k * q.coeffs for k in lattice.wavevectors()]
+        [p.coeffs[:d]] + [1j * k * q.coeffs for k in lattice.half_wavevectors()]
     )
     grid = inverse_transform(SpectralField._in_box(lattice, stacked))
     prod = sum(grid[c] * grid[d + c * nq : d + (c + 1) * nq] for c in range(d))

@@ -36,9 +36,10 @@ run its fields and exponentials, not a stack of scratch arrays
 steps the incompressible velocity v and the averaged state V, which v
 drives, as one coupled system, so that v's part of each step is the
 incompressible step itself; each branch of V is the spectrum of a real
-function, so V too is stepped on half spectra.  Full fields are built only
-where a caller asks for a ``state()``.  :func:`step_compressible`,
-:func:`step_incompressible` and :func:`step_limit` are one step of each.
+function, so V too is stepped on half spectra.  A stepper's ``state()`` wraps
+its half spectra as fields without a copy, since a step never writes the
+state in place.  :func:`step_compressible`, :func:`step_incompressible` and
+:func:`step_limit` are one step of each.
 
 A system's state is its fields and nothing else: the pair (a, u), the
 velocity v, or the pair (v, V).  No state carries a time: a step is told the
@@ -63,9 +64,9 @@ from .lattice import (
     LatticeSpec,
     SpectralField,
     _dot,
+    _full_grid,
     _half_forward,
     _half_inverse,
-    _half_to_full,
     _mirror,
     _scales,
     zero_mean_split,
@@ -348,8 +349,7 @@ class AcousticViscousPropagator:
     reads the lattice's cached transverse factor T and directions k/|k|."""
 
     def __init__(self, lattice: LatticeSpec, dt: float, eps: float, nu: float, mu: float):
-        cut = lattice.cutoffs[-1]
-        ksq = lattice.k_squared()[..., : cut + 1]
+        ksq = lattice.half(lattice.k_squared())
         c = -nu * ksq  # longitudinal damping
         delta_sq = (c / 2.0) ** 2 - ksq / eps**2  # Delta^2 = (c/2)^2 + b^2
         delta = np.sqrt(delta_sq.astype(np.complex128))
@@ -364,7 +364,7 @@ class AcousticViscousPropagator:
         cosh = np.where(small, 1.0 + xs**2 / 2.0 + xs**4 / 24.0, cosh)
         s = sinhc * dt  # sinh(Delta dt)/Delta
         front = np.exp(c * dt / 2.0)
-        b = -1j * lattice.k_modulus()[..., : cut + 1] / eps
+        b = -1j * lattice.half(lattice.k_modulus()) / eps
         self.transverse = _heat_factor(lattice, mu, dt)
         self.e11 = front * (cosh - (c / 2.0) * s)
         self.e12 = front * b * s
@@ -451,8 +451,8 @@ class _Workspace:
     largest request so far; a step slices what it needs and keeps no view."""
 
     def __init__(self, lattice: LatticeSpec):
-        n, cut = lattice.resolution, lattice.cutoffs[-1]
-        self.half = n[:-1] + (cut + 1,)  # a half spectrum's shape
+        n = lattice.resolution
+        self.half = lattice.half_shape
         self.spectrum = n[:-1] + (n[-1] // 2 + 1,)  # a real-data FFT's shape
         # per array: its shape after the component axis and its dtype
         self.layout = {
@@ -511,17 +511,12 @@ class _Stepper:
 
 def _check_fields(lattice: LatticeSpec, **fields) -> None:
     """Reject a field that a stepper on ``lattice`` would misread; each
-    keyword maps the field's name to (field, expected component count).  A
-    stepper keeps a field's half spectrum only, so each component must stand
-    for a real function: finite coefficients must be Hermitian (non-finite
-    ones are left to the steps' checks)."""
+    keyword maps the field's name to (field, expected component count)."""
     for name, (value, components) in fields.items():
         if value.lattice != lattice:
             raise ValueError(f"{name} lives on {value.lattice}, not on the config's {lattice}")
         if value.components != components:
             raise ValueError(f"{name} has {value.components} components, expected {components}")
-        if np.isfinite(value.coeffs).all() and not value.is_reality_symmetric():
-            raise ValueError(f"{name} is not real: its coefficients are not Hermitian")
 
 
 def _one_step(stepper: _Stepper, t: float):
@@ -560,11 +555,11 @@ class CompressibleStepper(_Stepper):
     def __init__(self, cfg: SolverConfig, a: SpectralField, u: SpectralField):
         _check_fields(cfg.lattice, a=(a, 1), u=(u, cfg.lattice.d))
         lattice = cfg.lattice
-        d, cut = lattice.d, lattice.cutoffs[-1]
+        d = lattice.d
         self.cfg = cfg
         self.propagator = AcousticViscousPropagator(lattice, cfg.dt, cfg.eps, cfg.nu, cfg.mu)
         self.vacuum_warned = False
-        self.x = np.concatenate((a.coeffs[..., : cut + 1], u.coeffs[..., : cut + 1]))
+        self.x = np.concatenate((a.coeffs, u.coeffs))
         self.pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
         # the Lamb term's inputs carry both scales, so its grid values carry
         # the forward scale; the gradients of the forward stack carry it too
@@ -696,16 +691,15 @@ class CompressibleStepper(_Stepper):
         return self.propagator.apply(x, out, self.work.view(3, self.work.half))
 
     def state(self) -> tuple[SpectralField, SpectralField]:
-        """The current (a, u) as full, Hermitian fields."""
+        """The current (a, u), views of ``x``."""
         lat = self.cfg.lattice
-        full = _half_to_full(self.x, lat)
-        return SpectralField._in_box(lat, full[:1]), SpectralField._in_box(lat, full[1:])
+        return SpectralField._in_box(lat, self.x[:1]), SpectralField._in_box(lat, self.x[1:])
 
 
 def step_compressible(a: SpectralField, u: SpectralField, t: float, cfg: SolverConfig) -> tuple:
-    """One Lawson RK2 step of the rescaled compressible system on the half
-    spectra of a and u, through a :class:`CompressibleStepper` built for it
-    alone; returns the full Hermitian fields (a, u) at ``t + dt``."""
+    """One Lawson RK2 step of the rescaled compressible system, through a
+    :class:`CompressibleStepper` built for it alone; returns (a, u) at
+    ``t + dt``."""
     return _one_step(CompressibleStepper(cfg, a, u), t)
 
 
@@ -723,8 +717,8 @@ class IncompressibleStepper(_Stepper):
     def __init__(self, cfg: SolverConfig, v: SpectralField):
         _check_fields(cfg.lattice, v=(v, cfg.lattice.d))
         lattice = cfg.lattice
-        d, cut = lattice.d, lattice.cutoffs[-1]
-        self.cfg, self.x = cfg, v.coeffs[..., : cut + 1]
+        d = lattice.d
+        self.cfg, self.x = cfg, v.coeffs
         self.heat = _heat_factor(lattice, cfg.mu, cfg.dt)
         inverse, forward = self.scales = _scales(lattice)  # see CompressibleStepper
         self.ik = _half_ik(lattice, inverse * forward)
@@ -770,9 +764,8 @@ class IncompressibleStepper(_Stepper):
         return out
 
     def state(self) -> SpectralField:
-        """The current full, Hermitian velocity field."""
-        lattice = self.cfg.lattice
-        return SpectralField._in_box(lattice, _half_to_full(self.x, lattice))
+        """The current velocity v, wrapping ``x``."""
+        return SpectralField._in_box(self.cfg.lattice, self.x)
 
 
 def _check_finite_V(V: np.ndarray) -> None:
@@ -804,7 +797,7 @@ class LimitStepper(IncompressibleStepper):
         _check_fields(cfg.lattice, V=(V, 2))
         _check_finite_V(V.coeffs)
         lattice = cfg.lattice
-        self.x = np.concatenate((self.x, V.coeffs[..., : lattice.cutoffs[-1] + 1]))
+        self.x = np.concatenate((self.x, V.coeffs))
         self.heat_V = _heat_factor(lattice, 0.5 * cfg.nu, cfg.dt)
         table = self.table = _limit_table(lattice)
         # the extended (v, V), then the forms' gathers and products
@@ -835,10 +828,10 @@ class LimitStepper(IncompressibleStepper):
         return out
 
     def state(self) -> tuple[SpectralField, AcousticCoeffs]:
-        """The current (v, V) as full fields; V's branches are Hermitian."""
+        """The current (v, V), views of ``x``."""
         lattice, d = self.cfg.lattice, self.cfg.lattice.d
-        full = _half_to_full(self.x, lattice)
-        return SpectralField._in_box(lattice, full[:d]), AcousticCoeffs._in_box(lattice, full[d:])
+        v, V = self.x[:d], self.x[d:]
+        return SpectralField._in_box(lattice, v), AcousticCoeffs._in_box(lattice, V)
 
 
 def step_incompressible(v: SpectralField, t: float, cfg: SolverConfig) -> SpectralField:
@@ -877,9 +870,7 @@ def run_lockstep(steppers: dict, clock_cfg: SolverConfig, on_sample=None) -> dic
 
     A stepper takes the whole number of its own ``cfg.dt`` steps that reaches
     t, and its step n starts at exactly n * dt.  A stepper whose dt does not
-    divide a sample time raises ValueError naming it, before any step.  The
-    loop builds no full field: a state is built only where the hook asks a
-    stepper for its ``state()``.
+    divide a sample time raises ValueError naming it, before any step.
     """
     times = list(sample_clock(clock_cfg))
     stops = {}  # per stepper, its step count at time 0 and at each sample
@@ -950,13 +941,18 @@ def generate_initial_data(
     be real-valued; the scalar part is zero-mean.  Both parts are rescaled so
     that the d/2-regularity norm of a0 and the (d/2 - 1)-norm of u0 match the
     requested amplitudes exactly.
+
+    The draw fills the full grid in the random stream's order, and the
+    Hermitian part is formed on the columns -cut..cut alone.
     """
     rng = np.random.default_rng(seed)
     shape = (1 + lattice.d,) + lattice.resolution
-    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    envelope = (1.0 + lattice.k_modulus()) ** (-smoothness)
-    raw *= envelope
-    sym = 0.5 * (raw + np.conj(_mirror(raw, range(1, lattice.d + 1))))
+    cut, n = lattice.cutoffs[-1], lattice.resolution[-1]
+    # column -c at index -c, as on the grid, so _mirror maps them onto themselves
+    columns = np.r_[: cut + 1, n - cut : n]
+    raw = rng.standard_normal(shape)[..., columns] + 1j * rng.standard_normal(shape)[..., columns]
+    raw *= (1.0 + lattice.k_modulus()[..., columns]) ** (-smoothness)
+    sym = 0.5 * (raw + np.conj(_mirror(raw, range(1, lattice.d + 1))))[..., : cut + 1]
     _, a = zero_mean_split(SpectralField(lattice, sym[:1]))
     u = SpectralField(lattice, sym[1:])
     d = lattice.d
@@ -979,18 +975,18 @@ def save_checkpoint(path: str, lattice: LatticeSpec, time: float, fields: dict, 
 
     Header schema: {"schema": 1, "time": t, "lattice": descriptor,
     "fields": [{"name": ..., "shape": [...]}], "meta": {...}}; payload is the
-    concatenation of each field's coefficients as '<c16' in C order.
+    concatenation of each field's coefficients as '<c16' in C order.  A
+    field is stored on the full FFT grid, shape (components, *resolution),
+    expanded from its half spectrum one component at a time; an array is
+    stored as given.
     """
     entries = []
-    blobs = []
     for name, value in fields.items():
         if isinstance(value, SpectralField):
-            arr = value.coeffs
+            shape = (value.components,) + value.lattice.resolution
         else:
-            arr = np.asarray(value, dtype=np.complex128)
-        arr = np.ascontiguousarray(arr.astype("<c16"))
-        entries.append({"name": name, "shape": list(arr.shape)})
-        blobs.append(arr.tobytes())
+            shape = np.shape(value)
+        entries.append({"name": name, "shape": list(shape)})
     header = json.dumps(
         {
             "schema": 1,
@@ -1005,8 +1001,13 @@ def save_checkpoint(path: str, lattice: LatticeSpec, time: float, fields: dict, 
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+        for value in fields.values():
+            if isinstance(value, SpectralField):
+                for half in value.coeffs:
+                    fh.write(_full_grid(half, value.lattice))
+            else:
+                fh.write(np.ascontiguousarray(value, dtype="<c16"))
+
 
 
 def load_checkpoint(path: str):

@@ -14,12 +14,18 @@ both sum over one list of non-resonant triads, m in the box and
 indices and weights that the correctors alone read added to the library's
 enumeration (:func:`with_corrector_keys`).
 
+The library's fields are half spectra.  The referees that index modes on
+the full FFT grid expand their inputs there at their entry (:func:`full`,
+through :func:`_half_to_full`, the full-grid path the library no longer
+has) and reduce their results to half spectra at their exit
+(:func:`from_full`), after checking that they are Hermitian.
+
 Beside them stands the field API that only the tests use: the symbol
 calculus (:func:`spectral_derivative`), the reconstruction from acoustic
 coefficients (:func:`acoustic_inverse`), fields built from mode entries, a
-forcing's full coefficient grid, and the limit forms on full fields
-(:func:`limit_q1`, :func:`limit_q2`), which the library evaluates on half
-spectra, Q2 as a quadratic form only.  The steppers' Lawson step has its
+forcing as a field, and the limit forms on fields (:func:`limit_q1`,
+:func:`limit_q2`), which the library evaluates on stacked half spectra, Q2
+as a quadratic form only.  The steppers' Lawson step has its
 reference here too, on tuples of fields with a new tuple per stage
 (:func:`lawson_rk2`).  One fake stands beside them: the compressible
 stepper without its right-hand side, which steps the exact linear
@@ -31,7 +37,9 @@ so they are only for small lattices.
 
 from __future__ import annotations
 
+import json
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,7 +49,7 @@ from lowmach.dyadic import BumpProfile, block_range, dyadic_block, low_cut
 from lowmach.lattice import (
     LatticeSpec,
     SpectralField,
-    _half_to_full,
+    _mirror,
     dealiased_product,
     forward_transform,
     zero_mean_split,
@@ -59,6 +67,101 @@ from lowmach.operators import (
 from lowmach import resonance
 from lowmach.resonance import NonResonantTriads, _grid_index, _mode_data, enumerate_resonance_sets
 from lowmach.solvers import CompressibleStepper, Forcing, _pressure_remainder, run_trajectory
+
+# ---------------------------------------------------------------------------
+# Full coefficient grids
+# ---------------------------------------------------------------------------
+
+
+def _half_to_full(half: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
+    """The full, masked, Hermitian coefficient grid of half spectra, shape
+    (components, *resolution): the columns -cut..-1 hold the conjugates of
+    the mirrored columns 1..cut."""
+    cut, n = lattice.cutoffs[-1], lattice.resolution[-1]
+    out = np.zeros(half.shape[:-1] + (n,), dtype=np.complex128)
+    out[..., : cut + 1] = half
+    out[..., n - cut :] = np.conj(_mirror(half[..., cut:0:-1], range(1, lattice.d)))
+    return out
+
+
+def full(field: SpectralField) -> np.ndarray:
+    """The full coefficient grid of a field, shape (components, *resolution)."""
+    return _half_to_full(field.coeffs, field.lattice)
+
+
+def hermitian_defect(lattice: LatticeSpec, coeffs: np.ndarray) -> float:
+    """max |c_k - conj(c_{-k})| over full coefficient grids (components first)."""
+    mirror = np.conj(_mirror(coeffs, range(1, lattice.d + 1)))
+    return float(np.max(np.abs(coeffs - mirror), initial=0.0))
+
+
+def from_full(lattice: LatticeSpec, coeffs: np.ndarray, cls=SpectralField):
+    """The field (a :class:`SpectralField`, or ``cls`` =
+    :class:`AcousticCoeffs`) of full coefficient grids, shape (components,
+    *resolution), or the lattice's shape for one component: their half
+    spectrum.  ValueError unless they are Hermitian to 1e-12 times their
+    largest |c_k|, the coefficients of a real field."""
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    if coeffs.ndim == lattice.d:
+        coeffs = coeffs[None]
+    scale = float(np.max(np.abs(coeffs), initial=0.0))
+    if not hermitian_defect(lattice, coeffs) <= 1e-12 * scale:
+        raise ValueError("the coefficients are not Hermitian: not those of a real field")
+    half = lattice.half(coeffs)
+    return AcousticCoeffs(lattice, *half) if cls is AcousticCoeffs else SpectralField(lattice, half)
+
+
+def full_power(field: SpectralField) -> np.ndarray:
+    """|c_k|^2 per mode of the full coefficient grid, summed over components."""
+    return np.sum(np.abs(full(field)) ** 2, axis=0)
+
+
+def full_forward(lattice: LatticeSpec, values: np.ndarray) -> np.ndarray:
+    """The full, masked coefficient grids of grid samples (components first)
+    through the complex FFT."""
+    axes = tuple(range(1, lattice.d + 1))
+    scale = math.sqrt(lattice.volume) / np.prod(lattice.resolution)
+    return np.fft.fftn(values, axes=axes) * scale * lattice.dealias_mask()
+
+
+def full_inverse(lattice: LatticeSpec, coeffs: np.ndarray) -> np.ndarray:
+    """The complex grid values of full coefficient grids (components first)
+    through the complex inverse FFT; real up to round-off for Hermitian
+    grids."""
+    axes = tuple(range(1, lattice.d + 1))
+    scale = np.prod(lattice.resolution) / math.sqrt(lattice.volume)
+    return np.fft.ifftn(coeffs, axes=axes) * scale
+
+
+def save_full_grid_checkpoint(path: str, lattice: LatticeSpec, time: float, fields: dict, meta):
+    """The checkpoint writer of the full-grid field layout: each field's
+    full coefficient grid (:func:`full`) as one '<c16' block, after the
+    magic and the JSON header of ``solvers.save_checkpoint``."""
+    blobs = [np.ascontiguousarray(full(value).astype("<c16")) for value in fields.values()]
+    entries = [{"name": name, "shape": list(b.shape)} for name, b in zip(fields, blobs)]
+    header = {"schema": 1, "time": time, "lattice": lattice.descriptor(), "fields": entries}
+    header = json.dumps(dict(header, meta=meta), sort_keys=True).encode()
+    with open(path, "wb") as fh:
+        fh.write(b"LOWMACHK1\n" + struct.pack("<I", len(header)) + header)
+        for blob in blobs:
+            fh.write(blob.tobytes())
+
+
+def _full_signed_modulus(lattice: LatticeSpec) -> np.ndarray:
+    """sg(k)*|k| on the full FFT grid (0 at the mean mode)."""
+    return lattice.sign_grid() * lattice.k_modulus()
+
+
+def _with_mirrors(entries: dict) -> dict:
+    """``{mode: value}`` entries with each missing mirror -k added as the
+    conjugate of the value at k, so that they describe a real field."""
+    out = dict(entries)
+    for mode, value in entries.items():
+        mirror = tuple(-int(m) for m in mode)
+        if mirror not in out:
+            out[mirror] = np.conj(value)
+    return out
+
 
 # ---------------------------------------------------------------------------
 # Random test data
@@ -118,12 +221,14 @@ def field_from_modes(
     entries: dict,
     components: int = 1,
 ):
-    """Build a field from ``{mode index tuple: coefficient}`` entries.
+    """Build a real field from ``{mode index tuple: coefficient}`` entries;
+    the mirror -k of an entry k takes the conjugate coefficient unless it is
+    given too, and then it must be that conjugate (see :func:`from_full`).
 
     For vector fields the coefficient value must be a length-d sequence.
     """
     field = np.zeros((components,) + lattice.resolution, dtype=np.complex128)
-    for mode, value in entries.items():
+    for mode, value in _with_mirrors(entries).items():
         idx = tuple(int(m) % n for m, n in zip(mode, lattice.resolution))
         if components == 1 and np.isscalar(value):
             field[(0,) + idx] = value
@@ -133,13 +238,13 @@ def field_from_modes(
                 raise ValueError("mode value has wrong number of components")
             for c in range(components):
                 field[(c,) + idx] = vals[c]
-    return SpectralField(lattice, field)
+    return from_full(lattice, field)
 
 
 def spectral_derivative(field: SpectralField, kind: str) -> SpectralField:
     """Symbol calculus: grad (scalar->vector), div (vector->scalar), laplacian."""
     lattice = field.lattice
-    kvecs = lattice.wavevectors()
+    kvecs = lattice.half_wavevectors()
     if kind == "grad":
         if field.components != 1:
             raise ValueError("grad acts on scalar fields")
@@ -149,7 +254,7 @@ def spectral_derivative(field: SpectralField, kind: str) -> SpectralField:
             raise ValueError("div acts on vector fields")
         out = sum(1j * k * field.coeffs[c] for c, k in enumerate(kvecs))[None]
     elif kind == "laplacian":
-        out = -lattice.k_squared() * field.coeffs
+        out = -lattice.half(lattice.k_squared()) * field.coeffs
     else:
         raise ValueError(f"unknown derivative kind {kind!r}")
     return SpectralField._in_box(lattice, out)
@@ -172,17 +277,16 @@ def convolution_product(f: SpectralField, g: SpectralField) -> SpectralField:
     res = lattice.resolution
     norm = 1.0 / math.sqrt(lattice.volume)
     out = np.zeros(res, dtype=np.complex128)
+    f_full, g_full = full(f)[0], full(g)[0]
     f_idx = np.argwhere(mask)
     for idx in f_idx:
-        fval = f.coeffs[(0,) + tuple(idx)]
+        fval = f_full[tuple(idx)]
         if fval == 0:
             continue
-        shifted = np.roll(
-            g.coeffs[0], shift=tuple(int(i) for i in idx), axis=tuple(range(lattice.d))
-        )
+        shifted = np.roll(g_full, shift=tuple(int(i) for i in idx), axis=tuple(range(lattice.d)))
         out += fval * shifted
     out *= norm
-    return SpectralField(lattice, out[None])
+    return from_full(lattice, out * mask)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +334,7 @@ def mode_truncate(obj, cutoff: float, keep: str = "low"):
 
     The mean mode counts as |k| = 0 and is retained by the low part.
     """
-    low = obj.lattice.k_modulus() <= cutoff + 1e-12
+    low = obj.lattice.half(obj.lattice.k_modulus()) <= cutoff + 1e-12
     weights = low.astype(np.float64) if keep == "low" else (~low).astype(np.float64)
     return obj.scale_modes(weights)
 
@@ -262,14 +366,18 @@ def bridge_constant(lattice: LatticeSpec, theta: float) -> float:
 
 
 def acoustic_from_modes(lattice: LatticeSpec, entries: dict) -> AcousticCoeffs:
-    """Build from ``{(mode tuple, alpha): value}`` entries."""
-    out = AcousticCoeffs.zeros(lattice)
-    for (mode, alpha), value in entries.items():
-        if alpha not in (1, -1):
-            raise ValueError("alpha must be +1 or -1")
-        idx = tuple(int(m) % n for m, n in zip(mode, lattice.resolution))
-        out.branch(alpha)[idx] = value
-    return out
+    """Build from ``{(mode tuple, alpha): value}`` entries; each branch is the
+    spectrum of a real function, so the mirrors are implied as in
+    :func:`field_from_modes`."""
+    if any(alpha not in (1, -1) for _, alpha in entries):
+        raise ValueError("alpha must be +1 or -1")
+    out = np.zeros((2,) + lattice.resolution, dtype=np.complex128)
+    for alpha in (1, -1):
+        branch = {mode: value for (mode, a), value in entries.items() if a == alpha}
+        for mode, value in _with_mirrors(branch).items():
+            idx = tuple(int(m) % n for m, n in zip(mode, lattice.resolution))
+            out[(0 if alpha == 1 else 1,) + idx] = value
+    return from_full(lattice, out, AcousticCoeffs)
 
 
 def acoustic_inverse(V: AcousticCoeffs) -> tuple[SpectralField, SpectralField]:
@@ -277,10 +385,10 @@ def acoustic_inverse(V: AcousticCoeffs) -> tuple[SpectralField, SpectralField]:
     lattice = V.lattice
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     ahat = (V.plus + V.minus) * inv_sqrt2
-    sgk = lattice.sign_grid()
+    sgk = lattice.half(lattice.sign_grid())
     mu = -sgk * (V.plus - V.minus) * inv_sqrt2
     kmod = _safe_k_modulus(lattice)
-    kvecs = lattice.wavevectors()
+    kvecs = lattice.half_wavevectors()
     qu = np.stack([mu * k / kmod for k in kvecs], axis=0)
     return SpectralField(lattice, ahat[None]), SpectralField(lattice, qu)
 
@@ -310,11 +418,8 @@ def expansion_defect(gamma: float, amax: float = 0.5, samples: int = 512) -> flo
 
 
 def forcing_field(forcing: Forcing, t: float) -> SpectralField:
-    """The force at time t on the full coefficient grid; the steppers read
-    its ``half_spectrum``."""
-    return SpectralField._in_box(
-        forcing.lattice, _half_to_full(forcing.half_spectrum(t), forcing.lattice)
-    )
+    """The force at time t as a field: its ``half_spectrum``."""
+    return SpectralField._in_box(forcing.lattice, forcing.half_spectrum(t))
 
 
 class LinearCompressibleStepper(CompressibleStepper):
@@ -405,7 +510,7 @@ def a2_eps(B: AcousticCoeffs, t: float, eps: float) -> AcousticCoeffs:
     """Filtered viscous symbol: per mode
     -(1/2) sum_alpha alpha*gamma*|k|^2 B_k^alpha e^{i(t/eps)(alpha-gamma)sg(k)|k|}."""
     lattice = B.lattice
-    ksq = lattice.k_squared()
+    ksq = lattice.half(lattice.k_squared())
     rate = _signed_modulus(lattice)
     osc = _conjugate_pair(np.exp(-2j * (t / eps) * rate))
     return B._like(-0.5 * ksq * (B.coeffs - B.coeffs[::-1] * osc))
@@ -414,11 +519,6 @@ def a2_eps(B: AcousticCoeffs, t: float, eps: float) -> AcousticCoeffs:
 # ---------------------------------------------------------------------------
 # Limit forms on full fields
 # ---------------------------------------------------------------------------
-
-
-def _half(field: SpectralField) -> np.ndarray:
-    """The half spectrum (columns 0..cut of the last axis) of a field."""
-    return field.coeffs[..., : field.lattice.cutoffs[-1] + 1]
 
 
 def _forms_work(table) -> np.ndarray:
@@ -433,33 +533,32 @@ def extended(half: np.ndarray) -> np.ndarray:
 
 def _form_out(lattice: LatticeSpec) -> np.ndarray:
     """A fresh output of the limit forms: two half spectra."""
-    return np.empty((2,) + lattice.resolution[:-1] + (lattice.cutoffs[-1] + 1,), np.complex128)
+    return np.empty((2,) + lattice.half_shape, np.complex128)
 
 
 def limit_q1(u: SpectralField, B: AcousticCoeffs) -> AcousticCoeffs:
-    """``resonance.limit_q1`` on full fields: the form on the half spectra of
-    u and B over the lattice's limit table, expanded to the full grid (exact
-    for Hermitian branches)."""
+    """``resonance.limit_q1`` on fields: the form on the extended half
+    spectra of u and B over the lattice's limit table."""
     lattice = B.lattice
     table = resonance._limit_table(lattice)
-    u, B = (extended(_half(f)) for f in (u, B))
+    u, B = (extended(f.coeffs) for f in (u, B))
     half = resonance.limit_q1(u, B, table, _forms_work(table), _form_out(lattice))
-    return AcousticCoeffs._in_box(lattice, _half_to_full(half, lattice))
+    return AcousticCoeffs._in_box(lattice, half)
 
 
 def limit_q2(A: AcousticCoeffs, B: AcousticCoeffs, kappa: float = 0.0) -> AcousticCoeffs:
     """The symmetric bilinear form Q2(A, B) on full fields, by polarization
     of the quadratic form ``resonance.limit_q2``: (Q(A + B) - Q(A - B))/4,
-    each expanded as :func:`limit_q1`.  At A = B this is Q(2A)/4, the bytes
+    each evaluated as :func:`limit_q1`.  At A = B this is Q(2A)/4, the bytes
     of Q(A), since scaling by powers of two is exact."""
     lattice = A.lattice
     table = resonance._limit_table(lattice)
     work = _forms_work(table)
     plus, minus = (
-        resonance.limit_q2(extended(_half(f)), table, kappa, work, _form_out(lattice))
+        resonance.limit_q2(extended(f.coeffs), table, kappa, work, _form_out(lattice))
         for f in (A + B, A - B)
     )
-    return AcousticCoeffs._in_box(lattice, _half_to_full(0.25 * (plus - minus), lattice))
+    return AcousticCoeffs._in_box(lattice, 0.25 * (plus - minus))
 
 
 # ---------------------------------------------------------------------------
@@ -509,15 +608,16 @@ def _q1_modesum_generic(u, B, t, eps, factor, band=None) -> AcousticCoeffs:
     lattice = u.lattice
     b = lattice.periods
     vol = lattice.volume
-    out = AcousticCoeffs.zeros(lattice)
+    out = np.zeros((2,) + lattice.resolution, dtype=np.complex128)
+    u, (plus, minus) = full(u), full(B)
     modes = _box_modes(lattice, False)
     uhat = {}
     for n, raw in _box_modes(lattice, True):
-        uhat[n] = np.array([u.coeffs[c][raw] for c in range(lattice.d)])
+        uhat[n] = np.array([u[c][raw] for c in range(lattice.d)])
     for m, raw_m in modes:
         mmod = _mod_vec(m, b)
         sgm = sg(m)
-        for gamma, target in ((1, out.plus), (-1, out.minus)):
+        for gamma, target in ((1, out[0]), (-1, out[1])):
             total = 0.0 + 0.0j
             for k, raw_k in modes:
                 l = tuple(mi - ki for mi, ki in zip(m, k))
@@ -533,14 +633,14 @@ def _q1_modesum_generic(u, B, t, eps, factor, band=None) -> AcousticCoeffs:
                     (li + mi) / float(bi) * ki / float(bi)
                     for li, mi, ki, bi in zip(l, m, k, b)
                 )
-                for alpha, coeff in ((1, B.plus[raw_k]), (-1, B.minus[raw_k])):
+                for alpha, coeff in ((1, plus[raw_k]), (-1, minus[raw_k])):
                     if coeff == 0:
                         continue
                     bracket = 1.0 + alpha * gamma * sgk * sgm * lm_dot_k / (kmod * mmod)
                     omega = alpha * sgk * kmod - gamma * sgm * mmod
                     total += coeff * k_dot_u * bracket * factor(omega, t, eps)
             target[raw_m] = 1j / (2.0 * math.sqrt(vol)) * total
-    return out
+    return from_full(lattice, out, AcousticCoeffs)
 
 
 def q1_eps_modesum(u, B, t: float, eps: float, band=None) -> AcousticCoeffs:
@@ -557,13 +657,14 @@ def _q2_modesum_generic(A, B, t, eps, kappa, factor, band=None) -> AcousticCoeff
     lattice = A.lattice
     b = lattice.periods
     c_d = 1.0 / math.sqrt(2.0 * lattice.volume)
-    out = AcousticCoeffs.zeros(lattice)
+    out = np.zeros((2,) + lattice.resolution, dtype=np.complex128)
+    A, B = full(A), full(B)  # the branch alpha = 1 first
     modes = _box_modes(lattice, False)
     index = {n: raw for n, raw in modes}
     for m, raw_m in modes:
         mmod = _mod_vec(m, b)
         sgm = sg(m)
-        for gamma, target in ((1, out.plus), (-1, out.minus)):
+        for gamma, target in ((1, out[0]), (-1, out[1])):
             total = 0.0 + 0.0j
             for k, raw_k in modes:
                 l = tuple(mi - ki for mi, ki in zip(m, k))
@@ -582,11 +683,11 @@ def _q2_modesum_generic(A, B, t, eps, kappa, factor, band=None) -> AcousticCoeff
                     ki / float(bi) * li / float(bi) for ki, li, bi in zip(k, l, b)
                 )
                 for alpha in (1, -1):
-                    a_k = A.branch(alpha)[raw_k]
-                    b_k = B.branch(alpha)[raw_k]
+                    a_k = A[(1 - alpha) // 2][raw_k]
+                    b_k = B[(1 - alpha) // 2][raw_k]
                     for beta in (1, -1):
-                        b_l = B.branch(beta)[raw_l]
-                        a_l = A.branch(beta)[raw_l]
+                        b_l = B[(1 - beta) // 2][raw_l]
+                        a_l = A[(1 - beta) // 2][raw_l]
                         sym = 0.5 * (a_k * b_l + b_k * a_l)
                         if sym == 0:
                             continue
@@ -598,7 +699,7 @@ def _q2_modesum_generic(A, B, t, eps, kappa, factor, band=None) -> AcousticCoeff
                         omega = alpha * sgk * kmod + beta * sgl * lmod - gamma * sgm * mmod
                         total += sym * bracket * factor(omega, t, eps)
             target[raw_m] = -1j * c_d / 2.0 * sgm * mmod * total
-    return out
+    return from_full(lattice, out, AcousticCoeffs)
 
 
 def q2_eps_modesum(
@@ -634,7 +735,7 @@ def q2_limit_modesum(A, B, kappa: float = 0.0) -> AcousticCoeffs:
 def a2_eps_time_average(B: AcousticCoeffs, T: float, eps: float) -> AcousticCoeffs:
     """(1/T) * integral over [0, T] of the filtered viscous symbol, exactly."""
     lattice = B.lattice
-    ksq = lattice.k_squared()
+    ksq = lattice.half(lattice.k_squared())
     rate = _signed_modulus(lattice)
     x = -2.0 * (T / eps) * rate
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -659,30 +760,32 @@ class CorrectorSet:
 
 
 def _branch_gather(V: AcousticCoeffs, idx: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    return V.coeffs.reshape(2, -1)[np.where(alpha == 1, 0, 1), idx]
+    """Branch alpha of V at the flat full-grid indices ``idx``."""
+    return full(V).reshape(2, -1)[np.where(alpha == 1, 0, 1), idx]
 
 
 # Each term helper returns the term's values at time t, phase included, and
 # the rate omega at which each value oscillates as exp(i omega t/eps).  The
-# grid terms R1 and S return (2, *resolution) arrays in the branch layout of
-# their output; the triad terms R2 and R3 return one value per table entry.
+# grid terms R1 and S return (2, *resolution) arrays on the full grid in the
+# branch layout of their output; the triad terms R2 and R3 return one value
+# per table entry.
 
 
 def _r1_term(fml: AcousticCoeffs, low: np.ndarray, t: float, eps: float):
     """R1: (f - Lambda)^alpha on the low band, at rate -alpha*sg(k)|k|."""
-    rate = _signed_modulus(fml.lattice)
+    rate = _full_signed_modulus(fml.lattice)
     omega = np.stack([-rate, rate])
-    return fml.coeffs * np.exp(1j * (t / eps) * omega) * low, omega
+    return full(fml) * np.exp(1j * (t / eps) * omega) * low, omega
 
 
 def _s_term(V: AcousticCoeffs, low: np.ndarray, t: float, eps: float, nu: float):
     """S: nu/2 |k|^2 V^alpha on the low band, landing on branch -alpha at rate
     2*alpha*sg(k)|k|."""
     lattice = V.lattice
-    rate = 2.0 * _signed_modulus(lattice)
+    rate = 2.0 * _full_signed_modulus(lattice)
     omega = np.stack([-rate, rate])
     phase = np.exp(1j * (t / eps) * omega)
-    return 0.5 * nu * lattice.k_squared() * V.coeffs[::-1] * phase * low, omega
+    return 0.5 * nu * lattice.k_squared() * full(V)[::-1] * phase * low, omega
 
 
 def _r2_term(q1: dict, V: AcousticCoeffs, v: SpectralField, t: float, eps: float):
@@ -690,7 +793,7 @@ def _r2_term(q1: dict, V: AcousticCoeffs, v: SpectralField, t: float, eps: float
     lattice = V.lattice
     k, l = q1["k"], q1["l"]
     k_dot_v = sum(
-        kc.reshape(-1)[k] * vc.reshape(-1)[l] for kc, vc in zip(lattice.wavevectors(), v.coeffs)
+        kc.reshape(-1)[k] * vc.reshape(-1)[l] for kc, vc in zip(lattice.wavevectors(), full(v))
     )
     vk = _branch_gather(V, k, q1["alpha"])
     values = -1j / (2.0 * math.sqrt(lattice.volume)) * vk * k_dot_v * q1["bracket"]
@@ -721,7 +824,7 @@ def _term_set(lattice: LatticeSpec, q1: dict, q2: dict, terms, corrector: bool) 
             acc = np.zeros(2 * size, dtype=np.complex128)
             np.add.at(acc, np.where(triads["gamma"] == 1, triads["m"], triads["m"] + size), values)
             values = acc.reshape((2,) + lattice.resolution)
-        fields.append(AcousticCoeffs(lattice, *values))
+        fields.append(from_full(lattice, values, AcousticCoeffs))
     return CorrectorSet(*fields)
 
 

@@ -20,7 +20,6 @@ from lowmach.dyadic import (
     DEFAULT_PROFILE,
     BlockEnergies,
     NormSpec,
-    _block_weights,
     block_energies,
     block_range,
     chemin_lerner_norm,
@@ -63,7 +62,7 @@ from lowmach.solvers import (
     run_trajectory,
     save_checkpoint,
 )
-from oracles import bridge_constant, SampledRun
+from oracles import SampledRun, bridge_constant, full, hermitian_defect
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -89,9 +88,8 @@ SERIES = ("a", "Qu", "Pu", "Vdiff", "udiff")
 
 
 def halves(fields):
-    """The half spectra (columns 0..cut of the last axis) of fields, as the
-    steppers store them."""
-    return tuple(f.coeffs[..., : f.lattice.cutoffs[-1] + 1] for f in fields)
+    """The coefficients of fields, the half spectra that the steppers store."""
+    return tuple(f.coeffs for f in fields)
 
 
 def functionals_of(times, states, vs, Vs, settings):
@@ -692,10 +690,7 @@ class TestSharedStage:
             json.dump(cfg.to_json(), fh)
         out = os.path.join(str(tmp_path), "lim")
         assert main(["limit-sim", "--config", path, "--out", out]) == 0
-        for name, key, final in (
-            ("incompressible", "v", v_final.coeffs),
-            ("limit", "V", np.stack([V.plus, V.minus])),
-        ):
+        for name, key, final in (("incompressible", "v", full(v_final)), ("limit", "V", full(V))):
             _, t, arrays, meta = load_checkpoint(os.path.join(out, f"{name}.lmc"))
             assert (t, meta["kind"]) == (cfg.t_final, name)
             np.testing.assert_array_equal(arrays[key], final)
@@ -799,8 +794,9 @@ class TestCLI:
         assert arrays["V"].shape == (2,) + cfg.lattice.resolution
         run = cfg.solver_config(cfg.eps_list[0])
         _, V = run_trajectory(limit_initial_data(*cfg.initial_data()), run, "limit")
-        assert arrays["V"].tobytes() == V.coeffs.astype("<c16").tobytes()
-        assert V.is_reality_symmetric()
+        assert arrays["V"].tobytes() == full(V).astype("<c16").tobytes()
+        scale = float(np.max(np.abs(arrays["V"])))
+        assert hermitian_defect(lattice, arrays["V"]) <= 1e-12 * scale
 
     def test_resonances_cli(self, tmp_path):
         path = self.write_config(tmp_path)
@@ -863,8 +859,8 @@ class TestCLI:
         """``lowmach norms`` on the simulate checkpoint of configs/desk.json
         at seed 0 prints the recorded values, with the default specs and
         with a p = inf spec, which reads the grid values of each block
-        through the complex inverse transform.  Values, not bytes: FFT
-        round-off differs between numpy versions."""
+        through the inverse transform.  Values, not bytes: FFT round-off
+        differs between numpy versions."""
         path = os.path.join(REPO, "configs", "desk.json")
         out = os.path.join(str(tmp_path), "sim")
         assert main(["simulate", "--config", path, "--out", out, "--seed", "0"]) == 0
@@ -1046,6 +1042,27 @@ class TestCLI:
         assert captured.err.startswith("invalid input: ")
         assert captured.out == ""
 
+    def test_norms_rejects_a_field_that_is_not_real(self, tmp_path, capsys):
+        """A checkpoint field whose coefficients are not Hermitian, here a of
+        the simulate checkpoint of configs/desk.json times 1 + i, is not a
+        real field: exit 2, with a message that names it, and no table."""
+        path = os.path.join(REPO, "configs", "desk.json")
+        out = os.path.join(str(tmp_path), "sim")
+        assert main(["simulate", "--config", path, "--out", out, "--seed", "0"]) == 0
+        checkpoint = json.loads(capsys.readouterr().out)["checkpoint"]
+        lattice, time, arrays, meta = load_checkpoint(checkpoint)
+        edited = os.path.join(str(tmp_path), "edited.lmc")
+        fields = {"a": (1 + 1j) * arrays["a"], "u": arrays["u"]}
+        save_checkpoint(edited, lattice, time, fields, meta)
+        assert main(["norms", "--field", edited]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "invalid input: checkpoint field 'a' is not real: its coefficients are not Hermitian\n"
+        )
+        assert captured.out == ""
+        # the file as written reads back
+        assert main(["norms", "--field", checkpoint]) == 0
+
     def test_negative_mach_number_rejected_before_any_run(self, tmp_path, capsys):
         path = self.write_config(tmp_path, eps=[0.2, 0.1, -0.1])
         out = os.path.join(str(tmp_path), "sweep")
@@ -1119,10 +1136,15 @@ class TestCLI:
 _INF = float("inf")
 
 
+def _full_power(field):
+    """|c_k|^2 per mode of the full coefficient grid, summed over components."""
+    return np.sum(np.abs(full(field)) ** 2, axis=0)
+
+
 def _oracle_power(obj):
     if isinstance(obj, tuple):
-        return sum(o.mode_power() for o in obj)
-    return obj.mode_power()
+        return sum(_full_power(o) for o in obj)
+    return _full_power(obj)
 
 
 def _oracle_mean_l2(obj):
@@ -1347,7 +1369,8 @@ class TestBlockEnergyPath:
 
 def reference_energy_weights(lattice, h_orders):
     ksq = lattice.k_squared()
-    weights = [_block_weights(lattice, j) ** 2 for j in block_range(lattice)]
+    kmod = lattice.k_modulus()
+    weights = [DEFAULT_PROFILE(np.ldexp(kmod, -j)) ** 2 for j in block_range(lattice)]
     weights.append((ksq == 0).astype(np.float64))
     for s in h_orders:
         weights.append(np.zeros_like(ksq))
@@ -1358,7 +1381,7 @@ def reference_energy_weights(lattice, h_orders):
 def reference_block_energies(obj, h_orders=()):
     h_orders = tuple(float(s) for s in h_orders)
     weights = reference_energy_weights(obj.lattice, h_orders)
-    power = obj.mode_power()
+    power = _full_power(obj)
     return BlockEnergies(obj.lattice, h_orders, np.array([np.sum(w * power) for w in weights]))
 
 
@@ -1454,16 +1477,20 @@ class TestHalfBoxSamplePath:
 
     @pytest.mark.parametrize("name", list(SAMPLE_LATTICES))
     def test_block_energies_of_non_hermitian_fields(self, name):
+        """Half spectra of random coefficients, whose column 0 is not
+        Hermitian along the leading axes, the one part of a half spectrum
+        that can break the symmetry: their block energies against the
+        full-grid sums of their expansions."""
         lattice = SAMPLE_LATTICES[name]
         rng = np.random.default_rng(33)
 
         def noise(*shape):
             return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-        V = AcousticCoeffs(lattice, noise(*lattice.resolution), noise(*lattice.resolution))
-        w = SpectralField(lattice, noise(3, *lattice.resolution))
+        V = AcousticCoeffs(lattice, noise(*lattice.half_shape), noise(*lattice.half_shape))
+        w = SpectralField(lattice, noise(3, *lattice.half_shape))
+        assert hermitian_defect(lattice, full(w)) > 0.1
         for field in (V, w):
-            assert not field.is_reality_symmetric()
             got = block_energies(field, (0.75, -0.5))
             assert_rows_close(got, reference_block_energies(field, (0.75, -0.5)))
 
@@ -1477,7 +1504,7 @@ class TestHalfBoxSamplePath:
         for _, V in stage.states:
             scale = float(np.max(np.abs(V.coeffs)))
             assert scale > 0
-            assert V.conjugate_symmetry_defect() <= 1e-14 * scale
+            assert hermitian_defect(V.lattice, full(V)) <= 1e-14 * scale
 
 
 def _peak(fn):

@@ -22,7 +22,9 @@ from oracles import (
     acoustic_inverse,
     expansion_defect,
     field_from_modes,
+    full,
     grid_points,
+    hermitian_defect,
     q1_eps,
     q1_eps_modesum,
     q2_eps,
@@ -121,7 +123,7 @@ class TestAcousticBasis:
         qu = helmholtz_project(random_field(lat16, rng, components=2), "Q")
         V = acoustic_transform(a, qu)
         total = a.l2_norm() ** 2 + qu.l2_norm() ** 2
-        assert float(np.sum(V.mode_power())) == pytest.approx(total, rel=1e-12)
+        assert float(np.sum(np.abs(full(V)) ** 2)) == pytest.approx(total, rel=1e-12)
 
     def test_eigen_relation(self, lat8):
         # L applied to a single basis vector multiplies it by -i*alpha*sg(k)*|k|
@@ -133,13 +135,9 @@ class TestAcousticBasis:
             LV = acoustic_transform(la, lu, check=False)
             kmod = math.sqrt(sum(c * c for c in mode))
             expected = -1j * alpha * sg(mode) * kmod
-            got = LV.branch(alpha)[
-                tuple(m % n for m, n in zip(mode, lat8.resolution))
-            ]
+            got = LV.mode(mode)[0 if alpha == 1 else 1]
             assert got == pytest.approx(expected, rel=1e-12)
-            other = LV.branch(-alpha)[
-                tuple(m % n for m, n in zip(mode, lat8.resolution))
-            ]
+            other = LV.mode(mode)[1 if alpha == 1 else 0]
             assert abs(other) <= 1e-12
 
     def test_validation_errors(self, lat8):
@@ -184,12 +182,17 @@ class TestWaveGroup:
         assert got == pytest.approx(-1.0, rel=1e-12)
 
     def test_reality_preserved(self, lat16):
+        """The wave group on half spectra is the phase rotation of the full
+        grid, e^{i alpha sg(k)|k| tau} per mode, which keeps each branch
+        Hermitian: the phase at -k is the conjugate of that at k."""
         rng = np.random.default_rng(9)
         V = random_acoustic(lat16, rng)
-        assert V.conjugate_symmetry_defect() <= 1e-12
         W = wave_group(V, 1.37)
-        scale = max(1.0, float(np.max(np.abs(W.plus))))
-        assert W.conjugate_symmetry_defect() <= 1e-12 * scale
+        phase = np.exp(1j * 1.37 * lat16.sign_grid() * lat16.k_modulus())
+        reference = full(V) * np.stack((phase, np.conj(phase)))
+        scale = max(1.0, float(np.max(np.abs(reference))))
+        assert hermitian_defect(lat16, reference) <= 1e-12 * scale
+        assert np.max(np.abs(full(W) - reference)) <= 1e-12 * scale
 
 
 class TestPressure:
@@ -282,19 +285,12 @@ class TestFilteredForms:
     def test_a2_time_average_tends_to_half_laplacian(self, lat8):
         rng = np.random.default_rng(15)
         B = random_acoustic(lat8, rng)
-        ksq = lat8.k_squared()
-        target_plus = -0.5 * ksq * B.plus
-        target_minus = -0.5 * ksq * B.minus
+        target = -0.5 * lat8.k_squared() * full(B)
         errs = []
         eps_list = [0.1, 0.05, 0.025, 0.0125]
         for eps in eps_list:
             avg = a2_eps_time_average(B, 1.0, eps)
-            err = math.sqrt(
-                float(
-                    np.sum(np.abs(avg.plus - target_plus) ** 2)
-                    + np.sum(np.abs(avg.minus - target_minus) ** 2)
-                )
-            )
+            err = math.sqrt(float(np.sum(np.abs(full(avg) - target) ** 2)))
             errs.append(err)
         slope = np.polyfit(np.log(eps_list), np.log(errs), 1)[0]
         assert 0.7 <= slope <= 1.3

@@ -19,8 +19,8 @@ from fractions import Fraction
 from lowmach.lattice import (
     LatticeSpec,
     SpectralField,
-    _half_to_full,
     _mirror,
+    checkpoint_field,
     dealiased_product,
     forward_transform,
     inverse_transform,
@@ -35,7 +35,7 @@ from lowmach.operators import (
     wave_group,
 )
 from lowmach.cli import main
-from lowmach.experiments import limit_initial_data
+from lowmach.experiments import ExperimentConfig, limit_initial_data
 from lowmach import resonance, solvers
 from lowmach.solvers import (
     CFL_SAFETY,
@@ -56,11 +56,18 @@ from oracles import (
     acoustic_from_modes,
     field_from_modes,
     forcing_field,
+    from_full,
+    full,
+    full_forward,
+    full_inverse,
+    full_power,
     grid_points,
+    hermitian_defect,
     lawson_rk2,
     limit_q2,
     linear_compressible_step,
     SampledRun,
+    save_full_grid_checkpoint,
     spectral_derivative,
 )
 
@@ -76,21 +83,11 @@ def taylor_green(lattice):
     return forward_transform(lattice, values)
 
 
-def half(field):
-    """The retained half spectrum (columns 0..cut) of a field."""
-    return field.coeffs[..., : field.lattice.cutoffs[-1] + 1]
-
-
-def from_half(lattice, array):
-    """The real field whose retained half spectrum is ``array``."""
-    return SpectralField._in_box(lattice, _half_to_full(array, lattice))
-
-
 def propagate(prop, a, u):
     """``prop.apply`` on the stacked half spectra of the fields a and u."""
-    x = np.concatenate((half(a), half(u)))
+    x = np.concatenate((a.coeffs, u.coeffs))
     new = prop.apply(x, np.empty_like(x), np.empty((3,) + x.shape[1:], np.complex128))
-    return from_half(a.lattice, new[:1]), from_half(a.lattice, new[1:])
+    return SpectralField._in_box(a.lattice, new[:1]), SpectralField._in_box(a.lattice, new[1:])
 
 
 class TestPropagator:
@@ -249,7 +246,7 @@ def reference_advect(p, q):
     lattice = p.lattice
     out = SpectralField.zeros(lattice, q.components)
     for c in range(lattice.d):
-        dq = SpectralField(lattice, 1j * lattice.wavevectors()[c] * q.coeffs)
+        dq = SpectralField(lattice, 1j * lattice.half_wavevectors()[c] * q.coeffs)
         out = out + dealiased_product(p.component(c), dq)
     return out
 
@@ -352,22 +349,21 @@ class ReferencePropagator:
         self.khat = [k / self.kmod for k in lattice.wavevectors()]
 
     def apply(self, a, u):
+        """The fields (a, u) one step on, through their full grids."""
         lattice = self.lattice
         kvecs = lattice.wavevectors()
-        mu_long = sum(k * u.coeffs[c] for c, k in enumerate(kvecs)) / self.kmod
-        a_hat = a.coeffs[0]
+        a, u = full(a), full(u)
+        mu_long = sum(k * u[c] for c, k in enumerate(kvecs)) / self.kmod
+        a_hat = a[0]
         new_a = self.e11 * a_hat + self.e12 * mu_long
         new_mu = self.e12 * a_hat + self.e22 * mu_long
         mean_idx = (slice(None),) + (0,) * lattice.d
-        new_u = np.empty_like(u.coeffs)
+        new_u = np.empty_like(u)
         for c, khat in enumerate(self.khat):
-            trans = u.coeffs[c] - mu_long * khat
+            trans = u[c] - mu_long * khat
             new_u[c] = self.transverse * trans + new_mu * khat
-        new_u[mean_idx] = u.coeffs[mean_idx]
-        return (
-            SpectralField._in_box(lattice, new_a[None]),
-            SpectralField._in_box(lattice, new_u),
-        )
+        new_u[mean_idx] = u[mean_idx]
+        return from_full(lattice, new_a), from_full(lattice, new_u)
 
 
 def reference_grid_terms(state_a, state_u, cfg, warn_state):
@@ -375,7 +371,7 @@ def reference_grid_terms(state_a, state_u, cfg, warn_state):
     transform of the full coefficient grids; the checks; the products."""
     lattice = cfg.lattice
     d = lattice.d
-    a_hat, u_hat = state_a.coeffs[0], state_u.coeffs
+    a_hat, u_hat = full(state_a)[0], full(state_u)
     spectral = np.empty((1 + 3 * d + d * d,) + lattice.resolution, dtype=np.complex128)
     grad_u = spectral[1 + 2 * d : 1 + 2 * d + d * d].reshape((d,) + u_hat.shape)
     spectral[0] = a_hat
@@ -383,8 +379,8 @@ def reference_grid_terms(state_a, state_u, cfg, warn_state):
     for c, k in enumerate(lattice.wavevectors()):
         np.multiply(1j * k, a_hat, out=spectral[1 + d + c])
         np.multiply(1j * k, u_hat, out=grad_u[c])
-    spectral[1 + 2 * d + d * d :] = reference_viscous_operator(state_u, cfg.mu, cfg.lam).coeffs
-    grid = inverse_transform(SpectralField._in_box(lattice, spectral))
+    spectral[1 + 2 * d + d * d :] = full(reference_viscous_operator(state_u, cfg.mu, cfg.lam))
+    grid = full_inverse(lattice, spectral).real
     a_grid, u_grid = grid[0], grid[1 : 1 + d]
     grad_a_grid = grid[1 + d : 1 + 2 * d]
     grad_u_grid = grid[1 + 2 * d : 1 + 2 * d + d * d].reshape((d, d) + lattice.resolution)
@@ -417,17 +413,15 @@ def reference_grid_nonlinear(state_a, state_u, t, cfg, warn_state):
     lattice = cfg.lattice
     d = lattice.d
     products, k_vals, i_visc = reference_grid_terms(state_a, state_u, cfg, warn_state)
-    dealiased = forward_transform(lattice, products).coeffs
+    dealiased = full_forward(lattice, products)
     au, a_grad_a, adv = dealiased[:d], dealiased[d : 2 * d], dealiased[2 * d :]
     n_a = -1.0 * sum(1j * k * au[c] for c, k in enumerate(lattice.wavevectors()))
-    n_a = SpectralField._in_box(lattice, n_a[None])
-    a_grad_a_grid = inverse_transform(SpectralField._in_box(lattice, a_grad_a))
-    correction = forward_transform(lattice, k_vals * a_grad_a_grid + i_visc)
-    n_u = (-1.0 * adv - cfg.kappa * a_grad_a) - correction.coeffs
-    n_u = SpectralField._in_box(lattice, n_u)
+    a_grad_a_grid = full_inverse(lattice, a_grad_a).real
+    correction = full_forward(lattice, k_vals * a_grad_a_grid + i_visc)
+    n_u = (-1.0 * adv - cfg.kappa * a_grad_a) - correction
     if cfg.forcing is not None:
-        n_u = n_u + forcing_field(cfg.forcing, t)
-    return n_a, n_u
+        n_u = n_u + full(forcing_field(cfg.forcing, t))
+    return from_full(lattice, n_a), from_full(lattice, n_u)
 
 
 def reference_compressible_step(state, t, cfg, propagator, warn_state):
@@ -446,9 +440,9 @@ def half_spectrum_rhs(a, u, t, cfg, stepper=None):
     by ``stepper`` or by a stepper built for (a, u)."""
     if stepper is None:
         stepper = solvers.CompressibleStepper(cfg, a, u)
-    x = np.concatenate((half(a), half(u)))
+    x = np.concatenate((a.coeffs, u.coeffs))
     n = stepper.rhs(x, t, np.empty_like(x))
-    return from_half(cfg.lattice, n[:1]), from_half(cfg.lattice, n[1:])
+    return SpectralField._in_box(cfg.lattice, n[:1]), SpectralField._in_box(cfg.lattice, n[1:])
 
 
 # Pressure-law exponents for the oracles: make_case's gamma = 1.4, gamma = 2
@@ -486,7 +480,6 @@ class TestRightHandSideOracle:
     @staticmethod
     def assert_close(got, ref):
         for g, r in zip(got, ref):
-            assert g.is_reality_symmetric() == r.is_reality_symmetric()
             assert g.coeffs.shape == r.coeffs.shape
             scale = float(np.max(np.abs(r.coeffs)))
             assert float(np.max(np.abs(g.coeffs - r.coeffs))) <= 1e-12 * scale
@@ -574,42 +567,40 @@ class TestStepOracle:
 
     @pytest.mark.parametrize("name", list(ORACLE_LATTICES))
     def test_half_full_round_trips(self, name):
+        """The full-grid referees' expansion (``oracles.full``) and reduction
+        (``oracles.from_full``) around the fields that the steps take."""
         lattice = ORACLE_LATTICES[name]
         a, u = generate_initial_data(lattice, 1.0, 1.0, seed=22)
-        # a Hermitian field survives full -> half -> full
+        # a field survives half -> full -> half
         for field in (a, u):
-            assert np.array_equal(from_half(lattice, half(field)).coeffs, field.coeffs)
-        # any half spectrum that is zero outside the box survives half -> full -> half
+            assert np.array_equal(from_full(lattice, full(field)).coeffs, field.coeffs)
+        # any half spectrum that is zero outside the box is the half of its expansion
         rng = np.random.default_rng(23)
-        shape = half(u).shape
-        in_box = lattice.dealias_mask()[..., : lattice.cutoffs[-1] + 1]
+        shape = u.coeffs.shape
+        in_box = lattice.half(lattice.dealias_mask())
         array = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * in_box
-        assert np.array_equal(half(from_half(lattice, array)), array)
+        assert np.array_equal(lattice.half(full(SpectralField(lattice, array))), array)
 
     def test_non_real_data_rejected(self, lat16):
-        """A field whose coefficients are not Hermitian is rejected by name;
-        its half spectrum would stand for its Hermitian part."""
-        cfg = TestCompressible().make_cfg(lat16)
+        """Data that is not real reaches no step: a field holds a half
+        spectrum, which has no room for it, and full coefficient grids enter
+        only at the checkpoint boundary, which rejects by name a grid whose
+        coefficients are not Hermitian."""
         a, u = generate_initial_data(lat16, 1.0, 1.0, seed=5)
-        non_hermitian = {
-            "a": a + field_from_modes(lat16, {(1, 2): 0.1j}),
-            "u": u + field_from_modes(lat16, {(1, 2): (0.1j, 0.0)}, components=2),
-        }
-        for name, bad in non_hermitian.items():
-            fields = {"a": a, "u": u, name: bad}
-            message = f"{name} is not real: its coefficients are not Hermitian"
+        for name, field in (("a", a), ("u", u)):
+            grid = full(field)
+            grid[0, 1, 2] += 0.1j  # the mode (1, 2) without its mirror
+            message = f"checkpoint field '{name}' is not real: its coefficients are not Hermitian"
             with pytest.raises(ValueError, match=message):
-                step_compressible(fields["a"], fields["u"], 0.0, cfg)
-            with pytest.raises(ValueError, match=message):
-                run_trajectory((fields["a"], fields["u"]), cfg, "compressible")
+                checkpoint_field(lat16, name, grid)
 
 
 def reference_incompressible_step(v, t, cfg):
-    """One Lawson RK2 step of the incompressible system on the full
-    coefficient grid: ``advect``, ``helmholtz_project`` and the real heat
-    factor.  Kept as the oracle of ``IncompressibleStepper``."""
+    """One Lawson RK2 step of the incompressible system of fields:
+    ``advect``, ``helmholtz_project`` and the real heat factor.  Kept as the
+    oracle of ``IncompressibleStepper``."""
     lattice = cfg.lattice
-    heat = np.exp(-cfg.mu * lattice.k_squared() * cfg.dt)
+    heat = np.exp(-cfg.mu * lattice.half(lattice.k_squared()) * cfg.dt)
 
     def rhs(x, time):
         out = SpectralField.zeros(lattice, lattice.d) - helmholtz_project(advect(x[0], x[0]), "P")
@@ -637,18 +628,18 @@ class TestIncompressibleStepOracle:
             ref = reference_incompressible_step(ref, n * cfg.dt, cfg)
         TestRightHandSideOracle.assert_close((stepper.state(),), (ref,))
 
+
     def test_non_real_data_rejected(self, lat16):
+        """As for the compressible pair: a velocity grid whose coefficients
+        are not Hermitian is rejected by name where it would enter."""
         cfg = SolverConfig(lattice=lat16, mu=0.05, dt=1e-2, t_final=0.1)
-        v = field_from_modes(lat16, {(0, 1): (1.0, 0.0), (0, -1): (0.5, 0.0)}, components=2)
-        message = "v is not real: its coefficients are not Hermitian"
+        grid = np.zeros((2,) + lat16.resolution, np.complex128)
+        grid[0, 0, 1], grid[0, 0, -1] = 1.0, 0.5  # the modes (0, 1) and (0, -1)
+        message = "checkpoint field 'v' is not real: its coefficients are not Hermitian"
         with pytest.raises(ValueError, match=message):
-            step_incompressible(v, 0.0, cfg)
-        with pytest.raises(ValueError, match=message):
-            run_trajectory(v, cfg, "incompressible")
-        with pytest.raises(ValueError, match=message):
-            run_trajectory((v, AcousticCoeffs.zeros(lat16)), cfg, "limit")
-        # the zero field, like any Hermitian field, is real
-        step_incompressible(SpectralField.zeros(lat16, 2), 0.0, cfg)
+            checkpoint_field(lat16, "v", grid)
+        # the zero field, like any Hermitian grid, is real
+        step_incompressible(checkpoint_field(lat16, "v", np.zeros_like(grid)), 0.0, cfg)
 
     def test_steps_allocate_only_half_spectrum_stages(self, monkeypatch):
         """The traced peak of steps 2..5 of a 64^2 incompressible,
@@ -694,8 +685,8 @@ class TestIncompressibleStepOracle:
             assert len(peaks) == cfg.n_steps, kind
             d = lattice.d
             components = {"incompressible": d, "compressible": 1 + d, "limit": d + 2}[kind]
-            assert states[0] == components * half(u0).nbytes // d, kind
-            margin = half(u0).nbytes // d + index_copy.get(kind, 0) + 4096
+            assert states[0] == components * u0.coeffs.nbytes // d, kind
+            margin = u0.coeffs.nbytes // d + index_copy.get(kind, 0) + 4096
             assert max(peaks[1:]) < states[0] + margin, kind
 
 
@@ -919,7 +910,7 @@ class TestCompressibleStepper:
         finally:
             tracemalloc.stop()
         assert len(peaks) == cfg.n_steps
-        stack = 6 * a0.coeffs.nbytes  # six components on the coefficient grid
+        stack = 6 * 16 * math.prod(lattice.resolution)  # six components on the full grid
         assert max(peaks[1:]) < stack
 
 
@@ -1024,7 +1015,7 @@ class TestSharedWorkspace:
             added = (tracemalloc.get_traced_memory()[0] - start) / 4
         finally:
             tracemalloc.stop()
-        assert added < 8 * half(a0).nbytes
+        assert added < 8 * a0.coeffs.nbytes
 
     def test_lone_incompressible_stepper_allocates_its_own_arrays_only(self):
         """A lone 64^2 stepper's workspace holds just what its step reads,
@@ -1044,7 +1035,7 @@ class TestSharedWorkspace:
             allocated = tracemalloc.get_traced_memory()[0] - start
         finally:
             tracemalloc.stop()
-        half_c = half(v0).nbytes // 2  # one component on the half spectrum
+        half_c = v0.coeffs.nbytes // 2  # one component on the half spectrum
         grid_c = 64 * 64 * 8  # one real grid component
         spectrum_c = 64 * 33 * 16  # one component of a real-data FFT
         # stages 2 x 2; grid 3, Lamb term 2 and scratch 1; spectra the larger
@@ -1082,8 +1073,7 @@ class TestSharedWorkspace:
         assert not hasattr(work, "forward")
         assert set(work.layout) == {"stages", "grid", "products", "spectra"}
         assert work.spectra.shape == (max(sizes.values()),)
-        half_shape = lattice.resolution[:-1] + (lattice.cutoffs[-1] + 1,)
-        assert work.stages.shape == (2 * (d + 2),) + half_shape
+        assert work.stages.shape == (2 * (d + 2),) + lattice.half_shape
 
 
 class TestIncompressible:
@@ -1122,7 +1112,7 @@ class TestIncompressible:
         v0 = helmholtz_project(u0, "P")
         traj = SampledRun(v0, cfg, "incompressible")
         energies = [v.l2_norm() ** 2 for v in traj.states]
-        grads = [float(np.sum(lat16.k_squared() * v.mode_power())) for v in traj.states]
+        grads = [float(np.sum(lat16.k_squared() * full_power(v))) for v in traj.states]
         dissipated = 2.0 * cfg.mu * np.trapezoid(grads, traj.times)
         defect = abs(energies[-1] - energies[0] + dissipated) / energies[0]
         assert defect <= 1e-6
@@ -1186,15 +1176,16 @@ class TestLimit:
         initial = limit_initial_data(*generate_initial_data(lat16, 1.0, 1.0, seed=10))
         traj = SampledRun(initial, cfg, "limit")
         energies = [V.l2_norm() ** 2 for _, V in traj.states]
-        grads = [float(np.sum(lat16.k_squared() * V.mode_power())) for _, V in traj.states]
+        grads = [float(np.sum(lat16.k_squared() * full_power(V))) for _, V in traj.states]
         dissipated = cfg.nu * np.trapezoid(grads, traj.times)
         defect = abs(energies[-1] - energies[0] + dissipated) / energies[0]
         assert defect <= 1e-6
 
     @pytest.mark.parametrize("name", ["16x16", "8x8x6"])
     def test_state_V_is_hermitian_bit_for_bit(self, name):
-        """The stepper holds V's half spectra, so each branch of ``state()``'s
-        V satisfies V[-k] = conj V[k] exactly on the columns 1..cut."""
+        """The stepper holds V's half spectra and ``state()`` wraps them, so
+        each branch of V, expanded, satisfies V[-k] = conj V[k] exactly on
+        the columns 1..cut, and column 0 to round-off."""
         lattice = {
             "16x16": LatticeSpec.square(2, 16),
             "8x8x6": LatticeSpec((1, Fraction(1, 2), Fraction(2, 3)), (8, 8, 6)),
@@ -1205,23 +1196,26 @@ class TestLimit:
         for n in range(5):
             stepper.step(n * cfg.dt)
         v, V = stepper.state()
-        assert V.coeffs.shape == (2,) + lattice.resolution
+        assert V.coeffs.shape == (2,) + lattice.half_shape
+        assert np.shares_memory(V.coeffs, stepper.x)
         cut, n = lattice.cutoffs[-1], lattice.resolution[-1]
-        mirror = np.conj(_mirror(V.coeffs, range(1, lattice.d + 1)))
-        assert np.array_equal(V.coeffs[..., n - cut :], mirror[..., n - cut :])
-        assert np.any(V.coeffs[..., n - cut :] != 0)
+        grid = full(V)
+        mirror = np.conj(_mirror(grid, range(1, lattice.d + 1)))
+        assert np.array_equal(grid[..., n - cut :], mirror[..., n - cut :])
+        assert np.any(grid[..., n - cut :] != 0)
+        assert hermitian_defect(lattice, grid) <= 1e-14 * float(np.max(np.abs(grid)))
         assert not np.array_equal(V.coeffs, V0.coeffs)
 
+
     def test_non_hermitian_V_rejected(self, lat16):
-        """Only V's half spectra are stepped, so a V whose branches are not
-        Hermitian, which they would misread, is rejected when built."""
-        cfg, v0 = self.make_setup(lat16, dt=5e-3, t_final=0.05)
-        V = acoustic_from_modes(lat16, {((1, 2), 1): 1.0, ((-1, -2), 1): 0.5})
-        message = "V is not real: its coefficients are not Hermitian"
+        """Each branch of V is the spectrum of a real function: a grid of V
+        whose branch is not Hermitian is rejected by name where it would
+        enter, at the checkpoint boundary."""
+        grid = np.zeros((2,) + lat16.resolution, np.complex128)
+        grid[0, 1, 2], grid[0, -1, -2] = 1.0, 0.5  # the modes (1, 2) and (-1, -2)
+        message = "checkpoint field 'V' is not real: its coefficients are not Hermitian"
         with pytest.raises(ValueError, match=message):
-            solvers.LimitStepper(cfg, v0, V)
-        with pytest.raises(ValueError, match=message):
-            run_trajectory((v0, V), cfg, "limit")
+            checkpoint_field(lat16, "V", grid)
 
     def test_self_convergence_second_order(self, lat16):
         cfg0, v0 = self.make_setup(lat16, dt=1e-3, t_final=0.1)
@@ -1272,7 +1266,7 @@ class TestHeatFactor:
         twice, allocates its result and no iterator or cast buffer."""
         lattice = LatticeSpec.square(2, 64)
         _, u = generate_initial_data(lattice, 1.0, 1.0, seed=0)
-        heat = np.exp(-0.05 * lattice.k_squared() * 5e-3).astype(np.complex128)
+        heat = np.exp(-0.05 * lattice.half(lattice.k_squared()) * 5e-3).astype(np.complex128)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -1437,6 +1431,100 @@ class TestTrajectoryLoop:
         assert calls == ["CompressibleStepper"]
 
 
+class TestStateIsAView:
+    """A stepper's ``state()`` wraps its stacked half spectra: it allocates
+    no coefficient array, and the fields share the stepper's memory."""
+
+    def test_state_allocates_no_coefficient_array(self):
+        lattice = LatticeSpec.square(2, 64)
+        cfg = SolverConfig(lattice=lattice, mu=0.05, lam=0.05, eps=0.1, dt=2e-3, t_final=1e-2)
+        a0, u0 = generate_initial_data(lattice, 1.0, 1.0, seed=0)
+        v0, V0 = limit_initial_data(a0, u0)
+        steppers = {
+            "compressible": solvers.CompressibleStepper(cfg, a0, u0),
+            "incompressible": solvers.IncompressibleStepper(cfg, v0),
+            "limit": solvers.LimitStepper(cfg, v0, V0),
+        }
+        component = a0.coeffs.nbytes  # one half-spectrum component, 64 x 22 modes
+        for kind, stepper in steppers.items():
+            stepper.step(0.0)
+            tracemalloc.start()
+            try:
+                state = stepper.state()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the field objects and their views, about 0.5 kB
+            assert peak < component // 8, kind
+            for field in state if isinstance(state, tuple) else (state,):
+                assert np.shares_memory(field.coeffs, stepper.x), kind
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def checkpoint_cases():
+    """The lattice and a short run of configs/desk.json, and two rational
+    lattices (2D and 3D) with the same settings."""
+    with open(os.path.join(REPO, "configs", "desk.json")) as fh:
+        desk = ExperimentConfig.from_json(json.load(fh))
+    cfg = replace(desk.solver_config(desk.eps_list[0]), t_final=5 * desk.dt)
+    cases = {"desk": (cfg, desk.initial_data())}
+    for name, lattice in (
+        ("16x12", LatticeSpec((1, Fraction(3, 2)), (16, 12))),
+        ("8x8x6", LatticeSpec((1, Fraction(1, 2), Fraction(2, 3)), (8, 8, 6))),
+    ):
+        cases[name] = (
+            replace(cfg, lattice=lattice),
+            generate_initial_data(lattice, 1.0, 1.0, seed=3),
+        )
+    return cases
+
+
+class TestCheckpointBoundary:
+    """Checkpoints hold full coefficient grids, which ``save_checkpoint``
+    expands from the fields' half spectra one component at a time.  A file
+    written from a stepper's state has the bytes that the full-grid layout's
+    writer gives (``oracles.save_full_grid_checkpoint``, which expands with
+    ``oracles._half_to_full``), and load, field and save give them again."""
+
+    @pytest.mark.parametrize("name", ["desk", "16x12", "8x8x6"])
+    def test_state_checkpoints_have_the_full_grid_bytes(self, tmp_path, name):
+        cfg, (a0, u0) = checkpoint_cases()[name]
+        states = {
+            "compressible": dict(zip("au", run_trajectory((a0, u0), cfg, "compressible"))),
+            "limit": dict(zip("vV", run_trajectory(limit_initial_data(a0, u0), cfg, "limit"))),
+        }
+        t = cfg.n_steps * cfg.dt
+        for kind, fields in states.items():
+            got, want, again = (os.path.join(tmp_path, f"{kind}-{n}.lmc") for n in (1, 2, 3))
+            save_checkpoint(got, cfg.lattice, t, fields, meta={"kind": kind})
+            save_full_grid_checkpoint(want, cfg.lattice, t, fields, meta={"kind": kind})
+            with open(got, "rb") as fh, open(want, "rb") as ref:
+                data = fh.read()
+                assert data == ref.read(), kind
+            lattice, time, arrays, meta = load_checkpoint(got)
+            loaded = {key: checkpoint_field(lattice, key, array) for key, array in arrays.items()}
+            for key, field in fields.items():
+                assert np.array_equal(loaded[key].coeffs, field.coeffs), (kind, key)
+            save_checkpoint(again, lattice, time, loaded, meta)
+            with open(again, "rb") as fh:
+                assert fh.read() == data, kind
+
+    def test_checkpoint_field_checks_shape_and_reality(self, lat16):
+        a0, u0 = generate_initial_data(lat16, 1.0, 1.0, seed=16)
+        a = full(a0)
+        assert np.array_equal(checkpoint_field(lat16, "a", a).coeffs, a0.coeffs)
+        for bad, message in (
+            (a[:, :8], r"checkpoint field 'a' has shape \(1, 8, 16\)"),
+            (a[0], r"checkpoint field 'a' has shape \(16, 16\)"),
+            ((1 + 1j) * a, "checkpoint field 'a' is not real: its coefficients are not Hermitian"),
+            (np.where(a == a[0, 1, 0], np.nan, a), "checkpoint field 'a' has non-finite"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                checkpoint_field(lat16, "a", bad)
+
+
 class TestInitialDataAndIO:
     def test_requested_norms_achieved(self, lat32):
         a0, u0 = generate_initial_data(lat32, 2.0, 2.0, seed=14)
@@ -1451,9 +1539,12 @@ class TestInitialDataAndIO:
         assert np.array_equal(u1.coeffs, u2.coeffs)
 
     def test_reality_of_initial_data(self, lat16):
+        """The draw's half spectra expand to Hermitian grids: column 0 is
+        Hermitian along the leading axes."""
         a0, u0 = generate_initial_data(lat16, 1.0, 1.0, seed=15)
-        assert a0.is_reality_symmetric()
-        assert u0.is_reality_symmetric()
+        for field in (a0, u0):
+            assert field.coeffs.shape[1:] == lat16.half_shape
+            assert hermitian_defect(lat16, full(field)) == 0.0
 
     def test_checkpoint_round_trip(self, tmp_path, lat16):
         a0, u0 = generate_initial_data(lat16, 1.0, 1.0, seed=16)
@@ -1463,8 +1554,8 @@ class TestInitialDataAndIO:
         assert lattice == lat16
         assert time == 0.25
         assert meta["eps"] == 0.1
-        assert np.array_equal(arrays["a"], a0.coeffs)
-        assert np.array_equal(arrays["u"], u0.coeffs)
+        assert np.array_equal(arrays["a"], full(a0))
+        assert np.array_equal(arrays["u"], full(u0))
 
     def test_acoustic_checkpoint_round_trip(self, tmp_path, lat16):
         a0, u0 = generate_initial_data(lat16, 1.0, 1.0, seed=16)
@@ -1474,7 +1565,7 @@ class TestInitialDataAndIO:
         save_checkpoint(path, lat16, 0.5, {"V": V})
         lattice, _, arrays, _ = load_checkpoint(path)
         assert arrays["V"].shape == (2,) + lat16.resolution
-        again = AcousticCoeffs(lattice, *arrays["V"])
+        again = AcousticCoeffs(lattice, *checkpoint_field(lattice, "V", arrays["V"]).coeffs)
         assert again.coeffs.tobytes() == V.coeffs.tobytes()
 
     @pytest.mark.parametrize("keep", [-24, 40, 12])  # payload, header, length field
@@ -1573,8 +1664,8 @@ class TestInitialDataAndIO:
         for n in range(5, 10):
             state = step_compressible(*state, n * cfg.dt, cfg)
         _, t_mid, arrays, _ = load_checkpoint(path)
-        # rebuilt from the arrays alone: a field is real by its coefficients
-        resumed = tuple(SpectralField(lat16, arrays[name]) for name in "au")
+        # rebuilt from the arrays alone, as their half spectra
+        resumed = tuple(checkpoint_field(lat16, name, arrays[name]) for name in "au")
         for n in range(5):
             resumed = step_compressible(*resumed, t_mid + n * cfg.dt, cfg)
         for got, want in zip(resumed, state):
@@ -1605,7 +1696,7 @@ class TestInitialDataAndIO:
             ],
         )
         f = forcing_field(forcing, 0.3)
-        assert f.is_reality_symmetric()
+        assert hermitian_defect(lat16, full(f)) == 0.0
         fac = math.cos(2.0 * 0.3)
         expected = {
             (1, 0): (fac * (0.3 + 0.1j), 0.0),

@@ -13,6 +13,7 @@ from lowmach import dyadic, functionals, operators, resonance
 from lowmach.lattice import (
     LatticeSpec,
     SpectralField,
+    checkpoint_field,
     dealiased_product,
     forward_transform,
     inverse_transform,
@@ -22,6 +23,9 @@ from oracles import (
     _box_modes,
     convolution_product,
     field_from_modes,
+    full,
+    full_forward,
+    full_inverse,
     grid_points,
     sg,
     spectral_derivative,
@@ -35,8 +39,29 @@ def random_field(lattice, rng, components=1):
 
 
 def test_a_field_holds_its_lattice_and_coefficients_alone():
-    """Whether a field is real is read from its coefficients, not stored."""
+    """Every field is real: its half spectrum is all that it stores."""
     assert SpectralField.__slots__ == ("lattice", "coeffs")
+
+
+def test_a_field_is_its_half_spectrum():
+    """A 64^2 field holds 64 x 22 coefficients per component, the columns
+    n_2 = 0..21 of the 2/3 rule's box, not the 64 x 64 of the FFT grid."""
+    lattice = LatticeSpec.square(2, 64)
+    assert lattice.half_shape == (64, 22)
+    values = np.random.default_rng(1).standard_normal((3, 64, 64))
+    assert forward_transform(lattice, values).coeffs.shape == (3, 64, 22)
+    assert SpectralField.zeros(lattice, 2).coeffs.shape == (2, 64, 22)
+    with pytest.raises(ValueError, match=r"\(64, 22\)"):
+        SpectralField(lattice, np.zeros((1, 64, 64), np.complex128))
+
+
+def test_forward_transform_rejects_complex_samples(lat16):
+    """Grid samples of a field are real; complex ones are refused by their
+    dtype, even with a zero imaginary part."""
+    values = np.random.default_rng(2).standard_normal((1,) + lat16.resolution)
+    for dtype in (np.complex64, np.complex128):
+        with pytest.raises(TypeError, match="real samples, not complex"):
+            forward_transform(lat16, values.astype(dtype))
 
 
 def test_constant_field_transform():
@@ -69,17 +94,21 @@ def test_round_trip_and_parseval(lat16):
         integral = np.sum(np.abs(grid) ** 2) * (
             lat16.volume / np.prod(lat16.resolution)
         )
-        coeff_sum = float(np.sum(field.mode_power()))
+        coeff_sum = float(np.sum(np.abs(full(field)) ** 2))
         assert integral == pytest.approx(coeff_sum, rel=1e-12)
+        assert field.l2_norm() ** 2 == pytest.approx(coeff_sum, rel=1e-13)
 
 
 def test_single_mode_inverse():
+    """The mode (1, 0) with its mirror (-1, 0), which the half spectrum
+    implies: exp(i x) + exp(-i x)."""
     lat = LatticeSpec.square(2, 8)
     amp = math.sqrt(lat.volume)
     field = field_from_modes(lat, {(1, 0): amp})
     grid = inverse_transform(field)
     x = grid_points(lat)[0]
-    assert np.allclose(grid[0], np.exp(1j * x), atol=1e-12)
+    assert grid.dtype == np.float64
+    assert np.allclose(grid[0], 2.0 * np.cos(x), atol=1e-12)
 
 
 def test_zero_coefficients_inverse(lat16):
@@ -91,7 +120,7 @@ def test_reality_symmetric_inverse_is_real(lat16):
     rng = np.random.default_rng(3)
     field = random_field(lat16, rng)
     assert inverse_transform(field).dtype == np.float64
-    complex_view = complex_fft_values(lat16, field.coeffs)
+    complex_view = full_inverse(lat16, full(field))
     assert np.max(np.abs(complex_view.imag)) <= 1e-12
 
 
@@ -114,13 +143,13 @@ def test_non_finite_coefficients_are_masked_without_warning(lat16, bad):
     under the suite's filterwarnings); finite coefficients keep the bytes of
     the masked product, signed zeros included."""
     rng = np.random.default_rng(6)
-    shape = (2,) + lat16.resolution
+    shape = (2,) + lat16.half_shape
     finite = rng.standard_normal(shape) - 1j * rng.standard_normal(shape)
     inside, outside = (0, 1, 0), (1, 7, 0)  # lat16 keeps |n_h| <= 5
     coeffs = finite.copy()
     coeffs[inside] = coeffs[outside] = bad
     builds = [
-        (lambda c: SpectralField(lat16, c), lat16.dealias_mask()),
+        (lambda c: SpectralField(lat16, c), lat16.half(lat16.dealias_mask())),
         (lambda c: operators.AcousticCoeffs(lat16, *c), operators._acoustic_mask(lat16)),
     ]
     for build, mask in builds:
@@ -140,91 +169,52 @@ TRANSFORM_LATTICES = [
 ]
 
 
-def complex_fft_coefficients(lattice, values):
-    """Masked coefficients of grid values through the complex FFT."""
-    axes = tuple(range(1, lattice.d + 1))
-    scale = math.sqrt(lattice.volume) / np.prod(lattice.resolution)
-    return np.fft.fftn(values, axes=axes) * scale * lattice.dealias_mask()
-
-
-def complex_fft_values(lattice, coeffs):
-    """Grid values of coefficients through the complex inverse FFT."""
-    axes = tuple(range(1, lattice.d + 1))
-    return np.fft.ifftn(coeffs, axes=axes) * (
-        np.prod(lattice.resolution) / math.sqrt(lattice.volume)
-    )
-
-
 @pytest.mark.parametrize("lattice", TRANSFORM_LATTICES, ids=lambda lat: str(lat.resolution))
 def test_real_transforms_match_complex_on_hermitian_fields(lattice):
     rng = np.random.default_rng(31)
     values = rng.standard_normal((3,) + lattice.resolution)
     field = forward_transform(lattice, values)
-    ref = complex_fft_coefficients(lattice, values)
+    ref = full_forward(lattice, values)
     scale = np.max(np.abs(ref))
-    assert field.is_reality_symmetric()
-    assert np.max(np.abs(field.coeffs - ref)) <= 1e-14 * scale
-    assert field.conjugate_symmetry_defect() <= 1e-15 * scale
-    # complex samples with zero imaginary part take the same path
-    same = forward_transform(lattice, values.astype(np.complex128))
-    assert np.array_equal(same.coeffs, field.coeffs)
+    assert field.coeffs.shape == (3,) + lattice.half_shape
+    # the half spectrum, with the mirrors it implies, is the complex FFT's grid
+    assert np.max(np.abs(full(field) - ref)) <= 1e-14 * scale
     grid = inverse_transform(field)
     assert grid.dtype == np.float64
-    full = complex_fft_values(lattice, field.coeffs)
-    assert np.max(np.abs(grid - full.real)) <= 1e-13 * np.max(np.abs(full))
-    assert np.max(np.abs(full.imag)) <= 1e-13 * np.max(np.abs(full))
-
-
-@pytest.mark.parametrize("lattice", TRANSFORM_LATTICES, ids=lambda lat: str(lat.resolution))
-def test_non_hermitian_fields_take_complex_transforms(lattice):
-    """A field is real when its coefficients are Hermitian: a field that is
-    not gives the complex inverse, and a product with it the product of the
-    complex grid values."""
-    rng = np.random.default_rng(32)
-    shape = (2,) + lattice.resolution
-    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    field = SpectralField(lattice, coeffs)
-    assert field.conjugate_symmetry_defect() > 0.1
-    full = complex_fft_values(lattice, field.coeffs)
-    assert np.array_equal(inverse_transform(field), full)
-    real = random_field(lattice, rng)
-    prod = dealiased_product(field.component(0), real)
-    ref = complex_fft_coefficients(lattice, full[:1] * inverse_transform(real))
-    assert np.max(np.abs(prod.coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
+    values = full_inverse(lattice, full(field))
+    assert np.max(np.abs(grid - values.real)) <= 1e-13 * np.max(np.abs(values))
+    assert np.max(np.abs(values.imag)) <= 1e-13 * np.max(np.abs(values))
 
 
 def test_tiny_complex_mode_is_not_taken_for_a_real_field(lat16):
-    """The Hermitian test scales with the field, with no floor of 1: one
-    complex mode of amplitude 1e-14 is not real, and its inverse is the
-    complex one."""
-    field = field_from_modes(lat16, {(1, 2): 1e-14j})
-    assert not field.is_reality_symmetric()
-    grid = inverse_transform(field)
-    assert np.array_equal(grid, complex_fft_values(lat16, field.coeffs))
-    assert np.max(np.abs(grid.imag)) > 0
-    # with its mirror it is real, at any amplitude
-    real = field_from_modes(lat16, {(1, 2): 1e-14j, (-1, -2): -1e-14j})
-    assert real.is_reality_symmetric()
+    """The Hermitian test where full grids enter, at the checkpoint
+    boundary, scales with the field, with no floor of 1: one complex mode of
+    amplitude 1e-14 is not real; with its mirror it is, at any amplitude."""
+    grid = np.zeros((1,) + lat16.resolution, np.complex128)
+    grid[0, 1, 2] = 1e-14j
+    with pytest.raises(ValueError, match="checkpoint field 'a' is not real"):
+        checkpoint_field(lat16, "a", grid)
+    grid[0, -1, -2] = -1e-14j
+    real = checkpoint_field(lat16, "a", grid)
+    assert real.mode((1, 2))[0] == 1e-14j and real.mode((-1, -2))[0] == -1e-14j
     assert inverse_transform(real).dtype == np.float64
 
 
 def test_non_finite_pair_keeps_the_real_inverse(lat16):
-    """A pair whose two members are both non-finite matches, and the scale is
-    the largest finite |c_k|: a real field with NaN at (1, 0) and (-1, 0)
-    inverts to real samples.  NaN at (1, 0) alone is a mismatch, so the
-    complex inverse spreads it to every sample."""
+    """Every field inverts to real samples, non-finite coefficients
+    included: NaN at (1, 0) and (-1, 0), a pair in column 0, or at (1, 0)
+    alone spreads to the samples, which stay float64."""
     field = forward_transform(lat16, np.random.default_rng(34).standard_normal((1, 16, 16)))
     pair, alone = field.coeffs.copy(), field.coeffs.copy()
     pair[:, 1, 0] = pair[:, -1, 0] = alone[:, 1, 0] = math.nan
-    assert inverse_transform(SpectralField(lat16, pair)).dtype == np.float64
-    grid = inverse_transform(SpectralField(lat16, alone))
-    assert grid.dtype == np.complex128 and np.isnan(grid).all()
+    for coeffs in (pair, alone):
+        grid = inverse_transform(SpectralField(lat16, coeffs))
+        assert grid.dtype == np.float64 and np.isnan(grid).any()
 
 
 def test_infinite_pair_inverts_without_warning(lat16):
-    """An infinite pair at (1, 0) and (-1, 0) matches as a NaN pair does:
-    the defect subtracts within the pairs that count alone, since inf - inf
-    would warn, and the real inverse gives float64 samples with no warning."""
+    """An infinite pair at (1, 0) and (-1, 0) inverts to float64 samples
+    with no warning, although the FFTs meet inf - inf."""
     field = forward_transform(lat16, np.random.default_rng(34).standard_normal((1, 16, 16)))
     coeffs = field.coeffs.copy()
     coeffs[:, 1, 0] = coeffs[:, -1, 0] = math.inf
@@ -232,21 +222,6 @@ def test_infinite_pair_inverts_without_warning(lat16):
         warnings.simplefilter("error")
         grid = inverse_transform(SpectralField(lat16, coeffs))
     assert grid.dtype == np.float64
-
-
-@pytest.mark.parametrize("lattice", TRANSFORM_LATTICES, ids=lambda lat: str(lat.resolution))
-def test_complex_fields_keep_complex_transforms(lattice):
-    rng = np.random.default_rng(33)
-    shape = (2,) + lattice.resolution
-    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    field = SpectralField(lattice, coeffs)
-    grid = inverse_transform(field)
-    assert grid.dtype == np.complex128
-    assert np.array_equal(grid, complex_fft_values(lattice, field.coeffs))
-    back = forward_transform(lattice, grid)
-    assert not back.is_reality_symmetric()
-    assert np.array_equal(back.coeffs, complex_fft_coefficients(lattice, grid))
-    assert np.max(np.abs(back.coeffs - field.coeffs)) <= 1e-13 * np.max(np.abs(coeffs))
 
 
 def test_laplacian_single_mode():
@@ -287,9 +262,10 @@ def test_product_single_modes():
     prod = dealiased_product(f, f)
     oracle = convolution_product(f, f)
     assert prod.mode((2, 0))[0] == pytest.approx(oracle.mode((2, 0))[0], rel=1e-12)
-    # only the (2, 0) mode survives
+    assert prod.mean_coefficient()[0] == pytest.approx(oracle.mean_coefficient()[0], rel=1e-12)
+    # f holds (1, 0) and its mirror (-1, 0): only (2, 0), (0, 0) and (-2, 0) survive
     masked = prod.coeffs.copy()
-    masked[0, 2, 0] = 0.0
+    masked[0, [2, 0, -2], 0] = 0.0
     assert np.max(np.abs(masked)) < 1e-13
 
 
@@ -322,13 +298,16 @@ def test_product_lattice_mismatch():
 
 
 def test_reality_preserved_by_products_and_derivatives(lat16):
+    """Products and derivatives of fields are fields: half spectra, whose
+    grid values are real."""
     rng = np.random.default_rng(23)
     f = random_field(lat16, rng)
     g = random_field(lat16, rng)
     prod = dealiased_product(f, g)
     grad = spectral_derivative(f, "grad")
-    assert prod.is_reality_symmetric()
-    assert grad.is_reality_symmetric()
+    for field, components in ((prod, 1), (grad, 2)):
+        assert field.coeffs.shape == (components,) + lat16.half_shape
+        assert inverse_transform(field).dtype == np.float64
 
 
 def test_zero_mean_split():
@@ -399,13 +378,23 @@ def test_anisotropic_wavevectors():
 )
 def test_half_box(lat):
     index, mirror = lat.half_box()
-    last = lat.index_grids()[-1].ravel()
-    assert np.all(np.diff(index) > 0) and np.all(last[index] >= 0)
-    assert np.array_equal(last[mirror], -last[index])
-    assert np.array_equal(lat.k_squared().ravel()[mirror], lat.k_squared().ravel()[index])
-    # each dealiased mode is a half-box mode or the n_d-mirror of one, once
-    covered = np.concatenate((index, mirror[last[index] > 0]))
-    assert np.array_equal(np.sort(covered), np.flatnonzero(lat.dealias_mask()))
+    *leading, last = (lat.half(g).ravel() for g in lat.index_grids())
+    # row 0: the dealiased modes of a half spectrum, in increasing order
+    assert np.all(np.diff(index) > 0)
+    assert np.array_equal(index, np.flatnonzero(lat.half(lat.dealias_mask())))
+    # row 1: (-n', n_d) for n_d > 0, the mode itself for n_d = 0
+    assert np.array_equal(last[mirror], last[index])
+    for grid in leading:
+        assert np.array_equal(grid[mirror], np.where(last[index] > 0, -grid[index], grid[index]))
+    k_squared = lat.half(lat.k_squared()).ravel()
+    assert np.array_equal(k_squared[mirror], k_squared[index])
+    # for n_d > 0, the coefficient at row 1 is the conjugate of the n_d-mirror's
+    field = forward_transform(lat, np.random.default_rng(8).standard_normal((1,) + lat.resolution))
+    *position, column = np.unravel_index(index, lat.half_shape)
+    n_d_mirror = np.ravel_multi_index((*position, -column % lat.resolution[-1]), lat.resolution)
+    partner = field.coeffs[0].ravel()[mirror]
+    got = np.where(column > 0, np.conj(partner), partner)
+    assert np.array_equal(full(field)[0].ravel()[n_d_mirror], got)
 
 
 def test_sign_grid():
