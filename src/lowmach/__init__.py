@@ -3,6 +3,15 @@ on the rational-period torus: spectral fields, dyadic norm machinery, the
 acoustic eigenbasis, exact resonance tables and limit forms, exponential
 time steppers, and the Mach-number sweep diagnostics."""
 
+import os
+
+# lowmach's numerics run on one thread by design (thread-split transforms
+# were ruled out by measurement, ROADMAP Baseline), and its matrix products
+# are too small for OpenBLAS's helper threads, which only spin: start none.
+# A caller's own setting wins, and the line does nothing if numpy was
+# imported before lowmach.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .lattice import (
     LatticeSpec,
     SpectralField,

@@ -187,11 +187,12 @@ class ResonanceTable:
         """The entries whose output mode m lies in the half box, in this
         table's order, as the limit forms read them (:class:`HalfTable`).
         The other entries write the mirrors of these outputs, which a
-        Hermitian result determines."""
+        Hermitian result determines.  The q1 entries of weight exactly 0
+        (k orthogonal to m on a shell) add nothing and are dropped."""
         lattice = self.lattice
         size = _half_size(lattice)
         q1_m, q2_m = (_half_position(lattice, m) for m in (self.q1_m, self.q2_m[1]))
-        q1, q2 = q1_m < size, q2_m < size
+        q1, q2 = (q1_m < size) & (self.q1_weight != 0), q2_m < size
         k, ss = _half_position(lattice, self.q1_k[q1]), self.q1_ss[q1]
         return HalfTable(
             lattice=lattice,
@@ -227,8 +228,9 @@ def _half_position(lattice: LatticeSpec, flat: np.ndarray) -> np.ndarray:
 @dataclass
 class HalfTable:
     """The entries of a :class:`ResonanceTable` whose output mode m lies in
-    the half box (n_d >= 0), in the table's order: what the limit forms read
-    on half spectra (``ResonanceTable.half``).
+    the half box (n_d >= 0), in the table's order, less the q1 entries of
+    weight 0: what the limit forms read on half spectra
+    (``ResonanceTable.half``).
 
     ``q1_m`` and ``q2_m`` are flat indices into a half spectrum.  The input
     indices ``q1_l``, ``q2_k``, ``q2_l`` and the rows of ``q1_gather`` index

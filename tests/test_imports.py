@@ -1,14 +1,21 @@
 """Every module-level import in the package and the tests is used, every
 private module-level function and class of the package is named somewhere
 besides its definition, every public name of the package is called by the
-package itself, except the few listed with their reasons, and every name
-that the package namespace exports is one of those public names."""
+package itself, except the few listed with their reasons, every name that
+the package namespace exports is one of those public names, and importing
+the package keeps OpenBLAS to one thread."""
 
 import ast
 import collections
 import inspect
+import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
+
+import pytest
 
 import lowmach
 
@@ -201,3 +208,43 @@ def test_namespace_names_are_in_some_all():
         for name in public_names(path.read_text(encoding="utf-8"))
     }
     assert sorted(name for name in namespace_names() if name not in listed) == []
+
+
+# what a fresh interpreter reports after importing the package: the
+# OpenBLAS setting it leaves and its threads (None where /proc is missing)
+IMPORT_PROBE = """
+import json, os
+import lowmach
+task = "/proc/self/task"
+threads = len(os.listdir(task)) if os.path.isdir(task) else None
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), threads]))
+"""
+
+
+def probe_import(**env) -> tuple:
+    """The OpenBLAS setting and thread count after ``import lowmach`` in a
+    fresh interpreter whose environment has no OpenBLAS setting but ``env``."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), base.get("PYTHONPATH", "")])
+    run = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE],
+        env={**base, **env},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return tuple(json.loads(run.stdout))
+
+
+def test_import_pins_openblas_to_one_thread():
+    # numpy's OpenBLAS starts one helper thread per core at load, which only
+    # spins; the package sets its default before its modules load numpy
+    setting, threads = probe_import()
+    assert setting == "1"
+    if threads is None:
+        pytest.skip("no /proc/self/task to count threads")
+    assert threads == 1
+
+
+def test_import_keeps_the_callers_openblas_setting():
+    assert probe_import(OPENBLAS_NUM_THREADS="2")[0] == "2"

@@ -755,19 +755,55 @@ class TestLimitForms:
     def test_half_table_keeps_the_half_box_entries_in_order(self):
         """The lattice's limit table, ``ResonanceTable.half`` of the whole
         table, keeps the entries whose output mode has n_d >= 0, in their
-        order, so each kept output sums its terms in the same order; at 64^2
-        that is 51% of q1 and 57% of q2."""
+        order, so each kept output sums its remaining terms in the same
+        order, less the q1 entries of weight exactly 0 (k orthogonal to m on
+        a shell), which add nothing; at 64^2 that is 42% of q1 (51% with the
+        966 entries of weight 0) and 57% of q2."""
         lattice = LatticeSpec.square(2, 64)
         table, half = build_limit_tables(lattice), resonance._limit_table(lattice)
         n, cut = lattice.resolution[-1], lattice.cutoffs[-1]
-        for full, kept in ((table.q1_m, half.q1_m), (table.q2_m[1], half.q2_m)):
-            rows = full[full % n <= cut]
+        q1_rows = table.q1_m[(table.q1_m % n <= cut) & (table.q1_weight != 0)]
+        q2_rows = table.q2_m[1][table.q2_m[1] % n <= cut]
+        for rows, kept in ((q1_rows, half.q1_m), (q2_rows, half.q2_m)):
             assert np.array_equal(kept, rows // n * (cut + 1) + rows % n)
         assert (table.q1_m.size, table.q2_m[1].size) == (10824, 9096)
-        assert (half.q1_m.size, half.q2_m.size) == (5519, 5178)
+        assert (half.q1_m.size, half.q2_m.size) == (4553, 5178)
+        assert np.count_nonzero(table.q1_weight[table.q1_m % n <= cut] == 0) == 966
         for name in ("q1_weight", "q1_kvec", "q2_smod"):
             assert getattr(half, name).dtype == np.complex128, name
             assert getattr(half, name).flags.c_contiguous, name
+
+    @pytest.mark.parametrize("name", [*ORACLE_LATTICES, "64x64"])
+    def test_half_table_drops_only_zero_weights(self, name):
+        """No q1 entry of the lattice's limit table has weight 0, and Q1 over
+        it gives the bytes of Q1 over the half-box entries with the weight-0
+        ones put back (weight NaN for the selection, 0 once selected)."""
+        lattice = ORACLE_LATTICES.get(name) or LatticeSpec.square(2, 64)
+        half = resonance._limit_table(lattice)
+        assert np.all(half.q1_weight != 0)
+        table = build_limit_tables(lattice)
+        zero = table.q1_weight == 0
+        table.q1_weight = np.where(zero, np.nan, table.q1_weight)
+        kept = table.half()
+        kept.q1_weight[np.isnan(kept.q1_weight)] = 0
+        n, cut = lattice.resolution[-1], lattice.cutoffs[-1]
+        assert kept.q1_m.size - half.q1_m.size == np.count_nonzero(zero[table.q1_m % n <= cut])
+        rng = np.random.default_rng(3)
+        u, B = (
+            extended(f.coeffs)
+            for f in (random_divfree(lattice, rng), random_acoustic(lattice, rng))
+        )
+        forms = [
+            resonance.limit_q1(
+                u,
+                B,
+                t,
+                np.empty(2 * t.q1_m.size, np.complex128),
+                np.empty((2,) + lattice.half_shape, np.complex128),
+            )
+            for t in (half, kept)
+        ]
+        assert forms[0].tobytes() == forms[1].tobytes()
 
     def test_forms_fill_the_work_arrays(self):
         """Both forms fill a limit stepper's share of its workspace buffer
